@@ -3,7 +3,7 @@
 Layer 1 lints the source tree: per-file rules
 (:mod:`repro.check.linter` + :mod:`repro.check.rules`) plus the
 project-wide semantic pass (:mod:`repro.check.semantic`) — symbol
-resolution, flow-sensitive dataflow, and wire-symmetry proofs over one
+resolution and flow-sensitive dataflow over one
 parsed view of the tree (:mod:`repro.check.project`). Layer 2
 (:mod:`repro.check.invariants`) verifies protocol invariants over
 recorded JSONL traces. Both report through the shared findings model in

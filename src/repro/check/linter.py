@@ -12,7 +12,7 @@ file contents and therefore cacheable (:mod:`repro.check.cache`):
   finding are ``CFG002`` (stale) warnings. Skipped under ``--only``,
   where most rules did not run and staleness cannot be judged.
 * the semantic layer (:mod:`repro.check.semantic`) — project-wide
-  dataflow and wire-symmetry findings, keyed by the whole-project
+  dataflow findings, keyed by the whole-project
   fingerprint in the cache. :func:`lint_paths` runs it by default;
   :func:`lint_source` stays per-file.
 """
@@ -231,7 +231,7 @@ def lint_paths(
     ``package_roots`` are directories whose children are package-relative
     for exemption matching (e.g. ``src/repro``); by default the segment
     after the last ``/repro/`` in each path is used. ``semantic`` adds
-    the project-wide dataflow and wire-symmetry rules; ``cache`` (an
+    the project-wide dataflow rules; ``cache`` (an
     :class:`AnalysisCache`) skips re-analysis of unchanged content.
     """
     config = config or CheckConfig()

@@ -1,9 +1,8 @@
 """Whole-project loading for the semantic analysis layer.
 
 The per-file rules in :mod:`repro.check.rules` see one AST at a time;
-the semantic rules (:mod:`repro.check.semantic`,
-:mod:`repro.check.wiresym`) reason across files — aliased clocks that
-cross a function boundary, wire encoders whose decoder lives three
+the semantic rules (:mod:`repro.check.semantic`) reason across files —
+aliased clocks that cross a function boundary, obs names built three
 helpers away. This module gives them one parsed view of the tree:
 every ``.py`` file read and parsed exactly once, addressable both by
 filesystem path and by dotted module name, with the import graph

@@ -22,15 +22,16 @@ PY003     warning    ``print`` in library code (CLI/render exempt)
 OBS001    error      ``obs.event``/``obs.span``/metric name literals that
                      do not resolve against the catalog in
                      ``repro/obs/names.py``
-WIRE001   error      ``wire_size``-bearing dataclasses with fields the
-                     serializer never references
+WIRE001   error      a class that hand-writes ``wire_size`` or a byte-level
+                     ``encode``/``decode`` instead of declaring a
+                     ``repro.common.wire`` field table
 ========  =========  ====================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.check.findings import Finding
 from repro.obs.names import EVENT_NAMES, METRIC_NAMES
@@ -315,75 +316,43 @@ class ObsNameRule(Rule):
         self.generic_visit(node)
 
 
-class WireFieldRule(Rule):
-    """WIRE001 — every dataclass field must appear in its serializer.
+class HandWrittenCodecRule(Rule):
+    """WIRE001 — wire layouts are declared, not hand-written.
 
-    A dataclass that defines ``wire_size`` is a wire message; a field the
-    size accounting never mentions is either dead weight or a field the
-    protocol silently fails to cost. The rule demands each annotated
-    field name appear as ``self.<field>`` inside ``wire_size`` (helper
-    calls like ``_u64(self.offset)`` count — the reference is what
-    matters).
+    A record's ``wire_size``/``encode``/``decode`` are derived from one
+    ``repro.common.wire`` field table, which is what keeps the three
+    symmetric and every field costed. Only codec-shaped methods count —
+    ``encode(self)`` and a class-level ``decode`` — so an algorithm such
+    as a delta backend's ``encode(self, base, target)`` is left alone.
     """
 
     id = "WIRE001"
     severity = "error"
-    description = "dataclass field missing from wire_size accounting"
+    description = "hand-written wire codec instead of a field table"
     hint = (
-        "reference the field in wire_size (e.g. a size helper like "
-        "_u32(self.field)) or drop it from the wire dataclass"
+        "declare the layout once with @wire.record(...) (or a wire.Schema) "
+        "from repro.common.wire and let it derive the method"
     )
 
-    def _is_dataclass(self, node: ast.ClassDef) -> bool:
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = (
-                target.id
-                if isinstance(target, ast.Name)
-                else getattr(target, "attr", None)
-            )
-            if name == "dataclass":
-                return True
-        return False
+    @staticmethod
+    def _is_codec(func: ast.FunctionDef) -> bool:
+        args = func.args
+        params = len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+        class_level = any(
+            ast.unparse(d) in ("classmethod", "staticmethod")
+            for d in func.decorator_list
+        )
+        return (
+            func.name == "wire_size"
+            or (func.name == "encode" and params == 1)
+            or (func.name == "decode" and class_level)
+        )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._is_dataclass(node):
-            fields: List[Tuple[str, ast.AnnAssign]] = []
-            wire_size: Optional[ast.FunctionDef] = None
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    annotation = ast.unparse(stmt.annotation)
-                    if "ClassVar" not in annotation:
-                        fields.append((stmt.target.id, stmt))
-                elif (
-                    isinstance(stmt, ast.FunctionDef)
-                    and stmt.name == "wire_size"
-                ):
-                    wire_size = stmt
-            if wire_size is not None:
-                referenced = self._self_attrs(wire_size)
-                for name, stmt in fields:
-                    if name not in referenced:
-                        self.report(
-                            stmt,
-                            f"field `{name}` of {node.name} never appears "
-                            "in wire_size",
-                        )
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and self._is_codec(stmt):
+                self.report(stmt, f"{node.name}.{stmt.name} is written by hand")
         self.generic_visit(node)
-
-    @staticmethod
-    def _self_attrs(func: ast.FunctionDef) -> Set[str]:
-        attrs: Set[str] = set()
-        for sub in ast.walk(func):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
-                attrs.add(sub.attr)
-        return attrs
 
 
 #: Registry, in report order. The engine iterates this.
@@ -394,7 +363,7 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     BareExceptRule,
     PrintRule,
     ObsNameRule,
-    WireFieldRule,
+    HandWrittenCodecRule,
 )
 
 RULES_BY_ID: Dict[str, Type[Rule]] = {rule.id: rule for rule in ALL_RULES}

@@ -2,9 +2,8 @@
 
 The per-file catalog (:mod:`repro.check.rules`) sees one AST at a time
 and only literal spellings. This layer runs the flow-sensitive pass
-(:mod:`repro.check.dataflow`) and the wire-symmetry prover
-(:mod:`repro.check.wiresym`) over the loaded :class:`Project` and turns
-their observations into the same :class:`Finding` shape:
+(:mod:`repro.check.dataflow`) over the loaded :class:`Project` and turns
+its observations into the same :class:`Finding` shape:
 
 ========  =========  ====================================================
 id        severity   what it flags
@@ -23,8 +22,6 @@ DET003    error      a ``DeterministicRandom`` instance shared across
 DET004    error      iteration over a ``set`` flowing into an
                      order-sensitive sink (fleet event heap, wire
                      encoders, ``conflict_path``)
-WIRE002   error      an encoder/decoder pair whose statically extracted
-                     wire field sequences are not symmetric
 ========  =========  ====================================================
 
 DET001/OBS001 findings from this layer are *disjoint* from the per-file
@@ -40,14 +37,13 @@ them against the project fingerprint and re-filter per run;
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.check.callgraph import CallGraph
 from repro.check.config import CheckConfig, parse_suppressions
 from repro.check.dataflow import Observations, analyze_module
 from repro.check.findings import Finding
 from repro.check.project import Project
-from repro.check.wiresym import WirePairResult, verify_project
 from repro.obs.names import EVENT_NAMES, METRIC_NAMES
 
 
@@ -101,23 +97,12 @@ class UnorderedIterationRule(SemanticRule):
     )
 
 
-class WireSymmetryRule(SemanticRule):
-    id = "WIRE002"
-    severity = "error"
-    description = "encoder/decoder wire field sequences are not symmetric"
-    hint = (
-        "make the decoder read exactly the fields the encoder writes, in "
-        "the same order; re-run `repro check` for the extracted layouts"
-    )
-
-
 #: Registry, in report order — mirrored by docs/static-analysis.md.
 SEMANTIC_RULES: Tuple[type, ...] = (
     FlowClockRule,
     FlowObsNameRule,
     SharedRngRule,
     UnorderedIterationRule,
-    WireSymmetryRule,
 )
 
 SEMANTIC_RULES_BY_ID: Dict[str, type] = {
@@ -195,29 +180,6 @@ def _observation_findings(
     return findings
 
 
-def wire_findings(
-    project: Project, results: Optional[List[WirePairResult]] = None
-) -> List[Finding]:
-    """WIRE002 findings (mismatches only) for a project."""
-    if results is None:
-        results = verify_project(CallGraph.build(project))
-    findings: List[Finding] = []
-    by_rel = {m.rel_path: m for m in project.modules}
-    for result in results:
-        if result.status != "mismatch":
-            continue
-        module = by_rel.get(result.module)
-        path = module.path if module is not None else result.module
-        for problem in result.problems:
-            findings.append(
-                _finding(
-                    WireSymmetryRule, path, result.line,
-                    f"{result.name}: {problem}",
-                )
-            )
-    return findings
-
-
 def analyze_project(project: Project) -> List[Finding]:
     """Raw semantic findings for a whole project.
 
@@ -230,7 +192,6 @@ def analyze_project(project: Project) -> List[Finding]:
     for module in project.parsed():
         obs = analyze_module(module, graph)
         findings.extend(_observation_findings(module.path, obs))
-    findings.extend(wire_findings(project, verify_project(graph)))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
 

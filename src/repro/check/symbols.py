@@ -1,16 +1,13 @@
 """Per-module symbol tables for the semantic analysis layer.
 
 One :class:`SymbolTable` per parsed module answers the questions the
-dataflow and wire-symmetry engines keep asking:
+dataflow engine keeps asking:
 
 * what dotted origin does this name refer to? (``import time as t`` +
   ``t.monotonic`` -> ``time.monotonic``; ``from repro.common import
-  wire`` + ``wire.u64`` -> ``repro.common.wire.u64``);
+  wire`` + ``wire.u64be`` -> ``repro.common.wire.u64be``);
 * what literal value does this module-level constant hold?
-  (``_KIND_WRITE = 1``, ``_COPY_TAG = 0xC0``);
-* what struct format does this module-level ``struct.Struct`` instance
-  carry? (``_U64 = struct.Struct(">Q")`` -> ``">Q"``);
-* which functions and classes does the module define at top level?
+  (``_COPY_TAG = 0xC0``).
 
 Resolution is purely syntactic — no imports are executed. Chains of
 module-level aliases (``now = time.time`` then ``later = now``) are
@@ -42,14 +39,8 @@ class SymbolTable:
     constants: Dict[str, object] = field(default_factory=dict)
     #: module-level ``NAME = {..: "str", ..}`` all-string dict tables.
     str_choices: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: module-level ``NAME = struct.Struct("<fmt>")`` bindings.
-    struct_formats: Dict[str, str] = field(default_factory=dict)
     #: module-level ``NAME = <dotted target>`` callable aliases.
     value_alias: Dict[str, str] = field(default_factory=dict)
-    #: top-level function definitions.
-    functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: top-level class definitions.
-    classes: Dict[str, ast.ClassDef] = field(default_factory=dict)
 
     # -- resolution --------------------------------------------------------
 
@@ -90,9 +81,6 @@ class SymbolTable:
     def str_choice(self, name: str) -> Optional[Tuple[str, ...]]:
         return self.str_choices.get(name)
 
-    def struct_format(self, name: str) -> Optional[str]:
-        return self.struct_formats.get(name)
-
 
 def build_symbol_table(tree: ast.Module, module: str = "") -> SymbolTable:
     """Scan a module's top level into a :class:`SymbolTable`."""
@@ -112,10 +100,6 @@ def build_symbol_table(tree: ast.Module, module: str = "") -> SymbolTable:
             for alias in stmt.names:
                 local = alias.asname or alias.name
                 table.from_alias[local] = f"{stmt.module}.{alias.name}"
-        elif isinstance(stmt, ast.FunctionDef):
-            table.functions[stmt.name] = stmt
-        elif isinstance(stmt, ast.ClassDef):
-            table.classes[stmt.name] = stmt
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -138,25 +122,11 @@ def build_symbol_table(tree: ast.Module, module: str = "") -> SymbolTable:
                 table.str_choices[name] = tuple(
                     v.value for v in value.values  # type: ignore[union-attr]
                 )
-            elif _is_struct_ctor(value, table):
-                fmt = value.args[0]
-                if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
-                    table.struct_formats[name] = fmt.value
             elif isinstance(value, (ast.Name, ast.Attribute)):
                 dotted = _dotted_of(value)
                 if dotted is not None:
                     table.value_alias[name] = dotted
     return table
-
-
-def _is_struct_ctor(node: ast.expr, table: SymbolTable) -> bool:
-    if not (isinstance(node, ast.Call) and node.args):
-        return False
-    origin = table.resolve_expr(node.func)
-    if origin == "struct.Struct":
-        return True
-    # `from struct import Struct` spells the origin the same way.
-    return origin is not None and origin.endswith("struct.Struct")
 
 
 def _dotted_of(node: ast.expr) -> Optional[str]:
@@ -168,41 +138,3 @@ def _dotted_of(node: ast.expr) -> Optional[str]:
         if base is not None:
             return f"{base}.{node.attr}"
     return None
-
-
-#: Struct format character widths (byte-order prefixes are skipped).
-STRUCT_WIDTHS: Dict[str, int] = {
-    "b": 1, "B": 1, "x": 1, "c": 1, "?": 1,
-    "h": 2, "H": 2,
-    "i": 4, "I": 4, "l": 4, "L": 4, "f": 4,
-    "q": 8, "Q": 8, "d": 8, "n": 8, "N": 8,
-}
-
-
-def struct_token_widths(fmt: str) -> Optional[Tuple[int, ...]]:
-    """Byte widths of each field in a struct format string.
-
-    ``"<II"`` -> ``(4, 4)``; repeat counts expand (``"3B"`` -> three
-    1-byte fields). Returns None for formats with characters the wire
-    grammar does not model (``s``/``p`` strings need their count kept).
-    """
-    widths = []
-    count = ""
-    for ch in fmt:
-        if ch in "@=<>!":
-            continue
-        if ch.isdigit():
-            count += ch
-            continue
-        if ch == "s":
-            # An `Ns` run is one blob of N bytes; the wire grammar
-            # models it as a fixed-width field of that many bytes.
-            widths.append(int(count) if count else 1)
-            count = ""
-            continue
-        width = STRUCT_WIDTHS.get(ch)
-        if width is None:
-            return None
-        widths.extend([width] * (int(count) if count else 1))
-        count = ""
-    return tuple(widths)

@@ -1085,8 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--no-semantic", action="store_true",
-        help="skip the project-wide semantic rules (dataflow + "
-             "wire-symmetry); per-file rules still run",
+        help="skip the project-wide semantic (dataflow) rules; per-file "
+             "rules still run",
     )
     check.add_argument(
         "--cache", metavar="PATH", default=None,

@@ -17,21 +17,18 @@ from typing import Optional
 from repro.common import wire
 
 
+@wire.record(wire.u32be("client_id"), wire.u32be("counter"))
 @dataclass(frozen=True, order=True)
 class VersionStamp:
     """A globally-unique version identifier ``<CliID, VerCnt>``.
 
     Ordering is lexicographic (client id then counter) and exists only for
     deterministic display/sorting; causality between different clients'
-    stamps is *not* implied, by design.
+    stamps is *not* implied, by design. 8 bytes on the wire.
     """
 
     client_id: int
     counter: int
-
-    def wire_size(self) -> int:
-        """8 bytes on the wire: u32 client id + u32 counter."""
-        return wire.u32(self.client_id) + wire.u32(self.counter)
 
     def __str__(self) -> str:
         return f"v<{self.client_id},{self.counter}>"

@@ -33,10 +33,10 @@ traffic is bounded by the dirty + damaged regions, never whole files.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common import wire
 from repro.common.version import VersionStamp
 from repro.core.relation_table import RelationEntry
 from repro.core.sync_queue import (
@@ -58,18 +58,12 @@ _P_NODE = _J + b"node\x00"
 _P_REL = _J + b"rel\x00"
 _P_UNDO = _J + b"undo\x00"
 
-_KIND_WRITE = 1
-_KIND_TRUNCATE = 2
-_KIND_DELTA = 3
-_KIND_META = 4
-
-_U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
+# Key suffixes (big-endian, so keys sort numerically) and the vercnt value.
+_U64 = wire.Schema("u64", wire.u64be("value"), scalar=True)
 
 
 def _node_key(seq: int) -> bytes:
-    return _P_NODE + _U64.pack(seq)
+    return _P_NODE + _U64.encode(seq)
 
 
 def _rel_key(src: str) -> bytes:
@@ -77,170 +71,74 @@ def _rel_key(src: str) -> bytes:
 
 
 def _undo_key(path: str, index: int) -> bytes:
-    return _P_UNDO + path.encode() + b"\x00" + _U64.pack(index)
+    return _P_UNDO + path.encode() + b"\x00" + _U64.encode(index)
 
 
-# -- record (de)serialization ------------------------------------------------
+# -- record layouts ----------------------------------------------------------
+
+_VERSION = wire.Schema(
+    "version", wire.u64be("client_id"), wire.u64be("counter"), factory=VersionStamp
+)
+_STR = wire.Schema("str", wire.text("text", wire.u32be), scalar=True)
+_RUN = wire.Schema("run", wire.u64be("offset"), wire.blob("data", wire.u32be))
 
 
-def _pack_bytes(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data
-
-
-def _unpack_bytes(buf: bytes, pos: int) -> Tuple[bytes, int]:
-    (length,) = _U32.unpack_from(buf, pos)
-    pos += _U32.size
-    return buf[pos : pos + length], pos + length
-
-
-def _pack_str(text: str) -> bytes:
-    return _pack_bytes(text.encode())
-
-
-def _unpack_str(buf: bytes, pos: int) -> Tuple[str, int]:
-    raw, pos = _unpack_bytes(buf, pos)
-    return raw.decode(), pos
-
-
-def _pack_version(version: Optional[VersionStamp]) -> bytes:
-    if version is None:
-        return b"\x00"
-    return b"\x01" + _U64.pack(version.client_id) + _U64.pack(version.counter)
-
-
-def _unpack_version(buf: bytes, pos: int) -> Tuple[Optional[VersionStamp], int]:
-    flag = buf[pos]
-    pos += 1
-    if not flag:
-        return None, pos
-    (client_id,) = _U64.unpack_from(buf, pos)
-    (counter,) = _U64.unpack_from(buf, pos + _U64.size)
-    return VersionStamp(client_id, counter), pos + 2 * _U64.size
-
-
-def encode_node(node: QueueNode) -> bytes:
-    """Serialize one Sync Queue node into a journal record."""
-    head = (
-        _pack_str(node.path)
-        + _pack_version(node.base_version)
-        + _pack_version(node.new_version)
-    )
-    if isinstance(node, WriteNode):
-        body = bytes([1 if node.packed else 0]) + _U32.pack(len(node.writes))
-        for offset, data in node.writes:
-            body += _U64.pack(offset) + _pack_bytes(data)
-        return bytes([_KIND_WRITE]) + head + body
-    if isinstance(node, TruncateNode):
-        return bytes([_KIND_TRUNCATE]) + head + _U64.pack(node.length)
-    if isinstance(node, DeltaNode):
-        return (
-            bytes([_KIND_DELTA])
-            + head
-            + _pack_version(node.content_base)
-            + _pack_bytes(node.delta.encode())
-        )
-    if isinstance(node, MetaNode):
-        dest = node.dest if node.dest is not None else ""
-        return (
-            bytes([_KIND_META])
-            + head
-            + _pack_str(node.kind)
-            + bytes([1 if node.dest is not None else 0])
-            + _pack_str(dest)
-        )
-    raise TypeError(f"cannot journal {type(node).__name__}")
-
-
-def decode_node(buf: bytes) -> QueueNode:
-    """Rebuild a Sync Queue node from its journal record."""
-    kind = buf[0]
-    pos = 1
-    path, pos = _unpack_str(buf, pos)
-    base_version, pos = _unpack_version(buf, pos)
-    new_version, pos = _unpack_version(buf, pos)
-    if kind == _KIND_WRITE:
-        packed = bool(buf[pos])
-        pos += 1
-        (n_runs,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size
-        writes: List[Tuple[int, bytes]] = []
-        for _ in range(n_runs):
-            (offset,) = _U64.unpack_from(buf, pos)
-            pos += _U64.size
-            data, pos = _unpack_bytes(buf, pos)
-            writes.append((offset, data))
-        return WriteNode(
-            path=path,
-            base_version=base_version,
-            new_version=new_version,
-            writes=writes,
-            packed=packed,
-        )
-    if kind == _KIND_TRUNCATE:
-        (length,) = _U64.unpack_from(buf, pos)
-        return TruncateNode(
-            path=path,
-            base_version=base_version,
-            new_version=new_version,
-            length=length,
-        )
-    if kind == _KIND_DELTA:
-        content_base, pos = _unpack_version(buf, pos)
-        blob, pos = _unpack_bytes(buf, pos)
-        return DeltaNode(
-            path=path,
-            base_version=base_version,
-            new_version=new_version,
-            content_base=content_base,
-            delta=Delta.decode(blob),
-        )
-    if kind == _KIND_META:
-        op_kind, pos = _unpack_str(buf, pos)
-        has_dest = bool(buf[pos])
-        pos += 1
-        dest, pos = _unpack_str(buf, pos)
-        return MetaNode(
-            path=path,
-            base_version=base_version,
-            new_version=new_version,
-            kind=op_kind,
-            dest=dest if has_dest else None,
-        )
-    raise ValueError(f"unknown journal node kind {kind}")
-
-
-def _encode_relation(entry: RelationEntry) -> bytes:
-    return (
-        _pack_str(entry.dst)
-        + _F64.pack(entry.created_at)
-        + _pack_str(entry.origin)
+def _node(cls: type, kind: int, *body: object) -> wire.Schema:
+    """A queue-node record: kind tag, the shared head, the kind's body."""
+    return wire.Schema(
+        cls.__name__,
+        wire.u8(const=kind),
+        wire.text("path", wire.u32be),
+        wire.optional("base_version", _VERSION),
+        wire.optional("new_version", _VERSION),
+        *body,
+        factory=cls,
     )
 
 
-def _decode_relation(src: str, buf: bytes) -> RelationEntry:
-    pos = 0
-    dst, pos = _unpack_str(buf, pos)
-    (created_at,) = _F64.unpack_from(buf, pos)
-    pos += _F64.size
-    origin, pos = _unpack_str(buf, pos)
-    return RelationEntry(src=src, dst=dst, created_at=created_at, origin=origin)
+_NODE = wire.Union(
+    "journal node",
+    _node(
+        WriteNode, 1,
+        wire.flag("packed"), wire.items("writes", _RUN, wire.u32be),
+    ),
+    _node(TruncateNode, 2, wire.u64be("length")),
+    _node(
+        DeltaNode, 3,
+        wire.optional("content_base", _VERSION),
+        wire.blob("delta", wire.u32be, inner=Delta.WIRE),
+    ),
+    _node(
+        MetaNode, 4,
+        wire.text("kind", wire.u32be), wire.optional("dest", _STR, absent=""),
+    ),
+)
+# Values of the relation / undo keys (src, path and index live in the key).
+_RELATION = wire.Schema(
+    "relation",
+    wire.text("dst", wire.u32be), wire.f64be("created_at"),
+    wire.text("origin", wire.u32be),
+)
+_UNDO = wire.Schema(
+    "undo",
+    wire.u64be("base_size"), wire.u64be("offset"), wire.u64be("length"),
+    wire.blob("old_data", wire.u32be),
+)
+
+#: Serialize one Sync Queue node into a journal record (``TypeError`` for
+#: anything that is not a queue node).
+encode_node = _NODE.encode
+#: Rebuild a Sync Queue node from its journal record; ``ValueError`` on a
+#: truncated, over-long or otherwise malformed record.
+decode_node = _NODE.decode
 
 
-def _encode_undo(base_size: int, offset: int, length: int, old_data: bytes) -> bytes:
-    return (
-        _U64.pack(base_size)
-        + _U64.pack(offset)
-        + _U64.pack(length)
-        + _pack_bytes(old_data)
-    )
-
-
-def _decode_undo(buf: bytes) -> Tuple[int, int, int, bytes]:
-    (base_size,) = _U64.unpack_from(buf, 0)
-    (offset,) = _U64.unpack_from(buf, _U64.size)
-    (length,) = _U64.unpack_from(buf, 2 * _U64.size)
-    old_data, _ = _unpack_bytes(buf, 3 * _U64.size)
-    return base_size, offset, length, old_data
+def _decoded(schema, key: bytes, value: bytes):
+    """``schema.decode(value)``, with the offending key named on failure."""
+    try:
+        return schema.decode(value)
+    except ValueError as exc:
+        raise ValueError(f"corrupt journal record {key!r}: {exc}") from exc
 
 
 # -- the journal -------------------------------------------------------------
@@ -283,7 +181,9 @@ class SyncJournal:
 
     def record_vercnt(self, counter: int) -> None:
         """Persist the last minted version counter."""
-        self._put(_K_VERCNT, _U64.pack(counter), kind="vercnt", ref=str(counter))
+        self._put(
+            _K_VERCNT, _U64.encode(counter), kind="vercnt", ref=str(counter)
+        )
 
     def record_node(self, node: QueueNode) -> None:
         """Persist (or re-persist, after coalescing) one queue node."""
@@ -303,7 +203,9 @@ class SyncJournal:
     def record_relation(self, entry: RelationEntry) -> None:
         """Persist one Relation Table entry."""
         self._put(
-            _rel_key(entry.src), _encode_relation(entry), kind="relation",
+            _rel_key(entry.src),
+            _RELATION.encode((entry.dst, entry.created_at, entry.origin)),
+            kind="relation",
             ref=entry.src,
         )
 
@@ -322,7 +224,7 @@ class SyncJournal:
         self._undo_index[path] = index + 1
         self._put(
             _undo_key(path, index),
-            _encode_undo(base_size, offset, length, old_data),
+            _UNDO.encode((base_size, offset, length, old_data)),
             kind="undo",
             ref=path,
         )
@@ -343,23 +245,29 @@ class SyncJournal:
     # -- read side ---------------------------------------------------------
 
     def load(self) -> JournalState:
-        """Reconstruct the journaled state (post-crash replay input)."""
+        """Reconstruct the journaled state (post-crash replay input).
+
+        A record that does not decode exactly raises ``ValueError`` naming
+        its key: replaying a shortened write would corrupt the file.
+        """
         state = JournalState()
         raw_vercnt = self.kv.get(_K_VERCNT)
         if raw_vercnt is not None:
-            (state.vercnt,) = _U64.unpack(raw_vercnt)
+            state.vercnt = _decoded(_U64, _K_VERCNT, raw_vercnt)
         for key, value in self.kv.items(_P_NODE):
-            (seq,) = _U64.unpack(key[len(_P_NODE) :])
-            state.nodes.append((seq, decode_node(value)))
+            seq = _U64.decode(key[len(_P_NODE) :])
+            state.nodes.append((seq, _decoded(_NODE, key, value)))
         state.nodes.sort(key=lambda pair: pair[0])
         for key, value in self.kv.items(_P_REL):
             src = key[len(_P_REL) :].decode()
-            state.relations.append(_decode_relation(src, value))
+            state.relations.append(
+                RelationEntry(src, *_decoded(_RELATION, key, value))
+            )
         for key, value in self.kv.items(_P_UNDO):
             body = key[len(_P_UNDO) :]
-            path = body[: -(_U64.size + 1)].decode()
-            (index,) = _U64.unpack(body[-_U64.size :])
-            base_size, offset, length, old_data = _decode_undo(value)
+            path = body[: -(_U64.fixed_size + 1)].decode()
+            index = _U64.decode(body[-_U64.fixed_size :])
+            base_size, offset, length, old_data = _decoded(_UNDO, key, value)
             undo = state.undo.setdefault(path, UndoState(base_size=base_size))
             undo.records.append((offset, length, old_data))
             if index >= self._undo_index.get(path, 0):

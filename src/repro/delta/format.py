@@ -13,7 +13,6 @@ charges for transmitting a delta.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, List, Union
 
@@ -23,44 +22,7 @@ _COPY_TAG = 0xC0
 _LITERAL_TAG = 0x11
 
 
-def _encode_varint(value: int) -> bytes:
-    """LEB128-style unsigned varint."""
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-# A canonical unsigned 64-bit varint never needs more than 10 groups of 7
-# bits; anything longer is an over-long encoding (a corruption/ambiguity
-# vector — 0 can be spelled with arbitrarily many continuation bytes).
-_MAX_VARINT_SHIFT = 63
-
-
-def _decode_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    """Decode a varint at ``pos``; returns ``(value, next_pos)``."""
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint")
-        if shift > _MAX_VARINT_SHIFT:
-            raise ValueError("over-long varint encoding")
-        byte = buf[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-
-
+@wire.record(wire.u8(const=_COPY_TAG), wire.varint("offset"), wire.varint("length"))
 @dataclass(frozen=True)
 class Copy:
     """Copy ``length`` bytes from ``offset`` in the base file."""
@@ -68,32 +30,42 @@ class Copy:
     offset: int
     length: int
 
-    def wire_size(self) -> int:
-        return 1 + len(_encode_varint(self.offset)) + len(_encode_varint(self.length))
 
-    def encode(self) -> bytes:
-        return bytes([_COPY_TAG]) + _encode_varint(self.offset) + _encode_varint(self.length)
-
-
+@wire.record(wire.u8(const=_LITERAL_TAG), wire.blob("data", wire.varint))
 @dataclass(frozen=True)
 class Literal:
     """Insert ``data`` verbatim."""
 
     data: bytes
 
-    def wire_size(self) -> int:
-        return 1 + len(_encode_varint(len(self.data))) + len(self.data)
-
-    def encode(self) -> bytes:
-        return bytes([_LITERAL_TAG]) + _encode_varint(len(self.data)) + self.data
-
 
 DeltaOp = Union[Copy, Literal]
 
 
+def _decoded_delta(ops: List[DeltaOp], target_size: int) -> "Delta":
+    """What ``Delta.decode`` builds: the header must not lie about the ops."""
+    delta = Delta(ops=ops, target_size=target_size)
+    reconstructed = delta.copied_bytes + delta.literal_bytes
+    if reconstructed != target_size:
+        raise ValueError(
+            f"ops reconstruct {reconstructed} bytes but the header "
+            f"promises {target_size}"
+        )
+    return delta
+
+
+@wire.record(
+    wire.count_of("ops", wire.u32le),
+    wire.u32le("target_size"),
+    wire.items("ops", wire.Union("delta op", Copy.WIRE, Literal.WIRE)),
+    factory=_decoded_delta,
+)
 @dataclass
 class Delta:
     """An ordered delta instruction stream plus bookkeeping.
+
+    ``wire_size()`` is what crosses the network; ``decode`` raises
+    ``ValueError`` on malformed input.
 
     Attributes:
         ops: the instruction list.
@@ -129,60 +101,6 @@ class Delta:
         """Total bytes reused from the base file."""
         return sum(op.length for op in self.ops if isinstance(op, Copy))
 
-    def wire_size(self) -> int:
-        """Serialized size in bytes — what crosses the network."""
-        # Fixed header: u32 op count + u32 target size.
-        return sum(op.wire_size() for op in self.ops) + 4 + wire.u32(self.target_size)
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        body = b"".join(op.encode() for op in self.ops)
-        return struct.pack("<II", len(self.ops), self.target_size) + body
-
-    @classmethod
-    def decode(cls, buf: bytes) -> "Delta":
-        """Parse a serialized delta; raises ``ValueError`` on malformed input."""
-        if len(buf) < 8:
-            raise ValueError("truncated delta header")
-        op_count, target_size = struct.unpack_from("<II", buf, 0)
-        pos = 8
-        ops: List[DeltaOp] = []
-        for _ in range(op_count):
-            if pos >= len(buf):
-                raise ValueError("truncated delta body")
-            tag = buf[pos]
-            pos += 1
-            if tag == _COPY_TAG:
-                offset, pos = _decode_varint(buf, pos)
-                length, pos = _decode_varint(buf, pos)
-                ops.append(Copy(offset, length))
-            elif tag == _LITERAL_TAG:
-                length, pos = _decode_varint(buf, pos)
-                if pos + length > len(buf):
-                    raise ValueError("truncated literal")
-                ops.append(Literal(buf[pos : pos + length]))
-                pos += length
-            else:
-                raise ValueError(f"unknown delta op tag 0x{tag:02x}")
-        if pos != len(buf):
-            raise ValueError(
-                f"{len(buf) - pos} trailing byte(s) after the declared "
-                f"{op_count} op(s)"
-            )
-        reconstructed = sum(
-            op.length if isinstance(op, Copy) else len(op.data) for op in ops
-        )
-        if reconstructed != target_size:
-            raise ValueError(
-                f"ops reconstruct {reconstructed} bytes but the header "
-                f"promises {target_size}"
-            )
-        delta = cls()
-        for op in ops:
-            delta.ops.append(op)
-        delta.target_size = target_size
-        return delta
-
     @classmethod
     def from_ops(cls, ops: Iterable[DeltaOp]) -> "Delta":
         """Build a delta from raw ops, coalescing as it goes."""
@@ -190,3 +108,4 @@ class Delta:
         for op in ops:
             delta.append(op)
         return delta
+

@@ -37,6 +37,19 @@ from repro.cost.meter import CostMeter, NULL_METER
 from repro.delta.format import Copy, Delta, Literal
 
 
+_BLOCK = wire.Schema(
+    "signature block",
+    wire.u32be("weak"),
+    wire.when_set("strong", wire.opaque(16, "MD5 digest"), 0),
+    factory=FixedChunk,
+)
+
+
+@wire.record(
+    wire.u32be("block_size"),
+    wire.u64be("base_size"),
+    wire.items("blocks", _BLOCK, wire.u32be),
+)
 @dataclass
 class Signature:
     """Block signature of a base file.
@@ -60,13 +73,6 @@ class Signature:
         for block in self.blocks:
             index.setdefault(block.weak, []).append(block)
         return index
-
-    def wire_size(self) -> int:
-        """Bytes to transmit the signature (weak 4B + strong 16B per block)."""
-        per_block = 4 + (16 if self.with_strong else 0)
-        # 16-byte header: u32 block size + u64 base size + u32 block count.
-        header = wire.u32(self.block_size) + wire.u64(self.base_size) + 4
-        return header + per_block * len(self.blocks)
 
 
 def compute_signature(

@@ -8,23 +8,26 @@ recovery contract.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from typing import Iterator, Tuple
+
+from repro.common import wire
 
 PUT = 1
 DELETE = 2
 
-_HEADER = struct.Struct("<II")
-_PAYLOAD_HEADER = struct.Struct("<BI")
+_FRAME = wire.Schema("WAL frame", wire.u32le("length"), wire.u32le("crc32"))
+_PAYLOAD = wire.Schema(
+    "WAL payload", wire.u8("op"), wire.blob("key", wire.u32le), wire.rest("value")
+)
 
 
 def encode_record(op: int, key: bytes, value: bytes = b"") -> bytes:
     """Serialize one WAL record."""
     if op not in (PUT, DELETE):
         raise ValueError(f"unknown op {op}")
-    payload = _PAYLOAD_HEADER.pack(op, len(key)) + key + value
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    payload = _PAYLOAD.encode((op, key, value))
+    return _FRAME.encode((len(payload), zlib.crc32(payload))) + payload
 
 
 def iter_records(buf: bytes) -> Iterator[Tuple[int, bytes, bytes]]:
@@ -35,18 +38,17 @@ def iter_records(buf: bytes) -> Iterator[Tuple[int, bytes, bytes]]:
     """
     pos = 0
     n = len(buf)
-    while pos + _HEADER.size <= n:
-        length, crc = _HEADER.unpack_from(buf, pos)
-        start = pos + _HEADER.size
+    while pos + _FRAME.fixed_size <= n:
+        (length, crc), start = _FRAME.decode_from(buf, pos)
         end = start + length
         if end > n:
             return  # torn tail
         payload = buf[start:end]
         if zlib.crc32(payload) != crc:
             return  # corrupt tail
-        op, klen = _PAYLOAD_HEADER.unpack_from(payload, 0)
-        key_start = _PAYLOAD_HEADER.size
-        key = payload[key_start : key_start + klen]
-        value = payload[key_start + klen :]
-        yield op, key, value
+        try:
+            record = _PAYLOAD.decode(payload)
+        except ValueError:
+            return  # checksummed but malformed: as untrustworthy as a bad CRC
+        yield record
         pos = end

@@ -16,33 +16,47 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 if TYPE_CHECKING:  # obs-only annotation; never imported at runtime
     from repro.obs.tracer import TraceContext
 
+from repro.common import wire
 from repro.common.version import VersionStamp
-from repro.common.wire import u8 as _u8
-from repro.common.wire import u16 as _u16
-from repro.common.wire import u32 as _u32
-from repro.common.wire import u64 as _u64
 from repro.delta.format import Delta
 
-_PATH_OVERHEAD = 2  # length prefix for path strings
-_MSG_HEADER = 8  # type tag + length framing
+
+def _message(*fields):
+    """Class decorator for a message: a frozen dataclass whose layout is
+    the uniform 8-byte header, then ``fields``."""
+    layout = wire.record(wire.opaque(8, "type tag + length framing"), *fields)
+    return lambda cls: layout(dataclass(frozen=True)(cls))
 
 
-def _path_size(path: str) -> int:
-    return _PATH_OVERHEAD + len(path.encode())
+def _path(name: str) -> wire.Field:
+    return wire.text(name, wire.u16be)
 
 
-def _version_size(version: Optional[VersionStamp]) -> int:
-    return 1 + (version.wire_size() if version is not None else 0)
+def _data(name: str) -> wire.Field:
+    return wire.blob(name, wire.u32be)
+
+
+def _version(name: str) -> wire.Field:
+    return wire.optional(name, VersionStamp.WIRE)
+
+
+_RUN = wire.Schema("run", wire.u64be("offset"), _data("data"))
+_PATH = wire.Schema("path", _path("path"), scalar=True)
+_PATH_VERSION = wire.Schema("path + version", _path("path"), _version("version"))
+_FINGERPRINT = wire.Schema("fingerprint", wire.opaque(32, "SHA-256"), scalar=True)
+_CHUNK = wire.Schema(
+    "chunk", wire.opaque(32, "fingerprint"), _data("data"), scalar=True
+)
 
 
 class Message:
-    """Base class; subclasses implement :meth:`wire_size`."""
-
-    def wire_size(self) -> int:
-        raise NotImplementedError
+    """Base class; each subclass declares its layout with ``@_message``,
+    which derives its ``wire_size()``."""
 
 
-@dataclass(frozen=True)
+@_message(
+    _path("path"), _data("data"), _version("base_version"), _version("new_version")
+)
 class UploadFull(Message):
     """Full-content upload of one file (baselines, and first uploads)."""
 
@@ -51,18 +65,14 @@ class UploadFull(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + 4
-            + len(self.data)
-            + _version_size(self.base_version)
-            + _version_size(self.new_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    _path("path"),
+    wire.u64be("offset"),
+    _data("data"),
+    _version("base_version"),
+    _version("new_version"),
+)
 class UploadWrite(Message):
     """NFS-like file RPC: one intercepted write (or a coalesced batch)."""
 
@@ -72,19 +82,13 @@ class UploadWrite(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + _u64(self.offset)
-            + 4  # length
-            + len(self.data)
-            + _version_size(self.base_version)
-            + _version_size(self.new_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    _path("path"),
+    wire.items("runs", _RUN, wire.u32be),
+    _version("base_version"),
+    _version("new_version"),
+)
 class UploadWriteBatch(Message):
     """A packed write node: several disjoint write runs, applied atomically.
 
@@ -98,18 +102,13 @@ class UploadWriteBatch(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + 4
-            + sum(12 + len(data) for _, data in self.runs)
-            + _version_size(self.base_version)
-            + _version_size(self.new_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    _path("path"),
+    wire.u64be("length"),
+    _version("base_version"),
+    _version("new_version"),
+)
 class UploadTruncate(Message):
     """Propagate a truncate (WeChat journal pattern: ``truncate f_journal 0``)."""
 
@@ -118,17 +117,14 @@ class UploadTruncate(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + _u64(self.length)
-            + _version_size(self.base_version)
-            + _version_size(self.new_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    _path("path"),
+    wire.nested("delta", Delta.WIRE),
+    _version("base_version"),
+    _version("new_version"),
+    _version("content_base"),
+)
 class UploadDelta(Message):
     """A delta produced by (bitwise) rsync, applied server-side.
 
@@ -144,18 +140,13 @@ class UploadDelta(Message):
     new_version: Optional[VersionStamp] = None
     content_base: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + self.delta.wire_size()
-            + _version_size(self.base_version)
-            + _version_size(self.new_version)
-            + _version_size(self.content_base)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    wire.opaque(1, "op-kind tag", "kind"),
+    _path("path"),
+    wire.when_set("dest", _path("dest"), 1),
+    _version("new_version"),
+)
 class MetaOp(Message):
     """A metadata operation: create/rename/link/unlink/mkdir/rmdir."""
 
@@ -164,17 +155,8 @@ class MetaOp(Message):
     dest: Optional[str] = None
     new_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _u8(self.kind)  # op-kind tag
-            + _path_size(self.path)
-            + (_path_size(self.dest) if self.dest else 1)
-            + _version_size(self.new_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(wire.items("members", wire.SIZED, wire.u32be))
 class TxnGroup(Message):
     """A backindex span: member messages applied transactionally.
 
@@ -184,11 +166,12 @@ class TxnGroup(Message):
 
     members: Sequence[Message] = ()
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + 4 + sum(m.wire_size() for m in self.members)
 
-
-@dataclass(frozen=True)
+@_message(
+    _path("path"),
+    wire.opaque(8, "block size + block count"),
+    wire.times("block_count", 20, "weak + strong checksum"),
+)
 class SignatureMessage(Message):
     """Block-signature exchange for remote rsync (Dropbox protocol).
 
@@ -198,49 +181,32 @@ class SignatureMessage(Message):
     path: str
     block_count: int
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path) + 8 + 20 * self.block_count
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), wire.items("fingerprints", _FINGERPRINT, wire.u32be))
 class ChunkHave(Message):
     """CDC fingerprint list (Seafile): client asks which chunks are new."""
 
     path: str
     fingerprints: Sequence[bytes] = ()
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path) + 4 + 32 * len(self.fingerprints)
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), wire.items("chunks", _CHUNK, wire.u32be))
 class ChunkData(Message):
     """Chunk payloads the server was missing (Seafile upload)."""
 
     path: str
     chunks: Sequence[bytes] = field(default=(), repr=False)
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + 4
-            + sum(36 + len(c) for c in self.chunks)  # fingerprint + len + data
-        )
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), _version("version"))
 class Ack(Message):
     """Server acknowledgement (optionally carrying the accepted version)."""
 
     path: str = ""
     version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path) + _version_size(self.version)
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), _path("conflict_path"), _version("winning_version"))
 class ConflictNotice(Message):
     """Server tells a client its update lost first-write-wins."""
 
@@ -248,48 +214,31 @@ class ConflictNotice(Message):
     conflict_path: str
     winning_version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + _path_size(self.conflict_path)
-            + _version_size(self.winning_version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(_path("path"))
 class HistoryRequest(Message):
     """Client asks for a path's restorable version list (Section III-C)."""
 
     path: str
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path)
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), wire.items("versions", VersionStamp.WIRE, wire.u32be))
 class HistoryResponse(Message):
     """The restorable versions, oldest first."""
 
     path: str
     versions: Sequence[VersionStamp] = ()
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path) + 4 + 8 * len(self.versions)
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), _version("version"))
 class RestoreRequest(Message):
     """Client asks the cloud to roll a path back to a recent version."""
 
     path: str
     version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _path_size(self.path) + _version_size(self.version)
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), _data("data"), _version("version"))
 class FileDownload(Message):
     """Server-to-client file content (NFS cache refill, conflict recovery)."""
 
@@ -297,17 +246,8 @@ class FileDownload(Message):
     data: bytes = field(repr=False)
     version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + 4
-            + len(self.data)
-            + _version_size(self.version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(wire.items("paths", _PATH, wire.u32be))
 class ResyncRequest(Message):
     """Post-crash version renegotiation: which versions does the cloud hold?
 
@@ -319,23 +259,15 @@ class ResyncRequest(Message):
 
     paths: Sequence[str] = ()
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + 4 + sum(_path_size(p) for p in self.paths)
 
-
-@dataclass(frozen=True)
+@_message(wire.items("versions", _PATH_VERSION, wire.u32be))
 class ResyncReply(Message):
     """The server's current version per requested path (None = absent)."""
 
     versions: Sequence = ()  # of (path, Optional[VersionStamp])
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + 4 + sum(
-            _path_size(p) + _version_size(v) for p, v in self.versions
-        )
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), wire.u64be("offset"), wire.u64be("length"))
 class RangeRequest(Message):
     """Client asks for one byte range of a file (bounded crash repair)."""
 
@@ -343,16 +275,8 @@ class RangeRequest(Message):
     offset: int
     length: int
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + _u64(self.offset)
-            + _u64(self.length)
-        )
 
-
-@dataclass(frozen=True)
+@_message(_path("path"), wire.u64be("offset"), _data("data"), _version("version"))
 class RangeReply(Message):
     """The requested range's bytes — the whole point of bounded recovery:
     only the damaged span travels, never the whole file."""
@@ -362,18 +286,13 @@ class RangeReply(Message):
     data: bytes = field(repr=False)
     version: Optional[VersionStamp] = None
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _path_size(self.path)
-            + _u64(self.offset)
-            + 4  # length
-            + len(self.data)
-            + _version_size(self.version)
-        )
 
-
-@dataclass(frozen=True)
+@_message(
+    wire.u64be("msg_id"),
+    wire.u16be("attempt"),
+    wire.nested("inner", wire.SIZED),
+    wire.sidecar("ctx", "tracing context; tracing must not move a costed byte"),
+)
 class Envelope(Message):
     """Reliable-delivery wrapper for one uplink message.
 
@@ -395,20 +314,10 @@ class Envelope(Message):
     inner: Message = field(default=None)  # type: ignore[assignment]
     ctx: Optional["TraceContext"] = None  # obs-only sidecar, zero wire cost
 
-    def wire_size(self) -> int:
-        size = (
-            _MSG_HEADER
-            + _u64(self.msg_id)
-            + _u16(self.attempt)
-            + self.inner.wire_size()
-        )
-        # self.ctx costs zero wire bytes by contract (see class docstring).
-        if self.ctx is not None:
-            size += 0
-        return size
 
-
-@dataclass(frozen=True)
+@_message(
+    wire.u64be("ack_of"), wire.flag("duplicate"), wire.items("replies", wire.SIZED)
+)
 class EnvelopeAck(Message):
     """Downlink acknowledgement of one :class:`Envelope`.
 
@@ -422,16 +331,8 @@ class EnvelopeAck(Message):
     replies: Sequence[Message] = ()
     duplicate: bool = False
 
-    def wire_size(self) -> int:
-        return (
-            _MSG_HEADER
-            + _u64(self.ack_of)
-            + _u8(self.duplicate)
-            + sum(r.wire_size() for r in self.replies)
-        )
 
-
-@dataclass(frozen=True)
+@_message(wire.u32be("origin_client"), wire.nested("inner", wire.SIZED))
 class Forward(Message):
     """Cloud-to-client fan-out of another client's incremental data.
 
@@ -442,5 +343,3 @@ class Forward(Message):
     origin_client: int
     inner: Message = field(default=None)  # type: ignore[assignment]
 
-    def wire_size(self) -> int:
-        return _MSG_HEADER + _u32(self.origin_client) + self.inner.wire_size()

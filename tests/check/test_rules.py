@@ -143,14 +143,50 @@ class TestWireFields:
         "        return 8 + len(self.path)\n"
     )
 
-    def test_unreferenced_field_flagged(self):
+    def test_hand_written_wire_size_flagged(self):
         findings = lint_source(self.PLANTED)
         assert [f.rule for f in findings] == ["WIRE001"]
-        assert "offset" in findings[0].message
+        assert "Msg.wire_size" in findings[0].message
 
-    def test_helper_reference_counts(self):
-        src = self.PLANTED.replace(
-            "return 8 + len(self.path)", "return _u64(self.offset) + len(self.path)"
+    def test_hand_written_byte_codec_flagged(self):
+        src = (
+            "import struct\n"
+            "class Rec:\n"
+            "    def encode(self):\n"
+            "        return struct.pack('<I', self.x)\n"
+            "    @classmethod\n"
+            "    def decode(cls, buf):\n"
+            "        return cls(*struct.unpack('<I', buf))\n"
+            "    @staticmethod\n"
+            "    def parse(buf):\n"
+            "        return buf\n"
+        )
+        findings = lint_source(src)
+        assert [f.rule for f in findings] == ["WIRE001", "WIRE001"]
+        assert [f.line for f in findings] == [3, 6]
+
+    def test_declared_field_table_is_clean(self):
+        src = (
+            "from dataclasses import dataclass\n"
+            "from repro.common import wire\n"
+            "@wire.record(wire.text('path', wire.u16be), wire.u64be('offset'))\n"
+            "@dataclass\n"
+            "class Msg:\n"
+            "    path: str\n"
+            "    offset: int\n"
+        )
+        assert rules_hit(src) == []
+
+    def test_algorithms_named_encode_are_not_codecs(self):
+        # A delta backend's encode(self, base, target) computes a delta;
+        # an instance-level decode(self, buf) is a codec *object*, not a
+        # record hand-writing its own bytes.
+        src = (
+            "class Backend:\n"
+            "    def encode(self, base, target, *, meter=None):\n"
+            "        return diff(base, target)\n"
+            "    def decode(self, buf):\n"
+            "        return buf\n"
         )
         assert rules_hit(src) == []
 

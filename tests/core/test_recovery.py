@@ -7,6 +7,8 @@ client and the cloud byte-identically — re-uploading only dirty data and
 re-downloading only damaged blocks, never whole files it can avoid.
 """
 
+import pytest
+
 from repro.common.clock import VirtualClock
 from repro.common.rng import DeterministicRandom
 from repro.common.version import VersionStamp
@@ -116,6 +118,75 @@ class TestNodeCodec:
         assert clone.dest is None
 
 
+class TestStrictDecode:
+    # Regressions: the hand-written journal decoders sliced without bounds
+    # checks, so a damaged record came back as a *shorter write* instead of
+    # an error (round-trip, every-prefix and trailing-byte coverage for all
+    # records lives in tests/common/test_wire.py).
+
+    RECORD = encode_node(WriteNode(path="/a", writes=[(0, b"hello world")]))
+
+    def test_shortened_record_is_not_a_shorter_write(self):
+        # used to return writes=[(0, b"hello w")]
+        with pytest.raises(ValueError, match="truncated"):
+            decode_node(self.RECORD[:-4])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError, match="trailing"):
+            decode_node(self.RECORD + b"\x00")
+
+    def test_lying_length_prefix_rejected(self):
+        lying = bytearray(self.RECORD)
+        lying[-15:-11] = (1 << 20).to_bytes(4, "big")  # the run's data length
+        assert bytes(lying[-11:]) == b"hello world"
+        with pytest.raises(ValueError, match="truncated"):
+            decode_node(bytes(lying))
+
+    def test_lying_run_count_rejected(self):
+        lying = bytearray(self.RECORD)
+        lying[-27:-23] = (2).to_bytes(4, "big")  # claims a second run
+        with pytest.raises(ValueError, match="truncated"):
+            decode_node(bytes(lying))
+
+    def test_empty_record_is_a_value_error(self):
+        with pytest.raises(ValueError):  # used to be IndexError
+            decode_node(b"")
+
+    def test_short_truncate_record_is_a_value_error(self):
+        record = encode_node(TruncateNode("/t", length=7))
+        with pytest.raises(ValueError):  # used to be struct.error
+            decode_node(record[:-3])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown journal node tag 0x09"):
+            decode_node(b"\x09" + self.RECORD[1:])
+
+    def test_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            encode_node(object())
+
+    def test_load_names_the_offending_key(self):
+        kv = MemoryKV()
+        journal = SyncJournal(kv)
+        node = WriteNode("/w", seq=3)
+        node.add_write(0, b"hello world")
+        journal.record_node(node)
+        ((key, value),) = list(kv.items())
+        kv.put(key, value[:-4])
+        with pytest.raises(ValueError, match=r"corrupt journal record b'j\\x00node.*truncated"):
+            journal.load()
+
+    def test_load_rejects_short_undo_data(self):
+        # _decode_undo used to hand back the shortened old_data
+        kv = MemoryKV()
+        journal = SyncJournal(kv)
+        journal.record_undo("/w", 4096, 0, 8, b"old data")
+        ((key, value),) = list(kv.items())
+        kv.put(key, value[:-2])
+        with pytest.raises(ValueError, match="corrupt journal record.*undo"):
+            journal.load()
+
+
 class TestSyncJournal:
     def test_roundtrip(self):
         kv = MemoryKV()
@@ -160,8 +231,6 @@ class TestSyncJournal:
         assert [s for s, _ in journal.load().nodes] == [2, 5, 9]
 
     def test_unsequenced_node_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             SyncJournal(MemoryKV()).record_node(WriteNode("/w"))
 

@@ -5,36 +5,30 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.delta.format import (
-    _LITERAL_TAG,
-    Copy,
-    Delta,
-    Literal,
-    _decode_varint,
-    _encode_varint,
-)
+from repro.common.wire import decode_varint, encode_varint
+from repro.delta.format import _LITERAL_TAG, Copy, Delta, Literal
 
 
 class TestVarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 1 << 20, 1 << 40])
     def test_round_trip(self, value):
-        buf = _encode_varint(value)
-        decoded, pos = _decode_varint(buf, 0)
+        buf = encode_varint(value)
+        decoded, pos = decode_varint(buf, 0)
         assert decoded == value
         assert pos == len(buf)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            _encode_varint(-1)
+            encode_varint(-1)
 
     def test_truncated_raises(self):
-        buf = _encode_varint(1 << 20)
+        buf = encode_varint(1 << 20)
         with pytest.raises(ValueError):
-            _decode_varint(buf[:-1] if buf[-1] < 0x80 else buf[:1], len(buf))
+            decode_varint(buf[:-1] if buf[-1] < 0x80 else buf[:1], len(buf))
 
     @given(st.integers(min_value=0, max_value=1 << 50))
     def test_property_round_trip(self, value):
-        decoded, _ = _decode_varint(_encode_varint(value), 0)
+        decoded, _ = decode_varint(encode_varint(value), 0)
         assert decoded == value
 
 
@@ -171,9 +165,9 @@ class TestDecodeHardening:
 
     def test_overlong_varint_rejected_directly(self):
         with pytest.raises(ValueError, match="over-long"):
-            _decode_varint(b"\x80" * 10 + b"\x01", 0)
+            decode_varint(b"\x80" * 10 + b"\x01", 0)
 
     def test_maximal_canonical_varint_still_accepted(self):
         value = (1 << 63) - 1  # widest value the canonical range allows
-        decoded, _ = _decode_varint(_encode_varint(value), 0)
+        decoded, _ = decode_varint(encode_varint(value), 0)
         assert decoded == value

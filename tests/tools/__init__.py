@@ -1,0 +1,18 @@
+"""Tests for the scripts under ``tools/`` (which are not a package)."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def load_tool(name: str):
+    """Import ``tools/<name>.py`` as a module (once per process)."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, REPO_ROOT / "tools" / f"{name}.py"
+        )
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]

@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-semantic", action="store_true",
-        help="skip the project-wide semantic rules (dataflow + "
-             "wire-symmetry)",
+        help="skip the project-wide semantic (dataflow) rules",
     )
     parser.add_argument(
         "--cache", metavar="PATH", default=None,
