@@ -8,38 +8,24 @@ log on versus off for such a workload.
 
 from conftest import register_report
 
-from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.rng import DeterministicRandom
-from repro.core.client import DeltaCFSClient
 from repro.metrics.report import format_bytes, format_table
-from repro.net.transport import Channel
-from repro.server.cloud import CloudServer
-from repro.vfs.filesystem import MemoryFileSystem
+from repro.sim import Simulation
 
 FILE_SIZE = 2 * 1024 * 1024
 
 
 def _run(enable_undo: bool):
-    clock = VirtualClock()
-    server = CloudServer()
-    channel = Channel()
-    client = DeltaCFSClient(
-        MemoryFileSystem(),
-        server=server,
-        channel=channel,
-        clock=clock,
-        config=DeltaCFSConfig(enable_undo_log=enable_undo),
-    )
+    sim = Simulation(config=DeltaCFSConfig(enable_undo_log=enable_undo))
+    client, server, channel = sim.client, sim.server, sim.client.channel
     rng = DeterministicRandom(71)
     base = rng.random_bytes(FILE_SIZE)
     client.create("/db")
     client.write("/db", 0, base)
     client.close("/db")
-    for _ in range(6):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
+    sim.settle(6)
+    sim.flush()
     measured_from = channel.stats.up_bytes
 
     # the "checkpoint rewrite": 80% of the file re-written, 1% truly new
@@ -48,10 +34,8 @@ def _run(enable_undo: bool):
         region[pos : pos + 512] = rng.random_bytes(512)
     client.write("/db", 0, bytes(region))
     client.close("/db")
-    for _ in range(6):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
+    sim.settle(6)
+    sim.flush()
     assert server.file_content("/db") == bytes(region) + base[len(region):]
     return channel.stats.up_bytes - measured_from, client.stats.inplace_deltas
 

@@ -15,10 +15,9 @@ import os
 from conftest import register_report
 
 from repro.harness.reliability import loss_convergence_test
-from repro.harness.runner import build_system
+from repro.harness.runner import run_trace
 from repro.metrics.report import format_bytes, format_table
 from repro.workloads.word import word_trace
-from repro.workloads.traces import replay
 
 LOSS_POINTS = (0.0, 0.05, 0.10, 0.20)
 
@@ -45,24 +44,7 @@ def _sweep():
 
 def _fullsync_lossless_up_bytes():
     """Full-upload (Dropsync) uplink bytes, same trace, perfect link."""
-    trace = word_trace(scale=_SCALE, saves=_SAVES)
-    system = build_system("fullsync")
-    for path, content in sorted(trace.preload.items()):
-        system.fs.create(path)
-        if content:
-            system.fs.write(path, 0, content)
-        system.fs.close(path)
-    for _ in range(12):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()
-    system.reset_counters()
-    replay(trace, system.fs, system.clock, pump=system.pump)
-    for _ in range(10):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()
-    return system.channel.stats.up_bytes
+    return run_trace("fullsync", word_trace(scale=_SCALE, saves=_SAVES)).up_bytes
 
 
 def test_loss_sweep(benchmark):

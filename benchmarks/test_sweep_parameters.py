@@ -15,16 +15,10 @@ the behaviour the paper's choices sit on:
 
 from conftest import register_report
 
-from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
-from repro.core.client import DeltaCFSClient
-from repro.cost.meter import CostMeter
+from repro.harness.runner import run_trace
 from repro.metrics.report import format_bytes, format_table
-from repro.net.transport import Channel
-from repro.server.cloud import CloudServer
-from repro.vfs.filesystem import MemoryFileSystem
 from repro.workloads import word_trace
-from repro.workloads.traces import replay
 
 SAVES = 10
 SCALE = 16
@@ -32,34 +26,8 @@ SCALE = 16
 
 def _run_word(config: DeltaCFSConfig):
     trace = word_trace(scale=SCALE, saves=SAVES, seed=74)
-    clock = VirtualClock()
-    server = CloudServer()
-    meter = CostMeter()
-    channel = Channel(client_meter=meter)
-    client = DeltaCFSClient(
-        MemoryFileSystem(),
-        server=server,
-        channel=channel,
-        clock=clock,
-        meter=meter,
-        config=config,
-    )
-    for path, content in trace.preload.items():
-        client.create(path)
-        client.write(path, 0, content)
-        client.close(path)
-    for _ in range(8):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
-    channel.stats.up_bytes = 0
-    meter.reset()
-    replay(trace, client, clock, pump=lambda now: client.pump(now), pump_interval=0.25)
-    for _ in range(8):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
-    return channel.stats.up_bytes, meter.total, client.stats.deltas_kept
+    result = run_trace("deltacfs", trace, config=config, pump_interval=0.25)
+    return result.up_bytes, result.client_ticks, result.extra["deltas_kept"]
 
 
 def _collect_timeout():

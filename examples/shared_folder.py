@@ -16,34 +16,20 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import CloudServer, DeltaCFSClient, MemoryFileSystem, VirtualClock
-from repro.net.transport import Channel
-
-
-def settle(clock, *clients, seconds=6):
-    for _ in range(seconds):
-        clock.advance(1.0)
-        for client in clients:
-            client.pump()
-    for client in clients:
-        client.flush()
+from repro import Simulation
+from repro.core.conflict import is_conflict_copy
 
 
 def main():
-    clock = VirtualClock()
-    server = CloudServer()
-    laptop = DeltaCFSClient(
-        MemoryFileSystem(), server=server, channel=Channel(), clock=clock, client_id=1
-    )
-    phone = DeltaCFSClient(
-        MemoryFileSystem(), server=server, channel=Channel(), clock=clock, client_id=2
-    )
+    sim = Simulation(clients=2)
+    server = sim.server
+    laptop, phone = sim.clients
 
     # -- 1. forwarding -------------------------------------------------
     laptop.create("/notes.md")
     laptop.write("/notes.md", 0, b"# Shopping\n- milk\n- bread\n")
     laptop.close("/notes.md")
-    settle(clock, laptop, phone)
+    sim.settle()
     print("phone sees laptop's file:")
     print(phone.read("/notes.md", 0, None).decode(), end="")
     print(f"(delivered via {phone.stats.forwards_applied} forwards)\n")
@@ -53,16 +39,16 @@ def main():
     laptop.close("/notes.md")
     phone.write("/notes.md", 27, b"- jam (phone)\n")
     phone.close("/notes.md")
-    settle(clock, laptop)  # laptop's update reaches the cloud first
-    settle(clock, phone)   # phone's update is now stale -> conflict
+    laptop.flush()  # laptop's update reaches the cloud first
+    sim.settle()    # phone's update is now stale -> conflict
     print("cloud content after the race (laptop won):")
     print(server.file_content("/notes.md").decode())
-    conflict_copies = [p for p in server.store.paths() if "conflicted copy" in p]
+    conflict_copies = [p for p in server.store.paths() if is_conflict_copy(p)]
     print(f"conflict copies kept on the cloud: {conflict_copies}")
     print(f"phone was notified of {phone.stats.conflicts} conflict(s)\n")
 
     # -- 3. corruption detection and recovery --------------------------
-    settle(clock, laptop, phone)
+    sim.settle()
     phone.inner.corrupt("/notes.md", 5)  # a bit rots beneath the stack
     data = phone.read("/notes.md", 0, None)  # read verifies + repairs
     print(

@@ -14,23 +14,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import CloudServer, DeltaCFSClient, MemoryFileSystem, VirtualClock
-from repro.net.transport import Channel
-
-
-def settle(clock, client, seconds=6):
-    for _ in range(seconds):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
+from repro import Simulation
 
 
 def main():
-    clock = VirtualClock()
-    server = CloudServer()
-    fs = DeltaCFSClient(
-        MemoryFileSystem(), server=server, channel=Channel(), clock=clock
-    )
+    sim = Simulation()
+    fs, server = sim.client, sim.server
 
     # three editing sessions, the last one via the transactional dance
     drafts = [
@@ -41,12 +30,12 @@ def main():
     fs.create("/paper.txt")
     fs.write("/paper.txt", 0, drafts[0])
     fs.close("/paper.txt")
-    settle(clock, fs)
+    sim.settle()
 
     fs.truncate("/paper.txt", 0)
     fs.write("/paper.txt", 0, drafts[1])
     fs.close("/paper.txt")
-    settle(clock, fs)
+    sim.settle()
 
     # save #3 through the editor's rename dance (history must survive it)
     fs.rename("/paper.txt", "/.paper.bak")
@@ -55,7 +44,7 @@ def main():
     fs.close("/.paper.new")
     fs.rename("/.paper.new", "/paper.txt")
     fs.unlink("/.paper.bak")
-    settle(clock, fs)
+    sim.settle()
 
     print("current content:", fs.read("/paper.txt", 0, None).decode().strip())
     history = fs.version_history("/paper.txt")
@@ -68,7 +57,7 @@ def main():
     # the conclusion was better in draft 2 — roll back
     target = next(s for s in history if server.store.snapshot(s) == drafts[1])
     fs.restore_version("/paper.txt", target)
-    settle(clock, fs)
+    sim.settle()
     print("\nafter restore:", fs.read("/paper.txt", 0, None).decode().strip())
     assert server.file_content("/paper.txt") == drafts[1]
     print("local and cloud agree; the restore synced like any other update")

@@ -440,14 +440,17 @@ def _finish_trace_out(path: str, sink, obs) -> None:
 def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int:
     """Replay with a simulated crash after op ``--crash-at N``.
 
-    Runs the first N ops, kills the client (volatile state gone, journal
-    kept), runs ``recover()``, then finishes the trace. Prints the
-    recovery report next to the usual traffic summary so a user can see
-    what the journal bought them.
+    The same measured run as ``run_trace`` whose replay phase runs the
+    first N ops, kills the client (volatile state gone, journal kept),
+    runs ``recover()``, then finishes the trace. Prints the recovery
+    report next to the usual traffic summary so a user can see what the
+    journal bought them.
     """
+    from dataclasses import replace
+
     from repro.faults.crash import simulate_crash
-    from repro.harness.runner import _preload, build_system
-    from repro.workloads.traces import apply_op
+    from repro.harness.runner import build_system, measured_run
+    from repro.workloads.traces import replay
 
     n = args.crash_at
     if not 0 <= n <= len(trace.ops):
@@ -458,27 +461,11 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
         "deltacfs", config=config, obs=obs, faults=faults,
         fault_seed=args.fault_seed, journal_kv=journal_kv,
     )
-    _preload(system, trace)
-    system.reset_counters()  # match run_trace: measure past the preload
-    clock = system.clock
-
-    def run_ops(ops) -> None:
-        for op in ops:
-            while op.timestamp > clock.now():
-                step = min(1.0, op.timestamp - clock.now())
-                clock.advance(step)
-                system.pump(clock.now())
-            apply_op(system.fs, op)
-        system.pump(clock.now())
-
-    run_ops(trace.ops[:n])
-    dirty = simulate_crash(system.client)
-    report = system.client.recover()
-    run_ops(trace.ops[n:])
-    for _ in range(10):
-        clock.advance(1.0)
-        system.pump(clock.now())
-    system.flush()
+    with measured_run(system, trace, obs) as pump:
+        replay(replace(trace, ops=trace.ops[:n]), system.fs, system.clock, pump=pump)
+        dirty = simulate_crash(system.client)
+        report = system.client.recover()
+        replay(replace(trace, ops=trace.ops[n:]), system.fs, system.clock, pump=pump)
 
     print(f"crashed after op {n}/{len(trace.ops)}; "
           f"{len(dirty)} dirty file(s) at the cut")

@@ -54,6 +54,7 @@ from repro.net.messages import (
     MetaOp,
     TxnGroup,
     UploadDelta,
+    UploadFull,
     UploadTruncate,
     UploadWrite,
     UploadWriteBatch,
@@ -114,8 +115,8 @@ class DeltaCFSClient(PassthroughFileSystem):
             state after a crash. Pair with a ``LogStructuredKV`` opened in
             ``sync=True`` mode for real power-cut durability.
         shares: share prefixes to register with the server (Section
-            III-D selective sharing). ``None`` keeps the server-side
-            default (subscribe to everything); fleet-scale harnesses pass
+            III-D selective sharing). ``None`` subscribes to everything
+            (``("/",)``); fleet-scale harnesses pass
             the client's own namespace so a sharded server can scope the
             registration to one shard instead of all of them.
     """
@@ -143,7 +144,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.channel = channel if channel is not None else Channel()
         self.transport = transport
         if transport is not None:
-            transport.on_reply = self._on_transport_replies
+            transport.on_reply = self._note_conflicts
         self.client_id = client_id
         self.clock = clock if clock is not None else VirtualClock()
         self.meter = meter
@@ -201,14 +202,12 @@ class DeltaCFSClient(PassthroughFileSystem):
         # when the write node packs (content is complete by then).
         self._pending_create_delta: Dict[str, RelationEntry] = {}
         self.conflict_notices: List[ConflictNotice] = []
+        self.shares = shares if shares is not None else ("/",)
 
         if server is not None:
-            if shares is not None:
-                server.register_client(
-                    client_id, self._receive_forward, shares=shares
-                )
-            else:
-                server.register_client(client_id, self._receive_forward)
+            server.register_client(
+                client_id, self._receive_forward, shares=self.shares
+            )
 
     # ------------------------------------------------------------------
     # file operations (the FUSE surface)
@@ -1101,13 +1100,11 @@ class DeltaCFSClient(PassthroughFileSystem):
     def _process_replies(self, result: ApplyResult, now: float) -> None:
         for reply in result.replies:
             self.channel.download(reply, now)
-            if isinstance(reply, ConflictNotice):
-                self.stats.conflicts += 1
-                self.obs.inc("client.conflicts")
-                self.conflict_notices.append(reply)
+        self._note_conflicts(result.replies)
 
-    def _on_transport_replies(self, replies) -> None:
-        """Ack-borne replies: already charged inside the EnvelopeAck."""
+    def _note_conflicts(self, replies) -> None:
+        """Conflict bookkeeping for replies already charged to the channel
+        (by ``_process_replies``, or inside the EnvelopeAck that bore them)."""
         for reply in replies:
             if isinstance(reply, ConflictNotice):
                 self.stats.conflicts += 1
@@ -1124,17 +1121,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._apply_remote(inner_msg)
 
     def _apply_remote(self, message: Message) -> None:
-        from repro.net.messages import (  # local import to avoid cycle noise
-            MetaOp as _MetaOp,
-            TxnGroup as _TxnGroup,
-            UploadDelta as _UploadDelta,
-            UploadFull as _UploadFull,
-            UploadTruncate as _UploadTruncate,
-            UploadWrite as _UploadWrite,
-            UploadWriteBatch as _UploadWriteBatch,
-        )
-
-        if isinstance(message, _TxnGroup):
+        if isinstance(message, TxnGroup):
             for member in message.members:
                 self._apply_remote(member)
             return
@@ -1149,30 +1136,34 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.stats.conflicts += 1
             self.obs.inc("client.conflicts")
             return
-        if isinstance(message, _MetaOp):
+        if isinstance(message, MetaOp):
             self._replay_remote_meta(message)
-        elif isinstance(message, _UploadWrite):
+        elif isinstance(message, UploadWrite):
             self._ensure_exists(path)
             self.inner.write(path, message.offset, message.data)
             self.versions[path] = message.new_version
-        elif isinstance(message, _UploadWriteBatch):
+        elif isinstance(message, UploadWriteBatch):
             self._ensure_exists(path)
             for offset, data in message.runs:
                 self.inner.write(path, offset, data)
             self.versions[path] = message.new_version
-        elif isinstance(message, _UploadTruncate):
+        elif isinstance(message, UploadTruncate):
             self._ensure_exists(path)
             self.inner.truncate(path, message.length)
             self.versions[path] = message.new_version
-        elif isinstance(message, _UploadDelta):
+        elif isinstance(message, UploadDelta):
             if self.server is not None and self.server.store.exists(path):
                 content = self.server.file_content(path)
                 self.inner.write_file(path, content)
                 self.versions[path] = message.new_version
-        elif isinstance(message, _UploadFull):
+        elif isinstance(message, UploadFull):
             self.inner.write_file(path, message.data)
             self.versions[path] = message.new_version
-        if self.checksums is not None and self.inner.exists(path):
+        if (
+            self.checksums is not None
+            and self.inner.exists(path)
+            and not self.inner.stat(path).is_dir  # a forwarded mkdir has no blocks
+        ):
             for alias in self.inner.linked_paths(path):
                 self.checksums.reindex(alias, self.inner.read_file(alias))
                 self.versions[alias] = self.versions.get(path)

@@ -10,8 +10,11 @@ the incremental data and transmit this file again."
 from __future__ import annotations
 
 import posixpath
+import re
 
 from repro.common.version import VersionStamp
+
+_CONFLICT_NAME = re.compile(r" \(conflicted copy c\d+-\d+\)(\.[^./]*)?$")
 
 
 def conflict_path(path: str, losing_version: VersionStamp) -> str:
@@ -28,3 +31,13 @@ def conflict_path(path: str, losing_version: VersionStamp) -> str:
     stem, ext = posixpath.splitext(name)
     tag = f" (conflicted copy c{losing_version.client_id}-{losing_version.counter})"
     return posixpath.join(directory, f"{stem}{tag}{ext}")
+
+
+def is_conflict_copy(path: str) -> bool:
+    """True when ``path`` carries the tag :func:`conflict_path` derives.
+
+    Matches the whole ``" (conflicted copy c<id>-<n>)"`` tag directly
+    before the final extension, so a user file that merely has the words
+    in its name (``my conflicted copy notes.txt``) is an ordinary file.
+    """
+    return _CONFLICT_NAME.search(path) is not None

@@ -16,8 +16,8 @@ from repro.common.clock import VirtualClock
 from repro.common.rng import DeterministicRandom
 from repro.cost.meter import CostMeter
 from repro.harness.fleet import provision_clients
-from repro.net.transport import NetworkStats
 from repro.server.cloud import CloudServer
+from repro.sim import Simulation
 
 
 @dataclass
@@ -62,17 +62,10 @@ def run_capacity(
     )
 
     # seed uploads settle outside the measurement
-    for _ in range(8):
-        clock.advance(1.0)
-        for client in clients:
-            client.pump()
-    for client in clients:
-        client.flush()
-    server_meter.reset()
-    for channel in channels:
-        # Full reset (not just up_bytes): seed-phase message counts and
-        # down bytes must not leak into the measured window either.
-        channel.stats = NetworkStats()
+    sim = Simulation(clients, server=server, clock=clock)
+    sim.settle(8)
+    sim.flush()
+    sim.reset_counters()
 
     for round_index in range(writes_per_client):
         for client_id, client in enumerate(clients, start=1):
@@ -80,11 +73,8 @@ def run_capacity(
             offset = rng.randint(0, file_size - write_size - 1)
             client.write(path, offset, rng.random_bytes(write_size))
             client.close(path)
-        clock.advance(5.0)
-        for client in clients:
-            client.pump()
-    for client in clients:
-        client.flush()
+        sim.settle(5.0, step=5.0)
+    sim.flush()
 
     total_up = sum(c.stats.up_bytes for c in channels)
     return CapacityResult(

@@ -24,7 +24,7 @@ from repro.workloads import (
     wechat_trace,
     word_trace,
 )
-from repro.workloads.traces import Trace
+from repro.workloads.traces import Trace, replay
 
 # Benchmark scales: chosen so every run finishes in seconds while keeping
 # file >> seafile chunk >> rsync block and dedup unit < file.
@@ -253,10 +253,7 @@ def fig1_motivation(fast: bool = False) -> List[RunResult]:
                 solution, profile=PC_PROFILE, network=PC_NETWORK,
                 **_scaled_kwargs(scale),
             )
-            from repro.harness.runner import _preload
-            from repro.workloads.traces import replay
-
-            _preload(system, trace)
+            system.preload(trace)
 
             # The paper's Figure 1 subplots are CPU-over-time series whose
             # spikes line up with the saves; sample per-window tick deltas.
@@ -273,9 +270,7 @@ def fig1_motivation(fast: bool = False) -> List[RunResult]:
                     state["last_sample"] = now
 
             replay(trace, system.fs, system.clock, pump=sampling_pump)
-            for _ in range(10):
-                system.clock.advance(1.0)
-                sampling_pump(system.clock.now())
+            system.settle(10, pump=sampling_pump)
             system.flush()
             result = RunResult(
                 solution=solution,
@@ -324,10 +319,7 @@ def fig2_dropsync_mobile(fast: bool = False) -> Fig2Result:
         network=MOBILE_NETWORK,
         **_scaled_kwargs(WECHAT_SCALE),
     )
-    from repro.harness.runner import _preload
-    from repro.workloads.traces import replay
-
-    _preload(system, trace)
+    system.preload(trace)
     timeline: List[Tuple[float, int]] = []
     last_sample = [0.0]
 
@@ -338,9 +330,7 @@ def fig2_dropsync_mobile(fast: bool = False) -> Fig2Result:
             last_sample[0] = now
 
     replay(trace, system.fs, system.clock, pump=pump_and_sample)
-    for _ in range(30):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
+    system.settle(30)
     system.flush()
     total = system.channel.stats.total_bytes
     update = trace.stats.update_bytes

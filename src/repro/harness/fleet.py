@@ -52,11 +52,12 @@ from repro.common.config import DeltaCFSConfig
 from repro.common.rng import DeterministicRandom
 from repro.core.client import DeltaCFSClient
 from repro.cost.meter import CostMeter
-from repro.net.transport import Channel, NetworkStats
+from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 from repro.obs.health import HealthReport, health_from_windows
 from repro.obs.sketch import ShardWindows
 from repro.server.shard import ShardRouter
+from repro.sim import Simulation, attach_client
 
 __all__ = [
     "FleetSpec",
@@ -79,12 +80,13 @@ def provision_clients(
     config_factory: Optional[Callable[[int], DeltaCFSConfig]] = None,
     obs: Observability = NULL_OBS,
 ) -> Tuple[List[DeltaCFSClient], List[Channel]]:
-    """The one client-construction path shared by capacity and fleet runs.
+    """The provisioning loop shared by capacity and fleet runs.
 
-    Client ``i`` (1-based) gets its own ``MemoryFileSystem``, a channel
-    charging ``server_meter_for(i)`` for server-side receive work, a
-    share subscription scoped to its private ``/u{i}`` folder (Section
-    III-D selective sharing — on a sharded server this pins the
+    Client ``i`` (1-based) is one :func:`repro.sim.attach_client` stack:
+    its own ``MemoryFileSystem``, an unmetered-client, uninstrumented
+    channel charging ``server_meter_for(i)`` for server-side receive
+    work, a share subscription scoped to its private ``/u{i}`` folder
+    (Section III-D selective sharing — on a sharded server this pins the
     registration to one shard), and a seeded ``/u{i}/data.bin`` of
     ``file_size`` bytes drawn from ``rng.fork(str(i))``.
 
@@ -93,8 +95,6 @@ def provision_clients(
     harnesses can settle at whatever cadence they need without this
     function perturbing their clocks.
     """
-    from repro.vfs.filesystem import MemoryFileSystem
-
     clients: List[DeltaCFSClient] = []
     channels: List[Channel] = []
     for client_id in range(1, n_clients + 1):
@@ -104,12 +104,11 @@ def provision_clients(
             if config_factory is not None
             else DeltaCFSConfig(enable_checksums=False)
         )
-        client = DeltaCFSClient(
-            MemoryFileSystem(),
-            server=server,
-            channel=channel,
+        client = attach_client(
+            server,
             clock=clock,
             client_id=client_id,
+            channel=channel,
             config=config,
             shares=(f"/u{client_id}",),
             obs=obs,
@@ -279,15 +278,11 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     obs.set_gauge("fleet.clients", spec.n_clients)
 
     # Settle the seed uploads outside the measurement window.
+    sim = Simulation(clients, server=router, clock=clock, obs=obs)
     upload_delay = clients[0].config.upload_delay
-    clock.advance(upload_delay + 1.0)
-    for client in clients:
-        client.pump()
-        client.flush()
-    for meter in router.shard_meters:
-        meter.reset()
-    for channel in channels:
-        channel.stats = NetworkStats()
+    sim.settle(upload_delay + 1.0, step=upload_delay + 1.0)
+    sim.flush()
+    sim.reset_counters()
 
     # Per-client write schedules and payload streams.
     arrival_rngs = [rng.fork(f"t{cid}") for cid in range(1, spec.n_clients + 1)]
@@ -507,19 +502,6 @@ def _next_gap(spec: FleetSpec, rng: DeterministicRandom, *, wave: int) -> float:
     if spec.arrival == "poisson":
         return -math.log(1.0 - rng.random()) * spec.mean_gap
     return (wave + 1) * spec.burst_every + rng.random() * spec.burst_jitter
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Exact linear-interpolation quantile of a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = q * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
 # The committed scaling curve: fixed spec per point so the BENCH_fleet

@@ -23,20 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.clock import VirtualClock
-from repro.common.errors import CorruptionDetected
 from repro.common.rng import DeterministicRandom
-from repro.core.client import DeltaCFSClient
+from repro.core.conflict import is_conflict_copy
 from repro.faults.corruption import flip_bit
 from repro.faults.crash import inject_crash_inconsistency, simulate_crash
 from repro.faults.network import NetworkFaults
 from repro.harness.runner import build_system
 from repro.kvstore.kv import KVStore, LogStructuredKV, MemoryKV
 from repro.net.reliable import RetryPolicy
-from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import CloudServer
-from repro.vfs.filesystem import MemoryFileSystem
+from repro.sim import Simulation
 from repro.workloads.traces import replay
 from repro.workloads.word import word_trace
 
@@ -53,9 +50,7 @@ def _build_and_seed(service: str):
     system.fs.create(_FILE)
     system.fs.write(_FILE, 0, _seed_content())
     system.fs.close(_FILE)
-    for _ in range(6):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
+    system.settle(6)
     system.flush()
     return system
 
@@ -74,26 +69,19 @@ def corruption_test(service: str) -> str:
     flip_bit(_backing_fs(system), _FILE, corrupt_offset, bit=3)
 
     # restart + the 1-byte user write (far from the corrupted block)
-    if service == "deltacfs":
-        system.fs.write(_FILE, 10, b"x")
-        system.fs.close(_FILE)
-        # the application reads the file: verification runs here
-        system.fs.read(_FILE, 0, None)
-        system.clock.advance(6.0)
-        system.pump(system.clock.now())
-        system.flush()
-        detected = system.client.stats.corruptions_detected > 0
-        server_byte = system.server.file_content(_FILE)[corrupt_offset]
-        uploaded_corruption = server_byte != original[corrupt_offset]
-        return "detect" if detected and not uploaded_corruption else "upload"
-
     system.fs.write(_FILE, 10, b"x")
     system.fs.close(_FILE)
-    system.clock.advance(6.0)
-    system.pump(system.clock.now())
+    if service == "deltacfs":
+        # the application reads the file: verification runs here
+        system.fs.read(_FILE, 0, None)
+    system.settle(6.0, step=6.0)
     system.flush()
     server_byte = system.server.file_content(_FILE)[corrupt_offset]
-    return "upload" if server_byte != original[corrupt_offset] else "detect"
+    uploaded_corruption = server_byte != original[corrupt_offset]
+    if service == "deltacfs":
+        detected = system.client.stats.corruptions_detected > 0
+        return "detect" if detected and not uploaded_corruption else "upload"
+    return "upload" if uploaded_corruption else "detect"
 
 
 def crash_inconsistency_test(service: str) -> str:
@@ -115,8 +103,7 @@ def crash_inconsistency_test(service: str) -> str:
 
     inject_crash_inconsistency(_backing_fs(system), _FILE, seed=7)
     # the restart rescan notices the (already dirty) file and uploads it
-    system.clock.advance(6.0)
-    system.pump(system.clock.now())
+    system.settle(6.0, step=6.0)
     system.flush()
     server = system.server.file_content(_FILE)
     local = _backing_fs(system).read_file(_FILE)
@@ -134,10 +121,9 @@ def causal_order_test(service: str) -> bool:
         system.fs.close(path)
         system.clock.advance(0.3)
 
+    system.settle(6.0, step=6.0)
+    system.flush()
     if service == "deltacfs":
-        system.clock.advance(6.0)
-        system.pump(system.clock.now())
-        system.flush()
         order = _first_touch_order(system.server.upload_order)
         return order == [p for p, _ in sizes]
 
@@ -146,9 +132,6 @@ def causal_order_test(service: str) -> bool:
     # decoupled from the order the user produced it. Read the arrival
     # order off the *simulated* channel — the last uplink completion time
     # of each file's messages — rather than any analytic formula.
-    system.clock.advance(6.0)
-    system.pump(system.clock.now())
-    system.flush()
     wanted = {path for path, _ in sizes}
     completion: Dict[str, float] = {}
     for ev in obs.tracer.events():
@@ -255,30 +238,22 @@ def crash_recovery_roundtrip(
     the real WAL restart path.
     """
     factory = kv_factory if kv_factory is not None else (lambda _name: MemoryKV())
-    clock = VirtualClock()
-    obs.bind_clock(clock)
-    server = CloudServer(obs=obs)
-    fs = MemoryFileSystem()
     journal_kv = factory("journal")
     checksum_kv = factory("checksums")
     rng = DeterministicRandom(seed).fork("crash-roundtrip")
 
-    client = DeltaCFSClient(
-        fs,
-        server=server,
-        channel=Channel(),
-        clock=clock,
-        checksum_kv=checksum_kv,
-        journal_kv=journal_kv,
+    sim = Simulation(
+        server=CloudServer(obs=obs),
         obs=obs,
+        journal_kv=journal_kv,
+        checksum_kv=checksum_kv,
     )
+    client, fs = sim.client, sim.client.inner
     client.create(_FILE)
     client.write(_FILE, 0, _seed_content())
     client.close(_FILE)
-    for _ in range(6):
-        clock.advance(1.0)
-        client.pump(clock.now())
-    client.flush()
+    sim.settle(6)
+    sim.flush()
 
     # The dirty burst the power cut interrupts: journaled, never uploaded.
     dirty_bytes = 0
@@ -289,37 +264,27 @@ def crash_recovery_roundtrip(
     expected = fs.read_file(_FILE)
 
     # Power cut: the process dies. Drop the client, restart the KVs.
-    server.unregister_client(client.client_id)
-    journal_kv = _reopened(journal_kv)
-    checksum_kv = _reopened(checksum_kv)
+    sim.server.unregister_client(client.client_id)
+    sim.clients.remove(client)
     damaged_span = 4096
     inject_crash_inconsistency(fs, _FILE, seed=seed, span=damaged_span)
 
     # Restart: a fresh client over the surviving fs + durable stores,
     # with a fresh channel so its stats isolate the recovery traffic.
-    channel = Channel()
-    client2 = DeltaCFSClient(
-        fs,
-        server=server,
-        channel=channel,
-        clock=clock,
+    client2 = sim.attach(
+        fs=fs,
         client_id=client.client_id,
-        checksum_kv=checksum_kv,
-        journal_kv=journal_kv,
-        obs=obs,
+        journal_kv=_reopened(journal_kv),
+        checksum_kv=_reopened(checksum_kv),
     )
     report = client2.recover()
-    for _ in range(6):
-        clock.advance(1.0)
-        client2.pump(clock.now())
-    client2.flush()
+    sim.settle(6)
+    sim.flush()
 
-    mismatched: List[str] = []
-    local = fs.read_file(_FILE)
-    if local != expected:
+    mismatched = sim.mismatched()
+    if fs.read_file(_FILE) != expected:
         mismatched.append(_FILE + " (local diverged from pre-crash content)")
-    if not server.store.exists(_FILE) or server.file_content(_FILE) != local:
-        mismatched.append(_FILE)
+    channel = client2.channel
     return CrashRecoveryOutcome(
         converged=not mismatched,
         mismatched=mismatched,
@@ -355,54 +320,26 @@ def loss_convergence_test(
         drop_prob=loss_rate, dup_prob=dup_rate, reorder_prob=reorder_rate
     )
     trace = word_trace(scale=scale, saves=saves)
-    system = build_system(
-        "deltacfs", faults=faults, retry=RetryPolicy(), fault_seed=seed
-    )
-    for path, content in sorted(trace.preload.items()):
-        system.fs.create(path)
-        if content:
-            system.fs.write(path, 0, content)
-        system.fs.close(path)
-    for _ in range(12):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()  # settles the transport: preload fully acked
-    system.reset_counters()
+    sim = Simulation(faults=faults, retry=RetryPolicy(), fault_seed=seed)
+    sim.preload(trace)  # its flush settles the transport: preload fully acked
+    replay(trace, sim.client, sim.clock, pump=sim.pump)
+    sim.settle(10)
+    sim.flush()
 
-    replay(trace, system.fs, system.clock, pump=system.pump)
-    for _ in range(10):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()
-
-    client = system.client
-    tmp = client.config.tmp_dir
-    mismatched: List[str] = []
-    client_paths = sorted(
-        p
-        for p in client.inner.walk_files()
-        if not (p == tmp or p.startswith(tmp + "/"))
-    )
-    for path in client_paths:
-        local = client.inner.read_file(path)
-        if not system.server.store.exists(path):
-            mismatched.append(path)
-        elif system.server.file_content(path) != local:
-            mismatched.append(path)
-    conflict_copies = sum(
-        1 for p in system.server.store.paths() if "conflicted copy" in p
-    )
-    transport = system.transport
+    mismatched = sim.mismatched()
+    conflict_copies = sum(1 for p in sim.server.store.paths() if is_conflict_copy(p))
+    client = sim.client
+    transport = client.transport
     return LossOutcome(
         loss_rate=loss_rate,
         converged=not mismatched and conflict_copies == 0,
         mismatched=mismatched,
         conflict_copies=conflict_copies,
         conflicts=client.stats.conflicts,
-        retries=transport.stats.retransmits if transport else 0,
-        timeouts=transport.stats.timeouts if transport else 0,
-        dedup_drops=system.server.dedup_drops,
-        up_bytes=system.channel.stats.up_bytes,
-        down_bytes=system.channel.stats.down_bytes,
-        retransmit_log=list(transport.retransmit_log) if transport else [],
+        retries=transport.stats.retransmits,
+        timeouts=transport.stats.timeouts,
+        dedup_drops=sim.server.dedup_drops,
+        up_bytes=client.channel.stats.up_bytes,
+        down_bytes=client.channel.stats.down_bytes,
+        retransmit_log=list(transport.retransmit_log),
     )

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.baselines.dropbox import DropboxClient
 from repro.baselines.fullsync import FullUploadClient
@@ -12,15 +13,15 @@ from repro.baselines.nfs import NFSClient
 from repro.baselines.seafile import SeafileClient
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
-from repro.core.client import DeltaCFSClient
 from repro.cost.meter import CostMeter
 from repro.cost.profile import CostProfile, PC_PROFILE
 from repro.faults.network import NO_FAULTS, NetworkFaults
 from repro.metrics.collector import RunResult
 from repro.net.reliable import ReliableTransport, RetryPolicy
-from repro.net.transport import Channel, LossyChannel, NetworkModel, NetworkStats, PC_NETWORK
+from repro.net.transport import Channel, NetworkModel, NetworkStats, PC_NETWORK
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import CloudServer
+from repro.sim import RunPhases, Simulation
 from repro.vfs.filesystem import FileSystemAPI, MemoryFileSystem
 from repro.workloads.traces import Trace, replay
 
@@ -28,8 +29,12 @@ SOLUTIONS = ("deltacfs", "dropbox", "seafile", "nfs", "fullsync")
 
 
 @dataclass
-class SystemUnderTest:
-    """One sync system wired to a simulated cloud, ready to replay a trace."""
+class SystemUnderTest(RunPhases):
+    """One sync system wired to a simulated cloud, ready to replay a trace.
+
+    The uniform view over all five solutions; ``preload`` and ``settle``
+    come from :class:`repro.sim.RunPhases`.
+    """
 
     name: str
     fs: FileSystemAPI  # the surface the workload writes to
@@ -105,105 +110,47 @@ def build_system(
             f"the crash-recovery journal is only wired for 'deltacfs', "
             f"not {name!r}"
         )
+    if name == "deltacfs":
+        sim = Simulation(
+            clock=clock,
+            config=config,
+            network=network,
+            profile=profile,
+            obs=obs,
+            faults=faults,
+            retry=retry,
+            fault_seed=fault_seed,
+            journal_kv=journal_kv,
+        )
+        client = sim.client
+        return SystemUnderTest(
+            name=name,
+            fs=client,
+            clock=sim.clock,
+            channel=client.channel,
+            client_meter=client.meter,
+            server_meter=sim.server.meter,
+            server=sim.server,
+            pump=sim.pump,
+            flush=sim.flush,
+            client=client,
+            transport=client.transport,
+        )
+
     clock = clock if clock is not None else VirtualClock()
     obs.bind_clock(clock)
     client_meter = CostMeter(profile)
     server_meter = CostMeter(profile if name == "fullsync" else PC_PROFILE)
     server = CloudServer(meter=server_meter, obs=obs)
-    if reliable:
-        channel: Channel = LossyChannel(
-            model=network,
-            faults=faults,
-            seed=fault_seed,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
-        )
-    else:
-        channel = Channel(
-            model=network,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
-        )
-
-    if name == "deltacfs":
-        transport: Optional[ReliableTransport] = None
-        if reliable:
-            transport = ReliableTransport(
-                channel,
-                server,
-                policy=retry,
-                seed=fault_seed,
-                obs=obs,
-            )
-        client = DeltaCFSClient(
-            MemoryFileSystem(),
-            server=server,
-            channel=channel,
-            clock=clock,
-            meter=client_meter,
-            config=config,
-            obs=obs,
-            transport=transport,
-            journal_kv=journal_kv,
-        )
-        if transport is not None:
-            transport.client_id = client.client_id
-
-        def flush() -> object:
-            shipped = client.flush()
-            if transport is not None:
-                # Drive retransmission until every envelope is acked —
-                # flush alone cannot advance virtual time.
-                transport.settle(clock)
-            return shipped
-
-        return SystemUnderTest(
-            name=name,
-            fs=client,
-            clock=clock,
-            channel=channel,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            server=server,
-            pump=client.pump,
-            flush=flush,
-            client=client,
-            transport=transport,
-        )
-
     if name == "nfs":
         # NFS traffic is not TLS-wrapped.
-        channel = Channel(
-            model=NetworkModel(
-                bandwidth_up=network.bandwidth_up,
-                bandwidth_down=network.bandwidth_down,
-                latency=network.latency,
-                encrypted=False,
-            ),
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
-        )
-        client = NFSClient(
-            MemoryFileSystem(),
-            server=server,
-            channel=channel,
-            meter=client_meter,
-        )
-        return SystemUnderTest(
-            name=name,
-            fs=client,
-            clock=clock,
-            channel=channel,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            server=server,
-            pump=client.pump,
-            flush=lambda: client.flush(clock.now()),
-            client=client,
-        )
+        network = replace(network, encrypted=False)
+    channel = Channel(
+        model=network,
+        client_meter=client_meter,
+        server_meter=server_meter,
+        obs=obs,
+    )
 
     idle_gate = wait_for_idle_link if wait_for_idle_link is not None else (
         name == "fullsync"
@@ -215,7 +162,14 @@ def build_system(
         # relation triggered delta encoding", Section IV-B). Seafile
         # commits on a longer quiescence window.
         sync_interval = {"dropbox": 0.45, "seafile": 2.0}.get(name, 1.0)
-    if name == "dropbox":
+    if name == "nfs":
+        client = NFSClient(
+            MemoryFileSystem(),
+            server=server,
+            channel=channel,
+            meter=client_meter,
+        )
+    elif name == "dropbox":
         client = DropboxClient(
             server=server,
             channel=channel,
@@ -245,7 +199,8 @@ def build_system(
         )
     return SystemUnderTest(
         name=name,
-        fs=client.fs,
+        # NFS sits in the IO path; the watchers sit beside a watched fs.
+        fs=client if name == "nfs" else client.fs,
         clock=clock,
         channel=channel,
         client_meter=client_meter,
@@ -272,21 +227,36 @@ def _counted_pump(system: SystemUnderTest, obs: Observability):
     return pump
 
 
-def _preload(system: SystemUnderTest, trace: Trace) -> None:
-    """Install preloaded files and let them sync outside the measurement."""
-    if not trace.preload:
-        return
-    for path, content in sorted(trace.preload.items()):
-        system.fs.create(path)
-        if content:
-            system.fs.write(path, 0, content)
-        system.fs.close(path)
-    # give time-based engines room to upload the seed content
-    for _ in range(12):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()
-    system.reset_counters()
+_preload = SystemUnderTest.preload  # the name tests/harness/test_runner.py imports
+
+
+@contextmanager
+def measured_run(
+    system: SystemUnderTest, trace: Trace, obs: Observability = NULL_OBS
+) -> Iterator[Callable[[float], object]]:
+    """Preload, hand the replay phase to the ``with`` body, settle, flush.
+
+    Yields the pump the body should replay with. When ``obs`` is a live
+    :class:`~repro.obs.Observability`, the phases are wrapped in the
+    documented span hierarchy (``run`` > ``run.preload`` / ``run.replay``
+    / ``run.settle`` / ``run.flush``).
+    """
+    with obs.span("run", solution=system.name, trace=trace.name):
+        with obs.span("run.preload"):
+            system.preload(trace)
+        if obs.enabled:
+            # Mirror reset_counters(): metrics cover the measured window
+            # only, so channel.* totals agree with NetworkStats. The trace
+            # is left intact — run.preload records stay visible.
+            obs.metrics.reset()
+        pump = _counted_pump(system, obs)
+        with obs.span("run.replay"):
+            yield pump
+        # settle: let upload delays elapse under normal pumping, then drain
+        with obs.span("run.settle"):
+            system.settle(10, pump=pump)
+        with obs.span("run.flush"):
+            system.flush()
 
 
 def run_trace(
@@ -308,10 +278,9 @@ def run_trace(
 ) -> RunResult:
     """Build ``name``, preload, replay ``trace``, flush, and collect.
 
-    When ``obs`` is a live :class:`~repro.obs.Observability`, the run is
-    wrapped in the documented span hierarchy (``run`` > ``run.preload`` /
-    ``run.replay`` / ``run.settle`` / ``run.flush``) and every scalar
-    metric series lands in :attr:`RunResult.extra` under its registry name.
+    The run goes through :func:`measured_run`; with a live ``obs`` every
+    scalar metric series also lands in :attr:`RunResult.extra` under its
+    registry name.
     """
     system = build_system(
         name,
@@ -327,30 +296,8 @@ def run_trace(
         fault_seed=fault_seed,
         journal_kv=journal_kv,
     )
-    with obs.span("run", solution=name, trace=trace.name):
-        with obs.span("run.preload"):
-            _preload(system, trace)
-        if obs.enabled:
-            # Mirror reset_counters(): metrics cover the measured window
-            # only, so channel.* totals agree with NetworkStats. The trace
-            # is left intact — run.preload records stay visible.
-            obs.metrics.reset()
-        with obs.span("run.replay"):
-            replay(
-                trace,
-                system.fs,
-                system.clock,
-                pump=_counted_pump(system, obs),
-                pump_interval=pump_interval,
-            )
-        # settle: let upload delays elapse under normal pumping, then drain
-        with obs.span("run.settle"):
-            pump = _counted_pump(system, obs)
-            for _ in range(10):
-                system.clock.advance(1.0)
-                pump(system.clock.now())
-        with obs.span("run.flush"):
-            system.flush()
+    with measured_run(system, trace, obs) as pump:
+        replay(trace, system.fs, system.clock, pump=pump, pump_interval=pump_interval)
 
     extra = {}
     if name == "deltacfs":

@@ -1,11 +1,16 @@
 """QuantileSketch + ShardWindows: accuracy bound, exact merges, fixed
 memory, and the windowed rollup contract the fleet driver relies on."""
 
+import numpy as np
 import pytest
 
 from repro.common.rng import DeterministicRandom
-from repro.harness.fleet import _quantile
 from repro.obs.sketch import QuantileSketch, ShardWindows
+
+
+def _quantile(sorted_values, q):
+    """Exact linear-interpolation quantile — the reference the sketch is held to."""
+    return float(np.quantile(sorted_values, q))
 
 
 def _samples(n, seed=7, scale=30.0):

@@ -131,3 +131,36 @@ def test_experiment_bench_json_rejects_non_run_experiments(tmp_path, capsys):
                str(tmp_path / "bench")])
     assert rc == 2
     assert "RunResult" in capsys.readouterr().err
+
+
+def test_crash_replay_measures_the_same_window_everywhere(tmp_path, capsys):
+    """`replay --journal --crash-at` is the same measured run as a plain
+    replay: run.* spans, preload outside the window, and one byte count —
+    printed, under --metrics, and attributed offline."""
+    import re
+
+    from repro.metrics.report import format_bytes
+
+    trace = str(tmp_path / "w.trace")
+    jsonl = str(tmp_path / "crash.jsonl")
+    assert main(["trace", "word", "--out", trace, "--scale", "64", "--ops", "4"]) == 0
+    capsys.readouterr()
+    assert main(["replay", trace, "--journal", str(tmp_path / "j.wal"),
+                 "--crash-at", "8", "--metrics", "--trace-out", jsonl]) == 0
+    out = capsys.readouterr().out
+    assert "crashed after op 8/33" in out
+    printed_up = re.search(r"total traffic: up (\S+)", out).group(1)
+    metric_up = sum(
+        int(n) for n in re.findall(r"^channel\.up\.bytes\{[^}]*\}\s+(\d+)\s*$", out, re.M)
+    )
+    assert metric_up > 0 and format_bytes(metric_up) == printed_up
+
+    assert main(["inspect", jsonl, "--summary", "--attribution"]) == 0
+    out = capsys.readouterr().out
+    for span in ("run", "run.preload", "run.replay", "run.settle", "run.flush"):
+        assert re.search(rf"^{re.escape(span)}\s+1\s", out, re.M), span
+    attributed, preload = re.search(
+        r"total attributed: (\d+) B\s+\(\+ (\d+) B preload, excluded\)", out
+    ).groups()
+    assert int(attributed) == metric_up and int(preload) > 0
+    assert "reconciled" in out

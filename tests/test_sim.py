@@ -53,3 +53,120 @@ def test_converged_detects_divergence():
 def test_zero_clients_rejected():
     with pytest.raises(ValueError):
         Simulation(clients=0)
+
+
+def test_converged_scopes_tmp_area_like_the_client():
+    """``/.deltacfs_tmp_notes.txt`` merely shares the tmp dir's prefix; it
+    is an ordinary synced file and must not be skipped on one side only."""
+    sim = Simulation(clients=2)
+    a, b = sim.clients
+    a.create("/.deltacfs_tmp_notes.txt")
+    a.write("/.deltacfs_tmp_notes.txt", 0, b"not a preserved file")
+    a.close("/.deltacfs_tmp_notes.txt")
+    sim.settle()
+    assert b.read("/.deltacfs_tmp_notes.txt", 0, None) == b"not a preserved file"
+    assert sim.mismatched() == []
+    assert sim.converged()
+
+
+def test_conflict_copy_recognised_by_tag_not_substring():
+    from repro.common.version import VersionStamp
+    from repro.core.conflict import conflict_path, is_conflict_copy
+
+    assert is_conflict_copy(conflict_path("/docs/report.txt", VersionStamp(7, 42)))
+    assert is_conflict_copy(conflict_path("/.gitignore", VersionStamp(1, 2)))
+    assert not is_conflict_copy("/my conflicted copy notes.txt")
+    assert not is_conflict_copy("/report (conflicted copy).txt")
+
+    sim = Simulation(clients=2)
+    a, b = sim.clients
+    a.create("/my conflicted copy notes.txt")
+    a.write("/my conflicted copy notes.txt", 0, b"a user file")
+    a.close("/my conflicted copy notes.txt")
+    sim.settle()
+    assert sim.converged()
+    # ... and it is compared, not skipped: losing it on one replica shows.
+    b.inner.unlink("/my conflicted copy notes.txt")
+    assert sim.mismatched() == ["/my conflicted copy notes.txt"]
+
+
+def test_real_conflict_copies_do_not_count_as_divergence():
+    sim = Simulation(clients=2)
+    a, b = sim.clients
+    a.create("/notes.md")
+    a.write("/notes.md", 0, b"base\n")
+    a.close("/notes.md")
+    sim.settle()
+    a.write("/notes.md", 5, b"from a\n")
+    a.close("/notes.md")
+    b.write("/notes.md", 5, b"from b\n")
+    b.close("/notes.md")
+    a.flush()  # a wins; b's update is now stale
+    sim.settle()
+    from repro.core.conflict import is_conflict_copy
+
+    assert any(is_conflict_copy(p) for p in sim.server.store.paths())
+    assert b.stats.conflicts > 0
+    # b keeps its losing edit locally until it pulls; the cloud's copy of
+    # /notes.md is a's. That is a real mismatch, the conflict copy is not.
+    assert sim.mismatched() == ["/notes.md"]
+
+
+def _word_style_save(fs, path, content):
+    """The Word save dance: preserve old, write new under a temp name, swap."""
+    fs.rename(path, path + "~old")
+    fs.create(path + ".new")
+    fs.write(path + ".new", 0, content)
+    fs.close(path + ".new")
+    fs.rename(path + ".new", path)
+    fs.unlink(path + "~old")
+
+
+@pytest.mark.parametrize("journal", [False, True], ids=["nojournal", "journal"])
+@pytest.mark.parametrize("lossy", [False, True], ids=["perfect", "lossy"])
+@pytest.mark.parametrize("shards", [0, 4], ids=["cloud", "router4"])
+def test_topology_matrix_converges_and_holds_invariants(shards, lossy, journal):
+    from repro.check import verify_trace
+    from repro.faults.network import NO_FAULTS, NetworkFaults
+    from repro.kvstore.kv import MemoryKV
+    from repro.obs import Observability
+    from repro.obs.analyze import load_trace_lines
+    from repro.server.cloud import CloudServer
+    from repro.server.shard import ShardRouter
+
+    obs = Observability()
+    server = ShardRouter(shards, obs=obs) if shards else CloudServer(obs=obs)
+    sim = Simulation(
+        server=server,
+        obs=obs,
+        faults=NetworkFaults(drop_prob=0.2, dup_prob=0.1) if lossy else NO_FAULTS,
+        fault_seed=3,
+        shares=("/shared",),
+        journal_kv=MemoryKV() if journal else None,
+    )
+    a = sim.client
+    b = sim.attach(shares=("/shared",), journal_kv=MemoryKV() if journal else None)
+    assert (a.transport is not None) == lossy and (a.journal is not None) == journal
+
+    document = bytes(i % 251 for i in range(64 * 1024))
+    a.mkdir("/shared")
+    a.create("/shared/report.doc")
+    a.write("/shared/report.doc", 0, document)
+    a.close("/shared/report.doc")
+    sim.settle()
+    sim.flush()
+    revised = document[:20_000] + b"<<REVISED>>" + document[20_000:]
+    _word_style_save(a, "/shared/report.doc", revised)
+    sim.settle()
+    sim.flush()
+
+    assert a.stats.deltas_kept == 1
+    assert b.read("/shared/report.doc", 0, None) == revised
+    assert sim.mismatched() == []
+    results = verify_trace(load_trace_lines(obs.tracer.to_jsonl().splitlines()))
+    applicable = [r for r in results if r.status != "skipped"]
+    assert applicable and all(r.status == "ok" for r in applicable), [
+        (r.id, r.violations) for r in applicable if r.status != "ok"
+    ]
+    if lossy:
+        assert a.transport.stats.retransmits > 0
