@@ -1,6 +1,6 @@
 """Project-wide function table, call resolution, and summaries.
 
-The semantic rules need three interprocedural facts, each shallow
+The flow rules need three interprocedural facts, each shallow
 enough to compute in one pass per function:
 
 * **calls-its-parameter** — a function that invokes one of its own
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.check.project import ModuleInfo, Project
 from repro.check.symbols import SymbolTable, build_symbol_table
 
-#: Receiver tails that look like the obs facade (mirrors ObsNameRule).
+#: Receiver tails that look like the obs facade, and its name-taking methods.
 OBS_RECEIVERS = {"obs", "_obs", "metrics", "tracer", "registry"}
 METRIC_METHODS = {"inc", "set_gauge", "observe"}
 EVENT_METHODS = {"event", "span"}
@@ -203,13 +203,6 @@ class CallGraph:
             return self.functions.get((target.name, func.attr))
         return None
 
-    def positional_param(
-        self, info: FunctionInfo, index: int
-    ) -> Optional[str]:
-        if 0 <= index < len(info.param_names):
-            return info.param_names[index]
-        return None
-
     def argument_for_param(
         self, info: FunctionInfo, call: ast.Call, param: str
     ) -> Optional[ast.expr]:
@@ -221,10 +214,3 @@ class CallGraph:
             if kw.arg == param:
                 return kw.value
         return None
-
-    def functions_in(self, module: ModuleInfo) -> List[FunctionInfo]:
-        return [
-            info
-            for (mod, _), info in sorted(self.functions.items())
-            if mod == module.name
-        ]

@@ -28,7 +28,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 #: Rules that whole areas of the tree legitimately break. Patterns match
 #: against the path relative to the ``repro`` package root.
@@ -93,6 +93,8 @@ def _iter_comments(source: str):
 def parse_suppressions(source: str) -> Suppressions:
     """Scan a file's comments for ``# reprolint:`` directives."""
     supp = Suppressions()
+    if "reprolint:" not in source:
+        return supp  # nothing to find; skip the tokenizer
     for lineno, text in _iter_comments(source):
         for kind, raw_rules in _SUPPRESS_RE.findall(text):
             rules = {r.strip() for r in raw_rules.split(",") if r.strip()}

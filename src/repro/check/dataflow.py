@@ -1,12 +1,13 @@
-"""Flow-sensitive intraprocedural dataflow for the semantic rules.
+"""Flow-sensitive intraprocedural dataflow for the flow rules.
 
-One forward pass per function (and per module top level) tracks a
-small abstract domain — just rich enough for the determinism rules:
+One forward pass per scope tracks a small abstract domain — just rich
+enough for the determinism rules:
 
 ==============  ========================================================
 abstract value  meaning
 ==============  ========================================================
-``MODULE``      the name is bound to a module (``t = time``)
+``MODULE``      the name is bound to a module (``t = time``) or another
+                imported dotted origin (``from datetime import datetime``)
 ``CLOCK_FN``    a *reference* to a banned wall-clock callable
                 (``now = time.time`` — note: not called yet)
 ``RNG_ROOT``    an un-forked ``DeterministicRandom`` instance
@@ -25,18 +26,21 @@ analyzed once with an ``in_loop`` flag — enough precision for the
 rules, which all key on "was this value *created* unordered/unforked",
 not on loop fixpoints.
 
+Every scope of a module gets a pass — the top level, each function and
+method at any nesting depth, each class body — and every statement kind
+is walked, so each ``Call`` node in the module is seen exactly once.
+
 The pass does not report findings itself; it collects typed
-*observations* that :mod:`repro.check.semantic` turns into findings.
-Each observation carries ``via_flow`` where the distinction matters, so
-the semantic DET001 rule can skip call sites the per-file
-:class:`~repro.check.rules.WallClockRule` already reports (import-alias
-resolution alone) and only add the flow-derived ones.
+*observations* that the flow rules in :mod:`repro.check.rules` turn
+into findings. A :class:`ClockCall` carries ``via_flow`` (False when
+import aliases alone explain the callee) and an :class:`ObsName`
+carries ``literal`` because the rules word those findings differently.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.callgraph import (
@@ -47,10 +51,22 @@ from repro.check.callgraph import (
     FunctionInfo,
 )
 from repro.check.project import ModuleInfo
-from repro.check.rules import WallClockRule
 from repro.check.symbols import SymbolTable
 
-BANNED_CLOCKS = WallClockRule._BANNED
+#: The wall-clock callables DET001 bans outside the clock shim.
+BANNED_CLOCKS = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.sleep",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
 
 #: Builtins whose result forgets iteration order (clears SET taint).
 _ORDER_FIXERS = {"sorted", "min", "max", "sum", "len", "any", "all"}
@@ -64,6 +80,8 @@ _HEAP_SINKS = {"heapq.heappush", "heapq.heappush_max", "heapq.heapify"}
 class Value:
     kind: str  # MODULE | CLOCK_FN | RNG_ROOT | RNG_FORKED | SET | STR | STR_CHOICE
     payload: Tuple[str, ...] = ()
+    #: False for names a function-local ``import`` bound: calling through
+    #: them is as direct as calling through a module-level import.
     via_flow: bool = True
 
 
@@ -102,6 +120,7 @@ class ObsName:
     node: ast.AST
     kind: str  # "metric" | "event"
     values: Tuple[str, ...]
+    literal: bool
 
 
 @dataclass
@@ -116,40 +135,11 @@ class Observations:
 def analyze_module(module: ModuleInfo, graph: CallGraph) -> Observations:
     """Run the dataflow pass over every scope of one module."""
     obs = Observations()
-    if module.tree is None:
-        return obs
-    table = graph.table(module)
-    # Module top level is a scope of its own (script-style test beds).
-    _FlowPass(module, graph, table, obs, params=(),
-              self_attrs={}).run(module.tree.body)
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.FunctionDef):
-            _analyze_function(module, graph, table, obs, stmt, {})
-        elif isinstance(stmt, ast.ClassDef):
-            self_attrs = _class_attr_env(stmt, table)
-            for sub in stmt.body:
-                if isinstance(sub, ast.FunctionDef):
-                    _analyze_function(
-                        module, graph, table, obs, sub, self_attrs
-                    )
+    if module.tree is not None:
+        _FlowPass(module, graph, graph.table(module), obs).run(
+            module.tree.body
+        )
     return obs
-
-
-def _analyze_function(
-    module: ModuleInfo,
-    graph: CallGraph,
-    table: SymbolTable,
-    obs: Observations,
-    node: ast.FunctionDef,
-    self_attrs: Dict[str, Value],
-) -> None:
-    args = node.args
-    params = tuple(
-        a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-    )
-    _FlowPass(
-        module, graph, table, obs, params=params, self_attrs=self_attrs
-    ).run(node.body)
 
 
 def _class_attr_env(
@@ -199,18 +189,17 @@ class _FlowPass:
         graph: CallGraph,
         table: SymbolTable,
         obs: Observations,
-        params: Tuple[str, ...],
-        self_attrs: Dict[str, Value],
+        params: Tuple[str, ...] = (),
+        self_attrs: Optional[Dict[str, Value]] = None,
     ) -> None:
         self.module = module
         self.graph = graph
         self.table = table
         self.obs = obs
         self.params = set(params)
-        self.self_attrs = self_attrs
+        self.self_attrs = self_attrs or {}
         # var -> [(call node, in_loop)] — RNG_ROOT values handed away.
         self.rng_sites: Dict[str, List[Tuple[ast.AST, bool]]] = {}
-        self.rng_flagged: set = set()
 
     # -- entry -------------------------------------------------------------
 
@@ -220,8 +209,6 @@ class _FlowPass:
         # Un-forked RNG instances shared across >= 2 sites (or one site
         # that a loop re-executes) — report once per variable.
         for var, sites in self.rng_sites.items():
-            if var in self.rng_flagged:
-                continue
             looped = [s for s in sites if s[1]]
             if len(sites) >= 2:
                 self.obs.rng_shares.append(
@@ -232,6 +219,22 @@ class _FlowPass:
                     RngShare(looped[0][0], var, len(sites), True)
                 )
 
+    def _nested(
+        self,
+        scope: ast.stmt,
+        env: Dict[str, Value],
+        params: Tuple[str, ...] = (),
+        self_attrs: Optional[Dict[str, Value]] = None,
+    ) -> None:
+        """A def/class: header expressions here, the body in its own pass."""
+        for child in ast.iter_child_nodes(scope):
+            if not isinstance(child, ast.stmt):
+                self._visit(child, env, False)
+        _FlowPass(
+            self.module, self.graph, self.table, self.obs, params,
+            self.self_attrs if self_attrs is None else self_attrs,
+        ).run(scope.body)
+
     # -- statement walk ----------------------------------------------------
 
     def _exec(
@@ -240,33 +243,41 @@ class _FlowPass:
         for stmt in stmts:
             self._stmt(stmt, env, in_loop)
 
+    def _visit(
+        self, node: ast.AST, env: Dict[str, Value], in_loop: bool
+    ) -> None:
+        """Any node: statements execute, expressions are scanned for calls."""
+        if isinstance(node, ast.stmt):
+            self._stmt(node, env, in_loop)
+        elif isinstance(node, ast.expr):
+            self._expr(node, env, in_loop)
+        else:  # withitem, match_case, arguments, keyword, pattern ...
+            for child in ast.iter_child_nodes(node):
+                self._visit(child, env, in_loop)
+
     def _stmt(
         self, stmt: ast.stmt, env: Dict[str, Value], in_loop: bool
     ) -> None:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for child in ast.iter_child_nodes(stmt):
+                self._expr(child, env, in_loop)
             value = stmt.value
             if value is None:
                 return
-            self._expr(value, env, in_loop)
-            abstract = self._classify(value, env)
             targets = (
                 stmt.targets
                 if isinstance(stmt, ast.Assign)
                 else [stmt.target]
             )
+            abstract = self._classify(value, env)
+            if abstract is not None and not abstract.via_flow:
+                abstract = replace(abstract, via_flow=True)  # now a binding
             for target in targets:
                 if isinstance(target, ast.Name):
                     if abstract is not None:
                         env[target.id] = abstract
                     else:
                         env.pop(target.id, None)
-        elif isinstance(stmt, ast.AugAssign):
-            self._expr(stmt.value, env, in_loop)
-        elif isinstance(stmt, ast.Expr):
-            self._expr(stmt.value, env, in_loop)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._expr(stmt.value, env, in_loop)
         elif isinstance(stmt, ast.If):
             then_env = dict(env)
             else_env = dict(env)
@@ -275,8 +286,9 @@ class _FlowPass:
             self._exec(stmt.orelse, else_env, in_loop)
             env.clear()
             env.update(_merge(then_env, else_env))
-        elif isinstance(stmt, ast.For):
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._expr(stmt.iter, env, in_loop)
+            self._expr(stmt.target, env, in_loop)
             self._check_set_iteration(stmt, env)
             body_env = dict(env)
             if isinstance(stmt.target, ast.Name):
@@ -291,23 +303,38 @@ class _FlowPass:
             body_env = dict(env)
             self._exec(stmt.body, body_env, in_loop=True)
             self._exec(stmt.orelse, env, in_loop)
-        elif isinstance(stmt, (ast.With,)):
-            for item in stmt.items:
-                self._expr(item.context_expr, env, in_loop)
-            self._exec(stmt.body, env, in_loop)
         elif isinstance(stmt, ast.Try):
             self._exec(stmt.body, env, in_loop)
             for handler in stmt.handlers:
-                handler_env = dict(env)
-                self._exec(handler.body, handler_env, in_loop)
+                if handler.type is not None:
+                    self._expr(handler.type, env, in_loop)
+                self._exec(handler.body, dict(env), in_loop)
             self._exec(stmt.orelse, env, in_loop)
             self._exec(stmt.finalbody, env, in_loop)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            return  # nested scopes get their own pass (functions) or none
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._expr(stmt.exc, env, in_loop)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = stmt.args
+            self._nested(stmt, env, tuple(
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            ))
+        elif isinstance(stmt, ast.ClassDef):
+            self._nested(
+                stmt, env, self_attrs=_class_attr_env(stmt, self.table)
+            )
+        elif isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                # `import x.y` binds `x`, which refers to module `x`.
+                name = alias.name if alias.asname else alias.name.split(".")[0]
+                env[alias.asname or name] = Value("MODULE", (name,), False)
+        elif isinstance(stmt, ast.ImportFrom):
+            if stmt.module is None or stmt.level:
+                return  # relative imports: not resolved, stay silent
+            for alias in stmt.names:
+                origin = f"{stmt.module}.{alias.name}"
+                kind = "CLOCK_FN" if origin in BANNED_CLOCKS else "MODULE"
+                env[alias.asname or alias.name] = Value(kind, (origin,), False)
+        else:  # with, return, raise, expression and the other simple kinds
+            for child in ast.iter_child_nodes(stmt):
+                self._visit(child, env, in_loop)
 
     # -- expression walk ---------------------------------------------------
 
@@ -324,11 +351,11 @@ class _FlowPass:
     ) -> None:
         func = call.func
         origin, via_flow = self._origin_of(func, env)
-        # 1. Wall-clock call through an alias or stored reference
-        #    (_origin_of already sees env-bound CLOCK_FN values).
+        # 1. Wall-clock call: direct, or through an alias or stored
+        #    reference (_origin_of already sees env-bound CLOCK_FN values).
         if origin in BANNED_CLOCKS:
             self.obs.clock_calls.append(ClockCall(call, origin, via_flow))
-        # 2. Obs facade call with a non-literal, resolvable name.
+        # 2. Obs facade call with a statically resolvable name.
         self._check_obs_call(call, env)
         # 3. Interprocedural: arguments flowing into summarized params.
         callee = self.graph.resolve_call(self.module, call)
@@ -358,11 +385,11 @@ class _FlowPass:
         else:
             return
         first = call.args[0]
-        if isinstance(first, ast.Constant):
-            return  # literal names are the per-file rule's job
         values = self._string_values(first, env)
         if values:
-            self.obs.obs_names.append(ObsName(first, kind, values))
+            self.obs.obs_names.append(
+                ObsName(first, kind, values, isinstance(first, ast.Constant))
+            )
 
     def _check_callee_args(
         self, call: ast.Call, callee: FunctionInfo, env: Dict[str, Value]
@@ -391,7 +418,9 @@ class _FlowPass:
                     if param in callee.metric_name_params
                     else "event"
                 )
-                self.obs.obs_names.append(ObsName(arg, kind, values))
+                self.obs.obs_names.append(
+                    ObsName(arg, kind, values, False)
+                )
 
     def _note_rng_args(
         self, call: ast.Call, env: Dict[str, Value], in_loop: bool
@@ -449,15 +478,13 @@ class _FlowPass:
         """Dotted origin of a Name/Attribute chain, and how it resolved.
 
         ``via_flow`` is False when import aliases alone explain the
-        origin (the per-file rules already see those sites).
+        origin — a direct call.
         """
         if isinstance(node, ast.Name):
             bound = env.get(node.id)
             if bound is not None:
-                if bound.kind == "MODULE":
-                    return bound.payload[0], True
-                if bound.kind == "CLOCK_FN":
-                    return bound.payload[0], True
+                if bound.kind in ("MODULE", "CLOCK_FN"):
+                    return bound.payload[0], bound.via_flow
                 return None, True
             direct = self.table.from_alias.get(
                 node.id
@@ -513,7 +540,7 @@ class _FlowPass:
         if isinstance(node, ast.Attribute):
             origin = self.table.resolve_expr(node)
             if origin in BANNED_CLOCKS:
-                return Value("CLOCK_FN", (origin,), via_flow=False)
+                return Value("CLOCK_FN", (origin,))
             if (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "self"

@@ -1,45 +1,42 @@
-"""The lint engine: run the rule catalog over files or source text.
+"""The lint engine: run the rule catalog over a parsed project.
 
-The engine is split so every expensive result is a pure function of
-file contents and therefore cacheable (:mod:`repro.check.cache`):
+One engine, each step done once per run:
 
-* :func:`raw_lint_source` — parse once, run **every** rule, mark
-  ``# reprolint:`` suppressions. Depends only on the file's bytes.
-* config filtering — ``--only`` and the exemption globs select from
-  the raw findings per run (``PARSE``/``IO`` always survive).
-* suppression hygiene — each ``# reprolint:`` comment is audited:
-  unknown rule ids are ``CFG001`` warnings, comments that match no
-  finding are ``CFG002`` (stale) warnings. Skipped under ``--only``,
-  where most rules did not run and staleness cannot be judged.
-* the semantic layer (:mod:`repro.check.semantic`) — project-wide
-  dataflow findings, keyed by the whole-project
-  fingerprint in the cache. :func:`lint_paths` runs it by default;
-  :func:`lint_source` stays per-file.
+* :func:`repro.check.project.load_project` reads, parses and
+  comment-scans every file once; :func:`lint_source` builds the same
+  view for one in-memory module, so both entry points give one answer.
+* every rule of :data:`~repro.check.rules.ALL_RULES` is instantiated
+  once per module: node handlers fire during a single tree walk, flow
+  rules read the module's dataflow observations (which may look into
+  the other modules through the project call graph).
+* one selection step applies ``--only`` and the exemption globs and
+  marks ``# reprolint:`` suppressions (``PARSE``/``IO`` always
+  survive).
+* suppression hygiene — each ``# reprolint:`` comment is audited
+  against the module's *unselected* findings: unknown rule ids are
+  ``CFG001`` warnings, comments that match no finding are ``CFG002``
+  (stale) warnings. Skipped under ``--only``, where staleness cannot
+  be judged against a narrowed picture.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.check.cache import AnalysisCache
-from repro.check.config import (
-    CheckConfig,
-    SuppressionComment,
-    Suppressions,
-    parse_suppressions,
-    relative_to_package,
-)
+from repro.check.callgraph import CallGraph
+from repro.check.config import CheckConfig, SuppressionComment
+from repro.check.dataflow import analyze_module
 from repro.check.findings import Finding
 from repro.check.invariants import INVARIANTS_BY_ID
-from repro.check.rules import ALL_RULES, RULES_BY_ID
-from repro.check.semantic import (
-    SEMANTIC_RULES_BY_ID,
-    analyze_project,
-    apply_config,
+from repro.check.project import (
+    ModuleInfo,
+    Project,
+    load_project,
+    parse_module,
 )
+from repro.check.rules import ALL_RULES, RULES_BY_ID
 
 #: Findings the engine synthesizes without a catalog rule class.
 ENGINE_FINDINGS = ("PARSE", "IO", "CFG001", "CFG002")
@@ -47,61 +44,32 @@ ENGINE_FINDINGS = ("PARSE", "IO", "CFG001", "CFG002")
 #: Every id a ``# reprolint: disable=`` comment may legitimately name.
 KNOWN_SUPPRESSIBLE = (
     frozenset(RULES_BY_ID)
-    | frozenset(SEMANTIC_RULES_BY_ID)
     | frozenset(INVARIANTS_BY_ID)
     | frozenset(ENGINE_FINDINGS)
 )
 
-_SORT_KEY = lambda f: (f.line, f.rule, f.message)  # noqa: E731
 
-
-def raw_lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Every rule's findings for one file, suppressions marked.
-
-    The result depends only on ``source`` — no configuration — which is
-    what makes it safe to cache by content digest.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="PARSE",
-                severity="error",
-                path=path,
-                line=exc.lineno or 0,
-                message=f"syntax error: {exc.msg}",
-                hint="the file must parse before any rule can run",
-            )
-        ]
-    findings: List[Finding] = []
-    for rule_cls in ALL_RULES:
-        rule = rule_cls(path=path)
-        rule.visit(tree)
-        findings.extend(rule.findings)
-    suppressions = parse_suppressions(source)
-    for finding in findings:
-        if suppressions.covers(finding.rule, finding.line):
-            finding.suppressed = True
-    findings.sort(key=_SORT_KEY)
-    return findings
-
-
-def filter_findings(
-    findings: Iterable[Finding], config: CheckConfig, rel_path: str
-) -> List[Finding]:
-    """Select the raw findings this run's configuration keeps."""
-    out: List[Finding] = []
-    for finding in findings:
-        if finding.rule in ("PARSE", "IO"):
-            out.append(finding)
-            continue
-        if not config.rule_enabled(finding.rule):
-            continue
-        if config.exempt(finding.rule, rel_path):
-            continue
-        out.append(finding)
-    return out
+def _rule_findings(module: ModuleInfo, graph: CallGraph) -> List[Finding]:
+    """Every rule's findings for one parsed module, nothing selected."""
+    assert module.tree is not None
+    rules = [rule_cls(path=module.path) for rule_cls in ALL_RULES]
+    handlers: Dict[type, List[Callable[[ast.AST], None]]] = {}
+    for rule in rules:
+        for name in dir(rule):
+            if name.startswith("visit_"):
+                handlers.setdefault(getattr(ast, name[6:]), []).append(
+                    getattr(rule, name)
+                )
+    stack: List[ast.AST] = [module.tree]
+    while stack:  # pre-order, children in source order
+        node = stack.pop()
+        for handle in handlers.get(type(node), ()):
+            handle(node)
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+    observations = analyze_module(module, graph)
+    for rule in rules:
+        rule.observe(observations)
+    return [finding for rule in rules for finding in rule.findings]
 
 
 def _comment_matches(
@@ -114,20 +82,19 @@ def _comment_matches(
     return finding.line == comment.lineno
 
 
-def hygiene_findings(
-    path: str,
-    suppressions: Suppressions,
-    raw_findings: Sequence[Finding],
+def _hygiene_findings(
+    module: ModuleInfo, raw_findings: Sequence[Finding]
 ) -> List[Finding]:
-    """Audit the suppression comments of one file.
+    """Audit the suppression comments of one module.
 
-    ``raw_findings`` must be the *unfiltered* findings for the file
-    (per-file plus any semantic ones), so a comment is judged against
-    everything the catalog can say about the file, not against what the
-    current configuration happens to keep.
+    ``raw_findings`` must be the *unselected* findings for the module,
+    so a comment is judged against everything the catalog can say about
+    the file, not against what the current configuration happens to
+    keep.
     """
+    path = module.path
     findings: List[Finding] = []
-    for comment in suppressions.comments:
+    for comment in module.suppressions.comments:
         for rule in comment.rules:
             if rule not in KNOWN_SUPPRESSIBLE:
                 findings.append(
@@ -175,27 +142,44 @@ def hygiene_findings(
     return findings
 
 
+def lint_project(project: Project, config: CheckConfig) -> List[Finding]:
+    """All findings for a loaded project, sorted by location."""
+    graph = CallGraph.build(project)
+    findings = list(project.unreadable)
+    for module in project.modules:
+        raw = (
+            [module.error]
+            if module.error is not None
+            else _rule_findings(module, graph)
+        )
+        for finding in raw:
+            if finding.rule != "PARSE":
+                if not config.rule_enabled(finding.rule) or config.exempt(
+                    finding.rule, module.rel_path
+                ):
+                    continue
+                finding.suppressed = module.suppressions.covers(
+                    finding.rule, finding.line
+                )
+            findings.append(finding)
+        if not config.only:
+            findings.extend(_hygiene_findings(module, raw))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
+    return findings
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     rel_path: Optional[str] = None,
     config: Optional[CheckConfig] = None,
 ) -> List[Finding]:
-    """Lint one file's source text; returns findings (incl. suppressed).
-
-    Per-file rules plus suppression hygiene; the project-wide semantic
-    rules need the whole tree and only run under :func:`lint_paths`.
-    """
-    config = config or CheckConfig()
-    rel = rel_path if rel_path is not None else path
-    raw = raw_lint_source(source, path=path)
-    findings = filter_findings(raw, config, rel)
-    if not config.only:
-        suppressions = parse_suppressions(source)
-        if suppressions.comments:
-            findings = findings + hygiene_findings(path, suppressions, raw)
-    findings.sort(key=_SORT_KEY)
-    return findings
+    """Lint one file's source text; returns findings (incl. suppressed)."""
+    project = Project()
+    project.add(
+        parse_module(path, path if rel_path is None else rel_path, source)
+    )
+    return lint_project(project, config or CheckConfig())
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -215,92 +199,16 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(dict.fromkeys(out))
 
 
-def _source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 def lint_paths(
     paths: Sequence[str],
     config: Optional[CheckConfig] = None,
     package_roots: Sequence[str] = (),
-    semantic: bool = True,
-    cache: Optional[AnalysisCache] = None,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``.
+    """Lint every ``.py`` file under ``paths`` as one project.
 
     ``package_roots`` are directories whose children are package-relative
     for exemption matching (e.g. ``src/repro``); by default the segment
-    after the last ``/repro/`` in each path is used. ``semantic`` adds
-    the project-wide dataflow rules; ``cache`` (an
-    :class:`AnalysisCache`) skips re-analysis of unchanged content.
+    after the last ``/repro/`` in each path is used.
     """
-    config = config or CheckConfig()
-    findings: List[Finding] = []
-    sources: Dict[str, str] = {}
-    raw_by_path: Dict[str, List[Finding]] = {}
-    files = iter_python_files(paths)
-    for file_path in files:
-        rel = relative_to_package(file_path, package_roots)
-        try:
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            findings.append(
-                Finding(
-                    rule="IO",
-                    severity="error",
-                    path=file_path,
-                    line=0,
-                    message=f"cannot read file: {exc}",
-                )
-            )
-            continue
-        sources[file_path] = source
-        digest = _source_digest(source)
-        raw = (
-            cache.file_findings(file_path, digest)
-            if cache is not None
-            else None
-        )
-        if raw is None:
-            raw = raw_lint_source(source, path=file_path)
-            if cache is not None:
-                cache.store_file(file_path, digest, raw)
-        raw_by_path[file_path] = raw
-        findings.extend(filter_findings(raw, config, rel))
-
-    semantic_raw: List[Finding] = []
-    if semantic and sources:
-        from repro.check.project import load_project
-
-        project = load_project(
-            [p for p in files if p in sources],
-            package_roots=package_roots,
-            sources=sources,
-        )
-        fingerprint = project.fingerprint()
-        cached = (
-            cache.semantic_findings(fingerprint)
-            if cache is not None
-            else None
-        )
-        if cached is None:
-            semantic_raw = analyze_project(project)
-            if cache is not None:
-                cache.store_semantic(fingerprint, semantic_raw)
-        else:
-            semantic_raw = cached
-        findings.extend(apply_config(semantic_raw, project, config))
-
-    if not config.only:
-        for file_path, source in sources.items():
-            suppressions = parse_suppressions(source)
-            if not suppressions.comments:
-                continue
-            raw_all = raw_by_path.get(file_path, []) + [
-                f for f in semantic_raw if f.path == file_path
-            ]
-            findings.extend(
-                hygiene_findings(file_path, suppressions, raw_all)
-            )
-    return findings
+    project = load_project(iter_python_files(paths), package_roots)
+    return lint_project(project, config or CheckConfig())

@@ -1,9 +1,17 @@
-"""The static rule catalog: one AST visitor class per rule.
+"""The lint rule catalog: one class per rule id.
 
-Every rule is an :class:`ast.NodeVisitor` subclass with a stable ``id``,
-a default ``severity``, a one-line ``description`` and an autofix
-``hint``. The engine (:mod:`repro.check.linter`) instantiates a rule per
-file, runs ``visit(tree)`` and collects ``rule.findings``.
+Every rule has a stable ``id``, a default ``severity``, a one-line
+``description`` and an autofix ``hint``. The engine
+(:mod:`repro.check.linter`) instantiates each rule once per module and
+feeds it two ways, both over the module's one parsed tree:
+
+* **node handlers** — a method named ``visit_<NodeType>`` is called for
+  every node of that type during the engine's single tree walk (the
+  engine recurses; handlers do not);
+* **flow observations** — :meth:`Rule.observe` receives what the
+  dataflow pass (:mod:`repro.check.dataflow`) saw in the module: clock
+  calls however the callable got there, obs names however they were
+  spelled, shared RNG streams, set iteration reaching ordered sinks.
 
 The catalog enforces the determinism and protocol-hygiene contract of
 this repository:
@@ -12,16 +20,28 @@ this repository:
 id        severity   what it flags
 ========  =========  ====================================================
 DET001    error      wall-clock reads (``time.time``, ``datetime.now``,
-                     argless ``today`` ...) outside the clock shim
+                     argless ``today`` ...) outside the clock shim —
+                     called directly, through a local, module-level or
+                     attribute binding, or passed into a parameter the
+                     callee invokes
 DET002    error      unseeded randomness (module-level ``random.*``,
                      ``os.urandom``, ``uuid.uuid1/4``, ``secrets``)
                      outside ``repro.common.rng``
+DET003    error      a ``DeterministicRandom`` instance shared across
+                     construction sites without ``fork()`` — consumers
+                     interleave draws on one stream, so adding a draw in
+                     one component perturbs every other
+DET004    error      iteration over a ``set`` flowing into an
+                     order-sensitive sink (fleet event heap, wire
+                     encoders, ``conflict_path``)
 PY001     error      mutable default arguments
 PY002     error      bare ``except:`` clauses
 PY003     warning    ``print`` in library code (CLI/render exempt)
-OBS001    error      ``obs.event``/``obs.span``/metric name literals that
-                     do not resolve against the catalog in
-                     ``repro/obs/names.py``
+OBS001    error      ``obs.event``/``obs.span``/metric names that do not
+                     resolve against the catalog in ``repro/obs/names.py``
+                     — string literals, module constants, dict-literal
+                     lookups, and parameters a helper forwards into
+                     ``obs.inc``/``obs.event``
 WIRE001   error      a class that hand-writes ``wire_size`` or a byte-level
                      ``encode``/``decode`` instead of declaring a
                      ``repro.common.wire`` field table
@@ -33,11 +53,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple, Type
 
+from repro.check.dataflow import Observations
 from repro.check.findings import Finding
 from repro.obs.names import EVENT_NAMES, METRIC_NAMES
 
 
-class Rule(ast.NodeVisitor):
+class Rule:
     """Base class: subclasses set the class attributes and report()."""
 
     id: str = ""
@@ -49,9 +70,7 @@ class Rule(ast.NodeVisitor):
         self.path = path
         self.findings: List[Finding] = []
 
-    def report(
-        self, node: ast.AST, message: str, hint: Optional[str] = None
-    ) -> None:
+    def report(self, node: ast.AST, message: str) -> None:
         self.findings.append(
             Finding(
                 rule=self.id,
@@ -59,65 +78,16 @@ class Rule(ast.NodeVisitor):
                 path=self.path,
                 line=getattr(node, "lineno", 0),
                 message=message,
-                hint=self.hint if hint is None else hint,
+                hint=self.hint,
             )
         )
 
-
-class _ImportTracking(Rule):
-    """Shared import-alias bookkeeping for module-sensitive rules.
-
-    ``self.module_alias`` maps a local name to the module it refers to
-    (``import time as t`` -> ``{"t": "time"}``); ``self.from_alias`` maps
-    a local name to its fully qualified origin (``from time import time
-    as now`` -> ``{"now": "time.time"}``).
-    """
-
-    #: Modules the subclass cares about; others are not tracked.
-    modules: Tuple[str, ...] = ()
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self.module_alias: Dict[str, str] = {}
-        self.from_alias: Dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self.modules:
-                self.module_alias[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module in self.modules:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                self.from_alias[local] = f"{node.module}.{alias.name}"
-        self.generic_visit(node)
-
-    def _qualify(self, func: ast.expr) -> Optional[str]:
-        """Resolve a call target to a dotted origin, or None."""
-        if isinstance(func, ast.Name):
-            return self.from_alias.get(func.id)
-        if isinstance(func, ast.Attribute):
-            base = self._qualify_base(func.value)
-            if base is not None:
-                return f"{base}.{func.attr}"
-        return None
-
-    def _qualify_base(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Name):
-            if node.id in self.module_alias:
-                return self.module_alias[node.id]
-            return self.from_alias.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self._qualify_base(node.value)
-            if base is not None:
-                return f"{base}.{node.attr}"
-        return None
+    def observe(self, obs: Observations) -> None:
+        """Report from the module's dataflow observations (flow rules)."""
 
 
-class WallClockRule(_ImportTracking):
-    """DET001 — replay-breaking wall-clock reads."""
+class FlowClockRule(Rule):
+    """DET001 — replay-breaking wall-clock reads, however reached."""
 
     id = "DET001"
     severity = "error"
@@ -126,31 +96,32 @@ class WallClockRule(_ImportTracking):
         "take `now` from the simulation clock (repro.common.clock) or "
         "accept a timestamp parameter instead of reading the wall clock"
     )
-    modules = ("time", "datetime")
 
-    _BANNED = {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.sleep",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-
-    def visit_Call(self, node: ast.Call) -> None:
-        origin = self._qualify(node.func)
-        if origin in self._BANNED:
-            self.report(node, f"wall-clock call `{origin}`")
-        self.generic_visit(node)
+    def observe(self, obs: Observations) -> None:
+        for call in obs.clock_calls:
+            self.report(
+                call.node,
+                f"wall-clock `{call.origin}` called through a local or "
+                "attribute binding"
+                if call.via_flow
+                else f"wall-clock call `{call.origin}`",
+            )
+        for arg in obs.clock_args:
+            self.report(
+                arg.node,
+                f"wall-clock `{arg.origin}` passed into parameter "
+                f"`{arg.param}` of `{arg.callee}`, which calls it",
+            )
 
 
-class UnseededRandomRule(_ImportTracking):
-    """DET002 — nondeterministic entropy sources."""
+class UnseededRandomRule(Rule):
+    """DET002 — nondeterministic entropy sources.
+
+    ``self.module_alias`` maps a local name to the module it refers to
+    (``import random as r`` -> ``{"r": "random"}``); ``self.from_alias``
+    maps a local name to its fully qualified origin (``from random
+    import randint as roll`` -> ``{"roll": "random.randint"}``).
+    """
 
     id = "DET002"
     severity = "error"
@@ -159,8 +130,8 @@ class UnseededRandomRule(_ImportTracking):
         "draw from the seeded generator in repro.common.rng (or a "
         "random.Random(seed) instance) so runs replay bit-identically"
     )
-    modules = ("random", "secrets", "os", "uuid")
 
+    _MODULES = ("random", "secrets", "os", "uuid")
     #: Qualified names that are fine: seeded-generator constructors.
     _ALLOWED = {"random.Random"}
     _BANNED_EXACT = {
@@ -170,8 +141,36 @@ class UnseededRandomRule(_ImportTracking):
         "random.SystemRandom",
     }
 
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self.module_alias: Dict[str, str] = {}
+        self.from_alias: Dict[str, str] = {}
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name in self._MODULES:
+                self.module_alias[alias.asname or alias.name] = alias.name
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module in self._MODULES:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                self.from_alias[local] = f"{node.module}.{alias.name}"
+
+    def _origin(self, node: ast.expr, base: bool = False) -> Optional[str]:
+        """Resolve a call target (or the base of one) to a dotted origin."""
+        if isinstance(node, ast.Name):
+            if base and node.id in self.module_alias:
+                return self.module_alias[node.id]
+            return self.from_alias.get(node.id)
+        if isinstance(node, ast.Attribute):
+            root = self._origin(node.value, base=True)
+            if root is not None:
+                return f"{root}.{node.attr}"
+        return None
+
     def visit_Call(self, node: ast.Call) -> None:
-        origin = self._qualify(node.func)
+        origin = self._origin(node.func)
         if origin is not None and origin not in self._ALLOWED:
             if origin in self._BANNED_EXACT:
                 self.report(node, f"nondeterministic source `{origin}`")
@@ -183,7 +182,6 @@ class UnseededRandomRule(_ImportTracking):
                 )
             elif origin.startswith("secrets."):
                 self.report(node, f"nondeterministic source `{origin}`")
-        self.generic_visit(node)
 
 
 class MutableDefaultRule(Rule):
@@ -220,15 +218,12 @@ class MutableDefaultRule(Rule):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check(node, node.args)
-        self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check(node, node.args)
-        self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check(node, node.args)
-        self.generic_visit(node)
 
 
 class BareExceptRule(Rule):
@@ -242,7 +237,6 @@ class BareExceptRule(Rule):
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self.report(node, "bare `except:` catches SystemExit too")
-        self.generic_visit(node)
 
 
 class PrintRule(Rule):
@@ -259,16 +253,13 @@ class PrintRule(Rule):
     def visit_Call(self, node: ast.Call) -> None:
         if isinstance(node.func, ast.Name) and node.func.id == "print":
             self.report(node, "print() bypasses the observability layer")
-        self.generic_visit(node)
 
 
-class ObsNameRule(Rule):
-    """OBS001 — obs name literals must exist in the names.py catalog.
+class FlowObsNameRule(Rule):
+    """OBS001 — obs names must exist in the names.py catalog.
 
-    Checks calls whose receiver's last segment looks like an obs facade
-    (``obs``, ``self.obs``, ``metrics``, ``tracer``, ``registry``) and
-    whose method is one of the facade's five name-taking methods. Only
-    string-literal first arguments are checked; dynamic names are the
+    Checks every name the dataflow pass could resolve statically in the
+    name slot of an obs facade call; names it cannot resolve are the
     Tracer's runtime validation problem.
     """
 
@@ -280,40 +271,70 @@ class ObsNameRule(Rule):
         "repro/obs/names.py (and document it in docs/observability.md)"
     )
 
-    _RECEIVERS = {"obs", "_obs", "metrics", "tracer", "registry"}
-    _METRIC_METHODS = {"inc", "set_gauge", "observe"}
-    _EVENT_METHODS = {"event", "span"}
+    def observe(self, obs: Observations) -> None:
+        for name in obs.obs_names:
+            metric = name.kind == "metric"
+            catalog = METRIC_NAMES if metric else EVENT_NAMES
+            label = "METRICS" if metric else "EVENTS"
+            bad = sorted(v for v in name.values if v not in catalog)
+            if not bad:
+                continue
+            if name.literal:
+                kind = "metric" if metric else "event/span"
+                message = f"{kind} name `{bad[0]}` is not in the {label} catalog"
+            else:
+                message = (
+                    f"{name.kind} name resolves to "
+                    + ", ".join(f"`{v}`" for v in bad)
+                    + f" — not in the {label} catalog"
+                )
+            self.report(name.node, message)
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            receiver = func.value
-            tail = (
-                receiver.id
-                if isinstance(receiver, ast.Name)
-                else getattr(receiver, "attr", None)
+
+class SharedRngRule(Rule):
+    """DET003 — one RNG stream handed to several consumers."""
+
+    id = "DET003"
+    severity = "error"
+    description = "DeterministicRandom shared across construction sites"
+    hint = (
+        "derive one independent stream per consumer with "
+        "rng.fork(\"label\") so adding draws in one component cannot "
+        "perturb another"
+    )
+
+    def observe(self, obs: Observations) -> None:
+        for share in obs.rng_shares:
+            where = (
+                "inside a loop"
+                if share.in_loop
+                else f"across {share.sites} construction sites"
             )
-            if tail in self._RECEIVERS and node.args:
-                first = node.args[0]
-                if isinstance(first, ast.Constant) and isinstance(
-                    first.value, str
-                ):
-                    name = first.value
-                    if func.attr in self._METRIC_METHODS:
-                        if name not in METRIC_NAMES:
-                            self.report(
-                                first,
-                                f"metric name `{name}` is not in the "
-                                "METRICS catalog",
-                            )
-                    elif func.attr in self._EVENT_METHODS:
-                        if name not in EVENT_NAMES:
-                            self.report(
-                                first,
-                                f"event/span name `{name}` is not in the "
-                                "EVENTS catalog",
-                            )
-        self.generic_visit(node)
+            self.report(
+                share.node,
+                f"DeterministicRandom `{share.var}` is passed {where} "
+                "without fork(); consumers interleave draws on one stream",
+            )
+
+
+class UnorderedIterationRule(Rule):
+    """DET004 — hash order leaking into order-sensitive state."""
+
+    id = "DET004"
+    severity = "error"
+    description = "set iteration order flows into an order-sensitive sink"
+    hint = (
+        "iterate `sorted(the_set)` (or keep a list/dict, which preserve "
+        "insertion order) before feeding heaps, encoders or conflict paths"
+    )
+
+    def observe(self, obs: Observations) -> None:
+        for sink in obs.set_sinks:
+            self.report(
+                sink.node,
+                f"iterating set `{sink.iterable}` feeds `{sink.sink}`, "
+                "whose result depends on hash order",
+            )
 
 
 class HandWrittenCodecRule(Rule):
@@ -352,17 +373,18 @@ class HandWrittenCodecRule(Rule):
         for stmt in node.body:
             if isinstance(stmt, ast.FunctionDef) and self._is_codec(stmt):
                 self.report(stmt, f"{node.name}.{stmt.name} is written by hand")
-        self.generic_visit(node)
 
 
 #: Registry, in report order. The engine iterates this.
 ALL_RULES: Tuple[Type[Rule], ...] = (
-    WallClockRule,
+    FlowClockRule,
     UnseededRandomRule,
+    SharedRngRule,
+    UnorderedIterationRule,
     MutableDefaultRule,
     BareExceptRule,
     PrintRule,
-    ObsNameRule,
+    FlowObsNameRule,
     HandWrittenCodecRule,
 )
 

@@ -6,8 +6,7 @@ ingest to annotate diffs with findings. This module renders the shared
 
 * every rule id that appears in the findings becomes a
   ``tool.driver.rules`` entry, described from the static catalogs (the
-  per-file rules, the semantic rules, the trace invariants) when the id
-  is known there;
+  lint rules, the trace invariants) when the id is known there;
 * severities map ``error`` -> ``error``, ``warning`` -> ``warning``,
   ``advice`` -> ``note``;
 * suppressed findings are carried with an ``inSource`` suppression
@@ -28,7 +27,6 @@ from typing import Dict, List, Sequence
 from repro.check.findings import Finding
 from repro.check.invariants import INVARIANTS_BY_ID
 from repro.check.rules import RULES_BY_ID
-from repro.check.semantic import SEMANTIC_RULES_BY_ID
 
 _SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -48,7 +46,7 @@ _ENGINE_RULES: Dict[str, str] = {
 
 
 def _rule_description(rule_id: str) -> str:
-    rule = RULES_BY_ID.get(rule_id) or SEMANTIC_RULES_BY_ID.get(rule_id)
+    rule = RULES_BY_ID.get(rule_id)
     if rule is not None:
         return rule.description
     spec = INVARIANTS_BY_ID.get(rule_id)
@@ -58,7 +56,7 @@ def _rule_description(rule_id: str) -> str:
 
 
 def _rule_help(rule_id: str) -> str:
-    rule = RULES_BY_ID.get(rule_id) or SEMANTIC_RULES_BY_ID.get(rule_id)
+    rule = RULES_BY_ID.get(rule_id)
     return rule.hint if rule is not None else ""
 
 

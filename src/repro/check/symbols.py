@@ -1,4 +1,4 @@
-"""Per-module symbol tables for the semantic analysis layer.
+"""Per-module symbol tables for the dataflow pass.
 
 One :class:`SymbolTable` per parsed module answers the questions the
 dataflow engine keeps asking:

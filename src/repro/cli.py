@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.metrics.report import format_bytes, format_table, format_tue
@@ -262,30 +263,14 @@ def _cmd_fleet(args) -> int:
         fleet_curve,
         run_fleet,
     )
-    from repro.obs import NULL_OBS, Observability
 
-    trace_sink = None
-    if args.trace_out:
-        from repro.obs import Tracer
-
-        if args.clients > 2000 and not args.curve:
-            print(
-                "--trace-out records every pipeline event; cap --clients "
-                "at 2000 for a recordable run",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            trace_sink = open(args.trace_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot write trace to {args.trace_out!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-        obs = Observability(tracer=Tracer(sink=trace_sink))
-    elif args.metrics:
-        obs = Observability()
-    else:
-        obs = NULL_OBS
+    if args.trace_out and args.clients > 2000 and not args.curve:
+        print(
+            "--trace-out records every pipeline event; cap --clients "
+            "at 2000 for a recordable run",
+            file=sys.stderr,
+        )
+        return 2
 
     def show(results) -> None:
         print(format_table(
@@ -308,7 +293,10 @@ def _cmd_fleet(args) -> int:
             ] for r in results],
         ))
 
-    try:
+    with _obs_session(args) as session:
+        if session is None:
+            return 1
+        obs, finish_trace = session
         if args.curve or args.bench_json:
             results = fleet_curve(FLEET_CURVE, obs=obs)
             show(results)
@@ -343,11 +331,7 @@ def _cmd_fleet(args) -> int:
                 rc = _write_health_doc(args.health_out, reports[-1])
                 if rc:
                     return rc
-        if trace_sink is not None:
-            _finish_trace_out(args.trace_out, trace_sink, obs)
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
+        finish_trace()
     if args.metrics:
         print()
         print(obs.report())
@@ -428,13 +412,40 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _finish_trace_out(path: str, sink, obs) -> None:
-    """Append the metrics snapshot record to a streamed trace and report."""
+@contextmanager
+def _obs_session(args):
+    """The observability hub a run's ``--trace-out``/``--metrics`` ask for.
+
+    Observability is opt-in: without either flag the run uses NULL_OBS
+    and is byte-identical to an uninstrumented run. ``--trace-out``
+    streams each record to the file as it happens (no buffering); the
+    yielded ``finish_trace()`` then appends a metrics snapshot record so
+    `repro inspect` can reconcile and export OpenMetrics from the one
+    file, and the file is closed on exit. Yields ``(obs, finish_trace)``,
+    or ``None`` after reporting that the trace file cannot be opened.
+    """
+    from repro.obs import NULL_OBS, Observability, Tracer
     from repro.obs.export import write_snapshot_record
 
-    write_snapshot_record(sink, obs.metrics, obs.clock.now())
-    print(f"\nwrote {path}: {obs.tracer.records_recorded} trace records "
-          f"+ metrics snapshot")
+    if not args.trace_out:
+        yield (Observability() if args.metrics else NULL_OBS), lambda: None
+        return
+    try:
+        sink = open(args.trace_out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write trace to {args.trace_out!r}: {exc}",
+              file=sys.stderr)
+        yield None
+        return
+    obs = Observability(tracer=Tracer(sink=sink))
+
+    def finish_trace() -> None:
+        write_snapshot_record(sink, obs.metrics, obs.clock.now())
+        print(f"\nwrote {args.trace_out}: {obs.tracer.records_recorded} "
+              f"trace records + metrics snapshot")
+
+    with sink:
+        yield obs, finish_trace
 
 
 def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int:
@@ -486,7 +497,6 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
 def _cmd_replay(args) -> int:
     from repro.faults.network import NO_FAULTS, NetworkFaults
     from repro.harness.runner import SOLUTIONS, run_trace
-    from repro.obs import NULL_OBS, Observability
     from repro.workloads.traceio import load_trace_file
 
     if args.solution not in SOLUTIONS:
@@ -539,48 +549,27 @@ def _cmd_replay(args) -> int:
             print(f"bad fault plan: {exc}", file=sys.stderr)
             return 2
     trace = load_trace_file(args.trace)
-    # Observability is opt-in: without either flag the run uses NULL_OBS
-    # and is byte-identical to an uninstrumented run. --trace-out streams
-    # each record to the file as it happens (no buffering), then appends a
-    # metrics snapshot record so `repro inspect` can reconcile and export
-    # OpenMetrics from the one file.
-    trace_sink = None
-    if args.trace_out:
-        from repro.obs import Tracer
-
-        try:
-            trace_sink = open(args.trace_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot write trace to {args.trace_out!r}: {exc}",
-                  file=sys.stderr)
+    with _obs_session(args) as session:
+        if session is None:
             return 1
-        obs = Observability(tracer=Tracer(sink=trace_sink))
-    elif args.metrics:
-        obs = Observability()
-    else:
-        obs = NULL_OBS
-    journal_kv = None
-    if args.journal is not None:
-        from repro.kvstore.kv import LogStructuredKV
+        obs, finish_trace = session
+        journal_kv = None
+        if args.journal is not None:
+            from repro.kvstore.kv import LogStructuredKV
 
-        # sync=True: the journal only helps if the records survive the
-        # crash, so every append is fsynced.
-        journal_kv = LogStructuredKV(args.journal, sync=True)
-    try:
+            # sync=True: the journal only helps if the records survive the
+            # crash, so every append is fsynced.
+            journal_kv = LogStructuredKV(args.journal, sync=True)
         if args.crash_at is not None:
             rc = _replay_with_crash(args, trace, journal_kv, obs, faults, config)
-            if rc == 0 and trace_sink is not None:
-                _finish_trace_out(args.trace_out, trace_sink, obs)
+            if rc == 0:
+                finish_trace()
             return rc
         result = run_trace(
             args.solution, trace, config=config, obs=obs, faults=faults,
             fault_seed=args.fault_seed, journal_kv=journal_kv,
         )
-        if trace_sink is not None:
-            _finish_trace_out(args.trace_out, trace_sink, obs)
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
+        finish_trace()
     print(
         format_table(
             ["trace", "solution", "cli CPU", "srv CPU", "up", "down", "TUE"],
@@ -752,12 +741,6 @@ def _cmd_check(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    cache = None
-    if args.cache:
-        from repro.check import AnalysisCache
-
-        cache = AnalysisCache.load(args.cache)
-
     lint_findings = []
     if not args.no_lint:
         paths = args.paths
@@ -766,14 +749,7 @@ def _cmd_check(args) -> int:
 
             paths = [os.path.dirname(os.path.abspath(repro.__file__))]
         config = CheckConfig(only=tuple(args.only or ()))
-        lint_findings = lint_paths(
-            paths,
-            config=config,
-            semantic=not args.no_semantic,
-            cache=cache,
-        )
-    if cache is not None:
-        cache.save(args.cache)
+        lint_findings = lint_paths(paths, config=config)
     findings = list(lint_findings)
 
     trace_results = {}
@@ -793,8 +769,13 @@ def _cmd_check(args) -> int:
     if args.sarif:
         from repro.check import sarif_json
 
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            handle.write(sarif_json(findings) + "\n")
+        try:
+            with open(args.sarif, "w", encoding="utf-8") as handle:
+                handle.write(sarif_json(findings) + "\n")
+        except OSError as exc:
+            print(f"cannot write SARIF log to {args.sarif!r}: {exc}",
+                  file=sys.stderr)
+            return 2
 
     failed = gate(findings, fail_on=args.fail_on)
     if args.json:
@@ -809,8 +790,6 @@ def _cmd_check(args) -> int:
             "summary": asdict(FindingSummary.of(findings)),
             "failed": failed,
         }
-        if cache is not None:
-            payload["cache"] = asdict(cache.stats)
         print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
         if not args.no_lint:
@@ -1069,17 +1048,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--json", action="store_true",
         help="emit the findings + invariant results as one JSON document",
-    )
-    check.add_argument(
-        "--no-semantic", action="store_true",
-        help="skip the project-wide semantic (dataflow) rules; per-file "
-             "rules still run",
-    )
-    check.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help="content-hash analysis cache file; unchanged files (and an "
-             "unchanged project, for the semantic layer) reuse cached "
-             "findings",
     )
     check.add_argument(
         "--sarif", metavar="PATH", default=None,

@@ -213,17 +213,37 @@ class CloudServer:
         touches the store — in particular the base-version conflict check
         never runs again, so a duplicate cannot misfire as a conflict.
         """
+        return self.deliver_once(envelope, origin_client, self.handle)
+
+    def deliver_once(
+        self,
+        envelope: Envelope,
+        origin_client: int,
+        apply: Callable[..., ApplyResult],
+        home: Optional[int] = None,
+    ) -> Tuple[List[Message], bool]:
+        """Look the envelope up in this server's dedup window, else apply it.
+
+        The one exactly-once window: ``apply`` is this server's own
+        :meth:`handle`, or the shard router's when this server is the
+        client's home shard (``home`` is then the router's derivation of
+        that shard's index, stamped on the witness event).
+        """
         cache = self._dedup.setdefault(origin_client, OrderedDict())
         cached = cache.get(envelope.msg_id)
         if cached is not None:
             self.dedup_drops += 1
             if self.obs.enabled:
                 self.obs.inc("server.dedup.drops")
-                self._note_envelope(envelope, origin_client, duplicate=True)
+                self._note_envelope(
+                    envelope, origin_client, duplicate=True, home=home
+                )
             return list(cached), True
         if self.obs.enabled:
-            self._note_envelope(envelope, origin_client, duplicate=False)
-        result = self.handle(
+            self._note_envelope(
+                envelope, origin_client, duplicate=False, home=home
+            )
+        result = apply(
             envelope.inner, origin_client, getattr(envelope, "ctx", None)
         )
         cache[envelope.msg_id] = tuple(result.replies)

@@ -301,28 +301,9 @@ class ShardRouter:
         coherent stream per client.
         """
         home_index = self.home_shard_index(origin_client)
-        home = self.shards[home_index]
-        cache = home._dedup.setdefault(origin_client, OrderedDict())
-        cached = cache.get(envelope.msg_id)
-        if cached is not None:
-            home.dedup_drops += 1
-            if self.obs.enabled:
-                self.obs.inc("server.dedup.drops")
-                home._note_envelope(
-                    envelope, origin_client, duplicate=True, home=home_index
-                )
-            return list(cached), True
-        if self.obs.enabled:
-            home._note_envelope(
-                envelope, origin_client, duplicate=False, home=home_index
-            )
-        result = self.handle(
-            envelope.inner, origin_client, getattr(envelope, "ctx", None)
+        return self.shards[home_index].deliver_once(
+            envelope, origin_client, self.handle, home=home_index
         )
-        cache[envelope.msg_id] = tuple(result.replies)
-        while len(cache) > home.dedup_window:
-            cache.popitem(last=False)
-        return list(result.replies), False
 
     def _touched_shards(self, message: Message) -> List[int]:
         """Distinct shard indices the message touches, first-touch order."""

@@ -81,3 +81,11 @@ class TestCheckCommand:
         assert main(
             ["check", "--no-lint", "--traces", str(tmp_path / "absent.jsonl")]
         ) == 2
+
+    def test_unwritable_sarif_path_is_an_io_error(self, tmp_path, capsys):
+        # Used to escape as a FileNotFoundError traceback.
+        target = tmp_path / "no" / "such" / "dir" / "x.sarif"
+        assert main(["check", "--no-lint", "--sarif", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write SARIF log to" in captured.err
+        assert str(target) in captured.err

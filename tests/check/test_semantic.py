@@ -1,21 +1,38 @@
-"""The project-wide semantic layer: dataflow-derived findings.
+"""The flow rules: dataflow-derived findings.
 
 These rules only exist above single-statement pattern matching: a
 wall-clock callable smuggled through a binding or a parameter, one
 DeterministicRandom stream handed to several consumers, set iteration
 feeding an order-sensitive sink, an obs name that is a variable but
-still statically resolvable. Each test plants the pattern in an
-in-memory project and asserts the finding (or its absence — forked
-streams and sorted sets must stay quiet).
+still statically resolvable. Each test plants the pattern and asserts
+the finding (or its absence — forked streams and sorted sets must stay
+quiet). Every case runs through both entry points — ``lint_paths`` over
+files on disk and ``lint_source`` over the text — and they must agree.
 """
 
-from repro.check import CheckConfig, analyze_project
-from repro.check.project import project_from_sources
-from repro.check.semantic import apply_config
+import os
+import tempfile
+
+from repro.check import CheckConfig, lint_paths, lint_source
 
 
-def findings_for(named_sources):
-    return analyze_project(project_from_sources(named_sources))
+def findings_for(named_sources, config=None):
+    """The ``lint_paths`` findings, after checking ``lint_source`` agrees."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, source in named_sources.items():
+            target = os.path.join(root, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(source)
+        from_paths = lint_paths([root], config=config, package_roots=[root])
+    ((name, source),) = named_sources.items()
+    from_source = lint_source(source, path=name, config=config)
+
+    def row(f):
+        return (f.rule, f.line, f.message, f.hint, f.suppressed)
+
+    assert [row(f) for f in from_source] == [row(f) for f in from_paths]
+    return from_paths
 
 
 def rules_hit(named_sources):
@@ -178,6 +195,8 @@ class TestFlowObsNames:
 
 
 class TestApplyConfig:
+    """The one selection step treats flow findings like any other."""
+
     SRC = (
         "import time\n"
         "now = time.time\n"
@@ -186,24 +205,27 @@ class TestApplyConfig:
     )
 
     def test_suppression_comments_cover_semantic_findings(self):
-        project = project_from_sources({"mod.py": self.SRC})
-        raw = analyze_project(project)
-        assert [f.rule for f in raw] == ["DET001"]
-        assert not raw[0].suppressed  # raw layer is config-independent
-        filtered = apply_config(raw, project, CheckConfig())
-        assert len(filtered) == 1 and filtered[0].suppressed
-        # The raw finding object must not have been mutated in place —
-        # it may live in a content-addressed cache.
-        assert not raw[0].suppressed
+        (finding,) = findings_for({"mod.py": self.SRC})
+        assert finding.rule == "DET001" and finding.suppressed
+
+    def test_entry_points_agree_on_a_suppressed_flow_finding(self):
+        # lint_source used to skip the flow pass: it missed the finding
+        # and reported the comment that silences it as stale (CFG002).
+        src = (
+            "import time\n\n"
+            "def f():\n"
+            "    clock = time.time\n"
+            "    return clock()  # reprolint: disable=DET001\n"
+        )
+        for findings in (lint_source(src), findings_for({"mod.py": src})):
+            assert [(f.rule, f.line, f.suppressed) for f in findings] == [
+                ("DET001", 5, True)
+            ]
 
     def test_exemption_globs_drop_semantic_findings(self):
-        project = project_from_sources({"pkg/clockish.py": self.SRC})
-        raw = analyze_project(project)
         config = CheckConfig(exemptions={"DET001": ("pkg/*",)})
-        assert apply_config(raw, project, config) == []
+        assert findings_for({"pkg/clockish.py": self.SRC}, config) == []
 
     def test_only_filter_drops_other_rules(self):
-        project = project_from_sources({"mod.py": self.SRC})
-        raw = analyze_project(project)
         config = CheckConfig(only=("PY001",))
-        assert apply_config(raw, project, config) == []
+        assert findings_for({"mod.py": self.SRC}, config) == []

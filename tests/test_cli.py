@@ -164,3 +164,24 @@ def test_crash_replay_measures_the_same_window_everywhere(tmp_path, capsys):
     ).groups()
     assert int(attributed) == metric_up and int(preload) > 0
     assert "reconciled" in out
+
+
+def test_fleet_trace_out_smoke(tmp_path, capsys):
+    """`fleet --trace-out` streams a trace `inspect` can read back; the
+    recordability cap and an unwritable path are refused up front."""
+    import json
+
+    jsonl = tmp_path / "fleet.jsonl"
+    assert main(["fleet", "--clients", "20", "--shards", "2",
+                 "--trace-out", str(jsonl)]) == 0
+    out = capsys.readouterr().out
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert f"wrote {jsonl}: {len(records) - 1} trace records" in out
+    assert records[-1]["type"] == "snapshot"
+    assert main(["inspect", str(jsonl), "--health"]) == 0
+    capsys.readouterr()
+
+    assert main(["fleet", "--clients", "2001", "--trace-out", str(jsonl)]) == 2
+    assert main(["fleet", "--clients", "20", "--trace-out",
+                 str(tmp_path / "missing" / "f.jsonl")]) == 1
+    assert "cannot write trace to" in capsys.readouterr().err

@@ -8,7 +8,8 @@ Four checks:
 2. every backtick-quoted dotted name in the doc that uses an instrumented
    subsystem prefix (``client.`` / ``policy.`` / ``queue.`` /
    ``relation.`` / ``channel.`` / ``server.`` / ``transport.`` /
-   ``journal.`` / ``recovery.`` / ``run.``) must be declared in code;
+   ``journal.`` / ``recovery.`` / ``run.`` / ``fleet.`` / ``trace.`` /
+   ``health.``) must be declared in code;
 3. the span/event **attr** tables in the doc (``| name | attrs | ... |``
    rows) must list exactly the attrs each ``EventSpec`` declares, in the
    declared order — and every declared event/span must have a row;
