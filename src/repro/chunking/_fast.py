@@ -30,9 +30,10 @@ _MASK64 = np.uint64(_MOD - 1)
 # reduction: 255 * b * (b + 1) / 2 < 2^32  holds for b <= 5792.
 _U32_SAFE_BLOCK = 4096
 
-
-def _as_u64(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+# Rows of the block sweep reduced per batch: the uint32 copy of 128 KB and
+# its weighted product fit L2, and the per-batch numpy call overhead is
+# still amortised over 32 standard blocks.
+_SWEEP_BATCH_BYTES = 128 * 1024
 
 
 def _as_u32(data) -> np.ndarray:
@@ -53,13 +54,33 @@ def weak_checksum_np(data: bytes) -> int:
     return (b << 16) | a
 
 
+def _block_sums(rows: np.ndarray, block_size: int) -> np.ndarray:
+    """Weak checksums of ``rows`` (a ``(k, block_size)`` uint8 array)."""
+    if block_size <= _U32_SAFE_BLOCK:
+        body = rows.astype(np.uint32)
+        a = body.sum(axis=1, dtype=np.uint32) & _MASK
+        body *= np.arange(block_size, 0, -1, dtype=np.uint32)
+        b = body.sum(axis=1, dtype=np.uint32) & _MASK
+    else:
+        body64 = rows.astype(np.uint64)
+        a = body64.sum(axis=1) & _MASK64
+        body64 *= np.arange(block_size, 0, -1, dtype=np.uint64)
+        body64 &= _MASK64
+        b = body64.sum(axis=1) & _MASK64
+    return (b.astype(np.uint64) << np.uint64(16)) | a.astype(np.uint64)
+
+
 def block_weak_checksums_array(data: bytes, block_size: int) -> np.ndarray:
     """Weak checksum of each fixed-size block of ``data`` as a uint64 array.
 
     One vectorized pass over the whole buffer — callers sweeping many
     blocks (signature side, checksum-store span updates and verifies)
     should use this instead of checksumming block-by-block: the per-call
-    ``frombuffer``/``astype`` setup dominates for 4 KB blocks.
+    ``frombuffer``/``astype`` setup dominates for 4 KB blocks. The pass
+    runs in row batches of ``_SWEEP_BATCH_BYTES`` so the widened copy and
+    its weighted product stay cache-resident instead of being materialised
+    at 4x (or 8x) the size of the whole buffer; a buffer of at most one
+    batch is a single batch.
     """
     if not data:
         return np.empty(0, dtype=np.uint64)
@@ -67,19 +88,11 @@ def block_weak_checksums_array(data: bytes, block_size: int) -> np.ndarray:
     full = n // block_size
     parts = []
     if full:
-        if block_size <= _U32_SAFE_BLOCK:
-            body = _as_u32(data[: full * block_size]).reshape(full, block_size)
-            weights = np.arange(block_size, 0, -1, dtype=np.uint32)
-            a = body.sum(axis=1, dtype=np.uint32) & _MASK
-            b = (body * weights).sum(axis=1, dtype=np.uint32) & _MASK
-        else:
-            body64 = _as_u64(data[: full * block_size]).reshape(full, block_size)
-            weights64 = np.arange(block_size, 0, -1, dtype=np.uint64)
-            a = body64.sum(axis=1) & _MASK64
-            b = (body64 * weights64 & _MASK64).sum(axis=1) & _MASK64
-        parts.append(
-            (b.astype(np.uint64) << np.uint64(16)) | a.astype(np.uint64)
-        )
+        body = np.frombuffer(data, dtype=np.uint8, count=full * block_size)
+        body = body.reshape(full, block_size)
+        step = max(1, _SWEEP_BATCH_BYTES // block_size)
+        for row in range(0, full, step):
+            parts.append(_block_sums(body[row : row + step], block_size))
     tail = data[full * block_size :]
     if tail:
         parts.append(np.array([weak_checksum_np(tail)], dtype=np.uint64))
@@ -93,7 +106,7 @@ def block_weak_checksums(data: bytes, block_size: int) -> list[int]:
     return block_weak_checksums_array(data, block_size).tolist()
 
 
-def all_offset_weak_checksums(data: bytes, window: int) -> np.ndarray:
+def all_offset_weak_checksums(data: bytes | memoryview, window: int) -> np.ndarray:
     """Weak checksum of every length-``window`` substring of ``data``.
 
     Returns an array ``w`` with ``w[o]`` the checksum of

@@ -85,16 +85,16 @@ def compute_delta_ref(
     (same greedy matching, same confirmation rules, no cost metering) but
     implemented as the genuine byte-at-a-time rolling-window walk.
     """
-    block_size = signature.block_size
-    n = len(target)
-    delta = Delta()
-    if n == 0:
-        return delta
     if base is None and not signature.with_strong:
         raise ValueError(
             "remote rsync needs strong checksums in the signature; "
             "pass base= for local bitwise confirmation"
         )
+    block_size = signature.block_size
+    n = len(target)
+    delta = Delta()
+    if n == 0:
+        return delta
 
     weak_index: Dict[int, list] = signature.weak_index()
     literal_start = 0

@@ -14,22 +14,27 @@ def apply_delta(base: bytes, delta: Delta, *, meter: CostMeter = NULL_METER) -> 
     the delta was computed against a different base version (the version
     check in :mod:`repro.server` should have caught that earlier).
     """
-    out = bytearray()
+    # COPYs are collected as views of ``base`` and joined with the literals
+    # in one pass, so every output byte is copied exactly once.
+    base_view = memoryview(base)
+    base_size = len(base)
+    parts = []
     for op in delta.ops:
         if isinstance(op, Copy):
-            if op.offset < 0 or op.offset + op.length > len(base):
+            if op.offset < 0 or op.offset + op.length > base_size:
                 raise ValueError(
                     f"copy [{op.offset}, {op.offset + op.length}) outside "
-                    f"base of {len(base)} bytes"
+                    f"base of {base_size} bytes"
                 )
-            out += base[op.offset : op.offset + op.length]
+            parts.append(base_view[op.offset : op.offset + op.length])
         elif isinstance(op, Literal):
-            out += op.data
+            parts.append(op.data)
         else:  # pragma: no cover - Delta only holds the two op kinds
             raise TypeError(f"unknown delta op {op!r}")
+    out = b"".join(parts)
     meter.charge_bytes("apply_delta", len(out))
     if delta.target_size and len(out) != delta.target_size:
         raise ValueError(
             f"reconstructed {len(out)} bytes, delta promised {delta.target_size}"
         )
-    return bytes(out)
+    return out

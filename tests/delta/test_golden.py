@@ -27,7 +27,11 @@ import pytest
 
 from repro.chunking import _reference as reference
 from repro.common.rng import DeterministicRandom
-from repro.delta.rsync import compute_delta, compute_signature
+from repro.delta.rsync import (
+    _SCAN_SEGMENT as SCAN_SEGMENT,
+    compute_delta,
+    compute_signature,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 BLOCK_SIZE = 64
@@ -61,6 +65,63 @@ def _inputs():
         "literal_dense": (random_base, rng.random_bytes(8 * block)),
         # unaligned COPYs: every match offset shifts by the insertion
         "insertion_shift": (random_base, shifted),
+        **_run_inputs(),
+    }
+
+
+def _weak_collision(data: bytes) -> bytes:
+    """Different bytes, same weak checksum: ``+1, -2, +1`` on three
+    adjacent bytes preserves both the byte sum and the weighted sum."""
+    out = bytearray(data)
+    for i in range(len(out) - 2):
+        if out[i] < 255 and out[i + 1] >= 2 and out[i + 2] < 255:
+            out[i] += 1
+            out[i + 1] -= 2
+            out[i + 2] += 1
+            return bytes(out)
+    raise AssertionError("no room for a collision in this block")
+
+
+def _run_inputs():
+    """What following a match run (instead of scanning it) can get wrong.
+
+    Every target opens with a few junk bytes so its runs sit at unaligned
+    offsets. Drawn from their own generator: the cases above keep theirs.
+    """
+    rng = DeterministicRandom(0x60D2)
+    block = BLOCK_SIZE
+    a, b, c, d, x = (rng.random_bytes(block) for _ in range(5))
+    blocks40 = rng.random_bytes(40 * block)
+    broken = bytearray(blocks40)
+    broken[11 * block + 5] ^= 0xFF  # inside the gallop's 8-block stride
+    long_base = rng.random_bytes(40_000)
+    long_target = bytearray(b"??" + long_base)
+    # dirty bytes across the first scan-segment boundary; the run that
+    # follows them crosses the second
+    long_target[SCAN_SEGMENT - 90 : SCAN_SEGMENT + 110] = rng.random_bytes(200)
+    return {
+        # the run b, c, x, d passes through x, whose first identical peer
+        # sits earlier in the base: the COPY must name that one
+        "run_through_duplicate_peer": (
+            a + x + b + c + x + d,
+            b"junk" + b + c + x + d,
+        ),
+        # same weak, different content, ahead of the true match — met once
+        # by the scan and once inside a run
+        "run_through_weak_collision": (
+            a + _weak_collision(b) + c + b + d,
+            b"jk" + b + b"sep" + c + b + d,
+        ),
+        "run_ends_at_base_partial_tail": (
+            blocks40[: 5 * block + block // 2],
+            b"j" + blocks40[: 5 * block + block // 2] + b"more",
+        ),
+        "target_ends_mid_run": (
+            blocks40[: 8 * block],
+            b"jun" + blocks40[block : 4 * block + 10],
+        ),
+        "run_broken_mid_stride": (blocks40, b"j" + bytes(broken)),
+        "straddles_scan_segments": (long_base, bytes(long_target)),
     }
 
 
@@ -170,6 +231,13 @@ def test_golden_covers_the_edge_cases():
         "exactly_one_block",
         "trailing_partial_block",
     } <= names
+    assert set(_run_inputs()) <= names
+
+
+def test_long_case_spans_more_than_two_scan_segments():
+    """Retune ``_SCAN_SEGMENT`` and this case must be rebuilt to match."""
+    _, target = _inputs()["straddles_scan_segments"]
+    assert len(target) - BLOCK_SIZE > 2 * SCAN_SEGMENT
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ EXPECTED_LANES = {
     "checksum_sweep",
     "delta_encode/remote",
     "delta_encode/bitwise",
+    "delta_encode/bitwise_save",
     "queue_drain",
 }
 
