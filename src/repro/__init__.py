@@ -24,7 +24,7 @@ paper-versus-measured record of every table and figure.
 """
 
 from repro.common.clock import VirtualClock
-from repro.common.config import BaselineConfig, DeltaCFSConfig
+from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionCounter, VersionStamp
 from repro.core.client import DeltaCFSClient
 from repro.cost.meter import CostMeter
@@ -41,7 +41,6 @@ __all__ = [
     "VirtualClock",
     "Observability",
     "NULL_OBS",
-    "BaselineConfig",
     "DeltaCFSConfig",
     "DeltaCFSClient",
     "VersionCounter",

@@ -109,16 +109,13 @@ class NFSClient(PassthroughFileSystem):
         self.inner.write(path, offset, data)
         cached.update(self._pages(offset, len(data)))
         # NFS WRITE RPC: exactly the written byte range goes up.
-        self.channel.upload(
-            UploadWrite(path=path, offset=offset, data=data), self._now
-        )
+        rpc = UploadWrite(path=path, offset=offset, data=data)
+        self.channel.upload(rpc, self._now)
         if self.server is not None:
             self.server.meter.charge_bytes("write_io", len(data))
             stored = self.server.store.lookup(path)
             base = stored.content if stored is not None else b""
-            from repro.common.bytesutil import apply_write
-
-            self.server.store.put(path, apply_write(base, offset, data), None)
+            self.server.store.put(path, rpc.apply_to(base), None)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
         size = self.inner.size(path)
@@ -134,12 +131,11 @@ class NFSClient(PassthroughFileSystem):
 
     def truncate(self, path: str, length: int) -> None:
         self.inner.truncate(path, length)
-        self.channel.upload(UploadTruncate(path=path, length=length), self._now)
+        rpc = UploadTruncate(path=path, length=length)
+        self.channel.upload(rpc, self._now)
         if self.server is not None and self.server.store.exists(path):
-            from repro.common.bytesutil import truncate as truncate_bytes
-
             stored = self.server.store.get(path)
-            self.server.store.put(path, truncate_bytes(stored.content, length), None)
+            self.server.store.put(path, rpc.apply_to(stored.content), None)
 
     def rename(self, src: str, dst: str) -> None:
         self.inner.rename(src, dst)

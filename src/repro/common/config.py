@@ -11,7 +11,7 @@ All tunables from the paper live here with the paper's defaults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -101,29 +101,3 @@ class DeltaCFSConfig:
             )
         if self.policy_cpu_byte_rate < 0:
             raise ValueError("policy_cpu_byte_rate must be non-negative")
-
-
-@dataclass
-class BaselineConfig:
-    """Parameters of the baseline systems, with the paper's published values.
-
-    Attributes:
-        dropbox_block_size: rsync chunk size used by Dropbox (4 KB).
-        dropbox_dedup_size: Dropbox deduplication granularity (4 MB); rsync
-            is applied only *within* each 4 MB block (Section IV-C).
-        dropbox_compression_ratio: modelled network compression factor for
-            Dropbox uploads (it "employs network data compression").
-        seafile_chunk_size: Seafile CDC average chunk size (1 MB default).
-        nfs_page_size: transfer granularity of NFS write RPCs; non-aligned
-            writes trigger fetch-before-write (Section IV-C).
-    """
-
-    dropbox_block_size: int = 4096
-    dropbox_dedup_size: int = 4 * 1024 * 1024
-    dropbox_compression_ratio: float = 0.8
-    seafile_chunk_size: int = 1024 * 1024
-    nfs_page_size: int = 4096
-
-
-DEFAULT_CONFIG = DeltaCFSConfig()
-DEFAULT_BASELINES = BaselineConfig()

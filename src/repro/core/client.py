@@ -28,7 +28,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
-from repro.common.errors import CorruptionDetected, NoSpaceError
+from repro.common.errors import (
+    CorruptionDetected,
+    InconsistencyDetected,
+    NoSpaceError,
+)
 from repro.core.checksum_store import ChecksumStore
 from repro.core.relation_table import RelationEntry, RelationTable
 from repro.core.sync_queue import (
@@ -387,8 +391,14 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("rename", src, dst, new_version=None, now=now)
 
         if old_content is not None:
-            self._try_transactional_delta(
-                dst, old_content, old_version, now, preserved_tmp, rule=trigger_rule
+            self._delta_or_rpc(
+                dst,
+                self._pending_data_nodes_for_content(dst),
+                old_content,
+                old_version,
+                now,
+                trigger_rule,
+                preserved_tmp,
             )
 
     def link(self, src: str, dst: str) -> None:
@@ -581,11 +591,11 @@ class DeltaCFSClient(PassthroughFileSystem):
             raise RuntimeError("checksum store disabled")
         bad: List[str] = []
         for path in recently_modified:
-            if not self.inner.exists(path):
+            if not self.inner.exists(path) or self.inner.stat(path).is_dir:
                 continue
             try:
                 self.checksums.verify_file(path, self.inner.read_file(path))
-            except Exception:
+            except InconsistencyDetected:
                 bad.append(path)
         return bad
 
@@ -681,27 +691,33 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     # -- transactional-update delta path ---------------------------------
 
-    def _try_transactional_delta(
+    def _delta_or_rpc(
         self,
         path: str,
+        doomed: List[QueueNode],
         old_content: bytes,
         old_version: Optional[VersionStamp],
         now: float,
-        preserved_tmp: Optional[str],
-        rule: str = "",
+        rule: str,
+        preserved_tmp: Optional[str] = None,
     ) -> None:
-        """Run triggered delta encoding for ``path`` against ``old_content``.
+        """A trigger rule fired for ``path``: encode its content against
+        ``old_content`` and let the delta replace ``doomed``, if smaller.
 
-        The new content reached the queue as write nodes under the file's
-        *temporary* name; if they are still pending, the (smaller) delta
-        replaces them. If nothing is pending the data already shipped and a
-        delta would be pure overhead.
+        ``doomed`` are the queued data nodes (FIFO order) that carry the
+        new content — the write nodes under the file's *temporary* name for
+        a transactional update, the node being packed for the pack-time
+        rules. If none is pending the data already shipped and a delta
+        would be pure overhead; if the delta is not smaller, RPC wins and
+        the nodes stay (adaptivity!). An in-place compression is the same
+        decision, counted apart.
         """
-        self.stats.deltas_triggered += 1
+        inplace = rule == "inplace"
+        if not inplace:
+            self.stats.deltas_triggered += 1
         if self.obs.enabled:
             self.obs.inc("client.delta.triggered")
             self.obs.event("client.delta.trigger", path=path, rule=rule)
-        doomed = sorted(self._pending_data_nodes_for_content(path), key=lambda n: n.seq)
         doomed_versions = {n.new_version for n in doomed}
         if (
             not doomed
@@ -716,21 +732,52 @@ class DeltaCFSClient(PassthroughFileSystem):
             if self.obs.enabled:
                 self.obs.inc("client.delta.no_base")
                 self.obs.event("client.delta.no_base", path=path)
-            if preserved_tmp is not None:
-                self._drop_preserved(preserved_tmp)
-            return
-        new_content = self.inner.read_file(path)
-        replaced_payload = sum(n.payload_bytes() for n in doomed)
-        stats = UpdateStats(
-            rpc_bytes=replaced_payload,
-            changed_bytes=sum(
-                n.payload_bytes() for n in doomed if isinstance(n, WriteNode)
-            ),
-            node_count=len(doomed),
-        )
-        delta, plan, keep = self._policy_encode(path, old_content, new_content, stats)
-        if not keep:
-            if self.obs.enabled:
+        else:
+            new_content = self.inner.read_file(path)
+            replaced_payload = sum(n.payload_bytes() for n in doomed)
+            stats = UpdateStats(
+                rpc_bytes=replaced_payload,
+                changed_bytes=sum(
+                    n.payload_bytes() for n in doomed if isinstance(n, WriteNode)
+                ),
+                node_count=len(doomed),
+            )
+            delta, plan, keep = self._policy_encode(
+                path, old_content, new_content, stats
+            )
+            if keep:
+                if inplace:
+                    self.stats.inplace_deltas += 1
+                    self.obs.inc("client.delta.inplace")
+                else:
+                    self.stats.deltas_kept += 1
+                    self.obs.inc("client.delta.kept")
+                if self.obs.enabled:
+                    self.obs.inc(
+                        "client.delta.saved_bytes",
+                        max(0, replaced_payload - delta.wire_size()),
+                    )
+                    self.obs.event(
+                        "client.delta.kept",
+                        path=path,
+                        delta_bytes=delta.wire_size(),
+                        replaced_bytes=replaced_payload,
+                    )
+                node = DeltaNode(
+                    path=path,
+                    delta=delta,
+                    base_version=doomed[0].base_version,
+                    content_base=old_version,
+                    new_version=self._mint(),
+                )
+                self.queue.replace_with_delta(doomed, node, now)
+                self._journal_forget(doomed)
+                self._journal_node(node)
+                self._dead_versions.update(
+                    v for v in doomed_versions if v is not None
+                )
+                self.versions[path] = node.new_version
+            elif self.obs.enabled:
                 self.obs.inc("client.delta.rpc_wins")
                 self.obs.event(
                     "client.delta.rpc_wins",
@@ -740,34 +787,6 @@ class DeltaCFSClient(PassthroughFileSystem):
                     else plan.est_delta_bytes,
                     replaced_bytes=replaced_payload,
                 )
-            if preserved_tmp is not None:
-                self._drop_preserved(preserved_tmp)
-            return  # RPC wins; keep the write nodes (adaptivity!)
-        self.stats.deltas_kept += 1
-        if self.obs.enabled:
-            self.obs.inc("client.delta.kept")
-            self.obs.inc(
-                "client.delta.saved_bytes",
-                max(0, replaced_payload - delta.wire_size()),
-            )
-            self.obs.event(
-                "client.delta.kept",
-                path=path,
-                delta_bytes=delta.wire_size(),
-                replaced_bytes=replaced_payload,
-            )
-        node = DeltaNode(
-            path=path,
-            delta=delta,
-            base_version=doomed[0].base_version,
-            content_base=old_version,
-            new_version=self._mint(),
-        )
-        self.queue.replace_with_delta(doomed, node, now)
-        self._journal_forget(doomed)
-        self._journal_node(node)
-        self._dead_versions.update(v for v in doomed_versions if v is not None)
-        self.versions[path] = node.new_version
         if preserved_tmp is not None:
             self._drop_preserved(preserved_tmp)
 
@@ -802,7 +821,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         return delta, plan, keep
 
     def _pending_data_nodes_for_content(self, path: str) -> List[QueueNode]:
-        """Queued data nodes that (re-)uploaded this file's new content.
+        """Queued data nodes that (re-)uploaded this file's new content, in
+        FIFO order.
 
         After ``rename tmp -> f`` the write nodes still carry the temporary
         name; we trace back through rename meta nodes queued for ``path``.
@@ -847,19 +867,14 @@ class DeltaCFSClient(PassthroughFileSystem):
             if pending_entry is not None and self.inner.exists(pending_entry.dst):
                 # The file was re-created over a preserved old version
                 # (delete-then-rewrite); encode against that old version.
-                old_content = self.inner.read_file(pending_entry.dst)
-                old_version = self.versions.get(pending_entry.dst)
-                self.stats.deltas_triggered += 1
-                if self.obs.enabled:
-                    self.obs.inc("client.delta.triggered")
-                    self.obs.event(
-                        "client.delta.trigger", path=path, rule="pending_create"
-                    )
-                self._compress_node(
-                    path, node, old_content, old_version, now,
-                    preserved_tmp=pending_entry.dst
-                    if pending_entry.origin == "unlink"
-                    else None,
+                self._delta_or_rpc(
+                    path,
+                    [node],
+                    self.inner.read_file(pending_entry.dst),
+                    self.versions.get(pending_entry.dst),
+                    now,
+                    "pending_create",
+                    pending_entry.dst if pending_entry.origin == "unlink" else None,
                 )
             elif (
                 self.undo is not None
@@ -867,85 +882,16 @@ class DeltaCFSClient(PassthroughFileSystem):
                 and self.undo.changed_fraction(path) > self.config.inplace_delta_threshold
             ):
                 # Large in-place update: old version reconstructable locally.
-                if self.obs.enabled:
-                    self.obs.inc("client.delta.triggered")
-                    self.obs.event("client.delta.trigger", path=path, rule="inplace")
                 current = self.inner.read_file(path)
-                old_content = self.undo.reconstruct_old(path, current)
-                self._compress_node(
-                    path, node, old_content, node.base_version, now, count_inplace=True
+                self._delta_or_rpc(
+                    path,
+                    [node],
+                    self.undo.reconstruct_old(path, current),
+                    node.base_version,
+                    now,
+                    "inplace",
                 )
             self._undo_clear(path)
-
-    def _compress_node(
-        self,
-        path: str,
-        node: WriteNode,
-        old_content: bytes,
-        old_version: Optional[VersionStamp],
-        now: float,
-        *,
-        preserved_tmp: Optional[str] = None,
-        count_inplace: bool = False,
-    ) -> None:
-        if old_version is None or old_version in self._dead_versions:
-            # The old version never reached the cloud; no base to delta from.
-            if self.obs.enabled:
-                self.obs.inc("client.delta.no_base")
-                self.obs.event("client.delta.no_base", path=path)
-            if preserved_tmp is not None:
-                self._drop_preserved(preserved_tmp)
-            return
-        new_content = self.inner.read_file(path)
-        stats = UpdateStats(
-            rpc_bytes=node.payload_bytes(),
-            changed_bytes=node.payload_bytes(),
-            node_count=1,
-        )
-        delta, plan, keep = self._policy_encode(path, old_content, new_content, stats)
-        if keep:
-            if count_inplace:
-                self.stats.inplace_deltas += 1
-                self.obs.inc("client.delta.inplace")
-            else:
-                self.stats.deltas_kept += 1
-                self.obs.inc("client.delta.kept")
-            if self.obs.enabled:
-                self.obs.inc(
-                    "client.delta.saved_bytes",
-                    max(0, node.payload_bytes() - delta.wire_size()),
-                )
-                self.obs.event(
-                    "client.delta.kept",
-                    path=path,
-                    delta_bytes=delta.wire_size(),
-                    replaced_bytes=node.payload_bytes(),
-                )
-            replacement = DeltaNode(
-                path=path,
-                delta=delta,
-                base_version=node.base_version,
-                content_base=old_version,
-                new_version=self._mint(),
-            )
-            self.queue.replace_with_delta([node], replacement, now)
-            self._journal_forget([node])
-            self._journal_node(replacement)
-            if node.new_version is not None:
-                self._dead_versions.add(node.new_version)
-            self.versions[path] = replacement.new_version
-        elif self.obs.enabled:
-            self.obs.inc("client.delta.rpc_wins")
-            self.obs.event(
-                "client.delta.rpc_wins",
-                path=path,
-                delta_bytes=delta.wire_size()
-                if delta is not None
-                else plan.est_delta_bytes,
-                replaced_bytes=node.payload_bytes(),
-            )
-        if preserved_tmp is not None:
-            self._drop_preserved(preserved_tmp)
 
     # -- unlink preservation ------------------------------------------------
 
@@ -1015,7 +961,7 @@ class DeltaCFSClient(PassthroughFileSystem):
     def _upload_unit(self, unit: UploadUnit, now: float) -> None:
         # The nodes left the queue for good: their journal records are done.
         self._journal_forget(unit.nodes)
-        messages = [self._node_to_message(n) for n in unit.nodes]
+        messages = [n.to_message() for n in unit.nodes]
         messages = [m for m in messages if m is not None]
         if not messages:
             return
@@ -1052,50 +998,6 @@ class DeltaCFSClient(PassthroughFileSystem):
                 return
             result = self.server.handle(outbound, origin_client=self.client_id)
             self._process_replies(result, now)
-
-    def _node_to_message(self, node: QueueNode) -> Optional[Message]:
-        if isinstance(node, WriteNode):
-            runs = node.merged_writes()
-            if not runs:
-                return None
-            if len(runs) == 1:
-                offset, data = runs[0]
-                return UploadWrite(
-                    path=node.path,
-                    offset=offset,
-                    data=data,
-                    base_version=node.base_version,
-                    new_version=node.new_version,
-                )
-            return UploadWriteBatch(
-                path=node.path,
-                runs=tuple(runs),
-                base_version=node.base_version,
-                new_version=node.new_version,
-            )
-        if isinstance(node, TruncateNode):
-            return UploadTruncate(
-                path=node.path,
-                length=node.length,
-                base_version=node.base_version,
-                new_version=node.new_version,
-            )
-        if isinstance(node, DeltaNode):
-            return UploadDelta(
-                path=node.path,
-                delta=node.delta,
-                base_version=node.base_version,
-                new_version=node.new_version,
-                content_base=node.content_base,
-            )
-        if isinstance(node, MetaNode):
-            return MetaOp(
-                kind=node.kind,
-                path=node.path,
-                dest=node.dest,
-                new_version=node.new_version,
-            )
-        raise TypeError(f"cannot serialize {type(node).__name__}")
 
     def _process_replies(self, result: ApplyResult, now: float) -> None:
         for reply in result.replies:
@@ -1138,11 +1040,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             return
         if isinstance(message, MetaOp):
             self._replay_remote_meta(message)
-        elif isinstance(message, UploadWrite):
-            self._ensure_exists(path)
-            self.inner.write(path, message.offset, message.data)
-            self.versions[path] = message.new_version
-        elif isinstance(message, UploadWriteBatch):
+        elif isinstance(message, (UploadWrite, UploadWriteBatch)):
             self._ensure_exists(path)
             for offset, data in message.runs:
                 self.inner.write(path, offset, data)

@@ -29,6 +29,13 @@ their original order, and (4) sweeps the dirty set against the durable
 checksum store, repairing injected crash inconsistency block-by-block from
 ranged downloads patched with the journaled pending writes — recovery
 traffic is bounded by the dirty + damaged regions, never whole files.
+
+The repair reads a pending node as the message it will ship as
+(``QueueNode.to_message()``, the uploader's own conversion), so what
+recovery rebuilds locally is by construction what the server will hold
+once the node uploads: the whole-file fallback folds the messages'
+``apply_to`` over the cloud copy, the block-wise repair overlays their
+``runs`` / ``length`` on the damaged range.
 """
 
 from __future__ import annotations
@@ -47,7 +54,16 @@ from repro.core.sync_queue import (
     WriteNode,
 )
 from repro.delta.format import Delta
+from repro.delta.patch import apply_delta
 from repro.kvstore.kv import KVStore
+from repro.net.messages import (
+    Message,
+    RangeReply,
+    RangeRequest,
+    ResyncReply,
+    ResyncRequest,
+    UploadDelta,
+)
 from repro.obs import NULL_OBS, Observability
 
 # -- key layout --------------------------------------------------------------
@@ -387,8 +403,6 @@ def _renegotiate_versions(
     so post-recovery writes name valid base versions, and tells the replay
     which journaled nodes the server already applied before the cut.
     """
-    from repro.net.messages import ResyncRequest, ResyncReply
-
     if client.server is None:
         return {}
     request = ResyncRequest(paths=tuple(local_paths))
@@ -500,7 +514,7 @@ def _sweep_and_repair(
     if client.checksums is None:
         return
     obs = client.obs
-    pending_ops = _pending_ops_by_path(client)
+    pending = _pending_updates_by_path(client)
     for path in sorted(set(local_paths) | set(report.dirty_paths)):
         if not client.inner.exists(path):
             continue
@@ -512,7 +526,7 @@ def _sweep_and_repair(
         report.damaged_paths.append(path)
         obs.inc("recovery.files.damaged")
         repaired = _repair_blocks(
-            client, path, content, bad_blocks, pending_ops.get(path, []),
+            client, path, content, bad_blocks, pending.get(path, []),
             server_versions, now, report,
         )
         if obs.enabled:
@@ -524,35 +538,26 @@ def _sweep_and_repair(
             )
 
 
-# A pending operation, in journal sequence order:
-#   ("write", [(offset, data), ...])  merged runs of one WriteNode
-#   ("trunc", length)                 a TruncateNode
-#   ("delta", DeltaNode)              a triggered delta (needs its base)
-_PendingOp = Tuple[str, object]
-
-
-def _pending_ops_by_path(client) -> Dict[str, List[_PendingOp]]:
-    """The re-enqueued (pending) intents per path, in sequence order.
+def _pending_updates_by_path(client) -> Dict[str, List[Message]]:
+    """The re-enqueued (pending) data updates per path, in sequence order,
+    each as the message it will ship as.
 
     Order matters for reconstruction: a write after a truncate lands on
     the shortened file, a truncate after a write cuts it. The queue is
     FIFO, so iteration order *is* journal sequence order.
     """
-    ops: Dict[str, List[_PendingOp]] = {}
+    updates: Dict[str, List[Message]] = {}
     for node in client.queue.nodes():
-        if isinstance(node, WriteNode):
-            ops.setdefault(node.path, []).append(("write", node.merged_writes()))
-        elif isinstance(node, TruncateNode):
-            ops.setdefault(node.path, []).append(("trunc", node.length))
-        elif isinstance(node, DeltaNode):
-            ops.setdefault(node.path, []).append(("delta", node))
-    return ops
+        message = None if isinstance(node, MetaNode) else node.to_message()
+        if message is not None:
+            updates.setdefault(node.path, []).append(message)
+    return updates
 
 
 def _overlay_pending(
-    patch: bytearray, offset: int, pending_ops: List[_PendingOp]
+    patch: bytearray, offset: int, pending: List[Message]
 ) -> None:
-    """Apply pending write/truncate intents to ``patch`` (a slice of the
+    """Apply pending write/truncate updates to ``patch`` (a slice of the
     file starting at ``offset``), in sequence order.
 
     This reconstructs what the damaged range held at the cut: the cloud's
@@ -560,22 +565,20 @@ def _overlay_pending(
     operation that was still pending — dirty data wins over stale data.
     """
     end = offset + len(patch)
-    for kind, arg in pending_ops:
-        if kind == "trunc":
-            # Bytes at/after the cut point were zeroed (shrink) or born
-            # zero (extension); later writes may overwrite them below.
-            length = int(arg)  # type: ignore[arg-type]
-            if length < end:
-                lo = max(length, offset)
-                patch[lo - offset :] = b"\x00" * (end - lo)
-        elif kind == "write":
-            for run_offset, run_data in arg:  # type: ignore[union-attr]
-                lo = max(run_offset, offset)
-                hi = min(run_offset + len(run_data), end)
-                if lo < hi:
-                    patch[lo - offset : hi - offset] = run_data[
-                        lo - run_offset : hi - run_offset
-                    ]
+    for message in pending:
+        length = getattr(message, "length", None)
+        if length is not None and length < end:
+            # A truncate: bytes at/after the cut point were zeroed (shrink)
+            # or born zero (extension); later writes may overwrite them.
+            lo = max(length, offset)
+            patch[lo - offset :] = b"\x00" * (end - lo)
+        for run_offset, run_data in getattr(message, "runs", ()):
+            lo = max(run_offset, offset)
+            hi = min(run_offset + len(run_data), end)
+            if lo < hi:
+                patch[lo - offset : hi - offset] = run_data[
+                    lo - run_offset : hi - run_offset
+                ]
 
 
 def _repair_blocks(
@@ -583,7 +586,7 @@ def _repair_blocks(
     path: str,
     content: bytes,
     bad_blocks: List[int],
-    pending_ops: List[_PendingOp],
+    pending: List[Message],
     server_versions: Dict[str, Optional[VersionStamp]],
     now: float,
     report: RecoveryReport,
@@ -598,8 +601,6 @@ def _repair_blocks(
     :func:`_full_reconstruction`, never to blindly adopting the stale
     cloud copy.
     """
-    from repro.net.messages import RangeRequest, RangeReply
-
     block = client.checksums.block_size
     data = bytearray(content)
     on_server = (
@@ -607,9 +608,9 @@ def _repair_blocks(
         and server_versions.get(path) is not None
         and client.server.store.exists(path)
     )
-    if any(kind == "delta" for kind, _ in pending_ops):
+    if any(isinstance(message, UploadDelta) for message in pending):
         return _full_reconstruction(
-            client, path, content, pending_ops, on_server, now, report
+            client, path, content, pending, on_server, now, report
         )
     for start, count in _contiguous_runs(bad_blocks):
         offset = start * block
@@ -631,7 +632,7 @@ def _repair_blocks(
         end = min(offset + length, len(data))
         patch = bytearray(data[offset:end])
         patch[: len(chunk)] = chunk[: end - offset]
-        _overlay_pending(patch, offset, pending_ops)
+        _overlay_pending(patch, offset, pending)
         data[offset:end] = patch
         report.blocks_repaired += count
         client.obs.inc("recovery.blocks.repaired", count)
@@ -639,7 +640,7 @@ def _repair_blocks(
     repaired = bytes(data)
     if client.checksums.mismatched_blocks(path, repaired):
         return _full_reconstruction(
-            client, path, content, pending_ops, on_server, now, report
+            client, path, content, pending, on_server, now, report
         )
     client.inner.write_file(path, repaired)
     return True
@@ -649,7 +650,7 @@ def _full_reconstruction(
     client,
     path: str,
     content: bytes,
-    pending_ops: List[_PendingOp],
+    pending: List[Message],
     on_server: bool,
     now: float,
     report: RecoveryReport,
@@ -664,9 +665,6 @@ def _full_reconstruction(
     fewer damaged blocks wins and the checksums are re-indexed to it
     (best effort: the durable record was incomplete).
     """
-    from repro.delta.patch import apply_delta
-    from repro.net.messages import RangeRequest, RangeReply
-
     report.full_file_fallbacks += 1
     client.obs.inc("recovery.full_file_fallbacks")
     if on_server:
@@ -679,31 +677,18 @@ def _full_reconstruction(
         )
         report.bytes_downloaded += len(chunk)
         client.obs.inc("recovery.bytes.downloaded", len(chunk))
-        rebuilt = bytearray(chunk)
+        candidate = chunk
     else:
-        rebuilt = bytearray()
-    for kind, arg in pending_ops:
-        if kind == "trunc":
-            length = int(arg)  # type: ignore[arg-type]
-            if length <= len(rebuilt):
-                del rebuilt[length:]
-            else:
-                rebuilt.extend(b"\x00" * (length - len(rebuilt)))
-        elif kind == "write":
-            for run_offset, run_data in arg:  # type: ignore[union-attr]
-                if run_offset + len(run_data) > len(rebuilt):
-                    rebuilt.extend(
-                        b"\x00" * (run_offset + len(run_data) - len(rebuilt))
-                    )
-                rebuilt[run_offset : run_offset + len(run_data)] = run_data
-        elif kind == "delta":
-            base = bytes(rebuilt)
+        candidate = b""
+    for message in pending:
+        if isinstance(message, UploadDelta):
             try:
-                rebuilt = bytearray(apply_delta(base, arg.delta))
-            except Exception:
+                candidate = apply_delta(candidate, message.delta)
+            except ValueError:
                 pass  # keep the base; the checksum contest below decides
+        else:
+            candidate = message.apply_to(candidate)
 
-    candidate = bytes(rebuilt)
     bad_candidate = client.checksums.mismatched_blocks(path, candidate)
     if not bad_candidate:
         client.inner.write_file(path, candidate)

@@ -28,6 +28,14 @@ from repro.common.bytesutil import merge_ranges
 from repro.common.errors import PackedNodeError
 from repro.common.version import VersionStamp
 from repro.delta.format import Delta
+from repro.net.messages import (
+    Message,
+    MetaOp,
+    UploadDelta,
+    UploadTruncate,
+    UploadWrite,
+    UploadWriteBatch,
+)
 from repro.obs import NULL_OBS, Observability
 
 
@@ -48,6 +56,11 @@ class QueueNode:
     def payload_bytes(self) -> int:
         """Approximate bytes this node will put on the wire."""
         return 0
+
+    def to_message(self) -> Optional[Message]:
+        """The message this node ships as (``None``: nothing to ship) —
+        what the uploader sends and what crash recovery replays."""
+        raise TypeError(f"cannot serialize {type(self).__name__}")
 
 
 @dataclass
@@ -97,12 +110,40 @@ class WriteNode(QueueNode):
     def payload_bytes(self) -> int:
         return sum(len(d) for _, d in self.writes)
 
+    def to_message(self) -> Optional[Message]:
+        runs = self.merged_writes()
+        if not runs:
+            return None
+        if len(runs) == 1:
+            offset, data = runs[0]
+            return UploadWrite(
+                path=self.path,
+                offset=offset,
+                data=data,
+                base_version=self.base_version,
+                new_version=self.new_version,
+            )
+        return UploadWriteBatch(
+            path=self.path,
+            runs=tuple(runs),
+            base_version=self.base_version,
+            new_version=self.new_version,
+        )
+
 
 @dataclass
 class TruncateNode(QueueNode):
     """A truncate to be replayed on the cloud."""
 
     length: int = 0
+
+    def to_message(self) -> Message:
+        return UploadTruncate(
+            path=self.path,
+            length=self.length,
+            base_version=self.base_version,
+            new_version=self.new_version,
+        )
 
 
 @dataclass
@@ -122,6 +163,15 @@ class DeltaNode(QueueNode):
     def payload_bytes(self) -> int:
         return self.delta.wire_size()
 
+    def to_message(self) -> Message:
+        return UploadDelta(
+            path=self.path,
+            delta=self.delta,
+            base_version=self.base_version,
+            new_version=self.new_version,
+            content_base=self.content_base,
+        )
+
 
 @dataclass
 class MetaNode(QueueNode):
@@ -129,6 +179,14 @@ class MetaNode(QueueNode):
 
     kind: str = ""
     dest: Optional[str] = None
+
+    def to_message(self) -> Message:
+        return MetaOp(
+            kind=self.kind,
+            path=self.path,
+            dest=self.dest,
+            new_version=self.new_version,
+        )
 
 
 @dataclass

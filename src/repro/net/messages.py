@@ -6,17 +6,28 @@ overhead is deliberately modest and uniform — the paper notes DeltaCFS
 uploads slightly more than NFS because it "has to send some control
 information such as files' versions", and that is exactly the per-message
 version overhead modelled here.
+
+An *update* message is also the one statement of what the update is:
+:meth:`Message.paths` says which paths it touches, and the byte-level
+kinds (``UploadWrite`` / ``UploadWriteBatch`` / ``UploadTruncate`` /
+``UploadFull``) say what they do to a file — ``apply_to(base)`` — and how
+many data bytes that moves — ``data_bytes()``. Server apply, conflict
+copies, crash recovery and the NFS baseline all consume these; nothing
+else re-derives them. An ``UploadDelta``'s effect is
+:func:`repro.delta.patch.apply_delta` over its ``content_base`` snapshot,
+which only the server can resolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # obs-only annotation; never imported at runtime
     from repro.obs.tracer import TraceContext
 
 from repro.common import wire
+from repro.common.bytesutil import apply_write, truncate
 from repro.common.version import VersionStamp
 from repro.delta.format import Delta
 
@@ -53,6 +64,34 @@ class Message:
     """Base class; each subclass declares its layout with ``@_message``,
     which derives its ``wire_size()``."""
 
+    def paths(self) -> Tuple[str, ...]:
+        """Every path this message touches, in order: its ``path``, a
+        :class:`MetaOp`'s ``dest``, and for a :class:`TxnGroup` those of
+        each member."""
+        members = getattr(self, "members", None)
+        if members is not None:
+            return tuple(path for member in members for path in member.paths())
+        path = getattr(self, "path", "")
+        dest = getattr(self, "dest", None)
+        if dest:
+            return (path, dest) if path else (dest,)
+        return (path,) if path else ()
+
+
+def _apply_runs(message, base: bytes) -> bytes:
+    """``base`` with every write run applied, in order."""
+    for offset, data in message.runs:
+        base = apply_write(base, offset, data)
+    return base
+
+
+def _run_bytes(message) -> int:
+    """Data bytes the write carries (what applying it is charged for)."""
+    total = 0
+    for _, data in message.runs:
+        total += len(data)
+    return total
+
 
 @_message(
     _path("path"), _data("data"), _version("base_version"), _version("new_version")
@@ -64,6 +103,13 @@ class UploadFull(Message):
     data: bytes = field(repr=False)
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
+
+    def apply_to(self, base: bytes) -> bytes:
+        """The file after this update: ``data``, whatever it held."""
+        return self.data
+
+    def data_bytes(self) -> int:
+        return len(self.data)
 
 
 @_message(
@@ -81,6 +127,14 @@ class UploadWrite(Message):
     data: bytes = field(repr=False)
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
+
+    @property
+    def runs(self) -> Tuple[Tuple[int, bytes], ...]:
+        """The write as a one-run batch (see :class:`UploadWriteBatch`)."""
+        return ((self.offset, self.data),)
+
+    apply_to = _apply_runs
+    data_bytes = _run_bytes
 
 
 @_message(
@@ -102,6 +156,9 @@ class UploadWriteBatch(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
+    apply_to = _apply_runs
+    data_bytes = _run_bytes
+
 
 @_message(
     _path("path"),
@@ -116,6 +173,13 @@ class UploadTruncate(Message):
     length: int
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
+
+    def apply_to(self, base: bytes) -> bytes:
+        """``base`` cut, or zero-extended, to ``length``."""
+        return truncate(base, self.length)
+
+    def data_bytes(self) -> int:
+        return 0
 
 
 @_message(

@@ -5,6 +5,13 @@ with first-write-wins, applies backindex groups transactionally, and
 forwards accepted incremental data verbatim to other clients sharing the
 namespace (Section III-D — "client B is virtually equivalent to the
 cloud").
+
+What an update touches, carries and does to bytes is stated on the message
+(:mod:`repro.net.messages`); the server only chooses the starting content:
+the path's current content to apply an update, the ``base_version``
+snapshot to rebuild a loser's conflict copy, and for a delta, always, its
+``content_base`` snapshot ("servers keep recent versions of files, the
+incremental data can still be applied to the proper file", Section III-C).
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.bytesutil import apply_write, truncate as truncate_bytes
 from repro.core.conflict import conflict_path
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter, NULL_METER
@@ -28,9 +34,6 @@ from repro.net.messages import (
     TxnGroup,
     UploadDelta,
     UploadFull,
-    UploadTruncate,
-    UploadWrite,
-    UploadWriteBatch,
 )
 from repro.obs import NULL_OBS, Observability
 from repro.server.storage import VersionedStore
@@ -258,12 +261,17 @@ class CloudServer:
 
         "if one file in this atomic operation has conflict, we label all
         the files in this operation as conflict" (Section III-E).
+
+        Rollback is exact for every touched path — same ``StoredFile``
+        object (hard links keep sharing it), content, version, lineage and
+        ``dirs`` membership as before the group. Only the conflict copies
+        are added; ``upload_order`` keeps the members' entries and the
+        snapshot window their stamps, which no path's lineage names.
         """
-        touched = self._touched_paths(group)
-        backup: Dict[str, Optional[Tuple[bytes, Optional[VersionStamp]]]] = {}
-        for path in touched:
-            stored = self.store.lookup(path)
-            backup[path] = None if stored is None else (stored.content, stored.version)
+        saved = {
+            path: (self.store.save_entry(path), path in self.dirs)
+            for path in group.paths()
+        }
 
         placed: Dict[str, Set[Optional[VersionStamp]]] = {}
         results: List[ApplyResult] = []
@@ -285,12 +293,12 @@ class CloudServer:
             )
 
         # Roll back and materialize every incremental member as a conflict.
-        for path, saved in backup.items():
-            if saved is None:
-                if self.store.exists(path):
-                    self.store.delete(path)
+        for path, (entry, was_dir) in saved.items():
+            self.store.restore_entry(path, entry)
+            if was_dir:
+                self.dirs.add(path)
             else:
-                self.store.put(path, saved[0], saved[1])
+                self.dirs.discard(path)
         conflicts: List[str] = []
         replies: List[Message] = []
         for member in group.members:
@@ -299,14 +307,14 @@ class CloudServer:
                 conflicts.append(copy)
                 replies.append(
                     ConflictNotice(
-                        path=self._path_of(member),
+                        path=member.path,
                         conflict_path=copy,
-                        winning_version=self._current_version(self._path_of(member)),
+                        winning_version=self._current_version(member.path),
                     )
                 )
         return ApplyResult(
             status="conflict",
-            path=self._path_of(group.members[0]) if group.members else "",
+            path=group.members[0].path if group.members else "",
             conflict_paths=conflicts,
             replies=replies,
         )
@@ -320,30 +328,9 @@ class CloudServer:
     ) -> ApplyResult:
         if isinstance(message, MetaOp):
             return self._apply_meta(message, placed)
-        if isinstance(message, UploadWrite):
-            return self._apply_incremental(
-                message,
-                placed,
-                lambda base: apply_write(base, message.offset, message.data),
-            )
-        if isinstance(message, UploadWriteBatch):
-            def _apply_runs(base: bytes) -> bytes:
-                for offset, data in message.runs:
-                    base = apply_write(base, offset, data)
-                return base
-
-            return self._apply_incremental(message, placed, _apply_runs)
-        if isinstance(message, UploadTruncate):
-            return self._apply_incremental(
-                message, placed, lambda base: truncate_bytes(base, message.length)
-            )
-        if isinstance(message, UploadDelta):
-            return self._apply_delta_message(message, placed)
-        if isinstance(message, UploadFull):
-            return self._apply_incremental(
-                message, placed, lambda base: message.data
-            )
-        raise TypeError(f"server cannot apply {type(message).__name__}")
+        if not hasattr(message, "base_version"):  # not an upload kind
+            raise TypeError(f"server cannot apply {type(message).__name__}")
+        return self._apply_incremental(message, placed)
 
     def _apply_meta(
         self, op: MetaOp, placed: Dict[str, Set[Optional[VersionStamp]]]
@@ -377,17 +364,18 @@ class CloudServer:
         self,
         message,
         placed: Dict[str, Set[Optional[VersionStamp]]],
-        transform: Callable[[bytes], bytes],
     ) -> ApplyResult:
+        """Apply any upload kind: conflict-check against ``base_version``,
+        take its effect on the path's current content, store the result."""
         path = message.path
+        if not self._base_ok(path, message.base_version, placed):
+            return self._lone_conflict(message)
         stored = self.store.lookup(path)
-
-        if not self._base_ok(path, message.base_version, placed):
+        new_content = self._effect(
+            message, stored.content if stored is not None else b"", charge=True
+        )
+        if new_content is None:
             return self._lone_conflict(message)
-
-        base = stored.content if stored is not None else b""
-        new_content = transform(base)
-        self.meter.charge_bytes("apply_delta", self._payload_size(message))
         self.store.put(path, new_content, message.new_version)
         self._note_upload(path)
         return ApplyResult(
@@ -397,30 +385,30 @@ class CloudServer:
             replies=[Ack(path=path, version=message.new_version)],
         )
 
-    def _apply_delta_message(
-        self,
-        message: UploadDelta,
-        placed: Dict[str, Set[Optional[VersionStamp]]],
-    ) -> ApplyResult:
-        """Apply a delta: conflict-check against ``base_version``, read COPY
-        bytes from the ``content_base`` snapshot (the preserved old
-        version — possibly renamed away or overwritten in the namespace by
-        now, which is exactly why the snapshot window exists)."""
-        path = message.path
-        if not self._base_ok(path, message.base_version, placed):
-            return self._lone_conflict(message)
-        base = self._snapshot_or_none(message.content_base)
+    def _effect(
+        self, message, base: Optional[bytes], *, charge: bool
+    ) -> Optional[bytes]:
+        """What ``message`` makes of ``base``; ``None`` when its starting
+        content aged out of the snapshot window.
+
+        A delta's COPY instructions read the ``content_base`` snapshot, not
+        ``base`` (the preserved old version — possibly renamed away or
+        overwritten in the namespace by now, which is exactly why the
+        snapshot window exists), and ``apply_delta`` meters itself; the
+        other kinds are charged their data bytes when ``charge`` is set
+        (an apply, not a conflict copy).
+        """
         if base is None:
-            return self._lone_conflict(message)
-        new_content = apply_delta(base, message.delta, meter=self.meter)
-        self.store.put(path, new_content, message.new_version)
-        self._note_upload(path)
-        return ApplyResult(
-            status="applied",
-            path=path,
-            version=message.new_version,
-            replies=[Ack(path=path, version=message.new_version)],
-        )
+            return None
+        if isinstance(message, UploadDelta):
+            base = self._snapshot_or_none(message.content_base)
+            if base is None:
+                return None
+            return apply_delta(base, message.delta, meter=self.meter)
+        content = message.apply_to(base)
+        if charge:
+            self.meter.charge_bytes("apply_delta", message.data_bytes())
+        return content
 
     # -- conflict machinery ------------------------------------------------
 
@@ -439,7 +427,7 @@ class CloudServer:
 
     def _lone_conflict(self, message) -> ApplyResult:
         copy = self._materialize_conflict(message)
-        path = self._path_of(message)
+        path = message.path
         notice = ConflictNotice(
             path=path,
             conflict_path=copy or "",
@@ -454,32 +442,13 @@ class CloudServer:
 
     def _materialize_conflict(self, message) -> Optional[str]:
         """Rebuild the losing content from its base snapshot + increment."""
-        if isinstance(message, MetaOp) or message is None:
+        if isinstance(message, MetaOp):
             return None
-        base = (
-            b""
-            if message.base_version is None
-            else self._snapshot_or_none(message.base_version)
+        content = self._effect(
+            message, self._snapshot_or_none(message.base_version), charge=False
         )
-        if base is None:
+        if content is None:
             return None  # base aged out of the snapshot window
-        if isinstance(message, UploadWrite):
-            content = apply_write(base, message.offset, message.data)
-        elif isinstance(message, UploadWriteBatch):
-            content = base
-            for offset, data in message.runs:
-                content = apply_write(content, offset, data)
-        elif isinstance(message, UploadTruncate):
-            content = truncate_bytes(base, message.length)
-        elif isinstance(message, UploadDelta):
-            content_base = self._snapshot_or_none(message.content_base)
-            if content_base is None:
-                return None
-            content = apply_delta(content_base, message.delta, meter=self.meter)
-        elif isinstance(message, UploadFull):
-            content = message.data
-        else:
-            return None
         version = message.new_version or VersionStamp(0, 0)
         copy = conflict_path(message.path, version)
         self.store.put(copy, content, version)
@@ -526,13 +495,13 @@ class CloudServer:
                 continue
             self.obs.event(
                 "server.version.accepted",
-                path=self._path_of(member),
+                path=member.path,
                 client=version.client_id,
                 counter=version.counter,
             )
 
     def _forward(self, message: Message, origin_client: int) -> None:
-        paths = self._message_paths(message)
+        paths = message.paths()
         if paths:
             candidates: Set[int] = set()
             for path in paths:
@@ -573,35 +542,6 @@ class CloudServer:
             out.append("/")
         return out
 
-    def _message_paths(self, message: Message) -> List[str]:
-        if isinstance(message, TxnGroup):
-            out: List[str] = []
-            for member in message.members:
-                out.extend(self._message_paths(member))
-            return out
-        paths = []
-        path = getattr(message, "path", "")
-        if path:
-            paths.append(path)
-        dest = getattr(message, "dest", None)
-        if dest:
-            paths.append(dest)
-        return paths
-
-    def _touched_paths(self, group: TxnGroup) -> Set[str]:
-        touched: Set[str] = set()
-        for member in group.members:
-            touched.add(self._path_of(member))
-            dest = getattr(member, "dest", None)
-            if dest:
-                touched.add(dest)
-        touched.discard("")
-        return touched
-
-    @staticmethod
-    def _path_of(message) -> str:
-        return getattr(message, "path", "")
-
     def _current_version(self, path: str) -> Optional[VersionStamp]:
         stored = self.store.lookup(path)
         return stored.version if stored is not None else None
@@ -610,14 +550,6 @@ class CloudServer:
         if version is None:
             return b""
         return self.store.snapshot(version)
-
-    @staticmethod
-    def _payload_size(message) -> int:
-        if isinstance(message, (UploadWrite, UploadFull)):
-            return len(message.data)
-        if isinstance(message, UploadWriteBatch):
-            return sum(len(data) for _, data in message.runs)
-        return 0
 
     def _mark_placed(
         self,

@@ -307,28 +307,12 @@ class ShardRouter:
 
     def _touched_shards(self, message: Message) -> List[int]:
         """Distinct shard indices the message touches, first-touch order."""
-        paths = self._touched_paths(message)
         indices: List[int] = []
-        for path in paths:
+        for path in message.paths():
             index = self.shard_index_for_path(path)
             if index not in indices:
                 indices.append(index)
         return indices if indices else [0]
-
-    def _touched_paths(self, message: Message) -> List[str]:
-        if isinstance(message, TxnGroup):
-            out: List[str] = []
-            for member in message.members:
-                out.extend(self._touched_paths(member))
-            return out
-        out = []
-        path = getattr(message, "path", "")
-        if path:
-            out.append(path)
-        dest = getattr(message, "dest", None)
-        if dest:
-            out.append(dest)
-        return out
 
     def _colocation_target(
         self, message: Message, indices: List[int]
@@ -361,7 +345,7 @@ class ShardRouter:
                     src_shard=self.shard_index_for_path(message.path),
                     dst_shard=target,
                 )
-        for path in self._touched_paths(message):
+        for path in message.paths():
             self._migrate(path, target, reason=kind)
         return target
 

@@ -116,6 +116,40 @@ class VersionedStore:
         """All live paths, sorted."""
         return sorted(self._files)
 
+    # -- transactional rollback (a conflicting backindex group) ------------
+
+    def save_entry(self, path: str) -> tuple:
+        """What :meth:`restore_entry` needs to put ``path`` back exactly."""
+        stored = self._files.get(path)
+        lineage = self._history.get(path)
+        return (
+            stored,
+            None if stored is None else (stored.content, stored.version),
+            None if lineage is None else len(lineage),
+        )
+
+    def restore_entry(self, path: str, saved: tuple) -> None:
+        """Undo whatever happened to ``path`` since :meth:`save_entry`.
+
+        The name is bound to the same :class:`StoredFile` object as before
+        (so names hard-linked to it share content again) holding the
+        content and version it held, or unbound if it was; the lineage is
+        cut back to the entries it had (applying a message only ever
+        appends to a lineage, so its length is all there is to remember).
+        Unlike :meth:`put` this snapshots nothing and appends no lineage
+        entry.
+        """
+        stored, fields, lineage_len = saved
+        if stored is None:
+            self._files.pop(path, None)
+        else:
+            stored.content, stored.version = fields
+            self._files[path] = stored
+        if lineage_len is None:
+            self._history.pop(path, None)
+        else:
+            del self._history[path][lineage_len:]
+
     # -- shard migration (cross-shard rename/link/group co-location) -------
 
     def detach_entry(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import BaselineConfig, DeltaCFSConfig
+from repro.common.config import DeltaCFSConfig
 
 
 class TestPaperDefaults:
@@ -18,14 +18,6 @@ class TestPaperDefaults:
 
     def test_inplace_threshold_is_half(self):
         assert DeltaCFSConfig().inplace_delta_threshold == 0.5
-
-    def test_dropbox_parameters(self):
-        baselines = BaselineConfig()
-        assert baselines.dropbox_block_size == 4096
-        assert baselines.dropbox_dedup_size == 4 * 1024 * 1024
-
-    def test_seafile_chunk_is_1mb(self):
-        assert BaselineConfig().seafile_chunk_size == 1024 * 1024
 
 
 class TestValidation:

@@ -133,3 +133,21 @@ class TestCrashConsistency:
         clock, client, server = build()
         _seed(client, clock)
         assert client.crash_recovery_scan(["/ghost", "/f"]) == []
+
+    def test_scan_skips_directories(self):
+        clock, client, server = build()
+        client.mkdir("/d")
+        _seed(client, clock, path="/d/f")
+        assert client.crash_recovery_scan(["/d", "/d/f"]) == []
+
+    def test_scan_reports_only_inconsistency(self, monkeypatch):
+        # A bug inside the sweep is a bug, not crash damage.
+        clock, client, server = build()
+        _seed(client, clock)
+
+        def broken(path, content):
+            raise KeyError(path)
+
+        monkeypatch.setattr(client.checksums, "verify_file", broken)
+        with pytest.raises(KeyError):
+            client.crash_recovery_scan(["/f"])

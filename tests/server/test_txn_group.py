@@ -1,8 +1,11 @@
 """Tests for transactional (backindex) group application."""
 
+import pytest
+
 from repro.common.version import VersionStamp
 from repro.net.messages import MetaOp, TxnGroup, UploadWrite
 from repro.server.cloud import CloudServer
+from repro.server.shard import ShardRouter
 
 V = VersionStamp
 
@@ -102,3 +105,73 @@ class TestAtomicity:
     def test_empty_group(self):
         server = _seeded()
         assert server.handle(TxnGroup(members=())).ok
+
+
+@pytest.fixture(params=["bare", "router4"])
+def server(request):
+    return CloudServer() if request.param == "bare" else ShardRouter(4)
+
+
+def _stale_write():
+    """A member whose base the server has never seen: the group conflicts."""
+    return UploadWrite(
+        path="/zz", offset=0, data=b"Z", base_version=V(9, 9), new_version=V(1, 90)
+    )
+
+
+class TestExactRollback:
+    """A rolled-back group leaves no trace on the paths it rolled back."""
+
+    def test_lineage_has_no_uncommitted_version(self, server):
+        server.handle(MetaOp(kind="create", path="/zz", new_version=V(2, 1)))
+        server.handle(MetaOp(kind="create", path="/a", new_version=V(1, 0)))
+        server.handle(
+            UploadWrite(path="/a", offset=0, data=b"one", base_version=V(1, 0), new_version=V(1, 1))
+        )
+        group = TxnGroup(
+            members=(
+                UploadWrite(path="/a", offset=0, data=b"two", base_version=V(1, 1), new_version=V(1, 2)),
+                _stale_write(),
+            )
+        )
+        assert server.handle(group).status == "conflict"
+        assert server.file_content("/a") == b"one"
+        assert server.store.history("/a") == [V(1, 0), V(1, 1)]
+        assert server.version_history("/a") == [V(1, 0), V(1, 1)]
+
+    def test_mkdir_is_rolled_back(self, server):
+        server.handle(MetaOp(kind="create", path="/zz", new_version=V(2, 1)))
+        server.handle(MetaOp(kind="mkdir", path="/keep"))
+        group = TxnGroup(
+            members=(
+                MetaOp(kind="mkdir", path="/d"),
+                MetaOp(kind="rmdir", path="/keep"),
+                _stale_write(),
+            )
+        )
+        assert server.handle(group).status == "conflict"
+        assert "/d" not in server.dirs
+        assert "/keep" in server.dirs
+
+    @pytest.mark.parametrize("kind", ["rename", "unlink"])
+    def test_hard_link_still_shares_content(self, server, kind):
+        server.handle(MetaOp(kind="create", path="/zz", new_version=V(2, 1)))
+        server.handle(MetaOp(kind="create", path="/a", new_version=V(1, 0)))
+        server.handle(MetaOp(kind="link", path="/a", dest="/c"))
+        shared = server.store.get("/c")
+        assert server.store.get("/a") is shared
+        group = TxnGroup(
+            members=(
+                MetaOp(kind=kind, path="/a", dest="/b" if kind == "rename" else None),
+                _stale_write(),
+            )
+        )
+        assert server.handle(group).status == "conflict"
+        assert not server.store.exists("/b")
+        assert server.store.get("/a") is server.store.get("/c") is shared
+        assert (shared.content, shared.version) == (b"", V(1, 0))
+        # an update through one name is visible through the other again
+        server.handle(
+            UploadWrite(path="/a", offset=0, data=b"both", base_version=V(1, 0), new_version=V(1, 1))
+        )
+        assert server.file_content("/c") == b"both"
