@@ -31,6 +31,18 @@ def register_report(title: str, body: str) -> None:
     (_RESULTS_DIR / f"{slug}.txt").write_text(f"{title}\n\n{body}\n")
 
 
+def regenerate(benchmark, name: str):
+    """Run experiment ``name`` at full scale under pytest-benchmark, queue
+    the table ``python -m repro experiment <name>`` prints for it, and
+    return the results for the shape assertions."""
+    from repro.harness.experiments import EXPERIMENTS
+
+    experiment = EXPERIMENTS[name]
+    results = benchmark.pedantic(experiment.run, args=(False,), rounds=1, iterations=1)
+    register_report(experiment.title, experiment.render(results))
+    return results
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _REPORTS:
         return

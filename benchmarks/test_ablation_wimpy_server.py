@@ -14,7 +14,7 @@ server-side tick demand per second of trace time.
 from conftest import register_report
 
 from repro.cost.profile import PC_PROFILE
-from repro.harness.experiments import WECHAT_SCALE, _scaled_kwargs
+from repro.harness.experiments import WECHAT_SCALE, scaled_kwargs
 from repro.harness.runner import run_trace
 from repro.metrics.report import format_table
 from repro.workloads import wechat_trace
@@ -29,7 +29,7 @@ def _collect():
     trace = wechat_trace(scale=WECHAT_SCALE, modifications=60, seed=75)
     out = {}
     for solution in ("deltacfs", "seafile", "nfs"):
-        result = run_trace(solution, trace, **_scaled_kwargs(WECHAT_SCALE))
+        result = run_trace(solution, trace, **scaled_kwargs(WECHAT_SCALE))
         demand_per_s = result.server_ticks / max(result.duration, 1e-9)
         out[solution] = {
             "server_ticks": result.server_ticks,

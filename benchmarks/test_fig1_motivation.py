@@ -14,33 +14,11 @@ Shape assertions (Section I / II-A):
 - on the Word workload both burn CPU; Seafile ships more bytes.
 """
 
-from conftest import register_report
-
-from repro.harness.experiments import fig1_motivation
-from repro.metrics.report import format_bytes, format_table
-
-
-def _collect():
-    return fig1_motivation(fast=False)
+from conftest import regenerate
 
 
 def test_fig1(benchmark):
-    results = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [
-        [
-            r.trace,
-            r.solution,
-            f"{r.client_ticks:.1f}",
-            format_bytes(r.up_bytes),
-            format_bytes(r.extra["read_bytes"]),
-        ]
-        for r in results
-    ]
-    register_report(
-        "Figure 1: motivation — client CPU / upload / disk reads",
-        format_table(["workload", "solution", "cpu", "upload", "reads"], rows),
-    )
+    results = regenerate(benchmark, "fig1")
     by_key = {(r.trace, r.solution): r for r in results}
 
     # SQLite workload: Dropbox CPU >> Seafile CPU; Dropbox traffic << Seafile

@@ -12,32 +12,14 @@ Shape assertions:
   DeltaCFS's on the same workload.
 """
 
-from conftest import register_report
+from conftest import regenerate
 
-from repro.harness.experiments import (
-    WECHAT_SCALE,
-    fig2_dropsync_mobile,
-    run_mobile,
-)
-from repro.metrics.report import format_bytes, format_table
+from repro.harness.experiments import WECHAT_SCALE, run_mobile
 from repro.workloads import wechat_trace
 
 
-def _collect():
-    return fig2_dropsync_mobile(fast=False)
-
-
 def test_fig2(benchmark):
-    result = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [
-        ["total sync traffic", format_bytes(result.total_traffic)],
-        ["data update size", format_bytes(result.update_bytes)],
-        ["TUE", f"{result.tue:.1f}"],
-        ["client CPU ticks", f"{result.cpu_ticks:.1f}"],
-        ["timeline samples", str(len(result.traffic_timeline))],
-    ]
-    register_report("Figure 2: WeChat via Dropsync on mobile", format_table(["metric", "value"], rows))
+    result = regenerate(benchmark, "fig2")
 
     # TUE far above 1: the abuse the paper opens with
     assert result.tue > 20

@@ -14,27 +14,11 @@ Shape assertions (paper's findings):
   (fetch-before-write).
 """
 
-from conftest import register_report
-
-from repro.harness.experiments import fig8_network_pc
-from repro.metrics.report import format_bytes, format_table
-
-
-def _collect():
-    return fig8_network_pc(fast=False)
+from conftest import regenerate
 
 
 def test_fig8(benchmark):
-    results = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [
-        [r.trace, r.solution, format_bytes(r.up_bytes), format_bytes(r.down_bytes)]
-        for r in results
-    ]
-    register_report(
-        "Figure 8: network transmission on PC (upload / download)",
-        format_table(["trace", "solution", "upload", "download"], rows),
-    )
+    results = regenerate(benchmark, "fig8")
     by_key = {(r.trace, r.solution): r for r in results}
 
     # append: all within 2x of each other except Seafile above

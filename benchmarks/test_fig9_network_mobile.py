@@ -10,27 +10,13 @@ Shape assertions:
 - download traffic is small for both; DeltaCFS has almost none.
 """
 
-from conftest import register_report
+from conftest import regenerate
 
-from repro.harness.experiments import bench_traces, fig9_network_mobile, run_pc
-from repro.metrics.report import format_bytes, format_table
-
-
-def _collect():
-    return fig9_network_mobile(fast=False)
+from repro.harness.experiments import paper_runs
 
 
 def test_fig9(benchmark):
-    results = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [
-        [r.trace, r.solution, format_bytes(r.up_bytes), format_bytes(r.down_bytes)]
-        for r in results
-    ]
-    register_report(
-        "Figure 9: network traffic on mobile (upload / download)",
-        format_table(["trace", "solution", "upload", "download"], rows),
-    )
+    results = regenerate(benchmark, "fig9")
     by_key = {(r.trace, r.solution): r for r in results}
 
     for trace in ("append_write", "random_write", "word", "wechat"):
@@ -49,7 +35,7 @@ def test_fig9(benchmark):
 
     # DeltaCFS mobile ~ DeltaCFS PC (the design goal: nothing about the
     # client's sync behaviour depends on the platform)
-    for trace_name, (trace, scale) in bench_traces(fast=False).items():
-        pc = run_pc("deltacfs", trace, scale, False)
-        mobile = by_key[(trace_name, "deltacfs")]
-        assert abs(mobile.up_bytes - pc.up_bytes) < 0.15 * max(pc.up_bytes, 1), trace_name
+    for (trace, solution), mobile in by_key.items():
+        if solution == "deltacfs":
+            pc = paper_runs(False)[("pc", trace, "deltacfs")]
+            assert abs(mobile.up_bytes - pc.up_bytes) < 0.15 * max(pc.up_bytes, 1), trace

@@ -17,7 +17,7 @@ byte-exactly and the ``policy.*`` telemetry is present.
 
 import json
 
-from conftest import register_report
+from conftest import regenerate
 
 from repro.common.config import DeltaCFSConfig
 from repro.harness.experiments import (
@@ -25,37 +25,16 @@ from repro.harness.experiments import (
     PC_PROFILE,
     SWEEP_POLICIES,
     fig8_network_pc,
-    policy_sweep,
 )
 from repro.harness.runner import run_trace
-from repro.metrics.report import format_bytes, format_table
 from repro.obs import Observability
 from repro.obs.analyze import attribute_uplink, load_trace_lines
 from repro.obs.export import snapshot_record
 from repro.workloads import word_trace
 
 
-def _collect():
-    return policy_sweep(fast=False)
-
-
 def test_policy_sweep(benchmark):
-    results = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [
-        [
-            r.extra["setting"].removeprefix("policy-"),
-            r.trace,
-            format_bytes(r.up_bytes),
-            f"{r.client_ticks:,.0f}",
-        ]
-        for r in results
-    ]
-    register_report(
-        "Policy sweep: uplink and client CPU by mechanism policy",
-        format_table(["policy", "trace", "upload", "client ticks"], rows),
-    )
-
+    results = regenerate(benchmark, "policy")
     by_key = {(r.extra["setting"], r.trace): r for r in results}
     traces = sorted({r.trace for r in results})
     assert {r.extra["setting"] for r in results} == {

@@ -14,37 +14,12 @@ Shape assertions (paper's findings):
   ("4x to 30x lower than Seafile") on the RPC-dominated traces.
 """
 
-from conftest import register_report
-
-from repro.harness.experiments import table2_cpu
-from repro.metrics.report import format_table
-
-
-def _collect():
-    return table2_cpu(fast=False)
+from conftest import regenerate
 
 
 def test_table2(benchmark):
-    results = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = []
-    by_key = {}
-    for r in results:
-        setting = r.extra.get("setting", "pc")
-        rows.append(
-            [
-                setting,
-                r.trace,
-                r.solution,
-                f"{r.client_ticks:.1f}",
-                f"{r.server_ticks:.1f}" if r.solution != "dropbox" else "-",
-            ]
-        )
-        by_key[(setting, r.trace, r.solution)] = r
-    register_report(
-        "Table II: CPU ticks (client / server)",
-        format_table(["setting", "trace", "solution", "client", "server"], rows),
-    )
+    results = regenerate(benchmark, "table2")
+    by_key = {(r.extra.get("setting", "pc"), r.trace, r.solution): r for r in results}
 
     for trace in ("append_write", "random_write", "word", "wechat"):
         deltacfs = by_key[("pc", trace, "deltacfs")]

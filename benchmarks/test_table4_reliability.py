@@ -20,9 +20,8 @@ does).
 
 import os
 
-from conftest import register_report
+from conftest import regenerate, register_report
 
-from repro.harness.experiments import table4_reliability
 from repro.harness.reliability import crash_recovery_roundtrip
 from repro.kvstore.kv import LogStructuredKV
 from repro.metrics.report import format_bytes, format_table
@@ -31,19 +30,8 @@ _SMOKE = os.environ.get("RELIABILITY_SMOKE") == "1"
 _SEEDS = (7,) if _SMOKE else (7, 11, 23)
 
 
-def _collect():
-    return table4_reliability()
-
-
 def test_table4(benchmark):
-    outcomes = benchmark.pedantic(_collect, rounds=1, iterations=1)
-
-    rows = [[o.service, o.corrupted, o.inconsistent, o.causal_order] for o in outcomes]
-    register_report(
-        "Table IV: reliability tests (corrupted / inconsistent / causal)",
-        format_table(["service", "corrupted", "inconsistent", "causal"], rows),
-    )
-
+    outcomes = regenerate(benchmark, "table4")
     by_service = {o.service: o for o in outcomes}
     for baseline in ("dropbox", "seafile"):
         assert by_service[baseline].corrupted == "upload"

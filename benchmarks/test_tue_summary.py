@@ -8,34 +8,30 @@ are the abuse the paper attacks.
 
 from conftest import register_report
 
-from repro.harness.experiments import PC_SOLUTIONS, bench_traces, run_mobile, run_pc
+from repro.harness.experiments import PC_SOLUTIONS, paper_runs
 from repro.metrics.report import format_table
 
 
-def _collect():
-    cells = {}
-    for trace_name, (trace, scale) in bench_traces(fast=False).items():
-        for solution in PC_SOLUTIONS:
-            cells[(trace_name, solution)] = run_pc(solution, trace, scale)
-        cells[(trace_name, "dropsync(mobile)")] = run_mobile("fullsync", trace, scale)
-    return cells
-
-
 def test_tue_summary(benchmark):
-    cells = benchmark.pedantic(_collect, rounds=1, iterations=1)
+    runs = benchmark.pedantic(paper_runs, args=(False,), rounds=1, iterations=1)
 
-    systems = list(PC_SOLUTIONS) + ["dropsync(mobile)"]
+    systems = {solution: ("pc", solution) for solution in PC_SOLUTIONS}
+    systems["dropsync(mobile)"] = ("mobile", "fullsync")
     traces = ("append_write", "random_write", "word", "wechat")
-    rows = []
-    for trace in traces:
-        row = [trace]
-        for system in systems:
-            result = cells[(trace, system)]
-            row.append(f"{result.tue:.2f}")
-        rows.append(row)
+    cells = {
+        (trace, system): runs[(setting, trace, solution)]
+        for trace in traces
+        for system, (setting, solution) in systems.items()
+    }
     register_report(
         "TUE summary (total sync traffic / update size; 1.0 is perfect)",
-        format_table(["trace"] + systems, rows),
+        format_table(
+            ["trace"] + list(systems),
+            [
+                [trace] + [f"{cells[(trace, system)].tue:.2f}" for system in systems]
+                for trace in traces
+            ],
+        ),
     )
 
     for trace in traces:

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.harness.experiments import _scaled_kwargs
+from repro.harness.experiments import scaled_kwargs
 from repro.harness.runner import SOLUTIONS, run_trace
 from repro.metrics.report import format_bytes, format_table
 from repro.workloads import wechat_trace
@@ -38,7 +38,7 @@ def main():
 
     rows = []
     for solution in SOLUTIONS:
-        result = run_trace(solution, trace, **_scaled_kwargs(args.scale))
+        result = run_trace(solution, trace, **scaled_kwargs(args.scale))
         rows.append([
             solution,
             f"{result.client_ticks:.1f}",

@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.harness.experiments import WORD_SCALE, _scaled_kwargs
+from repro.harness.experiments import WORD_SCALE, scaled_kwargs
 from repro.harness.runner import run_trace
 from repro.metrics.report import format_bytes, format_table
 from repro.workloads import word_trace
@@ -37,7 +37,7 @@ def main():
     rows = []
     deltacfs_extra = {}
     for solution in ("deltacfs", "dropbox", "seafile", "nfs"):
-        result = run_trace(solution, trace, **_scaled_kwargs(WORD_SCALE))
+        result = run_trace(solution, trace, **scaled_kwargs(WORD_SCALE))
         rows.append([
             solution,
             format_bytes(result.up_bytes),

@@ -41,6 +41,8 @@ DEFAULT_EXEMPTIONS: Dict[str, Tuple[str, ...]] = {
     "DET001": ("common/clock.py", "harness/wallclock.py"),
     # The seeded RNG wrapper is the one place `random` may be imported.
     "DET002": ("common/rng.py",),
+    # The field-table module is the one place `struct` may be imported.
+    "WIRE001": ("common/wire.py",),
 }
 
 _SUPPRESS_RE = re.compile(

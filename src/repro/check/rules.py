@@ -44,7 +44,8 @@ OBS001    error      ``obs.event``/``obs.span``/metric names that do not
                      ``obs.inc``/``obs.event``
 WIRE001   error      a class that hand-writes ``wire_size`` or a byte-level
                      ``encode``/``decode`` instead of declaring a
-                     ``repro.common.wire`` field table
+                     ``repro.common.wire`` field table, or an ``import
+                     struct`` outside ``common/wire.py``
 ========  =========  ====================================================
 """
 
@@ -345,6 +346,9 @@ class HandWrittenCodecRule(Rule):
     symmetric and every field costed. Only codec-shaped methods count —
     ``encode(self)`` and a class-level ``decode`` — so an algorithm such
     as a delta backend's ``encode(self, base, target)`` is left alone.
+    A codec written as plain functions has no class to inspect, so the
+    rule also flags its raw material: importing ``struct`` anywhere but
+    ``common/wire.py`` (exempt by path), the one module that packs bytes.
     """
 
     id = "WIRE001"
@@ -373,6 +377,16 @@ class HandWrittenCodecRule(Rule):
         for stmt in node.body:
             if isinstance(stmt, ast.FunctionDef) and self._is_codec(stmt):
                 self.report(stmt, f"{node.name}.{stmt.name} is written by hand")
+
+    _STRUCT = "`struct` is imported outside repro.common.wire"
+
+    def visit_Import(self, node: ast.Import) -> None:
+        if any(alias.name == "struct" for alias in node.names):
+            self.report(node, self._STRUCT)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "struct" and not node.level:
+            self.report(node, self._STRUCT)
 
 
 #: Registry, in report order. The engine iterates this.

@@ -9,7 +9,7 @@ Usage (installed, or ``python -m repro``):
     python -m repro replay word.trace --solution deltacfs
     python -m repro replay word.trace --metrics --trace-out trace.jsonl
     python -m repro inspect trace.jsonl --attribution
-    python -m repro experiment fig8 --fast --bench-json benchmarks/
+    python -m repro experiment table2 fig8 fig9 --fast --bench-json bench_out/
     python -m repro check
     python -m repro check --traces trace.jsonl crash-trace.jsonl
     python -m repro fleet --clients 10000 --shards 8 --arrival bursty
@@ -50,28 +50,6 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-def _print_run_results(title: str, results) -> None:
-    rows = [
-        [
-            r.extra.get("setting", "pc"),
-            r.trace,
-            r.solution,
-            f"{r.client_ticks:.1f}",
-            f"{r.server_ticks:.1f}",
-            format_bytes(r.up_bytes),
-            format_bytes(r.down_bytes),
-        ]
-        for r in results
-    ]
-    print(f"\n=== {title} ===")
-    print(
-        format_table(
-            ["setting", "trace", "solution", "cli CPU", "srv CPU", "up", "down"],
-            rows,
-        )
-    )
-
-
 def _write_bench_doc(directory: str, name: str, doc) -> None:
     """Emit a prebuilt ``BENCH_<name>.json`` document into ``directory``."""
     import json
@@ -85,132 +63,22 @@ def _write_bench_doc(directory: str, name: str, doc) -> None:
     print(f"wrote {path}")
 
 
-def _write_bench_snapshot(directory: str, name: str, results) -> None:
-    """Emit ``BENCH_<name>.json`` into ``directory`` (see bench_snapshot)."""
-    from repro.harness.runner import bench_snapshot
-
-    _write_bench_doc(directory, name, bench_snapshot(name, results))
-
-
 def _cmd_experiment(args) -> int:
-    from repro.harness import experiments
+    """Run the selected rows of ``repro.harness.experiments.EXPERIMENTS``."""
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.metrics.collector import bench_doc
 
-    fast = args.fast
-    wanted = args.name
     bench_dir = args.bench_json
-    ran_any = False
     benched_any = False
-
-    if wanted in ("table2", "all"):
-        results = experiments.table2_cpu(fast)
-        _print_run_results("Table II / CPU", results)
-        if bench_dir:
-            _write_bench_snapshot(bench_dir, "table2", results)
+    for name, experiment in EXPERIMENTS.items():
+        if name not in args.name and "all" not in args.name:
+            continue
+        results = experiment.run(args.fast)
+        print(f"\n=== {experiment.title} ===")
+        print(experiment.render(results))
+        if bench_dir and experiment.metrics is not None:
+            _write_bench_doc(bench_dir, name, bench_doc(name, experiment.metrics(results)))
             benched_any = True
-        ran_any = True
-    if wanted in ("fig8", "all"):
-        results = experiments.fig8_network_pc(fast)
-        _print_run_results("Figure 8 / network on PC", results)
-        if bench_dir:
-            _write_bench_snapshot(bench_dir, "fig8", results)
-            benched_any = True
-        ran_any = True
-    if wanted in ("fig9", "all"):
-        results = experiments.fig9_network_mobile(fast)
-        _print_run_results("Figure 9 / network on mobile", results)
-        if bench_dir:
-            _write_bench_snapshot(bench_dir, "fig9", results)
-            benched_any = True
-        ran_any = True
-    if wanted in ("policy", "all"):
-        results = experiments.policy_sweep(fast)
-        _print_run_results("Policy sweep / mechanism selection", results)
-        if bench_dir:
-            _write_bench_snapshot(bench_dir, "policy", results)
-            benched_any = True
-        ran_any = True
-    if wanted in ("fig1", "all"):
-        results = experiments.fig1_motivation(fast)
-        if bench_dir:
-            _write_bench_snapshot(bench_dir, "fig1", results)
-            benched_any = True
-        print("\n=== Figure 1 / motivation ===")
-        print(
-            format_table(
-                ["workload", "solution", "cpu", "upload", "disk reads"],
-                [
-                    [
-                        r.trace,
-                        r.solution,
-                        f"{r.client_ticks:.1f}",
-                        format_bytes(r.up_bytes),
-                        format_bytes(r.extra["read_bytes"]),
-                    ]
-                    for r in results
-                ],
-            )
-        )
-        ran_any = True
-    if wanted in ("fig2", "all"):
-        result = experiments.fig2_dropsync_mobile(fast)
-        print("\n=== Figure 2 / Dropsync on mobile ===")
-        print(f"traffic {format_bytes(result.total_traffic)}  "
-              f"update {format_bytes(result.update_bytes)}  "
-              f"TUE {result.tue:.1f}  CPU {result.cpu_ticks:.1f}")
-        ran_any = True
-    if wanted in ("table3", "all"):
-        from repro.harness.microbench import (
-            STACKS,
-            microbench_snapshot,
-            run_microbench,
-        )
-        from repro.workloads.filebench import (
-            fileserver_ops,
-            varmail_ops,
-            webserver_ops,
-        )
-
-        print("\n=== Table III / microbenchmarks (MB/s) ===")
-        rows = []
-        table3_results = []
-        for name, ops in [
-            ("fileserver", fileserver_ops()),
-            ("varmail", varmail_ops()),
-            ("webserver", webserver_ops()),
-        ]:
-            per_stack = [run_microbench(name, ops, s) for s in STACKS]
-            table3_results.extend(per_stack)
-            # block size and input MiB are identical across stacks for one
-            # workload (0 = stack has no sync engine, so show the max).
-            rows.append(
-                [
-                    name,
-                    str(max(r.block_size for r in per_stack)),
-                    f"{per_stack[0].input_mb:.1f}",
-                ]
-                + [f"{r.mb_per_s:.1f}" for r in per_stack]
-            )
-        print(
-            format_table(
-                ["workload", "blk B", "in MiB"] + list(STACKS), rows
-            )
-        )
-        if bench_dir:
-            _write_bench_doc(
-                bench_dir, "table3", microbench_snapshot(table3_results)
-            )
-            benched_any = True
-        ran_any = True
-    if wanted in ("table4", "all"):
-        results = experiments.table4_reliability()
-        print("\n=== Table IV / reliability ===")
-        print(
-            format_table(
-                ["service", "corrupted", "inconsistent", "causal"],
-                [[o.service, o.corrupted, o.inconsistent, o.causal_order] for o in results],
-            )
-        )
-        ran_any = True
 
     if args.wall:
         from repro.harness.wallclock import wallclock_snapshot
@@ -240,14 +108,10 @@ def _cmd_experiment(args) -> int:
             _write_bench_doc(bench_dir, "wallclock", snap)
             benched_any = True
 
-    if not ran_any:
-        print(f"unknown experiment {wanted!r}", file=sys.stderr)
-        return 2
     if bench_dir and not benched_any:
         print(
-            f"--bench-json covers RunResult-snapshot experiments "
-            f"(table2/fig8/fig9/fig1), table3, and the --wall lane, "
-            f"not {wanted!r}",
+            f"--bench-json: {'/'.join(args.name)} has no gate metrics to snapshot "
+            f"(--help lists the RunResult/Table III experiments that do)",
             file=sys.stderr,
         )
         return 2
@@ -548,7 +412,11 @@ def _cmd_replay(args) -> int:
         except ValueError as exc:
             print(f"bad fault plan: {exc}", file=sys.stderr)
             return 2
-    trace = load_trace_file(args.trace)
+    try:
+        trace = load_trace_file(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
+        return 2
     with _obs_session(args) as session:
         if session is None:
             return 1
@@ -812,13 +680,15 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_info
     )
 
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.harness.fleet import FleetSpec
+
+    gated = "/".join(n for n, e in EXPERIMENTS.items() if e.metrics is not None)
     experiment = sub.add_parser("experiment", help="regenerate a paper table/figure")
     experiment.add_argument(
-        "name",
-        choices=[
-            "table2", "table3", "table4",
-            "fig1", "fig2", "fig8", "fig9", "policy", "all",
-        ],
+        "name", nargs="+", choices=[*EXPERIMENTS, "all"],
+        help="one or more experiments; they share one run matrix, so "
+             "`table2 fig8 fig9` costs what `table2` costs",
     )
     experiment.add_argument("--fast", action="store_true", help="reduced op counts")
     experiment.add_argument(
@@ -829,33 +699,35 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--bench-json", metavar="DIR", default=None,
         help="also write BENCH_<name>.json snapshot(s) into DIR for "
-             "tools/bench_gate.py (table2/table3/fig8/fig9/fig1/policy, "
+             f"tools/bench_gate.py ({gated}, "
              "and BENCH_wallclock.json with --wall)",
     )
     experiment.set_defaults(func=_cmd_experiment)
 
+    spec = FleetSpec()  # the one place the fleet defaults are written
     fleet = sub.add_parser(
         "fleet",
         help="virtual-time fleet simulation against the sharded cloud "
              "(see docs/fleet.md)",
     )
-    fleet.add_argument("--clients", type=int, default=10_000,
-                       help="simulated clients (default 10000)")
-    fleet.add_argument("--shards", type=int, default=8,
+    fleet.add_argument("--clients", type=int, default=spec.n_clients,
+                       help=f"simulated clients (default {spec.n_clients})")
+    fleet.add_argument("--shards", type=int, default=spec.n_shards,
                        help="CloudServer shards behind the router")
-    fleet.add_argument("--writes-per-client", type=int, default=3)
+    fleet.add_argument("--writes-per-client", type=int,
+                       default=spec.writes_per_client)
     fleet.add_argument("--arrival", choices=["poisson", "bursty"],
-                       default="poisson",
+                       default=spec.arrival,
                        help="independent exponential gaps, or synchronized "
                             "waves that stress shard queues")
-    fleet.add_argument("--mean-gap", type=float, default=20.0,
+    fleet.add_argument("--mean-gap", type=float, default=spec.mean_gap,
                        help="poisson: mean seconds between one client's writes")
-    fleet.add_argument("--burst-every", type=float, default=20.0,
+    fleet.add_argument("--burst-every", type=float, default=spec.burst_every,
                        help="bursty: seconds between waves")
-    fleet.add_argument("--tick-seconds", type=float, default=8.0,
+    fleet.add_argument("--tick-seconds", type=float, default=spec.tick_seconds,
                        help="virtual seconds of shard-core time per modelled "
                             "CPU tick (wimpy-core scale factor)")
-    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument("--seed", type=int, default=spec.seed)
     fleet.add_argument(
         "--curve", action="store_true",
         help="run the committed scaling curve instead of a single spec",
@@ -880,18 +752,21 @@ def build_parser() -> argparse.ArgumentParser:
              "window-over-window p99 regressions)",
     )
     fleet.add_argument(
-        "--slo", type=float, default=15.0, metavar="SECONDS",
+        "--slo", type=float, default=spec.slo_seconds, metavar="SECONDS",
         help="sync-latency objective: a write meets the SLO when its "
-             "latency is at or under this (default 15.0)",
+             f"latency is at or under this (default {spec.slo_seconds})",
     )
     fleet.add_argument(
-        "--window-seconds", type=float, default=20.0, metavar="SECONDS",
-        help="telemetry rollup window width in virtual seconds (default 20)",
+        "--window-seconds", type=float, default=spec.window_seconds,
+        metavar="SECONDS",
+        help="telemetry rollup window width in virtual seconds "
+             f"(default {spec.window_seconds:g})",
     )
     fleet.add_argument(
-        "--stall-horizon", type=float, default=60.0, metavar="SECONDS",
+        "--stall-horizon", type=float, default=spec.stall_horizon,
+        metavar="SECONDS",
         help="a write whose sync takes longer than this counts as a stall "
-             "(default 60)",
+             f"(default {spec.stall_horizon:g})",
     )
     fleet.add_argument(
         "--health-out", metavar="PATH", default=None,
@@ -999,12 +874,13 @@ def build_parser() -> argparse.ArgumentParser:
              "within the horizon)",
     )
     inspect.add_argument(
-        "--slo", type=float, default=15.0, metavar="SECONDS",
-        help="sync-latency objective for --health (default 15.0)",
+        "--slo", type=float, default=spec.slo_seconds, metavar="SECONDS",
+        help=f"sync-latency objective for --health (default {spec.slo_seconds})",
     )
     inspect.add_argument(
-        "--stall-horizon", type=float, default=60.0, metavar="SECONDS",
-        help="stall threshold for --health (default 60)",
+        "--stall-horizon", type=float, default=spec.stall_horizon,
+        metavar="SECONDS",
+        help=f"stall threshold for --health (default {spec.stall_horizon:g})",
     )
     inspect.add_argument(
         "--health-out", metavar="PATH", default=None,

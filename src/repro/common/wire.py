@@ -10,7 +10,7 @@ disagree and no declared field goes uncosted; ``docs/wire-protocol.md``
 renders from the same rows.
 
 Field kinds: fixed-width integers/floats with a declared byte order
-(``u8`` … ``f64be``; adjacent ones fold into one :class:`struct.Struct`),
+(``u8`` … ``f64le``; adjacent ones fold into one :class:`struct.Struct`),
 ``const=`` tags, LEB128 ``varint``; length-prefixed ``blob``/``text`` and
 the unprefixed ``rest``; ``nested`` records, ``optional`` ones, counted
 ``items`` and tagged :class:`Union`; and, for simulated messages whose
@@ -200,8 +200,12 @@ def _int(label: str, fmt: str) -> Callable[..., _Int]:
 
 
 u8, flag = _int("u8", "B"), _int("flag", "?")
-u16be, u32be, u32le = _int("u16 BE", ">H"), _int("u32 BE", ">I"), _int("u32 LE", "<I")
-u64be, f64be = _int("u64 BE", ">Q"), _int("f64 BE", ">d")
+u16be, u32be, u64be, f64be = (
+    _int("u16 BE", ">H"), _int("u32 BE", ">I"), _int("u64 BE", ">Q"), _int("f64 BE", ">d")
+)
+u16le, u32le, u64le, f64le = (
+    _int("u16 LE", "<H"), _int("u32 LE", "<I"), _int("u64 LE", "<Q"), _int("f64 LE", "<d")
+)
 
 
 class varint(Field):

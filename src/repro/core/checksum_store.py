@@ -16,22 +16,24 @@ the block checksum, which further reduces the computational cost."
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List
 
 from repro.chunking._fast import block_weak_checksums
+from repro.common import wire
 from repro.common.bytesutil import block_range
 from repro.common.errors import CorruptionDetected, InconsistencyDetected
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.kvstore import KVStore, MemoryKV
 
 
+# KV layout: ``<path> 0x00 <block index>`` -> ``<weak checksum>``.
+_INDEX = wire.Schema("block index", wire.u64be("index"), scalar=True)
+_WEAK = wire.Schema("block checksum", wire.u32be("weak"), scalar=True)
+_pack_index, _pack = _INDEX.encode, _WEAK.encode
+
+
 def _key(path: str, block_index: int) -> bytes:
-    return path.encode() + b"\x00" + struct.pack(">Q", block_index)
-
-
-def _pack(checksum: int) -> bytes:
-    return struct.pack(">I", checksum)
+    return path.encode() + b"\x00" + _pack_index(block_index)
 
 
 class ChecksumStore:
@@ -125,7 +127,7 @@ class ChecksumStore:
         """
         prefix = path.encode() + b"\x00"
         return {
-            struct.unpack(">Q", key[len(prefix) :])[0]: int.from_bytes(value, "big")
+            _INDEX.decode(key[len(prefix) :]): _WEAK.decode(value)
             for key, value in self.kv.items(prefix)
         }
 
@@ -149,7 +151,7 @@ class ChecksumStore:
                         f"{path} block {index}: checksummed but absent", path=path
                     )
                 continue
-            if stored is None or int.from_bytes(stored, "big") != actual:
+            if stored != _pack(actual):
                 raise CorruptionDetected(
                     f"{path} block {index}: checksum mismatch",
                     path=path,
@@ -207,4 +209,4 @@ class ChecksumStore:
     def blocks_of(self, path: str) -> List[int]:
         """Indices of the blocks currently checksummed for ``path``."""
         prefix = path.encode() + b"\x00"
-        return [struct.unpack(">Q", k[len(prefix) :])[0] for k, _ in self.kv.items(prefix)]
+        return [_INDEX.decode(k[len(prefix) :]) for k, _ in self.kv.items(prefix)]

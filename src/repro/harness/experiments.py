@@ -6,17 +6,35 @@ benchmarks print and sanity-check. Scales divide file sizes; op counts,
 op sequences, and the write-size-tied granularities (4 KB blocks/pages)
 are kept at paper values, while structural granularities (4 MB dedup
 units, 1 MB CDC chunks) scale with the files (see ``build_system``).
+
+Table II, Figure 8 and Figure 9 are *views* of one run matrix —
+:func:`paper_runs`, every (setting, trace, solution) cell run once per
+process — as in the paper, which read its CPU and traffic numbers off the
+same runs. :data:`EXPERIMENTS` at the bottom is the one table of what
+``repro experiment`` can run: each row names an experiment, its driver,
+how its results print and which metrics ``--bench-json`` snapshots for
+``tools/bench_gate.py``. Adding an experiment is adding a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cache, partial
+from itertools import groupby
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.clock import VirtualClock
+from repro.common.config import DeltaCFSConfig
 from repro.cost.profile import MOBILE_PROFILE, PC_PROFILE
-from repro.harness.runner import build_system, run_trace
+from repro.harness.microbench import (
+    STACKS,
+    MicrobenchResult,
+    microbench_metrics,
+    run_microbench,
+)
+from repro.harness.runner import build_system, run_metrics, run_trace
 from repro.metrics.collector import RunResult
+from repro.metrics.report import format_bytes, format_table
 from repro.net.transport import MOBILE_NETWORK, PC_NETWORK
 from repro.workloads import (
     append_write_trace,
@@ -24,6 +42,7 @@ from repro.workloads import (
     wechat_trace,
     word_trace,
 )
+from repro.workloads.filebench import fileserver_ops, varmail_ops, webserver_ops
 from repro.workloads.traces import Trace, replay
 
 # Benchmark scales: chosen so every run finishes in seconds while keeping
@@ -63,131 +82,91 @@ def bench_traces(fast: bool = False) -> Dict[str, Tuple[Trace, int]]:
     }
 
 
-def _scaled_kwargs(scale: int) -> Dict[str, int]:
+def scaled_kwargs(scale: int) -> Dict[str, int]:
+    """The baselines' structural granularities at ``1/scale`` file sizes."""
     return {
         "dropbox_dedup_size": max(64 * 1024, 4 * 1024 * 1024 // scale),
         "seafile_chunk_size": max(16 * 1024, 1024 * 1024 // scale),
     }
 
 
-def _table2_config():
+def _table2_config(**overrides) -> DeltaCFSConfig:
     """Plain DeltaCFS, as in Tables II and Figures 8/9.
 
     The paper treats the checksum store as a separate variant ("DeltaCFSc"
     appears only in Table III), so the headline CPU/traffic rows use the
     plain client.
     """
-    from repro.common.config import DeltaCFSConfig
-
-    return DeltaCFSConfig(enable_checksums=False)
+    return DeltaCFSConfig(enable_checksums=False, **overrides)
 
 
-# One (solution, trace, setting) run serves every table/figure that needs
-# it — Table II and Figure 8 report different columns of the same runs, as
-# in the paper ("During measuring CPU consumption ... we also measured
-# their data transmission"). The key fingerprints the trace's actual
-# content, not just its name, so differently-parameterized variants of the
-# same workload never collide.
-_run_cache: Dict[Tuple, RunResult] = {}
+#: The paper's two testbeds: EC2-to-EC2, and a Galaxy Note3 on a WAN.
+SETTINGS = {
+    "pc": (PC_PROFILE, PC_NETWORK),
+    "mobile": (MOBILE_PROFILE, MOBILE_NETWORK),
+}
 
 
-def _trace_fingerprint(trace: Trace) -> Tuple:
-    return (
-        trace.name,
-        len(trace.ops),
-        trace.stats.bytes_written,
-        trace.stats.update_bytes,
-    )
+def _labelled(result: RunResult, setting: str) -> RunResult:
+    """``result`` as a row of ``setting`` — a copy; runs are never edited."""
+    return replace(result, extra={**result.extra, "setting": setting})
 
 
-def run_pc(name: str, trace: Trace, scale: int, fast: bool = False, **kwargs) -> RunResult:
-    """One PC-setting run (EC2-to-EC2 in the paper). Cached per trace."""
-    key = (name, _trace_fingerprint(trace), "pc")
-    if not kwargs and key in _run_cache:
-        return _run_cache[key]
+def run_in(setting: str, name: str, trace: Trace, scale: int, **kwargs) -> RunResult:
+    """One run of solution ``name`` over ``trace`` in ``setting``.
+
+    A non-PC result carries its setting in ``extra`` (the prefix
+    ``bench_metrics`` keys it under) from the moment it exists.
+    """
+    profile, network = SETTINGS[setting]
+    if name == "deltacfs":
+        kwargs.setdefault("config", _table2_config())
     result = run_trace(
-        name,
-        trace,
-        profile=PC_PROFILE,
-        network=PC_NETWORK,
-        config=_table2_config() if name == "deltacfs" else None,
-        **_scaled_kwargs(scale),
-        **kwargs,
+        name, trace, profile=profile, network=network, **scaled_kwargs(scale), **kwargs
     )
-    if not kwargs:
-        _run_cache[key] = result
-    return result
+    return result if setting == "pc" else _labelled(result, setting)
 
 
-def run_mobile(name: str, trace: Trace, scale: int, fast: bool = False, **kwargs) -> RunResult:
-    """One mobile-setting run (Galaxy Note3 on a WAN). Cached per trace."""
-    key = (name, _trace_fingerprint(trace), "mobile")
-    if not kwargs and key in _run_cache:
-        return _run_cache[key]
-    result = run_trace(
-        name,
-        trace,
-        profile=MOBILE_PROFILE,
-        network=MOBILE_NETWORK,
-        config=_table2_config() if name == "deltacfs" else None,
-        **_scaled_kwargs(scale),
-        **kwargs,
-    )
-    if not kwargs:
-        _run_cache[key] = result
-    return result
+run_pc = partial(run_in, "pc")
+run_mobile = partial(run_in, "mobile")
 
 
-# ---------------------------------------------------------------------------
-# Table II — CPU usage of different sync solutions
-# ---------------------------------------------------------------------------
+@cache
+def paper_runs(fast: bool, /) -> Mapping[Tuple[str, str, str], RunResult]:
+    """The paper's run matrix: ``{(setting, trace, solution): result}``.
+
+    Every cell is run once per process and shared, read-only, by every
+    table and figure that reports a column of it — Table II and Figure 8
+    are different columns of the same runs, as in the paper ("During
+    measuring CPU consumption ... we also measured their data
+    transmission"). PC cells then mobile cells, trace-major.
+    """
+    traces = bench_traces(fast)
+    return MappingProxyType({
+        (setting, trace_name, solution): run_in(setting, solution, trace, scale)
+        for setting, solutions in (("pc", PC_SOLUTIONS), ("mobile", MOBILE_SOLUTIONS))
+        for trace_name, (trace, scale) in traces.items()
+        for solution in solutions
+    })
+
+
+def _cells(fast: bool, *settings: str) -> List[RunResult]:
+    return [r for key, r in paper_runs(fast).items() if key[0] in settings]
 
 
 def table2_cpu(fast: bool = False) -> List[RunResult]:
-    """CPU ticks, client and server, PC rows then mobile rows."""
-    results: List[RunResult] = []
-    for trace_name, (trace, scale) in bench_traces(fast).items():
-        for solution in PC_SOLUTIONS:
-            results.append(run_pc(solution, trace, scale, fast))
-    for trace_name, (trace, scale) in bench_traces(fast).items():
-        for solution in MOBILE_SOLUTIONS:
-            result = run_mobile(solution, trace, scale, fast)
-            result.extra["setting"] = "mobile"
-            results.append(result)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Figure 8 — network transmission on PC
-# ---------------------------------------------------------------------------
+    """Table II — CPU ticks, client and server, PC rows then mobile rows."""
+    return _cells(fast, "pc", "mobile")
 
 
 def fig8_network_pc(fast: bool = False) -> List[RunResult]:
-    """Upload/download bytes for the four traces x four PC solutions."""
-    results: List[RunResult] = []
-    for trace_name, (trace, scale) in bench_traces(fast).items():
-        for solution in PC_SOLUTIONS:
-            results.append(run_pc(solution, trace, scale, fast))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Figure 9 — network traffic on mobile
-# ---------------------------------------------------------------------------
+    """Figure 8 — upload/download bytes, four traces x four PC solutions."""
+    return _cells(fast, "pc")
 
 
 def fig9_network_mobile(fast: bool = False) -> List[RunResult]:
-    """Upload/download bytes for the four traces, Dropsync vs DeltaCFS."""
-    results: List[RunResult] = []
-    for trace_name, (trace, scale) in bench_traces(fast).items():
-        for solution in MOBILE_SOLUTIONS:
-            result = run_mobile(solution, trace, scale, fast)
-            # Stamp the setting here too (not only in table2_cpu), so the
-            # report rows and bench-snapshot keys are the same whether or
-            # not table2 populated the run cache first.
-            result.extra["setting"] = "mobile"
-            results.append(result)
-    return results
+    """Figure 9 — upload/download bytes, four traces, Dropsync vs DeltaCFS."""
+    return _cells(fast, "mobile")
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +183,17 @@ def policy_sweep(fast: bool = False) -> List[RunResult]:
     rows (same traces, same config, default policy); ``always-rpc`` and
     ``always-delta`` bracket the selection space; ``cost-model`` must land
     within 5% of the better bracket on total uplink (the acceptance bar
-    the policy bench lane gates). Runs are stamped with a
+    the policy bench lane gates). Rows are labelled with a
     ``policy-<name>`` setting so bench keys never collide with fig8's.
     """
-    from repro.common.config import DeltaCFSConfig
-
-    results: List[RunResult] = []
-    for trace_name, (trace, scale) in bench_traces(fast).items():
-        for policy in SWEEP_POLICIES:
-            config = DeltaCFSConfig(enable_checksums=False, sync_policy=policy)
-            result = run_trace(
-                "deltacfs",
-                trace,
-                profile=PC_PROFILE,
-                network=PC_NETWORK,
-                config=config,
-                **_scaled_kwargs(scale),
-            )
-            result.extra["setting"] = f"policy-{policy}"
-            results.append(result)
-    return results
+    return [
+        _labelled(
+            run_pc("deltacfs", trace, scale, config=_table2_config(sync_policy=policy)),
+            f"policy-{policy}",
+        )
+        for trace, scale in bench_traces(fast).values()
+        for policy in SWEEP_POLICIES
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +221,7 @@ def fig1_motivation(fast: bool = False) -> List[RunResult]:
         for solution in ("dropbox", "seafile"):
             system = build_system(
                 solution, profile=PC_PROFILE, network=PC_NETWORK,
-                **_scaled_kwargs(scale),
+                **scaled_kwargs(scale),
             )
             system.preload(trace)
 
@@ -317,7 +287,7 @@ def fig2_dropsync_mobile(fast: bool = False) -> Fig2Result:
         "fullsync",
         profile=MOBILE_PROFILE,
         network=MOBILE_NETWORK,
-        **_scaled_kwargs(WECHAT_SCALE),
+        **scaled_kwargs(WECHAT_SCALE),
     )
     system.preload(trace)
     timeline: List[Tuple[float, int]] = []
@@ -377,3 +347,134 @@ def table4_reliability() -> List[ReliabilityOutcome]:
             )
         )
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Table III — local read/write performance (repro.harness.microbench)
+# ---------------------------------------------------------------------------
+
+
+def table3_microbench() -> List[MicrobenchResult]:
+    """The three filebench streams through the four stacks, workload-major.
+
+    One scale only: the latency model is arithmetic, not replay, so there
+    is nothing for ``--fast`` to trim.
+    """
+    return [
+        run_microbench(name, ops, stack)
+        for name, ops in (
+            ("fileserver", fileserver_ops()),
+            ("varmail", varmail_ops()),
+            ("webserver", webserver_ops()),
+        )
+        for stack in STACKS
+    ]
+
+
+def _table3_text(results: List[MicrobenchResult]) -> str:
+    rows = []
+    for workload, group in groupby(results, key=lambda r: r.workload):
+        per_stack = list(group)
+        # block size and input MiB are identical across stacks for one
+        # workload (0 = stack has no sync engine, so show the max).
+        rows.append(
+            [
+                workload,
+                str(max(r.block_size for r in per_stack)),
+                f"{per_stack[0].input_mb:.1f}",
+            ]
+            + [f"{r.mb_per_s:.1f}" for r in per_stack]
+        )
+    return format_table(["workload", "blk B", "in MiB"] + list(STACKS), rows)
+
+
+# ---------------------------------------------------------------------------
+# The experiment table — what `repro experiment` runs, prints and gates
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of :data:`EXPERIMENTS`.
+
+    ``run(fast)`` produces the results, ``render(results)`` the text
+    printed under ``=== title ===``, and ``metrics(results)`` — ``None``
+    for an experiment with nothing numeric to gate — the flat metric map
+    that ``--bench-json`` writes as ``BENCH_<name>.json``.
+    """
+
+    title: str
+    run: Callable[[bool], Any]
+    render: Callable[[Any], str]
+    metrics: Optional[Callable[[Any], Dict[str, float]]] = None
+
+
+def _table(headers: Sequence[str], row: Callable[[Any], Sequence[object]]):
+    """A ``render``: one ``row(result)`` per result under ``headers``."""
+    return lambda results: format_table(headers, [row(r) for r in results])
+
+
+_run_table = _table(
+    ["setting", "trace", "solution", "cli CPU", "srv CPU", "up", "down"],
+    lambda r: [
+        r.extra.get("setting", "pc"),
+        r.trace,
+        r.solution,
+        f"{r.client_ticks:.1f}",
+        f"{r.server_ticks:.1f}",
+        format_bytes(r.up_bytes),
+        format_bytes(r.down_bytes),
+    ],
+)
+
+#: Every experiment by name, in the order ``repro experiment all`` runs
+#: them. The CLI, ``--bench-json``, CI's bench gate and the pytest
+#: benchmarks (``benchmarks/conftest.regenerate``) all read this table.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table2": Experiment("Table II / CPU", table2_cpu, _run_table, run_metrics),
+    "fig8": Experiment("Figure 8 / network on PC", fig8_network_pc, _run_table, run_metrics),
+    "fig9": Experiment(
+        "Figure 9 / network on mobile", fig9_network_mobile, _run_table, run_metrics
+    ),
+    "policy": Experiment(
+        "Policy sweep / mechanism selection", policy_sweep, _run_table, run_metrics
+    ),
+    "fig1": Experiment(
+        "Figure 1 / motivation",
+        fig1_motivation,
+        _table(
+            ["workload", "solution", "cpu", "upload", "disk reads"],
+            lambda r: [
+                r.trace,
+                r.solution,
+                f"{r.client_ticks:.1f}",
+                format_bytes(r.up_bytes),
+                format_bytes(r.extra["read_bytes"]),
+            ],
+        ),
+        run_metrics,
+    ),
+    "fig2": Experiment(
+        "Figure 2 / Dropsync on mobile",
+        fig2_dropsync_mobile,
+        lambda r: (
+            f"traffic {format_bytes(r.total_traffic)}  "
+            f"update {format_bytes(r.update_bytes)}  "
+            f"TUE {r.tue:.1f}  CPU {r.cpu_ticks:.1f}"
+        ),
+    ),
+    "table3": Experiment(
+        "Table III / microbenchmarks (MB/s)",
+        lambda fast: table3_microbench(),
+        _table3_text,
+        microbench_metrics,
+    ),
+    "table4": Experiment(
+        "Table IV / reliability",
+        lambda fast: table4_reliability(),
+        _table(
+            ["service", "corrupted", "inconsistent", "causal"],
+            lambda o: [o.service, o.corrupted, o.inconsistent, o.causal_order],
+        ),
+    ),
+}

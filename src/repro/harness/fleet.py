@@ -52,6 +52,7 @@ from repro.common.config import DeltaCFSConfig
 from repro.common.rng import DeterministicRandom
 from repro.core.client import DeltaCFSClient
 from repro.cost.meter import CostMeter
+from repro.metrics import collector
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 from repro.obs.health import HealthReport, health_from_windows
@@ -322,84 +323,14 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
             _, shard = heapq.heappop(completions)
             shard_depth[shard] -= 1
 
-    while heap:
-        t, _, i, kind = heapq.heappop(heap)
-        now = clock.now()
-        if t > now:
-            clock.advance(t - now)
-        drain_completions(t)
-        client = clients[i]
-        cid = i + 1
-        path = f"/u{cid}/data.bin"
-        if kind == _WRITE:
-            wrng = write_rngs[i]
-            offset = wrng.randint(0, spec.file_size - spec.write_size - 1)
-            client.write(path, offset, wrng.random_bytes(spec.write_size))
-            client.close(path)
-            pending[i].append(t)
-            writes_issued += 1
-            writes_left[i] -= 1
-            obs.inc("fleet.writes.issued")
-            heapq.heappush(heap, (t + upload_delay + 1e-9, seq, i, _PUMP))
-            seq += 1
-            if writes_left[i] > 0:
-                waves[i] += 1
-                gap = _next_gap(spec, arrival_rngs[i], wave=waves[i])
-                base = t if spec.arrival == "poisson" else t0
-                heapq.heappush(heap, (base + gap, seq, i, _WRITE))
-                seq += 1
-        else:  # _PUMP
-            shard = home_shard[i]
-            meter = router.shard_meters[shard]
-            ticks_before = meter.total
-            client.pump()
-            shipped = channels[i].stats.up_bytes > up_marks[i]
-            if not shipped:
-                continue
-            up_marks[i] = channels[i].stats.up_bytes
-            service = (meter.total - ticks_before) * spec.tick_seconds
-            start = max(t, shard_busy[shard])
-            done = start + service
-            shard_busy[shard] = done
-            shard_busy_total[shard] += service
-            heapq.heappush(completions, (done, shard))
-            shard_depth[shard] += 1
-            if shard_depth[shard] > shard_queue_peak[shard]:
-                shard_queue_peak[shard] = shard_depth[shard]
-            rollup.record_depth(shard, t, shard_depth[shard])
-            rollup.record_busy(shard, start, service)
-            if obs.enabled:
-                obs.set_gauge(
-                    "fleet.shard.queue_depth", shard_depth[shard], shard=shard
-                )
-                obs.inc("fleet.shard.busy_time", service, shard=shard)
-            for write_t in pending[i]:
-                latency = done - write_t
-                rollup.record_latency(shard, done, latency)
-                obs.observe("fleet.sync.latency", latency)
-                if latency > spec.stall_horizon:
-                    shard_stalls[shard] += 1
-                    if obs.enabled:
-                        obs.event(
-                            "health.stall",
-                            shard=shard,
-                            client=cid,
-                            path=path,
-                            waited=latency,
-                        )
-            pending[i].clear()
-
-    # Anything still queued (a write whose pump raced the heap drain)
-    # ships at the end of the horizon.
-    for i, client in enumerate(clients):
-        if not pending[i]:
-            continue
+    def complete(i: int, now: float, ticks_before: float) -> Tuple[float, float]:
+        """Account what client ``i`` just shipped: the ticks its home
+        shard charged since ``ticks_before`` become service time appended
+        to the shard's busy horizon, and every pending write of the client
+        completes when that service does. Returns ``(done, service)``."""
         shard = home_shard[i]
-        meter = router.shard_meters[shard]
-        ticks_before = meter.total
-        client.flush()
-        service = (meter.total - ticks_before) * spec.tick_seconds
-        start = max(clock.now(), shard_busy[shard])
+        service = (router.shard_meters[shard].total - ticks_before) * spec.tick_seconds
+        start = max(now, shard_busy[shard])
         done = start + service
         shard_busy[shard] = done
         shard_busy_total[shard] += service
@@ -419,6 +350,59 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
                         waited=latency,
                     )
         pending[i].clear()
+        return done, service
+
+    while heap:
+        t, _, i, kind = heapq.heappop(heap)
+        now = clock.now()
+        if t > now:
+            clock.advance(t - now)
+        drain_completions(t)
+        client = clients[i]
+        shard = home_shard[i]
+        if kind == _WRITE:
+            wrng = write_rngs[i]
+            offset = wrng.randint(0, spec.file_size - spec.write_size - 1)
+            path = f"/u{i + 1}/data.bin"
+            client.write(path, offset, wrng.random_bytes(spec.write_size))
+            client.close(path)
+            pending[i].append(t)
+            writes_issued += 1
+            writes_left[i] -= 1
+            obs.inc("fleet.writes.issued")
+            heapq.heappush(heap, (t + upload_delay + 1e-9, seq, i, _PUMP))
+            seq += 1
+            if writes_left[i] > 0:
+                waves[i] += 1
+                gap = _next_gap(spec, arrival_rngs[i], wave=waves[i])
+                base = t if spec.arrival == "poisson" else t0
+                heapq.heappush(heap, (base + gap, seq, i, _WRITE))
+                seq += 1
+        else:  # _PUMP
+            ticks_before = router.shard_meters[shard].total
+            client.pump()
+            if channels[i].stats.up_bytes <= up_marks[i]:
+                continue  # nothing was due yet
+            up_marks[i] = channels[i].stats.up_bytes
+            done, service = complete(i, t, ticks_before)
+            heapq.heappush(completions, (done, shard))
+            shard_depth[shard] += 1
+            if shard_depth[shard] > shard_queue_peak[shard]:
+                shard_queue_peak[shard] = shard_depth[shard]
+            rollup.record_depth(shard, t, shard_depth[shard])
+            if obs.enabled:
+                obs.set_gauge(
+                    "fleet.shard.queue_depth", shard_depth[shard], shard=shard
+                )
+                obs.inc("fleet.shard.busy_time", service, shard=shard)
+
+    # Anything still queued (a write whose pump raced the heap drain)
+    # ships at the end of the horizon.
+    for i, client in enumerate(clients):
+        if pending[i]:
+            ticks_before = router.shard_meters[home_shard[i]].total
+            client.flush()
+            complete(i, clock.now(), ticks_before)
 
     if obs.enabled:
         _emit_telemetry(obs, spec, rollup, shard_stalls)
@@ -536,4 +520,4 @@ def bench_doc(results: List[FleetResult]) -> Dict[str, object]:
         metrics[f"{key}/shard_ticks_max"] = max(result.shard_ticks)
         metrics[f"{key}/ticks_per_client"] = result.ticks_per_client
         metrics[f"{key}/up_bytes"] = float(result.total_up_bytes)
-    return {"bench": "fleet", "schema": 1, "metrics": metrics}
+    return collector.bench_doc("fleet", metrics)

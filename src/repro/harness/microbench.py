@@ -33,6 +33,7 @@ from typing import Dict, List
 
 from repro.common.config import DeltaCFSConfig
 from repro.core.client import DeltaCFSClient
+from repro.metrics.collector import bench_doc
 from repro.vfs.filesystem import MemoryFileSystem
 from repro.workloads.filebench import FilebenchOp
 
@@ -196,12 +197,12 @@ def run_microbench(
     )
 
 
-def microbench_snapshot(results: List[MicrobenchResult]) -> Dict[str, object]:
-    """The ``BENCH_table3.json`` document for ``tools/bench_gate.py``.
+def microbench_metrics(results: List[MicrobenchResult]) -> Dict[str, float]:
+    """Table III's gate metrics, keyed ``workload/stack/metric``.
 
     The latency model is deterministic, so the baseline can be exact:
     every metric (modelled MB/s, modelled seconds, input MiB, block size)
-    gates at the default tolerance. Keys are ``workload/stack/metric``.
+    gates at the default tolerance.
     """
     metrics: Dict[str, float] = {}
     for r in results:
@@ -212,4 +213,9 @@ def microbench_snapshot(results: List[MicrobenchResult]) -> Dict[str, object]:
         metrics[f"{prefix}/seconds"] = round(r.seconds, 6)
         metrics[f"{prefix}/input_mb"] = round(r.input_mb, 4)
         metrics[f"{prefix}/block_size"] = float(r.block_size)
-    return {"bench": "table3", "schema": 1, "metrics": metrics}
+    return metrics
+
+
+def microbench_snapshot(results: List[MicrobenchResult]) -> Dict[str, object]:
+    """The ``BENCH_table3.json`` document for ``tools/bench_gate.py``."""
+    return bench_doc("table3", microbench_metrics(results))

@@ -16,7 +16,7 @@ from repro.common.config import DeltaCFSConfig
 from repro.cost.meter import CostMeter
 from repro.cost.profile import CostProfile, PC_PROFILE
 from repro.faults.network import NO_FAULTS, NetworkFaults
-from repro.metrics.collector import RunResult
+from repro.metrics.collector import RunResult, bench_doc
 from repro.net.reliable import ReliableTransport, RetryPolicy
 from repro.net.transport import Channel, NetworkModel, NetworkStats, PC_NETWORK
 from repro.obs import NULL_OBS, Observability
@@ -341,8 +341,6 @@ def run_trace(
 # benchmark snapshots (the BENCH_<name>.json trajectory)
 # ---------------------------------------------------------------------------
 
-BENCH_SCHEMA = 1
-
 
 def bench_metrics(result: RunResult) -> Dict[str, float]:
     """Flatten one run into the gate-comparable metric map.
@@ -368,17 +366,18 @@ def bench_metrics(result: RunResult) -> Dict[str, float]:
     return out
 
 
-def bench_snapshot(name: str, results: List[RunResult]) -> Dict[str, object]:
-    """The ``BENCH_<name>.json`` document for one experiment's runs.
-
-    The same shape is checked in as a baseline under
-    ``benchmarks/baselines/`` and compared by ``tools/bench_gate.py``;
-    baselines may additionally carry a ``tolerances`` map.
-    """
+def run_metrics(results: List[RunResult]) -> Dict[str, float]:
+    """The gate metrics of a list of runs: each run's :func:`bench_metrics`,
+    with colliding keys (two runs of one cell) an error."""
     metrics: Dict[str, float] = {}
     for result in results:
         for key, value in bench_metrics(result).items():
             if key in metrics:
-                raise ValueError(f"duplicate bench metric key {key!r} in {name}")
+                raise ValueError(f"duplicate bench metric key {key!r}")
             metrics[key] = value
-    return {"bench": name, "schema": BENCH_SCHEMA, "metrics": metrics}
+    return metrics
+
+
+def bench_snapshot(name: str, results: List[RunResult]) -> Dict[str, object]:
+    """The ``BENCH_<name>.json`` document for one experiment's runs."""
+    return bench_doc(name, run_metrics(results))

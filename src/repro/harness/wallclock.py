@@ -37,9 +37,9 @@ from repro.common.rng import DeterministicRandom
 from repro.core.sync_queue import DeltaNode, SyncQueue, WriteNode
 from repro.delta.format import Delta
 from repro.delta.rsync import compute_delta, compute_signature
+from repro.metrics.collector import bench_doc
 from repro.workloads.word import _evolve
 
-WALLCLOCK_SCHEMA = 1
 DEFAULT_INPUT_BYTES = 2 * 1024 * 1024
 DEFAULT_BLOCK_SIZE = 4096
 DEFAULT_REPEATS = 3
@@ -272,9 +272,4 @@ def wallclock_snapshot(
             for r in lanes
         },
     }
-    return {
-        "bench": "wallclock",
-        "schema": WALLCLOCK_SCHEMA,
-        "metrics": metrics,
-        "context": context,
-    }
+    return bench_doc("wallclock", metrics, context=context)

@@ -1,4 +1,5 @@
-"""The per-run result record every experiment produces."""
+"""The per-run result record every experiment produces, and the
+``BENCH_<name>.json`` document its gate metrics are snapshotted into."""
 
 from __future__ import annotations
 
@@ -55,3 +56,14 @@ class RunResult:
         if self.update_bytes <= 0:
             return TUE_UNDEFINED
         return self.total_bytes / self.update_bytes
+
+
+BENCH_SCHEMA = 1
+
+
+def bench_doc(name: str, metrics: Dict[str, float], **extra: object) -> Dict[str, object]:
+    """The ``BENCH_<name>.json`` document: ``metrics`` is what
+    ``tools/bench_gate.py`` compares against the baseline of the same
+    shape under ``benchmarks/baselines/`` (which may add a ``tolerances``
+    map); ``extra`` blocks ride along ungated."""
+    return {"bench": name, "schema": BENCH_SCHEMA, "metrics": metrics, **extra}

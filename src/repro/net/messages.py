@@ -8,7 +8,7 @@ information such as files' versions", and that is exactly the per-message
 version overhead modelled here.
 
 An *update* message is also the one statement of what the update is:
-:meth:`Message.paths` says which paths it touches, and the byte-level
+:meth:`Message.touched_paths` says which paths it touches, and the byte-level
 kinds (``UploadWrite`` / ``UploadWriteBatch`` / ``UploadTruncate`` /
 ``UploadFull``) say what they do to a file — ``apply_to(base)`` — and how
 many data bytes that moves — ``data_bytes()``. Server apply, conflict
@@ -64,13 +64,14 @@ class Message:
     """Base class; each subclass declares its layout with ``@_message``,
     which derives its ``wire_size()``."""
 
-    def paths(self) -> Tuple[str, ...]:
+    def touched_paths(self) -> Tuple[str, ...]:
         """Every path this message touches, in order: its ``path``, a
         :class:`MetaOp`'s ``dest``, and for a :class:`TxnGroup` those of
-        each member."""
+        each member; empty for a message that updates no file. (Not
+        ``paths``: that is :class:`ResyncRequest`'s field.)"""
         members = getattr(self, "members", None)
         if members is not None:
-            return tuple(path for member in members for path in member.paths())
+            return tuple(path for member in members for path in member.touched_paths())
         path = getattr(self, "path", "")
         dest = getattr(self, "dest", None)
         if dest:

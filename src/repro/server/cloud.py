@@ -270,7 +270,7 @@ class CloudServer:
         """
         saved = {
             path: (self.store.save_entry(path), path in self.dirs)
-            for path in group.paths()
+            for path in group.touched_paths()
         }
 
         placed: Dict[str, Set[Optional[VersionStamp]]] = {}
@@ -501,7 +501,7 @@ class CloudServer:
             )
 
     def _forward(self, message: Message, origin_client: int) -> None:
-        paths = message.paths()
+        paths = message.touched_paths()
         if paths:
             candidates: Set[int] = set()
             for path in paths:

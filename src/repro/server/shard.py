@@ -308,7 +308,7 @@ class ShardRouter:
     def _touched_shards(self, message: Message) -> List[int]:
         """Distinct shard indices the message touches, first-touch order."""
         indices: List[int] = []
-        for path in message.paths():
+        for path in message.touched_paths():
             index = self.shard_index_for_path(path)
             if index not in indices:
                 indices.append(index)
@@ -345,7 +345,7 @@ class ShardRouter:
                     src_shard=self.shard_index_for_path(message.path),
                     dst_shard=target,
                 )
-        for path in message.paths():
+        for path in message.touched_paths():
             self._migrate(path, target, reason=kind)
         return target
 

@@ -5,175 +5,98 @@ module provides the equivalent: a compact, versioned binary format for
 operation streams (including write payloads), so captured or synthesized
 traces can be stored, shared, and replayed byte-identically.
 
-Format: an 8-byte magic+version header, a JSON metadata block (name,
-stats, preload index), then one length-prefixed record per operation:
+Format (``DCFSTRC1``, little-endian): the 8-byte magic+version, a
+length-prefixed JSON metadata block (name, stats, sorted preload paths,
+op count), one length-prefixed content blob per preload path, then one
+record per operation. The records are the field tables the operations
+declare on themselves (:data:`repro.vfs.ops.OP_RECORD`); the framing
+around them is the two tables below — nothing here knows an op's layout.
 
-    [kind u8][timestamp f64][path len u16][path][fields...]
-
-Payload-carrying records append ``[length u32][bytes]``.
+Loading is strict: a short read, an unknown kind tag, a byte after the
+last record, a count or length that disagrees with the bytes, and a
+metadata block of the wrong shape are all ``ValueError``.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import struct
-from typing import BinaryIO, Dict
+from dataclasses import asdict, fields
+from typing import BinaryIO, Dict, Iterator
 
-from repro.vfs.ops import (
-    CloseOp,
-    CreateOp,
-    FileOp,
-    LinkOp,
-    MkdirOp,
-    ReadOp,
-    RenameOp,
-    RmdirOp,
-    TruncateOp,
-    UnlinkOp,
-    WriteOp,
-)
+from repro.common import wire
+from repro.vfs import ops
 from repro.workloads.traces import Trace, TraceStats
 
 _MAGIC = b"DCFSTRC1"
+_META = wire.Schema("trace metadata", wire.blob("json", wire.u32le), scalar=True)
+_PRELOAD = wire.Schema("preload content", wire.blob("content", wire.u32le), scalar=True)
 
-_KINDS = {
-    CreateOp: 1,
-    WriteOp: 2,
-    ReadOp: 3,
-    TruncateOp: 4,
-    RenameOp: 5,
-    LinkOp: 6,
-    UnlinkOp: 7,
-    CloseOp: 8,
-    MkdirOp: 9,
-    RmdirOp: 10,
-}
-_BY_KIND = {v: k for k, v in _KINDS.items()}
-
-_HEAD = struct.Struct("<Bd")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+_META_SHAPE = {"name": str, "stats": dict, "preload_paths": list, "op_records": int}
+_STATS_SHAPE = {f.name: int for f in fields(TraceStats)}
 
 
-def _write_str(out: BinaryIO, text: str) -> None:
-    raw = text.encode()
-    out.write(_U16.pack(len(raw)))
-    out.write(raw)
+def _shaped(obj: object, shape: Dict[str, type], what: str) -> dict:
+    """``obj``, if it is a JSON object with exactly ``shape``'s keys and types."""
+    if not isinstance(obj, dict) or obj.keys() != shape.keys():
+        raise ValueError(f"malformed trace {what}: want an object with keys {list(shape)}")
+    for key, kind in shape.items():
+        if type(obj[key]) is not kind:  # exact: JSON ``true`` is not a count
+            raise ValueError(f"malformed trace {what}: {key!r} is not {kind.__name__}")
+    return obj
 
 
-def _read_str(buf: BinaryIO) -> str:
-    (n,) = _U16.unpack(buf.read(2))
-    raw = buf.read(n)
-    if len(raw) != n:
-        raise ValueError("truncated string field")
-    return raw.decode()
+def _records(trace: Trace) -> Iterator[bytes]:
+    """The file, piece by piece: magic, metadata, preload blobs, op records."""
+    paths = sorted(trace.preload)
+    meta = {
+        "name": trace.name,
+        "stats": asdict(trace.stats),
+        "preload_paths": paths,
+        "op_records": len(trace.ops),
+    }
+    yield _MAGIC
+    yield _META.encode(json.dumps(meta).encode())
+    for path in paths:
+        yield _PRELOAD.encode(trace.preload[path])
+    yield from map(ops.OP_RECORD.encode, trace.ops)
 
 
-def _write_bytes(out: BinaryIO, data: bytes) -> None:
-    out.write(_U32.pack(len(data)))
-    out.write(data)
+def trace_to_bytes(trace: Trace) -> bytes:
+    """Serialize ``trace`` (ops, stats, and preload content)."""
+    return b"".join(_records(trace))
 
 
-def _read_bytes(buf: BinaryIO) -> bytes:
-    (n,) = _U32.unpack(buf.read(4))
-    data = buf.read(n)
-    if len(data) != n:
-        raise ValueError("truncated payload")
-    return data
+def trace_from_bytes(raw: bytes) -> Trace:
+    """Parse what :func:`trace_to_bytes` wrote; ``ValueError`` on anything else."""
+    if not raw.startswith(_MAGIC):
+        raise ValueError(f"not a DeltaCFS trace (magic {raw[:len(_MAGIC)]!r})")
+    block, pos = _META.decode_from(raw, len(_MAGIC))
+    meta = _shaped(json.loads(block), _META_SHAPE, "metadata")
+    stats = TraceStats(**_shaped(meta["stats"], _STATS_SHAPE, "stats"))
+    paths, op_records = meta["preload_paths"], meta["op_records"]
+    if not all(isinstance(p, str) for p in paths) or paths != sorted(set(paths)):
+        raise ValueError("malformed trace metadata: preload paths not sorted unique strings")
+    if op_records < 0:
+        raise ValueError(f"malformed trace metadata: {op_records} op records")
+    trace = Trace(name=meta["name"], stats=stats)
+    for path in paths:
+        trace.preload[path], pos = _PRELOAD.decode_from(raw, pos)
+    for _ in range(op_records):
+        op, pos = ops.OP_RECORD.decode_from(raw, pos)
+        trace.ops.append(op)
+    if pos != len(raw):
+        raise ValueError(f"{len(raw) - pos} trailing byte(s) after the last trace record")
+    return trace
 
 
 def dump_trace(trace: Trace, out: BinaryIO) -> None:
-    """Serialize ``trace`` (ops, stats, and preload content) to ``out``."""
-    out.write(_MAGIC)
-    meta = {
-        "name": trace.name,
-        "stats": {
-            "op_count": trace.stats.op_count,
-            "bytes_written": trace.stats.bytes_written,
-            "update_bytes": trace.stats.update_bytes,
-        },
-        "preload_paths": sorted(trace.preload),
-        "op_records": len(trace.ops),
-    }
-    raw_meta = json.dumps(meta).encode()
-    out.write(_U32.pack(len(raw_meta)))
-    out.write(raw_meta)
-    for path in sorted(trace.preload):
-        _write_bytes(out, trace.preload[path])
-    for op in trace.ops:
-        kind = _KINDS.get(type(op))
-        if kind is None:
-            raise TypeError(f"cannot serialize {type(op).__name__}")
-        out.write(_HEAD.pack(kind, op.timestamp))
-        if isinstance(op, (RenameOp, LinkOp)):
-            _write_str(out, op.src)
-            _write_str(out, op.dst)
-        else:
-            _write_str(out, op.path)
-        if isinstance(op, WriteOp):
-            out.write(_U64.pack(op.offset))
-            _write_bytes(out, op.data)
-        elif isinstance(op, ReadOp):
-            out.write(_U64.pack(op.offset))
-            out.write(_U64.pack(op.length))
-        elif isinstance(op, TruncateOp):
-            out.write(_U64.pack(op.length))
+    """Write ``trace`` to a binary stream, one record at a time."""
+    out.writelines(_records(trace))
 
 
 def load_trace(buf: BinaryIO) -> Trace:
-    """Parse a trace written by :func:`dump_trace`.
-
-    Raises ``ValueError`` on a bad magic or truncated stream.
-    """
-    try:
-        return _load_trace(buf)
-    except struct.error as exc:  # short read inside a record
-        raise ValueError(f"truncated trace stream: {exc}") from exc
-
-
-def _load_trace(buf: BinaryIO) -> Trace:
-    magic = buf.read(len(_MAGIC))
-    if magic != _MAGIC:
-        raise ValueError(f"not a DeltaCFS trace (magic {magic!r})")
-    (meta_len,) = _U32.unpack(buf.read(4))
-    meta = json.loads(buf.read(meta_len).decode())
-
-    preload: Dict[str, bytes] = {}
-    for path in meta["preload_paths"]:
-        preload[path] = _read_bytes(buf)
-
-    trace = Trace(name=meta["name"], preload=preload)
-    trace.stats = TraceStats(**meta["stats"])
-    for _ in range(meta["op_records"]):
-        head = buf.read(_HEAD.size)
-        if len(head) != _HEAD.size:
-            raise ValueError("truncated op stream")
-        kind, timestamp = _HEAD.unpack(head)
-        op_type = _BY_KIND.get(kind)
-        if op_type is None:
-            raise ValueError(f"unknown op kind {kind}")
-        if op_type in (RenameOp, LinkOp):
-            src = _read_str(buf)
-            dst = _read_str(buf)
-            trace.ops.append(op_type(src, dst, timestamp=timestamp))
-            continue
-        path = _read_str(buf)
-        if op_type is WriteOp:
-            (offset,) = _U64.unpack(buf.read(8))
-            data = _read_bytes(buf)
-            trace.ops.append(WriteOp(path, offset, data, timestamp=timestamp))
-        elif op_type is ReadOp:
-            (offset,) = _U64.unpack(buf.read(8))
-            (length,) = _U64.unpack(buf.read(8))
-            trace.ops.append(ReadOp(path, offset, length, timestamp=timestamp))
-        elif op_type is TruncateOp:
-            (length,) = _U64.unpack(buf.read(8))
-            trace.ops.append(TruncateOp(path, length, timestamp=timestamp))
-        else:
-            trace.ops.append(op_type(path, timestamp=timestamp))
-    return trace
+    """Read a trace from a binary stream (which must end where it does)."""
+    return trace_from_bytes(buf.read())
 
 
 def save_trace_file(trace: Trace, path: str) -> None:
@@ -186,15 +109,3 @@ def load_trace_file(path: str) -> Trace:
     """Read a trace from ``path``."""
     with open(path, "rb") as fh:
         return load_trace(fh)
-
-
-def trace_to_bytes(trace: Trace) -> bytes:
-    """Serialize to an in-memory buffer."""
-    out = io.BytesIO()
-    dump_trace(trace, out)
-    return out.getvalue()
-
-
-def trace_from_bytes(raw: bytes) -> Trace:
-    """Deserialize from an in-memory buffer."""
-    return load_trace(io.BytesIO(raw))

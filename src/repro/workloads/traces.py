@@ -7,19 +7,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.clock import VirtualClock
 from repro.vfs.filesystem import FileSystemAPI
-from repro.vfs.ops import (
-    CloseOp,
-    CreateOp,
-    FileOp,
-    LinkOp,
-    MkdirOp,
-    ReadOp,
-    RenameOp,
-    RmdirOp,
-    TruncateOp,
-    UnlinkOp,
-    WriteOp,
-)
+from repro.vfs.ops import FileOp
 
 
 @dataclass
@@ -55,29 +43,11 @@ class Trace:
 
 
 def apply_op(fs: FileSystemAPI, op: FileOp) -> None:
-    """Apply one trace operation to a file system layer."""
-    if isinstance(op, CreateOp):
-        fs.create(op.path)
-    elif isinstance(op, WriteOp):
-        fs.write(op.path, op.offset, op.data)
-    elif isinstance(op, ReadOp):
-        fs.read(op.path, op.offset, op.length)
-    elif isinstance(op, TruncateOp):
-        fs.truncate(op.path, op.length)
-    elif isinstance(op, RenameOp):
-        fs.rename(op.src, op.dst)
-    elif isinstance(op, LinkOp):
-        fs.link(op.src, op.dst)
-    elif isinstance(op, UnlinkOp):
-        fs.unlink(op.path)
-    elif isinstance(op, CloseOp):
-        fs.close(op.path)
-    elif isinstance(op, MkdirOp):
-        fs.mkdir(op.path)
-    elif isinstance(op, RmdirOp):
-        fs.rmdir(op.path)
-    else:
+    """Apply one trace operation to a file system layer (``op.apply(fs)``)."""
+    apply = getattr(op, "apply", None)
+    if apply is None:
         raise TypeError(f"cannot replay {type(op).__name__}")
+    apply(fs)
 
 
 def replay(
@@ -101,6 +71,6 @@ def replay(
             clock.advance(step)
             if pump is not None:
                 pump(clock.now())
-        apply_op(fs, op)
+        op.apply(fs)
     if pump is not None:
         pump(clock.now())

@@ -37,3 +37,6 @@ class Backend:
 
     def decode(self, buf):
         return buf
+
+
+from struct import Struct  # reprolint: disable=WIRE001

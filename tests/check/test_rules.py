@@ -162,8 +162,18 @@ class TestWireFields:
             "        return buf\n"
         )
         findings = lint_source(src)
-        assert [f.rule for f in findings] == ["WIRE001", "WIRE001"]
-        assert [f.line for f in findings] == [3, 6]
+        assert [f.rule for f in findings] == ["WIRE001"] * 3
+        assert [f.line for f in findings] == [1, 3, 6]  # the import, too
+
+    @pytest.mark.parametrize("line", [
+        "import struct", "import io, struct as s", "from struct import Struct",
+    ])
+    def test_struct_import_flagged_outside_the_field_table_module(self, line):
+        # A codec written as plain functions has no class to inspect (the
+        # trace-file codec was one); its raw material is what gets flagged.
+        assert rules_hit(line + "\n") == ["WIRE001"]
+        assert rules_hit(line + "\n", rel_path="common/wire.py") == []
+        assert rules_hit("from .struct import x\nimport structlog\n") == []
 
     def test_declared_field_table_is_clean(self):
         src = (

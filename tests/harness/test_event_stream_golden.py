@@ -15,6 +15,7 @@ re-recorded by a PR whose ISSUE says the event stream changes.**
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -26,9 +27,11 @@ from repro.common.rng import DeterministicRandom
 from repro.cost.meter import CostMeter
 from repro.faults.crash import inject_crash_inconsistency, simulate_crash
 from repro.faults.network import NetworkFaults
+from repro.harness.fleet import FleetSpec, run_fleet
 from repro.harness.runner import run_trace
 from repro.kvstore.kv import MemoryKV
 from repro.obs import Observability, Tracer
+from repro.obs.names import EVENT_NAMES, event_spec
 from repro.server.cloud import CloudServer
 from repro.server.shard import ShardRouter
 from repro.sim import Simulation
@@ -54,13 +57,17 @@ SERVERS = {
 }
 
 
-def _digest(obs: Observability, numbers) -> str:
-    """One hash over the trace, the metrics and the result numbers."""
+def _digest(obs: Observability, numbers):
+    """One hash over the trace, the metrics and the result numbers — and,
+    beside it, every distinct (name, attr keys) the run emitted."""
     doc = [obs.tracer.to_jsonl(), obs.metrics.snapshot(), numbers]
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    emitted = frozenset(
+        (e.name, tuple(e.attrs)) for e in obs.tracer.events() if e.type != "span_end"
+    )
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(), emitted
 
 
-def _replay(trace, solution="deltacfs", **kwargs) -> str:
+def _replay(trace, solution="deltacfs", **kwargs):
     obs = Observability(tracer=Tracer())
     result = run_trace(solution, trace, obs=obs, **kwargs)
     return _digest(obs, dataclasses.asdict(result))
@@ -104,7 +111,7 @@ def _save(client, path: str, content: bytes, tmp: str) -> None:
     client.unlink(path + ".bak")
 
 
-def _three_clients(server_kind: str) -> str:
+def _three_clients(server_kind: str):
     """Three devices sharing one folder: every delta trigger rule, a batched
     write, a truncate, a hard link, a lone conflict and a conflicting
     transactional group."""
@@ -197,7 +204,7 @@ def _three_clients(server_kind: str) -> str:
     return _digest(obs, _replica_numbers(sim))
 
 
-def _crash_recovery() -> str:
+def _crash_recovery():
     """Crash with pending write -> truncate -> write on one file and a
     pending in-place delta on another, tear a block of each, recover."""
     obs = Observability(tracer=Tracer())
@@ -256,6 +263,26 @@ def _cases() -> dict:
 
 CASES = _cases()
 
+# Catalog names no run below emits. Pinned so the list can only shrink: a
+# new catalog entry is either emitted here — and its attrs checked
+# against its emitter — or consciously added to it.
+NEVER_EMITTED = ["relation.invalidate"]
+
+
+def _small_fleet():
+    """Not a golden case (test_tracing_golden.py pins the fleet's numbers):
+    a 12-client fleet whose every write counts as a stall, so the fleet
+    driver's own events are emitted and their attrs checked below."""
+    obs = Observability(tracer=Tracer())
+    spec = FleetSpec(n_clients=12, n_shards=2, writes_per_client=2, stall_horizon=1e-6)
+    return _digest(obs, run_fleet(spec, obs=obs).writes)
+
+
+@functools.cache
+def _ran(case: str):
+    """``(digest, emitted)`` of one scripted run, run once per session."""
+    return CASES[case]()
+
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
@@ -268,12 +295,26 @@ def test_golden_names_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_event_stream_bit_identical(golden, case):
-    assert CASES[case]() == golden[case]
+    assert _ran(case)[0] == golden[case]
+
+
+def test_emitted_attrs_are_the_catalogs(golden):
+    """The catalog is checked against the docs by ``tools/lint_obs_docs.py``;
+    this checks it against the emitters: every span start and point event
+    of every run carries exactly its ``EventSpec.attrs``, in order."""
+    seen = set()
+    emissions = {case: _ran(case)[1] for case in CASES}
+    emissions["small-fleet"] = _small_fleet()[1]
+    for case, emitted in emissions.items():
+        for name, keys in sorted(emitted):
+            assert keys == event_spec(name).attrs, (case, name)
+            seen.add(name)
+    assert sorted(set(EVENT_NAMES) - seen) == NEVER_EMITTED
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({name: run() for name, run in CASES.items()}, indent=1) + "\n",
+        json.dumps({name: run()[0] for name, run in CASES.items()}, indent=1) + "\n",
         encoding="utf-8",
     )
     print(f"recorded {len(CASES)} digests in {GOLDEN}")

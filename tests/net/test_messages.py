@@ -97,3 +97,44 @@ class TestGroupsAndExchange:
         inner = UploadWrite(path="/f", offset=0, data=b"x" * 100)
         fwd = Forward(origin_client=1, inner=inner)
         assert fwd.wire_size() > inner.wire_size()
+
+
+class TestTouchedPaths:
+    """`touched_paths()` is total: every message class answers it."""
+
+    @staticmethod
+    def _subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from TestTouchedPaths._subclasses(sub)
+
+    def test_every_message_class_answers(self):
+        from repro.net.messages import Message
+        from tests.net.test_golden_wire import message_instances
+
+        instances = message_instances().values()
+        assert {type(msg) for msg in instances} == set(self._subclasses(Message))
+        for msg in instances:
+            paths = msg.touched_paths()
+            assert isinstance(paths, tuple), type(msg).__name__
+            assert all(isinstance(p, str) and p for p in paths), type(msg).__name__
+
+    def test_resync_request_field_does_not_shadow_it(self):
+        # The dataclass field `paths` used to win over a method of the same
+        # name: calling it was `TypeError: 'tuple' object is not callable`,
+        # and so were `_forward` and the router's `_touched_shards`.
+        from repro.net.messages import ResyncRequest
+        from repro.server.shard import ShardRouter
+
+        request = ResyncRequest(paths=("/a", "/b"))
+        assert request.paths == ("/a", "/b")
+        assert request.touched_paths() == ()  # it asks; it updates nothing
+        assert ShardRouter(2)._touched_shards(request) == [0]
+
+    def test_update_messages_name_what_they_touch(self):
+        write = UploadWrite(path="/b", offset=0, data=b"d")
+        rename = MetaOp(kind="rename", path="/a", dest="/b")
+        assert write.touched_paths() == ("/b",)
+        assert rename.touched_paths() == ("/a", "/b")
+        assert TxnGroup(members=(rename, write)).touched_paths() == ("/a", "/b", "/b")
+        assert Ack().touched_paths() == ()

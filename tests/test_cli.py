@@ -43,6 +43,35 @@ def test_replay_unknown_solution(tmp_path, capsys):
     assert main(["replay", trace_path, "--solution", "icloud"]) == 2
 
 
+@pytest.mark.parametrize("damage", [
+    lambda raw: b"",                      # an empty file
+    lambda raw: b"NOTATRAC" + raw[8:],    # a bad magic
+    lambda raw: raw[: len(raw) // 2],     # a truncated file
+    lambda raw: raw + b"garbage",         # trailing bytes
+], ids=["empty", "bad-magic", "truncated", "trailing-garbage"])
+def test_replay_malformed_trace_is_a_clean_error(tmp_path, capsys, damage):
+    good = tmp_path / "g.trace"
+    main(["trace", "gedit", "--out", str(good), "--ops", "1"])
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(damage(good.read_bytes()))
+    capsys.readouterr()
+    assert main(["replay", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot read trace {str(bad)!r}: ")
+    assert captured.out == ""
+
+
+def test_replay_unreadable_trace_is_a_clean_error(tmp_path, capsys):
+    assert main(["replay", str(tmp_path / "missing.trace")]) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_experiment_runs_several_names_in_table_order(capsys):
+    assert main(["experiment", "table4", "fig2", "--fast"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("Figure 2") < out.index("Table IV")
+
+
 def test_bad_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
