@@ -23,6 +23,7 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
+from repro.common.config import SYNC_POLICIES
 from repro.metrics.report import format_bytes, format_table, format_tue
 
 
@@ -805,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--sync-policy", default=None,
-        choices=["static", "cost-model", "always-rpc", "always-delta"],
+        choices=SYNC_POLICIES,
         help="mechanism-selection policy: static (paper behaviour), "
              "cost-model (online RPC-vs-delta scoring), or the bounding "
              "policies (deltacfs only)",

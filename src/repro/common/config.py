@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: The mechanism-selection policy names — the one list; ``repro.core.policy``
+#: asserts at import that its class table has exactly these keys.
+SYNC_POLICIES = ("static", "cost-model", "always-rpc", "always-delta")
+
 
 @dataclass
 class DeltaCFSConfig:
@@ -93,10 +97,9 @@ class DeltaCFSConfig:
             raise ValueError("delta_backend must name a registered backend")
         # Policy names are validated here (cheap, no imports); the backend
         # name resolves against the registry when the client builds it.
-        valid_policies = ("static", "cost-model", "always-rpc", "always-delta")
-        if self.sync_policy not in valid_policies:
+        if self.sync_policy not in SYNC_POLICIES:
             raise ValueError(
-                f"sync_policy must be one of {valid_policies}, "
+                f"sync_policy must be one of {SYNC_POLICIES}, "
                 f"not {self.sync_policy!r}"
             )
         if self.policy_cpu_byte_rate < 0:

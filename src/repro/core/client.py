@@ -453,10 +453,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             first_create = min(create_seqs)
             doomed = [n for n in pending if n.seq >= first_create]
             self.queue.cancel_nodes(doomed)
-            self._journal_forget(doomed)
-            self._dead_versions.update(
-                n.new_version for n in doomed if n.new_version is not None
-            )
+            self._never_uploads(doomed)
             self._pending_create_delta.pop(path, None)
         else:
             self._enqueue_meta("unlink", path, None, new_version=None, now=now)
@@ -558,10 +555,10 @@ class DeltaCFSClient(PassthroughFileSystem):
         if pending:
             self.queue.pack(path)
             self.queue.cancel_nodes(pending)
-            self._journal_forget(pending)
-            self._dead_versions.update(
-                n.new_version for n in pending if n.new_version is not None
-            )
+            self._never_uploads(pending)
+        # What was held against the superseded content goes with it.
+        self._undo_clear(path)
+        self._pending_create_delta.pop(path, None)
         self.channel.upload(RestoreRequest(path=path, version=version), now)
         content = self.server.restore_version(
             path, version, origin_client=self.client_id
@@ -575,8 +572,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         if content:
             self.inner.write(path, 0, content)
         self.versions[path] = version
-        if self.checksums is not None:
-            self.checksums.reindex(path, content)
+        self._realign_links(path)
         return content
 
     def crash_recovery_scan(self, recently_modified: List[str]) -> List[str]:
@@ -649,6 +645,14 @@ class DeltaCFSClient(PassthroughFileSystem):
         if self.journal is not None:
             for node in nodes:
                 self.journal.forget_node(node.seq)
+
+    def _never_uploads(self, nodes) -> None:
+        """``nodes`` left the queue unshipped: retire their journal records
+        and note their versions dead — no later delta may name one as base."""
+        self._journal_forget(nodes)
+        self._dead_versions.update(
+            n.new_version for n in nodes if n.new_version is not None
+        )
 
     def _journal_relation(self, src: str) -> None:
         if self.journal is not None:
@@ -771,11 +775,8 @@ class DeltaCFSClient(PassthroughFileSystem):
                     new_version=self._mint(),
                 )
                 self.queue.replace_with_delta(doomed, node, now)
-                self._journal_forget(doomed)
+                self._never_uploads(doomed)
                 self._journal_node(node)
-                self._dead_versions.update(
-                    v for v in doomed_versions if v is not None
-                )
                 self.versions[path] = node.new_version
             elif self.obs.enabled:
                 self.obs.inc("client.delta.rpc_wins")
@@ -1057,6 +1058,11 @@ class DeltaCFSClient(PassthroughFileSystem):
         elif isinstance(message, UploadFull):
             self.inner.write_file(path, message.data)
             self.versions[path] = message.new_version
+        self._realign_links(path)
+
+    def _realign_links(self, path: str) -> None:
+        """Local content of ``path`` was replaced (forward, restore, recovery):
+        re-index every hard-linked name and align its version with the path's."""
         if (
             self.checksums is not None
             and self.inner.exists(path)
@@ -1105,7 +1111,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         )
         self.inner.write_file(path, content)
         self.versions[path] = version
-        if self.checksums is not None:
-            self.checksums.reindex(path, content)
+        self._realign_links(path)
         self.stats.recoveries += 1
         return content

@@ -31,13 +31,12 @@ happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from repro.common.config import SYNC_POLICIES as POLICIES
 from repro.cost.profile import CostProfile, PC_PROFILE
 from repro.delta.backends import DeltaBackend, get_backend
 from repro.obs import NULL_OBS, Observability
-
-POLICIES: Tuple[str, ...] = ("static", "cost-model", "always-rpc", "always-delta")
 
 
 @dataclass(frozen=True)
@@ -252,6 +251,7 @@ _POLICY_CLASSES = {
     "always-rpc": AlwaysRpcPolicy,
     "always-delta": AlwaysDeltaPolicy,
 }
+assert tuple(_POLICY_CLASSES) == POLICIES, "one class per name in SYNC_POLICIES"
 
 
 def make_policy(

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.cost.profile import CostProfile
+from repro.delta.bitwise import bitwise_delta
 from repro.delta.format import Copy, Delta, Literal
 from repro.delta.patch import apply_delta
 from repro.delta.rsync import Signature, compute_delta, compute_signature
@@ -133,8 +134,7 @@ class BitwiseBackend(DeltaBackend):
         *,
         meter: CostMeter = NULL_METER,
     ) -> Delta:
-        signature = compute_signature(old, block_size, with_strong=False, meter=meter)
-        return compute_delta(signature, new, base=old, meter=meter)
+        return bitwise_delta(old, new, block_size, meter=meter)
 
     def estimate_ticks(
         self, old_len: int, new_len: int, block_size: int, profile: CostProfile

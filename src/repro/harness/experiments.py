@@ -24,7 +24,7 @@ from itertools import groupby
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.config import DeltaCFSConfig
+from repro.common.config import SYNC_POLICIES as SWEEP_POLICIES, DeltaCFSConfig
 from repro.cost.profile import MOBILE_PROFILE, PC_PROFILE
 from repro.harness.microbench import (
     STACKS,
@@ -172,8 +172,6 @@ def fig9_network_mobile(fast: bool = False) -> List[RunResult]:
 # ---------------------------------------------------------------------------
 # Policy sweep — Figure 8 traces x mechanism-selection policies
 # ---------------------------------------------------------------------------
-
-SWEEP_POLICIES = ("static", "cost-model", "always-rpc", "always-delta")
 
 
 def policy_sweep(fast: bool = False) -> List[RunResult]:

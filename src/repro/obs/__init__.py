@@ -18,8 +18,9 @@ Two primitives, one facade:
   helpers (``obs.inc(...)``, ``obs.span(...)``).
 
 The full instrumentation contract — naming scheme, span hierarchy, JSONL
-schema — lives in ``docs/observability.md`` and is lint-checked against
-``repro.obs.names`` in CI.
+schema — lives in ``docs/observability.md``, whose catalog tables are
+rendered from ``repro.obs.names`` (``tools/obs_docs.py``; CI fails when
+they are stale).
 
 The offline read side lives next door: :mod:`repro.obs.analyze` rebuilds
 span trees and attributes uplink bytes from a recorded JSONL trace, and

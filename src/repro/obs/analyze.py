@@ -44,6 +44,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.registry import parse_series_name
+
 #: message class -> attribution mechanism for first-copy, first-attempt bytes.
 MECHANISM_BY_TYPE: Dict[str, str] = {
     "UploadFull": "rpc",
@@ -158,10 +160,51 @@ class TraceDoc:
         return None
 
 
+_SPAN_RECORDS = ("span_start", "span_end")
+_RECORD_TYPES = _SPAN_RECORDS + ("event", "snapshot")
+#: JSONL key -> (JSON type it holds, in words, record types that require it).
+_RECORD_KEYS: Dict[str, Tuple[object, str, Tuple[str, ...]]] = {
+    "name": (str, "a string", _SPAN_RECORDS + ("event",)),
+    "id": (int, "an integer", _SPAN_RECORDS),
+    "parent": ((int, type(None)), "an integer or null", ()),
+    "ts": ((int, float), "a number", ()),
+    "src": (str, "a string", ()),
+    "attrs": (dict, "an object", ()),
+    "metrics": (dict, "an object", ()),
+}
+
+
+def _holds(value: object, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _schema_problem(record: object) -> Optional[str]:
+    """Why ``record`` is not a documented JSONL record (``None``: it is)."""
+    if not isinstance(record, dict) or "type" not in record:
+        return "record without a type"
+    if record["type"] not in _RECORD_TYPES:
+        return f"unknown record type {record['type']!r}"
+    for key, (types, words, required_in) in _RECORD_KEYS.items():
+        if key not in record:
+            if record["type"] in required_in:
+                return f"{record['type']} record without {key!r}"
+        elif not _holds(record[key], types):
+            return f"{key!r} must be {words}, not {record[key]!r}"
+    if record.get("name") == "trace.link":
+        # A link's attrs name a span of another source: ids, like ``id``.
+        for key in ("span", "trace"):
+            if not _holds(record.get("attrs", {}).get(key, 0), int):
+                return f"trace.link attr {key!r} must be an integer"
+    if not all(_holds(v, (int, float, dict)) for v in record.get("metrics", {}).values()):
+        return "'metrics' values must be numbers or histogram objects"
+    return None
+
+
 def _parse_lines(
     lines: Iterable[str], *, label: str = ""
 ) -> Tuple[List[dict], List[dict]]:
-    """JSONL lines -> (trace records, snapshot records); schema-checked."""
+    """JSONL lines -> (trace records, snapshot records); schema-checked, so
+    :func:`_build_doc` can trust the keys and types it is handed."""
     records: List[dict] = []
     snapshots: List[dict] = []
     where = f"{label}: " if label else ""
@@ -175,17 +218,10 @@ def _parse_lines(
             raise TraceFormatError(
                 f"{where}line {lineno}: not JSON ({exc})"
             ) from exc
-        if not isinstance(record, dict) or "type" not in record:
-            raise TraceFormatError(f"{where}line {lineno}: record without a type")
-        kind = record["type"]
-        if kind == "snapshot":
-            snapshots.append(record)
-            continue
-        if kind not in ("span_start", "span_end", "event"):
-            raise TraceFormatError(
-                f"{where}line {lineno}: unknown record type {kind!r}"
-            )
-        records.append(record)
+        problem = _schema_problem(record)
+        if problem is not None:
+            raise TraceFormatError(f"{where}line {lineno}: {problem}")
+        (snapshots if record["type"] == "snapshot" else records).append(record)
     return records, snapshots
 
 
@@ -248,17 +284,16 @@ def _build_doc(
     id_map = doc.id_map
     counter = 0
 
-    def gid(src: str, local: object) -> int:
+    def gid(src: str, local: int) -> int:
         nonlocal counter
-        key = (src, int(local))  # type: ignore[arg-type]
-        mapped = id_map.get(key)
+        mapped = id_map.get((src, local))
         if mapped is None:
             if remap:
                 counter += 1
                 mapped = counter
             else:
-                mapped = int(local)  # type: ignore[arg-type]
-            id_map[key] = mapped
+                mapped = local
+            id_map[(src, local)] = mapped
         return mapped
 
     last_ts = 0.0
@@ -267,7 +302,7 @@ def _build_doc(
         last_ts = max(last_ts, ts)
         kind = record["type"]
         if kind == "span_start":
-            local = int(record["id"])
+            local = record["id"]
             span_id = gid(src, local)
             if span_id in doc.spans:
                 raise TraceFormatError(f"span id {local} started twice")
@@ -279,7 +314,7 @@ def _build_doc(
                 record["parent"] = parent_id
             span = Span(
                 id=span_id,
-                name=str(record["name"]),
+                name=record["name"],
                 parent=parent_id,
                 start=ts,
                 attrs=dict(record.get("attrs", {})),
@@ -298,8 +333,7 @@ def _build_doc(
                 else:
                     parent.children.append(span)
         elif kind == "span_end":
-            key = (src, int(record.get("id", -1)))
-            span = doc.spans.get(id_map.get(key, -1))
+            span = doc.spans.get(id_map.get((src, record["id"]), -1))
             if span is None:
                 raise TraceFormatError(
                     f"span_end for unknown span id {record.get('id')!r}"
@@ -570,8 +604,7 @@ def _snapshot_up_bytes(snapshot: Optional[Dict[str, object]]) -> Optional[int]:
     total = 0.0
     seen = False
     for key, value in metrics.items():
-        family = key.split("{", 1)[0]
-        if family == "channel.up.bytes":
+        if parse_series_name(key)[0] == "channel.up.bytes":
             total += float(value)  # type: ignore[arg-type]
             seen = True
     return int(total) if seen else None

@@ -26,8 +26,8 @@ import json
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.names import HISTOGRAM, MetricSpec, metric_spec
-from repro.obs.registry import MetricsRegistry
+from repro.obs.names import HISTOGRAM, METRICS_BY_NAME, MetricSpec
+from repro.obs.registry import LabelKey, MetricsRegistry, parse_series_name
 
 # ---------------------------------------------------------------------------
 # Chrome trace-event JSON
@@ -191,9 +191,6 @@ def write_chrome_trace(records: Iterable[dict], path: str) -> int:
 # OpenMetrics text exposition
 # ---------------------------------------------------------------------------
 
-_SERIES_RE = re.compile(r"^(?P<family>[^{]+)(?:\{(?P<labels>.*)\})?$")
-
-
 def _om_name(name: str) -> str:
     """Dotted catalog name -> OpenMetrics metric name."""
     return name.replace(".", "_").replace("-", "_")
@@ -203,21 +200,6 @@ def _om_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _parse_series(rendered: str) -> Tuple[str, List[Tuple[str, str]]]:
-    """Split a rendered ``family{k=v,...}`` series into family + labels."""
-    match = _SERIES_RE.match(rendered)
-    if match is None:  # pragma: no cover - snapshot keys are well-formed
-        return rendered, []
-    family = match.group("family")
-    labels_raw = match.group("labels")
-    labels: List[Tuple[str, str]] = []
-    if labels_raw:
-        for part in labels_raw.split(","):
-            key, _, value = part.partition("=")
-            labels.append((key, value))
-    return family, labels
-
-
 def _format_value(value: float) -> str:
     as_float = float(value)
     if as_float == int(as_float) and abs(as_float) < 1e15:
@@ -225,7 +207,7 @@ def _format_value(value: float) -> str:
     return repr(as_float)
 
 
-def _labels_text(labels: List[Tuple[str, str]]) -> str:
+def _labels_text(labels: LabelKey) -> str:
     if not labels:
         return ""
     inner = ",".join(f'{k}="{_om_escape(v)}"' for k, v in labels)
@@ -233,12 +215,7 @@ def _labels_text(labels: List[Tuple[str, str]]) -> str:
 
 
 def _spec_for(family: str, specs: Dict[str, MetricSpec]) -> Optional[MetricSpec]:
-    if family in specs:
-        return specs[family]
-    try:
-        return metric_spec(family)
-    except KeyError:
-        return None
+    return specs.get(family) or METRICS_BY_NAME.get(family)
 
 
 def to_openmetrics(
@@ -256,12 +233,10 @@ def to_openmetrics(
     """
     specs = specs or {}
     # Group the flat snapshot back into families, preserving sorted order.
-    scalars: Dict[str, List[Tuple[List[Tuple[str, str]], float]]] = {}
-    histograms: Dict[
-        str, List[Tuple[List[Tuple[str, str]], Dict[str, object]]]
-    ] = {}
+    scalars: Dict[str, List[Tuple[LabelKey, float]]] = {}
+    histograms: Dict[str, List[Tuple[LabelKey, Dict[str, object]]]] = {}
     for rendered, value in snapshot.items():
-        family, labels = _parse_series(rendered)
+        family, labels = parse_series_name(rendered)
         if isinstance(value, dict):
             histograms.setdefault(family, []).append((labels, value))
             continue
@@ -271,8 +246,7 @@ def to_openmetrics(
 
     def emit_metadata(family: str, om: str, fallback_type: str) -> None:
         spec = _spec_for(family, specs)
-        kind = spec.kind if spec is not None else fallback_type
-        lines.append(f"# TYPE {om} {kind if spec is not None else fallback_type}")
+        lines.append(f"# TYPE {om} {spec.kind if spec is not None else fallback_type}")
         if spec is not None and spec.unit and om.endswith("_" + spec.unit):
             lines.append(f"# UNIT {om} {spec.unit}")
         if spec is not None and spec.help:
@@ -293,7 +267,7 @@ def to_openmetrics(
                 for key in sorted(buckets, key=bound_of):
                     cumulative += int(buckets[key])
                     le = "+Inf" if key == "le_inf" else f"{bound_of(key):g}"
-                    bucket_labels = _labels_text(labels + [("le", le)])
+                    bucket_labels = _labels_text(labels + (("le", le),))
                     lines.append(f"{om}_bucket{bucket_labels} {cumulative}")
                 suffix_labels = _labels_text(labels)
                 lines.append(

@@ -2,30 +2,35 @@
 
 Every metric the :class:`~repro.obs.registry.MetricsRegistry` will accept,
 every trace event the :class:`~repro.obs.tracer.Tracer` will emit, and
-every span name used by the instrumented subsystems is declared here.
-``docs/observability.md`` documents exactly this catalog, and the CI
-doc-lint step (``tools/lint_obs_docs.py``) fails the build when the two
-drift apart in either direction.
+every span name used by the instrumented subsystems is declared here, once:
+its description, unit, labels or attrs, and the :class:`Section` it belongs
+to. The catalog tables of ``docs/observability.md`` (and the subsystem
+prefix list there) are rendered from these entries by
+``tools/obs_docs.py``; OpenMetrics ``# HELP`` text is the same ``help``.
 
 Naming scheme: ``<subsystem>.<object>.<aspect>`` with dot separators and
-``snake_case`` segments. Subsystem prefixes in use: ``client`` (the
-DeltaCFS client engine), ``policy`` (mechanism selection — RPC vs delta
-backend), ``queue`` (the Sync Queue), ``relation`` (the Relation Table),
-``channel`` (the accounted link), ``server`` (the cloud apply path),
-``transport`` (the reliable delivery layer), ``journal`` (the
-crash-recovery sync-intent journal), ``recovery`` (post-crash recovery),
-``run`` (the experiment harness), ``fleet`` (the fleet-scale virtual-time
-simulation driver; ``server.shard.*`` covers the shard router).
+``snake_case`` segments; the subsystem prefixes in use are whatever the
+names below start with. ``help`` is one Markdown table cell: backticks
+for code, no line breaks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple, Union
 
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
+
+
+@dataclass(frozen=True)
+class Section:
+    """One group of catalog entries: a heading in ``docs/observability.md``
+    and the module that owns (emits) the names under it."""
+
+    title: str
+    module: str
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,10 @@ class MetricSpec:
     ``buckets`` (histograms only) lists the inclusive upper bounds of the
     fixed buckets; an implicit ``+Inf`` bucket catches the rest. Bounds are
     fixed at declaration time so snapshots are comparable across runs.
+    ``labels`` are the label keys every series of the family carries,
+    sorted as snapshots render them; the scripted runs of
+    ``tests/harness/test_event_stream_golden.py`` hold the emitters to
+    them. ``section`` is set by the catalog the entry is declared in.
     """
 
     name: str
@@ -42,54 +51,64 @@ class MetricSpec:
     help: str
     unit: str = ""
     buckets: Optional[Tuple[float, ...]] = None
+    labels: Tuple[str, ...] = ()
+    section: Optional[Section] = None
 
 
 @dataclass(frozen=True)
 class EventSpec:
     """Declaration of one trace-event name (point event or span).
 
-    ``attrs`` lists the attribute keys the emitter records, in documented
-    order. The doc-lint (``tools/lint_obs_docs.py``) checks the attr
-    tables in ``docs/observability.md`` against these declarations, and
-    the offline analyzer (``repro.obs.analyze``) relies on them when
-    joining events.
+    ``attrs`` lists the attribute keys the emitter records, in emission
+    order: the same scripted runs hold the emitters to them, the doc
+    tables print them, and the offline analyzer (``repro.obs.analyze``)
+    relies on them when joining events. ``section``: as on a metric.
     """
 
     name: str
     kind: str  # "event" | "span"
     help: str
     attrs: Tuple[str, ...] = ()
+    section: Optional[Section] = None
 
+
+def _catalog(*entries: Union[Section, MetricSpec, EventSpec]) -> tuple:
+    """``SECTION, spec, spec, SECTION, spec, ...`` -> the specs, each stamped
+    with the section it stands under. The only way into ``METRICS`` /
+    ``EVENTS``, so no entry exists outside a section."""
+    specs, section = [], None
+    for entry in entries:
+        if isinstance(entry, Section):
+            section = entry
+        elif section is None:
+            raise ValueError(f"{entry.name!r} is declared outside a section")
+        else:
+            specs.append(replace(entry, section=section))
+    return tuple(specs)
+
+
+CLIENT = Section("Client engine", "repro.core.client")
+POLICY = Section("Mechanism policy", "repro.core.policy")
+QUEUE = Section("Sync Queue", "repro.core.sync_queue")
+RELATION = Section("Relation Table", "repro.core.relation_table")
+JOURNAL = Section("Crash-recovery journal", "repro.core.recovery")
+CHANNEL = Section("Channel", "repro.net.transport")
+TRANSPORT = Section("Reliable transport", "repro.net.reliable")
+SERVER = Section("Server", "repro.server.cloud")
+HARNESS = Section("Harness", "repro.harness.runner")
+FLEET = Section("Fleet simulation", "repro.harness.fleet")
+HEALTH = Section("SLO health", "repro.obs.health")
+TRACING = Section("Distributed tracing", "repro.obs.tracer")
 
 # Fixed bucket ladders. Bytes follow powers of four from 256 B to 16 MB;
 # virtual-time durations follow a coarse seconds ladder around the upload
 # delay (~3 s) and relation timeout (~2 s).
-BYTE_BUCKETS: Tuple[float, ...] = (
-    256.0,
-    1024.0,
-    4096.0,
-    16384.0,
-    65536.0,
-    262144.0,
-    1048576.0,
-    4194304.0,
-    16777216.0,
-)
-DURATION_BUCKETS: Tuple[float, ...] = (
-    0.01,
-    0.1,
-    0.5,
-    1.0,
-    2.0,
-    3.0,
-    5.0,
-    10.0,
-    30.0,
-)
+BYTE_BUCKETS: Tuple[float, ...] = tuple(256.0 * 4**i for i in range(9))
+DURATION_BUCKETS: Tuple[float, ...] = (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0)
 
 
-METRICS: Tuple[MetricSpec, ...] = (
-    # -- client engine -----------------------------------------------------
+METRICS: Tuple[MetricSpec, ...] = _catalog(
+    CLIENT,
     MetricSpec(
         "client.ops.intercepted",
         COUNTER,
@@ -99,7 +118,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "client.writes.intercepted",
         COUNTER,
-        "write() calls captured with their data (NFS-like file RPC)",
+        "`write()` calls captured with their data (NFS-like file RPC)",
         unit="ops",
     ),
     MetricSpec(
@@ -108,8 +127,9 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "client.delta.triggered",
         COUNTER,
-        "delta-encoding trigger decisions reached (Table I rules 1 and 2, "
-        "plus pack-time triggers)",
+        "delta-encoding trigger decisions reached (Table I rules 1/2 plus the "
+        "pack-time `pending_create` and `inplace` triggers — a superset of "
+        "`ClientStats.deltas_triggered`, which excludes `inplace`)",
         unit="ops",
     ),
     MetricSpec(
@@ -140,17 +160,17 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "client.delta.saved_bytes",
         COUNTER,
-        "wire bytes saved by kept deltas (replaced payload minus delta size)",
+        "wire bytes saved by kept deltas (replaced payload − delta size)",
         unit="bytes",
     ),
     MetricSpec(
-        "client.pack.count", COUNTER, "write nodes packed (frozen)", unit="ops"
+        "client.pack.count", COUNTER, "write nodes packed (frozen) by the client", unit="ops"
     ),
     MetricSpec(
         "client.pack.duration",
         HISTOGRAM,
-        "virtual seconds a write node spent open (creation to pack), i.e. "
-        "the coalescing window it actually enjoyed",
+        "virtual seconds a write node spent open (creation → pack): the "
+        "coalescing window it actually enjoyed",
         unit="seconds",
         buckets=DURATION_BUCKETS,
     ),
@@ -160,11 +180,15 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "client.upload.groups",
         COUNTER,
-        "transactional TxnGroup units among the shipped upload units",
+        "transactional `TxnGroup` units among the shipped upload units",
         unit="ops",
     ),
     MetricSpec(
-        "client.conflicts", COUNTER, "conflict notices received from the cloud", unit="ops"
+        "client.conflicts",
+        COUNTER,
+        "conflict notices received from the cloud, plus forwarded updates "
+        "rejected because the path had pending local edits",
+        unit="ops",
     ),
     MetricSpec(
         "client.stalls",
@@ -172,38 +196,45 @@ METRICS: Tuple[MetricSpec, ...] = (
         "sync-queue-full back-pressure events (forced pumps)",
         unit="ops",
     ),
-    # -- mechanism-selection policy ----------------------------------------
+    POLICY,
     MetricSpec(
         "policy.decisions",
         COUNTER,
-        "mechanism-selection decisions, labelled by chosen mechanism "
-        "(rpc or the delta backend name)",
+        "mechanism-selection decisions; `mechanism` is `rpc` or the chosen "
+        "delta backend's name",
         unit="ops",
+        labels=("mechanism",),
     ),
     MetricSpec(
         "policy.estimate.rpc_bytes",
         COUNTER,
-        "uplink bytes the policy predicted for the RPC mechanism at "
-        "decision time, labelled by policy",
+        "wire bytes the policy predicted for the RPC mechanism at decision time",
         unit="bytes",
+        labels=("policy",),
     ),
     MetricSpec(
         "policy.estimate.delta_bytes",
         COUNTER,
-        "uplink bytes the policy predicted for the chosen delta backend "
-        "at decision time, labelled by policy",
+        "wire bytes the policy predicted for the delta mechanism at decision time",
         unit="bytes",
+        labels=("policy",),
     ),
     MetricSpec(
         "policy.estimate.abs_error_bytes",
         COUNTER,
         "absolute error between predicted and measured delta wire bytes, "
-        "accumulated over actual encodes, labelled by policy",
+        "accumulated over actual encodes",
         unit="bytes",
+        labels=("policy",),
     ),
-    # -- sync queue --------------------------------------------------------
+    QUEUE,
     MetricSpec(
-        "queue.nodes.created", COUNTER, "nodes enqueued, by node kind", unit="nodes"
+        "queue.nodes.created",
+        COUNTER,
+        "nodes enqueued; `kind` is the node class (`WriteNode`, `MetaNode`, "
+        "`DeltaNode`, `TruncateNode`)",
+        unit="nodes",
+        labels=("kind",),
     ),
     MetricSpec(
         "queue.nodes.coalesced",
@@ -212,7 +243,10 @@ METRICS: Tuple[MetricSpec, ...] = (
         unit="ops",
     ),
     MetricSpec(
-        "queue.nodes.packed", COUNTER, "write nodes frozen against further coalescing", unit="nodes"
+        "queue.nodes.packed",
+        COUNTER,
+        "write nodes frozen against further coalescing (state change or upload-time)",
+        unit="nodes",
     ),
     MetricSpec(
         "queue.nodes.replaced_by_delta",
@@ -232,7 +266,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "queue.units.transactional",
         COUNTER,
-        "upload units that were backindex spans (ship as one TxnGroup)",
+        "upload units that were backindex spans (ship as one `TxnGroup`)",
         unit="ops",
     ),
     MetricSpec(
@@ -256,17 +290,18 @@ METRICS: Tuple[MetricSpec, ...] = (
         unit="seconds",
         buckets=DURATION_BUCKETS,
     ),
-    # -- relation table ----------------------------------------------------
+    RELATION,
     MetricSpec(
         "relation.entries.inserted",
         COUNTER,
-        "entries recorded, by origin (rename | unlink)",
+        "entries recorded; `origin` is `rename` or `unlink`",
         unit="entries",
+        labels=("origin",),
     ),
     MetricSpec(
         "relation.entries.matched",
         COUNTER,
-        "create/rename events that matched a live entry (trigger rule 1)",
+        "created or renamed-onto names that matched a live entry (trigger rule 1)",
         unit="entries",
     ),
     MetricSpec(
@@ -278,13 +313,13 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "relation.entries.invalidated",
         COUNTER,
-        "entries dropped because their preserved dst was destroyed",
+        "entries dropped because their preserved `dst` was destroyed",
         unit="entries",
     ),
     MetricSpec(
         "relation.entries.superseded",
         COUNTER,
-        "entries replaced by a newer transformation of the same src",
+        "entries replaced by a newer transformation of the same `src`",
         unit="entries",
     ),
     MetricSpec(
@@ -294,30 +329,34 @@ METRICS: Tuple[MetricSpec, ...] = (
         unit="entries",
     ),
     MetricSpec("relation.size", GAUGE, "live entries in the table", unit="entries"),
-    # -- channel / network -------------------------------------------------
+    CHANNEL,
     MetricSpec(
         "channel.up.bytes",
         COUNTER,
-        "client-to-server wire bytes, labelled by message type",
+        "client→server wire bytes, by message class",
         unit="bytes",
+        labels=("type",),
     ),
     MetricSpec(
         "channel.down.bytes",
         COUNTER,
-        "server-to-client wire bytes, labelled by message type",
+        "server→client wire bytes, by message class",
         unit="bytes",
+        labels=("type",),
     ),
     MetricSpec(
         "channel.up.messages",
         COUNTER,
-        "client-to-server messages, labelled by message type",
+        "client→server messages, by message class",
         unit="msgs",
+        labels=("type",),
     ),
     MetricSpec(
         "channel.down.messages",
         COUNTER,
-        "server-to-client messages, labelled by message type",
+        "server→client messages, by message class",
         unit="msgs",
+        labels=("type",),
     ),
     MetricSpec(
         "channel.up.busy_time",
@@ -334,35 +373,39 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "channel.message.bytes",
         HISTOGRAM,
-        "wire size of every message moved in either direction",
+        "wire size of every message moved, either direction",
         unit="bytes",
         buckets=BYTE_BUCKETS,
     ),
     MetricSpec(
         "channel.faults.dropped",
         COUNTER,
-        "messages lost in transit by the fault plan, labelled by direction",
+        "messages lost in transit by the fault plan (`LossyChannel`)",
         unit="msgs",
+        labels=("direction",),
     ),
     MetricSpec(
         "channel.faults.duplicated",
         COUNTER,
-        "messages the lossy link delivered twice, labelled by direction",
+        "messages the lossy link delivered twice",
         unit="msgs",
+        labels=("direction",),
     ),
     MetricSpec(
         "channel.faults.reordered",
         COUNTER,
-        "deliveries delayed past later sends, labelled by direction",
+        "deliveries delayed past later sends",
         unit="msgs",
+        labels=("direction",),
     ),
     MetricSpec(
         "channel.faults.partition_drops",
         COUNTER,
-        "messages swallowed by a partition window, labelled by direction",
+        "messages swallowed by a partition window",
         unit="msgs",
+        labels=("direction",),
     ),
-    # -- reliable transport ------------------------------------------------
+    TRANSPORT,
     MetricSpec(
         "transport.sent",
         COUNTER,
@@ -405,12 +448,13 @@ METRICS: Tuple[MetricSpec, ...] = (
         "messages queued behind the bounded in-flight window",
         unit="msgs",
     ),
-    # -- server apply path -------------------------------------------------
+    SERVER,
     MetricSpec(
         "server.apply.applied",
         COUNTER,
-        "messages applied successfully, labelled by message type",
+        "messages applied successfully, by message class",
         unit="msgs",
+        labels=("type",),
     ),
     MetricSpec(
         "server.apply.conflicts",
@@ -421,7 +465,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "server.apply.groups",
         COUNTER,
-        "TxnGroups applied atomically (backindex spans arriving)",
+        "`TxnGroup`s applied atomically (backindex spans arriving)",
         unit="msgs",
     ),
     MetricSpec(
@@ -433,18 +477,20 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "server.dedup.drops",
         COUNTER,
-        "retransmitted envelopes absorbed by the message-id dedup table",
+        "retransmitted envelopes absorbed by the message-id dedup table "
+        "(at-least-once delivery, exactly-once effect)",
         unit="msgs",
     ),
     MetricSpec(
         "server.shard.migrations",
         COUNTER,
-        "file bundles moved between shards to co-locate a cross-shard "
-        "rename, link, or transactional group before applying, labelled "
-        "by reason (rename | link | group | meta)",
+        "file bundles moved between shards to co-locate a cross-shard rename, "
+        "link, or transactional group before applying; `reason` ∈ `rename`, "
+        "`link`, `group`, `meta` (see fleet.md)",
         unit="files",
+        labels=("reason",),
     ),
-    # -- fleet simulation driver -------------------------------------------
+    FLEET,
     MetricSpec(
         "fleet.clients",
         GAUGE,
@@ -461,22 +507,23 @@ METRICS: Tuple[MetricSpec, ...] = (
         "fleet.sync.latency",
         HISTOGRAM,
         "virtual seconds from a client write to its durable apply on the "
-        "owning shard (debounce wait + shard queueing + service)",
+        "owning shard — debounce wait + shard queueing + service",
         unit="seconds",
         buckets=DURATION_BUCKETS,
     ),
     MetricSpec(
         "fleet.shard.queue_depth",
         GAUGE,
-        "upload units in flight on one shard's FIFO core, labelled by shard",
+        "upload units in flight on one shard's FIFO core",
         unit="ops",
+        labels=("shard",),
     ),
     MetricSpec(
         "fleet.shard.busy_time",
         COUNTER,
-        "virtual seconds of modelled core time one shard spent applying, "
-        "labelled by shard",
+        "virtual seconds of modelled core time one shard spent applying",
         unit="seconds",
+        labels=("shard",),
     ),
     MetricSpec(
         "fleet.window.seconds",
@@ -487,79 +534,83 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "fleet.window.rollovers",
         COUNTER,
-        "telemetry windows closed with at least one completed write, "
-        "labelled by shard",
+        "telemetry windows closed with at least one completed write",
         unit="windows",
+        labels=("shard",),
     ),
-    # -- SLO health reporting ----------------------------------------------
+    HEALTH,
     MetricSpec(
         "health.slo.attainment",
         GAUGE,
-        "fraction of completed writes whose sync latency met the SLO "
-        "threshold, labelled by shard",
+        "fraction of completed writes whose sync latency met the SLO threshold",
         unit="ratio",
+        labels=("shard",),
     ),
     MetricSpec(
         "health.stalls",
         COUNTER,
         "writes whose sync stalled past the stall horizon (stuck "
-        "retransmits, dead or saturated shards), labelled by shard",
+        "retransmits, dead or saturated shards)",
         unit="ops",
+        labels=("shard",),
     ),
     MetricSpec(
         "health.regressions",
         COUNTER,
-        "window-over-window p99 latency regressions flagged, labelled "
-        "by shard",
+        "window-over-window p99 latency regressions flagged",
         unit="windows",
+        labels=("shard",),
     ),
-    # -- crash-recovery journal --------------------------------------------
+    JOURNAL,
     MetricSpec(
         "journal.records.written",
         COUNTER,
-        "sync-intent records persisted, labelled by kind "
-        "(node | relation | undo | vercnt)",
+        "journal records persisted (`kind` ∈ `node`, `relation`, `undo`, "
+        "`vercnt`); re-journaling a coalesced node counts again",
         unit="records",
+        labels=("kind",),
     ),
     MetricSpec(
         "journal.records.forgotten",
         COUNTER,
-        "journal records retired (shipped, cancelled, or replaced), "
-        "labelled by kind",
+        "journal records retired (node uploaded, cancelled or replaced; "
+        "relation resolved; undo spans cleared)",
         unit="records",
+        labels=("kind",),
     ),
     MetricSpec(
         "journal.bytes.written",
         COUNTER,
-        "key+value bytes appended to the journal KV",
+        "key + value bytes of the records put to the journal's KV store",
         unit="bytes",
     ),
-    # -- post-crash recovery -----------------------------------------------
     MetricSpec(
-        "recovery.runs", COUNTER, "Client.recover() passes executed", unit="ops"
+        "recovery.runs", COUNTER, "`Client.recover()` passes executed", unit="ops"
     ),
     MetricSpec(
         "recovery.nodes.replayed",
         COUNTER,
-        "journaled nodes re-enqueued for upload after a crash",
+        "journaled nodes re-enqueued for upload after a crash, rebased ones included",
         unit="nodes",
     ),
     MetricSpec(
         "recovery.nodes.already_applied",
         COUNTER,
-        "journaled nodes dropped because the cloud already held their version",
+        "journaled nodes the cloud already held (dropped, version adopted)",
         unit="nodes",
     ),
     MetricSpec(
         "recovery.nodes.rebased",
         COUNTER,
-        "replayed nodes whose base version was renegotiated to the cloud head",
+        "replayed nodes whose journaled base no longer matched; rebased onto "
+        "the head their upload will meet",
         unit="nodes",
     ),
     MetricSpec(
         "recovery.files.swept",
         COUNTER,
-        "dirty files checked against the durable checksum store",
+        "files checked against the durable checksum store during the "
+        "post-crash sweep (every local file, not only the dirty ones)",
         unit="files",
     ),
     MetricSpec(
@@ -571,22 +622,24 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "recovery.blocks.repaired",
         COUNTER,
-        "damaged blocks rebuilt from ranged downloads + journaled writes",
+        "damaged blocks rebuilt from cloud ranges + journaled pending writes",
         unit="blocks",
     ),
     MetricSpec(
         "recovery.bytes.downloaded",
         COUNTER,
-        "ranged-download bytes pulled during block repair",
+        "cloud bytes fetched by block repair and its whole-file fallback "
+        "(`RangeReply` payloads)",
         unit="bytes",
     ),
     MetricSpec(
         "recovery.full_file_fallbacks",
         COUNTER,
-        "repairs that fell back to pulling the whole cloud copy",
+        "repairs that could not converge block-wise and fell back to "
+        "whole-file reconstruction",
         unit="files",
     ),
-    # -- harness / run -----------------------------------------------------
+    HARNESS,
     MetricSpec("run.pump.calls", COUNTER, "pump invocations during the run", unit="ops"),
     MetricSpec(
         "run.pump.shipped", COUNTER, "upload units shipped across all pumps", unit="ops"
@@ -594,75 +647,77 @@ METRICS: Tuple[MetricSpec, ...] = (
 )
 
 
-EVENTS: Tuple[EventSpec, ...] = (
-    # -- sync queue node lifecycle (the Figure-4 pipeline, per node) -------
+EVENTS: Tuple[EventSpec, ...] = _catalog(
+    QUEUE,  # node lifecycle: the Figure-4 pipeline, per node
     EventSpec(
         "queue.node.created",
         "event",
-        "a node joined the queue tail",
+        "a node joins the queue tail",
         attrs=("path", "kind", "seq"),
     ),
     EventSpec(
         "queue.node.coalesced",
         "event",
-        "a write was absorbed into an active write node",
+        "a write is absorbed into an active write node",
         attrs=("path", "seq", "offset", "bytes"),
     ),
     EventSpec(
         "queue.node.packed",
         "event",
-        "a write node froze",
+        "a write node freezes (state change or upload-time)",
         attrs=("path", "seq", "writes", "payload_bytes"),
     ),
     EventSpec(
         "queue.node.replaced_by_delta",
         "event",
-        "write nodes were swapped for a delta node",
+        "delta replacement swaps write nodes for a delta node",
         attrs=("path", "replaced_seqs", "delta_seq", "delta_bytes", "replaced_bytes"),
     ),
     EventSpec(
         "queue.node.cancelled",
         "event",
-        "a never-uploaded node was dropped",
+        "a never-uploaded node is dropped",
         attrs=("path", "seq", "kind"),
     ),
     EventSpec(
         "queue.node.shipped",
         "event",
-        "a node left the queue for upload",
+        "a node leaves the queue for upload",
         attrs=("path", "seq", "kind", "payload_bytes", "transactional"),
     ),
-    # -- relation table ----------------------------------------------------
+    RELATION,
     EventSpec(
         "relation.insert",
         "event",
-        "an entry was recorded",
+        "a relation entry is recorded",
         attrs=("src", "dst", "origin"),
     ),
     EventSpec(
         "relation.match",
         "event",
-        "a created name matched a live entry (delta trigger)",
+        "a created or renamed-onto name matches a live entry (delta trigger)",
         attrs=("src", "dst", "origin", "age"),
     ),
     EventSpec(
         "relation.expire",
         "event",
-        "an entry timed out untriggered",
+        "an entry times out untriggered",
         attrs=("src", "dst", "origin"),
     ),
     EventSpec(
         "relation.invalidate",
         "event",
-        "an entry died because its preserved dst was destroyed",
+        "an entry dies because its preserved `dst` was destroyed",
         attrs=("src", "dst"),
     ),
-    # -- client delta decisions -------------------------------------------
+    CLIENT,  # delta decisions
     EventSpec(
         "client.delta.trigger",
         "event",
-        "a transactional update was recognized; rule is one of "
-        "relation_match | name_exists | pending_create | inplace",
+        "a transactional update is recognized; `rule` ∈ `relation_match` "
+        "(Table I rule 1), `name_exists` (rule 2), `pending_create` "
+        "(delete-then-rewrite, resolved at pack time), `inplace` (undo-log "
+        "threshold)",
         attrs=("path", "rule"),
     ),
     EventSpec(
@@ -674,7 +729,7 @@ EVENTS: Tuple[EventSpec, ...] = (
     EventSpec(
         "client.delta.rpc_wins",
         "event",
-        "the RPC payload was smaller, delta discarded",
+        "the RPC payload was smaller; delta discarded",
         attrs=("path", "delta_bytes", "replaced_bytes"),
     ),
     EventSpec(
@@ -683,53 +738,54 @@ EVENTS: Tuple[EventSpec, ...] = (
         "trigger abandoned: base version unresolvable on the cloud",
         attrs=("path",),
     ),
-    # -- mechanism-selection policy ----------------------------------------
+    POLICY,
     EventSpec(
         "policy.decision",
         "event",
         "the mechanism policy chose RPC or a delta backend for one "
-        "triggered update; mechanism is rpc or the backend name",
+        "triggered update; `mechanism` is `rpc` or the backend name",
         attrs=("path", "policy", "mechanism", "rpc_bytes", "est_delta_bytes"),
     ),
-    # -- channel -----------------------------------------------------------
+    CHANNEL,
     EventSpec(
         "channel.upload",
         "event",
-        "a message entered the uplink",
+        "a message enters the uplink (`path` empty for pathless messages)",
         attrs=("type", "path", "bytes", "done_at"),
     ),
     EventSpec(
         "channel.download",
         "event",
-        "a message entered the downlink",
+        "a message enters the downlink (`path` empty for pathless messages)",
         attrs=("type", "path", "bytes", "done_at"),
     ),
     EventSpec(
         "channel.fault",
         "event",
-        "the fault plan perturbed a delivery; fate is one of "
-        "drop | duplicate | reorder | partition",
+        "the fault plan perturbed a delivery; `fate` ∈ `drop`, `duplicate`, "
+        "`reorder`, `partition`",
         attrs=("direction", "fate", "type"),
     ),
-    # -- reliable transport ------------------------------------------------
+    TRANSPORT,
     EventSpec(
         "transport.enqueued",
         "event",
-        "a message entered the reliable transport and took its msg_id; "
-        "fires inside the shipping span, so offline analysis can join "
-        "msg_id back to the upload unit (and its paths) that produced it",
+        "a message entered the reliable transport and took its `msg_id`; "
+        "fires inside the shipping span, so offline analysis can join every "
+        "later (re)transmission of that id back to the upload unit (and its "
+        "paths) that produced it",
         attrs=("msg_id", "type"),
     ),
     EventSpec(
         "transport.send",
         "event",
-        "an envelope entered the uplink",
+        "an envelope enters the uplink (`attempt` = 1 on first send)",
         attrs=("msg_id", "attempt", "type"),
     ),
     EventSpec(
         "transport.ack",
         "event",
-        "an envelope was acknowledged",
+        "an envelope is acknowledged and retired",
         attrs=("msg_id", "attempts", "rtt"),
     ),
     EventSpec(
@@ -738,7 +794,7 @@ EVENTS: Tuple[EventSpec, ...] = (
         "a retry timer expired unacked",
         attrs=("msg_id", "attempt", "waited"),
     ),
-    # -- server ------------------------------------------------------------
+    SERVER,
     EventSpec(
         "server.conflict",
         "event",
@@ -749,20 +805,21 @@ EVENTS: Tuple[EventSpec, ...] = (
         "server.envelope",
         "event",
         "a reliable-delivery envelope reached the apply endpoint; "
-        "duplicate marks retransmits absorbed by the dedup table; "
-        "shard is the emitting server's shard id and home the router's "
-        "home-shard derivation for the origin client (the exactly-once, "
-        "causal-FIFO and shard-home invariants are checked against "
-        "these events by repro.check.invariants)",
+        "`duplicate` marks retransmits absorbed by the dedup table, `shard` "
+        "is the emitting server's shard id and `home` the router's "
+        "home-shard derivation for the origin client (a standalone server "
+        "stamps both `0`). The exactly-once, causal-FIFO and shard-home "
+        "protocol invariants (`repro check --traces`, see "
+        "static-analysis.md) are evaluated against these events",
         attrs=("client", "msg_id", "attempt", "duplicate", "shard", "home"),
     ),
     EventSpec(
         "server.shard.detach",
         "event",
         "a file bundle left its source shard for a cross-shard "
-        "co-location: versions counts the lineage leaving with it; the "
+        "co-location; `versions` counts the lineage leaving with it. The "
         "migration-safety invariant demands a matching "
-        "server.shard.attach with no version loss and no accepted "
+        "`server.shard.attach` with no version loss and no accepted "
         "writes for the path in between",
         attrs=("path", "src_shard", "dst_shard", "reason", "versions"),
     ),
@@ -770,8 +827,8 @@ EVENTS: Tuple[EventSpec, ...] = (
         "server.shard.attach",
         "event",
         "the migrated file bundle re-homed on the destination shard; "
-        "versions counts the store's lineage for the path after the "
-        "attach merge (>= the detach count when no history was lost)",
+        "`versions` is re-derived from the destination store after the "
+        "lineage merge (≥ the detach count when no history was lost)",
         attrs=("path", "src_shard", "dst_shard", "versions"),
     ),
     EventSpec(
@@ -780,60 +837,51 @@ EVENTS: Tuple[EventSpec, ...] = (
         "a rename spanned two shards: the source file bundle (content, "
         "lineage, window snapshots) migrated through the router's "
         "relocation table to the destination's shard, which then applied "
-        "the rename locally (the two-step cross-shard rename)",
+        "the rename locally (the two-step cross-shard rename; see fleet.md)",
         attrs=("path", "dest", "src_shard", "dst_shard"),
     ),
     EventSpec(
         "server.version.accepted",
         "event",
-        "the store accepted a client-minted <CliID, VerCnt> stamp; the "
-        "per-client version-monotonicity invariant is checked against "
+        "the store accepted a client-minted `<CliID, VerCnt>` stamp; the "
+        "per-client version-monotonicity invariant is evaluated against "
         "these events",
         attrs=("path", "client", "counter"),
     ),
-    # -- distributed tracing -----------------------------------------------
+    TRACING,
     EventSpec(
         "trace.link",
         "event",
         "a causal cross-tracer edge: the enclosing span was caused by span "
-        "`span` of trace `trace` in the tracer named `src` (carried across "
-        "the process boundary by the envelope's uncosted TraceContext); "
-        "the offline analyzer stitches multi-source traces along these "
-        "edges and the Chrome exporter renders them as flow arrows",
+        "`span` of trace `trace` in the tracer named `src`, carried across "
+        "the process boundary by the envelope's uncosted `TraceContext` "
+        "(see \"Distributed tracing\")",
         attrs=("src", "trace", "span"),
     ),
-    # -- fleet telemetry windows -------------------------------------------
+    FLEET,  # telemetry windows
     EventSpec(
         "fleet.window.closed",
         "event",
         "one per-shard telemetry window rolled up (emitted at rollup "
-        "finalization; timestamps are the window's virtual-time bounds)",
-        attrs=(
-            "shard",
-            "window",
-            "start",
-            "end",
-            "writes",
-            "p50",
-            "p99",
-            "queue_peak",
-            "busy",
-        ),
+        "finalization; `start`/`end` are the window's virtual-time bounds)",
+        attrs=("shard", "window", "start", "end", "writes", "p50", "p99", "queue_peak", "busy"),
     ),
-    # -- SLO health reporting ----------------------------------------------
+    HEALTH,
     EventSpec(
         "health.stall",
         "event",
         "a write's sync exceeded the stall horizon before completing",
         attrs=("shard", "client", "path", "waited"),
     ),
-    # -- crash-recovery journal --------------------------------------------
+    JOURNAL,  # the journal, then post-crash recovery
     EventSpec(
         "journal.write",
         "event",
-        "a sync-intent record was persisted (kind is one of "
-        "node | relation | undo | vercnt; ref identifies the record: "
-        "node seq, relation src, undo path, or the counter value)",
+        "a sync-intent record was persisted; `kind` ∈ `node`, `relation`, "
+        "`undo`, `vercnt`, and `ref` identifies the record (node seq, "
+        "relation src, undo path, or the counter value). The "
+        "journal-write-happens-before-send invariant is evaluated against "
+        "these events",
         attrs=("kind", "ref"),
     ),
     EventSpec(
@@ -843,70 +891,77 @@ EVENTS: Tuple[EventSpec, ...] = (
         "expired, or replaced)",
         attrs=("kind", "ref"),
     ),
-    # -- post-crash recovery -----------------------------------------------
     EventSpec(
         "recovery.node.replayed",
         "event",
-        "a journaled node was dispositioned during recovery; disposition "
-        "is one of replayed | rebased | already_applied",
+        "one journaled node was dispositioned during recovery; "
+        "`disposition` ∈ `replayed`, `rebased`, `already_applied`",
         attrs=("path", "kind", "disposition"),
     ),
     EventSpec(
         "recovery.file.repaired",
         "event",
-        "a damaged file finished block repair",
+        "a damaged file was brought back to its durable checksums "
+        "(`full_file` marks the whole-file fallback)",
         attrs=("path", "blocks", "full_file"),
     ),
-    # -- spans -------------------------------------------------------------
+    HARNESS,  # from here on: spans
     EventSpec(
         "run",
         "span",
-        "one (solution, trace) experiment run",
+        "one (solution, trace) experiment run (top level, no parent)",
         attrs=("solution", "trace"),
     ),
-    EventSpec("run.preload", "span", "preload files installed and synced outside measurement"),
-    EventSpec("run.replay", "span", "the measured trace replay"),
-    EventSpec("run.settle", "span", "post-replay pumping until delays elapse"),
-    EventSpec("run.flush", "span", "final drain of the sync queue"),
+    EventSpec("run.preload", "span", "installing + syncing preloaded files (unmeasured)"),
+    EventSpec("run.replay", "span", "the measured trace replay loop"),
+    EventSpec("run.settle", "span", "post-replay clock-advance/pump rounds until delays elapse"),
+    EventSpec("run.flush", "span", "the final forced drain of the sync queue"),
+    CLIENT,
     EventSpec(
         "client.pack",
         "span",
-        "pack-and-maybe-compress for one path",
+        "pack-and-maybe-compress of one path's open write node",
         attrs=("path",),
     ),
     EventSpec(
         "client.delta.encode",
         "span",
-        "one bitwise delta encoding",
+        "one delta encoding, by the backend the mechanism policy chose "
+        "(bitwise unless configured otherwise)",
         attrs=("path", "old_bytes", "new_bytes"),
     ),
     EventSpec(
         "client.upload_unit",
         "span",
-        "one upload unit shipped and its replies processed; paths and "
-        "member_bytes list the member messages, in ship order, so every "
-        "wire byte of the unit (or its envelope) can be attributed back "
-        "to the files that caused it",
+        "one upload unit shipped through the channel and its replies "
+        "processed; `paths`/`member_bytes` list the member messages in ship "
+        "order so offline attribution can split grouped (or enveloped) wire "
+        "bytes back over the files that caused them",
         attrs=("nodes", "transactional", "paths", "member_bytes"),
     ),
+    JOURNAL,
     EventSpec(
         "client.recover",
         "span",
-        "one post-crash recovery pass (journal replay + sweep)",
+        "one post-crash recovery pass: journal replay + checksum sweep + "
+        "block repair",
         attrs=("nodes",),
     ),
+    SERVER,
     EventSpec(
         "server.apply",
         "span",
-        "server-side application of one message or group",
+        "the server applying one received message (a `TxnGroup` is one message)",
         attrs=("type", "origin"),
     ),
+    TRANSPORT,
     EventSpec(
         "transport.retransmit_round",
         "span",
-        "one sweep retransmitting every envelope whose timer expired",
+        "one sweep retransmitting every envelope whose retry timer expired",
         attrs=("due",),
     ),
+    SERVER,
     EventSpec(
         "server.shard.route",
         "span",
@@ -922,18 +977,15 @@ EVENTS: Tuple[EventSpec, ...] = (
 METRIC_NAMES: Tuple[str, ...] = tuple(spec.name for spec in METRICS)
 EVENT_NAMES: Tuple[str, ...] = tuple(spec.name for spec in EVENTS)
 
+METRICS_BY_NAME: Dict[str, MetricSpec] = {spec.name: spec for spec in METRICS}
+EVENTS_BY_NAME: Dict[str, EventSpec] = {spec.name: spec for spec in EVENTS}
+
 
 def metric_spec(name: str) -> MetricSpec:
     """Look up a declared metric; raises ``KeyError`` for unknown names."""
-    for spec in METRICS:
-        if spec.name == name:
-            return spec
-    raise KeyError(name)
+    return METRICS_BY_NAME[name]
 
 
 def event_spec(name: str) -> EventSpec:
     """Look up a declared event/span; raises ``KeyError`` for unknown names."""
-    for spec in EVENTS:
-        if spec.name == name:
-            return spec
-    raise KeyError(name)
+    return EVENTS_BY_NAME[name]

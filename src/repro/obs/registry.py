@@ -8,8 +8,12 @@ disabled path never allocates and never changes behaviour.
 Design constraints (see ``docs/observability.md``):
 
 - **Declared names only.** Every metric family must exist in
-  :data:`repro.obs.names.METRICS` (or be added via :meth:`declare`), so the
-  documented contract and the code cannot drift silently.
+  :data:`repro.obs.names.METRICS` (or be added via :meth:`declare`); the
+  documented contract is rendered from those declarations, so the two
+  cannot drift. Label *keys* are declared there too
+  (``MetricSpec.labels``) but not policed here — the recording path stays
+  as cheap as it is, and the scripted runs of
+  ``tests/harness/test_event_stream_golden.py`` hold every emitter to them.
 - **No wall clock.** Nothing here reads ``time``; durations are observed
   by callers from :class:`~repro.common.clock.VirtualClock`, keeping
   snapshots deterministic under seeded runs.
@@ -45,6 +49,14 @@ def _render_name(name: str, key: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
+def parse_series_name(rendered: str) -> Tuple[str, LabelKey]:
+    """The one inverse of :func:`_render_name`: ``family{k=v,...}`` (a
+    snapshot key) back into the family name and its label pairs."""
+    family, _, inner = rendered.partition("{")
+    pairs = inner.rstrip("}").split(",") if inner else []
+    return family, tuple((k, v) for k, _, v in (p.partition("=") for p in pairs))
+
+
 class _Histogram:
     """Fixed-bucket histogram: counts per bucket plus sum and count."""
 
@@ -76,11 +88,11 @@ class _Histogram:
 class MetricsRegistry:
     """Accumulates declared metrics for one run.
 
-    Counters, gauges, and histograms all accept free-form labels (e.g.
-    ``inc("channel.up.bytes", size, type="UploadWrite")`` or
-    ``observe("fleet.sync.latency", dt, shard=3)``); each distinct label
-    set is a separate series under the declared family name. Every series
-    of a histogram family shares the family's declared buckets.
+    Counters, gauges, and histograms all take labels (e.g.
+    ``inc("channel.up.bytes", size, type="UploadWrite")`` — the keys are
+    the family's ``MetricSpec.labels``); each distinct label set is a
+    separate series under the declared family name. Every series of a
+    histogram family shares the family's declared buckets.
     """
 
     def __init__(self, specs: Tuple[MetricSpec, ...] = METRICS):
@@ -112,7 +124,7 @@ class MetricsRegistry:
         if spec is None:
             raise KeyError(
                 f"metric {name!r} is not declared; add it to repro.obs.names "
-                f"(and docs/observability.md) or registry.declare() it"
+                f"(then `python tools/obs_docs.py --write`) or registry.declare() it"
             )
         if spec.kind != kind:
             raise TypeError(f"metric {name!r} is a {spec.kind}, not a {kind}")
@@ -175,13 +187,7 @@ class MetricsRegistry:
         name when unlabelled). Keys are sorted, so equal runs produce
         equal snapshots.
         """
-        out: Dict[str, object] = {}
-        for name in sorted(self._counters):
-            for key in sorted(self._counters[name]):
-                out[_render_name(name, key)] = self._counters[name][key]
-        for name in sorted(self._gauges):
-            for key in sorted(self._gauges[name]):
-                out[_render_name(name, key)] = self._gauges[name][key]
+        out: Dict[str, object] = dict(self.scalar_snapshot())
         for name in sorted(self._histograms):
             for key in sorted(self._histograms[name]):
                 out[_render_name(name, key)] = self._histograms[name][key].as_dict()
@@ -190,12 +196,10 @@ class MetricsRegistry:
     def scalar_snapshot(self) -> Dict[str, float]:
         """Only the counter/gauge series — what feeds ``RunResult.extra``."""
         out: Dict[str, float] = {}
-        for name in sorted(self._counters):
-            for key in sorted(self._counters[name]):
-                out[_render_name(name, key)] = self._counters[name][key]
-        for name in sorted(self._gauges):
-            for key in sorted(self._gauges[name]):
-                out[_render_name(name, key)] = self._gauges[name][key]
+        for families in (self._counters, self._gauges):
+            for name in sorted(families):
+                for key in sorted(families[name]):
+                    out[_render_name(name, key)] = families[name][key]
         return out
 
     def reset(self) -> None:

@@ -20,7 +20,8 @@ The JSONL schema (one object per line, documented in
     {"type": "event",      "name": ..., "parent": P, "ts": T, "attrs": {...}}
 
 Like the registry, event/span names must be declared in
-:data:`repro.obs.names.EVENTS` so the documented contract cannot drift.
+:data:`repro.obs.names.EVENTS`, which the documented contract is rendered
+from.
 :data:`NULL_TRACER` is the no-op used on the disabled path.
 
 Distributed identity: a tracer may be named with ``source="client-1"``.
@@ -209,7 +210,8 @@ class Tracer:
         if name not in self._known:
             raise KeyError(
                 f"trace event {name!r} is not declared; add it to "
-                f"repro.obs.names (and docs/observability.md) or declare() it"
+                f"repro.obs.names (then `python tools/obs_docs.py --write`) "
+                f"or declare() it"
             )
 
     # -- recording ---------------------------------------------------------

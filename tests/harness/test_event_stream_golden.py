@@ -31,7 +31,8 @@ from repro.harness.fleet import FleetSpec, run_fleet
 from repro.harness.runner import run_trace
 from repro.kvstore.kv import MemoryKV
 from repro.obs import Observability, Tracer
-from repro.obs.names import EVENT_NAMES, event_spec
+from repro.obs.names import EVENT_NAMES, METRIC_NAMES, event_spec, metric_spec
+from repro.obs.registry import parse_series_name
 from repro.server.cloud import CloudServer
 from repro.server.shard import ShardRouter
 from repro.sim import Simulation
@@ -59,12 +60,18 @@ SERVERS = {
 
 def _digest(obs: Observability, numbers):
     """One hash over the trace, the metrics and the result numbers — and,
-    beside it, every distinct (name, attr keys) the run emitted."""
+    beside it, every distinct (name, attr keys) the run emitted and every
+    distinct (metric family, label keys) it touched."""
     doc = [obs.tracer.to_jsonl(), obs.metrics.snapshot(), numbers]
     emitted = frozenset(
         (e.name, tuple(e.attrs)) for e in obs.tracer.events() if e.type != "span_end"
     )
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(), emitted
+    series = frozenset(
+        (family, tuple(key for key, _ in labels))
+        for family, labels in map(parse_series_name, doc[1])
+    )
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return digest, emitted, series
 
 
 def _replay(trace, solution="deltacfs", **kwargs):
@@ -267,6 +274,17 @@ CASES = _cases()
 # new catalog entry is either emitted here — and its attrs checked
 # against its emitter — or consciously added to it.
 NEVER_EMITTED = ["relation.invalidate"]
+# Likewise the metric families no run touches (so their labels go unchecked).
+NEVER_TOUCHED = [
+    "channel.faults.partition_drops",
+    "client.stalls",
+    "health.regressions",
+    "recovery.nodes.already_applied",
+    "recovery.nodes.rebased",
+    "relation.entries.invalidated",
+    "relation.entries.stale",
+    "relation.entries.superseded",
+]
 
 
 def _small_fleet():
@@ -280,7 +298,7 @@ def _small_fleet():
 
 @functools.cache
 def _ran(case: str):
-    """``(digest, emitted)`` of one scripted run, run once per session."""
+    """``(digest, emitted, series)`` of one scripted run, run once per session."""
     return CASES[case]()
 
 
@@ -299,17 +317,40 @@ def test_event_stream_bit_identical(golden, case):
 
 
 def test_emitted_attrs_are_the_catalogs(golden):
-    """The catalog is checked against the docs by ``tools/lint_obs_docs.py``;
-    this checks it against the emitters: every span start and point event
-    of every run carries exactly its ``EventSpec.attrs``, in order."""
-    seen = set()
-    emissions = {case: _ran(case)[1] for case in CASES}
-    emissions["small-fleet"] = _small_fleet()[1]
-    for case, emitted in emissions.items():
+    """The docs are rendered from the catalog; this checks the catalog
+    against the emitters: every span start and point event of every run
+    carries exactly its ``EventSpec.attrs``, in order, and every metric
+    series exactly its ``MetricSpec.labels``."""
+    seen, touched = set(), set()
+    runs = {case: _ran(case)[1:] for case in CASES}
+    runs["small-fleet"] = _small_fleet()[1:]
+    for case, (emitted, series) in runs.items():
         for name, keys in sorted(emitted):
             assert keys == event_spec(name).attrs, (case, name)
             seen.add(name)
+        assert _label_drift(series, metric_spec) == [], case
+        touched.update(family for family, _ in series)
     assert sorted(set(EVENT_NAMES) - seen) == NEVER_EMITTED
+    assert sorted(set(METRIC_NAMES) - touched) == NEVER_TOUCHED
+
+    # The check bites: one wrong label key in a copy of one spec is found.
+    def planted(family):
+        spec = metric_spec(family)
+        wrong = family == "channel.up.bytes"
+        return dataclasses.replace(spec, labels=("kind",)) if wrong else spec
+
+    assert _label_drift(runs["word/plain"][1], planted) == [
+        ("channel.up.bytes", ("type",), ("kind",))
+    ]
+
+
+def _label_drift(series, spec_of) -> list:
+    """``(family, emitted label keys, declared)`` wherever the two differ."""
+    return sorted(
+        (family, keys, spec_of(family).labels)
+        for family, keys in series
+        if keys != spec_of(family).labels
+    )
 
 
 if __name__ == "__main__":

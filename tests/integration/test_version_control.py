@@ -4,10 +4,13 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError
+from repro.common.rng import DeterministicRandom
 from repro.core.client import DeltaCFSClient
+from repro.kvstore.kv import MemoryKV
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.server.storage import VersionedStore
+from repro.sim import Simulation
 from repro.vfs.filesystem import MemoryFileSystem
 
 
@@ -163,3 +166,58 @@ class TestRestore:
         client = DeltaCFSClient(MemoryFileSystem(), server=None)
         with pytest.raises(RuntimeError):
             client.version_history("/f")
+
+
+class TestRestoreSupersedesPendingState:
+    """A restore replaces the path's content, so everything the client held
+    against the replaced content goes with it: queued nodes, the undo log
+    and its journaled spans, and the stale checksums and versions of the
+    path's hard-linked names."""
+
+    @staticmethod
+    def _two_synced_versions(sim):
+        """``/f`` synced twice; returns both contents and the first stamp."""
+        client = sim.client
+        rng = DeterministicRandom(20)
+        first, second = rng.random_bytes(100_000), rng.random_bytes(100_000)
+        client.create("/f")
+        stamps = []
+        for content in (first, second):
+            client.write("/f", 0, content)
+            client.close("/f")
+            sim.settle()
+            sim.flush()
+            stamps.append(client.versions["/f"])
+        return first, second, stamps[0]
+
+    def test_restore_forgets_the_undo_log(self):
+        sim = Simulation(journal_kv=MemoryKV())
+        client = sim.client
+        _, second, v1 = self._two_synced_versions(sim)
+        client.write("/f", 0, b"\x5a" * 60_000)  # in place, left open
+        assert client.undo.has_log("/f")
+        client.restore_version("/f", v1)
+        assert not client.undo.has_log("/f")
+        assert "/f" not in client.journal.load().undo
+        # The next large in-place edit must be packed against the restored
+        # content, not against an "old version" rebuilt from stale spans.
+        client.write("/f", 10_000, second[10_000:80_000])
+        client.close("/f")
+        sim.settle()
+        sim.flush()
+        assert sim.mismatched() == []
+        assert sim.converged()
+        assert client.stats.conflicts == 0
+
+    def test_restore_realigns_hard_linked_names(self):
+        sim = Simulation()
+        client = sim.client
+        first, _, v1 = self._two_synced_versions(sim)
+        client.link("/f", "/g")
+        sim.settle()
+        sim.flush()
+        client.restore_version("/f", v1)
+        assert client.read("/g") == first  # a verified read: no false alarm
+        assert client.stats.corruptions_detected == 0
+        assert client.stats.recoveries == 0
+        assert client.versions["/g"] == client.versions["/f"] == v1

@@ -1,14 +1,16 @@
 """Offline trace analysis: span trees, rollups, critical path, and the
 byte-exact uplink cost attribution (the ISSUE-4 tentpole)."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.network import NetworkFaults
 from repro.harness.runner import run_trace
 from repro.net.reliable import RetryPolicy
-from repro.obs import Observability
+from repro.obs import Observability, Tracer
 from repro.obs.analyze import (
     Attribution,
     AttributionError,
@@ -21,7 +23,22 @@ from repro.obs.analyze import (
     span_rollup,
 )
 from repro.obs.export import snapshot_record
+from repro.server.cloud import CloudServer
+from repro.sim import Simulation
 from repro.workloads import gedit_trace
+
+# One line each; every one used to escape the loader as a bare KeyError,
+# ValueError or TypeError (tests/test_cli.py feeds them to the CLI too).
+MALFORMED_RECORDS = (
+    '{"type":"span_start"}',
+    '{"type":"span_start","name":"run","id":"x","parent":null,"ts":0.0}',
+    '{"type":"span_start","id":1,"parent":null,"ts":0.0}',
+    '{"type":"span_start","name":"run","id":1,"parent":null,"ts":"abc"}',
+    '{"type":"event","name":"channel.upload","parent":"q","ts":0.0}',
+    '{"type":"event","name":"channel.upload","parent":null,"ts":0.0,"attrs":[1,2]}',
+    '{"type":"event","name":"trace.link","src":"cloud","parent":null,"ts":0.0,'
+    '"attrs":{"src":"client-1","trace":1,"span":"zz"}}',
+)
 
 
 def record_run(solution="deltacfs", saves=3, **kwargs):
@@ -98,6 +115,74 @@ class TestLoader:
             load_trace_lines([json.dumps(
                 {"type": "span_end", "name": "run", "id": 9, "parent": None,
                  "ts": 1.0, "duration": 1.0})])
+        for line in MALFORMED_RECORDS:
+            with pytest.raises(TraceFormatError, match="^line 1: "):
+                load_trace_lines([line])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_recordings_load_or_fail_cleanly(self, data):
+        """Fuzz the last unfuzzed decoder: whatever is done to a recorded
+        trace, the loader answers with a TraceDoc or a TraceFormatError."""
+        lines = list(_recorded_lines())
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            mutation = data.draw(st.sampled_from(("drop", "swap", "cut", "shuffle")))
+            if mutation == "cut":
+                lines[at] = lines[at][: data.draw(st.integers(0, len(lines[at])))]
+            elif mutation == "shuffle":
+                lines = data.draw(st.permutations(lines))
+            else:
+                # Aim at a top-level key or at one inside attrs / metrics.
+                try:
+                    record = holder = json.loads(lines[at])
+                except ValueError:  # an earlier cut got here first
+                    continue
+                if not isinstance(record, dict) or not record:
+                    continue
+                nested = [v for v in record.values() if isinstance(v, dict) and v]
+                if nested and data.draw(st.booleans()):
+                    holder = data.draw(st.sampled_from(nested))
+                key = data.draw(st.sampled_from(sorted(holder)))
+                if mutation == "drop":
+                    del holder[key]
+                else:
+                    holder[key] = data.draw(_JSON_VALUES)
+                lines[at] = json.dumps(record)
+        try:
+            doc = load_trace_lines(lines)
+        except TraceFormatError:
+            return
+        assert len(doc.records) <= len(lines)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@functools.cache
+def _recorded_lines():
+    """A small multi-tracer recording (named sources, trace.link events,
+    a snapshot line): the valid input the fuzz test damages."""
+    obs = Observability(tracer=Tracer(source="client-1"))
+    cloud = Observability(tracer=Tracer(source="cloud"))
+    sim = Simulation(
+        server=CloudServer(obs=cloud), obs=obs, faults=NetworkFaults(drop_prob=0.2)
+    )
+    cloud.bind_clock(sim.clock)
+    sim.client.create("/f")
+    sim.client.write("/f", 0, b"x" * 5000)
+    sim.client.close("/f")
+    sim.settle()
+    sim.flush()
+    lines = obs.tracer.to_jsonl().splitlines() + cloud.tracer.to_jsonl().splitlines()
+    lines.append(json.dumps(snapshot_record(obs.metrics, sim.clock.now())))
+    doc = load_trace_lines(lines)  # undamaged, it loads
+    assert doc.snapshot and any(e["name"] == "trace.link" for e in doc.point_events())
+    return tuple(lines)
 
 
 class TestApportion:

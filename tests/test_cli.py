@@ -129,6 +129,22 @@ def test_inspect_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "verb", (["inspect"], ["check", "--no-lint", "--traces"]), ids=("inspect", "check")
+)
+def test_malformed_trace_records_are_a_clean_error(tmp_path, capsys, verb):
+    from tests.obs.test_analyze import MALFORMED_RECORDS
+
+    good = ('{"type":"span_start","name":"run","id":1,"parent":null,"ts":0.0}',)
+    for number, line in enumerate(MALFORMED_RECORDS):
+        bad = tmp_path / f"bad{number}.jsonl"
+        bad.write_text("\n".join(good + (line,)) + "\n")
+        assert main(verb + [str(bad)]) == 2, line
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{bad}: line 2: "), captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_inspect_openmetrics_needs_snapshot(tmp_path, capsys):
     import json
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -140,6 +141,19 @@ def test_committed_baselines_are_loadable():
         doc = bench_gate.load_snapshot(path)
         assert doc["bench"] == path.stem
         assert doc["metrics"]
+
+
+def test_every_lane_the_docs_name_has_a_baseline():
+    """The guides cannot describe a ``BENCH_<lane>.json`` the gate does not
+    protect: each one named in ``docs/*.md`` has a committed baseline."""
+    named = {
+        (doc.name, lane)
+        for doc in (REPO_ROOT / "docs").glob("*.md")
+        for lane in re.findall(r"BENCH_([a-z0-9_]+)\.json", doc.read_text(encoding="utf-8"))
+    }
+    assert len(named) >= 4
+    base_dir = REPO_ROOT / "benchmarks" / "baselines"
+    assert sorted(n for n in named if not (base_dir / f"{n[1]}.json").exists()) == []
 
 
 class TestDirectionsAndTolerance:

@@ -13,13 +13,13 @@ import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path[:0] = [os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "tools")]
 
+import gendoc  # noqa: E402
 from repro.common import wire  # noqa: E402
 
 DOC = os.path.join(REPO_ROOT, "docs", "wire-protocol.md")
-BEGIN = "<!-- BEGIN GENERATED by tools/wire_docs.py — do not edit by hand -->"
-END = "<!-- END GENERATED -->"
+BEGIN, END = gendoc.begin("wire_docs"), gendoc.END  # under the names the tests read
 
 #: Documented modules, in reading order, with what their records are.
 MODULES = (
@@ -54,39 +54,27 @@ def layout_table(record) -> str:
         rows = [("", f"tag 0x{m.tag:02x}: {m.name}") for m in record.members]
     else:
         rows = [(field.name, field.doc) for field in record.fields]
-    lines = ["| field | encoding |", "|---|---|"]
-    lines += [
-        f"| {f'`{name}`' if name else '—'} | {encoding} |" for name, encoding in rows
-    ]
-    return "\n".join(lines)
+    return gendoc.table(
+        ("field", "encoding"),
+        [(f"`{name}`" if name else "—", encoding) for name, encoding in rows],
+    )
 
 
 def render() -> str:
-    """The generated block, markers included."""
-    out = [BEGIN, ""]
+    """The body of the generated block."""
+    out = []
     for module_name, what in MODULES:
         out += [f"### `{module_name}` — {what}", ""]
         for record in records_in(importlib.import_module(module_name)):
             kind = "" if record.codec else " (sizes only)"
             out += [f"**`{record.name}`**{kind}", "", layout_table(record), ""]
-    return "\n".join(out + [END])
+    return "\n".join(out[:-1])
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    with open(DOC, encoding="utf-8") as handle:
-        doc = handle.read()
-    head, _, rest = doc.partition(BEGIN)
-    _, _, tail = rest.partition(END)
-    fresh = head + render() + tail
-    if args == ["--write"]:
-        with open(DOC, "w", encoding="utf-8") as handle:
-            handle.write(fresh)
-        return 0
-    if fresh != doc:
-        print("docs/wire-protocol.md is stale: run `python tools/wire_docs.py --write`")
-        return 1
-    return 0
+    return gendoc.sync(
+        "wire_docs", DOC, {BEGIN: render()}, sys.argv[1:] if argv is None else argv
+    )
 
 
 if __name__ == "__main__":
