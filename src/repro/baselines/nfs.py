@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
+from repro.common.pages import EMPTY
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.net.messages import FileDownload, MetaOp, UploadTruncate, UploadWrite
 from repro.net.transport import Channel, NetworkModel
@@ -70,15 +71,15 @@ class NFSClient(PassthroughFileSystem):
     def _server_size(self, path: str) -> int:
         if self.server is None or not self.server.store.exists(path):
             return 0
-        return len(self.server.file_content(path))
+        return self.server.store.get(path).size
 
     def _fetch_pages(self, path: str, pages: list[int]) -> None:
         """fetch-before-write / cache-miss read: pull pages from the server."""
         if not pages or self.server is None or not self.server.store.exists(path):
             return
-        content = self.server.file_content(path)
+        content = self.server.store.get(path).pages
         span = b"".join(
-            content[p * self.page_size : (p + 1) * self.page_size] for p in pages
+            content.read(p * self.page_size, self.page_size) for p in pages
         )
         if span:
             self.channel.download(FileDownload(path=path, data=span), self._now)
@@ -90,7 +91,7 @@ class NFSClient(PassthroughFileSystem):
         self.inner.create(path)
         self.channel.upload(MetaOp(kind="create", path=path), self._now)
         if self.server is not None:
-            self.server.store.put(path, b"", None)
+            self.server.store.put(path, EMPTY, None)
         self._cached_pages[path] = set()
 
     def write(self, path: str, offset: int, data: bytes) -> None:
@@ -114,7 +115,7 @@ class NFSClient(PassthroughFileSystem):
         if self.server is not None:
             self.server.meter.charge_bytes("write_io", len(data))
             stored = self.server.store.lookup(path)
-            base = stored.content if stored is not None else b""
+            base = stored.pages if stored is not None else EMPTY
             self.server.store.put(path, rpc.apply_to(base), None)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
@@ -135,7 +136,7 @@ class NFSClient(PassthroughFileSystem):
         self.channel.upload(rpc, self._now)
         if self.server is not None and self.server.store.exists(path):
             stored = self.server.store.get(path)
-            self.server.store.put(path, rpc.apply_to(stored.content), None)
+            self.server.store.put(path, rpc.apply_to(stored.pages), None)
 
     def rename(self, src: str, dst: str) -> None:
         self.inner.rename(src, dst)

@@ -1,0 +1,160 @@
+"""``Pages``: immutable file content whose updates cost what they change.
+
+The in-memory stores (``MemoryFileSystem`` inodes, the cloud's
+``StoredFile`` and its snapshot window) hold file content as this one
+value. A value never changes after it is made: ``write`` and ``truncate``
+return a *new* value that shares every 4 KB page the update did not touch,
+so a 4 KB write into a 4 MB file copies one or two pages plus the page
+table, and keeping the old version (a snapshot) is keeping a reference.
+This is the metadata-over-pages representation of *DeltaFS* (PAPERS.md),
+at the block size Section III-E already checksums and SQLite already
+writes — an aligned page write reads nothing.
+
+A value has one representation, fixed when it is made:
+
+- *flat* — it wraps the ``bytes`` it was built from (a preload, an
+  ``UploadFull``, ``apply_delta`` output, any write that replaces the whole
+  content) and is what every content no longer than :data:`FLAT_MAX` is.
+  ``bytes(flat)`` is that object, free.
+- *paged* — a tuple of pages, each exactly :data:`PAGE` bytes but the
+  last: the product of a partial write or truncate that leaves more than
+  :data:`FLAT_MAX` bytes. ``bytes(paged)`` joins the pages and keeps
+  nothing: caching the join beside the pages was measured to raise peak
+  RSS by half where many replicas are read back (docs/performance.md,
+  deliberate rejections).
+
+``write`` and ``truncate`` have exactly the semantics of
+``bytesutil.apply_write`` / ``bytesutil.truncate`` on plain ``bytes`` —
+those two stay as the reference ``tests/common/test_pages.py`` diffs this
+type against.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+PAGE = 4096
+# Up to here a content stays flat and a write splices it as apply_write
+# does: copying at most 64 KB costs what a paged write's fixed work does
+# (a few microseconds either way; the curves cross between 32 and 64 KB),
+# and a page table would only tax small files, a one-page file most of all.
+FLAT_MAX = 16 * PAGE
+
+
+def _split(flat: bytes) -> Tuple[bytes, ...]:
+    return tuple([flat[i : i + PAGE] for i in range(0, len(flat), PAGE)])
+
+
+class Pages:
+    """File content: ``len``, ``read``/slice, ``bytes``, ``==``/``hash`` as
+    the ``bytes`` it stands for; ``write``/``truncate`` return new values.
+
+    ``Pages(data)`` is the flat value around ``data``. Two attributes are
+    there to be read, never assigned: ``size`` in bytes (what ``len``
+    returns, without the call) and ``table``, the page tuple of a paged
+    value and ``None`` for a flat one.
+    """
+
+    __slots__ = ("_flat", "table", "size")
+
+    def __init__(self, data: Optional[bytes] = b"", table=None, size=None):
+        self._flat = data  # the whole content, or None when paged
+        self.table: Optional[Tuple[bytes, ...]] = table
+        self.size: int = len(data) if size is None else size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        flat = self._flat
+        return flat if flat is not None else b"".join(self.table)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Pages, bytes, bytearray)):
+            return len(other) == self.size and bytes(self) == bytes(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(bytes(self))
+
+    def __repr__(self) -> str:
+        kind = "flat" if self.table is None else f"{len(self.table)} pages"
+        return f"Pages({self.size} bytes, {kind})"
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, step = key.indices(self.size)
+        if step != 1:
+            raise ValueError("only contiguous slices of file content")
+        return self.read(start, max(0, stop - start))
+
+    def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
+        """``length`` bytes at ``offset`` (to the end when ``None``),
+        clipped to the content."""
+        if offset < 0:
+            raise ValueError("negative offset")
+        flat = self._flat
+        if flat is not None:
+            return flat[offset:] if length is None else flat[offset : offset + length]
+        size = self.size
+        stop = size if length is None else min(offset + length, size)
+        if offset >= stop:
+            return b""
+        table = self.table
+        first, last = offset // PAGE, (stop - 1) // PAGE
+        if first == last:
+            base = first * PAGE
+            return table[first][offset - base : stop - base]
+        parts = list(table[first : last + 1])
+        parts[0] = parts[0][offset - first * PAGE :]
+        parts[-1] = parts[-1][: stop - last * PAGE]
+        return b"".join(parts)
+
+    def write(self, offset: int, data: bytes) -> "Pages":
+        """The content with ``data`` written at ``offset``; a gap past the
+        end is zero-filled (POSIX sparse semantics), also for empty data."""
+        if offset < 0:
+            raise ValueError("negative offset")
+        size = self.size
+        end = offset + len(data)
+        if offset == 0 and end >= size:
+            # Whole content replaced: flat around the payload itself, so
+            # replicas of one upload keep sharing one bytes object.
+            return Pages(bytes(data))
+        flat = self._flat
+        if flat is not None and end <= FLAT_MAX and size <= FLAT_MAX:
+            # Small content: spliced exactly as apply_write does.
+            if offset > size:
+                flat = flat + bytes(offset - size)
+            return Pages(flat[:offset] + data + flat[end:])
+        start = offset if offset < size else size  # a gap changes bytes too
+        if end == start:
+            return self
+        table = self.table if flat is None else _split(flat)
+        lo, hi = start // PAGE, (end - 1) // PAGE
+        chunk = table[lo][: start - lo * PAGE] if start > lo * PAGE else b""
+        if offset > size:
+            chunk += bytes(offset - size)
+        chunk += data
+        if end < size:
+            chunk += table[hi][end - hi * PAGE :]
+        return Pages(
+            None,
+            table[:lo] + _split(chunk) + table[hi + 1 :],
+            end if end > size else size,
+        )
+
+    def truncate(self, length: int) -> "Pages":
+        """The content cut, or zero-extended, to ``length``."""
+        if length < 0:
+            raise ValueError("negative length")
+        if length >= self.size:
+            return self if length == self.size else self.write(length, b"")
+        if length <= FLAT_MAX:
+            return Pages(self.read(0, length))
+        table = self.table if self._flat is None else _split(self._flat)
+        keep, rest = divmod(length, PAGE)
+        kept = table[:keep]
+        return Pages(None, kept + (table[keep][:rest],) if rest else kept, length)
+
+
+EMPTY = Pages()

@@ -16,7 +16,7 @@ the block checksum, which further reduces the computational cost."
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.chunking._fast import block_weak_checksums
 from repro.common import wire
@@ -54,15 +54,30 @@ class ChecksumStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def _span_weaks(self, content: bytes, first: int, last: int) -> List[int | None]:
+    def span_of(self, offset: int, length: int | None) -> Tuple[int, int | None]:
+        """``(start, size)`` of the block-aligned byte span covering
+        ``[offset, offset+length)`` (``size`` ``None``: to the end of the
+        file, like ``length``) — all of the file :meth:`update_blocks` /
+        :meth:`verify_read` look at, so a caller can hand them that span
+        (``start=``) instead of the whole file."""
+        bs = self.block_size
+        start = offset - offset % bs
+        if length is None:
+            return start, None
+        return start, -(-(offset + length) // bs) * bs - start
+
+    def _span_weaks(
+        self, content: bytes, first: int, last: int, start: int = 0
+    ) -> List[int | None]:
         """Checksums of blocks ``first..last`` in one vectorized sweep.
 
+        ``content`` holds the file from byte ``start`` (block-aligned) on.
         Returns one entry per block; ``None`` marks a block that has no
         bytes (the file ends before it). The cost charged equals the sum
         of the per-block charges the block-at-a-time loop used to make.
         """
         bs = self.block_size
-        span = content[first * bs : (last + 1) * bs]
+        span = content[first * bs - start : (last + 1) * bs - start]
         count = last - first + 1
         if not span:
             return [None] * count
@@ -71,18 +86,21 @@ class ChecksumStore:
         weaks.extend([None] * (count - len(weaks)))
         return weaks
 
-    def update_blocks(self, path: str, content: bytes, offset: int, length: int) -> None:
+    def update_blocks(
+        self, path: str, content: bytes, offset: int, length: int, *, start: int = 0
+    ) -> None:
         """Recompute checksums for the blocks touched by a write.
 
-        ``content`` is the file content *after* the write. The cost charged
-        covers only the touched blocks — this is the "little overhead" the
-        paper claims for checksum maintenance. The touched span is
-        checksummed in one bulk pass, not block-by-block.
+        ``content`` is the file content *after* the write, from byte
+        ``start`` on (the whole file, or just :meth:`span_of` the write).
+        The cost charged covers only the touched blocks — this is the
+        "little overhead" the paper claims for checksum maintenance. The
+        touched span is checksummed in one bulk pass, not block-by-block.
         """
         if length <= 0:
             return
         indices = block_range(offset, length, self.block_size)
-        weaks = self._span_weaks(content, indices[0], indices[-1])
+        weaks = self._span_weaks(content, indices[0], indices[-1], start)
         for rel, index in enumerate(indices):
             weak = weaks[rel]
             if weak is not None:
@@ -131,8 +149,13 @@ class ChecksumStore:
             for key, value in self.kv.items(prefix)
         }
 
-    def verify_read(self, path: str, content: bytes, offset: int, length: int) -> None:
+    def verify_read(
+        self, path: str, content: bytes, offset: int, length: int, *, start: int = 0
+    ) -> None:
         """Verify the blocks covering a read; raise on mismatch.
+
+        ``content`` is the file from byte ``start`` on, as for
+        :meth:`update_blocks`.
 
         Raises:
             CorruptionDetected: a covered block's checksum disagrees with
@@ -141,7 +164,7 @@ class ChecksumStore:
         if length <= 0:
             return
         indices = block_range(offset, length, self.block_size)
-        weaks = self._span_weaks(content, indices[0], indices[-1])
+        weaks = self._span_weaks(content, indices[0], indices[-1], start)
         for rel, index in enumerate(indices):
             stored = self.kv.get(_key(path, index))
             actual = weaks[rel]

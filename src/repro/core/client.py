@@ -232,6 +232,12 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("create", path, None, new_version=version, now=now)
 
     def write(self, path: str, offset: int, data: bytes) -> None:
+        if not data:
+            # write(2) with count 0 changes nothing. Forwarded, the backing
+            # store would zero-fill a gap past EOF that no shipped run
+            # carries, and the replicas would silently diverge.
+            self.inner.stat(path)  # a missing path still raises
+            return
         now = self._tick()
         if self._unsynced(path):
             self.inner.write(path, offset, data)
@@ -282,8 +288,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._journal_node(node)
 
         if self.checksums is not None:
-            content = self.inner.read_file(path)
-            self.checksums.update_blocks(path, content, offset, len(data))
+            start, span = self._checksummed_span(path, offset, len(data))
+            self.checksums.update_blocks(path, span, offset, len(data), start=start)
         self._sync_aliases(path, offset, len(data))
 
     def _sync_aliases(self, path: str, offset: int, length: int) -> None:
@@ -298,29 +304,42 @@ class DeltaCFSClient(PassthroughFileSystem):
         if not aliases:
             return
         version = self.versions.get(path)
-        content = self.inner.read_file(path) if self.checksums is not None else b""
+        if self.checksums is not None:
+            start, span = self._checksummed_span(path, offset, length)
         for alias in aliases:
             if self._unsynced(alias):
                 continue
             self.versions[alias] = version
             if self.checksums is not None:
-                self.checksums.update_blocks(alias, content, offset, length)
+                self.checksums.update_blocks(alias, span, offset, length, start=start)
+
+    def _checksummed_span(
+        self, path: str, offset: int, length: Optional[int]
+    ) -> Tuple[int, bytes]:
+        """Where the blocks covering ``[offset, offset+length)`` start, and
+        their bytes: all the Checksum Store needs of the file, so a write's
+        or read's checksum work reads what it touched, not the file."""
+        start, size = self.checksums.span_of(offset, length)
+        return start, self.inner.read(path, start, size)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
         self._tick()
-        data = self.inner.read(path, offset, length)
-        if self.checksums is not None and not self._unsynced(path):
-            content = self.inner.read_file(path)
-            try:
-                self.checksums.verify_read(path, content, offset, len(data))
-            except CorruptionDetected:
-                self.stats.corruptions_detected += 1
-                recovered = self._recover(path)
-                if recovered is None:
-                    raise
-                if length is None:
-                    return recovered[offset:]
-                return recovered[offset : offset + length]
+        if self.checksums is None or self._unsynced(path):
+            return self.inner.read(path, offset, length)
+        # One read of the blocks to verify; the answer is cut from them.
+        start, span = self._checksummed_span(path, offset, length)
+        skip = offset - start
+        data = span[skip:] if length is None else span[skip : skip + length]
+        try:
+            self.checksums.verify_read(path, span, offset, len(data), start=start)
+        except CorruptionDetected:
+            self.stats.corruptions_detected += 1
+            recovered = self._recover(path)
+            if recovered is None:
+                raise
+            if length is None:
+                return recovered[offset:]
+            return recovered[offset : offset + length]
         return data
 
     def truncate(self, path: str, length: int) -> None:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import wire
+from repro.common.pages import EMPTY, Pages
 from repro.common.version import VersionStamp
 from repro.core.relation_table import RelationEntry
 from repro.core.sync_queue import (
@@ -677,17 +678,18 @@ def _full_reconstruction(
         )
         report.bytes_downloaded += len(chunk)
         client.obs.inc("recovery.bytes.downloaded", len(chunk))
-        candidate = chunk
+        folded = Pages(chunk)
     else:
-        candidate = b""
+        folded = EMPTY
     for message in pending:
         if isinstance(message, UploadDelta):
             try:
-                candidate = apply_delta(candidate, message.delta)
+                folded = Pages(apply_delta(bytes(folded), message.delta))
             except ValueError:
                 pass  # keep the base; the checksum contest below decides
         else:
-            candidate = message.apply_to(candidate)
+            folded = message.apply_to(folded)
+    candidate = bytes(folded)
 
     bad_candidate = client.checksums.mismatched_blocks(path, candidate)
     if not bad_candidate:

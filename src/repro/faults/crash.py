@@ -35,9 +35,7 @@ def inject_crash_inconsistency(
     offset = rng.randint(0, max(0, size - span))
     garbage = rng.random_bytes(min(span, size - offset))
     inode = fs._inode_of(path)  # deliberate: bypass the operation surface
-    data = bytearray(inode.data)
-    data[offset : offset + len(garbage)] = garbage
-    inode.data = bytes(data)
+    inode.data = inode.data.write(offset, garbage)
     return offset
 
 

@@ -10,7 +10,8 @@ version overhead modelled here.
 An *update* message is also the one statement of what the update is:
 :meth:`Message.touched_paths` says which paths it touches, and the byte-level
 kinds (``UploadWrite`` / ``UploadWriteBatch`` / ``UploadTruncate`` /
-``UploadFull``) say what they do to a file — ``apply_to(base)`` — and how
+``UploadFull``) say what they do to a file — ``apply_to(base)``, from one
+:class:`~repro.common.pages.Pages` content value to the next — and how
 many data bytes that moves — ``data_bytes()``. Server apply, conflict
 copies, crash recovery and the NFS baseline all consume these; nothing
 else re-derives them. An ``UploadDelta``'s effect is
@@ -27,7 +28,7 @@ if TYPE_CHECKING:  # obs-only annotation; never imported at runtime
     from repro.obs.tracer import TraceContext
 
 from repro.common import wire
-from repro.common.bytesutil import apply_write, truncate
+from repro.common.pages import Pages
 from repro.common.version import VersionStamp
 from repro.delta.format import Delta
 
@@ -79,10 +80,10 @@ class Message:
         return (path,) if path else ()
 
 
-def _apply_runs(message, base: bytes) -> bytes:
+def _apply_runs(message, base: Pages) -> Pages:
     """``base`` with every write run applied, in order."""
     for offset, data in message.runs:
-        base = apply_write(base, offset, data)
+        base = base.write(offset, data)
     return base
 
 
@@ -105,9 +106,9 @@ class UploadFull(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def apply_to(self, base: bytes) -> bytes:
+    def apply_to(self, base: Pages) -> Pages:
         """The file after this update: ``data``, whatever it held."""
-        return self.data
+        return Pages(self.data)
 
     def data_bytes(self) -> int:
         return len(self.data)
@@ -175,9 +176,9 @@ class UploadTruncate(Message):
     base_version: Optional[VersionStamp] = None
     new_version: Optional[VersionStamp] = None
 
-    def apply_to(self, base: bytes) -> bytes:
+    def apply_to(self, base: Pages) -> Pages:
         """``base`` cut, or zero-extended, to ``length``."""
-        return truncate(base, self.length)
+        return base.truncate(self.length)
 
     def data_bytes(self) -> int:
         return 0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.conflict import conflict_path
+from repro.common.pages import EMPTY, Pages
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.delta.patch import apply_delta
@@ -336,7 +337,7 @@ class CloudServer:
         self, op: MetaOp, placed: Dict[str, Set[Optional[VersionStamp]]]
     ) -> ApplyResult:
         if op.kind == "create":
-            self.store.put(op.path, b"", op.new_version)
+            self.store.put(op.path, EMPTY, op.new_version)
             self._mark_placed(placed, op.path, op.new_version)
             self._note_upload(op.path)
         elif op.kind == "mkdir":
@@ -372,7 +373,7 @@ class CloudServer:
             return self._lone_conflict(message)
         stored = self.store.lookup(path)
         new_content = self._effect(
-            message, stored.content if stored is not None else b"", charge=True
+            message, stored.pages if stored is not None else EMPTY, charge=True
         )
         if new_content is None:
             return self._lone_conflict(message)
@@ -386,8 +387,8 @@ class CloudServer:
         )
 
     def _effect(
-        self, message, base: Optional[bytes], *, charge: bool
-    ) -> Optional[bytes]:
+        self, message, base: Optional[Pages], *, charge: bool
+    ) -> Optional[Pages]:
         """What ``message`` makes of ``base``; ``None`` when its starting
         content aged out of the snapshot window.
 
@@ -404,7 +405,7 @@ class CloudServer:
             base = self._snapshot_or_none(message.content_base)
             if base is None:
                 return None
-            return apply_delta(base, message.delta, meter=self.meter)
+            return Pages(apply_delta(bytes(base), message.delta, meter=self.meter))
         content = message.apply_to(base)
         if charge:
             self.meter.charge_bytes("apply_delta", message.data_bytes())
@@ -546,9 +547,9 @@ class CloudServer:
         stored = self.store.lookup(path)
         return stored.version if stored is not None else None
 
-    def _snapshot_or_none(self, version: Optional[VersionStamp]) -> Optional[bytes]:
+    def _snapshot_or_none(self, version: Optional[VersionStamp]) -> Optional[Pages]:
         if version is None:
-            return b""
+            return EMPTY
         return self.store.snapshot(version)
 
     def _mark_placed(
@@ -585,12 +586,13 @@ class CloudServer:
         """
         from repro.common.errors import NotFoundError
 
-        content = self.store.snapshot(version)
-        if content is None:
+        snapshot = self.store.snapshot(version)
+        if snapshot is None:
             raise NotFoundError(f"version {version} of {path} is not restorable")
         new_version = as_version if as_version is not None else version
-        self.store.put(path, content, new_version)
+        self.store.put(path, snapshot, new_version)
         self._note_upload(path)
+        content = bytes(snapshot)
         message = UploadFull(
             path=path, data=content, base_version=None, new_version=new_version
         )
@@ -630,4 +632,4 @@ class CloudServer:
         Serves the bounded crash repair: only the damaged span travels.
         """
         stored = self.store.get(path)
-        return stored.content[offset : offset + length], stored.version
+        return stored.pages.read(offset, length), stored.version

@@ -43,6 +43,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.common.pages import Pages
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter
 from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
@@ -118,7 +119,7 @@ class _StoreView:
     def lookup(self, path: str):
         return self._router.shard_for_path(path).store.lookup(path)
 
-    def snapshot(self, version: VersionStamp) -> Optional[bytes]:
+    def snapshot(self, version: VersionStamp) -> Optional[Pages]:
         for shard in self._router.shards:
             content = shard.store.snapshot(version)
             if content is not None:

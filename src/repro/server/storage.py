@@ -6,6 +6,11 @@ what let the server (a) apply a delta whose base content has already been
 renamed or overwritten in the namespace, and (b) materialize a losing
 update as a conflict copy (Section III-C: "servers keep recent versions of
 files, the incremental data can still be applied to the proper file").
+
+Content is held as :class:`~repro.common.pages.Pages` — current files and
+snapshots alike — so a snapshot is a reference and successive versions of
+a file share every page an update did not touch: the window costs the
+pages that changed across its 64 versions, not 64 files.
 """
 
 from __future__ import annotations
@@ -15,19 +20,33 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import NotFoundError
+from repro.common.pages import EMPTY, Pages
 from repro.common.version import VersionStamp
 
 
 @dataclass
 class StoredFile:
-    """Current state of one path on the cloud."""
+    """Current state of one path on the cloud.
 
-    content: bytes = field(repr=False, default=b"")
+    ``pages`` is what the store holds and every update path reads;
+    ``content`` is its ``bytes`` view — a join when the file is paged, so
+    for readers that need the whole file as one buffer.
+    """
+
+    pages: Pages = field(repr=False, default=EMPTY)
     version: Optional[VersionStamp] = None
 
     @property
+    def content(self) -> bytes:
+        return bytes(self.pages)
+
+    @content.setter
+    def content(self, value) -> None:
+        self.pages = value if type(value) is Pages else Pages(value)
+
+    @property
     def size(self) -> int:
-        return len(self.content)
+        return self.pages.size
 
 
 class VersionedStore:
@@ -37,7 +56,7 @@ class VersionedStore:
         if snapshot_window <= 0:
             raise ValueError("snapshot_window must be positive")
         self._files: Dict[str, StoredFile] = {}
-        self._snapshots: "OrderedDict[VersionStamp, bytes]" = OrderedDict()
+        self._snapshots: "OrderedDict[VersionStamp, Pages]" = OrderedDict()
         self._snapshot_window = snapshot_window
         # Per-path version lineage (newest last) — the fine-grained version
         # control of Section III-C: one entry per applied Sync Queue node.
@@ -58,18 +77,21 @@ class VersionedStore:
         """Like :meth:`get` but returns ``None`` when absent."""
         return self._files.get(path)
 
-    def put(self, path: str, content: bytes, version: Optional[VersionStamp]) -> None:
+    def put(self, path: str, content, version: Optional[VersionStamp]) -> None:
         """Set current content+version and snapshot the new version.
 
-        An existing entry is mutated *in place*: other names hard-linked to
-        the same file (see :meth:`copy`) observe the update, mirroring the
-        client file system's inode semantics.
+        ``content`` is a :class:`Pages` (an update's effect) or plain
+        ``bytes``. An existing entry is mutated *in place*: other names
+        hard-linked to the same file (see :meth:`copy`) observe the update,
+        mirroring the client file system's inode semantics.
         """
+        if type(content) is not Pages:
+            content = Pages(content)
         stored = self._files.get(path)
         if stored is None:
-            self._files[path] = StoredFile(content=content, version=version)
+            self._files[path] = StoredFile(content, version)
         else:
-            stored.content = content
+            stored.pages = content
             stored.version = version
         if version is not None:
             self._remember(version, content)
@@ -124,7 +146,7 @@ class VersionedStore:
         lineage = self._history.get(path)
         return (
             stored,
-            None if stored is None else (stored.content, stored.version),
+            None if stored is None else (stored.pages, stored.version),
             None if lineage is None else len(lineage),
         )
 
@@ -143,7 +165,7 @@ class VersionedStore:
         if stored is None:
             self._files.pop(path, None)
         else:
-            stored.content, stored.version = fields
+            stored.pages, stored.version = fields
             self._files[path] = stored
         if lineage_len is None:
             self._history.pop(path, None)
@@ -154,7 +176,7 @@ class VersionedStore:
 
     def detach_entry(
         self, path: str
-    ) -> Optional[Tuple[StoredFile, List[VersionStamp], List[Tuple[VersionStamp, bytes]]]]:
+    ) -> Optional[Tuple[StoredFile, List[VersionStamp], List[Tuple[VersionStamp, Pages]]]]:
         """Remove ``path`` and return everything another store needs to host it.
 
         Returns ``(stored, lineage, snapshots)`` — the live file object, its
@@ -181,7 +203,7 @@ class VersionedStore:
         path: str,
         stored: StoredFile,
         lineage: List[VersionStamp],
-        snapshots: List[Tuple[VersionStamp, bytes]],
+        snapshots: List[Tuple[VersionStamp, Pages]],
     ) -> None:
         """Adopt a file bundle produced by :meth:`detach_entry`.
 
@@ -211,11 +233,11 @@ class VersionedStore:
 
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot(self, version: VersionStamp) -> Optional[bytes]:
+    def snapshot(self, version: VersionStamp) -> Optional[Pages]:
         """Content of a recent version, or ``None`` if it aged out."""
         return self._snapshots.get(version)
 
-    def _remember(self, version: VersionStamp, content: bytes) -> None:
+    def _remember(self, version: VersionStamp, content: Pages) -> None:
         self._snapshots[version] = content
         self._snapshots.move_to_end(version)
         while len(self._snapshots) > self._snapshot_window:

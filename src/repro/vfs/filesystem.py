@@ -9,6 +9,12 @@ Semantics implemented (the subset the paper's update patterns exercise):
 - directories with mkdir/rmdir/listdir;
 - an optional capacity so ENOSPC behaviour is testable (Section III-A's
   escape hatch for preserving unlinked files).
+
+An inode's data is a :class:`~repro.common.pages.Pages` value: ``write`` and
+``truncate`` replace it with a new value that shares every page they did
+not touch, so an operation costs the bytes it changes (plus a page-table
+copy), not the file. ``read_file`` of a paged file is a join — the one
+O(file) operation left, for callers that need the whole file as one buffer.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import posixpath
 from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
-from repro.common.bytesutil import apply_write, truncate as truncate_bytes
 from repro.common.errors import NoSpaceError, NotFoundError
+from repro.common.pages import EMPTY, Pages
 
 
 @dataclass(frozen=True)
@@ -35,8 +41,8 @@ class Stat:
 class _Inode:
     __slots__ = ("data", "nlink")
 
-    def __init__(self, data: bytes = b""):
-        self.data = data
+    def __init__(self):
+        self.data: Pages = EMPTY
         self.nlink = 1
 
 
@@ -189,20 +195,17 @@ class MemoryFileSystem(FileSystemAPI):
 
     def write(self, path: str, offset: int, data: bytes) -> None:
         inode = self._inode_of(path)
-        new_data = apply_write(inode.data, offset, data)
-        self._charge(len(new_data) - len(inode.data))
+        new_data = inode.data.write(offset, data)
+        self._charge(new_data.size - inode.data.size)
         inode.data = new_data
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        inode = self._inode_of(path)
-        if length is None:
-            return inode.data[offset:]
-        return inode.data[offset : offset + length]
+        return self._inode_of(path).data.read(offset, length)
 
     def truncate(self, path: str, length: int) -> None:
         inode = self._inode_of(path)
-        new_data = truncate_bytes(inode.data, length)
-        self._charge(len(new_data) - len(inode.data))
+        new_data = inode.data.truncate(length)
+        self._charge(new_data.size - inode.data.size)
         inode.data = new_data
 
     def rename(self, src: str, dst: str) -> None:
@@ -274,7 +277,7 @@ class MemoryFileSystem(FileSystemAPI):
         inode = self._inodes[inode_id]
         return Stat(
             path=path,
-            size=len(inode.data),
+            size=inode.data.size,
             nlink=inode.nlink,
             is_dir=False,
             inode=inode_id,
@@ -306,11 +309,10 @@ class MemoryFileSystem(FileSystemAPI):
         (Section IV-E): the change is invisible to any interception layer.
         """
         inode = self._inode_of(path)
-        if not 0 <= byte_offset < len(inode.data):
+        if not 0 <= byte_offset < inode.data.size:
             raise ValueError("corruption offset outside file")
-        data = bytearray(inode.data)
-        data[byte_offset] ^= flip_mask
-        inode.data = bytes(data)
+        flipped = inode.data.read(byte_offset, 1)[0] ^ flip_mask
+        inode.data = inode.data.write(byte_offset, bytes([flipped]))
 
     def walk_files(self) -> Iterator[str]:
         """All regular-file paths, sorted."""
@@ -330,5 +332,5 @@ class MemoryFileSystem(FileSystemAPI):
         inode = self._inodes[inode_id]
         inode.nlink -= 1
         if inode.nlink == 0:
-            self._used -= len(inode.data)
+            self._used -= inode.data.size
             del self._inodes[inode_id]

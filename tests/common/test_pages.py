@@ -1,0 +1,274 @@
+"""``Pages`` against plain ``bytes``, and the cost it exists to bound.
+
+The differential runs random write / truncate / read / snapshot scripts
+through :class:`~repro.common.pages.Pages` and through
+``bytesutil.apply_write`` / ``truncate`` on ``bytes`` (the reference those
+two functions now exist to be). The cost tests are aim 1's "copies per
+write", stated machine-independently: which page objects a write replaces,
+and how many bytes a write or a snapshot window retains.
+"""
+
+import gc
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.common.bytesutil import apply_write, truncate
+from repro.common import pages
+from repro.common.pages import EMPTY, FLAT_MAX, PAGE, Pages
+from repro.common.version import VersionStamp
+from repro.net.messages import MetaOp, UploadFull, UploadWrite
+from repro.server.cloud import CloudServer
+from repro.server.storage import VersionedStore
+from repro.sim import Simulation
+from repro.vfs.filesystem import MemoryFileSystem
+from repro.workloads.traces import replay
+from repro.workloads.wechat import wechat_trace
+
+V = VersionStamp
+MB4 = 1000 * PAGE + 904  # a "4 MB" file whose last page is short
+
+# Positions that matter: anywhere in the first pages, on and around page
+# boundaries, and around the current end (``("eof", delta)``).
+positions = st.one_of(
+    st.integers(min_value=0, max_value=3 * PAGE + 50),
+    st.sampled_from([0, 1, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE, 3 * PAGE]),
+    st.tuples(
+        st.just("eof"),
+        st.sampled_from([0, 0, -1, 1, -PAGE, PAGE, -PAGE - 9, 2 * PAGE + 3, -3 * PAGE]),
+    ),
+)
+filler = st.builds(
+    lambda seed, n: (seed * (n // len(seed) + 1))[:n],
+    st.binary(min_size=1, max_size=7),
+    st.sampled_from([PAGE - 1, PAGE, PAGE + 1, 2 * PAGE, 2 * PAGE + 9]),
+)
+payloads = st.one_of(st.binary(max_size=40), filler)
+steps = st.one_of(
+    st.tuples(st.just("write"), positions, payloads),
+    st.tuples(st.just("whole"), st.integers(min_value=0, max_value=PAGE), payloads),
+    st.tuples(st.just("truncate"), positions, st.none()),
+    st.tuples(st.just("read"), positions, st.integers(min_value=0, max_value=2 * PAGE)),
+    st.tuples(st.just("snapshot"), st.none(), st.none()),
+)
+
+
+def resolve(position, size):
+    if isinstance(position, tuple):
+        return max(0, size + position[1])
+    return position
+
+
+def check(value: Pages, reference: bytes) -> None:
+    assert len(value) == len(reference)
+    assert bytes(value) == reference
+    assert value == reference and reference == value
+    assert hash(value) == hash(reference)
+    if value.table is not None:
+        assert len(reference) > pages.FLAT_MAX
+        assert all(len(page) == PAGE for page in value.table[:-1])
+        assert 0 < len(value.table[-1]) <= PAGE
+    for offset in (0, PAGE - 3, len(reference) // 2, len(reference)):
+        assert value.read(offset, PAGE + 5) == reference[offset : offset + PAGE + 5]
+        assert value.read(offset) == reference[offset:]
+        assert value[offset : offset + 7] == reference[offset : offset + 7]
+    assert value[-5:] == reference[-5:]
+
+
+def run_script(initial, script):
+    value, reference = Pages(initial), initial
+    snapshots = []
+    for op, a, b in script:
+        size = len(reference)
+        if op == "write":
+            offset = resolve(a, size)
+            value = value.write(offset, b)
+            reference = apply_write(reference, offset, b)
+        elif op == "whole":  # offset 0, at least the whole content
+            data = (b or b"w") * ((size + a) // len(b or b"w") + 1)
+            value, reference = value.write(0, data), apply_write(reference, 0, data)
+        elif op == "truncate":
+            length = resolve(a, size)
+            value, reference = value.truncate(length), truncate(reference, length)
+        elif op == "read":
+            offset = resolve(a, size)
+            assert value.read(offset, b) == reference[offset : offset + b]
+        else:
+            snapshots.append((value, reference))
+        check(value, reference)
+        for old_value, old_reference in snapshots:  # immutability
+            assert bytes(old_value) == old_reference
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=2 * PAGE + 100), st.lists(steps, max_size=12))
+def test_pages_is_bytes_under_any_script(initial, script):
+    # With the flat threshold lowered to one page, contents of a few pages
+    # put every step through the page table.
+    with mock.patch.object(pages, "FLAT_MAX", PAGE):
+        run_script(initial, script)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-PAGE - 7, -1, 0, 1, PAGE, 2 * PAGE + 100]),
+    filler,
+    st.lists(steps, max_size=10),
+)
+def test_pages_is_bytes_around_the_flat_threshold(over, seed, script):
+    # At the shipped threshold: contents that start just under, at and
+    # over it, and cross it both ways.
+    size = FLAT_MAX + over
+    run_script((seed * (size // len(seed) + 1))[:size], script)
+
+
+def test_equality_and_hash_agree_with_bytes():
+    size = FLAT_MAX + 10
+    flat = Pages(b"x" * size)
+    paged = Pages(b"x" * (size - 1)).write(size - 1, b"x")
+    assert flat.table is None and paged.table is not None
+    assert flat == paged == b"x" * size == flat
+    assert hash(flat) == hash(paged) == hash(b"x" * size)
+    assert len({flat, paged, b"x" * size}) == 1
+    assert flat != b"x" * (size - 1) and paged != Pages(b"y" * size)
+    assert flat != "x" and EMPTY == b"" and not EMPTY
+
+
+def test_negative_positions_are_rejected():
+    for value in (Pages(b"abc"), Pages(bytes(2 * FLAT_MAX)).write(5, b"x")):
+        with pytest.raises(ValueError):
+            value.write(-1, b"x")
+        with pytest.raises(ValueError):
+            value.truncate(-1)
+        with pytest.raises(ValueError):
+            value.read(-1, 2)
+
+
+# -- cost follows the write ---------------------------------------------------
+
+
+def paged_4mb() -> Pages:
+    value = Pages(bytes(MB4)).write(7, b"\x01")
+    assert value.table is not None and len(value.table) == 1001
+    return value
+
+
+def replaced(old: Pages, new: Pages) -> int:
+    assert len(old.table) == len(new.table)
+    return sum(a is not b for a, b in zip(old.table, new.table))
+
+
+def test_a_write_replaces_only_the_pages_it_touches():
+    base = paged_4mb()
+    assert replaced(base, base.write(500 * PAGE + 100, b"z" * 24)) == 1
+    assert replaced(base, base.write(40 * PAGE, b"z" * PAGE)) == 1
+    assert replaced(base, base.write(40 * PAGE + 1, b"z" * PAGE)) == 2
+    # an aligned page write stores the payload itself: nothing is read
+    page = b"q" * PAGE
+    assert base.write(9 * PAGE, page).table[9] is page
+    grown = base.write(MB4, b"tail")
+    assert grown.table[:1000] == base.table[:1000]
+    assert all(a is b for a, b in zip(grown.table[:1000], base.table))
+
+
+def test_whole_content_and_small_values_stay_flat():
+    payload = bytes(MB4)
+    assert bytes(paged_4mb().write(0, payload)) is payload  # no split, no copy
+    small = Pages(b"a" * PAGE).write(100, b"b" * 512)  # the one-page fast path
+    assert small.table is None and small == b"a" * 100 + b"b" * 512 + b"a" * 3484
+    assert Pages(b"ab").write(FLAT_MAX - 1, b"c").table is None
+    assert Pages(b"ab").write(FLAT_MAX, b"c").table is not None  # one byte over
+    assert paged_4mb().truncate(FLAT_MAX).table is None
+    assert paged_4mb().truncate(FLAT_MAX + 1).table is not None
+
+
+def test_one_vfs_write_allocates_pages_not_the_file():
+    fs = MemoryFileSystem()
+    fs.create("/db")
+    fs.write("/db", 0, bytes(MB4))
+    fs.write("/db", 3 * PAGE, b"x" * PAGE)  # first partial write pages it
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fs.write("/db", 77 * PAGE, b"y" * PAGE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 64 * 1024
+    assert fs.read("/db", 77 * PAGE - 1, 3) == b"\x00yy"
+
+
+def test_the_snapshot_window_retains_changed_pages_not_files():
+    tracemalloc.start()
+    try:
+        server = CloudServer()
+        server.handle(MetaOp(kind="create", path="/db", new_version=V(1, 0)))
+        server.handle(
+            UploadFull(
+                path="/db", data=bytes(MB4), base_version=V(1, 0), new_version=V(1, 1)
+            )
+        )
+        for n in range(64):
+            write = UploadWrite(
+                path="/db",
+                offset=(n * 13 % 1000) * PAGE,
+                data=bytes([n + 1]) * PAGE,
+                base_version=V(1, n + 1),
+                new_version=V(1, n + 2),
+            )
+            assert server.handle(write).ok
+        del write
+        server.apply_log.clear()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(server.store._snapshots) == 64
+    assert retained < 2 * MB4  # 64 whole-file versions before Pages
+    assert server.store.snapshot(V(1, 2)).read(0, 2) == b"\x01\x01"
+    assert server.store.snapshot(V(1, 3)).read(0, 2) == b"\x01\x01"
+    assert server.file_content("/db")[13 * PAGE] == 2
+
+
+# -- replace, not fork ----------------------------------------------------------
+
+
+def test_every_store_holds_the_one_type_after_a_wechat_replay():
+    sim = Simulation(clients=2)
+    trace = wechat_trace(scale=512, modifications=12)
+    sim.preload(trace)
+    replay(trace, sim.fs, sim.clock, pump=sim.pump)
+    sim.settle()
+    assert sim.converged()
+    held = [inode.data for c in sim.clients for inode in c.inner._inodes.values()]
+    held += [sim.server.store.get(p).pages for p in sim.server.store.paths()]
+    held += list(sim.server.store._snapshots.values())
+    assert held and all(type(content) is Pages for content in held)
+    assert any(content.table is not None for content in held)
+
+
+def test_rollback_and_migration_carry_a_paged_entry_with_its_links():
+    paged = Pages(bytes(2 * FLAT_MAX)).write(PAGE - 1, b"ab")
+    assert paged.table is not None
+    store = VersionedStore()
+    store.put("/f", paged, V(1, 1))
+    store.copy("/f", "/g")
+    saved = store.save_entry("/f")
+    store.put("/f", b"overwritten", V(1, 2))
+    assert store.get("/g").content == b"overwritten"
+    store.restore_entry("/f", saved)
+    assert store.get("/f") is store.get("/g")
+    assert store.get("/g").pages is paged and store.get("/g").version == V(1, 1)
+
+    other = VersionedStore()
+    stored, lineage, snapshots = store.detach_entry("/f")
+    other.attach_entry("/f", stored, lineage, snapshots)
+    assert other.get("/f") is store.get("/g")  # the link still shares the file
+    assert other.get("/f").pages is paged
+    assert other.snapshot(V(1, 1)) is paged
+    assert other.snapshot(V(1, 2)) is None  # rolled back out of the lineage
+    other.put("/f", paged.write(0, b"z"), V(1, 3))
+    assert store.get("/g").content[:2] == b"z\x00"

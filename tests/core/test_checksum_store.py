@@ -138,6 +138,30 @@ class TestCostModel:
         )
         assert update_meter.total < reindex_meter.total / 10
 
+    @pytest.mark.parametrize(
+        "offset,length", [(BLOCK + 3, 10), (BLOCK - 5, 2 * BLOCK), (5 * BLOCK, 40)]
+    )
+    def test_the_touched_span_is_all_of_the_file_it_needs(self, offset, length):
+        # Handing over span_of(...) with start= stores, charges and verifies
+        # exactly what handing over the whole file does (the last span runs
+        # past the end of the file: its block is short).
+        content = _content(5 * BLOCK + 17)
+        whole_meter, span_meter = CostMeter(), CostMeter()
+        whole = ChecksumStore(block_size=BLOCK, meter=whole_meter)
+        spanned = ChecksumStore(block_size=BLOCK, meter=span_meter)
+        start, size = spanned.span_of(offset, length)
+        assert start % BLOCK == 0 and start <= offset < offset + length <= start + size
+        span = content[start : start + size]
+        whole.update_blocks("/f", content, offset, length)
+        spanned.update_blocks("/f", span, offset, length, start=start)
+        assert list(spanned.kv.items(b"")) == list(whole.kv.items(b""))
+        whole.verify_read("/f", content, offset, length)
+        spanned.verify_read("/f", span, offset, length, start=start)
+        assert span_meter.by_category == whole_meter.by_category
+        damaged = bytes([span[0] ^ 1]) + span[1:]
+        with pytest.raises(CorruptionDetected):
+            spanned.verify_read("/f", damaged, offset, length, start=start)
+
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             ChecksumStore(block_size=0)

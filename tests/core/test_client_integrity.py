@@ -151,3 +151,75 @@ class TestCrashConsistency:
         monkeypatch.setattr(client.checksums, "verify_file", broken)
         with pytest.raises(KeyError):
             client.crash_recovery_scan(["/f"])
+
+
+class CountingFileSystem(MemoryFileSystem):
+    """Counts what the layers above read of the backing store."""
+
+    def __init__(self):
+        super().__init__()
+        self.bytes_read = 0
+        self.whole_file_reads = 0
+
+    def read(self, path, offset=0, length=None):
+        data = super().read(path, offset, length)
+        self.bytes_read += len(data)
+        return data
+
+    def read_file(self, path):
+        self.whole_file_reads += 1
+        return super().read_file(path)
+
+
+class TestChecksumWorkFollowsTheOperation:
+    """Maintaining and verifying block checksums reads the blocks an
+    operation touched, never the file (over a paged file a whole-file read
+    is an O(file) join per op)."""
+
+    BLOCK = 4096
+
+    def _seeded(self):
+        clock = VirtualClock()
+        fs = CountingFileSystem()
+        client = DeltaCFSClient(
+            fs, server=CloudServer(), channel=Channel(), clock=clock
+        )
+        content = _seed(client, clock, size=1024 * 1024)
+        fs.bytes_read = fs.whole_file_reads = 0
+        return clock, client, fs, content
+
+    def test_small_write_reads_at_most_two_blocks(self):
+        clock, client, fs, content = self._seeded()
+        client.write("/f", 500_000, b"z" * 24)
+        assert fs.whole_file_reads == 0
+        assert fs.bytes_read <= 2 * self.BLOCK  # undo slice + the touched block
+        fs.bytes_read = 0
+        client.write("/f", 2 * self.BLOCK - 4, b"straddle")
+        assert fs.whole_file_reads == 0
+        assert fs.bytes_read <= 3 * self.BLOCK
+        client.close("/f")
+        settle(clock, client)
+        expected = bytearray(content)
+        expected[500_000:500_024] = b"z" * 24
+        expected[2 * self.BLOCK - 4 : 2 * self.BLOCK + 4] = b"straddle"
+        assert client.read("/f", 0, None) == bytes(expected)  # every block verifies
+        assert client.stats.corruptions_detected == 0
+
+    def test_small_verified_read_reads_at_most_two_blocks(self):
+        _, client, fs, content = self._seeded()
+        assert client.read("/f", 700_000, 24) == content[700_000:700_024]
+        assert fs.whole_file_reads == 0
+        assert fs.bytes_read <= 2 * self.BLOCK
+        client.inner.corrupt("/f", 700_100)
+        assert client.read("/f", 700_000, 24) == content[700_000:700_024]
+        assert client.stats.corruptions_detected == 1  # same block, other bytes
+
+    def test_write_through_a_hard_link_reads_the_span_once_more(self):
+        clock, client, fs, _ = self._seeded()
+        client.link("/f", "/g")
+        fs.bytes_read = fs.whole_file_reads = 0
+        client.write("/g", 300_000, b"y" * 24)
+        assert fs.whole_file_reads == 0
+        assert fs.bytes_read <= 3 * self.BLOCK
+        assert client.read("/f", 300_000, 24) == b"y" * 24
+        assert client.stats.corruptions_detected == 0

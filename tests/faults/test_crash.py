@@ -31,6 +31,24 @@ def test_injection_deterministic():
     assert fs1.read_file("/f") == fs2.read_file("/f")
 
 
+def test_injectors_replace_the_damaged_pages_only():
+    # Both under-the-stack injectors are a write on the content value: the
+    # file stays the one content type and shares every page they spared.
+    fs = MemoryFileSystem()
+    fs.write_file("/f", bytes(range(256)) * 512)  # 32 pages
+    fs.write("/f", 5, b"x")  # a partial write pages the file
+    intact = fs._inode_of("/f").data
+    fs.corrupt("/f", 9000)
+    flipped = fs._inode_of("/f").data
+    inject_crash_inconsistency(fs, "/f", seed=3, span=100)
+    torn = fs._inode_of("/f").data
+    assert type(flipped) is type(torn) is type(intact)
+    assert sum(a is not b for a, b in zip(intact.table, flipped.table)) == 1
+    assert 1 <= sum(a is not b for a, b in zip(flipped.table, torn.table)) <= 2
+    assert flipped.read(9000, 1)[0] == intact.read(9000, 1)[0] ^ 0x01
+    assert fs.used_bytes == len(torn) == len(intact)
+
+
 def test_simulate_crash_drops_volatile_state():
     client = DeltaCFSClient(
         MemoryFileSystem(), server=CloudServer(), clock=VirtualClock()

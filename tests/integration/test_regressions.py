@@ -4,10 +4,15 @@ Each was discovered by ``test_property_sync`` and fixed; pinned here so
 they stay fixed even without the hypothesis example database.
 """
 
+import pytest
+
 from repro.common.clock import VirtualClock
+from repro.common.errors import NotFoundError
 from repro.core.client import DeltaCFSClient
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
+from repro.sim import Simulation
+from repro.vfs.disk import LocalDirFileSystem
 from repro.vfs.filesystem import MemoryFileSystem
 
 
@@ -134,3 +139,40 @@ def test_alias_read_verifies_after_cross_link_write():
     settle(clock, client)
     assert client.read("/b", 0, None) == b"x" * 4096 + b"y" * 4096
     assert client.stats.corruptions_detected == 0
+
+
+def _empty_write_past_eof(sim):
+    """ROADMAP item 4, ledger (ii): a zero-length write past EOF used to
+    zero-extend the local file while the Sync Queue shipped no run."""
+    writer = sim.clients[0]
+    writer.create("/f")
+    writer.write("/f", 0, b"ab")
+    writer.close("/f")
+    sim.settle()
+    before = (writer.stats.ops_intercepted, writer.stats.writes_intercepted)
+    writer.write("/f", 5, b"")
+    assert (writer.stats.ops_intercepted, writer.stats.writes_intercepted) == before
+    assert not writer.queue.nodes()
+    writer.close("/f")
+    sim.settle()
+    assert writer.inner.size("/f") == 2
+    assert sim.mismatched() == []
+    assert sim.server.file_content("/f") == b"ab"
+    assert not any(c.conflict_notices for c in sim.clients)
+
+
+def test_empty_write_past_eof_is_a_noop():
+    sim = Simulation(clients=2)
+    _empty_write_past_eof(sim)
+    assert sim.clients[1].inner.read_file("/f") == b"ab"
+
+
+def test_empty_write_past_eof_is_a_noop_on_disk(tmp_path):
+    _empty_write_past_eof(Simulation(fs=LocalDirFileSystem(str(tmp_path / "sync"))))
+    assert (tmp_path / "sync" / "f").read_bytes() == b"ab"
+
+
+def test_empty_write_to_a_missing_path_still_raises():
+    _, client, _ = build()
+    with pytest.raises(NotFoundError):
+        client.write("/missing", 0, b"")

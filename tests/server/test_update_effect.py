@@ -4,7 +4,8 @@ For random base bytes and a random update of every kind — a single write
 (also past EOF), a multi-run batch with overlapping and sparse runs, a
 truncate that shrinks or extends, a full replacement, a delta built by
 ``compute_delta`` — the content a ``bytearray`` oracle computes must be
-what (a) the message's own ``apply_to`` returns, (b) the server stores when
+what (a) the message's own ``apply_to`` returns — over a flat base and, moved
+across a page boundary, over a paged one — (b) the server stores when
 the update applies, (c) the server puts in the conflict copy when the
 update loses first-write-wins, (d) it puts there when the update is rolled
 back inside a transactional group, and (e) crash recovery's whole-file
@@ -16,6 +17,7 @@ half of INV-NO-LOST-UPDATE.
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
+from repro.common.pages import FLAT_MAX, PAGE, Pages
 from repro.common.version import VersionStamp
 from repro.core import recovery
 from repro.core.client import DeltaCFSClient
@@ -116,14 +118,31 @@ def seeded_server(base: bytes) -> CloudServer:
     return server
 
 
-@given(updates())
-def test_apply_to_is_the_oracle(case):
+def moved_into_a_paged_file(base, kind, arg, shift):
+    """The same update ``shift`` bytes into a file of several pages, held
+    paged: ``(paged base, its bytes, the update's moved arg)``."""
+    filler = bytes(range(251)) * ((FLAT_MAX + PAGE) // 251)
+    longer = filler[:shift] + base + filler
+    if kind in ("write", "batch"):
+        arg = [(offset + shift, data) for offset, data in arg]
+    elif kind == "truncate":
+        arg += shift
+    paged = Pages(longer[:-1]).write(len(longer) - 1, longer[-1:])
+    assert paged.table is not None and paged == longer
+    return paged, longer, arg
+
+
+@given(updates(), st.sampled_from([0, PAGE - 100, 2 * PAGE - 7]))
+def test_apply_to_is_the_oracle(case, shift):
     base, kind, arg = case
     update = message(base, kind, arg, V(1, 2))
     if kind == "delta":
         assert apply_delta(base, update.delta) == oracle(*case)
-    else:
-        assert update.apply_to(base) == oracle(*case)
+        return
+    assert update.apply_to(Pages(base)) == oracle(*case)  # a flat base
+    paged, longer, arg = moved_into_a_paged_file(base, kind, arg, shift)
+    update = message(longer, kind, arg, V(1, 2))
+    assert update.apply_to(paged) == oracle(longer, kind, arg)
 
 
 @given(updates())
@@ -202,7 +221,7 @@ def test_recovery_rebuilds_what_the_server_will_hold(base, first, length, second
         client, "/f", client.inner.read_file("/f"), pending, True,
         clock.now(), recovery.RecoveryReport(),
     )
-    folded = server.file_content("/f")
+    folded = Pages(server.file_content("/f"))
     for update in pending:
         folded = server._effect(update, folded, charge=False)
     assert client.inner.read_file("/f") == folded == expected
