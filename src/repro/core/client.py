@@ -457,13 +457,10 @@ class DeltaCFSClient(PassthroughFileSystem):
             for n in pending
             if isinstance(n, MetaNode) and n.kind == "create"
         ]
-        entangled = any(
-            isinstance(n, MetaNode)
-            and n.kind in ("rename", "link")
-            and (n.path == path or n.dest == path)
-            for n in self.queue.nodes()
-        )
-        if create_seqs and not entangled:
+        if create_seqs and not any(
+            isinstance(n, MetaNode) and n.kind in ("rename", "link")
+            for n in self.queue.nodes_naming(path)
+        ):
             # Cancel only this incarnation: nodes from its pending create
             # onward. Anything queued *before* that create belongs to a
             # previous incarnation the cloud may already know about — in
@@ -675,9 +672,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def _journal_relation(self, src: str) -> None:
         if self.journal is not None:
-            entry = next(
-                (e for e in self.relations.entries() if e.src == src), None
-            )
+            entry = self.relations.entry_for(src)
             if entry is not None:
                 self.journal.record_relation(entry)
 

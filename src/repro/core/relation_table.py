@@ -66,6 +66,11 @@ class RelationTable:
         """Snapshot of live entries (for inspection/tests)."""
         return list(self._entries.values())
 
+    def entry_for(self, src: str) -> Optional[RelationEntry]:
+        """The live entry whose ``src`` is this name, if any (no expiry
+        check, nothing removed — :meth:`match_created` is the trigger)."""
+        return self._entries.get(src)
+
     def record_rename(self, src: str, dst: str, now: float) -> Optional[RelationEntry]:
         """A ``rename src dst`` happened: remember where the old version went.
 

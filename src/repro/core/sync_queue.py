@@ -21,8 +21,10 @@ and delta replacement get their window.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.bytesutil import merge_ranges
 from repro.common.errors import PackedNodeError
@@ -37,6 +39,9 @@ from repro.net.messages import (
     UploadWriteBatch,
 )
 from repro.obs import NULL_OBS, Observability
+
+
+_SEQ = attrgetter("seq")
 
 
 @dataclass
@@ -56,6 +61,10 @@ class QueueNode:
     def payload_bytes(self) -> int:
         """Approximate bytes this node will put on the wire."""
         return 0
+
+    def names(self) -> Tuple[str, ...]:
+        """Every path this node names (the queue indexes it under each)."""
+        return (self.path,)
 
     def to_message(self) -> Optional[Message]:
         """The message this node ships as (``None``: nothing to ship) —
@@ -180,6 +189,11 @@ class MetaNode(QueueNode):
     kind: str = ""
     dest: Optional[str] = None
 
+    def names(self) -> Tuple[str, ...]:
+        if self.dest is None or self.dest == self.path:
+            return (self.path,)
+        return (self.path, self.dest)
+
     def to_message(self) -> Message:
         return MetaOp(
             kind=self.kind,
@@ -235,6 +249,11 @@ class SyncQueue:
         self.obs = obs
         self._nodes: List[QueueNode] = []  # live nodes, FIFO by seq
         self._active_writes: Dict[str, WriteNode] = {}  # the hash table
+        # name -> the live nodes naming it, as their own path or as a
+        # rename/link destination: {seq: node}, in FIFO order since seqs
+        # only grow — or the node itself while it is the only one, the
+        # usual case, which spares a dict per enqueued node.
+        self._naming: Dict[str, Union[QueueNode, Dict[int, QueueNode]]] = {}
         self._spans: List[Tuple[int, int]] = []  # merged backindex spans
         self._next_seq = 0
         # Real "now" during drain_all, where next_unit runs with a
@@ -258,6 +277,15 @@ class SyncQueue:
         node.enqueue_time = now
         node.created_time = now
         self._nodes.append(node)
+        naming = self._naming
+        for name in node.names():
+            held = naming.get(name)
+            if held is None:
+                naming[name] = node
+            elif isinstance(held, dict):
+                held[node.seq] = node
+            else:
+                naming[name] = {held.seq: held, node.seq: node}
         if isinstance(node, WriteNode) and not node.packed:
             self._active_writes[node.path] = node
         if self.obs.enabled:
@@ -329,7 +357,15 @@ class SyncQueue:
 
     def pending_nodes(self, path: str) -> List[QueueNode]:
         """All queued nodes for ``path`` in FIFO order."""
-        return [n for n in self._nodes if n.path == path]
+        return [n for n in self.nodes_naming(path) if n.path == path]
+
+    def nodes_naming(self, name: str) -> List[QueueNode]:
+        """All queued nodes that name ``name`` — as their own path or as
+        the destination of a rename/link — in FIFO order."""
+        held = self._naming.get(name)
+        if held is None:
+            return []
+        return list(held.values()) if isinstance(held, dict) else [held]
 
     def nodes(self) -> List[QueueNode]:
         """Snapshot of all live nodes in FIFO order."""
@@ -382,20 +418,37 @@ class SyncQueue:
                 )
         first = min(n.seq for n in doomed)
         self._remove(doomed)
-        if self._nodes and self._nodes[-1].seq > first:
-            covered = [n for n in self._nodes if n.seq > first]
-            if covered:
-                self._add_span(covered[0].seq, self._nodes[-1].seq)
+        after = bisect_right(self._nodes, first, key=_SEQ)
+        if after < len(self._nodes):
+            self._add_span(self._nodes[after].seq, self._nodes[-1].seq)
         if self.obs.enabled:
             self._update_gauges()
 
     def _remove(self, doomed: Sequence[QueueNode]) -> None:
-        doomed_seqs = {n.seq for n in doomed}
-        self._nodes = [n for n in self._nodes if n.seq not in doomed_seqs]
+        # The list is in seq order, so each doomed node is found by
+        # bisection; one that already left the queue is skipped.
+        nodes = self._nodes
         for node in doomed:
-            active = self._active_writes.get(node.path)
-            if active is node:
+            at = bisect_left(nodes, node.seq, key=_SEQ)
+            if at == len(nodes) or nodes[at] is not node:
+                continue
+            del nodes[at]
+            self._forget_names((node,))
+            if self._active_writes.get(node.path) is node:
                 del self._active_writes[node.path]
+
+    def _forget_names(self, gone: Iterable[QueueNode]) -> None:
+        """``gone`` left the queue (removed or shipped): unfile them."""
+        naming = self._naming
+        for node in gone:
+            for name in node.names():
+                held = naming[name]
+                if held is node:
+                    del naming[name]
+                else:
+                    del held[node.seq]
+                    if not held:
+                        del naming[name]
 
     def note_mutation(self, node: QueueNode) -> None:
         """A non-tail node was modified in place; record its span.
@@ -443,6 +496,7 @@ class SyncQueue:
             if not self._due(head, now):
                 return None
             self._nodes.pop(0)
+            self._forget_names((head,))
             if isinstance(head, WriteNode):
                 self._pack_for_upload(head)
             if self.obs.enabled:
@@ -458,6 +512,7 @@ class SyncQueue:
             return None
         member_seqs = {n.seq for n in members}
         self._nodes = [n for n in self._nodes if n.seq not in member_seqs]
+        self._forget_names(members)
         self._spans.remove(span)
         for node in members:
             if isinstance(node, WriteNode):
@@ -513,6 +568,7 @@ class SyncQueue:
                 self._note_shipped(unit.nodes, now, transactional=unit.transactional)
             units.append(unit)
         if i:
+            self._forget_names(nodes[:i])
             self._nodes = nodes[i:]
             if self.obs.enabled:
                 self._update_gauges()

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterator, List, Tuple
 
 from repro.kvstore import wal
 
@@ -38,11 +39,27 @@ class KVStore:
         return sum(1 for _ in self.items())
 
 
+def _prefix_end(prefix: bytes) -> bytes | None:
+    """The smallest key greater than every key starting with ``prefix``
+    (``None``: there is none — the prefix is empty or all ``0xff``)."""
+    stem = prefix.rstrip(b"\xff")
+    if not stem:
+        return None
+    return stem[:-1] + bytes([stem[-1] + 1])
+
+
 class MemoryKV(KVStore):
-    """Dict-backed store with no persistence."""
+    """Dict-backed store with no persistence.
+
+    The keys are also kept in one sorted list, so a prefix query is a seek
+    (two bisections) plus the matches, not a scan of the store. An insert
+    or delete of a key shifts the list's tail — a C ``memmove`` of key
+    pointers, cheap enough at every size measured (docs/performance.md).
+    """
 
     def __init__(self):
         self._data: Dict[bytes, bytes] = {}
+        self._keys: List[bytes] = []  # sorted(self._data), kept by put/delete
 
     def get(self, key: bytes) -> bytes | None:
         # Normalize like put() does: a bytearray/memoryview key must find
@@ -50,19 +67,33 @@ class MemoryKV(KVStore):
         return self._data.get(bytes(key))
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._data[bytes(key)] = bytes(value)
+        key = bytes(key)
+        if key not in self._data:
+            insort(self._keys, key)
+        self._data[key] = bytes(value)
 
     def delete(self, key: bytes) -> None:
-        self._data.pop(bytes(key), None)
+        key = bytes(key)
+        if self._data.pop(key, None) is not None:
+            del self._keys[bisect_left(self._keys, key)]
 
     def items(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
+        # A snapshot of the matching keys, taken when iteration starts:
+        # callers put and delete while they consume it.
         prefix = bytes(prefix)
-        for key in sorted(k for k in self._data if k.startswith(prefix)):
+        keys = self._keys
+        lo = bisect_left(keys, prefix)
+        end = _prefix_end(prefix)
+        hi = len(keys) if end is None else bisect_left(keys, end, lo)
+        for key in keys[lo:hi]:
             yield key, self._data[key]
 
+    def __len__(self) -> int:
+        return len(self._data)
 
-class LogStructuredKV(KVStore):
-    """Durable store: in-memory index + append-only checksummed WAL.
+
+class LogStructuredKV(MemoryKV):
+    """Durable store: the in-memory index + an append-only checksummed WAL.
 
     Every mutation appends a WAL record before updating the index; reopen
     replays the log, discarding any torn tail. ``compact()`` rewrites the
@@ -78,10 +109,10 @@ class LogStructuredKV(KVStore):
     def __init__(
         self, path: str, *, auto_compact_ratio: float = 4.0, sync: bool = False
     ):
+        super().__init__()
         self._path = path
         self._auto_compact_ratio = auto_compact_ratio
         self._sync = sync
-        self._data: Dict[bytes, bytes] = {}
         self._records = 0
         if os.path.exists(path):
             with open(path, "rb") as fh:
@@ -89,33 +120,25 @@ class LogStructuredKV(KVStore):
             for op, key, value in wal.iter_records(buf):
                 self._records += 1
                 if op == wal.PUT:
-                    self._data[key] = value
+                    super().put(key, value)
                 else:
-                    self._data.pop(key, None)
+                    super().delete(key)
             # Drop any torn tail so future appends start on a clean record
             # boundary.
             self._rewrite()
         self._fh = open(path, "ab")
 
-    def get(self, key: bytes) -> bytes | None:
-        return self._data.get(bytes(key))
-
     def put(self, key: bytes, value: bytes) -> None:
         key, value = bytes(key), bytes(value)
         self._append(wal.PUT, key, value)
-        self._data[key] = value
+        super().put(key, value)
 
     def delete(self, key: bytes) -> None:
         key = bytes(key)
         if key not in self._data:
             return
         self._append(wal.DELETE, key)
-        self._data.pop(key, None)
-
-    def items(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
-        prefix = bytes(prefix)
-        for key in sorted(k for k in self._data if k.startswith(prefix)):
-            yield key, self._data[key]
+        super().delete(key)
 
     def compact(self) -> None:
         """Rewrite the log to hold exactly the live records."""
@@ -155,7 +178,7 @@ class LogStructuredKV(KVStore):
     def _rewrite(self) -> None:
         tmp_path = self._path + ".compact"
         with open(tmp_path, "wb") as out:
-            for key in sorted(self._data):
+            for key in self._keys:
                 out.write(wal.encode_record(wal.PUT, key, self._data[key]))
             out.flush()
             os.fsync(out.fileno())

@@ -83,10 +83,12 @@ class LocalDirFileSystem(FileSystemAPI):
                 fh.truncate(length)
 
     def rename(self, src: str, dst: str) -> None:
-        real_src = self._real(src)
+        real_src, real_dst = self._real(src), self._real(dst)
         if not os.path.exists(real_src):
             raise NotFoundError(f"no such file: {src}")
-        os.replace(real_src, self._real(dst))
+        if os.path.isdir(real_dst) and not os.path.isdir(real_src):
+            raise FileExistsError(f"is a directory: {dst}")
+        os.replace(real_src, real_dst)
 
     def link(self, src: str, dst: str) -> None:
         real_dst = self._real(dst)

@@ -39,11 +39,15 @@ class Stat:
 
 
 class _Inode:
-    __slots__ = ("data", "nlink")
+    """A file's content and every name bound to it: ``names`` mirrors the
+    directory entries that point here, so the link count and the alias
+    list are read off the inode, never found by scanning the tree."""
 
-    def __init__(self):
+    __slots__ = ("data", "names")
+
+    def __init__(self, name: str):
         self.data: Pages = EMPTY
-        self.nlink = 1
+        self.names = {name}
 
 
 def _norm(path: str) -> str:
@@ -190,7 +194,7 @@ class MemoryFileSystem(FileSystemAPI):
             return
         inode_id = self._next_inode
         self._next_inode += 1
-        self._inodes[inode_id] = _Inode()
+        self._inodes[inode_id] = _Inode(path)
         self._entries[path] = inode_id
 
     def write(self, path: str, offset: int, data: bytes) -> None:
@@ -212,23 +216,30 @@ class MemoryFileSystem(FileSystemAPI):
         src, dst = _norm(src), _norm(dst)
         if src not in self._entries:
             raise NotFoundError(f"no such file: {src}")
+        if dst in self._dirs:
+            raise FileExistsError(f"is a directory: {dst}")
         self._require_parent(dst)
         if src == dst:
             return
         if dst in self._entries:
             self._drop_entry(dst)
-        self._entries[dst] = self._entries.pop(src)
+        inode_id = self._entries[dst] = self._entries.pop(src)
+        names = self._inodes[inode_id].names
+        names.discard(src)
+        names.add(dst)
 
     def link(self, src: str, dst: str) -> None:
         src, dst = _norm(src), _norm(dst)
         inode_id = self._entries.get(src)
         if inode_id is None:
             raise NotFoundError(f"no such file: {src}")
+        if dst in self._dirs:
+            raise FileExistsError(f"is a directory: {dst}")
         self._require_parent(dst)
         if dst in self._entries:
             raise FileExistsError(f"link target exists: {dst}")
         self._entries[dst] = inode_id
-        self._inodes[inode_id].nlink += 1
+        self._inodes[inode_id].names.add(dst)
 
     def unlink(self, path: str) -> None:
         path = _norm(path)
@@ -278,7 +289,7 @@ class MemoryFileSystem(FileSystemAPI):
         return Stat(
             path=path,
             size=inode.data.size,
-            nlink=inode.nlink,
+            nlink=len(inode.names),
             is_dir=False,
             inode=inode_id,
         )
@@ -298,7 +309,7 @@ class MemoryFileSystem(FileSystemAPI):
         inode_id = self._entries.get(path)
         if inode_id is None:
             raise NotFoundError(f"no such file: {path}")
-        return sorted(p for p, i in self._entries.items() if i == inode_id)
+        return sorted(self._inodes[inode_id].names)
 
     # -- extras used by fault injection and tests --------------------------
 
@@ -330,7 +341,7 @@ class MemoryFileSystem(FileSystemAPI):
     def _drop_entry(self, path: str) -> None:
         inode_id = self._entries.pop(path)
         inode = self._inodes[inode_id]
-        inode.nlink -= 1
-        if inode.nlink == 0:
+        inode.names.discard(path)
+        if not inode.names:
             self._used -= inode.data.size
             del self._inodes[inode_id]

@@ -8,7 +8,8 @@ checks the global invariants after every step:
   its node was explicitly removed (replaced/cancelled);
 - upload order never inverts enqueue order (FIFO);
 - backindex spans only ever ship as transactional units;
-- the active-write-node hash table never points at a packed node.
+- the active-write-node hash table never points at a packed node;
+- the per-path view answers what a scan of the queue answers.
 """
 
 from hypothesis import settings
@@ -50,11 +51,23 @@ class SyncQueueMachine(RuleBasedStateMachine):
         offset = sum(len(d) for _, d in node.writes)
         node.add_write(offset, b"w" * size)
 
-    @rule(path=st.sampled_from(PATHS))
-    def meta(self, path):
-        node = MetaNode(path=path, kind="create")
+    @rule(path=st.sampled_from(PATHS), dest=st.none() | st.sampled_from(PATHS))
+    def meta(self, path, dest):
+        kind = "create" if dest is None else "rename"
+        node = MetaNode(path=path, kind=kind, dest=dest)
         self.queue.enqueue(node, self.now)
         self.enqueued[node.seq] = node
+
+    @rule(path=st.sampled_from(PATHS), dest=st.none() | st.sampled_from(PATHS))
+    def restore(self, path, dest):
+        # Crash recovery re-admits journaled nodes: writes come back packed.
+        if dest is None:
+            node = WriteNode(path=path, writes=[(0, b"r")])
+        else:
+            node = MetaNode(path=path, kind="link", dest=dest)
+        self.queue.restore(node, self.now)
+        self.enqueued[node.seq] = node
+        assert self.queue.active_write_node(path) is not node
 
     @rule(path=st.sampled_from(PATHS))
     def pack(self, path):
@@ -97,6 +110,13 @@ class SyncQueueMachine(RuleBasedStateMachine):
             for node in unit.nodes:
                 self.uploaded_seqs.append(node.seq)
 
+    @rule()
+    def drain(self):
+        # What the client pump calls: every due unit in one sweep.
+        for unit in self.queue.drain_due(self.now):
+            for node in unit.nodes:
+                self.uploaded_seqs.append(node.seq)
+
     # -- invariants ----------------------------------------------------------
 
     @invariant()
@@ -117,6 +137,17 @@ class SyncQueueMachine(RuleBasedStateMachine):
             node = self.queue.active_write_node(path)
             if node is not None:
                 assert not node.packed
+
+    @invariant()
+    def per_path_view_matches_a_scan(self):
+        live = self.queue.nodes()
+        for path in PATHS:
+            assert self.queue.pending_nodes(path) == [
+                n for n in live if n.path == path
+            ]
+            assert self.queue.nodes_naming(path) == [
+                n for n in live if path in (n.path, getattr(n, "dest", None))
+            ]
 
     @invariant()
     def conservation(self):

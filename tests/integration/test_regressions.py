@@ -176,3 +176,22 @@ def test_empty_write_to_a_missing_path_still_raises():
     _, client, _ = build()
     with pytest.raises(NotFoundError):
         client.write("/missing", 0, b"")
+
+
+def test_link_onto_a_synced_directory_raises_before_any_bookkeeping():
+    # The backing store used to accept the link, so the client recorded a
+    # version for the directory's name and queued a link node whose dest
+    # was a directory.
+    clock, client, server = build()
+    client.mkdir("/d")
+    client.create("/f")
+    client.write("/f", 0, b"data")
+    client.close("/f")
+    queued, versions = client.queue.nodes(), dict(client.versions)
+    with pytest.raises(FileExistsError):
+        client.link("/f", "/d")
+    assert client.queue.nodes() == queued
+    assert client.versions == versions
+    assert client.inner.stat("/d").is_dir
+    settle(clock, client)
+    assert converged(client, server)

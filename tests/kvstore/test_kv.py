@@ -1,9 +1,13 @@
 """Tests for the LevelDB-substitute key-value stores."""
 
+import hashlib
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.kvstore.kv import LogStructuredKV, MemoryKV
+from repro.kvstore.kv import KVStore, LogStructuredKV, MemoryKV
 
 
 @pytest.fixture(params=["memory", "log"])
@@ -226,3 +230,166 @@ class TestSyncMode:
         kv.put(b"a", b"1")
         kv.close()
         assert len(calls) == 1
+
+
+class ScanKV(KVStore):
+    """The reference model: the store as it was before it kept its keys in
+    order — a dict, and a prefix query that tests every key and sorts the
+    matches. ``delete_prefix`` and ``len`` are the generic ones over it."""
+
+    def __init__(self):
+        self._data = {}
+
+    def get(self, key):
+        return self._data.get(bytes(key))
+
+    def put(self, key, value):
+        self._data[bytes(key)] = bytes(value)
+
+    def delete(self, key):
+        self._data.pop(bytes(key), None)
+
+    def items(self, prefix=b""):
+        prefix = bytes(prefix)
+        for key in sorted(k for k in self._data if k.startswith(prefix)):
+            yield key, self._data[key]
+
+
+# Few byte values and short keys: keys collide, nest as each other's
+# prefixes, and end in 0xff (where "the next prefix" has to carry).
+_KEYS = st.lists(st.sampled_from([0x00, 0x61, 0x62, 0xFF]), max_size=4).map(bytes)
+_AS = st.sampled_from([bytes, bytearray, memoryview])
+
+
+def _drain(iterator):
+    """What consuming ``iterator`` yields, and how it ends."""
+    out = []
+    try:
+        for pair in iterator:
+            out.append(pair)
+    except KeyError as exc:  # a key deleted under a running iteration
+        out.append(("KeyError", exc.args))
+    return out
+
+
+class KVMachine(RuleBasedStateMachine):
+    """Every query of the store against :class:`ScanKV` after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.model = ScanKV()
+        self.kv = self.make_store()
+
+    def make_store(self):
+        return MemoryKV()
+
+    @rule(key=_KEYS, value=st.binary(max_size=3), as_=_AS)
+    def put(self, key, value, as_):
+        self.kv.put(as_(key), as_(value))
+        self.model.put(key, value)
+
+    @rule(key=_KEYS, as_=_AS)
+    def delete(self, key, as_):
+        self.kv.delete(as_(key))
+        self.model.delete(key)
+
+    @rule(key=_KEYS, as_=_AS)
+    def get(self, key, as_):
+        assert self.kv.get(as_(key)) == self.model.get(key)
+
+    @rule(prefix=_KEYS, as_=_AS)
+    def items(self, prefix, as_):
+        assert list(self.kv.items(as_(prefix))) == list(self.model.items(prefix))
+
+    @rule(prefix=_KEYS, as_=_AS)
+    def delete_prefix(self, prefix, as_):
+        assert self.kv.delete_prefix(as_(prefix)) == self.model.delete_prefix(prefix)
+
+    @rule(
+        prefix=_KEYS,
+        consumed=st.integers(min_value=0, max_value=3),
+        key=_KEYS,
+        value=st.none() | st.binary(max_size=3),
+    )
+    def mutate_under_iteration(self, prefix, consumed, key, value):
+        """``items()`` is a snapshot of the keys taken when iteration
+        starts; a put or delete while it is consumed behaves as it did."""
+        ours, theirs = self.kv.items(prefix), self.model.items(prefix)
+        for _ in range(consumed):
+            assert next(ours, None) == next(theirs, None)
+        for store in (self.kv, self.model):
+            if value is None:
+                store.delete(key)
+            else:
+                store.put(key, value)
+        assert _drain(ours) == _drain(theirs)
+
+    @invariant()
+    def same_content_in_key_order(self):
+        assert list(self.kv.items()) == list(self.model.items())
+        assert len(self.kv) == len(self.model)
+
+
+class LogKVMachine(KVMachine):
+    """The same, through the WAL: across close/reopen and ``compact()``."""
+
+    def make_store(self):
+        self._dir = tempfile.TemporaryDirectory()
+        self._path = self._dir.name + "/kv.log"
+        # A low ratio so auto-compaction also runs inside a short example.
+        return LogStructuredKV(self._path, auto_compact_ratio=1.5)
+
+    @rule()
+    def reopen(self):
+        self.kv.close()
+        self.kv = LogStructuredKV(self._path, auto_compact_ratio=1.5)
+
+    @rule()
+    def compact(self):
+        self.kv.compact()
+
+    def teardown(self):
+        self.kv.close()
+        self._dir.cleanup()
+
+
+TestMemoryKVStateful = KVMachine.TestCase
+TestMemoryKVStateful.settings = settings(
+    max_examples=80, stateful_step_count=40, deadline=None
+)
+TestLogStructuredKVStateful = LogKVMachine.TestCase
+TestLogStructuredKVStateful.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None
+)
+
+
+# sha-256 of the log file after each half of the script below, taken on the
+# commit before MemoryKV kept its keys in order (3c99a5b).
+WAL_DIGESTS = (
+    "1ba5ef60231e60431644168d49874ffef03e181032224b082c0b03d8e3f13c9e",
+    "11f5ea850fbe8146407a3674d135c80de50d6094aca12e57529dacda1c561ed7",
+)
+
+
+def test_wal_bytes_of_a_fixed_script(tmp_path):
+    """The journal's on-disk format does not move: this script's log file,
+    byte for byte, hashes to what it did before the store kept an ordered
+    index."""
+    path = str(tmp_path / "kv.log")
+    with LogStructuredKV(path, auto_compact_ratio=2.0) as kv:
+        for i in range(40):
+            kv.put(b"f%d\x00%d" % (i % 5, i), b"v%d" % i)
+        kv.put(bytearray(b"f1\x00\xff"), memoryview(b"edge"))
+        kv.delete(b"f0\x000")
+        kv.delete(b"never-there")
+        assert kv.delete_prefix(b"f1\x00") == 9
+        for i in range(80):  # overwrites: dead records, then auto-compaction
+            kv.put(b"hot%d" % (i % 3), b"%d" % i)
+    first = open(path, "rb").read()
+    with LogStructuredKV(path) as kv:  # reopen rewrites the log, sorted
+        kv.put(b"a", b"tail")
+        kv.compact()
+        kv.delete(b"hot1")
+    second = open(path, "rb").read()
+    assert hashlib.sha256(first).hexdigest() == WAL_DIGESTS[0]
+    assert hashlib.sha256(second).hexdigest() == WAL_DIGESTS[1]

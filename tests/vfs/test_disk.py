@@ -48,6 +48,16 @@ class TestPosixSemantics:
         assert fs.read_file("/b") == b"new"
         assert not fs.exists("/a")
 
+    @pytest.mark.parametrize("op", ["rename", "link"])
+    def test_file_onto_directory_refused(self, fs, op):
+        # The error MemoryFileSystem raises, not os.replace's own.
+        fs.mkdir("/d")
+        fs.write_file("/f", b"data")
+        with pytest.raises(FileExistsError):
+            getattr(fs, op)("/f", "/d")
+        assert fs.stat("/d").is_dir
+        assert fs.read_file("/f") == b"data"
+
     def test_hard_links_real_inodes(self, fs):
         fs.write_file("/a", b"shared")
         fs.link("/a", "/b")

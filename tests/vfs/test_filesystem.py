@@ -1,6 +1,9 @@
 """Tests for the in-memory POSIX-like file system."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.errors import NoSpaceError, NotFoundError
 from repro.vfs.filesystem import MemoryFileSystem
@@ -172,6 +175,18 @@ class TestDirectories:
         with pytest.raises(FileExistsError):
             fs.mkdir("/dir")
 
+    @pytest.mark.parametrize("op", ["rename", "link"])
+    def test_file_onto_directory_refused(self, fs, op):
+        # Both used to succeed and leave /d a directory *and* a file.
+        fs.mkdir("/d")
+        fs.write_file("/f", b"data")
+        with pytest.raises(FileExistsError):
+            getattr(fs, op)("/f", "/d")
+        assert fs.stat("/d").is_dir
+        assert list(fs.walk_files()) == ["/f"]
+        assert fs.stat("/f").nlink == 1
+        assert fs.read_file("/f") == b"data"
+
     def test_stat_dir(self, fs):
         fs.mkdir("/dir")
         assert fs.stat("/dir").is_dir
@@ -218,3 +233,56 @@ class TestCorruptionHook:
         for name in ("/c", "/a", "/b"):
             fs.write_file(name, b"")
         assert list(fs.walk_files()) == ["/a", "/b", "/c"]
+
+
+NAMES = ["/a", "/b", "/c", "/d/a"]
+
+
+class LinkMachine(RuleBasedStateMachine):
+    """The inode's name set against a scan of the tree: after every step,
+    ``linked_paths`` and ``nlink`` must be what walking every file and
+    grouping by inode says they are."""
+
+    def __init__(self):
+        super().__init__()
+        self.fs = MemoryFileSystem()
+        self.fs.mkdir("/d")
+
+    def _attempt(self, op, *args):
+        try:
+            op(*args)
+        except (NotFoundError, FileExistsError):
+            pass
+
+    @rule(name=st.sampled_from(NAMES))
+    def create(self, name):
+        self.fs.create(name)
+
+    @rule(src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES + ["/d"]))
+    def link(self, src, dst):
+        self._attempt(self.fs.link, src, dst)
+
+    # src may be an alias of dst, dst another file's alias, or src == dst.
+    @rule(src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES + ["/d"]))
+    def rename(self, src, dst):
+        self._attempt(self.fs.rename, src, dst)
+
+    @rule(name=st.sampled_from(NAMES))
+    def unlink(self, name):
+        self._attempt(self.fs.unlink, name)
+
+    @invariant()
+    def names_match_a_scan_by_inode(self):
+        files = list(self.fs.walk_files())
+        assert "/d" not in files and self.fs.stat("/d").is_dir
+        inode_of = {p: self.fs.stat(p).inode for p in files}
+        for path in files:
+            scanned = [q for q in files if inode_of[q] == inode_of[path]]
+            assert self.fs.linked_paths(path) == scanned
+            assert self.fs.stat(path).nlink == len(scanned)
+
+
+TestLinkedPathsStateful = LinkMachine.TestCase
+TestLinkedPathsStateful.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
