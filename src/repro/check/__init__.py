@@ -3,12 +3,12 @@
 Layer 1 lints the source tree with one engine
 (:mod:`repro.check.linter`): the tree is loaded once into a parsed
 project (:mod:`repro.check.project`) and every rule of the one catalog
-(:mod:`repro.check.rules`) runs over it — node handlers in a single
-walk per module, flow rules over the symbol-resolved, flow-sensitive
-dataflow pass (:mod:`repro.check.dataflow`). Layer 2
-(:mod:`repro.check.invariants`) verifies protocol invariants over
-recorded JSONL traces. Both report through the shared findings model in
-:mod:`repro.check.findings` and export to SARIF
+(:mod:`repro.check.rules`) runs over it as node handlers in a single
+walk per module. The rules check what a module can name — which modules
+it imports, what sits in an obs name slot — so none follows a value.
+Layer 2 (:mod:`repro.check.invariants`) verifies protocol invariants
+over recorded JSONL traces. Both report through the shared findings
+model in :mod:`repro.check.findings` and export to SARIF
 (:mod:`repro.check.sarif`). See ``docs/static-analysis.md`` for the rule
 and invariant catalogs, the suppression syntax, and how to add a rule.
 """

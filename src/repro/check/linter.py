@@ -6,9 +6,7 @@ One engine, each step done once per run:
   comment-scans every file once; :func:`lint_source` builds the same
   view for one in-memory module, so both entry points give one answer.
 * every rule of :data:`~repro.check.rules.ALL_RULES` is instantiated
-  once per module: node handlers fire during a single tree walk, flow
-  rules read the module's dataflow observations (which may look into
-  the other modules through the project call graph).
+  once per module and its node handlers fire during a single tree walk.
 * one selection step applies ``--only`` and the exemption globs and
   marks ``# reprolint:`` suppressions (``PARSE``/``IO`` always
   survive).
@@ -25,9 +23,7 @@ import ast
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.check.callgraph import CallGraph
 from repro.check.config import CheckConfig, SuppressionComment
-from repro.check.dataflow import analyze_module
 from repro.check.findings import Finding
 from repro.check.invariants import INVARIANTS_BY_ID
 from repro.check.project import (
@@ -49,7 +45,7 @@ KNOWN_SUPPRESSIBLE = (
 )
 
 
-def _rule_findings(module: ModuleInfo, graph: CallGraph) -> List[Finding]:
+def _rule_findings(module: ModuleInfo) -> List[Finding]:
     """Every rule's findings for one parsed module, nothing selected."""
     assert module.tree is not None
     rules = [rule_cls(path=module.path) for rule_cls in ALL_RULES]
@@ -66,9 +62,6 @@ def _rule_findings(module: ModuleInfo, graph: CallGraph) -> List[Finding]:
         for handle in handlers.get(type(node), ()):
             handle(node)
         stack.extend(reversed(list(ast.iter_child_nodes(node))))
-    observations = analyze_module(module, graph)
-    for rule in rules:
-        rule.observe(observations)
     return [finding for rule in rules for finding in rule.findings]
 
 
@@ -144,13 +137,12 @@ def _hygiene_findings(
 
 def lint_project(project: Project, config: CheckConfig) -> List[Finding]:
     """All findings for a loaded project, sorted by location."""
-    graph = CallGraph.build(project)
     findings = list(project.unreadable)
     for module in project.modules:
         raw = (
             [module.error]
             if module.error is not None
-            else _rule_findings(module, graph)
+            else _rule_findings(module)
         )
         for finding in raw:
             if finding.rule != "PARSE":
@@ -175,11 +167,10 @@ def lint_source(
     config: Optional[CheckConfig] = None,
 ) -> List[Finding]:
     """Lint one file's source text; returns findings (incl. suppressed)."""
-    project = Project()
-    project.add(
-        parse_module(path, path if rel_path is None else rel_path, source)
+    module = parse_module(
+        path, path if rel_path is None else rel_path, source
     )
-    return lint_project(project, config or CheckConfig())
+    return lint_project(Project(modules=[module]), config or CheckConfig())
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:

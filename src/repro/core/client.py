@@ -32,6 +32,7 @@ from repro.common.errors import (
     CorruptionDetected,
     InconsistencyDetected,
     NoSpaceError,
+    NotFoundError,
 )
 from repro.core.checksum_store import ChecksumStore
 from repro.core.relation_table import RelationEntry, RelationTable
@@ -1076,15 +1077,17 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def _realign_links(self, path: str) -> None:
         """Local content of ``path`` was replaced (forward, restore, recovery):
-        re-index every hard-linked name and align its version with the path's."""
-        if (
-            self.checksums is not None
-            and self.inner.exists(path)
-            and not self.inner.stat(path).is_dir  # a forwarded mkdir has no blocks
-        ):
-            for alias in self.inner.linked_paths(path):
+        align every hard-linked name's version with the path's and, with a
+        Checksum Store, re-index it."""
+        try:
+            names = self.inner.linked_paths(path)
+        except NotFoundError:  # a forwarded unlink, or a directory: no blocks
+            return
+        version = self.versions.get(path)
+        for alias in names:
+            self.versions[alias] = version
+            if self.checksums is not None:
                 self.checksums.reindex(alias, self.inner.read_file(alias))
-                self.versions[alias] = self.versions.get(path)
 
     def _replay_remote_meta(self, op: MetaOp) -> None:
         if op.kind == "create":

@@ -33,7 +33,6 @@ from typing import Dict, List
 
 from repro.common.config import DeltaCFSConfig
 from repro.core.client import DeltaCFSClient
-from repro.metrics.collector import bench_doc
 from repro.vfs.filesystem import MemoryFileSystem
 from repro.workloads.filebench import FilebenchOp
 
@@ -214,8 +213,3 @@ def microbench_metrics(results: List[MicrobenchResult]) -> Dict[str, float]:
         metrics[f"{prefix}/input_mb"] = round(r.input_mb, 4)
         metrics[f"{prefix}/block_size"] = float(r.block_size)
     return metrics
-
-
-def microbench_snapshot(results: List[MicrobenchResult]) -> Dict[str, object]:
-    """The ``BENCH_table3.json`` document for ``tools/bench_gate.py``."""
-    return bench_doc("table3", microbench_metrics(results))

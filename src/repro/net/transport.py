@@ -243,10 +243,12 @@ class LossyChannel(Channel):
 
         if self.faults.in_partition(now):
             self.fault_stats.partition_drops += 1
+            self.obs.inc("channel.faults.partition_drops", direction=direction)
             self._note_fault(direction, "partition", message)
             return []
         if dropped:
             self.fault_stats.dropped += 1
+            self.obs.inc("channel.faults.dropped", direction=direction)
             self._note_fault(direction, "drop", message)
             return []
         deliveries = [done]
@@ -254,23 +256,18 @@ class LossyChannel(Channel):
             # The duplicate occupies the link again: charged, counted.
             deliveries.append(send(message, now))
             self.fault_stats.duplicated += 1
+            self.obs.inc("channel.faults.duplicated", direction=direction)
             self._note_fault(direction, "duplicate", message)
         if reordered:
             deliveries[0] = done + self.faults.reorder_delay
             self.fault_stats.reordered += 1
+            self.obs.inc("channel.faults.reordered", direction=direction)
             self._note_fault(direction, "reorder", message)
         return deliveries
 
     def _note_fault(self, direction: str, fate: str, message: Message) -> None:
         if not self.obs.enabled:
             return
-        metric = {
-            "partition": "channel.faults.partition_drops",
-            "drop": "channel.faults.dropped",
-            "duplicate": "channel.faults.duplicated",
-            "reorder": "channel.faults.reordered",
-        }[fate]
-        self.obs.inc(metric, direction=direction)
         self.obs.event(
             "channel.fault",
             direction=direction,

@@ -52,9 +52,11 @@ from repro.server.cloud import ApplyResult, CloudServer, ForwardSink
 
 
 def namespace_of(path: str) -> str:
-    """A path's routing namespace: its top-level directory.
+    """A path's routing namespace: its first component.
 
-    ``/u123/docs/a.txt`` -> ``/u123``; ``/file`` and ``/`` -> ``/``.
+    ``/u123/docs/a.txt`` -> ``/u123``; a top-level ``/file`` is its own
+    namespace, ``/file`` (every sharded baseline pins that: the md5 of
+    the namespace picks the shard); ``/`` and a relative path -> ``/``.
     """
     if not path.startswith("/"):
         return "/"

@@ -1,17 +1,19 @@
-"""DET001 plants: direct, aliased, and passed into a calling parameter."""
+"""DET001 plants: every way to name a clock module is an import finding.
+
+The uses below the imports — a call, a module-level alias, a local, a
+default argument, a ``self.`` attribute, a calling parameter — are
+quiet on their own lines: none of them can be written without one of
+the flagged imports.
+"""
 
 import time
+import datetime as dt
 from datetime import datetime
+import time as waived  # reprolint: disable=DET001
 
 STARTED = time.time()
 STAMP = datetime.now()
-WAIVED = time.monotonic()  # reprolint: disable=DET001
-
 now = time.time
-
-
-def direct_in_function():
-    return time.perf_counter()
 
 
 def stamp():
@@ -23,11 +25,6 @@ def local_alias():
     return clock()
 
 
-def local_alias_waived():
-    clock = time.time
-    return clock()  # reprolint: disable=DET001
-
-
 def sample(clock):
     return clock()
 
@@ -36,8 +33,18 @@ def run():
     return sample(time.time)
 
 
-def run_waived():
-    return sample(time.monotonic)  # reprolint: disable=DET001
+def with_default(at=time.time()):
+    return at
+
+
+class Stamper:
+    created = dt.datetime.now()
+
+    def __init__(self):
+        self._now = time.monotonic
+
+    def stamp(self):
+        return self._now()
 
 
 def lazy_import():
@@ -48,29 +55,24 @@ def lazy_import():
 
 def outer():
     def inner():
-        return time.time_ns()
+        from time import time_ns
+
+        return time_ns()
 
     return inner
 
 
-async def later():
-    time.sleep(2)
+class Body:
+    import datetime
 
 
-def with_default(at=time.time()):
-    return at
+def dunder():
+    return __import__("time").time()
 
 
-class Config:
-    created = time.monotonic_ns()
+def by_name(importlib):
+    return importlib.import_module("datetime.datetime")
 
 
-class Stamper:
-    def __init__(self):
-        self._now = time.monotonic
-
-    def stamp(self):
-        return self._now()
-
-
-BANNED = {time.time, time.monotonic}
+def by_name_waived(importlib):
+    return importlib.import_module("time")  # reprolint: disable=DET001

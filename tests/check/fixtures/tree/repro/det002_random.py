@@ -1,19 +1,20 @@
-"""DET002 plants: every unseeded entropy source, one seeded generator."""
+"""DET002 plants: entropy modules by import, the os calls by attribute."""
 
 import os
 import random
 import secrets
 import uuid
 from random import randint
+import random as waived  # reprolint: disable=DET002
 
 SEEDED = random.Random(7)
 ROLL = random.random()
 DIE = randint(1, 6)
-KEY = os.urandom(16)
 TOKEN = secrets.token_hex()
 ID = uuid.uuid4()
-SYSTEM = random.SystemRandom()
-WAIVED = random.choice([1, 2])  # reprolint: disable=DET002
+KEY = os.urandom(16)
+ALSO = os.getrandom(16)
+WAIVED = os.urandom(4)  # reprolint: disable=DET002
 PATH = os.path.join("a", "b")
 
 
@@ -21,3 +22,13 @@ def lazy():
     import uuid as u
 
     return u.uuid1()
+
+
+def from_os():
+    from os import urandom
+
+    return urandom(8)
+
+
+def by_name(importlib):
+    return importlib.import_module("secrets").token_hex()

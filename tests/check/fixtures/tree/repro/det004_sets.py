@@ -5,10 +5,6 @@ import heapq
 from repro.core.conflict import conflict_path
 
 
-def dirty_paths(paths):
-    return {p for p in paths if p}
-
-
 def into_heap(paths):
     dirty = set(paths)
     heap = []
@@ -25,10 +21,10 @@ def reshaped(paths):
     return out
 
 
-def returned_set(paths, record):
+def set_operator(old, new, record):
     out = []
-    for p in dirty_paths(paths):
-        out.append(record.encode(p))
+    for p in set(old) | {q for q in new if q}:
+        out.append(record.encode_node(p))
     return out
 
 

@@ -1,4 +1,4 @@
-"""OBS001 plants: literal, module-constant, dict-table, forwarded names."""
+"""OBS001 plants: the name slot holds a catalog literal or is a finding."""
 
 from repro.obs_helpers import note_event, note_metric
 
@@ -42,9 +42,8 @@ class Shipper:
         local_note(self.obs, "forwarded.local.bad")
         note_metric(self.obs, "forwarded.remote.bad")
         note_event(self.obs, "forwarded.event.bad", n=1)
-        note_metric(self.obs, "client.stalls")
-        note_metric(self.obs, BAD_METRIC)  # reprolint: disable=OBS001
 
     def dynamic(self, name, bus):
         self.obs.event(name)
+        self.obs.span(name=name)
         bus.event("anything.goes")

@@ -1,4 +1,7 @@
-"""Helpers that forward a parameter into an obs name slot."""
+"""Helpers that forward a parameter into an obs name slot.
+
+The forward is the finding; what callers pass is never looked at.
+"""
 
 
 def note_metric(obs, name):

@@ -23,7 +23,7 @@ class TestExemptionPrecedence:
     def test_exempt_glob_beats_inline_suppression(self):
         # Both mechanisms apply: the glob wins, the finding is gone
         # entirely (not merely marked suppressed).
-        src = "import time\nt = time.time()  # reprolint: disable=DET001\n"
+        src = "import time  # reprolint: disable=DET001\nt = time.time()\n"
         config = CheckConfig(exemptions={"DET001": ("legacy/*",)})
         findings = lint_source(
             src, path="legacy/old.py", rel_path="legacy/old.py",
@@ -34,7 +34,7 @@ class TestExemptionPrecedence:
     def test_exempted_finding_keeps_its_comment_fresh(self):
         # Hygiene judges against unfiltered findings: the comment does
         # cover a real DET001, so no CFG002 even though the glob ate it.
-        src = "import time\nt = time.time()  # reprolint: disable=DET001\n"
+        src = "import time  # reprolint: disable=DET001\nt = time.time()\n"
         config = CheckConfig(exemptions={"DET001": ("legacy/*",)})
         findings = lint_source(
             src, path="legacy/old.py", rel_path="legacy/old.py",
@@ -98,7 +98,7 @@ class TestHygiene:
         assert not any(f.rule == "CFG001" for f in findings)
 
     def test_stale_line_comment_flagged(self):
-        src = "import time\nt = time.time()  # reprolint: disable=PY002\n"
+        src = "import os\nimport time  # reprolint: disable=PY002\n"
         findings = lint_source(src)
         stale = [f for f in findings if f.rule == "CFG002"]
         assert len(stale) == 1 and stale[0].line == 2
@@ -111,13 +111,13 @@ class TestHygiene:
         assert "anywhere in the file" in findings[0].message
 
     def test_used_comments_are_quiet(self):
-        src = "import time\nt = time.time()  # reprolint: disable=DET001\n"
+        src = "import time  # reprolint: disable=DET001\nt = time.time()\n"
         findings = lint_source(src)
         assert [f.rule for f in findings] == ["DET001"]  # suppressed, no CFG
 
     def test_hygiene_skipped_under_only(self):
         # `--only DET001` narrows the raw picture; judging staleness
         # against it would produce false alarms, so hygiene stands down.
-        src = "import time\nt = time.time()  # reprolint: disable=PY002\n"
+        src = "import os\nimport time  # reprolint: disable=PY002\n"
         findings = lint_source(src, config=CheckConfig(only=("DET001",)))
         assert [f.rule for f in findings] == ["DET001"]

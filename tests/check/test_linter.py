@@ -45,7 +45,7 @@ class TestReprolintGate:
         proc = run_reprolint(str(planted))
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
-        assert "time.time" in proc.stdout
+        assert "`time` is imported" in proc.stdout
 
     def test_planted_unknown_obs_name_fails(self, tmp_path):
         # Acceptance: nonzero exit on an obs event name absent from the
@@ -63,8 +63,8 @@ class TestReprolintGate:
     def test_suppressed_finding_does_not_gate(self, tmp_path):
         planted = tmp_path / "waived.py"
         planted.write_text(
-            "import time\n"
-            "T = time.time()  # reprolint: disable=DET001\n"
+            "import time  # reprolint: disable=DET001\n"
+            "T = time.time()\n"
         )
         proc = run_reprolint(str(planted))
         assert proc.returncode == 0

@@ -7,6 +7,7 @@ they stay fixed even without the hypothesis example database.
 import pytest
 
 from repro.common.clock import VirtualClock
+from repro.common.config import DeltaCFSConfig
 from repro.common.errors import NotFoundError
 from repro.core.client import DeltaCFSClient
 from repro.net.transport import Channel
@@ -195,3 +196,28 @@ def test_link_onto_a_synced_directory_raises_before_any_bookkeeping():
     assert client.inner.stat("/d").is_dir
     settle(clock, client)
     assert converged(client, server)
+
+
+@pytest.mark.parametrize("enable_checksums", [True, False])
+def test_forwarded_update_realigns_hard_link_versions(enable_checksums):
+    # ROADMAP item 4, ledger (v): without a Checksum Store the alias kept
+    # its old version after the forward, so B's edit through it was
+    # rejected as a conflict and the replicas diverged.
+    sim = Simulation(
+        clients=2, config=DeltaCFSConfig(enable_checksums=enable_checksums)
+    )
+    a, b = sim.clients
+    a.create("/d.txt")
+    a.write("/d.txt", 0, b"first draft")
+    a.close("/d.txt")
+    a.link("/d.txt", "/alias.txt")
+    sim.settle()
+    a.write("/d.txt", 0, b"FIRST")
+    a.close("/d.txt")
+    sim.settle()
+    b.write("/alias.txt", 6, b"DRAFT")
+    b.close("/alias.txt")
+    sim.settle()
+    assert sim.mismatched() == []
+    assert not any(c.conflict_notices for c in sim.clients)
+    assert sim.server.file_content("/d.txt") == b"FIRST DRAFT"

@@ -31,6 +31,7 @@ class TestNamespaceAndRing:
         assert namespace_of("/u123") == "/u123"
         assert namespace_of("/file") == "/file"
         assert namespace_of("/") == "/"
+        assert namespace_of("rel") == "/"
 
     def test_ring_is_stable_across_instances(self):
         a, b = HashRing(8), HashRing(8)
