@@ -69,9 +69,9 @@ def test_crash_recovery_roundtrip(benchmark, tmp_path):
             format_bytes(o.damaged_span),
             format_bytes(o.recovery_up_bytes),
             format_bytes(o.recovery_down_bytes),
-            o.nodes_replayed,
-            o.blocks_repaired,
-            o.full_file_fallbacks,
+            o.report.nodes_replayed,
+            o.report.blocks_repaired,
+            o.report.full_file_fallbacks,
         ]
         for seed, o in zip(_SEEDS, outcomes)
     ]
@@ -87,10 +87,10 @@ def test_crash_recovery_roundtrip(benchmark, tmp_path):
 
     for o in outcomes:
         assert o.converged, o.mismatched
-        assert o.full_file_fallbacks == 0
+        assert o.report.full_file_fallbacks == 0
         # recovery traffic is bounded by the dirty burst + damaged span
         # (plus framing) — far below the 256KB a naive re-upload would cost
         assert o.recovery_up_bytes < 64 * 1024
         assert o.recovery_down_bytes < 64 * 1024
-        assert o.nodes_replayed >= 1
-        assert o.blocks_repaired >= 1
+        assert o.report.nodes_replayed >= 1
+        assert o.report.blocks_repaired >= 1

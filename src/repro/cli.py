@@ -317,14 +317,13 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
     """Replay with a simulated crash after op ``--crash-at N``.
 
     The same measured run as ``run_trace`` whose replay phase runs the
-    first N ops, kills the client (volatile state gone, journal kept),
-    runs ``recover()``, then finishes the trace. Prints the recovery
-    report next to the usual traffic summary so a user can see what the
-    journal bought them.
+    first N ops, restarts the client (a new one over the surviving disk,
+    link and KVs), runs ``recover()``, then finishes the trace. Prints the
+    recovery report next to the usual traffic summary so a user can see
+    what the journal bought them.
     """
     from dataclasses import replace
 
-    from repro.faults.crash import simulate_crash
     from repro.harness.runner import build_system, measured_run
     from repro.workloads.traces import replay
 
@@ -339,12 +338,11 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
     )
     with measured_run(system, trace, obs) as pump:
         replay(replace(trace, ops=trace.ops[:n]), system.fs, system.clock, pump=pump)
-        dirty = simulate_crash(system.client)
-        report = system.client.recover()
+        report = system.restart().recover()
         replay(replace(trace, ops=trace.ops[n:]), system.fs, system.clock, pump=pump)
 
     print(f"crashed after op {n}/{len(trace.ops)}; "
-          f"{len(dirty)} dirty file(s) at the cut")
+          f"{len(report.dirty_paths)} dirty file(s) at the cut")
     print(f"recovery: {report.nodes_replayed} node(s) replayed, "
           f"{report.nodes_already_applied} already applied, "
           f"{report.nodes_rebased} rebased, "

@@ -181,40 +181,13 @@ class ChecksumStore:
                     block_index=index,
                 )
 
-    def verify_file(self, path: str, content: bytes) -> None:
-        """Whole-file verification (the post-crash sweep).
+    def mismatched_blocks(self, path: str, content: bytes) -> List[int]:
+        """Block indices where ``content`` disagrees with stored checksums
+        — the post-crash sweep's one block comparison.
 
         The whole file is checksummed in one bulk pass and compared
-        against a single prefix scan of the store.
-
-        Raises:
-            InconsistencyDetected: some block disagrees — the file is in a
-                crash-inconsistent intermediate state.
-        """
-        n_blocks = (len(content) + self.block_size - 1) // self.block_size
-        stored_map = self._stored_map(path)
-        if len(stored_map) != n_blocks:
-            raise InconsistencyDetected(
-                f"{path}: {len(stored_map)} checksummed blocks but file has "
-                f"{n_blocks}",
-                path=path,
-            )
-        if not n_blocks:
-            return
-        weaks = self._span_weaks(content, 0, n_blocks - 1)
-        for index in range(n_blocks):
-            if stored_map.get(index) != weaks[index]:
-                raise InconsistencyDetected(
-                    f"{path} block {index}: checksum mismatch", path=path
-                )
-
-    def mismatched_blocks(self, path: str, content: bytes) -> List[int]:
-        """Block indices where ``content`` disagrees with stored checksums.
-
-        The non-raising sibling of :meth:`verify_file`, for crash repair:
-        the sweep needs *which* blocks are damaged, not just that one is.
-        A block with no stored checksum (or a stored checksum with no
-        block) counts as mismatched.
+        against a single prefix scan of the store. A block with no stored
+        checksum (or a stored checksum with no block) counts as mismatched.
         """
         n_blocks = (len(content) + self.block_size - 1) // self.block_size
         stored_map = self._stored_map(path)
@@ -224,12 +197,18 @@ class ChecksumStore:
             for index in range(n_blocks)
             if stored_map.get(index) != weaks[index]
         ]
-        bad.extend(
-            index for index in stored_map if index >= n_blocks
-        )
+        bad.extend(index for index in stored_map if index >= n_blocks)
         return sorted(bad)
+
+    def verify_file(self, path: str, content: bytes) -> None:
+        """The raising form of :meth:`mismatched_blocks`: ``InconsistencyDetected``
+        when some block disagrees (a crash-inconsistent intermediate state)."""
+        bad = self.mismatched_blocks(path, content)
+        if bad:
+            raise InconsistencyDetected(
+                f"{path}: blocks {bad} disagree with their checksums", path=path
+            )
 
     def blocks_of(self, path: str) -> List[int]:
         """Indices of the blocks currently checksummed for ``path``."""
-        prefix = path.encode() + b"\x00"
-        return [_INDEX.decode(k[len(prefix) :]) for k, _ in self.kv.items(prefix)]
+        return list(self._stored_map(path))

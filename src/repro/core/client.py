@@ -30,7 +30,6 @@ from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.errors import (
     CorruptionDetected,
-    InconsistencyDetected,
     NoSpaceError,
     NotFoundError,
 )
@@ -150,6 +149,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.transport = transport
         if transport is not None:
             transport.on_reply = self._note_conflicts
+            transport.on_ack = self._envelope_acked
         self.client_id = client_id
         self.clock = clock if clock is not None else VirtualClock()
         self.meter = meter
@@ -207,6 +207,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         # when the write node packs (content is complete by then).
         self._pending_create_delta: Dict[str, RelationEntry] = {}
         self.conflict_notices: List[ConflictNotice] = []
+        # Nodes of the envelopes in flight, by msg_id, until the ack.
+        self._unacked: Dict[int, List[QueueNode]] = {}
         self.shares = shares if shares is not None else ("/",)
 
         if server is not None:
@@ -250,6 +252,11 @@ class DeltaCFSClient(PassthroughFileSystem):
         # NFS-like file RPC: the written bytes are captured here, for free.
         self.meter.charge_bytes("write_io", len(data))
 
+        node = self.queue.active_write_node(path)
+        if node is None and self.undo is not None and self.undo.has_log(path):
+            # The queue packed and shipped the node this log grew with (an open
+            # file's writes came due): its base is not the next node's.
+            self._undo_clear(path)
         old_size = self.inner.size(path)
         if self.undo is not None and offset < old_size:
             old_slice = self.inner.read(
@@ -264,7 +271,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         # Writing to a preserved old version invalidates its relations.
         self._journal_forget_relations(self.relations.invalidate_dst(path))
 
-        node = self.queue.active_write_node(path)
         if node is None:
             if self.queue.full:
                 self.stats.stalls += 1
@@ -377,6 +383,8 @@ class DeltaCFSClient(PassthroughFileSystem):
             return
         self._pack_and_maybe_compress(src, now)
         self.queue.pack(dst)
+        # dst's content is replaced wholesale: what was held against it goes.
+        self._undo_clear(dst)
 
         dst_existed = self.inner.exists(dst)
         entry = self._match_relation(dst, now)
@@ -592,32 +600,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._realign_links(path)
         return content
 
-    def crash_recovery_scan(self, recently_modified: List[str]) -> List[str]:
-        """Post-crash sweep: verify recently-modified files' checksums.
-
-        Returns the list of paths found crash-inconsistent ("we check every
-        recently modified files by comparing their data blocks with their
-        checksums", Section III-E). The caller decides whether to pull the
-        cloud version (:meth:`recover_file`).
-        """
-        if self.checksums is None:
-            raise RuntimeError("checksum store disabled")
-        bad: List[str] = []
-        for path in recently_modified:
-            if not self.inner.exists(path) or self.inner.stat(path).is_dir:
-                continue
-            try:
-                self.checksums.verify_file(path, self.inner.read_file(path))
-            except InconsistencyDetected:
-                bad.append(path)
-        return bad
-
-    def recover_file(self, path: str) -> Optional[bytes]:
-        """Pull the cloud's copy of ``path`` and restore it locally."""
-        return self._recover(path)
-
     def recover(self):
-        """Post-crash recovery: replay the journal and resync (tentpole).
+        """The post-crash path: replay the journal, resync, sweep and repair.
 
         Requires a journal (``journal_kv``). Restores the version counter,
         Relation Table, and undo logs; renegotiates base versions with the
@@ -975,10 +959,12 @@ class DeltaCFSClient(PassthroughFileSystem):
     # -- uploading ---------------------------------------------------------
 
     def _upload_unit(self, unit: UploadUnit, now: float) -> None:
-        # The nodes left the queue for good: their journal records are done.
-        self._journal_forget(unit.nodes)
         messages = [n.to_message() for n in unit.nodes]
         messages = [m for m in messages if m is not None]
+        if self.transport is None or not messages:
+            # Applied synchronously below (or nothing to ship): the nodes
+            # left the queue for good, their journal records are done.
+            self._journal_forget(unit.nodes)
         if not messages:
             return
         span_attrs: Dict[str, object] = {
@@ -1006,8 +992,16 @@ class DeltaCFSClient(PassthroughFileSystem):
             if self.transport is not None:
                 # Reliable path: the transport envelopes the message and
                 # charges the channel itself; replies surface through
-                # the ack callback once the server's EnvelopeAck lands.
-                self.transport.send(outbound, now)
+                # the ack callback once the server's EnvelopeAck lands, and
+                # only then are the journal records retired — an envelope
+                # unacked at a power cut exists nowhere else — unless it had
+                # to park behind a full window (a journaled backlog is a
+                # second copy of the backlog).
+                msg_id = self.transport.send(outbound, now)
+                if self.transport.in_flight(msg_id):
+                    self._unacked[msg_id] = unit.nodes
+                else:
+                    self._journal_forget(unit.nodes)
                 return
             self.channel.upload(outbound, now)
             if self.server is None:
@@ -1019,6 +1013,9 @@ class DeltaCFSClient(PassthroughFileSystem):
         for reply in result.replies:
             self.channel.download(reply, now)
         self._note_conflicts(result.replies)
+
+    def _envelope_acked(self, msg_id: int) -> None:
+        self._journal_forget(self._unacked.pop(msg_id, ()))
 
     def _note_conflicts(self, replies) -> None:
         """Conflict bookkeeping for replies already charged to the channel
@@ -1096,6 +1093,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.versions[op.path] = op.new_version
         elif op.kind == "rename" and self.inner.exists(op.path):
             self.inner.rename(op.path, op.dest)
+            self._undo_clear(op.dest)
             self.versions[op.dest] = self.versions.pop(op.path, None)
             if self.checksums is not None:
                 self.checksums.rename(op.path, op.dest)
@@ -1105,6 +1103,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.versions[op.dest] = self.versions.get(op.path)
         elif op.kind == "unlink" and self.inner.exists(op.path):
             self.inner.unlink(op.path)
+            self._undo_clear(op.path)
             self.versions.pop(op.path, None)
             if self.checksums is not None:
                 self.checksums.drop(op.path)

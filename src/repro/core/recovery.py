@@ -12,7 +12,9 @@ What is journaled (and when):
 
 - **queue nodes** — every Sync Queue node with its payload (write runs,
   truncate length, delta instruction stream, namespace op), re-recorded on
-  coalesce and forgotten on ship/cancel/replace;
+  coalesce and forgotten on cancel/replace and once the cloud has it (the
+  synchronous upload returning, or the reliable transport's ack — or, a
+  known gap, on hand-off when the envelope must park behind a full window);
 - **relation entries** — the live Relation Table rows, so an interrupted
   transactional update can still trigger delta encoding after restart
   (their preserved tmp blobs live in the file system, which survives);
@@ -30,22 +32,22 @@ checksum store, repairing injected crash inconsistency block-by-block from
 ranged downloads patched with the journaled pending writes — recovery
 traffic is bounded by the dirty + damaged regions, never whole files.
 
-The repair reads a pending node as the message it will ship as
-(``QueueNode.to_message()``, the uploader's own conversion), so what
-recovery rebuilds locally is by construction what the server will hold
-once the node uploads: the whole-file fallback folds the messages'
-``apply_to`` over the cloud copy, the block-wise repair overlays their
-``runs`` / ``length`` on the damaged range.
+The repair (:func:`_rebuild`) reads a pending node as the message it will
+ship as (``QueueNode.to_message()``, the uploader's own conversion) and
+folds every one's ``apply_to`` over cloud bytes spliced into the local
+content — or, as the fallback, over the whole cloud copy — so what recovery
+rebuilds locally is by construction what the server will hold once the
+nodes upload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import wire
 from repro.common.pages import EMPTY, Pages
-from repro.common.version import VersionStamp
+from repro.common.version import VersionCounter, VersionStamp
 from repro.core.relation_table import RelationEntry
 from repro.core.sync_queue import (
     DeltaNode,
@@ -322,8 +324,8 @@ class RecoveryReport:
 def perform_recovery(client) -> RecoveryReport:
     """Replay the journal into ``client`` and run the post-crash resync.
 
-    The client is assumed freshly crashed: volatile structures empty (a
-    restarted process, or :func:`repro.faults.crash.simulate_crash`), the
+    The client is assumed freshly restarted
+    (:func:`repro.faults.crash.restart`): volatile structures empty, the
     backing file system and the journal/checksum KVs intact.
     """
     journal: Optional[SyncJournal] = client.journal
@@ -348,8 +350,6 @@ def perform_recovery(client) -> RecoveryReport:
 
 
 def _restore_counter(client, state: JournalState) -> None:
-    from repro.common.version import VersionCounter
-
     start = max(client._counter.current, state.vercnt)
     client._counter = VersionCounter(client.client_id, start=start)
 
@@ -366,11 +366,7 @@ def _restore_relations(client, state: JournalState, now: float) -> int:
         if not client.inner.exists(entry.dst):
             client.journal.forget_relation(entry.src)
             continue
-        client.relations.restore(
-            RelationEntry(
-                src=entry.src, dst=entry.dst, created_at=now, origin=entry.origin
-            )
-        )
+        client.relations.restore(replace(entry, created_at=now))
         restored += 1
     return restored
 
@@ -386,13 +382,8 @@ def _restore_undo(client, state: JournalState) -> None:
 
 
 def _local_paths(client) -> List[str]:
-    """Every local file outside the preserved-content tmp area."""
-    tmp = client.config.tmp_dir
-    return sorted(
-        p
-        for p in client.inner.walk_files()
-        if not (p == tmp or p.startswith(tmp + "/"))
-    )
+    """Every local file in sync scope (outside the preservation tmp area)."""
+    return sorted(p for p in client.inner.walk_files() if not client._unsynced(p))
 
 
 def _renegotiate_versions(
@@ -427,7 +418,7 @@ def _replay_nodes(
 ) -> None:
     """Re-enqueue journaled nodes, dropping/rebasing against the server."""
     obs = client.obs
-    dirty: List[str] = []
+    dirty = set(state.undo)
     # The version each path will hold when the next pending node for it
     # applies: the server head initially, then the previous pending
     # node's minted version as the chain re-enqueues. Rebasing against
@@ -488,9 +479,8 @@ def _replay_nodes(
                 kind=type(node).__name__,
                 disposition=disposition,
             )
-        if node.path not in dirty:
-            dirty.append(node.path)
-    report.dirty_paths = sorted(set(dirty) | set(state.undo))
+        dirty.add(node.path)
+    report.dirty_paths = sorted(dirty)
 
 
 def _sweep_and_repair(
@@ -507,17 +497,15 @@ def _sweep_and_repair(
     limited to the journal's dirty set. The comparison is pure local
     hashing; network traffic happens only for mismatching blocks. A
     mismatching block is crash damage (it changed beneath the operation
-    surface); the repair pulls only that block range from the cloud and
-    re-applies the journaled pending operations that cover it, so
-    un-uploaded dirty data is never lost and the downlink is bounded by
-    the damaged span.
+    surface) and :func:`_rebuild` repairs it.
     """
     if client.checksums is None:
         return
     obs = client.obs
     pending = _pending_updates_by_path(client)
     for path in sorted(set(local_paths) | set(report.dirty_paths)):
-        if not client.inner.exists(path):
+        # a journaled node may name a file gone again, or a pending mkdir
+        if not client.inner.exists(path) or client.inner.stat(path).is_dir:
             continue
         obs.inc("recovery.files.swept")
         content = client.inner.read_file(path)
@@ -526,9 +514,14 @@ def _sweep_and_repair(
             continue
         report.damaged_paths.append(path)
         obs.inc("recovery.files.damaged")
-        repaired = _repair_blocks(
+        on_server = (
+            client.server is not None
+            and server_versions.get(path) is not None
+            and client.server.store.exists(path)
+        )
+        repaired = _rebuild(
             client, path, content, bad_blocks, pending.get(path, []),
-            server_versions, now, report,
+            on_server, now, report,
         )
         if obs.enabled:
             obs.event(
@@ -555,153 +548,90 @@ def _pending_updates_by_path(client) -> Dict[str, List[Message]]:
     return updates
 
 
-def _overlay_pending(
-    patch: bytearray, offset: int, pending: List[Message]
-) -> None:
-    """Apply pending write/truncate updates to ``patch`` (a slice of the
-    file starting at ``offset``), in sequence order.
-
-    This reconstructs what the damaged range held at the cut: the cloud's
-    (older) bytes already in ``patch``, transformed by every journaled
-    operation that was still pending — dirty data wins over stale data.
-    """
-    end = offset + len(patch)
-    for message in pending:
-        length = getattr(message, "length", None)
-        if length is not None and length < end:
-            # A truncate: bytes at/after the cut point were zeroed (shrink)
-            # or born zero (extension); later writes may overwrite them.
-            lo = max(length, offset)
-            patch[lo - offset :] = b"\x00" * (end - lo)
-        for run_offset, run_data in getattr(message, "runs", ()):
-            lo = max(run_offset, offset)
-            hi = min(run_offset + len(run_data), end)
-            if lo < hi:
-                patch[lo - offset : hi - offset] = run_data[
-                    lo - run_offset : hi - run_offset
-                ]
-
-
-def _repair_blocks(
+def _rebuild(
     client,
     path: str,
     content: bytes,
     bad_blocks: List[int],
     pending: List[Message],
-    server_versions: Dict[str, Optional[VersionStamp]],
-    now: float,
-    report: RecoveryReport,
-) -> bool:
-    """Overwrite damaged blocks with cloud bytes + journaled pending intents.
-
-    Returns True when the block-wise repair settled the file. A pending
-    delta defeats range-wise reconstruction (its target bytes exist only
-    relative to its base), and a reconstruction that still disagrees with
-    the durable checksums means the range model is missing history (e.g.
-    the file predates the checksum store) — both fall back to
-    :func:`_full_reconstruction`, never to blindly adopting the stale
-    cloud copy.
-    """
-    block = client.checksums.block_size
-    data = bytearray(content)
-    on_server = (
-        client.server is not None
-        and server_versions.get(path) is not None
-        and client.server.store.exists(path)
-    )
-    if any(isinstance(message, UploadDelta) for message in pending):
-        return _full_reconstruction(
-            client, path, content, pending, on_server, now, report
-        )
-    for start, count in _contiguous_runs(bad_blocks):
-        offset = start * block
-        length = count * block
-        if on_server:
-            request = RangeRequest(path=path, offset=offset, length=length)
-            client.channel.upload(request, now)
-            chunk, version = client.server.file_range(path, offset, length)
-            client.channel.download(
-                RangeReply(path=path, offset=offset, data=chunk, version=version),
-                now,
-            )
-            report.bytes_downloaded += len(chunk)
-            client.obs.inc("recovery.bytes.downloaded", len(chunk))
-        else:
-            # Never uploaded: the journaled pending intents are the only
-            # source of truth for this region.
-            chunk = b"\x00" * min(length, len(data) - offset)
-        end = min(offset + length, len(data))
-        patch = bytearray(data[offset:end])
-        patch[: len(chunk)] = chunk[: end - offset]
-        _overlay_pending(patch, offset, pending)
-        data[offset:end] = patch
-        report.blocks_repaired += count
-        client.obs.inc("recovery.blocks.repaired", count)
-
-    repaired = bytes(data)
-    if client.checksums.mismatched_blocks(path, repaired):
-        return _full_reconstruction(
-            client, path, content, pending, on_server, now, report
-        )
-    client.inner.write_file(path, repaired)
-    return True
-
-
-def _full_reconstruction(
-    client,
-    path: str,
-    content: bytes,
-    pending: List[Message],
     on_server: bool,
     now: float,
     report: RecoveryReport,
 ) -> bool:
-    """Rebuild the whole file: cloud base + pending intents, in order.
+    """Reconstruct a damaged file and write it back — the one routine that
+    writes repaired content. Returns True when block-wise repair settled it.
 
-    The expensive path (downlink = file size), taken only when block-wise
-    repair cannot converge. Crucially it still *replays the journaled
-    intents on top* of the cloud base instead of adopting the cloud copy
-    verbatim — the crash must never silently roll back dirty data. If
-    even this disagrees with the durable checksums, the candidate with
-    fewer damaged blocks wins and the checksums are re-indexed to it
-    (best effort: the durable record was incomplete).
+    One fold: cloud bytes spliced into a base, then *every* journaled pending
+    intent applied on top in sequence order, as the message it will ship as
+    (``apply_to``, the server's own effect) — the crash must never silently
+    roll back dirty data. Block-wise, the base is the local content and the
+    splices are the contiguous damaged runs, one ``RangeRequest`` /
+    ``RangeReply`` each, so the downlink is bounded by the damaged span
+    (local bytes outside it already carry the intents; applying them again
+    changes nothing). A pending delta (its target bytes exist only relative
+    to its base) or a result that still disagrees with the durable checksums
+    (the range model is missing history, e.g. the file predates the store)
+    takes the whole cloud copy as the base instead. If even that disagrees,
+    the candidate with fewer damaged blocks wins and the checksums are
+    re-indexed to it — never the stale cloud copy adopted blindly.
     """
-    report.full_file_fallbacks += 1
-    client.obs.inc("recovery.full_file_fallbacks")
-    if on_server:
-        size = client.server.store.lookup(path).size
-        request = RangeRequest(path=path, offset=0, length=size)
-        client.channel.upload(request, now)
-        chunk, version = client.server.file_range(path, 0, size)
+    checksums, obs = client.checksums, client.obs
+    block = checksums.block_size
+
+    def fetch(offset: int, length: int) -> bytes:
+        client.channel.upload(
+            RangeRequest(path=path, offset=offset, length=length), now
+        )
+        chunk, version = client.server.file_range(path, offset, length)
         client.channel.download(
-            RangeReply(path=path, offset=0, data=chunk, version=version), now
+            RangeReply(path=path, offset=offset, data=chunk, version=version), now
         )
         report.bytes_downloaded += len(chunk)
-        client.obs.inc("recovery.bytes.downloaded", len(chunk))
-        folded = Pages(chunk)
-    else:
-        folded = EMPTY
-    for message in pending:
-        if isinstance(message, UploadDelta):
-            try:
-                folded = Pages(apply_delta(bytes(folded), message.delta))
-            except ValueError:
-                pass  # keep the base; the checksum contest below decides
-        else:
-            folded = message.apply_to(folded)
-    candidate = bytes(folded)
+        obs.inc("recovery.bytes.downloaded", len(chunk))
+        return chunk
 
-    bad_candidate = client.checksums.mismatched_blocks(path, candidate)
-    if not bad_candidate:
-        client.inner.write_file(path, candidate)
-        return False
-    # Neither source is clean: keep whichever disagrees with the durable
-    # record the least, and re-index so the store describes reality again.
-    bad_content = client.checksums.mismatched_blocks(path, content)
-    winner = candidate if len(bad_candidate) <= len(bad_content) else content
-    client.inner.write_file(path, winner)
-    client.checksums.reindex(path, winner)
-    return False
+    has_delta = any(isinstance(message, UploadDelta) for message in pending)
+    for blockwise in ((False,) if has_delta else (True, False)):
+        if blockwise:
+            folded = Pages(content)
+            for start, count in _contiguous_runs(bad_blocks):
+                offset = start * block
+                room = max(0, min(count * block, len(content) - offset))
+                # Never uploaded: zeros, and the journaled pending intents
+                # are the only source of truth for the region.
+                chunk = b"\x00" * room
+                if on_server:
+                    chunk = fetch(offset, count * block)[:room]
+                if chunk:
+                    folded = folded.write(offset, chunk)
+                report.blocks_repaired += count
+                obs.inc("recovery.blocks.repaired", count)
+        else:
+            report.full_file_fallbacks += 1
+            obs.inc("recovery.full_file_fallbacks")
+            folded = EMPTY
+            if on_server:
+                folded = Pages(fetch(0, client.server.store.lookup(path).size))
+        for message in pending:
+            if isinstance(message, UploadDelta):
+                try:
+                    folded = Pages(apply_delta(bytes(folded), message.delta))
+                except ValueError:
+                    pass  # keep the base; the checksum contest below decides
+            else:
+                folded = message.apply_to(folded)
+        rebuilt = bytes(folded)
+        still_bad = checksums.mismatched_blocks(path, rebuilt)
+        if not still_bad:
+            break
+    # Neither source clean: keep whichever disagrees with the durable record
+    # the least, and re-index so the store describes reality again.
+    if still_bad and len(still_bad) > len(checksums.mismatched_blocks(path, content)):
+        rebuilt = content
+    client.inner.write_file(path, rebuilt)
+    if still_bad:
+        checksums.reindex(path, rebuilt)
+    return blockwise
 
 
 def _contiguous_runs(blocks: List[int]) -> List[Tuple[int, int]]:

@@ -9,14 +9,14 @@ consumed by :class:`repro.net.transport.LossyChannel`.
 """
 
 from repro.faults.corruption import flip_bit, corrupt_random_block
-from repro.faults.crash import inject_crash_inconsistency, simulate_crash
+from repro.faults.crash import inject_crash_inconsistency, restart
 from repro.faults.network import NO_FAULTS, NetworkFaults
 
 __all__ = [
     "flip_bit",
     "corrupt_random_block",
     "inject_crash_inconsistency",
-    "simulate_crash",
+    "restart",
     "NetworkFaults",
     "NO_FAULTS",
 ]

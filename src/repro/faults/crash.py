@@ -1,18 +1,18 @@
-"""Crash simulation and crash-inconsistency injection.
+"""The crash model — a crash is a restart — and crash-inconsistency injection.
 
 The paper's experiment (Section IV-E): "we cut off the power of the machine
 during a file in the sync folder is being written. After the machine is
 powered on, we first inject inconsistent data to simulate crash
 inconsistency by writing data to the file bypassing the file system" —
 i.e., ordered-journaling's window where data blocks changed but metadata
-did not.
+did not. :func:`restart` is the power cut and the power-on,
+:func:`inject_crash_inconsistency` the torn block.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common.rng import DeterministicRandom
+from repro.kvstore.kv import KVStore, LogStructuredKV
 from repro.vfs.filesystem import MemoryFileSystem
 
 
@@ -39,43 +39,56 @@ def inject_crash_inconsistency(
     return offset
 
 
-def simulate_crash(client) -> List[str]:
-    """Model a power cut for a DeltaCFS client: memory is lost, disk stays.
+def _reopened(kv: KVStore) -> KVStore:
+    """``kv`` after the restart: a WAL-backed store is closed and replayed
+    from disk, an in-memory one is durable by identity."""
+    if isinstance(kv, LogStructuredKV):
+        kv.close()
+        return LogStructuredKV(
+            kv._path, auto_compact_ratio=kv._auto_compact_ratio, sync=kv._sync
+        )
+    return kv
 
-    The Sync Queue, relation table, and undo logs are in-memory in the
-    prototype and vanish; the checksum store and the recovery journal
-    survive (they live in the WAL-backed KV — the LevelDB role). The
-    volatile structures are rebuilt empty **with the client's original
-    observability and meter wiring** — a restarted process re-instruments
-    itself; rebuilding into ``NULL_OBS`` would silently blind every
-    post-crash metric.
 
-    For a journaled client the synced-version map and version counter are
-    also wiped (they are process memory too) — :meth:`recover` rebuilds
-    them from the journal and the cloud. A journal-less client keeps them,
-    preserving the legacy test model where the sweep is improvised by the
-    caller.
+def restart(client):
+    """Cut the power under ``client``; returns the new client over what
+    survives (the old one must not be used again).
 
-    Returns the paths that had un-uploaded changes (the "recently modified
-    files" the post-crash sweep inspects).
+    What outlives a process is exactly what the new client's constructor is
+    handed: the backing file system; the server; the link (the channel with
+    its counters, busy horizons and fault-fate stream) and the meter — the
+    world and its measurement, not process memory; clock, config, shares,
+    client id, observability; the checksum and journal KVs, reopened; and,
+    if the old client had one, a *fresh* reliable transport, whose msg ids
+    restart at 1 — which is why the old registration, and with it the
+    server's dedup window, is released first. Everything else is lost
+    because the object is gone; :meth:`DeltaCFSClient.recover` rebuilds
+    what the journal kept.
     """
-    dirty = sorted({node.path for node in client.queue.nodes()})
-    client.queue.__init__(
-        upload_delay=client.config.upload_delay,
-        capacity=client.config.sync_queue_capacity,
-        max_coalesce_delay=client.config.max_coalesce_delay,
+    if client.server is not None:
+        client.server.unregister_client(client.client_id)
+    checksums, journal, old = client.checksums, client.journal, client.transport
+    # type(client), not an import: the client module imports repro.faults.
+    return type(client)(
+        client.inner,
+        server=client.server,
+        channel=client.channel,
+        client_id=client.client_id,
+        config=client.config,
+        clock=client.clock,
+        meter=client.meter,
         obs=client.obs,
+        checksum_kv=None if checksums is None else _reopened(checksums.kv),
+        transport=None
+        if old is None
+        else type(old)(
+            old.channel,
+            old.server,
+            client_id=old.client_id,
+            policy=old.policy,
+            seed=old.seed,
+            obs=old.obs,
+        ),
+        journal_kv=None if journal is None else _reopened(journal.kv),
+        shares=client.shares,
     )
-    client.relations.__init__(
-        timeout=client.config.relation_timeout, obs=client.obs
-    )
-    if client.undo is not None:
-        client.undo.__init__(meter=client.meter)
-    client._pending_create_delta.clear()
-    if client.journal is not None:
-        from repro.common.version import VersionCounter
-
-        client._dead_versions.clear()
-        client.versions.clear()
-        client._counter = VersionCounter(client.client_id)
-    return dirty

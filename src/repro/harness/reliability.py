@@ -10,8 +10,9 @@ Three tests per service:
 - **Crash inconsistency**: power-cut while a file is being written, then
   (simulating ordered-journaling's torn window) inject data that changed
   without metadata. Dropbox/Seafile upload the inconsistent file when they
-  notice it changed; DeltaCFS's post-crash sweep compares blocks against
-  the checksum store and flags the file.
+  notice it changed; DeltaCFS's post-crash ``recover()`` compares blocks
+  against the checksum store, flags the file and repairs it — keeping the
+  write that was in flight at the cut.
 - **Causal upload order**: create files of different sizes in order.
   DeltaCFS's FIFO Sync Queue preserves the update order on the cloud;
   Dropbox/Seafile upload concurrently per file, so small files routinely
@@ -25,11 +26,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.rng import DeterministicRandom
 from repro.core.conflict import is_conflict_copy
+from repro.core.recovery import RecoveryReport
 from repro.faults.corruption import flip_bit
-from repro.faults.crash import inject_crash_inconsistency, simulate_crash
+from repro.faults.crash import inject_crash_inconsistency
 from repro.faults.network import NetworkFaults
 from repro.harness.runner import build_system
-from repro.kvstore.kv import KVStore, LogStructuredKV, MemoryKV
+from repro.kvstore.kv import KVStore, MemoryKV
 from repro.net.reliable import RetryPolicy
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import CloudServer
@@ -45,8 +47,8 @@ def _seed_content(n: int = _SIZE) -> bytes:
     return bytes((i * 131 + 17) % 256 for i in range(n))
 
 
-def _build_and_seed(service: str):
-    system = build_system(service)
+def _build_and_seed(service: str, **kwargs):
+    system = build_system(service, **kwargs)
     system.fs.create(_FILE)
     system.fs.write(_FILE, 0, _seed_content())
     system.fs.close(_FILE)
@@ -86,20 +88,20 @@ def corruption_test(service: str) -> str:
 
 def crash_inconsistency_test(service: str) -> str:
     """Returns "detect" or "upload" for the crash-inconsistency scenario."""
-    system = _build_and_seed(service)
+    journal_kv = MemoryKV() if service == "deltacfs" else None
+    system = _build_and_seed(service, journal_kv=journal_kv)
 
     # a write is in flight when the power goes out
     system.fs.write(_FILE, 1024, b"q" * 512)
 
     if service == "deltacfs":
-        dirty = simulate_crash(system.client)
-        offset = inject_crash_inconsistency(_backing_fs(system), _FILE, seed=7)
-        bad = system.client.crash_recovery_scan(sorted(set(dirty) | {_FILE}))
-        if _FILE in bad:
-            # prevented from uploading; pull the correct cloud version
-            system.client.recover_file(_FILE)
-            return "detect"
-        return "upload"
+        disk = _backing_fs(system)
+        intended = disk.read_file(_FILE)
+        inject_crash_inconsistency(disk, _FILE, seed=7)
+        report = system.restart().recover()
+        # flagged before anything uploads; repaired, in-flight write kept
+        repaired = disk.read_file(_FILE) == intended
+        return "detect" if _FILE in report.damaged_paths and repaired else "upload"
 
     inject_crash_inconsistency(_backing_fs(system), _FILE, seed=7)
     # the restart rescan notices the (already dirty) file and uploads it
@@ -178,7 +180,7 @@ class LossOutcome:
 
 @dataclass
 class CrashRecoveryOutcome:
-    """Result of one crash→recover→verify round trip."""
+    """Result of one crash→recover→verify round trip (``report``: ``recover()``'s)."""
 
     converged: bool
     mismatched: List[str] = field(default_factory=list)
@@ -186,11 +188,7 @@ class CrashRecoveryOutcome:
     damaged_span: int = 0
     recovery_up_bytes: int = 0
     recovery_down_bytes: int = 0
-    nodes_replayed: int = 0
-    nodes_already_applied: int = 0
-    nodes_rebased: int = 0
-    blocks_repaired: int = 0
-    full_file_fallbacks: int = 0
+    report: RecoveryReport = field(default_factory=RecoveryReport)
 
     @property
     def bounded(self) -> bool:
@@ -199,20 +197,6 @@ class CrashRecoveryOutcome:
         return (
             self.recovery_up_bytes < _SIZE and self.recovery_down_bytes < _SIZE
         )
-
-
-def _reopened(kv: KVStore) -> KVStore:
-    """Model the restart for the durable KVs: close and reopen from disk.
-
-    A :class:`MemoryKV` survives by object identity (the in-process crash
-    model); a :class:`LogStructuredKV` goes through a real close/replay
-    cycle so the round trip also exercises WAL recovery.
-    """
-    if isinstance(kv, LogStructuredKV):
-        path, sync = kv._path, kv._sync
-        kv.close()
-        return LogStructuredKV(path, sync=sync)
-    return kv
 
 
 def crash_recovery_roundtrip(
@@ -225,10 +209,9 @@ def crash_recovery_roundtrip(
 ) -> CrashRecoveryOutcome:
     """Crash a journaled client mid-burst, restart it, recover, verify.
 
-    A full process-death model: the first client instance is abandoned
-    (its volatile queue/relations/undo vanish with it), crash damage is
-    injected beneath the file system, and a **fresh** client is built over
-    the surviving file system + durable KVs. ``recover()`` must converge
+    Crash damage is injected beneath the file system and the client is
+    restarted (:meth:`Simulation.restart`: a new client over the surviving
+    file system, link and reopened KVs). ``recover()`` must converge
     the client and the cloud byte-identically while re-uploading only the
     dirty burst and re-downloading only the damaged span.
 
@@ -263,40 +246,27 @@ def crash_recovery_roundtrip(
         dirty_bytes += write_size
     expected = fs.read_file(_FILE)
 
-    # Power cut: the process dies. Drop the client, restart the KVs.
-    sim.server.unregister_client(client.client_id)
-    sim.clients.remove(client)
+    # Power cut, torn block, power on. The link survives with its
+    # counters, so recovery traffic is what it carries from here on.
     damaged_span = 4096
     inject_crash_inconsistency(fs, _FILE, seed=seed, span=damaged_span)
-
-    # Restart: a fresh client over the surviving fs + durable stores,
-    # with a fresh channel so its stats isolate the recovery traffic.
-    client2 = sim.attach(
-        fs=fs,
-        client_id=client.client_id,
-        journal_kv=_reopened(journal_kv),
-        checksum_kv=_reopened(checksum_kv),
-    )
-    report = client2.recover()
+    stats = client.channel.stats
+    up_before, down_before = stats.up_bytes, stats.down_bytes
+    report = sim.restart(client).recover()
     sim.settle(6)
     sim.flush()
 
     mismatched = sim.mismatched()
     if fs.read_file(_FILE) != expected:
         mismatched.append(_FILE + " (local diverged from pre-crash content)")
-    channel = client2.channel
     return CrashRecoveryOutcome(
         converged=not mismatched,
         mismatched=mismatched,
         dirty_bytes=dirty_bytes,
         damaged_span=damaged_span,
-        recovery_up_bytes=channel.stats.up_bytes,
-        recovery_down_bytes=channel.stats.down_bytes,
-        nodes_replayed=report.nodes_replayed,
-        nodes_already_applied=report.nodes_already_applied,
-        nodes_rebased=report.nodes_rebased,
-        blocks_repaired=report.blocks_repaired,
-        full_file_fallbacks=report.full_file_fallbacks,
+        recovery_up_bytes=stats.up_bytes - up_before,
+        recovery_down_bytes=stats.down_bytes - down_before,
+        report=report,
     )
 
 

@@ -47,6 +47,14 @@ class SystemUnderTest(RunPhases):
     flush: Callable[[], object]
     client: object  # the underlying client, for system-specific inspection
     transport: Optional[ReliableTransport] = None  # set in reliable mode
+    sim: Optional[Simulation] = None  # DeltaCFS: the simulation behind this view
+
+    def restart(self):
+        """Power-cut the DeltaCFS client (:meth:`Simulation.restart`): ``fs``,
+        ``client`` and ``transport`` follow its successor, which is returned."""
+        self.client = self.fs = self.sim.restart(self.client)
+        self.transport = self.client.transport
+        return self.client
 
     def reset_counters(self) -> None:
         """Zero meters and traffic counters (after preload)."""
@@ -135,6 +143,7 @@ def build_system(
             flush=sim.flush,
             client=client,
             transport=client.transport,
+            sim=sim,
         )
 
     clock = clock if clock is not None else VirtualClock()

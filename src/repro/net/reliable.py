@@ -139,8 +139,11 @@ class ReliableTransport:
         self.client_id = client_id
         self.policy = policy if policy is not None else RetryPolicy()
         self.policy.validate()
+        self.seed = seed
         self.obs = obs
         self.on_reply = on_reply
+        # Called with an envelope's msg_id as its first ack lands.
+        self.on_ack: Optional[Callable[[int], None]] = None
         self.stats = TransportStats()
         self._jitter_rng = DeterministicRandom(seed).fork("reliable-transport")
         self._next_msg_id = 1
@@ -202,6 +205,10 @@ class ReliableTransport:
     @property
     def inflight_depth(self) -> int:
         return len(self._inflight)
+
+    def in_flight(self, msg_id: int) -> bool:
+        """True while ``msg_id`` has been transmitted and is not yet acked."""
+        return msg_id in self._inflight
 
     # -- the pump ------------------------------------------------------------
 
@@ -327,6 +334,8 @@ class ReliableTransport:
                     attempts=entry.attempts,
                     rtt=now - entry.first_sent,
                 )
+            if self.on_ack is not None:
+                self.on_ack(entry.msg_id)
             if self.on_reply is not None and ack.replies:
                 self.on_reply(ack.replies)
 

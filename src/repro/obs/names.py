@@ -573,8 +573,8 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "journal.records.forgotten",
         COUNTER,
-        "journal records retired (node uploaded, cancelled or replaced; "
-        "relation resolved; undo spans cleared)",
+        "journal records retired (node uploaded — acked, over a reliable "
+        "transport — cancelled or replaced; relation resolved; undo spans cleared)",
         unit="records",
         labels=("kind",),
     ),
@@ -887,8 +887,8 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "journal.forget",
         "event",
-        "a sync-intent record was retired (shipped, cancelled, matched, "
-        "expired, or replaced)",
+        "a sync-intent record was retired (uploaded and acked, cancelled, "
+        "matched, expired, or replaced)",
         attrs=("kind", "ref"),
     ),
     EventSpec(

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.pages import Pages
 from repro.common.version import VersionStamp
+from repro.core.conflict import is_conflict_copy
 from repro.cost.meter import CostMeter
 from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
 from repro.obs import NULL_OBS, Observability
@@ -104,22 +105,33 @@ class _StoreView:
     """Read-only namespace facade over all shard stores.
 
     Exposes the subset of :class:`VersionedStore` that clients and tests
-    read through ``server.store`` — routing point lookups by path and
-    searching all shards for stamp-addressed snapshots (a stamp does not
+    read through ``server.store`` — routing point lookups by path
+    (:meth:`_holding`) and searching all shards for stamp-addressed snapshots (a stamp does not
     say which shard's window holds it; N is small).
     """
 
     def __init__(self, router: "ShardRouter"):
         self._router = router
 
+    def _holding(self, path: str):
+        """The shard store a point lookup of ``path`` reads: where it routes
+        — or, for a conflict copy, where it is: it was written beside the
+        file it lost to, and a top-level copy's own name (its whole
+        namespace) routes elsewhere, yet :meth:`paths` lists it."""
+        routed = self._router.shard_for_path(path).store
+        if routed.exists(path) or not is_conflict_copy(path):
+            return routed
+        stores = (shard.store for shard in self._router.shards)
+        return next((store for store in stores if store.exists(path)), routed)
+
     def exists(self, path: str) -> bool:
-        return self._router.shard_for_path(path).store.exists(path)
+        return self._holding(path).exists(path)
 
     def get(self, path: str):
-        return self._router.shard_for_path(path).store.get(path)
+        return self._holding(path).get(path)
 
     def lookup(self, path: str):
-        return self._router.shard_for_path(path).store.lookup(path)
+        return self._holding(path).lookup(path)
 
     def snapshot(self, version: VersionStamp) -> Optional[Pages]:
         for shard in self._router.shards:
@@ -129,10 +141,10 @@ class _StoreView:
         return None
 
     def history(self, path: str) -> List[VersionStamp]:
-        return self._router.shard_for_path(path).store.history(path)
+        return self._holding(path).history(path)
 
     def restorable_history(self, path: str) -> List[VersionStamp]:
-        return self._router.shard_for_path(path).store.restorable_history(path)
+        return self._holding(path).restorable_history(path)
 
     def paths(self) -> List[str]:
         out: List[str] = []

@@ -34,6 +34,7 @@ from repro.core.client import DeltaCFSClient
 from repro.core.conflict import is_conflict_copy
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.cost.profile import CostProfile, PC_PROFILE
+from repro.faults.crash import restart
 from repro.faults.network import NO_FAULTS, NetworkFaults
 from repro.metrics.report import format_bytes, format_table
 from repro.net.reliable import ReliableTransport, RetryPolicy
@@ -72,9 +73,9 @@ def attach_client(
     """Attach one DeltaCFS client stack to ``server``.
 
     ``server`` is a ``CloudServer`` or a ``ShardRouter``. ``fs`` is the
-    local file system (a fresh ``MemoryFileSystem`` unless a restart
-    passes the one that survived). The link is built from ``network`` and
-    the two meters unless a prebuilt ``channel`` is given; a non-lossless
+    local file system (a fresh ``MemoryFileSystem`` by default). The link
+    is built from ``network`` and the two meters unless a prebuilt
+    ``channel`` is given; a non-lossless
     ``faults`` plan (or an explicit ``retry`` policy) makes it a
     :class:`LossyChannel` seeded with ``fault_seed`` under a
     :class:`ReliableTransport` that presents this ``client_id``.
@@ -239,6 +240,13 @@ class Simulation(RunPhases):
         )
         self.clients.append(client)
         return client
+
+    def restart(self, client: DeltaCFSClient) -> DeltaCFSClient:
+        """Power-cut ``client`` (:func:`repro.faults.crash.restart`): its
+        successor takes its place in ``clients``; call its ``recover()``."""
+        reborn = restart(client)
+        self.clients[self.clients.index(client)] = reborn
+        return reborn
 
     @property
     def client(self) -> DeltaCFSClient:

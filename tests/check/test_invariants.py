@@ -97,6 +97,33 @@ class TestSyntheticTraces:
         ])
         assert results["INV-CAUSAL-FIFO"].status == "ok"
 
+    def test_recover_span_starts_a_new_msg_id_session(self):
+        # A restarted client numbers from 1 again and its dedup window was
+        # released: the same ids after a client.recover span are neither a
+        # double apply nor a reordering — but within the new session the
+        # rules are the old ones.
+        def envelope(msg_id):
+            return event("server.envelope", client=1, msg_id=msg_id,
+                         attempt=1, duplicate=False)
+
+        recover = [
+            {"type": "span_start", "name": "client.recover", "id": 1,
+             "parent": None, "ts": 5.0, "attrs": {"nodes": 1}},
+            {"type": "span_end", "name": "client.recover", "id": 1,
+             "parent": None, "ts": 5.0},
+        ]
+        before = [envelope(1), envelope(2)]
+        res = verify_events(before + recover + [envelope(1), envelope(2)])
+        assert res["INV-EXACTLY-ONCE"].status == "ok"
+        assert res["INV-CAUSAL-FIFO"].status == "ok"
+        res = verify_events(before + [envelope(1), envelope(2)])
+        assert res["INV-EXACTLY-ONCE"].status == "violated"
+        assert res["INV-CAUSAL-FIFO"].status == "violated"
+        res = verify_events(before + recover + [envelope(1), envelope(1)])
+        assert res["INV-EXACTLY-ONCE"].status == "violated"
+        res = verify_events(before + recover + [envelope(2)])
+        assert "gap" in res["INV-CAUSAL-FIFO"].violations[0]
+
     def test_version_monotone_violation(self):
         results = verify_events([
             event("server.version.accepted", path="/f", client=1, counter=3),
@@ -218,6 +245,38 @@ class TestRealTraces:
                 f"{result.id}: {result.status} {result.violations}"
             )
             assert result.witnesses_seen > 0
+
+    def test_lossy_crash_run_satisfies_catalog(self):
+        # A lossy journaled run cut mid-trace: the restarted client's
+        # envelopes start again at msg id 1, recovery replays the journal,
+        # and every invariant still holds over the whole recording.
+        from dataclasses import replace
+
+        from repro.harness.runner import build_system, measured_run
+        from repro.workloads.traces import replay
+
+        obs = Observability()
+        trace = gedit_trace(saves=3)
+        system = build_system(
+            "deltacfs", obs=obs, faults=NetworkFaults(drop_prob=0.2),
+            fault_seed=3, journal_kv=MemoryKV(),
+        )
+        with measured_run(system, trace, obs) as pump:
+            replay(replace(trace, ops=trace.ops[:8]), system.fs, system.clock,
+                   pump=pump)
+            report = system.restart().recover()
+            replay(replace(trace, ops=trace.ops[8:]), system.fs, system.clock,
+                   pump=pump)
+        assert report.nodes_replayed > 0 and system.sim.converged()
+        doc = load_trace_lines(obs.tracer.to_jsonl().splitlines())
+        restarted = [r for r in doc.point_events()
+                     if r["name"] == "server.envelope"
+                     and r["attrs"]["msg_id"] == 1 and not r["attrs"]["duplicate"]]
+        assert len(restarted) >= 2  # preload's, and the new session's
+        for result in verify_trace(doc):
+            assert result.status == (
+                "skipped" if result.id == "INV-MIGRATE-SAFE" else "ok"
+            ), f"{result.id}: {result.status} {result.violations}"
 
     def test_disabled_dedup_fails_exactly_once(self, monkeypatch):
         # Acceptance: seeding a mutation (the server forgets to dedup)

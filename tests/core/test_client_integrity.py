@@ -7,7 +7,8 @@ from repro.common.config import DeltaCFSConfig
 from repro.common.errors import CorruptionDetected
 from repro.common.rng import DeterministicRandom
 from repro.core.client import DeltaCFSClient
-from repro.faults.crash import inject_crash_inconsistency, simulate_crash
+from repro.faults.crash import inject_crash_inconsistency, restart
+from repro.kvstore.kv import MemoryKV
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
@@ -22,6 +23,7 @@ def build(config=None, with_server=True):
         channel=Channel(),
         clock=clock,
         config=config,
+        journal_kv=MemoryKV(),
     )
     return clock, client, server
 
@@ -85,72 +87,99 @@ class TestCorruption:
 
 
 class TestCrashConsistency:
+    """The post-crash path is ``restart`` -> ``recover()``: the sweep flags
+    what disagrees with the durable checksums and the repair keeps the
+    write that was in flight."""
+
     def test_scan_flags_torn_file(self):
         clock, client, server = build()
         _seed(client, clock)
         client.write("/f", 1024, b"in-flight")
-        dirty = simulate_crash(client)
         inject_crash_inconsistency(client.inner, "/f", seed=1)
-        bad = client.crash_recovery_scan(sorted(set(dirty) | {"/f"}))
-        assert bad == ["/f"]
+        report = restart(client).recover()
+        assert report.damaged_paths == ["/f"]
 
     def test_clean_crash_passes_scan(self):
         clock, client, server = build()
         _seed(client, clock)
         client.write("/f", 1024, b"in-flight")
-        dirty = simulate_crash(client)
         # writes that reached the FS match their checksums: no false alarm
-        bad = client.crash_recovery_scan(sorted(set(dirty) | {"/f"}))
-        assert bad == []
+        report = restart(client).recover()
+        assert report.damaged_paths == []
+        assert report.bytes_downloaded == 0
 
     def test_recover_pulls_cloud_version(self):
         clock, client, server = build()
         content = _seed(client, clock)
         client.write("/f", 1024, b"in-flight")
-        simulate_crash(client)
+        intended = client.inner.read_file("/f")
         inject_crash_inconsistency(client.inner, "/f", seed=2)
-        restored = client.recover_file("/f")
-        assert restored == server.file_content("/f")
-        assert client.inner.read_file("/f") == restored
+        assert client.inner.read_file("/f") != intended
+        reborn = restart(client)
+        report = reborn.recover()
+        # the torn blocks come from the cloud, the in-flight write is kept
+        assert 0 < report.bytes_downloaded < len(content) // 4
+        assert report.full_file_fallbacks == 0
+        assert reborn.inner.read_file("/f") == intended
         # the restored file passes a fresh scan
-        assert client.crash_recovery_scan(["/f"]) == []
+        assert reborn.checksums.mismatched_blocks("/f", intended) == []
+        settle(clock, reborn)
+        assert server.file_content("/f") == intended
 
     def test_crash_loses_queue(self):
         clock, client, server = build()
         _seed(client, clock)
         client.write("/f", 0, b"never-uploaded")
-        dirty = simulate_crash(client)
-        assert "/f" in dirty
-        assert len(client.queue) == 0
+        reborn = restart(client)
+        assert len(reborn.queue) == 0
+        # ... and the journal gives it back: the dirty set is the report's
+        assert reborn.recover().dirty_paths == ["/f"]
+        assert len(reborn.queue) == 1
 
     def test_scan_requires_checksums(self):
+        # without a Checksum Store the sweep has nothing to compare against
         config = DeltaCFSConfig(enable_checksums=False)
         clock, client, _ = build(config=config)
-        with pytest.raises(RuntimeError):
-            client.crash_recovery_scan(["/f"])
+        _seed(client, clock)
+        inject_crash_inconsistency(client.inner, "/f", seed=1)
+        report = restart(client).recover()
+        assert report.damaged_paths == [] and report.blocks_repaired == 0
 
     def test_scan_skips_missing_files(self):
         clock, client, server = build()
         _seed(client, clock)
-        assert client.crash_recovery_scan(["/ghost", "/f"]) == []
+        client.create("/ghost")
+        client.write("/ghost", 0, b"journaled, then gone beneath the stack")
+        client.inner.unlink("/ghost")
+        report = restart(client).recover()
+        assert "/ghost" in report.dirty_paths
+        assert report.damaged_paths == []
 
     def test_scan_skips_directories(self):
         clock, client, server = build()
-        client.mkdir("/d")
-        _seed(client, clock, path="/d/f")
-        assert client.crash_recovery_scan(["/d", "/d/f"]) == []
+        _seed(client, clock)
+        client.mkdir("/d")  # pending at the cut: the dirty set names it
+        client.create("/d/f")
+        client.write("/d/f", 0, b"x" * 5000)
+        reborn = restart(client)
+        report = reborn.recover()
+        assert report.dirty_paths == ["/d", "/d/f"]
+        assert report.damaged_paths == []
+        settle(clock, reborn)
+        assert server.file_content("/d/f") == b"x" * 5000
 
     def test_scan_reports_only_inconsistency(self, monkeypatch):
         # A bug inside the sweep is a bug, not crash damage.
         clock, client, server = build()
         _seed(client, clock)
+        reborn = restart(client)
 
         def broken(path, content):
             raise KeyError(path)
 
-        monkeypatch.setattr(client.checksums, "verify_file", broken)
+        monkeypatch.setattr(reborn.checksums, "mismatched_blocks", broken)
         with pytest.raises(KeyError):
-            client.crash_recovery_scan(["/f"])
+            reborn.recover()
 
 
 class CountingFileSystem(MemoryFileSystem):

@@ -129,7 +129,7 @@ class TestDetachedClient:
     def test_recover_without_server_returns_none(self):
         _, client, _ = build(server=False)
         client.create("/f")
-        assert client.recover_file("/f") is None
+        assert client._recover("/f") is None
 
 
 class TestOpCounters:

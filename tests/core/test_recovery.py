@@ -1,8 +1,9 @@
 """Tests for the crash-recovery journal (repro.core.recovery).
 
 The contract under test: everything the client *intends* to sync is
-journaled durably as it is intercepted, and after a crash (volatile
-state gone, journal + checksums kept) ``Client.recover()`` converges the
+journaled durably as it is intercepted, and after a crash (``restart``: a
+new client over the disk, the link and the journal + checksum KVs)
+``Client.recover()`` converges the
 client and the cloud byte-identically — re-uploading only dirty data and
 re-downloading only damaged blocks, never whole files it can avoid.
 """
@@ -26,7 +27,7 @@ from repro.core.sync_queue import (
     WriteNode,
 )
 from repro.delta.format import Delta
-from repro.faults.crash import inject_crash_inconsistency, simulate_crash
+from repro.faults.crash import inject_crash_inconsistency, restart
 from repro.kvstore.kv import MemoryKV
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
@@ -256,7 +257,7 @@ class TestRecovery:
         client.write("/f", 100, b"A" * 300)
         client.write("/f", 30_000, b"B" * 2000)
         expected = fs.read_file("/f")
-        simulate_crash(client)
+        client = restart(client)
         assert len(client.queue) == 0
         report = client.recover()
         assert report.nodes_replayed >= 1
@@ -272,8 +273,8 @@ class TestRecovery:
         client.close("/f")
         _settle(client, clock)
         expected = fs.read_file("/f")
-        simulate_crash(client)
         inject_crash_inconsistency(fs, "/f", seed=3)
+        client = restart(client)
         report = client.recover()
         assert report.blocks_repaired > 0
         assert report.full_file_fallbacks == 0
@@ -296,7 +297,7 @@ class TestRecovery:
         ghost.add_write(0, b"k" * 5000)
         ghost.pack()
         client.journal.record_node(ghost)
-        simulate_crash(client)
+        client = restart(client)
         up_before = client.channel.stats.up_bytes
         report = client.recover()
         assert report.nodes_already_applied == 1
@@ -313,7 +314,7 @@ class TestRecovery:
         client.close("/a")
         _settle(client, clock)
         client.rename("/a", "/b")
-        simulate_crash(client)
+        client = restart(client)
         client.recover()
         _settle(client, clock)
         assert server.store.exists("/b")
@@ -337,7 +338,7 @@ class TestRecovery:
         client.close("/f")
         _settle(client, clock)
         minted_before = client._counter.current
-        simulate_crash(client)
+        client = restart(client)
         assert client._counter.current == 0  # volatile counter died
         client.recover()
         assert client._counter.current >= minted_before
@@ -389,9 +390,9 @@ class TestCrashAtRandomPoints:
                     clock.advance(1.0)
                     client.pump(clock.now())
             expected = {p: fs.read_file(p) for p in paths}
-            simulate_crash(client)
             if rng.randint(0, 1):
                 inject_crash_inconsistency(fs, paths[0], seed=seed)
+            client = restart(client)
             client.recover()
             _settle(client, clock, rounds=10)
             for path in paths:
@@ -401,3 +402,103 @@ class TestCrashAtRandomPoints:
                 assert server.file_content(path) == expected[path], (
                     f"seed={seed} cloud diverged on {path}"
                 )
+
+
+# -- the fold against the applier it replaced --------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from repro.common.config import DeltaCFSConfig
+from repro.core import recovery
+
+_BLOCK = 16
+_sizes = st.integers(min_value=0, max_value=12 * _BLOCK)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _sizes, st.binary(min_size=1, max_size=40)),
+        st.tuples(st.just("truncate"), _sizes),
+        st.tuples(st.just("close")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _clipped_overlay_repair(content, bad_blocks, cloud, pending):
+    """The block-wise applier ``_rebuild`` replaced, kept as the oracle: per
+    damaged run, cloud bytes over the local range, then every pending
+    write / truncate *clipped to that range* on a ``bytearray``."""
+    data = bytearray(content)
+    for start, count in recovery._contiguous_runs(bad_blocks):
+        offset = start * _BLOCK
+        end = min(offset + count * _BLOCK, len(data))
+        chunk = cloud[offset : offset + count * _BLOCK]
+        patch = bytearray(data[offset:end])
+        patch[: len(chunk)] = chunk[: end - offset]
+        for message in pending:
+            length = getattr(message, "length", None)
+            if length is not None and length < end:
+                lo = max(length, offset)
+                patch[lo - offset :] = b"\x00" * (end - lo)
+            for run_offset, run_data in getattr(message, "runs", ()):
+                lo = max(run_offset, offset)
+                hi = min(run_offset + len(run_data), end)
+                if lo < hi:
+                    patch[lo - offset : hi - offset] = run_data[
+                        lo - run_offset : hi - run_offset
+                    ]
+        data[offset:end] = patch
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.binary(min_size=1, max_size=10 * _BLOCK),
+    _ops,
+    st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=3),
+)
+def test_fold_equals_the_clipped_overlay_it_replaced(base, ops, damaged):
+    """Random write / batch / truncate chain pending over a synced file, one
+    to three blocks torn: splicing the cloud's ranges into the local content
+    and folding every pending message over the *whole* file gives, byte for
+    byte, what the range-clipped overlay gave — and falls back exactly when
+    that would have."""
+    clock = VirtualClock()
+    server = CloudServer()
+    client = DeltaCFSClient(
+        MemoryFileSystem(),
+        server=server,
+        channel=Channel(),
+        clock=clock,
+        config=DeltaCFSConfig(checksum_block_size=_BLOCK, enable_undo_log=False),
+        journal_kv=MemoryKV(),
+    )
+    client.create("/f")
+    client.write("/f", 0, base)
+    client.close("/f")
+    _settle(client, clock)
+    for op in ops:
+        getattr(client, op[0])("/f", *op[1:])
+    expected = client.inner.read_file("/f")
+    pending = recovery._pending_updates_by_path(client).get("/f", [])
+
+    torn = bytearray(expected)
+    for index in damaged:
+        lo = index * _BLOCK
+        torn[lo : lo + _BLOCK] = bytes(b ^ 0xFF for b in torn[lo : lo + _BLOCK])
+    torn = bytes(torn)
+    client.inner.write_file("/f", torn)
+    bad = client.checksums.mismatched_blocks("/f", torn)
+
+    oracle = _clipped_overlay_repair(torn, bad, server.file_content("/f"), pending)
+    settles = not client.checksums.mismatched_blocks("/f", oracle)
+    report = recovery.RecoveryReport()
+    blockwise = recovery._rebuild(
+        client, "/f", torn, bad, pending, True, clock.now(), report
+    )
+    assert blockwise == settles
+    assert report.full_file_fallbacks == (0 if settles else 1)
+    assert report.blocks_repaired == len(bad)
+    if settles:
+        assert client.inner.read_file("/f") == oracle
+    assert client.inner.read_file("/f") == expected

@@ -1,8 +1,8 @@
-"""Tests for crash simulation and inconsistency injection."""
+"""Tests for the crash model (a restart) and inconsistency injection."""
 
 from repro.common.clock import VirtualClock
 from repro.core.client import DeltaCFSClient
-from repro.faults.crash import inject_crash_inconsistency, simulate_crash
+from repro.faults.crash import inject_crash_inconsistency, restart
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 
@@ -49,21 +49,52 @@ def test_injectors_replace_the_damaged_pages_only():
     assert fs.used_bytes == len(torn) == len(intact)
 
 
-def test_simulate_crash_drops_volatile_state():
+def test_restart_drops_volatile_state():
     client = DeltaCFSClient(
         MemoryFileSystem(), server=CloudServer(), clock=VirtualClock()
     )
     client.create("/a")
     client.write("/a", 0, b"pending")
     client.rename("/a", "/b")
-    dirty = simulate_crash(client)
-    assert "/a" in dirty or "/b" in dirty
-    assert len(client.queue) == 0
-    assert len(client.relations) == 0
+    client.stats.conflicts = 3
+    reborn = restart(client)
+    assert reborn is not client
+    assert len(reborn.queue) == 0
+    assert len(reborn.relations) == 0
+    assert reborn.versions == {} and reborn._counter.current == 0
+    assert reborn.stats.conflicts == 0
+    # the disk, the link and the registration's place are what survived
+    assert reborn.inner is client.inner and reborn.channel is client.channel
+    assert reborn.inner.read_file("/b") == b"pending"
+    assert reborn.server is client.server
+
+
+def test_restart_starts_a_fresh_transport_and_dedup_window():
+    from repro.faults.network import NetworkFaults
+    from repro.sim import Simulation
+
+    sim = Simulation(faults=NetworkFaults(partitions=((100, 101),)))
+    client = sim.client
+    client.create("/f")
+    client.close("/f")
+    sim.settle()
+    old = client.transport
+    assert old._next_msg_id > 1 and sim.server._dedup[client.client_id]
+    reborn = sim.restart(client)
+    assert sim.clients == [reborn]
+    assert reborn.transport is not old and reborn.transport._next_msg_id == 1
+    assert reborn.transport.channel is old.channel  # fate stream and counters
+    assert reborn.transport.policy == old.policy
+    assert client.client_id not in sim.server._dedup
+    # msg id 1 again: applied, not dropped as a duplicate of the old 1
+    reborn.create("/g")
+    reborn.close("/g")
+    sim.settle()
+    assert sim.server.store.exists("/g") and sim.server.dedup_drops == 0
 
 
 def test_post_crash_queue_keeps_observability():
-    """Regression: simulate_crash used to rebuild the queue/relations/undo
+    """Regression: the crash model used to rebuild the queue/relations/undo
     bare, silently detaching them from the run's Observability — post-crash
     activity disappeared from every ``queue.*``/``relation.*`` series."""
     from repro.obs import Observability
@@ -78,14 +109,15 @@ def test_post_crash_queue_keeps_observability():
     client.write("/a", 0, b"before")
     before = obs.metrics.counter_total("queue.nodes.created")
     assert before > 0
-    simulate_crash(client)
-    client.create("/b")
-    client.write("/b", 0, b"after")
+    reborn = restart(client)
+    reborn.create("/b")
+    reborn.write("/b", 0, b"after")
     assert obs.metrics.counter_total("queue.nodes.created") > before
-    assert client.queue.obs is obs
-    assert client.relations.obs is obs
-    # the rebuilt undo log still charges the client meter
-    assert client.undo.meter is client.meter
+    assert reborn.queue.obs is obs
+    assert reborn.relations.obs is obs
+    # the new undo log still charges the client meter, which survived
+    assert reborn.meter is client.meter
+    assert reborn.undo.meter is client.meter
 
 
 def test_checksum_store_survives_crash():
@@ -95,5 +127,21 @@ def test_checksum_store_survives_crash():
     )
     client.create("/f")
     client.write("/f", 0, b"x" * 8192)
-    simulate_crash(client)
-    assert client.checksums.blocks_of("/f") == [0, 1]
+    assert restart(client).checksums.blocks_of("/f") == [0, 1]
+
+
+def test_restart_reopens_a_wal_backed_kv(tmp_path):
+    from repro.kvstore import LogStructuredKV
+
+    kv = LogStructuredKV(str(tmp_path / "journal.wal"), sync=True)
+    client = DeltaCFSClient(
+        MemoryFileSystem(), server=CloudServer(), clock=VirtualClock(), journal_kv=kv
+    )
+    client.create("/f")
+    client.write("/f", 0, b"x" * 100)
+    reborn = restart(client)
+    reopened = reborn.journal.kv
+    assert reopened is not kv and kv._fh.closed
+    assert reopened._sync and len(reopened) == len(kv) > 0
+    assert reborn.recover().nodes_replayed == 2
+    reopened.close()

@@ -29,6 +29,28 @@ class TestBuildSystem:
         assert system.client_meter.total == 0
 
 
+    def test_restart_is_followed_by_the_view(self):
+        from repro.faults.network import NetworkFaults
+        from repro.kvstore.kv import MemoryKV
+
+        system = build_system(
+            "deltacfs", journal_kv=MemoryKV(), faults=NetworkFaults(drop_prob=0.1)
+        )
+        old = system.client
+        system.fs.create("/f")
+        system.fs.write("/f", 0, b"x" * 100)
+        reborn = system.restart()
+        assert reborn is not old
+        assert system.client is reborn and system.fs is reborn
+        assert system.transport is reborn.transport is not old.transport
+        assert system.channel is reborn.channel is old.channel
+        assert system.client_meter is reborn.meter
+        assert reborn.recover().nodes_replayed == 2
+        system.settle(6)
+        system.flush()  # pump and flush drive the successor
+        assert system.server.file_content("/f") == b"x" * 100
+
+
 class TestRunTrace:
     @pytest.mark.parametrize("name", SOLUTIONS)
     def test_append_trace_converges(self, name):

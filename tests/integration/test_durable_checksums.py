@@ -1,30 +1,29 @@
-"""Crash-and-restart with a durable checksum store (the LevelDB role).
+"""Crash-and-restart with durable KVs (the LevelDB role).
 
-The in-memory tests in ``tests/core`` simulate crashes by resetting the
-client's volatile structures; here the process-restart story is played out
-for real: a fresh client instance reopens the WAL-backed KV and runs the
-post-crash sweep against checksums written by its predecessor.
+The tests in ``tests/core`` restart clients over in-memory KVs, which
+survive by identity; here the stores are WAL-backed, so ``restart`` closes
+them and its successor replays the log from disk before ``recover()``
+sweeps against checksums written by its predecessor.
 """
 
 from repro.common.clock import VirtualClock
 from repro.core.client import DeltaCFSClient
-from repro.faults.crash import inject_crash_inconsistency
+from repro.faults.crash import inject_crash_inconsistency, restart
 from repro.kvstore import LogStructuredKV
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 
 
-def _make_client(fs, server, kv_path):
-    kv = LogStructuredKV(kv_path)
-    client = DeltaCFSClient(
-        fs,
-        server=server,
+def _make_client(tmp_path):
+    return DeltaCFSClient(
+        MemoryFileSystem(),  # the "disk" survives the restart
+        server=CloudServer(),
         channel=Channel(),
         clock=VirtualClock(),
-        checksum_kv=kv,
+        checksum_kv=LogStructuredKV(str(tmp_path / "checksums.wal")),
+        journal_kv=LogStructuredKV(str(tmp_path / "journal.wal"), sync=True),
     )
-    return client, kv
 
 
 def _settle(client, seconds=6):
@@ -34,74 +33,61 @@ def _settle(client, seconds=6):
     client.flush()
 
 
-def test_sweep_after_real_restart(tmp_path):
-    kv_path = str(tmp_path / "checksums.wal")
-    fs = MemoryFileSystem()  # the "disk" survives the restart
-    server = CloudServer()
+def _close(client):
+    client.checksums.kv.close()
+    client.journal.kv.close()
 
-    client, kv = _make_client(fs, server, kv_path)
+
+def test_sweep_after_real_restart(tmp_path):
+    client = _make_client(tmp_path)
     content = bytes(range(256)) * 200
     client.create("/db")
     client.write("/db", 0, content)
     client.close("/db")
     _settle(client)
-    server.unregister_client(client.client_id)
-    kv.close()  # process exits
 
     # the crash damages the file while nothing is running
-    inject_crash_inconsistency(fs, "/db", seed=3)
+    inject_crash_inconsistency(client.inner, "/db", seed=3)
 
-    reborn, kv = _make_client(fs, server, kv_path)
+    reborn = restart(client)
     try:
-        bad = reborn.crash_recovery_scan(["/db"])
-        assert bad == ["/db"]
-        restored = reborn.recover_file("/db")
-        assert restored == content
-        assert reborn.crash_recovery_scan(["/db"]) == []
+        assert reborn.checksums.kv is not client.checksums.kv
+        assert reborn.recover().damaged_paths == ["/db"]
+        assert reborn.inner.read_file("/db") == content
+        assert reborn.checksums.mismatched_blocks("/db", content) == []
     finally:
-        kv.close()
+        _close(reborn)
 
 
 def test_clean_restart_passes_sweep(tmp_path):
-    kv_path = str(tmp_path / "checksums.wal")
-    fs = MemoryFileSystem()
-    server = CloudServer()
-
-    client, kv = _make_client(fs, server, kv_path)
+    client = _make_client(tmp_path)
     client.create("/f")
     client.write("/f", 0, b"steady state" * 1000)
     client.close("/f")
     _settle(client)
-    server.unregister_client(client.client_id)
-    kv.close()
 
-    reborn, kv = _make_client(fs, server, kv_path)
+    reborn = restart(client)
     try:
-        assert reborn.crash_recovery_scan(["/f"]) == []
+        assert reborn.recover().damaged_paths == []
     finally:
-        kv.close()
+        _close(reborn)
 
 
 def test_checksums_survive_torn_wal_tail(tmp_path):
-    kv_path = str(tmp_path / "checksums.wal")
-    fs = MemoryFileSystem()
-    server = CloudServer()
-
-    client, kv = _make_client(fs, server, kv_path)
+    client = _make_client(tmp_path)
     client.create("/f")
     client.write("/f", 0, b"x" * 20_000)
     client.close("/f")
     _settle(client)
-    server.unregister_client(client.client_id)
-    kv.close()
+    _close(client)
 
     # the crash tore the WAL's final record
-    with open(kv_path, "ab") as fh:
+    with open(tmp_path / "checksums.wal", "ab") as fh:
         fh.write(b"\x30\x00\x00\x00partial")
 
-    reborn, kv = _make_client(fs, server, kv_path)
+    reborn = restart(client)
     try:
-        # recovery dropped the torn tail; intact checksums still verify
-        assert reborn.crash_recovery_scan(["/f"]) == []
+        # reopening dropped the torn tail; intact checksums still verify
+        assert reborn.recover().damaged_paths == []
     finally:
-        kv.close()
+        _close(reborn)

@@ -221,3 +221,145 @@ def test_forwarded_update_realigns_hard_link_versions(enable_checksums):
     assert sim.mismatched() == []
     assert not any(c.conflict_notices for c in sim.clients)
     assert sim.server.file_content("/d.txt") == b"FIRST DRAFT"
+
+
+def _partitioned(write_at):
+    """A journaled client behind a link that is cut during [20, 40): sync
+    /f, write 100 bytes so that the unit ships at ``write_at`` + 3 s, let
+    the queue drain — one envelope is then unacked — and cut the power."""
+    from repro.faults.network import NetworkFaults
+    from repro.kvstore.kv import MemoryKV
+
+    sim = Simulation(
+        faults=NetworkFaults(partitions=((20, 40),)),
+        journal_kv=MemoryKV(),
+        checksum_kv=MemoryKV(),
+    )
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, bytes(range(256)) * 256)
+    client.close("/f")
+    sim.settle(12)
+    assert sim.converged() and client.transport.idle
+    sim.clock.advance(write_at - sim.clock.now())
+    client.write("/f", 1000, b"w" * 100)
+    sim.clock.advance(3.0)
+    sim.pump()
+    sim.settle(6)
+    assert len(client.queue) == 0 and client.transport.inflight_depth == 1
+    report = sim.restart(client).recover()
+    sim.clock.advance(41 - sim.clock.now())  # the link heals
+    sim.settle(12)
+    sim.flush()
+    return sim, report
+
+
+def test_update_whose_envelope_was_lost_survives_a_restart():
+    # The unit's journal records used to be retired when it was handed to
+    # the transport, so an envelope unacked at the cut was in neither the
+    # journal nor — the transport being process memory — anywhere else:
+    # the restarted client never re-sent it (mismatched() == ['/f']).
+    sim, report = _partitioned(write_at=21.0)  # sent into the partition
+    assert report.nodes_replayed == 1 and report.nodes_already_applied == 0
+    assert sim.converged()
+    assert sim.client.inner.read("/f", 1000, 100) == b"w" * 100
+
+
+def test_update_whose_ack_was_lost_is_not_applied_twice():
+    # Sent at 19.99, applied at 20.01, its ack dropped by the partition:
+    # the journal still holds the node, recovery finds the cloud already at
+    # its version and neither re-uploads it nor conflicts with itself.
+    sim, report = _partitioned(write_at=16.99)
+    assert report.nodes_already_applied == 1 and report.nodes_replayed == 0
+    assert sim.converged()
+    assert sim.client.stats.conflicts == 0
+    assert not any("conflicted copy" in p for p in sim.server.store.paths())
+
+
+def _rewrite_mostly_in_place(client, original):
+    """Bytes of the *original* /f, then rewrites of what is already there:
+    three quarters of the file overwritten (the pack-time "inplace" rule
+    fires) — against a stale undo log, a mostly-COPY delta of the wrong base."""
+    n = len(original)
+    client.write("/f", n // 2, original[: n // 4])
+    current = client.inner.read_file("/f")
+    client.write("/f", 3 * n // 4, current[3 * n // 4 :])
+    client.write("/f", n // 4, current[n // 4 : n // 2])
+    client.close("/f")
+
+
+def test_rename_over_a_file_retires_its_undo_log():
+    # rename(src, dst) packed dst's write node but left dst's undo log
+    # behind, so the next pack-time "inplace" delta was encoded against the
+    # bytes of a file that no longer existed: its COPY ops named offsets of
+    # a base the cloud never held (mismatched() == ['/f'], no conflict).
+    from repro.common.rng import DeterministicRandom
+
+    rng = DeterministicRandom(1)
+    n = 64 * 1024
+    sim = Simulation()
+    client = sim.client
+    original = rng.random_bytes(n)
+    client.create("/f")
+    client.write("/f", 0, original)
+    client.close("/f")
+    sim.settle()
+    client.write("/f", 0, rng.random_bytes(n // 4))  # in place, left open
+    client.create("/t")
+    client.write("/t", 0, rng.random_bytes(n))
+    client.close("/t")
+    client.rename("/t", "/f")
+    sim.settle()
+    assert sim.converged() and not client.undo.has_log("/f")
+    _rewrite_mostly_in_place(client, original)
+    sim.settle()
+    assert sim.converged()
+    assert client.stats.conflicts == 0
+
+
+def test_forwarded_rename_over_a_file_retires_its_undo_log():
+    sim = Simulation(clients=2)
+    a, b = sim.clients
+    for path in ("/f", "/t"):
+        a.create(path)
+        a.write(path, 0, path.encode() * 4096)
+        a.close(path)
+    sim.settle()
+    b.write("/f", 0, b"x" * 4096)  # in place on b, left open; it ships
+    sim.settle()
+    assert b.undo.has_log("/f")
+    a.rename("/t", "/f")
+    sim.settle()
+    assert sim.converged() and not b.undo.has_log("/f")
+    b.write("/f", 0, b"y" * 4096)  # and again, for the forwarded unlink
+    sim.settle()
+    assert b.undo.has_log("/f")
+    a.unlink("/f")
+    sim.settle()
+    assert sim.converged() and not b.undo.has_log("/f")
+
+
+def test_undo_log_does_not_outlive_the_node_it_grew_with():
+    # Found while fixing the rename case above: a file left open ships its
+    # write node when the upload delay runs out (the queue packs it, the
+    # client is not asked), the undo log stays, and the *next* node's
+    # pack-time delta was encoded against the pre-first-node bytes while
+    # naming the first node's version as its base (mismatched() == ['/f']).
+    from repro.common.rng import DeterministicRandom
+
+    rng = DeterministicRandom(1)
+    n = 64 * 1024
+    sim = Simulation()
+    client = sim.client
+    original = rng.random_bytes(n)
+    client.create("/f")
+    client.write("/f", 0, original)
+    client.close("/f")
+    sim.settle()
+    client.write("/f", 0, rng.random_bytes(n // 4))  # left open; it ships
+    sim.settle()
+    assert sim.converged()
+    _rewrite_mostly_in_place(client, original)
+    sim.settle()
+    assert sim.converged()
+    assert client.stats.inplace_deltas == 1  # still compressed, against v1

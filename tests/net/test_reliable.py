@@ -57,6 +57,34 @@ class TestHappyPath:
         _drive(transport, clock, 2.0)  # further pumping resurfaces nothing
         assert len(seen) == 1
 
+    def test_on_ack_names_each_msg_id_once_even_under_duplication(self):
+        # The journal retires a unit's records from this callback: once per
+        # envelope, with the id send() returned, however many acks arrive.
+        channel = LossyChannel(model=FAST, faults=NetworkFaults(dup_prob=0.9), seed=1)
+        transport, server = _transport(channel=channel)
+        acked = []
+        transport.on_ack = acked.append
+        clock = VirtualClock()
+        sent = [
+            transport.send(MetaOp(kind="create", path=f"/f{i}"), clock.now())
+            for i in range(5)
+        ]
+        assert acked == []  # nothing is the server's before its ack lands
+        transport.settle(clock)
+        assert acked == sent == [1, 2, 3, 4, 5]
+        assert transport.stats.dup_acks > 0
+
+    def test_in_flight_means_transmitted_and_unacked(self):
+        transport, _ = _transport(policy=RetryPolicy(window=1))
+        clock = VirtualClock()
+        first = transport.send(MetaOp(kind="create", path="/a"), clock.now())
+        parked = transport.send(MetaOp(kind="create", path="/b"), clock.now())
+        assert transport.in_flight(first) and not transport.in_flight(parked)
+        _drive(transport, clock, 0.25)  # one pump: first acked, outbox refills
+        assert not transport.in_flight(first) and transport.in_flight(parked)
+        transport.settle(clock)
+        assert not transport.in_flight(parked)
+
     def test_settle_drains(self):
         transport, server = _transport()
         clock = VirtualClock()

@@ -234,3 +234,37 @@ class TestSingleShardIdentity:
     def test_router_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
+
+
+class TestStoreView:
+    @pytest.mark.parametrize("n_shards", [1, 4, 8])
+    def test_point_lookups_find_every_listed_path(self, n_shards):
+        """A conflict copy is written on the shard of the file it lost to;
+        a top-level copy's own name — its whole namespace — routes
+        elsewhere. ``store.paths()`` listed such copies while ``exists`` /
+        ``get`` / ``lookup`` denied them (8 shards: 4 of 4 unreachable)."""
+        router = ShardRouter(n_shards)
+        names = ["/a.txt", "/b.txt", "/c.txt", "/d.txt"]
+        for i, path in enumerate(names):
+            router.handle(
+                MetaOp(kind="create", path=path, new_version=_stamp(i + 1)),
+                origin_client=1,
+            )
+            first, late = (
+                UploadWrite(path=path, offset=0, data=who * 8,
+                            base_version=_stamp(i + 1),
+                            new_version=_stamp(10 + i, client))
+                for client, who in ((1, b"A"), (2, b"B"))
+            )
+            assert router.handle(first, origin_client=1).status == "applied"
+            assert router.handle(late, origin_client=2).status == "conflict"
+        store = router.store
+        copies = [p for p in store.paths() if "conflicted copy" in p]
+        assert len(copies) == len(names)
+        for path in store.paths():
+            assert store.exists(path), path
+            assert store.get(path) is store.lookup(path) is not None
+            assert store.get(path).content in (b"A" * 8, b"B" * 8)
+            assert store.history(path) == store.restorable_history(path) != []
+        assert not store.exists("/nowhere.txt")
+        assert store.lookup("/nowhere.txt") is None

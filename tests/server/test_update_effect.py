@@ -217,9 +217,10 @@ def test_recovery_rebuilds_what_the_server_will_hold(base, first, length, second
     pending = recovery._pending_updates_by_path(client).get("/f", [])
     client.inner.write_file("/f", b"\xff" * len(expected))
 
-    recovery._full_reconstruction(
-        client, "/f", client.inner.read_file("/f"), pending, True,
-        clock.now(), recovery.RecoveryReport(),
+    torn = client.inner.read_file("/f")
+    recovery._rebuild(
+        client, "/f", torn, client.checksums.mismatched_blocks("/f", torn),
+        pending, True, clock.now(), recovery.RecoveryReport(),
     )
     folded = Pages(server.file_content("/f"))
     for update in pending:

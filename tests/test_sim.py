@@ -170,3 +170,38 @@ def test_topology_matrix_converges_and_holds_invariants(shards, lossy, journal):
     ]
     if lossy:
         assert a.transport.stats.retransmits > 0
+
+
+def test_restart_swaps_the_client_in_place_and_keeps_the_world():
+    from repro.kvstore.kv import MemoryKV
+
+    sim = Simulation(clients=2, journal_kv=MemoryKV(), checksum_kv=MemoryKV())
+    a, b = sim.clients
+    a.create("/f")
+    a.write("/f", 0, b"synced" * 100)
+    a.close("/f")
+    sim.settle()
+    a.write("/f", 0, b"dirty")
+    up_before = a.channel.stats.up_bytes
+    reborn = sim.restart(a)
+    assert sim.clients == [reborn, b] and sim.client is reborn
+    assert (reborn.client_id, reborn.shares, reborn.config) == (
+        a.client_id, a.shares, a.config
+    )
+    # the world and its measurement: disk, link (with counters), meter, KVs
+    assert reborn.inner is a.inner and reborn.channel is a.channel
+    assert reborn.channel.stats.up_bytes == up_before
+    assert reborn.meter is a.meter and reborn.meter.total > 0
+    assert reborn.journal.kv is a.journal.kv
+    assert reborn.checksums.kv is a.checksums.kv
+    # process memory: gone
+    assert len(reborn.queue) == 0 and reborn.versions == {}
+    assert reborn.stats.ops_intercepted == 0
+    assert reborn.recover().dirty_paths == ["/f"]
+    sim.settle()
+    assert sim.converged()
+    # forwards reach the successor, not the dead client
+    b.write("/f", 0, b"from-b")
+    b.close("/f")
+    sim.settle()
+    assert reborn.read("/f", 0, 6) == b"from-b" and a.stats.forwards_applied == 0
