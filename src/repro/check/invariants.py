@@ -37,11 +37,12 @@ INV-MIGRATE-SAFE    every ``server.shard.detach`` re-attaches exactly
 ==================  =====================================================
 
 Scope note: journal and relation events carry no client attribute, so
-those two invariants key on seq / src globally; nor does the
-``client.recover`` span that starts a new msg-id session (ids restart at 1
-after a crash) for the two envelope invariants. That is exact for the
+those two invariants key on seq / src globally. That is exact for the
 single-client smoke traces CI verifies; a multi-client trace with
-colliding seq spaces should be verified per client trace.
+colliding seq spaces should be verified per client trace. Msg ids need no
+such note: a restarted client keeps its dedup window and its transport
+continues after the window's high-water mark, so each client has one id
+sequence across any number of crashes.
 """
 
 from __future__ import annotations
@@ -85,28 +86,21 @@ def _events(doc: TraceDoc, *names: str) -> List[dict]:
     return [r for r in doc.point_events() if r.get("name") in wanted]
 
 
-def _fresh_envelopes(doc: TraceDoc) -> Iterator[Tuple[int, dict, dict]]:
-    """``(session, attrs, record)`` of every non-duplicate ``server.envelope``
-    in emission order. A ``client.recover`` span starts a new msg-id session:
-    the restarted client numbers from 1 again and its dedup window went with
-    the old registration, so ids are compared within a session only."""
-    session = 0
-    for record in doc.records:
-        kind, name = record.get("type"), record.get("name")
-        if kind == "span_start" and name == "client.recover":
-            session += 1
-        elif kind == "event" and name == "server.envelope":
-            attrs = record.get("attrs", {})
-            if not attrs.get("duplicate"):
-                yield session, attrs, record
+def _fresh_envelopes(doc: TraceDoc) -> Iterator[Tuple[dict, dict]]:
+    """``(attrs, record)`` of every non-duplicate ``server.envelope``, in
+    emission order."""
+    for record in _events(doc, "server.envelope"):
+        attrs = record.get("attrs", {})
+        if not attrs.get("duplicate"):
+            yield attrs, record
 
 
 def _check_exactly_once(doc: TraceDoc) -> List[str]:
-    """At most one duplicate=False server.envelope per (client, msg_id, session)."""
+    """At most one duplicate=False server.envelope per (client, msg_id)."""
     violations: List[str] = []
-    applied: Dict[Tuple[object, object, object], int] = {}
-    for session, attrs, record in _fresh_envelopes(doc):
-        key = (attrs.get("client"), attrs.get("msg_id"), session)
+    applied: Dict[Tuple[object, object], int] = {}
+    for attrs, record in _fresh_envelopes(doc):
+        key = (attrs.get("client"), attrs.get("msg_id"))
         applied[key] = applied.get(key, 0) + 1
         if applied[key] == 2:  # report once per offending key
             violations.append(
@@ -118,14 +112,14 @@ def _check_exactly_once(doc: TraceDoc) -> List[str]:
 
 
 def _check_causal_fifo(doc: TraceDoc) -> List[str]:
-    """Fresh msg_ids per (client, session) form the exact sequence 1, 2, 3, ..."""
+    """Fresh msg_ids per client form the exact sequence 1, 2, 3, ..."""
     violations: List[str] = []
     next_expected: Dict[object, int] = {}
     flagged: Set[object] = set()
-    for session, attrs, record in _fresh_envelopes(doc):
+    for attrs, record in _fresh_envelopes(doc):
         client = attrs.get("client")
         msg_id = int(attrs.get("msg_id", -1))
-        expected = next_expected.get((client, session), 1)
+        expected = next_expected.get(client, 1)
         if msg_id != expected and client not in flagged:
             flagged.add(client)
             kind = "gap" if msg_id > expected else "reordering"
@@ -134,7 +128,7 @@ def _check_causal_fifo(doc: TraceDoc) -> List[str]:
                 f"{expected} was due (ts={record.get('ts')}) — FIFO "
                 f"delivery broke ({kind})"
             )
-        next_expected[client, session] = max(expected, msg_id + 1)
+        next_expected[client] = max(expected, msg_id + 1)
     return violations
 
 

@@ -345,7 +345,6 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
           f"{len(report.dirty_paths)} dirty file(s) at the cut")
     print(f"recovery: {report.nodes_replayed} node(s) replayed, "
           f"{report.nodes_already_applied} already applied, "
-          f"{report.nodes_rebased} rebased, "
           f"{report.blocks_repaired} block(s) repaired "
           f"({format_bytes(report.bytes_downloaded)} down), "
           f"{report.full_file_fallbacks} full-file fallback(s)")

@@ -198,6 +198,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.journal: Optional[SyncJournal] = (
             SyncJournal(journal_kv, obs=obs) if journal_kv is not None else None
         )
+        if self.journal is not None:
+            self.queue.on_spans = self.journal.record_spans
         self.stats = ClientStats()
         # Versions whose nodes were removed from the queue before upload
         # (cancelled creates, delta-replaced writes): the server will never
@@ -207,7 +209,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         # when the write node packs (content is complete by then).
         self._pending_create_delta: Dict[str, RelationEntry] = {}
         self.conflict_notices: List[ConflictNotice] = []
-        # Nodes of the envelopes in flight, by msg_id, until the ack.
+        # Nodes of the journaled envelopes in flight, by msg_id, until the ack.
         self._unacked: Dict[int, List[QueueNode]] = {}
         self.shares = shares if shares is not None else ("/",)
 
@@ -604,9 +606,10 @@ class DeltaCFSClient(PassthroughFileSystem):
         """The post-crash path: replay the journal, resync, sweep and repair.
 
         Requires a journal (``journal_kv``). Restores the version counter,
-        Relation Table, and undo logs; renegotiates base versions with the
-        cloud; re-enqueues un-uploaded journaled nodes; and sweeps the
-        dirty set against the durable checksum store, repairing crash
+        Relation Table, and undo logs; rebuilds the synced-version map from
+        the cloud; re-enqueues every journaled unit the server's
+        exactly-once window does not hold, as the unit it was; and sweeps
+        the dirty set against the durable checksum store, repairing crash
         damage block-by-block. Returns a
         :class:`~repro.core.recovery.RecoveryReport`.
         """
@@ -994,12 +997,14 @@ class DeltaCFSClient(PassthroughFileSystem):
                 # charges the channel itself; replies surface through
                 # the ack callback once the server's EnvelopeAck lands, and
                 # only then are the journal records retired — an envelope
-                # unacked at a power cut exists nowhere else — unless it had
-                # to park behind a full window (a journaled backlog is a
-                # second copy of the backlog).
+                # unacked at a power cut exists nowhere else; its unit
+                # record tells recovery which msg id carried which nodes —
+                # unless it had to park behind a full window (a journaled
+                # backlog is a second copy of the backlog).
                 msg_id = self.transport.send(outbound, now)
-                if self.transport.in_flight(msg_id):
+                if self.journal is not None and self.transport.in_flight(msg_id):
                     self._unacked[msg_id] = unit.nodes
+                    self.journal.record_unit(msg_id, [n.seq for n in unit.nodes])
                 else:
                     self._journal_forget(unit.nodes)
                 return
@@ -1015,7 +1020,10 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._note_conflicts(result.replies)
 
     def _envelope_acked(self, msg_id: int) -> None:
-        self._journal_forget(self._unacked.pop(msg_id, ()))
+        nodes = self._unacked.pop(msg_id, None)
+        if nodes is not None:
+            self._journal_forget(nodes)
+            self.journal.forget_unit(msg_id)
 
     def _note_conflicts(self, replies) -> None:
         """Conflict bookkeeping for replies already charged to the channel

@@ -15,6 +15,11 @@ What is journaled (and when):
   coalesce and forgotten on cancel/replace and once the cloud has it (the
   synchronous upload returning, or the reliable transport's ack — or, a
   known gap, on hand-off when the envelope must park behind a full window);
+- **units** — the queue's merged backindex spans (which queued nodes must
+  ship as one transactional unit), and for every envelope the reliable
+  transport launches at hand-off, its msg id and member seqs — written at
+  launch and retired with the nodes' records at the ack (a unit parked in
+  the outbox is retired at hand-off, the gap above, and gets none);
 - **relation entries** — the live Relation Table rows, so an interrupted
   transactional update can still trigger delta encoding after restart
   (their preserved tmp blobs live in the file system, which survives);
@@ -24,10 +29,14 @@ What is journaled (and when):
   re-mints a stamp the cloud has already seen.
 
 Recovery then (1) restores the counter, relations, and undo logs, (2)
-renegotiates base versions with the cloud in one metadata round trip
-(``ResyncRequest``/``ResyncReply``), dropping journaled nodes the server
-already applied and rebasing the rest, (3) re-enqueues the survivors in
-their original order, and (4) sweeps the dirty set against the durable
+rebuilds the synced-version map in one metadata round trip
+(``ResyncRequest``/``ResyncReply``), (3) re-executes the journaled work as
+the units it was: a launched envelope at or below the high-water mark of
+the server's exactly-once window for this client landed and is retired,
+everything else re-enters the queue in its original order and grouping with
+its bases untouched, so the cloud's own base-version check and
+first-write-wins decide what it does — no second, client-side idempotence
+rule — and (4) sweeps the dirty set against the durable
 checksum store, repairing injected crash inconsistency block-by-block from
 ranged downloads patched with the journaled pending writes — recovery
 traffic is bounded by the dirty + damaged regions, never whole files.
@@ -73,7 +82,9 @@ from repro.obs import NULL_OBS, Observability
 
 _J = b"j\x00"
 _K_VERCNT = _J + b"meta\x00vercnt"
+_K_SPANS = _J + b"meta\x00spans"
 _P_NODE = _J + b"node\x00"
+_P_UNIT = _J + b"unit\x00"
 _P_REL = _J + b"rel\x00"
 _P_UNDO = _J + b"undo\x00"
 
@@ -83,6 +94,10 @@ _U64 = wire.Schema("u64", wire.u64be("value"), scalar=True)
 
 def _node_key(seq: int) -> bytes:
     return _P_NODE + _U64.encode(seq)
+
+
+def _unit_key(msg_id: int) -> bytes:
+    return _P_UNIT + _U64.encode(msg_id)
 
 
 def _rel_key(src: str) -> bytes:
@@ -143,6 +158,11 @@ _UNDO = wire.Schema(
     wire.u64be("base_size"), wire.u64be("offset"), wire.u64be("length"),
     wire.blob("old_data", wire.u32be),
 )
+# A launched envelope's member node seqs (its msg id lives in the key), and
+# the queue's merged backindex spans (one key, rewritten when they change).
+_UNIT = wire.Schema("unit", wire.items("seqs", _U64, wire.u32be), scalar=True)
+_SPAN = wire.Schema("span", wire.u64be("start"), wire.u64be("end"))
+_SPANS = wire.Schema("spans", wire.items("spans", _SPAN, wire.u32be), scalar=True)
 
 #: Serialize one Sync Queue node into a journal record (``TypeError`` for
 #: anything that is not a queue node).
@@ -177,6 +197,8 @@ class JournalState:
 
     vercnt: int = 0
     nodes: List[Tuple[int, QueueNode]] = field(default_factory=list)
+    units: List[Tuple[int, List[int]]] = field(default_factory=list)
+    spans: List[Tuple[int, int]] = field(default_factory=list)
     relations: List[RelationEntry] = field(default_factory=list)
     undo: Dict[str, UndoState] = field(default_factory=dict)
 
@@ -214,10 +236,22 @@ class SyncJournal:
 
     def forget_node(self, seq: int) -> None:
         """Drop a node record (it shipped, was cancelled, or was replaced)."""
-        self.kv.delete(_node_key(seq))
-        if self.obs.enabled:
-            self.obs.inc("journal.records.forgotten", kind="node")
-            self.obs.event("journal.forget", kind="node", ref=str(seq))
+        self._delete(_node_key(seq), kind="node", ref=str(seq))
+
+    def record_unit(self, msg_id: int, seqs: List[int]) -> None:
+        """Persist which nodes the envelope ``msg_id`` carries (at launch)."""
+        self._put(_unit_key(msg_id), _UNIT.encode(seqs), kind="unit", ref=str(msg_id))
+
+    def forget_unit(self, msg_id: int) -> None:
+        """Drop an envelope's unit record (acked, or settled by recovery)."""
+        self._delete(_unit_key(msg_id), kind="unit", ref=str(msg_id))
+
+    def record_spans(self, spans: List[Tuple[int, int]]) -> None:
+        """Persist the queue's merged backindex spans (none: drop the record)."""
+        if spans:
+            self._put(_K_SPANS, _SPANS.encode(spans), kind="spans", ref=str(len(spans)))
+        else:
+            self._delete(_K_SPANS, kind="spans", ref="0")
 
     def record_relation(self, entry: RelationEntry) -> None:
         """Persist one Relation Table entry."""
@@ -230,10 +264,7 @@ class SyncJournal:
 
     def forget_relation(self, src: str) -> None:
         """Drop a relation record (matched, expired, or invalidated)."""
-        self.kv.delete(_rel_key(src))
-        if self.obs.enabled:
-            self.obs.inc("journal.records.forgotten", kind="relation")
-            self.obs.event("journal.forget", kind="relation", ref=src)
+        self._delete(_rel_key(src), kind="relation", ref=src)
 
     def record_undo(
         self, path: str, base_size: int, offset: int, length: int, old_data: bytes
@@ -274,9 +305,16 @@ class SyncJournal:
         if raw_vercnt is not None:
             state.vercnt = _decoded(_U64, _K_VERCNT, raw_vercnt)
         for key, value in self.kv.items(_P_NODE):
-            seq = _U64.decode(key[len(_P_NODE) :])
-            state.nodes.append((seq, _decoded(_NODE, key, value)))
+            node = _decoded(_NODE, key, value)
+            node.seq = _U64.decode(key[len(_P_NODE) :])
+            state.nodes.append((node.seq, node))
         state.nodes.sort(key=lambda pair: pair[0])
+        for key, value in self.kv.items(_P_UNIT):
+            msg_id = _U64.decode(key[len(_P_UNIT) :])
+            state.units.append((msg_id, _decoded(_UNIT, key, value)))
+        raw_spans = self.kv.get(_K_SPANS)
+        if raw_spans is not None:
+            state.spans = _decoded(_SPANS, _K_SPANS, raw_spans)
         for key, value in self.kv.items(_P_REL):
             src = key[len(_P_REL) :].decode()
             state.relations.append(
@@ -302,6 +340,12 @@ class SyncJournal:
             self.obs.inc("journal.bytes.written", len(key) + len(value))
             self.obs.event("journal.write", kind=kind, ref=ref)
 
+    def _delete(self, key: bytes, *, kind: str, ref: str) -> None:
+        self.kv.delete(key)
+        if self.obs.enabled:
+            self.obs.inc("journal.records.forgotten", kind=kind)
+            self.obs.event("journal.forget", kind=kind, ref=ref)
+
 
 # -- post-crash recovery -----------------------------------------------------
 
@@ -314,7 +358,6 @@ class RecoveryReport:
     damaged_paths: List[str] = field(default_factory=list)
     nodes_replayed: int = 0
     nodes_already_applied: int = 0
-    nodes_rebased: int = 0
     relations_restored: int = 0
     blocks_repaired: int = 0
     bytes_downloaded: int = 0
@@ -343,7 +386,7 @@ def perform_recovery(client) -> RecoveryReport:
         _restore_undo(client, state)
         local_paths = _local_paths(client)
         server_versions = _renegotiate_versions(client, local_paths, now)
-        _replay_nodes(client, state, server_versions, now, report)
+        _replay_nodes(client, state, now, report)
         _sweep_and_repair(client, local_paths, server_versions, now, report)
         client.stats.recoveries += 1
     return report
@@ -392,8 +435,8 @@ def _renegotiate_versions(
     """One metadata round trip: the server's current version per path.
 
     Rebuilds the client's synced-version map (volatile, lost in the crash)
-    so post-recovery writes name valid base versions, and tells the replay
-    which journaled nodes the server already applied before the cut.
+    so post-recovery writes name valid base versions, and tells the sweep
+    which files the cloud holds.
     """
     if client.server is None:
         return {}
@@ -410,77 +453,80 @@ def _renegotiate_versions(
 
 
 def _replay_nodes(
-    client,
-    state: JournalState,
-    server_versions: Dict[str, Optional[VersionStamp]],
-    now: float,
-    report: RecoveryReport,
+    client, state: JournalState, now: float, report: RecoveryReport
 ) -> None:
-    """Re-enqueue journaled nodes, dropping/rebasing against the server."""
-    obs = client.obs
+    """Re-execute the journaled work as the units it was.
+
+    The server's exactly-once window is the one judge of what landed: an
+    envelope whose msg id is at or below the high-water mark of this
+    client's dedup window was applied before the cut (only its ack was
+    lost), so its unit's records are retired. Everything else re-enters the
+    queue in journal order, grouped as it was — a launched envelope as that
+    unit, a queued node under its journaled backindex span — with its bases
+    untouched: the upload meets the server's live base-version check, where
+    a base the cloud no longer holds is an honest first-write-wins conflict.
+    """
+    obs, journal = client.obs, client.journal
+    server = client.server
+    landed = 0 if server is None else server.last_msg_id(client.client_id)
+    nodes = dict(state.nodes)
+    units: List[List[QueueNode]] = []
+    for msg_id, seqs in state.units:
+        members = [nodes.pop(seq) for seq in seqs if seq in nodes]
+        if msg_id > landed:
+            units.append(members)
+        else:
+            for node in members:
+                journal.forget_node(node.seq)
+                report.nodes_already_applied += 1
+                obs.inc("recovery.nodes.already_applied")
+                _note_replayed(obs, node, "already_applied")
+        journal.forget_unit(msg_id)
+    previous = None
+    for seq, node in nodes.items():  # never shipped: grouped by their spans
+        span = next((s for s in state.spans if s[0] <= seq <= s[1]), None)
+        if span is None or span != previous:
+            units.append([])
+        units[-1].append(node)
+        previous = span
+    if state.spans:
+        journal.record_spans([])  # re-recorded below in the new queue's seqs
+
     dirty = set(state.undo)
-    # The version each path will hold when the next pending node for it
-    # applies: the server head initially, then the previous pending
-    # node's minted version as the chain re-enqueues. Rebasing against
-    # the *server* head alone would break intra-chain bases — the second
-    # pending node correctly bases on the first one's new_version, which
-    # the server hasn't seen yet.
-    heads: Dict[str, Optional[VersionStamp]] = {}
-    replaying: Dict[str, bool] = {}
-    for old_seq, node in state.nodes:
-        client.journal.forget_node(old_seq)
-        server_head = server_versions.get(node.path)
-        expected_head = heads.get(node.path, server_head)
-        if (
-            node.new_version is not None
-            and server_head is not None
-            and server_head == node.new_version
-            and not replaying.get(node.path)
-        ):
-            # The cut fell after this node's upload was applied: nothing
-            # to redo, just adopt the server's view.
-            client.versions[node.path] = node.new_version
-            heads[node.path] = node.new_version
-            report.nodes_already_applied += 1
-            obs.inc("recovery.nodes.already_applied")
-            if obs.enabled:
-                obs.event(
-                    "recovery.node.replayed",
-                    path=node.path,
-                    kind=type(node).__name__,
-                    disposition="already_applied",
-                )
-            continue
-        disposition = "replayed"
-        if (
-            not isinstance(node, MetaNode)
-            and node.base_version != expected_head
-            and node.path in server_versions
-        ):
-            # The server moved past (or never saw) the journaled base;
-            # renegotiate so the re-upload applies cleanly instead of
-            # misfiring as a concurrent-update conflict.
-            node.base_version = expected_head
-            report.nodes_rebased += 1
-            obs.inc("recovery.nodes.rebased")
-            disposition = "rebased"
-        client.queue.restore(node, now)
-        client.journal.record_node(node)
-        replaying[node.path] = True
-        if node.new_version is not None:
-            client.versions[node.path] = node.new_version
-            heads[node.path] = node.new_version
-        report.nodes_replayed += 1
-        obs.inc("recovery.nodes.replayed")
-        if obs.enabled:
-            obs.event(
-                "recovery.node.replayed",
-                path=node.path,
-                kind=type(node).__name__,
-                disposition=disposition,
-            )
-        dirty.add(node.path)
+    for unit in sorted(filter(None, units), key=lambda unit: unit[0].seq):
+        for node in unit:
+            journal.forget_node(node.seq)
+        client.queue.restore(unit, now)  # fresh seqs, one span per unit
+        for node in unit:
+            journal.record_node(node)
+            _follow(client.versions, node)
+            report.nodes_replayed += 1
+            obs.inc("recovery.nodes.replayed")
+            _note_replayed(obs, node, "replayed")
+            dirty.add(node.path)
     report.dirty_paths = sorted(dirty)
+
+
+def _follow(versions: Dict[str, Optional[VersionStamp]], node: QueueNode) -> None:
+    """``versions`` as the intercepted operation behind ``node`` left them."""
+    if isinstance(node, MetaNode) and node.kind == "rename":
+        versions[node.dest] = versions.pop(node.path, None)
+    elif isinstance(node, MetaNode) and node.kind == "link":
+        versions[node.dest] = versions.get(node.path)
+    elif isinstance(node, MetaNode) and node.kind == "unlink":
+        versions.pop(node.path, None)
+    elif node.new_version is not None:
+        versions[node.path] = node.new_version
+
+
+def _note_replayed(obs: Observability, node: QueueNode, disposition: str) -> None:
+    if obs.enabled:
+        obs.event(
+            "recovery.node.replayed",
+            path=node.path,
+            kind=type(node).__name__,
+            disposition=disposition,
+        )
 
 
 def _sweep_and_repair(

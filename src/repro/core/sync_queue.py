@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.bytesutil import merge_ranges
 from repro.common.errors import PackedNodeError
@@ -255,6 +255,10 @@ class SyncQueue:
         # usual case, which spares a dict per enqueued node.
         self._naming: Dict[str, Union[QueueNode, Dict[int, QueueNode]]] = {}
         self._spans: List[Tuple[int, int]] = []  # merged backindex spans
+        # Called with the merged spans whenever a surgery changes them (the
+        # client journals them: after a crash they say which queued nodes
+        # must still ship as one unit).
+        self.on_spans: Optional[Callable[[List[Tuple[int, int]]], None]] = None
         self._next_seq = 0
         # Real "now" during drain_all, where next_unit runs with a
         # far-future clock that would corrupt wait-time telemetry.
@@ -297,18 +301,22 @@ class SyncQueue:
             self._update_gauges()
         return node
 
-    def restore(self, node: QueueNode, now: float) -> QueueNode:
-        """Re-admit a journaled node during crash recovery.
+    def restore(self, unit: Sequence[QueueNode], now: float) -> None:
+        """Re-admit one journaled unit during crash recovery.
 
-        The node gets a fresh seq (journal replay preserves relative order
-        by re-admitting in old-seq order) and enters *packed*: its
+        Its nodes get fresh seqs (journal replay preserves relative order
+        by re-admitting units in old-seq order), enter *packed* — their
         coalescing window ended when the process died, and post-recovery
         writes to the same path must open a fresh node rather than mutate
-        replayed history.
+        replayed history — and, more than one, share a backindex span
+        again: they ship as the one transactional unit they were.
         """
-        if isinstance(node, WriteNode):
-            node.packed = True
-        return self.enqueue(node, now)
+        for node in unit:
+            if isinstance(node, WriteNode):
+                node.packed = True
+            self.enqueue(node, now)
+        if len(unit) > 1:
+            self._add_span(unit[0].seq, unit[-1].seq)
 
     def note_coalesced(self, node: WriteNode, offset: int, nbytes: int) -> None:
         """Record that a write was absorbed into an active node (telemetry)."""
@@ -463,16 +471,18 @@ class SyncQueue:
         if end < start:
             return
         self.obs.inc("queue.spans.recorded")
-        self._spans.append((start, end))
-        self._spans.sort()
-        merged = [self._spans[0]]
-        for s, e in self._spans[1:]:
+        spans = sorted(self._spans + [(start, end)])
+        merged = [spans[0]]
+        for s, e in spans[1:]:
             ls, le = merged[-1]
             if s <= le:
                 merged[-1] = (ls, max(le, e))
             else:
                 merged.append((s, e))
-        self._spans = merged
+        if merged != self._spans:
+            self._spans = merged
+            if self.on_spans is not None:
+                self.on_spans(merged)
 
     def spans(self) -> List[Tuple[int, int]]:
         """Current merged backindex spans (for inspection/tests)."""

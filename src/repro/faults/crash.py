@@ -55,18 +55,17 @@ def restart(client):
     survives (the old one must not be used again).
 
     What outlives a process is exactly what the new client's constructor is
-    handed: the backing file system; the server; the link (the channel with
-    its counters, busy horizons and fault-fate stream) and the meter — the
-    world and its measurement, not process memory; clock, config, shares,
-    client id, observability; the checksum and journal KVs, reopened; and,
-    if the old client had one, a *fresh* reliable transport, whose msg ids
-    restart at 1 — which is why the old registration, and with it the
-    server's dedup window, is released first. Everything else is lost
-    because the object is gone; :meth:`DeltaCFSClient.recover` rebuilds
-    what the journal kept.
+    handed: the backing file system; the server, whose exactly-once dedup
+    window for this client survives (the new client's registration replaces
+    the old subscription and keeps it) — that window is the record of what
+    landed; the link (the channel with its counters, busy horizons and
+    fault-fate stream) and the meter — the world and its measurement, not
+    process memory; clock, config, shares, client id, observability; the
+    checksum and journal KVs, reopened; and, if the old client had one, a
+    *fresh* reliable transport, whose msg ids continue after the window's
+    high-water mark. Everything else is lost because the object is gone;
+    :meth:`DeltaCFSClient.recover` rebuilds what the journal kept.
     """
-    if client.server is not None:
-        client.server.unregister_client(client.client_id)
     checksums, journal, old = client.checksums, client.journal, client.transport
     # type(client), not an import: the client module imports repro.faults.
     return type(client)(

@@ -319,8 +319,9 @@ class ResyncRequest(Message):
 
     One metadata round trip replaces journaling every synced-version map
     update: the recovering client lists its local paths and learns the
-    server's current ``<CliID, VerCnt>`` per path, so journaled nodes can
-    be dropped (already applied) or rebased before re-upload.
+    server's current ``<CliID, VerCnt>`` per path, so post-recovery writes
+    name bases the cloud holds and the sweep knows which files it can
+    repair from.
     """
 
     paths: Sequence[str] = ()

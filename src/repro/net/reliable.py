@@ -113,7 +113,8 @@ class ReliableTransport:
     Args:
         channel: the (typically lossy) link; its ``transmit_up`` /
             ``transmit_down`` report per-copy delivery times.
-        server: the apply endpoint (must expose ``handle_envelope``).
+        server: the apply endpoint (must expose ``handle_envelope`` and
+            ``last_msg_id``, where the msg-id sequence resumes).
         client_id: origin id presented to the server.
         policy: retry/backoff/window knobs.
         seed: seeds the jitter stream; identical seeds + identical sends
@@ -146,7 +147,10 @@ class ReliableTransport:
         self.on_ack: Optional[Callable[[int], None]] = None
         self.stats = TransportStats()
         self._jitter_rng = DeterministicRandom(seed).fork("reliable-transport")
-        self._next_msg_id = 1
+        # Ids continue after the last one the server's exactly-once window
+        # holds for this client (0 on a fresh server): a restarted client's
+        # envelopes are never mistaken for retransmits of its predecessor's.
+        self._next_msg_id = server.last_msg_id(client_id) + 1
         self._outbox: Deque[Tuple[int, Message, Optional[TraceContext]]] = deque()
         self._inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
         # In-order apply: envelopes that arrived ahead of a gap (a lost
@@ -154,7 +158,7 @@ class ReliableTransport:
         # the gap fills — the sync protocol's causal FIFO guarantee must
         # survive link reordering.
         self._reorder_buffer: Dict[int, Envelope] = {}
-        self._next_deliver = 1
+        self._next_deliver = self._next_msg_id
         # Transit heaps: (deliver_at, tiebreak, payload). The tiebreak makes
         # heap order — hence apply order — deterministic for equal times.
         self._up_transit: List[Tuple[float, int, Envelope]] = []

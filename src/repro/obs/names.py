@@ -565,8 +565,10 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "journal.records.written",
         COUNTER,
-        "journal records persisted (`kind` ∈ `node`, `relation`, `undo`, "
-        "`vercnt`); re-journaling a coalesced node counts again",
+        "journal records persisted (`kind` ∈ `node`, `unit` — a launched "
+        "envelope's msg id and member seqs — `spans` — the queue's merged "
+        "backindex spans — `relation`, `undo`, `vercnt`); re-journaling a "
+        "coalesced node counts again",
         unit="records",
         labels=("kind",),
     ),
@@ -574,7 +576,8 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         "journal.records.forgotten",
         COUNTER,
         "journal records retired (node uploaded — acked, over a reliable "
-        "transport — cancelled or replaced; relation resolved; undo spans cleared)",
+        "transport — cancelled or replaced; unit acked or settled by recovery; "
+        "spans re-recorded by recovery; relation resolved; undo spans cleared)",
         unit="records",
         labels=("kind",),
     ),
@@ -590,20 +593,15 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "recovery.nodes.replayed",
         COUNTER,
-        "journaled nodes re-enqueued for upload after a crash, rebased ones included",
+        "journaled nodes re-enqueued for upload after a crash, as the units "
+        "they were, bases untouched",
         unit="nodes",
     ),
     MetricSpec(
         "recovery.nodes.already_applied",
         COUNTER,
-        "journaled nodes the cloud already held (dropped, version adopted)",
-        unit="nodes",
-    ),
-    MetricSpec(
-        "recovery.nodes.rebased",
-        COUNTER,
-        "replayed nodes whose journaled base no longer matched; rebased onto "
-        "the head their upload will meet",
+        "journaled nodes of envelopes the server's exactly-once window holds "
+        "(msg id at or below its high-water mark): retired, not re-sent",
         unit="nodes",
     ),
     MetricSpec(
@@ -877,9 +875,10 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "journal.write",
         "event",
-        "a sync-intent record was persisted; `kind` ∈ `node`, `relation`, "
-        "`undo`, `vercnt`, and `ref` identifies the record (node seq, "
-        "relation src, undo path, or the counter value). The "
+        "a sync-intent record was persisted; `kind` ∈ `node`, `unit`, "
+        "`spans`, `relation`, `undo`, `vercnt`, and `ref` identifies the "
+        "record (node seq, envelope msg id, span count, relation src, undo "
+        "path, or the counter value). The "
         "journal-write-happens-before-send invariant is evaluated against "
         "these events",
         attrs=("kind", "ref"),
@@ -895,7 +894,7 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "recovery.node.replayed",
         "event",
         "one journaled node was dispositioned during recovery; "
-        "`disposition` ∈ `replayed`, `rebased`, `already_applied`",
+        "`disposition` ∈ `replayed`, `already_applied`",
         attrs=("path", "kind", "disposition"),
     ),
     EventSpec(

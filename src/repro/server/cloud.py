@@ -139,9 +139,10 @@ class CloudServer:
         reliable-delivery dedup window — under churn (the fleet driver
         registers and retires thousands of clients) keeping those
         OrderedDicts alive leaks memory proportional to every client that
-        ever connected. A client that re-registers after unregistering
-        starts a fresh dedup window, which is correct: its transport also
-        restarts msg_ids from 1.
+        ever connected. A client that comes back after unregistering
+        starts a fresh dedup window, and its transport's msg ids from 1.
+        A *restarted* client does not unregister: re-registration keeps the
+        window, which is how recovery learns what landed.
         """
         self._drop_registration(client_id)
         self._dedup.pop(client_id, None)
@@ -162,6 +163,12 @@ class CloudServer:
                 bucket.pop(client_id, None)
                 if not bucket:
                     del self._share_index[norm]
+
+    def last_msg_id(self, client_id: int) -> int:
+        """The high-water mark of ``client_id``'s dedup window: the last
+        msg id applied (0 if none). Envelopes apply in msg-id order, so
+        every id up to it landed and none after it did."""
+        return next(reversed(self._dedup.get(client_id, ())), 0)
 
     @staticmethod
     def _norm_prefix(prefix: str) -> str:
@@ -614,9 +621,8 @@ class CloudServer:
     ) -> List[Tuple[str, Optional[VersionStamp]]]:
         """Current version per path (``None`` = not on the cloud).
 
-        The post-crash renegotiation: a recovering client learns which of
-        its journaled updates already landed and what base its re-uploads
-        must name. Metadata only — no content moves.
+        The post-crash renegotiation: a recovering client rebuilds its
+        synced-version map. Metadata only — no content moves.
         """
         out: List[Tuple[str, Optional[VersionStamp]]] = []
         for path in paths:

@@ -113,25 +113,25 @@ class _StoreView:
     def __init__(self, router: "ShardRouter"):
         self._router = router
 
-    def _holding(self, path: str):
-        """The shard store a point lookup of ``path`` reads: where it routes
-        — or, for a conflict copy, where it is: it was written beside the
-        file it lost to, and a top-level copy's own name (its whole
-        namespace) routes elsewhere, yet :meth:`paths` lists it."""
-        routed = self._router.shard_for_path(path).store
-        if routed.exists(path) or not is_conflict_copy(path):
+    def _holding(self, path: str) -> CloudServer:
+        """The shard a point read of ``path`` goes to: where it routes — or,
+        for a conflict copy, where it is: it was written beside the file it
+        lost to, and a top-level copy's own name (its whole namespace)
+        routes elsewhere, yet :meth:`paths` lists it."""
+        routed = self._router.shard_for_path(path)
+        if routed.store.exists(path) or not is_conflict_copy(path):
             return routed
-        stores = (shard.store for shard in self._router.shards)
-        return next((store for store in stores if store.exists(path)), routed)
+        shards = self._router.shards
+        return next((shard for shard in shards if shard.store.exists(path)), routed)
 
     def exists(self, path: str) -> bool:
-        return self._holding(path).exists(path)
+        return self._holding(path).store.exists(path)
 
     def get(self, path: str):
-        return self._holding(path).get(path)
+        return self._holding(path).store.get(path)
 
     def lookup(self, path: str):
-        return self._holding(path).lookup(path)
+        return self._holding(path).store.lookup(path)
 
     def snapshot(self, version: VersionStamp) -> Optional[Pages]:
         for shard in self._router.shards:
@@ -141,10 +141,10 @@ class _StoreView:
         return None
 
     def history(self, path: str) -> List[VersionStamp]:
-        return self._holding(path).history(path)
+        return self._holding(path).store.history(path)
 
     def restorable_history(self, path: str) -> List[VersionStamp]:
-        return self._holding(path).restorable_history(path)
+        return self._holding(path).store.restorable_history(path)
 
     def paths(self) -> List[str]:
         out: List[str] = []
@@ -265,6 +265,11 @@ class ShardRouter:
         for index in targets:
             self.shards[index]._drop_registration(client_id)
         self.shards[home]._dedup.pop(client_id, None)
+
+    def last_msg_id(self, client_id: int) -> int:
+        """The high-water mark of the client's dedup window (home shard)."""
+        home = self.home_shard_index(client_id)
+        return self.shards[home].last_msg_id(client_id)
 
     def _target_shards(self, shares: Sequence[str]) -> Set[int]:
         targets: Set[int] = set()
@@ -439,18 +444,19 @@ class ShardRouter:
             out.update(shard.dirs)
         return out
 
-    # -- read API (routed verbatim) ------------------------------------------
+    # -- read API (routed verbatim; content reads go where the store view's
+    # point lookups find the path) --------------------------------------------
 
     def file_content(self, path: str) -> bytes:
-        return self.shard_for_path(path).file_content(path)
+        return self.store._holding(path).file_content(path)
 
     def file_version(self, path: str) -> Optional[VersionStamp]:
-        return self.shard_for_path(path).file_version(path)
+        return self.store._holding(path).file_version(path)
 
     def file_range(
         self, path: str, offset: int, length: int
     ) -> Tuple[bytes, Optional[VersionStamp]]:
-        return self.shard_for_path(path).file_range(path, offset, length)
+        return self.store._holding(path).file_range(path, offset, length)
 
     def resync_versions(
         self, paths: List[str]

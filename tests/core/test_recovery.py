@@ -285,27 +285,57 @@ class TestRecovery:
         assert server.file_content("/f") == expected
 
     def test_already_applied_intent_not_reuploaded(self):
+        # A crash in the ack window, reached over a transport: the upload
+        # lands on the cloud at 20.0x, the partition starting at 20 drops
+        # its ack, and the journal still holds the unit. The server's
+        # exactly-once window, not a version comparison, says it landed.
+        from repro.faults.network import NetworkFaults
+        from repro.sim import Simulation
+
+        sim = Simulation(
+            faults=NetworkFaults(partitions=((20, 40),)),
+            journal_kv=MemoryKV(), checksum_kv=MemoryKV(),
+        )
+        client = sim.client
+        client.create("/f")
+        client.close("/f")
+        sim.settle(12)
+        sim.clock.advance(16.99 - sim.clock.now())
+        client.write("/f", 0, b"k" * 5000)
+        client.close("/f")
+        sim.clock.advance(3.0)
+        sim.pump()
+        sim.settle(6)
+        assert client.transport.inflight_depth == 1
+        assert sim.server.file_content("/f") == b"k" * 5000
+        assert len(client.journal.load().units) == 1
+        client = sim.restart(client)
+        up_before = client.channel.stats.up_bytes
+        report = client.recover()
+        assert report.nodes_already_applied == 1
+        assert report.nodes_replayed == 0
+        assert client.journal.load().nodes == []
+        sim.clock.advance(41 - sim.clock.now())
+        sim.settle(12)
+        # metadata renegotiation only — the 5000 payload bytes never move
+        assert client.channel.stats.up_bytes - up_before < 1000
+        assert sim.converged() and client.stats.conflicts == 0
+
+    def test_node_record_without_unit_record_was_never_shipped(self):
         client, fs, server, clock = _build()
         client.create("/f")
         client.write("/f", 0, b"k" * 5000)
         client.close("/f")
         _settle(client, clock)
-        # Model a crash in the ack window: the upload landed on the cloud
-        # but the journal entry survived (forget never ran).
-        head = server.file_version("/f")
-        ghost = WriteNode("/f", seq=999, new_version=head)
+        # Even a node whose version the cloud holds is re-sent: only an
+        # envelope's unit record can say that it landed.
+        ghost = WriteNode("/f", seq=999, new_version=server.file_version("/f"))
         ghost.add_write(0, b"k" * 5000)
-        ghost.pack()
         client.journal.record_node(ghost)
         client = restart(client)
-        up_before = client.channel.stats.up_bytes
         report = client.recover()
-        assert report.nodes_already_applied == 1
-        assert report.nodes_replayed == 0
-        _settle(client, clock)
-        # metadata renegotiation only — the 5000 payload bytes never move
-        assert client.channel.stats.up_bytes - up_before < 1000
-        assert server.file_content("/f") == fs.read_file("/f")
+        assert report.nodes_already_applied == 0
+        assert report.nodes_replayed == 1
 
     def test_pending_rename_survives_crash(self):
         client, fs, server, clock = _build()

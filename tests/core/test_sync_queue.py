@@ -344,9 +344,22 @@ class TestPackedNodeGuard:
 
         q = SyncQueue()
         node = WriteNode(path="/f", writes=[(0, b"journaled")])
-        q.restore(node, now=1.0)
+        q.restore([node], now=1.0)
         with pytest.raises(PackedNodeError):
             node.add_write(9, b"post-crash write")
+
+    def test_restored_unit_ships_as_one_and_reports_its_span(self):
+        q = SyncQueue(upload_delay=0.0)
+        recorded = []
+        q.on_spans = recorded.append
+        q.restore([MetaNode(path="/a", kind="create")], now=0.0)
+        unit = [MetaNode(path="/t", kind="rename", dest="/a"),
+                WriteNode(path="/a", writes=[(0, b"x")])]
+        q.restore(unit, now=0.0)
+        assert recorded == [[(1, 2)]]
+        assert [(len(u.nodes), u.transactional) for u in q.drain_due(1.0)] == [
+            (1, False), (2, True)
+        ]
 
 
 class TestDrainDue:

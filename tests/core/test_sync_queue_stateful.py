@@ -65,7 +65,7 @@ class SyncQueueMachine(RuleBasedStateMachine):
             node = WriteNode(path=path, writes=[(0, b"r")])
         else:
             node = MetaNode(path=path, kind="link", dest=dest)
-        self.queue.restore(node, self.now)
+        self.queue.restore([node], self.now)
         self.enqueued[node.seq] = node
         assert self.queue.active_write_node(path) is not node
 

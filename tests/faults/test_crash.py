@@ -69,7 +69,7 @@ def test_restart_drops_volatile_state():
     assert reborn.server is client.server
 
 
-def test_restart_starts_a_fresh_transport_and_dedup_window():
+def test_restart_starts_a_fresh_transport_and_keeps_the_dedup_window():
     from repro.faults.network import NetworkFaults
     from repro.sim import Simulation
 
@@ -79,18 +79,40 @@ def test_restart_starts_a_fresh_transport_and_dedup_window():
     client.close("/f")
     sim.settle()
     old = client.transport
-    assert old._next_msg_id > 1 and sim.server._dedup[client.client_id]
+    window = sim.server._dedup[client.client_id]
+    high_water = sim.server.last_msg_id(client.client_id)
+    assert high_water == old._next_msg_id - 1 > 0
     reborn = sim.restart(client)
     assert sim.clients == [reborn]
-    assert reborn.transport is not old and reborn.transport._next_msg_id == 1
+    assert reborn.transport is not old
     assert reborn.transport.channel is old.channel  # fate stream and counters
     assert reborn.transport.policy == old.policy
-    assert client.client_id not in sim.server._dedup
-    # msg id 1 again: applied, not dropped as a duplicate of the old 1
+    # the server kept what landed; the new ids continue past it
+    assert sim.server._dedup[client.client_id] is window
+    assert reborn.transport._next_msg_id == high_water + 1
     reborn.create("/g")
     reborn.close("/g")
     sim.settle()
     assert sim.server.store.exists("/g") and sim.server.dedup_drops == 0
+    assert sim.server.last_msg_id(client.client_id) > high_water
+
+
+def test_transport_ids_resume_after_the_home_shards_window():
+    from repro.net.reliable import ReliableTransport
+    from repro.net.messages import MetaOp
+    from repro.net.transport import Channel
+    from repro.server.shard import ShardRouter
+
+    router = ShardRouter(4)
+    clock = VirtualClock()
+    first = ReliableTransport(Channel(), router, client_id=7)
+    for name in ("/a", "/b", "/c"):
+        first.send(MetaOp(kind="mkdir", path=name), clock.now())
+    first.settle(clock)
+    home = router.shards[router.home_shard_index(7)]
+    assert router.last_msg_id(7) == home.last_msg_id(7) == 3
+    assert ReliableTransport(Channel(), router, client_id=7)._next_msg_id == 4
+    assert ReliableTransport(Channel(), router, client_id=8)._next_msg_id == 1
 
 
 def test_post_crash_queue_keeps_observability():

@@ -311,7 +311,6 @@ NEVER_TOUCHED = [
     "channel.faults.partition_drops",
     "client.stalls",
     "health.regressions",
-    "recovery.nodes.rebased",
     "relation.entries.invalidated",
     "relation.entries.stale",
     "relation.entries.superseded",

@@ -363,3 +363,133 @@ def test_undo_log_does_not_outlive_the_node_it_grew_with():
     sim.settle()
     assert sim.converged()
     assert client.stats.inplace_deltas == 1  # still compressed, against v1
+
+
+def _ack_lost(script):
+    """A journaled client behind a link cut during [20, 40): sync /f and /a,
+    run ``script(client)`` at 16.99 so everything it queues ships at 19.99
+    and lands, let the partition drop every ack, and cut the power."""
+    from repro.faults.network import NetworkFaults
+    from repro.kvstore.kv import MemoryKV
+
+    sim = Simulation(
+        faults=NetworkFaults(partitions=((20, 40),)),
+        journal_kv=MemoryKV(),
+        checksum_kv=MemoryKV(),
+    )
+    client = sim.client
+    for path in ("/f", "/a"):
+        client.create(path)
+        client.write(path, 0, path.encode() * 8192)
+        client.close(path)
+    client.create("/t")
+    sim.settle(12)
+    assert sim.converged() and client.transport.idle
+    sim.clock.advance(16.99 - sim.clock.now())
+    script(client)
+    sim.clock.advance(3.0)
+    sim.pump()
+    sim.settle(6)
+    assert len(client.queue) == 0 and not client.transport.idle
+    reborn = sim.restart(client)
+    up = reborn.channel.stats.up_bytes
+    report = reborn.recover()
+    sim.clock.advance(41 - sim.clock.now())  # the link heals
+    sim.settle(12)
+    sim.flush()
+    return sim, report, reborn.channel.stats.up_bytes - up
+
+
+def test_applied_group_whose_ack_was_lost_is_not_reshipped():
+    # A transactional save's TxnGroup (rename + the delta that replaced the
+    # write) landed, its ack did not. Recovery compared path heads by hand:
+    # the rename names /t, which the cloud no longer has, so it was re-sent,
+    # and the group's members went out again one by one.
+    def save(client):
+        client.write("/t", 0, b"/f" * 4000 + b"an edit" + b"/f" * 4189)
+        client.close("/t")
+        client.rename("/t", "/f")
+
+    sim, report, uplink = _ack_lost(save)
+    assert report.nodes_already_applied == 2 and report.nodes_replayed == 0
+    assert uplink < 1000  # the resync round trip, nothing re-shipped
+    assert sim.converged() and sim.client.stats.conflicts == 0
+
+
+def test_applied_rename_whose_ack_was_lost_is_not_reexecuted():
+    # rename /a -> /b landed, its ack did not, and /a was created again (and
+    # landed too) before the cut. A versionless rename cannot say whether it
+    # ran: re-executing it moved the *new* /a over /b on the cloud.
+    def rename_and_recreate(client):
+        client.rename("/a", "/b")
+        client.create("/a")
+        client.write("/a", 0, b"a new /a")
+        client.close("/a")
+
+    sim, report, _ = _ack_lost(rename_and_recreate)
+    assert report.nodes_replayed == 0 and report.nodes_already_applied >= 3
+    assert sim.server.file_content("/b") == b"/a" * 8192
+    assert sim.server.file_content("/a") == b"a new /a"
+    assert sim.converged() and sim.client.stats.conflicts == 0
+
+
+def test_queued_transactional_save_ships_as_one_group_after_a_crash():
+    # The save was still queued at the cut. Its span was never journaled, so
+    # recovery re-queued the nodes as independent units, and rebased the
+    # delta onto the head /f held *before* the rename: the cloud rejected it.
+    from repro.kvstore.kv import MemoryKV
+
+    sim = Simulation(journal_kv=MemoryKV(), checksum_kv=MemoryKV())
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, b"/f" * 8192)
+    client.close("/f")
+    sim.settle()
+    client.create("/t")
+    client.write("/t", 0, b"/f" * 4000 + b"an edit" + b"/f" * 4189)
+    client.close("/t")
+    client.rename("/t", "/f")
+    assert client.stats.deltas_kept == 1 and client.queue.spans()
+    reborn = sim.restart(client)
+    report = reborn.recover()
+    assert report.nodes_replayed == 3
+    sim.settle()
+    assert reborn.stats.groups_uploaded == 1
+    assert reborn.stats.conflicts == 0
+    assert sim.converged() and not any(
+        "conflicted copy" in p for p in sim.server.store.paths()
+    )
+
+
+def test_recovered_version_map_follows_a_pending_rename():
+    # A save whose delta lost to RPC was still queued at the cut: its write
+    # sits under the tmp name and the rename carries that version to /f.
+    # Recovery set each node's path to its new_version only, so /f kept the
+    # version the cloud held *before* the rename, and the next save's delta
+    # named it as its content base while encoding against the renamed bytes
+    # (mismatched() == ['/f'], no conflict).
+    from repro.common.rng import DeterministicRandom
+    from repro.kvstore.kv import MemoryKV
+
+    rng = DeterministicRandom(4)
+    sim = Simulation(journal_kv=MemoryKV(), checksum_kv=MemoryKV())
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, rng.random_bytes(64 * 1024))
+    client.close("/f")
+    sim.settle()
+    rewrite = rng.random_bytes(64 * 1024)
+    for content in (rewrite, rewrite[:1000] + b"EDIT" + rewrite[1004:]):
+        client.create("/t")
+        client.write("/t", 0, content)
+        client.close("/t")
+        client.rename("/t", "/f")
+        if content is rewrite:
+            assert client.stats.deltas_kept == 0
+            versions = dict(client.versions)
+            client = sim.restart(client)
+            client.recover()
+            assert client.versions["/f"] == versions["/f"]
+    assert client.stats.deltas_kept == 1
+    sim.settle()
+    assert sim.converged() and client.stats.conflicts == 0

@@ -237,12 +237,9 @@ class TestSingleShardIdentity:
 
 
 class TestStoreView:
-    @pytest.mark.parametrize("n_shards", [1, 4, 8])
-    def test_point_lookups_find_every_listed_path(self, n_shards):
-        """A conflict copy is written on the shard of the file it lost to;
-        a top-level copy's own name — its whole namespace — routes
-        elsewhere. ``store.paths()`` listed such copies while ``exists`` /
-        ``get`` / ``lookup`` denied them (8 shards: 4 of 4 unreachable)."""
+    @staticmethod
+    def _four_conflicts(n_shards):
+        """Four top-level files, each first-write-wins lost once."""
         router = ShardRouter(n_shards)
         names = ["/a.txt", "/b.txt", "/c.txt", "/d.txt"]
         for i, path in enumerate(names):
@@ -258,9 +255,17 @@ class TestStoreView:
             )
             assert router.handle(first, origin_client=1).status == "applied"
             assert router.handle(late, origin_client=2).status == "conflict"
-        store = router.store
-        copies = [p for p in store.paths() if "conflicted copy" in p]
+        copies = [p for p in router.store.paths() if "conflicted copy" in p]
         assert len(copies) == len(names)
+        return router
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 8])
+    def test_point_lookups_find_every_listed_path(self, n_shards):
+        """A conflict copy is written on the shard of the file it lost to;
+        a top-level copy's own name — its whole namespace — routes
+        elsewhere. ``store.paths()`` listed such copies while ``exists`` /
+        ``get`` / ``lookup`` denied them (8 shards: 4 of 4 unreachable)."""
+        store = self._four_conflicts(n_shards).store
         for path in store.paths():
             assert store.exists(path), path
             assert store.get(path) is store.lookup(path) is not None
@@ -268,3 +273,15 @@ class TestStoreView:
             assert store.history(path) == store.restorable_history(path) != []
         assert not store.exists("/nowhere.txt")
         assert store.lookup("/nowhere.txt") is None
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 8])
+    def test_content_reads_find_every_listed_path(self, n_shards):
+        """``file_content`` / ``file_version`` / ``file_range`` read where the
+        point lookups do: they routed a conflict copy by its own name and
+        raised for it behind more than one shard."""
+        router = self._four_conflicts(n_shards)
+        for path in router.store.paths():
+            stored = router.store.get(path)
+            assert router.file_content(path) == stored.content
+            assert router.file_version(path) == stored.version
+            assert router.file_range(path, 2, 3) == (stored.content[2:5], stored.version)
