@@ -484,9 +484,10 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "server.shard.migrations",
         COUNTER,
-        "file bundles moved between shards to co-locate a cross-shard rename, "
-        "link, or transactional group before applying; `reason` ∈ `rename`, "
-        "`link`, `group`, `meta` (see fleet.md)",
+        "file bundles moved between shards: to co-locate a cross-shard rename, "
+        "link, or transactional group before applying, and back to a name's "
+        "own shard after; `reason` ∈ `rename`, `link`, `group`, `meta`, "
+        "`home` (see fleet.md)",
         unit="files",
         labels=("reason",),
     ),
@@ -833,9 +834,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "server.shard.rename_forward",
         "event",
         "a rename spanned two shards: the source file bundle (content, "
-        "lineage, window snapshots) migrated through the router's "
-        "relocation table to the destination's shard, which then applied "
-        "the rename locally (the two-step cross-shard rename; see fleet.md)",
+        "lineage, window snapshots) migrated to the destination's shard, "
+        "which then applied the rename locally, so the new name is already "
+        "on its own shard (the two-step cross-shard rename; see fleet.md)",
         attrs=("path", "dest", "src_shard", "dst_shard"),
     ),
     EventSpec(

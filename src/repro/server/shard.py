@@ -19,17 +19,16 @@ Design rules, in order of importance:
    so exactly-once semantics never depend on which shard a particular
    envelope's payload routes to, and unregistering a client releases the
    window in one place.
-3. **Cross-shard rename is migrate-then-apply.** A rename whose source
-   and destination namespaces hash to different shards first *migrates*
-   the source file bundle (live content, version lineage, window
-   snapshots) to the destination shard via
-   ``VersionedStore.detach_entry``/``attach_entry``, records the hop in
-   the router's bounded relocation table, then lets the destination
-   shard apply the rename as a purely local op — so version stamps,
-   forwards, and trace events come out of the ordinary apply path and
-   INV-EXACTLY-ONCE / INV-VERSION-MONO hold unchanged in recorded
-   traces. Transactional groups and links spanning shards co-locate the
-   same way before applying.
+3. **Placement is a function of the name.** Between two router calls
+   every file sits on its namespace's shard. A rename, link or
+   transactional group spanning shards is *migrate, apply, go home*: the
+   router moves each touched file bundle (live content, version lineage,
+   window snapshots) onto one shard via ``VersionedStore.detach_entry`` /
+   ``attach_entry``, that shard applies the message as a purely local op
+   — so version stamps, forwards and trace events come out of the
+   ordinary apply path and INV-EXACTLY-ONCE / INV-VERSION-MONO hold
+   unchanged — and every touched name, and any conflict copy, moves back
+   to its own shard. Hard links are the one exception (see ShardRouter).
 
 Hashing is ``md5`` over ``(shard index, virtual node)`` labels — stable
 across processes and Python versions (``hash()`` is salted and must not
@@ -40,12 +39,10 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.pages import Pages
 from repro.common.version import VersionStamp
-from repro.core.conflict import is_conflict_copy
 from repro.cost.meter import CostMeter
 from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
 from repro.obs import NULL_OBS, Observability
@@ -71,7 +68,8 @@ class HashRing:
 
     Stable by construction: ring points are md5 digests of string labels,
     so every process — and every future version of this code base — maps
-    a namespace to the same shard.
+    a namespace to the same shard. The ring never changes once built, so
+    :meth:`lookup` hashes each distinct key once.
     """
 
     def __init__(self, n_shards: int, *, vnodes: int = 32):
@@ -86,6 +84,7 @@ class HashRing:
         points.sort()
         self._hashes = [h for h, _ in points]
         self._shards = [s for _, s in points]
+        self._owners: Dict[str, int] = {}
 
     @staticmethod
     def _point(label: str) -> int:
@@ -94,44 +93,37 @@ class HashRing:
 
     def lookup(self, key: str) -> int:
         """Shard index owning ``key`` (first ring point clockwise)."""
-        h = self._point(key)
-        i = bisect_right(self._hashes, h)
-        if i == len(self._hashes):
-            i = 0
-        return self._shards[i]
+        owner = self._owners.get(key)
+        if owner is None:
+            i = bisect_right(self._hashes, self._point(key))
+            owner = self._owners[key] = self._shards[i % len(self._shards)]
+        return owner
 
 
 class _StoreView:
     """Read-only namespace facade over all shard stores.
 
     Exposes the subset of :class:`VersionedStore` that clients and tests
-    read through ``server.store`` — routing point lookups by path
-    (:meth:`_holding`) and searching all shards for stamp-addressed snapshots (a stamp does not
-    say which shard's window holds it; N is small).
+    read through ``server.store``: point lookups go to the path's own
+    shard (every name lives there between router calls), and a
+    stamp-addressed snapshot is searched for on every shard (a stamp does
+    not say which shard's window holds it; N is small).
     """
 
     def __init__(self, router: "ShardRouter"):
         self._router = router
 
-    def _holding(self, path: str) -> CloudServer:
-        """The shard a point read of ``path`` goes to: where it routes — or,
-        for a conflict copy, where it is: it was written beside the file it
-        lost to, and a top-level copy's own name (its whole namespace)
-        routes elsewhere, yet :meth:`paths` lists it."""
-        routed = self._router.shard_for_path(path)
-        if routed.store.exists(path) or not is_conflict_copy(path):
-            return routed
-        shards = self._router.shards
-        return next((shard for shard in shards if shard.store.exists(path)), routed)
+    def _store(self, path: str):
+        return self._router.shard_for_path(path).store
 
     def exists(self, path: str) -> bool:
-        return self._holding(path).store.exists(path)
+        return self._store(path).exists(path)
 
     def get(self, path: str):
-        return self._holding(path).store.get(path)
+        return self._store(path).get(path)
 
     def lookup(self, path: str):
-        return self._holding(path).store.lookup(path)
+        return self._store(path).lookup(path)
 
     def snapshot(self, version: VersionStamp) -> Optional[Pages]:
         for shard in self._router.shards:
@@ -141,10 +133,10 @@ class _StoreView:
         return None
 
     def history(self, path: str) -> List[VersionStamp]:
-        return self._holding(path).store.history(path)
+        return self._store(path).history(path)
 
     def restorable_history(self, path: str) -> List[VersionStamp]:
-        return self._holding(path).store.restorable_history(path)
+        return self._store(path).restorable_history(path)
 
     def paths(self) -> List[str]:
         out: List[str] = []
@@ -165,10 +157,14 @@ class ShardRouter:
             them via :attr:`shard_meters`) for per-shard load curves.
         vnodes: virtual nodes per shard on the hash ring.
         obs: observability hub, shared by the router and every shard.
-        relocation_window: bound on remembered cross-shard moves. An
-            entry aging out means later traffic for that path routes to
-            its natural shard again — acceptable for the same reason the
-            snapshot window is: only recent history must stay resolvable.
+
+    Between calls a file lives on its namespace's shard (the ring's
+    lookups are memoised per namespace and per client id). The one
+    exception is a hard link: every name bound to one shared
+    ``StoredFile`` lives on one shard, so a snapshot minted through one
+    name is in the window a delta through another reads. The link
+    directory ``_links`` maps each name a link bound to that shard; an
+    entry follows its name through renames and goes when it is unlinked.
     """
 
     def __init__(
@@ -178,7 +174,6 @@ class ShardRouter:
         meter: Optional[CostMeter] = None,
         vnodes: int = 32,
         obs: Observability = NULL_OBS,
-        relocation_window: int = 4096,
     ):
         self.obs = obs
         self.ring = HashRing(n_shards, vnodes=vnodes)
@@ -193,10 +188,7 @@ class ShardRouter:
         for index, shard in enumerate(self.shards):
             shard.shard_id = index
         self.store = _StoreView(self)
-        # path -> shard index, for files moved off their natural shard by
-        # a cross-shard link/group co-location. Bounded LRU.
-        self._relocated: "OrderedDict[str, int]" = OrderedDict()
-        self._relocation_window = relocation_window
+        self._links: Dict[str, int] = {}
         # client id -> (home shard index, registered shard indices).
         self._sessions: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self.migrations = 0
@@ -209,21 +201,15 @@ class ShardRouter:
         return len(self.shards)
 
     def shard_index_for_path(self, path: str) -> int:
-        """Owning shard index for ``path`` (honouring relocations)."""
-        relocated = self._relocated.get(path)
-        if relocated is not None:
-            self._relocated.move_to_end(path)
-            return relocated
-        if len(self.shards) == 1:
-            return 0
-        return self.ring.lookup(namespace_of(path))
+        """The shard ``path`` lives on: its link group's, else its
+        namespace's ring owner."""
+        linked = self._links.get(path)
+        return self.ring.lookup(namespace_of(path)) if linked is None else linked
 
     def shard_for_path(self, path: str) -> CloudServer:
         return self.shards[self.shard_index_for_path(path)]
 
     def home_shard_index(self, client_id: int) -> int:
-        if len(self.shards) == 1:
-            return 0
         return self.ring.lookup(f"client-{client_id}")
 
     # -- client registry ------------------------------------------------------
@@ -284,31 +270,45 @@ class ShardRouter:
     def handle(
         self, message: Message, origin_client: int = 0, ctx=None
     ) -> ApplyResult:
-        """Route one message to its owning shard, co-locating first when a
-        rename / link / transactional group spans shards.
+        """Route one message to the shard its paths live on; when a rename /
+        link / transactional group spans shards, move every touched file
+        onto one shard, apply there, and send every touched name home.
 
         Single-shard messages apply directly — bit-identically to an
         unsharded :class:`CloudServer` (``ctx`` just flows through to the
         apply span). Multi-shard messages get a ``server.shard.route``
-        wrapper span covering the co-locating migrations plus the target
-        shard's apply; the cross-process ``trace.link`` edge attaches to
-        the router span there, so the migrate step is inside the stitched
-        causal path.
+        wrapper span around the moves and the apply; the cross-process
+        ``trace.link`` edge attaches to it, so the migrate steps are inside
+        the stitched causal path.
         """
         indices = self._touched_shards(message)
         if len(indices) == 1:
-            return self.shards[indices[0]].handle(message, origin_client, ctx)
-        if not self.obs.enabled:
-            target = self._colocate(message, indices)
-            return self.shards[target].handle(message, origin_client)
-        target, _ = self._colocation_target(message, indices)
+            target = indices[0]
+            result = self.shards[target].handle(message, origin_client, ctx)
+            if result.conflict_paths or isinstance(message, (MetaOp, TxnGroup)):
+                self._settle(message, result, target, colocated=False)
+            return result
+        target, kind = self._colocation_target(message, indices)
         with self.obs.span(
             "server.shard.route", link=ctx, shards=len(indices), target=target
         ):
-            self._colocate(message, indices)
+            if kind == "rename":
+                self.cross_shard_renames += 1
+                if self.obs.enabled:
+                    self.obs.event(
+                        "server.shard.rename_forward",
+                        path=message.path,
+                        dest=message.dest,
+                        src_shard=self.shard_index_for_path(message.path),
+                        dst_shard=target,
+                    )
+            for path in message.touched_paths():
+                self._migrate(path, self.shard_index_for_path(path), target, reason=kind)
             # The apply span nests inside the route span; the link edge
             # already names the client cause, so don't re-link it here.
-            return self.shards[target].handle(message, origin_client)
+            result = self.shards[target].handle(message, origin_client)
+            self._settle(message, result, target, colocated=True)
+        return result
 
     def handle_envelope(
         self, envelope: Envelope, origin_client: int = 0
@@ -337,40 +337,45 @@ class ShardRouter:
     def _colocation_target(
         self, message: Message, indices: List[int]
     ) -> Tuple[int, str]:
-        """Where a multi-shard message will land, and why (side-effect free)."""
+        """Where a multi-shard message will land, and why (side-effect free):
+        with the first hard-linked name it touches, else — a rename or
+        link — on the destination's shard, so the new name is already
+        home, else on its first path's shard."""
         if isinstance(message, MetaOp) and message.kind in ("rename", "link"):
-            # Land on the destination's shard so the new name is natural.
-            return self.shard_index_for_path(message.dest), message.kind
-        kind = "group" if isinstance(message, TxnGroup) else "meta"
-        return indices[0], kind
+            target, kind = self.shard_index_for_path(message.dest), message.kind
+        else:
+            target = indices[0]
+            kind = "group" if isinstance(message, TxnGroup) else "meta"
+        linked = (self._links[p] for p in message.touched_paths() if p in self._links)
+        return next(linked, target), kind
 
-    def _colocate(self, message: Message, indices: List[int]) -> int:
-        """Move every touched file onto one shard; return its index.
+    def _settle(
+        self, message: Message, result: ApplyResult, target: int, *, colocated: bool
+    ) -> None:
+        """After shard ``target`` applied ``message``: follow its links,
+        renames and unlinks in the link directory, then send every touched
+        name (when it was co-located) and each conflict copy to the shard
+        it lives on."""
+        if result.ok:
+            self._relink(message, target)
+        touched = message.touched_paths() if colocated else ()
+        for path in (*touched, *result.conflict_paths):
+            self._migrate(path, target, self.shard_index_for_path(path), reason="home")
 
-        The rename two-step (and its generalization to links and
-        transactional groups): step one migrates stray source bundles
-        through the relocation table onto the *destination* shard — for a
-        rename, the shard owning ``dest``, so the file ends up placed
-        where its new name naturally routes; step two (the caller) hands
-        the whole message to that shard's ordinary apply path.
-        """
-        target, kind = self._colocation_target(message, indices)
-        if kind == "rename":
-            self.cross_shard_renames += 1
-            if self.obs.enabled:
-                self.obs.event(
-                    "server.shard.rename_forward",
-                    path=message.path,
-                    dest=message.dest,
-                    src_shard=self.shard_index_for_path(message.path),
-                    dst_shard=target,
-                )
-        for path in message.touched_paths():
-            self._migrate(path, target, reason=kind)
-        return target
+    def _relink(self, message: Message, target: int) -> None:
+        """A link puts both names on the source's shard, a rename carries
+        an entry to the new name and an unlink drops it, in member order."""
+        for op in getattr(message, "members", (message,)):
+            if not isinstance(op, MetaOp):
+                continue
+            if op.kind == "link":
+                self._links[op.path] = self._links[op.dest] = self._links.get(op.path, target)
+            elif op.kind in ("rename", "unlink") and op.path in self._links:
+                shard = self._links.pop(op.path)
+                if op.kind == "rename":
+                    self._links[op.dest] = shard
 
-    def _migrate(self, path: str, target: int, *, reason: str) -> None:
-        source = self.shard_index_for_path(path)
+    def _migrate(self, path: str, source: int, target: int, *, reason: str) -> None:
         if source == target:
             return
         bundle = self.shards[source].store.detach_entry(path)
@@ -387,7 +392,6 @@ class ShardRouter:
                 versions=len(lineage),
             )
         self.shards[target].store.attach_entry(path, stored, lineage, snapshots)
-        self._note_relocation(path, target)
         self.migrations += 1
         if self.obs.enabled:
             # versions is re-derived from the destination store *after*
@@ -401,19 +405,6 @@ class ShardRouter:
                 versions=len(self.shards[target].store.history(path)),
             )
             self.obs.inc("server.shard.migrations", reason=reason)
-
-    def _note_relocation(self, path: str, target: int) -> None:
-        natural = (
-            0 if len(self.shards) == 1 else self.ring.lookup(namespace_of(path))
-        )
-        if natural == target:
-            # Moved back home — no override needed.
-            self._relocated.pop(path, None)
-            return
-        self._relocated[path] = target
-        self._relocated.move_to_end(path)
-        while len(self._relocated) > self._relocation_window:
-            self._relocated.popitem(last=False)
 
     # -- aggregate accounting -------------------------------------------------
 
@@ -444,19 +435,18 @@ class ShardRouter:
             out.update(shard.dirs)
         return out
 
-    # -- read API (routed verbatim; content reads go where the store view's
-    # point lookups find the path) --------------------------------------------
+    # -- read API (routed by name) ---------------------------------------------
 
     def file_content(self, path: str) -> bytes:
-        return self.store._holding(path).file_content(path)
+        return self.shard_for_path(path).file_content(path)
 
     def file_version(self, path: str) -> Optional[VersionStamp]:
-        return self.store._holding(path).file_version(path)
+        return self.shard_for_path(path).file_version(path)
 
     def file_range(
         self, path: str, offset: int, length: int
     ) -> Tuple[bytes, Optional[VersionStamp]]:
-        return self.store._holding(path).file_range(path, offset, length)
+        return self.shard_for_path(path).file_range(path, offset, length)
 
     def resync_versions(
         self, paths: List[str]

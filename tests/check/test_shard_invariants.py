@@ -2,11 +2,12 @@
 
 The synthetic traces in test_invariants.py prove the verifier catches
 violations; this module proves the ShardRouter does not create any.  A
-cross-shard rename plus a concurrent write conflict run over lossy
-reliable transports, and the recorded trace must still satisfy
-INV-EXACTLY-ONCE, INV-CAUSAL-FIFO and INV-VERSION-MONO — the dedup
-window lives on the client's home shard and migration happens before
-apply, so retransmits and shard hops never double-apply or reorder.
+cross-shard rename, a cross-shard group and a concurrent write conflict
+run over lossy reliable transports, and the recorded trace must still
+satisfy INV-EXACTLY-ONCE, INV-CAUSAL-FIFO and INV-VERSION-MONO — the
+dedup window lives on the client's home shard and files migrate only
+before and after an apply, never during one, so retransmits and shard
+hops never double-apply or reorder.
 """
 
 import json
@@ -15,7 +16,7 @@ from repro.check import verify_trace
 from repro.common.clock import VirtualClock
 from repro.common.version import VersionStamp
 from repro.faults.network import NetworkFaults
-from repro.net.messages import MetaOp, UploadWrite
+from repro.net.messages import MetaOp, TxnGroup, UploadWrite
 from repro.net.reliable import ReliableTransport, RetryPolicy
 from repro.net.transport import LossyChannel
 from repro.obs import Observability
@@ -76,9 +77,19 @@ def test_sharded_lossy_run_preserves_invariants():
                    new_version=VersionStamp(1, 4)), clock.now())
     t1.settle(clock)
 
+    # And a transactional group spanning both creates a file in each: it
+    # applies on one shard, and the other file then moves home.
+    made = f"{ns2}/made.bin"
+    t1.send(TxnGroup(members=[
+        MetaOp(kind="create", path=f"{ns1}/made.bin", new_version=VersionStamp(1, 5)),
+        MetaOp(kind="create", path=made, new_version=VersionStamp(1, 6)),
+    ]), clock.now())
+    t1.settle(clock)
+
     # The scenario really exercised what it claims to.
     assert router.cross_shard_renames == 1
-    assert router.migrations >= 1
+    assert obs.metrics.snapshot()["server.shard.migrations{reason=home}"] >= 1
+    assert router.shard_for_path(made).store.exists(made)
     statuses = [r.status for log in (s.apply_log for s in router.shards)
                 for r in log]
     assert "conflict" in statuses

@@ -208,6 +208,10 @@ def _three_clients(server_kind: str):
     c.unlink("/gone")
     sim.settle()
     sim.flush()
+    # Placement is a function of the name: every file is on its own shard.
+    for index, shard in enumerate(getattr(sim.server, "shards", ())):
+        for path in shard.store.paths():
+            assert sim.server.shard_index_for_path(path) == index, path
     return _digest(obs, _replica_numbers(sim))
 
 

@@ -9,9 +9,12 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.errors import NotFoundError
+from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
+from repro.net.messages import MetaOp, TxnGroup, UploadWrite
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
+from repro.server.shard import ShardRouter
 from repro.sim import Simulation
 from repro.vfs.disk import LocalDirFileSystem
 from repro.vfs.filesystem import MemoryFileSystem
@@ -493,3 +496,64 @@ def test_recovered_version_map_follows_a_pending_rename():
     assert client.stats.deltas_kept == 1
     sim.settle()
     assert sim.converged() and client.stats.conflicts == 0
+
+
+def _group_router():
+    """A 4-shard router where /u1 and /u2 live on different shards, and
+    a file on each: ROADMAP item 9, ledger (ix)."""
+    router = ShardRouter(4)
+    assert router.shard_index_for_path("/u1/a") != router.shard_index_for_path("/u2/b")
+    for counter, path in enumerate(("/u1/a", "/u2/b"), 1):
+        router.handle(MetaOp(kind="create", path=path, new_version=VersionStamp(1, counter)))
+        router.handle(UploadWrite(
+            path=path, offset=0, data=path.encode(),
+            base_version=VersionStamp(1, counter), new_version=VersionStamp(2, counter),
+        ))
+    return router
+
+
+def _on_no_shard(router, path):
+    return not any(shard.store.exists(path) for shard in router.shards)
+
+
+def test_a_name_created_inside_a_colocated_group_is_found_by_its_name():
+    # The group lands on /u1's shard, so /u2/new was created there, and
+    # nothing recorded that it was: reads of it raised NotFoundError.
+    router = _group_router()
+    new = "/u2/new"
+    group = TxnGroup(members=[
+        UploadWrite(path="/u1/a", offset=0, data=b"A", base_version=VersionStamp(2, 1),
+                    new_version=VersionStamp(3, 1)),
+        MetaOp(kind="create", path=new, new_version=VersionStamp(3, 2)),
+        UploadWrite(path=new, offset=0, data=b"new", base_version=VersionStamp(3, 2),
+                    new_version=VersionStamp(3, 3)),
+    ])
+    assert router.handle(group).ok
+    assert router.file_content(new) == b"new"
+    assert router.file_version(new) == VersionStamp(3, 3)
+    assert router.version_history(new) == [VersionStamp(3, 2), VersionStamp(3, 3)]
+    router.handle(MetaOp(kind="unlink", path=new))
+    assert _on_no_shard(router, new)
+
+
+def test_a_file_a_group_moved_survives_later_colocations():
+    # The moved file was found through a 4 096-entry LRU: 4 097 later
+    # co-locations evicted its entry, reads raised, and an unlink routed to
+    # its own shard left the file orphaned where the group had put it.
+    router = _group_router()
+    group = TxnGroup(members=[
+        UploadWrite(path="/u1/a", offset=0, data=b"A", base_version=VersionStamp(2, 1),
+                    new_version=VersionStamp(3, 1)),
+        UploadWrite(path="/u2/b", offset=0, data=b"B", base_version=VersionStamp(2, 2),
+                    new_version=VersionStamp(3, 2)),
+    ])
+    assert router.handle(group).ok
+    for i in range(4097):
+        router.handle(MetaOp(kind="create", path=f"/u2/f{i}"))
+        router.handle(TxnGroup(members=[
+            MetaOp(kind="create", path=f"/u1/g{i}"),
+            MetaOp(kind="create", path=f"/u2/f{i}"),
+        ]))
+    assert router.file_content("/u2/b") == b"Bu2/b"
+    router.handle(MetaOp(kind="unlink", path="/u2/b"))
+    assert _on_no_shard(router, "/u2/b")

@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter
-from repro.net.messages import Envelope, MetaOp, TxnGroup, UploadWrite
+from repro.delta.bitwise import bitwise_delta
+from repro.net.messages import Envelope, MetaOp, TxnGroup, UploadDelta, UploadWrite
 from repro.server import CloudServer, HashRing, ShardRouter, namespace_of
 
 
@@ -23,6 +24,13 @@ def _two_namespaces_on_different_shards(router):
 
 def _stamp(counter, client=1):
     return VersionStamp(client, counter)
+
+
+def assert_placed(router):
+    """Every path on shard *i* is a path the router places on shard *i*."""
+    for index, shard in enumerate(router.shards):
+        for path in shard.store.paths():
+            assert router.shard_index_for_path(path) == index, (path, index)
 
 
 class TestNamespaceAndRing:
@@ -133,7 +141,7 @@ class TestCrossShardRename:
 
     def test_cross_shard_group_colocates_members(self):
         router = ShardRouter(4)
-        (_, ns1), (s2, ns2) = _two_namespaces_on_different_shards(router)
+        (s1, ns1), (s2, ns2) = _two_namespaces_on_different_shards(router)
         a, b = f"{ns2}/a", f"{ns1}/b"
         router.handle(MetaOp(kind="create", path=a, new_version=_stamp(1)))
         router.handle(MetaOp(kind="create", path=b, new_version=_stamp(2)))
@@ -145,12 +153,85 @@ class TestCrossShardRename:
         ])
         result = router.handle(group)
         assert result.ok
-        assert router.migrations == 1  # b moved next to a
-        # Both members live on the group's primary shard now.
+        assert router.migrations == 2  # b moved next to a, then back home
         assert router.shards[s2].store.exists(a)
-        assert router.shards[s2].store.exists(b)
-        # The relocation table keeps routing b to its adopted shard.
-        assert router.shard_index_for_path(b) == s2
+        assert not router.shards[s2].store.exists(b)
+        assert router.shards[s1].store.exists(b)
+        assert router.shard_index_for_path(b) == s1
+        assert router.file_content(b) == b"B"
+        assert_placed(router)
+
+
+def _write(path, base, new, data, offset=0):
+    return UploadWrite(path=path, offset=offset, data=data,
+                       base_version=_stamp(base), new_version=_stamp(new))
+
+
+def _delta(path, base, new, old, target):
+    """A delta through ``path`` whose COPY ops read the snapshot of
+    ``base``, whichever name minted it."""
+    return UploadDelta(path=path, base_version=_stamp(base), new_version=_stamp(new),
+                       content_base=_stamp(base), delta=bitwise_delta(old, target, 4))
+
+
+class TestHardLinkAcrossShards:
+    """One file, two names: ``/notes`` and ``/notes~`` are two top-level
+    namespaces on two shards, and ``/c`` is on a third. A router must
+    answer every message exactly as a bare server does — in particular a
+    delta through one name whose content base was minted through the
+    other, wherever a rename, link or group took either name."""
+
+    LINKED = [
+        MetaOp(kind="create", path="/notes", new_version=_stamp(1)),
+        _write("/notes", 1, 2, b"0123456789"),
+        MetaOp(kind="link", path="/notes", dest="/notes~"),
+        _write("/notes~", 2, 3, b"AB"),
+        _write("/notes", 3, 4, b"YZ", offset=8),  # b"AB234567YZ"
+    ]
+    TAILS = {
+        "unlink-first": [
+            _delta("/notes~", 4, 5, b"AB234567YZ", b"AB23--4567YZ"),
+            MetaOp(kind="unlink", path="/notes"),
+        ],
+        "unlink-second": [
+            _delta("/notes~", 4, 5, b"AB234567YZ", b"AB23--4567YZ"),
+            MetaOp(kind="unlink", path="/notes~"),
+        ],
+        "rename-first-away": [
+            MetaOp(kind="rename", path="/notes", dest="/c"),
+            _write("/c", 4, 5, b"!!"),
+            _delta("/notes~", 5, 6, b"!!234567YZ", b"!!23--4567YZ"),
+        ],
+        "link-second-again": [
+            MetaOp(kind="link", path="/notes~", dest="/c"),
+            _write("/c", 4, 5, b"!!"),
+            _delta("/notes", 5, 6, b"!!234567YZ", b"!!23--4567YZ"),
+        ],
+        "group-led-elsewhere": [
+            MetaOp(kind="create", path="/c", new_version=_stamp(5)),
+            TxnGroup(members=[
+                _write("/c", 5, 6, b"c"),
+                _delta("/notes~", 4, 7, b"AB234567YZ", b"AB23--4567YZ"),
+            ]),
+        ],
+    }
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_router_answers_like_a_bare_server(self, tail):
+        bare, router = CloudServer(), ShardRouter(4)
+        assert len({router.shard_index_for_path(p) for p in ("/notes", "/notes~", "/c")}) == 3
+        for message in self.LINKED + self.TAILS[tail]:
+            a, b = bare.handle(message, 1), router.handle(message, 1)
+            assert (a.status, a.version) == (b.status, b.version), message
+            assert_placed(router)
+            for path in bare.store.paths():
+                assert router.file_content(path) == bare.file_content(path)
+                assert router.file_version(path) == bare.file_version(path)
+                assert router.version_history(path) == bare.version_history(path)
+        assert router.store.paths() == bare.store.paths()
+        assert all(r.ok for r in bare.apply_log)
+        # The link directory names live files only.
+        assert set(router._links) <= set(bare.store.paths())
 
 
 class TestSessions:
@@ -258,6 +339,12 @@ class TestStoreView:
         copies = [p for p in router.store.paths() if "conflicted copy" in p]
         assert len(copies) == len(names)
         return router
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 8])
+    def test_conflict_copies_live_on_their_own_shard(self, n_shards):
+        """A top-level copy's own name is its whole namespace: written
+        beside the file it lost to, it is moved to its own shard."""
+        assert_placed(self._four_conflicts(n_shards))
 
     @pytest.mark.parametrize("n_shards", [1, 4, 8])
     def test_point_lookups_find_every_listed_path(self, n_shards):
