@@ -4,14 +4,15 @@
   (Adler-32-style), also reused as the integrity block checksum
   (paper Section III-E).
 - :mod:`repro.chunking.strong` — metered strong checksums (MD5/SHA-256).
-- :mod:`repro.chunking.fixed` — fixed-size block chunking (rsync).
 - :mod:`repro.chunking.cdc` — content-defined chunking via a gear hash
   (LBFS/Seafile style).
+
+Fixed-size block signatures (rsync) are
+:func:`repro.delta.rsync.compute_signature`.
 """
 
 from repro.chunking.rolling import RollingChecksum, weak_checksum
 from repro.chunking.strong import strong_checksum, dedup_hash
-from repro.chunking.fixed import fixed_chunks, FixedChunk
 from repro.chunking.cdc import cdc_chunks, CDCChunk, GearHasher
 
 __all__ = [
@@ -19,8 +20,6 @@ __all__ = [
     "weak_checksum",
     "strong_checksum",
     "dedup_hash",
-    "fixed_chunks",
-    "FixedChunk",
     "cdc_chunks",
     "CDCChunk",
     "GearHasher",

@@ -96,7 +96,7 @@ def compute_delta_ref(
     if n == 0:
         return delta
 
-    weak_index: Dict[int, list] = signature.weak_index()
+    weak_index: Dict[int, List[int]] = signature.weak_index()
     literal_start = 0
     pos = 0
     rolling_a = rolling_b = 0
@@ -116,14 +116,15 @@ def compute_delta_ref(
         matched_block = None
         if weak in weak_index:
             window = target[pos : pos + block_size]
-            for block in weak_index[weak]:
+            for i in weak_index[weak]:
                 if base is not None:
-                    if base[block.offset : block.offset + block_size] == window:
-                        matched_block = block
+                    start = i * block_size
+                    if base[start : start + block_size] == window:
+                        matched_block = i
                         break
                 else:
-                    if block.strong == strong_checksum(window):
-                        matched_block = block
+                    if signature.strongs[i] == strong_checksum(window):
+                        matched_block = i
                         break
         if matched_block is None:
             out_byte = target[pos]
@@ -135,7 +136,7 @@ def compute_delta_ref(
             continue
         if pos > literal_start:
             delta.append(Literal(target[literal_start:pos]))
-        delta.append(Copy(matched_block.offset, block_size))
+        delta.append(Copy(matched_block * block_size, block_size))
         pos += block_size
         literal_start = pos
         rolling_valid = False

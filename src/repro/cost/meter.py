@@ -12,7 +12,8 @@ class CostMeter:
     """Accumulates CPU ticks by category.
 
     One meter per principal (client or server). Algorithms call
-    :meth:`charge_bytes` / :meth:`charge_ops` as they work; experiment
+    :meth:`charge_bytes` / :meth:`charge_ops` as they work (and
+    :meth:`charge_repeat` for many equal charges at once); experiment
     harnesses read :attr:`total` at the end, which plays the role of the
     "CPU tick" columns of Table II.
     """
@@ -30,6 +31,26 @@ class CostMeter:
         self._ticks[category] += ticks
         self._bytes[category] += nbytes
         return ticks
+
+    def charge_repeat(self, category: str, nbytes: int, times: int) -> float:
+        """Charge ``times`` equal pieces of per-byte work in one call.
+
+        The tick total grows by the same float additions, in the same
+        order, as ``times`` calls of :meth:`charge_bytes` would make, so a
+        batched caller leaves every total bit-identical. Returns the ticks
+        added.
+        """
+        if nbytes < 0 or times < 0:
+            raise ValueError("nbytes and times must be non-negative")
+        if not times:
+            return 0.0
+        ticks = self.profile.per_byte(category, nbytes)
+        before = total = self._ticks[category]
+        for _ in range(times):
+            total += ticks
+        self._ticks[category] = total
+        self._bytes[category] += nbytes * times
+        return total - before
 
     def charge_ops(self, count: int = 1) -> float:
         """Charge fixed per-operation overhead (interception, syscall)."""
@@ -76,6 +97,11 @@ class _NullMeter(CostMeter):
     def charge_bytes(self, category: str, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        return 0.0
+
+    def charge_repeat(self, category: str, nbytes: int, times: int) -> float:
+        if nbytes < 0 or times < 0:
+            raise ValueError("nbytes and times must be non-negative")
         return 0.0
 
     def charge_ops(self, count: int = 1) -> float:

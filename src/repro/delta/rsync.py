@@ -4,6 +4,8 @@ Pipeline:
 
 1. **Signature** — the holder of the *old* file splits it into fixed-size
    blocks and computes a (weak rolling, strong MD5) checksum pair per block.
+   The signature keeps them as two lists; a block is its index *i*, at base
+   offset ``i * block_size``.
 2. **Scan** — the holder of the *new* file slides a block-sized window over
    it, computing the weak checksum at every byte offset. When the weak
    checksum hits the signature's hash table, the strong checksum confirms
@@ -16,12 +18,15 @@ checksum of every candidate window + signature of the old file) is exactly
 why the paper calls rsync "CPU intensive".
 
 The scan is vectorized and demand-driven: weak checksums are computed with
-prefix sums (bit-identical to rolling) one fixed-size segment of offsets at
-a time, only for segments the greedy walk actually stands in, and the walk
-visits only the candidate offsets of that segment. With both versions local
-a confirmed match is extended by comparing the files directly, so a run of
-unchanged blocks costs a few ``memcmp`` calls and no scan. Metering is
-unaffected — we charge for the logical per-byte work.
+prefix sums (bit-identical to rolling) one window of offsets at a time,
+starting where the greedy walk stands, and the walk visits only the
+candidate offsets of that window. A window opens ``block_size + 1`` offsets
+wide — far enough to reach the next block boundary, where an in-place edit
+resynchronises — and doubles, up to ``_SCAN_SEGMENT``, while it finds no
+match. With both versions local a confirmed match is extended by comparing
+the files directly, so a run of unchanged blocks costs a few ``memcmp``
+calls, one meter call and no scan. Metering is unaffected — we charge for
+the logical per-byte work.
 """
 
 from __future__ import annotations
@@ -32,61 +37,73 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.chunking._fast import all_offset_weak_checksums
-from repro.chunking.fixed import FixedChunk, fixed_chunks
-from repro.chunking.strong import strong_checksum
+from repro.chunking._fast import all_offset_weak_checksums, block_weak_checksums_array
+from repro.chunking.strong import strong_checksum, strong_checksums
 from repro.common import wire
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.delta.format import Copy, Delta, Literal
 
 
-# Offsets whose weak checksums one scan step computes: 16 K offsets keep the
-# prefix sums and their ~8 temporaries (4 B each) L2-resident, and bound the
-# scanning wasted past a dirty region to a few blocks' worth.
+# Most offsets whose weak checksums one scan step computes: 16 K offsets keep
+# the prefix sums and their ~8 temporaries (4 B each) L2-resident, and bound
+# the scanning wasted past a dirty region to a few blocks' worth.
 _SCAN_SEGMENT = 16 * 1024
 
-# Longest single compare of the run gallop, in bytes. Slices up to 64 KB come
-# from the allocator's free lists; larger ones are mmap'd and page-faulted on
-# every compare.
+# Whole blocks the first window spans past the offset it opens at — at
+# offset 0 and wherever a match run ends. One block (``block_size + 1``
+# offsets) reaches the next block boundary, the nearest offset where an
+# in-place edit can resynchronise. A window that finds no match doubles, up
+# to ``_SCAN_SEGMENT`` offsets; a match sends the next one back to this size.
+_FIRST_WINDOW_BLOCKS = 1
+
+# Longest single compare of the run gallop, in bytes. A stride that differs
+# is compared again in halves, so this bounds the bytes re-read where a run
+# ends; 256 KB strides measured no faster on word_save's saves.
 _GALLOP_MAX_BYTES = 64 * 1024
 
 
-_BLOCK = wire.Schema(
-    "signature block",
-    wire.u32be("weak"),
-    wire.when_set("strong", wire.opaque(16, "MD5 digest"), 0),
-    factory=FixedChunk,
-)
+_WEAK = wire.Schema("weak checksum", wire.u32be("weak"), scalar=True)
+_STRONG = wire.Schema("strong checksum", wire.opaque(16, "MD5 digest"), scalar=True)
 
 
 @wire.record(
     wire.u32be("block_size"),
     wire.u64be("base_size"),
-    wire.items("blocks", _BLOCK, wire.u32be),
+    wire.items("weaks", _WEAK, wire.u32be),
+    wire.when_set("strongs", wire.items("strongs", _STRONG), 0),
 )
 @dataclass
 class Signature:
     """Block signature of a base file.
 
+    Only full blocks are signed: block *i* is
+    ``base[i * block_size : (i + 1) * block_size]``.
+
     Attributes:
         block_size: block size used.
         base_size: size of the base file.
-        blocks: the per-block checksums of the full blocks, in file order
-            (``blocks[i]`` signs ``base[i * block_size : (i + 1) * block_size]``).
-        with_strong: whether strong checksums were computed (classic rsync)
-            or skipped (DeltaCFS bitwise mode).
+        weaks: ``weaks[i]`` is block *i*'s weak checksum.
+        strongs: ``strongs[i]`` is block *i*'s MD5 digest (classic rsync),
+            or ``None`` when strong checksums were skipped (DeltaCFS
+            bitwise mode).
     """
 
     block_size: int
     base_size: int
-    blocks: List[FixedChunk]
-    with_strong: bool
+    weaks: List[int]
+    strongs: List[bytes] | None
 
-    def weak_index(self) -> Dict[int, List[FixedChunk]]:
-        """Hash table mapping weak checksum -> blocks with that checksum."""
-        index: Dict[int, List[FixedChunk]] = {}
-        for block in self.blocks:
-            index.setdefault(block.weak, []).append(block)
+    @property
+    def with_strong(self) -> bool:
+        """Whether strong checksums were computed."""
+        return self.strongs is not None
+
+    def weak_index(self) -> Dict[int, List[int]]:
+        """Hash table mapping weak checksum -> the indices of the blocks
+        with that checksum, in file order."""
+        index: Dict[int, List[int]] = {}
+        for i, weak in enumerate(self.weaks):
+            index.setdefault(weak, []).append(i)
         return index
 
 
@@ -97,16 +114,29 @@ def compute_signature(
     with_strong: bool = True,
     meter: CostMeter = NULL_METER,
 ) -> Signature:
-    """Compute the rsync signature of ``base``."""
-    blocks = fixed_chunks(base, block_size, with_strong=with_strong, meter=meter)
-    # Only full blocks participate in matching; a short tail block would
-    # produce false matches at the wrong window size.
-    blocks = [b for b in blocks if b.length == block_size]
+    """Compute the rsync signature of ``base``.
+
+    The meter is charged for checksumming all of ``base``, as the signing
+    side of rsync does; only full blocks are kept, since a short tail block
+    would produce false matches at the wrong window size. With
+    ``with_strong=False`` no MD5 is computed — DeltaCFS verifies candidate
+    matches by bitwise comparison instead.
+    """
+    if block_size <= 0:
+        raise ValueError("block_size must be positive")
+    n = len(base)
+    signed = n // block_size * block_size
+    view = memoryview(base)
+    meter.charge_bytes("rolling_checksum", n)
+    weaks = block_weak_checksums_array(view[:signed], block_size).tolist()
+    strongs = None
+    if with_strong:
+        meter.charge_bytes("strong_checksum", n)
+        strongs = strong_checksums(
+            view[off : off + block_size] for off in range(0, signed, block_size)
+        )
     return Signature(
-        block_size=block_size,
-        base_size=len(base),
-        blocks=blocks,
-        with_strong=with_strong,
+        block_size=block_size, base_size=n, weaks=weaks, strongs=strongs
     )
 
 
@@ -124,7 +154,7 @@ class _CandidateScan:
         self,
         target: memoryview,
         block_size: int,
-        weak_index: Dict[int, List[FixedChunk]],
+        weak_index: Dict[int, List[int]],
     ):
         self._target = target
         self._block_size = block_size
@@ -172,14 +202,18 @@ def compute_delta(
     The ops and every meter charge are those of the byte-at-a-time greedy
     walk (:func:`repro.chunking._reference.compute_delta_ref`); only the
     work done to find them follows the changed bytes. Weak checksums are
-    scanned one segment of ``_SCAN_SEGMENT`` offsets at a time, and only
-    when the walk stands in a segment; with ``base`` given, a COPY of base
-    block *j* is followed by comparing the target against base blocks
-    *j+1, j+2, …* directly. A window equal to base block *i* has block
-    *i*'s weak checksum — already in the signature — hence the same peer
-    list, the same first matching peer and the same compares charged as
-    the walk would reach by scanning, so no offset inside such a run is
-    scanned at all.
+    scanned one window at a time, from where the walk stands: the window
+    at offset 0 and the first one after a match are ``block_size + 1``
+    offsets wide (``_FIRST_WINDOW_BLOCKS``), and each window that finds no
+    match doubles the next, up to ``_SCAN_SEGMENT``. With ``base`` given, a
+    COPY of base block *j* is followed by comparing the target against base
+    blocks *j+1, j+2, …* directly. A window equal to base block *i* has
+    block *i*'s weak checksum — already in the signature — hence the same
+    peer list, the same first matching peer and the same compares charged
+    as the walk would reach by scanning, so no offset inside such a run is
+    scanned at all. A block whose weak value no other block shares costs
+    the walk exactly one compare; a stretch of them is charged in one
+    :meth:`~repro.cost.meter.CostMeter.charge_repeat` call.
     """
     if base is None and not signature.with_strong:
         raise ValueError(
@@ -194,26 +228,31 @@ def compute_delta(
 
     # The rolling scan touches every byte of the new file once.
     meter.charge_bytes("rolling_checksum", n)
-    blocks = signature.blocks
+    weaks, strongs = signature.weaks, signature.strongs
     weak_index = signature.weak_index()
+    # Blocks whose weak value another block shares, in file order: inside a
+    # run, the only blocks whose compares the walk does not know in advance.
+    shared = sorted(
+        i for peers in weak_index.values() if len(peers) > 1 for i in peers
+    )
+    # Bitwise compares are ``base.startswith(view of target, offset)``: one
+    # memcmp in place, copying neither side (``memoryview ==`` would walk
+    # item by item).
     tview = memoryview(target)
     gallop_cap = max(1, _GALLOP_MAX_BYTES // block_size)
 
-    def first_match(peers: List[FixedChunk], pos: int) -> FixedChunk | None:
+    def first_match(peers: List[int], pos: int) -> int | None:
         """The first peer equal to the window at ``pos``; charges each visit."""
+        view = tview[pos : pos + block_size]
         if base is not None:
-            # bytes slices: a 4 KB memcpy + memcmp beats a memoryview
-            # compare, which walks item by item.
-            window = target[pos : pos + block_size]
-            for block in peers:
+            for i in peers:
                 meter.charge_bytes("bitwise_compare", block_size)
-                if base[block.offset : block.offset + block_size] == window:
-                    return block
+                if base.startswith(view, i * block_size):
+                    return i
         else:
-            view = tview[pos : pos + block_size]
-            for block in peers:
-                if block.strong == strong_checksum(view, meter):
-                    return block
+            for i in peers:
+                if strongs[i] == strong_checksum(view, meter):
+                    return i
         return None
 
     def extend_run(pos: int, j: int) -> int:
@@ -224,48 +263,56 @@ def compute_delta(
         Compares gallop in doubling strides of whole blocks; a stride that
         differs is halved until the run's last block is found.
         """
+        uncharged = j  # first block of the run whose compare is not charged
         stride, growing = 1, True
         while stride:
-            count = min(stride, (n - pos) // block_size, len(blocks) - j)
+            count = min(stride, (n - pos) // block_size, len(weaks) - j)
             if count <= 0:
                 break
             start = j * block_size
             end = start + count * block_size
-            if target[pos : pos + end - start] == base[start:end]:
+            if base.startswith(tview[pos : pos + end - start], start):
                 unsent = start  # base offset the next COPY of this stride starts at
-                for block in blocks[j : j + count]:
-                    peers = weak_index[block.weak]
-                    if len(peers) == 1:
-                        # The window equals this block and no other block
-                        # shares its weak value: one compare, this block.
-                        meter.charge_bytes("bitwise_compare", block_size)
-                    elif (named := first_match(peers, pos)) is not block:
+                lo = bisect_left(shared, j)
+                for i in shared[lo : bisect_left(shared, j + count, lo)]:
+                    # Blocks before i equal the window and share their weak
+                    # value with no other block: one compare each.
+                    meter.charge_repeat("bitwise_compare", block_size, i - uncharged)
+                    uncharged = i + 1
+                    at = pos + (i - j) * block_size  # where block i's window starts
+                    named = first_match(weak_index[weaks[i]], at)
+                    if named != i:
                         # An identical block sits earlier in the base; the
                         # walk names that one.
-                        if block.offset > unsent:
-                            delta.append(Copy(unsent, block.offset - unsent))
-                        delta.append(Copy(named.offset, block_size))
-                        unsent = block.offset + block_size
-                    pos += block_size
+                        offset = i * block_size
+                        if offset > unsent:
+                            delta.append(Copy(unsent, offset - unsent))
+                        delta.append(Copy(named * block_size, block_size))
+                        unsent = offset + block_size
                 if end > unsent:
                     delta.append(Copy(unsent, end - unsent))
+                pos += end - start
                 j += count
             else:
                 growing = False
             stride = min(2 * count, gallop_cap) if growing else count // 2
+        meter.charge_repeat("bitwise_compare", block_size, j - uncharged)
         return pos
 
     scan = _CandidateScan(tview, block_size, weak_index).scan
     # Last offset a whole window fits at; an empty signature matches nothing.
-    last = n - block_size if weak_index else -1
+    last = n - block_size if weaks else -1
+    first_window = min(_FIRST_WINDOW_BLOCKS * block_size + 1, _SCAN_SEGMENT)
+    window = first_window
     literal_start = 0
     pos = 0
     while pos <= last:
-        segment_end = min((pos // _SCAN_SEGMENT + 1) * _SCAN_SEGMENT, last + 1)
-        candidates, cand_weaks = scan(pos, segment_end)
+        window_end = min(pos + window, last + 1)
+        candidates, cand_weaks = scan(pos, window_end)
+        window = min(2 * window, _SCAN_SEGMENT)
         num_candidates = len(candidates)
         ci = 0
-        while ci < num_candidates and pos < segment_end:
+        while ci < num_candidates and pos < window_end:
             if candidates[ci] < pos:
                 # A COPY or a run consumed candidate offsets; binary-search
                 # to the next candidate at or after pos instead of stepping
@@ -273,20 +320,21 @@ def compute_delta(
                 ci = bisect_left(candidates, pos, ci + 1)
                 continue
             pos = candidates[ci]
-            matched_block = first_match(weak_index[cand_weaks[ci]], pos)
-            if matched_block is None:
+            matched = first_match(weak_index[cand_weaks[ci]], pos)
+            if matched is None:
                 ci += 1
                 pos += 1
                 continue
             if pos > literal_start:
                 delta.append(Literal(target[literal_start:pos]))
-            delta.append(Copy(matched_block.offset, block_size))
+            delta.append(Copy(matched * block_size, block_size))
             pos += block_size
             if base is not None:
-                pos = extend_run(pos, matched_block.index + 1)
+                pos = extend_run(pos, matched + 1)
             literal_start = pos
-        # No candidate is left before the segment's end, or a run went past it.
-        pos = max(pos, segment_end)
+            window = first_window
+        # No candidate is left before the window's end, or a run went past it.
+        pos = max(pos, window_end)
 
     if literal_start < n:
         delta.append(Literal(target[literal_start:]))

@@ -52,16 +52,39 @@ class TestCharging:
         with pytest.raises(AttributeError):
             meter.charge_bytes("not_a_category", 10)
 
+    @pytest.mark.parametrize("times", [1, 3, 449])
+    def test_repeat_adds_the_floats_of_repeated_charges(self, times):
+        single, batched = CostMeter(), CostMeter()
+        for meter in (single, batched):
+            meter.charge_bytes("bitwise_compare", 777)  # an odd running total
+        for _ in range(times):
+            single.charge_bytes("bitwise_compare", 4096)
+        before = batched.total
+        added = batched.charge_repeat("bitwise_compare", 4096, times)
+        assert repr(batched.total) == repr(single.total)
+        assert batched.bytes_by_category == single.bytes_by_category
+        assert added == batched.total - before
+
+    def test_repeat_of_nothing_leaves_no_category(self):
+        meter = CostMeter()
+        assert meter.charge_repeat("bitwise_compare", 4096, 0) == 0.0
+        assert meter.bytes_by_category == {} and meter.by_category == {}
+        with pytest.raises(ValueError):
+            meter.charge_repeat("bitwise_compare", 4096, -1)
+
 
 class TestNullMeter:
     def test_discards_everything(self):
         NULL_METER.charge_bytes("encrypt", 1_000_000)
+        NULL_METER.charge_repeat("encrypt", 1_000_000, 5)
         NULL_METER.charge_ops(1000)
         assert NULL_METER.total == 0.0
 
     def test_still_validates(self):
         with pytest.raises(ValueError):
             NULL_METER.charge_bytes("encrypt", -1)
+        with pytest.raises(ValueError):
+            NULL_METER.charge_repeat("encrypt", 1, -1)
 
 
 class TestProfiles:

@@ -132,16 +132,14 @@ def _digest(data: bytes) -> str:
 def _signature_record(base: bytes, *, with_strong: bool):
     """Stable digest of a signature: weak values + strong digests."""
     sig = compute_signature(base, BLOCK_SIZE, with_strong=with_strong)
-    weak_blob = b"".join(b.weak.to_bytes(4, "big") for b in sig.blocks)
+    weak_blob = b"".join(w.to_bytes(4, "big") for w in sig.weaks)
     record = {
-        "blocks": len(sig.blocks),
+        "blocks": len(sig.weaks),
         "weak_sha256": _digest(weak_blob),
         "wire_size": sig.wire_size(),
     }
     if with_strong:
-        record["strong_sha256"] = _digest(
-            b"".join(b.strong for b in sig.blocks)
-        )
+        record["strong_sha256"] = _digest(b"".join(sig.strongs))
     return sig, record
 
 

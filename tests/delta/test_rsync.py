@@ -19,7 +19,8 @@ def _rng(seed=1):
 class TestSignature:
     def test_only_full_blocks_signed(self):
         sig = compute_signature(b"x" * (BLOCK * 3 + 100), BLOCK)
-        assert len(sig.blocks) == 3
+        assert len(sig.weaks) == len(sig.strongs) == 3
+        assert sig.base_size == BLOCK * 3 + 100
 
     def test_wire_size_scales_with_blocks(self):
         small = compute_signature(b"x" * BLOCK, BLOCK)
@@ -30,12 +31,12 @@ class TestSignature:
         data = b"A" * BLOCK * 3  # identical blocks share a weak sum
         sig = compute_signature(data, BLOCK)
         index = sig.weak_index()
-        assert len(index) == 1
-        assert len(next(iter(index.values()))) == 3
+        assert list(index.values()) == [[0, 1, 2]]
 
     def test_without_strong_has_none(self):
         sig = compute_signature(b"x" * BLOCK * 2, BLOCK, with_strong=False)
-        assert all(b.strong is None for b in sig.blocks)
+        assert sig.strongs is None
+        assert sig.wire_size() == 16 + 4 * 2
 
 
 class TestComputeDelta:

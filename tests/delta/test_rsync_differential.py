@@ -9,6 +9,11 @@ bytes — and the meter must read what a counting walk charges: one
 per peer visited, plus the two ``rolling_checksum`` sweeps. Totals are
 compared by ``repr``, so a batched charge that drifts by one compare or one
 float ulp fails.
+
+The first window, the doubling and the cap are tuned down so the scan's
+windows stay small on these inputs; a run that alternates unique-weak
+blocks with collision-peered ones checks that the run's batched charge
+adds the same floats in the same order as the walk's per-block compares.
 """
 
 import hashlib
@@ -42,22 +47,22 @@ def counting_walk(base, target, block_size, remote, meter):
     while pos + block_size <= len(target):
         window = target[pos : pos + block_size]
         matched = None
-        for block in index.get(weak_checksum(window), ()):
+        for i in index.get(weak_checksum(window), ()):
             if remote:
                 meter.charge_bytes("strong_checksum", block_size)
-                hit = block.strong == hashlib.md5(window).digest()
+                hit = signature.strongs[i] == hashlib.md5(window).digest()
             else:
                 meter.charge_bytes("bitwise_compare", block_size)
-                hit = base[block.offset : block.offset + block_size] == window
+                hit = base[i * block_size : (i + 1) * block_size] == window
             if hit:
-                matched = block
+                matched = i
                 break
         if matched is None:
             pos += 1
             continue
         if pos > literal_start:
             delta.append(Literal(target[literal_start:pos]))
-        delta.append(Copy(matched.offset, block_size))
+        delta.append(Copy(matched * block_size, block_size))
         pos += block_size
         literal_start = pos
     if literal_start < len(target):
@@ -105,16 +110,47 @@ def base_and_target(draw):
     return block_size, base, bytes(target)
 
 
+@st.composite
+def runs_split_by_collisions(draw):
+    """A run whose blocks alternate between ones no other block shares a
+    weak value with and ones a ``_weak_collision`` twin elsewhere in the
+    base does: the run's batched charge for the first kind is split by the
+    per-peer compares of the second."""
+    block_size = draw(st.sampled_from([8, 16, 32]))
+    # bytes in 2..254 leave every block room for a collision twin
+    block = st.lists(
+        st.integers(2, 254), min_size=block_size, max_size=block_size
+    ).map(bytes)
+    pairs = draw(st.lists(st.tuples(block, block), min_size=1, max_size=8))
+    run = b"".join(unique + peered for unique, peered in pairs)
+    twins = b"".join(_weak_collision(peered) for _, peered in pairs)
+    # twins first: the walk compares each twin before the block itself
+    base = twins + run if draw(st.booleans()) else run + twins
+    target = bytearray(draw(st.binary(max_size=3)) + run)
+    if draw(st.booleans()):
+        target[draw(st.integers(0, len(target) - 1))] ^= 0xFF  # break the run
+    return block_size, base, bytes(target)
+
+
 @pytest.mark.parametrize("remote", [False, True], ids=["bitwise", "remote"])
 @given(
-    case=base_and_target(),
-    # the shipped constants, and ones small enough that these inputs cross
-    # segment boundaries and break gallop strides
+    case=st.one_of(base_and_target(), runs_split_by_collisions()),
+    # (_SCAN_SEGMENT, _GALLOP_MAX_BYTES, _FIRST_WINDOW_BLOCKS): the shipped
+    # constants, and ones small enough that windows on these inputs double
+    # and cap (0 opens every window at one offset, 7 caps them below one
+    # block) and gallop strides break
     tuning=st.sampled_from(
-        [(rsync._SCAN_SEGMENT, rsync._GALLOP_MAX_BYTES), (48, 64), (7, 1 << 20)]
+        [
+            (rsync._SCAN_SEGMENT, rsync._GALLOP_MAX_BYTES, rsync._FIRST_WINDOW_BLOCKS),
+            (48, 64, 1),
+            (7, 1 << 20, 1),
+            (48, 64, 0),
+            (7, 1 << 20, 0),
+            (100, 64, 2),
+        ]
     ),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_same_bytes_and_same_charges_as_the_walk(remote, case, tuning):
     block_size, base, target = case
     meter = CostMeter()
@@ -123,7 +159,10 @@ def test_same_bytes_and_same_charges_as_the_walk(remote, case, tuning):
     )
     local = None if remote else base
     with mock.patch.multiple(
-        rsync, _SCAN_SEGMENT=tuning[0], _GALLOP_MAX_BYTES=tuning[1]
+        rsync,
+        _SCAN_SEGMENT=tuning[0],
+        _GALLOP_MAX_BYTES=tuning[1],
+        _FIRST_WINDOW_BLOCKS=tuning[2],
     ):
         delta = compute_delta(signature, target, base=local, meter=meter)
 
