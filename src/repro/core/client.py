@@ -221,8 +221,13 @@ class DeltaCFSClient(PassthroughFileSystem):
     # ------------------------------------------------------------------
     # file operations (the FUSE surface)
     # ------------------------------------------------------------------
+    # Each op first asks the backing store for the canonical spelling of
+    # its names (a bound name is returned as is): the queue, version map,
+    # relation table, checksums and messages see one name per file, and
+    # the store's own lookups below are plain key hits.
 
     def create(self, path: str) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         existed = self.inner.exists(path)
         self.inner.create(path)
@@ -237,6 +242,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("create", path, None, new_version=version, now=now)
 
     def write(self, path: str, offset: int, data: bytes) -> None:
+        path = self.inner.canonical(path)
         if not data:
             # write(2) with count 0 changes nothing. Forwarded, the backing
             # store would zero-fill a gap past EOF that no shipped run
@@ -332,6 +338,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         return start, self.inner.read(path, start, size)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
+        path = self.inner.canonical(path)
         self._tick()
         if self.checksums is None or self._unsynced(path):
             return self.inner.read(path, offset, length)
@@ -352,6 +359,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         return data
 
     def truncate(self, path: str, length: int) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         if self._unsynced(path):
             self.inner.truncate(path, length)
@@ -379,6 +387,7 @@ class DeltaCFSClient(PassthroughFileSystem):
                     self.checksums.reindex(alias, self.inner.read_file(alias))
 
     def rename(self, src: str, dst: str) -> None:
+        src, dst = self.inner.canonical(src), self.inner.canonical(dst)
         now = self._tick()
         if self._unsynced(src) and self._unsynced(dst):
             self.inner.rename(src, dst)
@@ -432,6 +441,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             )
 
     def link(self, src: str, dst: str) -> None:
+        src, dst = self.inner.canonical(src), self.inner.canonical(dst)
         now = self._tick()
         self.inner.link(src, dst)
         if self._unsynced(dst):
@@ -442,6 +452,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("link", src, dst, new_version=None, now=now)
 
     def unlink(self, path: str) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         if self._unsynced(path):
             self.inner.unlink(path)
@@ -486,6 +497,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             self._enqueue_meta("unlink", path, None, new_version=None, now=now)
 
     def close(self, path: str) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         self.inner.close(path)
         if self._unsynced(path):
@@ -493,6 +505,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._pack_and_maybe_compress(path, now)
 
     def mkdir(self, path: str) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         self.inner.mkdir(path)
         if self._unsynced(path):
@@ -500,6 +513,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("mkdir", path, None, new_version=None, now=now)
 
     def rmdir(self, path: str) -> None:
+        path = self.inner.canonical(path)
         now = self._tick()
         self.inner.rmdir(path)
         if self._unsynced(path):
@@ -559,6 +573,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             raise RuntimeError("no server attached")
         from repro.net.messages import HistoryRequest, HistoryResponse
 
+        path = self.inner.canonical(path)
         now = self.clock.now()
         self.channel.upload(HistoryRequest(path=path), now)
         versions = self.server.version_history(path)
@@ -577,6 +592,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             raise RuntimeError("no server attached")
         from repro.net.messages import RestoreRequest
 
+        path = self.inner.canonical(path)
         now = self.clock.now()
         pending = self.queue.pending_nodes(path)
         if pending:

@@ -55,6 +55,20 @@ class ApplyResult:
         return self.status == "applied"
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What ``CloudServer.apply_log`` keeps of one apply: its status. One
+    shared value per status, so the log holds no reply, ack or conflict
+    list — nothing the cyclic collector has to walk."""
+
+    status: str
+    ok: bool
+
+
+APPLIED = Outcome("applied", True)
+CONFLICT = Outcome("conflict", False)
+
+
 # A forward sink receives (origin_client_id, message) for fan-out.
 ForwardSink = Callable[[int, Message], None]
 
@@ -94,7 +108,7 @@ class CloudServer:
         # fan-out order is identical to the pre-index full scan.
         self._reg_seq: Dict[int, int] = {}
         self._reg_counter = 0
-        self.apply_log: List[ApplyResult] = []
+        self.apply_log: List[Outcome] = []
         # Order in which paths reached their current content — used by the
         # causal-ordering reliability test (Table IV "Causal" column).
         self.upload_order: List[str] = []
@@ -195,7 +209,7 @@ class CloudServer:
                 result = self._apply_group(message, origin_client)
             else:
                 result = self._apply_one(message, {})
-            self.apply_log.append(result)
+            self.apply_log.append(APPLIED if result.ok else CONFLICT)
             if self.obs.enabled:
                 if result.ok:
                     self.obs.inc("server.apply.applied", type=kind)

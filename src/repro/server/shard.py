@@ -46,7 +46,7 @@ from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter
 from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
 from repro.obs import NULL_OBS, Observability
-from repro.server.cloud import ApplyResult, CloudServer, ForwardSink
+from repro.server.cloud import ApplyResult, CloudServer, ForwardSink, Outcome
 
 
 def namespace_of(path: str) -> str:
@@ -409,10 +409,10 @@ class ShardRouter:
     # -- aggregate accounting -------------------------------------------------
 
     @property
-    def apply_log(self) -> List[ApplyResult]:
+    def apply_log(self) -> List[Outcome]:
         """Interleaved apply log across shards is meaningless; expose the
         concatenation in shard order for coarse assertions only."""
-        out: List[ApplyResult] = []
+        out: List[Outcome] = []
         for shard in self.shards:
             out.extend(shard.apply_log)
         return out

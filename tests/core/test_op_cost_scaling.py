@@ -22,9 +22,17 @@ and with any one of the three scans put back alone the gate still fails
 (KV: four cases, 1.6-3.3x; directory entries: write+close and forward,
 1.6x and 1.9x; queue: both unlinks and forward, 2.0-5.2x). With the
 indexes every case is 1.00x: the counts do not move at all.
+
+Beside it, three exact work gates on the fleet path's per-op tax: an op on
+names the store already binds normalises nothing (``posixpath.normpath``
+runs only for a name no store holds yet), ``MemoryFileSystem.size`` builds
+no ``Stat``, and the server's apply log keeps no ``ApplyResult`` alive.
 """
 
+import gc
+import posixpath
 import sys
+import weakref
 
 import pytest
 
@@ -32,9 +40,10 @@ from repro.common.clock import VirtualClock
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
 from repro.kvstore.kv import MemoryKV
-from repro.net.messages import Forward, UploadWrite
+from repro.net.messages import Forward, MetaOp, UploadWrite
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
+from repro.vfs import filesystem
 from repro.vfs.filesystem import MemoryFileSystem
 
 SMALL, SCALE, LIMIT = 8, 16, 1.25
@@ -132,3 +141,38 @@ def test_the_ops_did_what_they_claim():
     forward(client)
     assert client.inner.read("/s0003", 0, 512) == b"y" * 512
     assert client.stats.conflicts == 0
+
+
+@pytest.mark.parametrize("op", [write_close, forward, unlink_synced])
+def test_an_op_on_bound_names_normalises_nothing(op, monkeypatch):
+    client = build(SMALL)
+    calls = []
+    normpath = posixpath.normpath
+    monkeypatch.setattr(
+        posixpath, "normpath", lambda path: calls.append(path) or normpath(path)
+    )
+    op(client)
+    assert calls == []
+
+
+def test_size_reads_the_inode_and_builds_no_stat(monkeypatch):
+    fs = MemoryFileSystem()
+    fs.create("/f")
+    fs.write("/f", 0, b"abc")
+    built = []
+    stat = filesystem.Stat
+    monkeypatch.setattr(filesystem, "Stat", lambda **kw: built.append(kw) or stat(**kw))
+    assert fs.size("/f") == 3
+    assert built == []
+
+
+def test_the_apply_log_keeps_no_result():
+    server = build(SMALL).server
+    result = server.handle(MetaOp(kind="create", path="/new", new_version=VersionStamp(9, 1)))
+    assert result.ok and server.apply_log[-1].ok
+    alive = weakref.ref(result)
+    del result
+    gc.collect()
+    assert alive() is None
+    assert len(server.apply_log) > 2
+    assert len({id(outcome) for outcome in server.apply_log}) <= 2

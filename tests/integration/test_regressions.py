@@ -557,3 +557,51 @@ def test_a_file_a_group_moved_survives_later_colocations():
     assert router.file_content("/u2/b") == b"Bu2/b"
     router.handle(MetaOp(kind="unlink", path="/u2/b"))
     assert _on_no_shard(router, "/u2/b")
+
+
+def _synced_dir():
+    """A client and server that both hold /d/f, with content."""
+    clock, client, server = build()
+    client.mkdir("/d")
+    client.create("/d/f")
+    client.write("/d/f", 0, bytes(range(256)) * 64)
+    client.close("/d/f")
+    settle(clock, client)
+    return clock, client, server
+
+
+def test_every_spelling_of_a_name_syncs_as_that_one_file():
+    # The client queued writes under the name as spelled: the local store
+    # normalised each spelling to its one file /d/f, while the cloud
+    # created /d//f, /d/./f and d/f beside it.
+    clock, client, server = _synced_dir()
+    for index, spelling in enumerate(("/d//f", "/d/./f", "d/f")):
+        client.write(spelling, 8 * index, b"edit")
+        client.close(spelling)
+    settle(clock, client)
+    assert sorted(server.store.paths()) == list(client.inner.walk_files()) == ["/d/f"]
+    assert converged(client, server)
+    assert all(r.status == "applied" for r in server.apply_log)
+    # The version-control ops take any spelling of the name too.
+    history = client.version_history("/d//f")
+    assert len(history) > 1 and history == client.version_history("/d/f")
+    restored = client.restore_version("d/f", history[0])
+    assert client.inner.read_file("/d/f") == restored == server.file_content("/d/f")
+    assert list(client.versions) == ["/d/f"]
+
+
+def test_a_save_renamed_onto_another_spelling_still_triggers_the_delta():
+    # The relation entry is keyed by the name the backup rename saw (/d/f);
+    # a save renamed onto /d//f missed it, so no delta was triggered and
+    # the save shipped as RPC under a second cloud name.
+    clock, client, server = _synced_dir()
+    content = client.inner.read_file("/d/f")
+    client.create("/d/f.tmp")
+    client.write("/d/f.tmp", 0, content[:100] + b"edit" + content[104:])
+    client.close("/d/f.tmp")
+    client.rename("/d/f", "/d/f~")
+    client.rename("/d/f.tmp", "/d//f")
+    settle(clock, client)
+    assert client.stats.deltas_triggered == 1
+    assert server.file_content("/d/f") == content[:100] + b"edit" + content[104:]
+    assert converged(client, server)
