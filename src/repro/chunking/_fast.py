@@ -1,21 +1,28 @@
-"""Vectorized (numpy) implementations of the per-byte checksum kernels.
+"""Vectorized (numpy) kernels of the rsync weak checksum.
 
-The algorithms are byte-at-a-time in the paper's C prototype; in Python we
-vectorize them so the benchmark harness can replay multi-megabyte traces.
-The results are bit-identical to the pure-Python reference implementations
-(property-tested in ``tests/chunking``, golden-tested against committed
-fixtures in ``tests/delta``), and cost metering is unaffected — callers
-charge for the logical bytes processed either way.
+The checksum (:func:`repro.chunking.rolling.weak_checksum`) is two sums of a
+window's bytes reduced mod 2¹⁶: ``a``, the plain sum, and ``b``, each byte
+weighted by its distance from the window's end. The paper's C prototype
+computes them a byte at a time; these kernels compute the same values a
+block or a window at a time, bit-identical to the per-byte references in
+:mod:`repro.chunking._reference` (property-tested in ``tests/chunking``,
+golden-tested against committed fixtures in ``tests/delta``). Callers
+charge the meter for the logical bytes either way.
 
-Two facts make these kernels fast (see docs/performance.md):
+Every kernel computes in the checksum's own ring, wrapping ``uint16``:
+add, subtract and multiply wrap mod 2¹⁶ there, which is exactly the
+reduction the checksum asks for. No sum can overflow into a wrong answer,
+so nothing is masked, no block size needs a wider type, and each pass
+touches two bytes per input byte. Only the packed result, ``b << 16 | a``,
+is ``uint32``.
 
-- the weak checksum's modulus is ``2^16``, so every ``% _MOD`` is a bitwise
-  AND — numpy's integer modulo is division-based and an order of magnitude
-  slower than ``&``;
-- for the standard 4 KB block, every intermediate sum provably fits in
-  ``uint32`` (max weighted block sum: ``255 * 4096 * 4097 / 2 < 2^31``), so
-  the block kernels run in uint32 and touch half the memory of the uint64
-  formulation. Larger blocks fall back to uint64 with per-term reduction.
+- :func:`block_weak_checksums_array` lays the blocks out as the rows of a
+  zero-padded ``uint16`` batch: ``a`` is the row sum, ``b`` the row sum
+  after weighting by the descending weights. Padding a partial last block
+  with zeros leaves its ``a`` alone and raises every byte's weight by the
+  pad, so its ``b`` takes one scalar correction, ``b -= pad * a``.
+- :func:`all_offset_weak_checksums` reads ``a`` and ``b`` at every offset
+  off two prefix sums (see the function).
 """
 
 from __future__ import annotations
@@ -23,82 +30,64 @@ from __future__ import annotations
 import numpy as np
 
 _MOD = 1 << 16
-_MASK = np.uint32(_MOD - 1)
-_MASK64 = np.uint64(_MOD - 1)
 
-# Largest block size whose weighted sum fits uint32 without per-term
-# reduction: 255 * b * (b + 1) / 2 < 2^32  holds for b <= 5792.
-_U32_SAFE_BLOCK = 4096
+# Bytes of the block sweep reduced per batch: the 512 KB uint16 copy of a
+# batch, weighted in place, stays cache-resident, and the per-batch numpy
+# call overhead is amortised over 64 standard blocks. Of 32 KB to 2 MB
+# batches, 256 KB swept a 2 MB buffer fastest (128 KB: +10 %, 2 MB: +80 %).
+_SWEEP_BATCH_BYTES = 256 * 1024
 
-# Rows of the block sweep reduced per batch: the uint32 copy of 128 KB and
-# its weighted product fit L2, and the per-batch numpy call overhead is
-# still amortised over 32 standard blocks.
-_SWEEP_BATCH_BYTES = 128 * 1024
-
-
-def _as_u32(data) -> np.ndarray:
-    return np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+# ``(2^16 - i) mod 2^16``: a block of ``B <= 2^16`` bytes weighs its bytes
+# ``B, B-1, ..., 1``, which is the last ``B`` entries. Built once, so every
+# block size up to 64 KB shares it and none pins an array of its own.
+_DESCENDING = np.arange(_MOD, 0, -1, dtype=np.uint32).astype(np.uint16)
 
 
-def weak_checksum_np(data: bytes) -> int:
-    """Weak checksum of a whole buffer (same value as ``weak_checksum``)."""
-    if not data:
-        return 0
-    d = _as_u32(data)
-    n = len(d)
-    a = int(d.sum(dtype=np.uint64)) & 0xFFFF
-    # b = sum (n - i) * d[i]; reduce each term mod 2^16 so the uint64
-    # running sum cannot overflow for any buffer numpy can hold.
-    weights = np.arange(n, 0, -1, dtype=np.uint32) & _MASK
-    b = int((weights * d & _MASK).sum(dtype=np.uint64)) & 0xFFFF
-    return (b << 16) | a
-
-
-def _block_sums(rows: np.ndarray, block_size: int) -> np.ndarray:
-    """Weak checksums of ``rows`` (a ``(k, block_size)`` uint8 array)."""
-    if block_size <= _U32_SAFE_BLOCK:
-        body = rows.astype(np.uint32)
-        a = body.sum(axis=1, dtype=np.uint32) & _MASK
-        body *= np.arange(block_size, 0, -1, dtype=np.uint32)
-        b = body.sum(axis=1, dtype=np.uint32) & _MASK
-    else:
-        body64 = rows.astype(np.uint64)
-        a = body64.sum(axis=1) & _MASK64
-        body64 *= np.arange(block_size, 0, -1, dtype=np.uint64)
-        body64 &= _MASK64
-        b = body64.sum(axis=1) & _MASK64
-    return (b.astype(np.uint64) << np.uint64(16)) | a.astype(np.uint64)
+def _weights(block_size: int) -> np.ndarray:
+    """``block_size, ..., 2, 1`` mod 2^16, as ``uint16``."""
+    if block_size <= _MOD:
+        return _DESCENDING[_MOD - block_size :]
+    return np.arange(block_size, 0, -1).astype(np.uint16)
 
 
 def block_weak_checksums_array(data: bytes, block_size: int) -> np.ndarray:
-    """Weak checksum of each fixed-size block of ``data`` as a uint64 array.
+    """Weak checksum of each fixed-size block of ``data`` as a ``uint32`` array.
 
-    One vectorized pass over the whole buffer — callers sweeping many
-    blocks (signature side, checksum-store span updates and verifies)
-    should use this instead of checksumming block-by-block: the per-call
-    ``frombuffer``/``astype`` setup dominates for 4 KB blocks. The pass
-    runs in row batches of ``_SWEEP_BATCH_BYTES`` so the widened copy and
-    its weighted product stay cache-resident instead of being materialised
-    at 4x (or 8x) the size of the whole buffer; a buffer of at most one
-    batch is a single batch.
+    The last block may be partial. One vectorized pass over the whole
+    buffer — callers sweeping many blocks (signature side, checksum-store
+    span updates and verifies) should use this instead of checksumming
+    block by block: the per-call setup dominates for 4 KB blocks. The pass
+    runs in row batches of at most ``_SWEEP_BATCH_BYTES``, one ``uint16``
+    buffer reused by every batch, so the widened copy and its weighted
+    product stay cache-resident instead of being materialised at twice the
+    size of the whole buffer.
     """
-    if not data:
-        return np.empty(0, dtype=np.uint64)
     n = len(data)
-    full = n // block_size
-    parts = []
-    if full:
-        body = np.frombuffer(data, dtype=np.uint8, count=full * block_size)
-        body = body.reshape(full, block_size)
-        step = max(1, _SWEEP_BATCH_BYTES // block_size)
-        for row in range(0, full, step):
-            parts.append(_block_sums(body[row : row + step], block_size))
-    tail = data[full * block_size :]
-    if tail:
-        parts.append(np.array([weak_checksum_np(tail)], dtype=np.uint64))
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    blocks = -(-n // block_size)
+    if not blocks:
+        return np.empty(0, dtype=np.uint32)
+    weights = _weights(block_size)
+    d = np.frombuffer(data, dtype=np.uint8)
+    a = np.empty(blocks, dtype=np.uint16)
+    b = np.empty(blocks, dtype=np.uint16)
+    step = max(1, _SWEEP_BATCH_BYTES // block_size)
+    batch = np.empty((min(step, blocks), block_size), dtype=np.uint16)
+    for row in range(0, blocks, step):
+        rows = batch[: min(step, blocks - row)]
+        flat = rows.reshape(-1)
+        chunk = d[row * block_size : row * block_size + flat.size]
+        flat[: chunk.size] = chunk
+        flat[chunk.size :] = 0
+        rows.sum(axis=1, dtype=np.uint16, out=a[row : row + len(rows)])
+        rows *= weights
+        rows.sum(axis=1, dtype=np.uint16, out=b[row : row + len(rows)])
+    pad = blocks * block_size - n
+    if pad:
+        b[-1] = (int(b[-1]) - pad * int(a[-1])) % _MOD
+    out = b.astype(np.uint32)
+    out <<= 16
+    out |= a
+    return out
 
 
 def block_weak_checksums(data: bytes, block_size: int) -> list[int]:
@@ -109,20 +98,19 @@ def block_weak_checksums(data: bytes, block_size: int) -> list[int]:
 def all_offset_weak_checksums(data: bytes | memoryview, window: int) -> np.ndarray:
     """Weak checksum of every length-``window`` substring of ``data``.
 
-    Returns an array ``w`` with ``w[o]`` the checksum of
-    ``data[o:o+window]`` for ``o`` in ``[0, len(data) - window]``.
-    Uses two prefix-sum passes:
+    Returns a ``uint32`` array ``w`` with ``w[o]`` the checksum of
+    ``data[o:o+window]`` for ``o`` in ``[0, len(data) - window]``. With
+    ``P`` the prefix sum of the bytes (``P[k] = data[0] + … + data[k-1]``)
+    and ``Q`` the prefix sum of ``P[1:]`` (``Q[k] = P[1] + … + P[k]``):
 
-    - ``a(o) = S[o+window] - S[o]`` with ``S`` the prefix sum of bytes;
-    - ``b(o) = (window + o) * a(o) - (T[o+window] - T[o])`` with ``T`` the
-      prefix sum of ``i * data[i]``.
+    - ``a(o) = P[o+window] - P[o]``;
+    - ``b(o) = Q[o+window] - Q[o] - window * P[o]``, because
+      ``P[o+1] + … + P[o+window]`` counts each byte of the window once per
+      prefix it ends before — its weight, ``window - i`` — and every byte
+      before ``o`` ``window`` times.
 
-    Every sum runs in *wrapping* uint32: because 2^16 divides 2^32, values
-    congruent mod 2^32 stay congruent mod 2^16, so prefix-sum overflow on
-    large buffers is harmless — the final ``& 0xFFFF`` recovers the exact
-    per-byte result. Running the cumulative passes in uint32 instead of
-    uint64 halves their memory traffic, and they are the serial (non-SIMD)
-    part of this kernel that dominates its runtime.
+    Both prefix sums and every difference run in wrapping ``uint16``, so
+    no index array and no per-byte product is built.
     """
     n = len(data)
     if window <= 0:
@@ -130,26 +118,16 @@ def all_offset_weak_checksums(data: bytes | memoryview, window: int) -> np.ndarr
     if n < window:
         return np.empty(0, dtype=np.uint32)
     d = np.frombuffer(data, dtype=np.uint8)
-
-    # cumsum upcasts uint8 on the fly — no 4-bytes-per-byte copy of data.
-    prefix = np.empty(n + 1, dtype=np.uint32)
+    prefix = np.empty(n + 1, dtype=np.uint16)
     prefix[0] = 0
-    np.cumsum(d, dtype=np.uint32, out=prefix[1:])
-    a = prefix[window:] - prefix[:-window]  # wraps mod 2^32; masked below
-    a &= _MASK
-
-    idx = np.arange(n, dtype=np.uint32)
-    idx &= _MASK
-    # masked index (< 2^16) times a byte (< 2^8) stays far below 2^32.
-    weighted = idx * d
-    tprefix = np.empty(n + 1, dtype=np.uint32)
-    tprefix[0] = 0
-    np.cumsum(weighted, dtype=np.uint32, out=tprefix[1:])
-    tspan = tprefix[window:] - tprefix[:-window]  # wraps mod 2^32
-
-    offsets = idx[: n - window + 1]
-    # The product and subtraction wrap mod 2^32 too; same congruence.
-    b = (np.uint32(window) + offsets & _MASK) * a
-    b -= tspan
-    b &= _MASK
-    return (b << np.uint32(16)) | a
+    np.cumsum(d, dtype=np.uint16, out=prefix[1:])
+    twice = np.empty(n + 1, dtype=np.uint16)
+    twice[0] = 0
+    np.cumsum(prefix[1:], dtype=np.uint16, out=twice[1:])
+    a = prefix[window:] - prefix[:-window]
+    b = twice[window:] - twice[:-window]
+    b -= np.uint16(window % _MOD) * prefix[:-window]
+    out = b.astype(np.uint32)
+    out <<= 16
+    out |= a
+    return out

@@ -21,14 +21,15 @@ _MOD = 1 << 16
 def weak_checksum(data: bytes, meter: CostMeter = NULL_METER) -> int:
     """Compute the 32-bit weak checksum of ``data`` from scratch.
 
-    Large buffers take a vectorized path (bit-identical results); the cost
-    charged is the same either way because it reflects logical work.
+    Large buffers are one block of the vectorized block kernel
+    (bit-identical results); the cost charged is the same either way
+    because it reflects logical work.
     """
     meter.charge_bytes("rolling_checksum", len(data))
     if len(data) > 512:
-        from repro.chunking._fast import weak_checksum_np
+        from repro.chunking._fast import block_weak_checksums_array
 
-        return weak_checksum_np(data)
+        return int(block_weak_checksums_array(data, len(data))[0])
     a = 0
     b = 0
     n = len(data)

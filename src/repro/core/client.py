@@ -302,10 +302,15 @@ class DeltaCFSClient(PassthroughFileSystem):
         # keyed by seq, so a coalesced write simply overwrites it.
         self._journal_node(node)
 
+        changed, length = offset, len(data)
         if self.checksums is not None:
-            start, span = self._checksummed_span(path, offset, len(data))
-            self.checksums.update_blocks(path, span, offset, len(data), start=start)
-        self._sync_aliases(path, offset, len(data))
+            # Past EOF the store zero-filled [old_size, offset): the old
+            # partial tail block and the gap's blocks changed as well.
+            changed = min(offset, old_size)
+            length += offset - changed
+            start, span = self._checksummed_span(path, changed, length)
+            self.checksums.update_blocks(path, span, changed, length, start=start)
+        self._sync_aliases(path, changed, length)
 
     def _sync_aliases(self, path: str, offset: int, length: int) -> None:
         """Mirror a content change onto hard-linked names.

@@ -145,6 +145,25 @@ def test_alias_read_verifies_after_cross_link_write():
     assert client.stats.corruptions_detected == 0
 
 
+def test_a_write_past_eof_rechecksums_the_zero_filled_gap():
+    # The write zero-fills [100, 10 000): the old partial tail block and the
+    # gap's blocks changed, but only the blocks under the written bytes were
+    # re-checksummed. The read then raised a false CorruptionDetected and the
+    # repair replaced the local file with the stale 100-byte cloud copy.
+    clock, client, server = build()
+    client.create("/f")
+    client.write("/f", 0, b"x" * 100)
+    client.close("/f")
+    settle(clock, client)
+    client.write("/f", 10_000, b"y" * 50)
+    assert client.read("/f", 0, 200) == b"x" * 100 + bytes(100)
+    assert client.stats.corruptions_detected == 0
+    client.close("/f")
+    settle(clock, client)
+    assert server.file_content("/f") == b"x" * 100 + bytes(9_900) + b"y" * 50
+    assert converged(client, server)
+
+
 def _empty_write_past_eof(sim):
     """ROADMAP item 4, ledger (ii): a zero-length write past EOF used to
     zero-extend the local file while the Sync Queue shipped no run."""
