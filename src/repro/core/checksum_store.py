@@ -87,7 +87,7 @@ class ChecksumStore:
         return weaks
 
     def update_blocks(
-        self, path: str, content: bytes, offset: int, length: int, *, start: int = 0
+        self, names, content: bytes, offset: int, length: int, *, start: int = 0
     ) -> None:
         """Recompute checksums for the blocks touched by a write.
 
@@ -95,28 +95,32 @@ class ChecksumStore:
         ``start`` on (the whole file, or just :meth:`span_of` the write).
         The cost charged covers only the touched blocks — this is the
         "little overhead" the paper claims for checksum maintenance. The
-        touched span is checksummed in one bulk pass, not block-by-block.
+        touched span is checksummed in one bulk pass, not block-by-block,
+        once for all of the file's synced ``names`` (a ``str`` is one name).
         """
         if length <= 0:
             return
         indices = block_range(offset, length, self.block_size)
         weaks = self._span_weaks(content, indices[0], indices[-1], start)
-        for rel, index in enumerate(indices):
-            weak = weaks[rel]
-            if weak is not None:
-                self.kv.put(_key(path, index), _pack(weak))
-            else:
-                self.kv.delete(_key(path, index))
+        for name in (names,) if isinstance(names, str) else names:
+            for rel, index in enumerate(indices):
+                weak = weaks[rel]
+                if weak is not None:
+                    self.kv.put(_key(name, index), _pack(weak))
+                else:
+                    self.kv.delete(_key(name, index))
 
-    def reindex(self, path: str, content: bytes) -> None:
-        """Recompute the whole file's checksums (truncate, rename-in)."""
-        self.kv.delete_prefix(path.encode() + b"\x00")
+    def reindex(self, names, content: bytes) -> None:
+        """Recompute the whole file's checksums (truncate, rename-in) under
+        each of its synced ``names``, computed once."""
+        weaks: List[int] = []
         if content:
             self.meter.charge_bytes("rolling_checksum", len(content))
-            for index, checksum in enumerate(
-                block_weak_checksums(content, self.block_size)
-            ):
-                self.kv.put(_key(path, index), _pack(checksum))
+            weaks = block_weak_checksums(content, self.block_size)
+        for name in (names,) if isinstance(names, str) else names:
+            self.kv.delete_prefix(name.encode() + b"\x00")
+            for index, weak in enumerate(weaks):
+                self.kv.put(_key(name, index), _pack(weak))
 
     def rename(self, src: str, dst: str) -> None:
         """Move all checksums from ``src`` to ``dst`` (no recomputation)."""

@@ -260,19 +260,21 @@ class DeltaCFSClient(PassthroughFileSystem):
         # NFS-like file RPC: the written bytes are captured here, for free.
         self.meter.charge_bytes("write_io", len(data))
 
-        node = self.queue.active_write_node(path)
+        names = self.inner.linked_paths(path)
+        node = self._write_node_of(path, names)
         if node is None and self.undo is not None and self.undo.has_log(path):
             # The queue packed and shipped the node this log grew with (an open
             # file's writes came due): its base is not the next node's.
             self._undo_clear(path)
         old_size = self.inner.size(path)
-        if self.undo is not None and offset < old_size:
-            old_slice = self.inner.read(
-                path, offset, min(len(data), old_size - offset)
-            )
-            self._undo_record(path, offset, len(data), old_slice, old_size)
-        elif self.undo is not None:
-            self._undo_record(path, offset, len(data), b"", old_size)
+        if self.undo is not None:
+            old_slice = b""
+            if offset < old_size:
+                old_slice = self.inner.read(
+                    path, offset, min(len(data), old_size - offset)
+                )
+            owner = path if node is None else node.path
+            self._undo_record(owner, offset, len(data), old_slice, old_size)
 
         self.inner.write(path, offset, data)
 
@@ -289,7 +291,6 @@ class DeltaCFSClient(PassthroughFileSystem):
                 path=path, base_version=base, new_version=self._mint()
             )
             self.queue.enqueue(node, now)
-            self.versions[path] = node.new_version
         else:
             self.queue.note_mutation(node)
             self.queue.note_coalesced(node, offset, len(data))
@@ -302,36 +303,50 @@ class DeltaCFSClient(PassthroughFileSystem):
         # keyed by seq, so a coalesced write simply overwrites it.
         self._journal_node(node)
 
-        changed, length = offset, len(data)
-        if self.checksums is not None:
-            # Past EOF the store zero-filled [old_size, offset): the old
-            # partial tail block and the gap's blocks changed as well.
-            changed = min(offset, old_size)
-            length += offset - changed
-            start, span = self._checksummed_span(path, changed, length)
-            self.checksums.update_blocks(path, span, changed, length, start=start)
-        self._sync_aliases(path, changed, length)
+        # Past EOF the store zero-filled [old_size, offset): the old partial
+        # tail block and the gap's blocks changed as well.
+        changed = min(offset, old_size)
+        self._file_changed(
+            path, node.new_version, names, changed, offset + len(data) - changed
+        )
 
-    def _sync_aliases(self, path: str, offset: int, length: int) -> None:
-        """Mirror a content change onto hard-linked names.
+    def _write_node_of(self, path: str, names: List[str]) -> Optional[WriteNode]:
+        """The file's active write node, under whichever of its ``names`` it
+        was opened: one write node and one undo log per file."""
+        node = self.queue.active_write_node(path)
+        if node is None and len(names) > 1:
+            node = next(filter(None, map(self.queue.active_write_node, names)), None)
+        return node
 
-        Other names of the same inode saw the same bytes change: their
-        synced-version bookkeeping and block checksums must follow, or a
-        later write through the alias would look stale to the server and a
-        verified read through it would false-alarm.
-        """
-        aliases = [p for p in self.inner.linked_paths(path) if p != path]
-        if not aliases:
+    def _file_changed(
+        self,
+        path: str,
+        version: Optional[VersionStamp],
+        names: Optional[List[str]] = None,
+        offset: int = 0,
+        length: Optional[int] = None,
+    ) -> None:
+        """``path``'s file changed bytes or stamp: every one of its ``names``
+        takes ``version``, tmp-area names too (a preserved copy is the base a
+        relation's delta names), and every synced one the checksums of
+        ``[offset, offset+length)`` — the whole file when ``length`` is
+        ``None``, none when 0 — computed once."""
+        if names is None:
+            try:
+                names = self.inner.linked_paths(path)
+            except NotFoundError:  # a forwarded unlink, or a directory
+                return
+        for name in names:
+            self.versions[name] = version
+        if self.checksums is None or length == 0:
             return
-        version = self.versions.get(path)
-        if self.checksums is not None:
+        if len(names) > 1:
+            names = [name for name in names if not self._unsynced(name)]
+        if length is None:
+            self.checksums.reindex(names, self.inner.read_file(path))
+        else:
             start, span = self._checksummed_span(path, offset, length)
-        for alias in aliases:
-            if self._unsynced(alias):
-                continue
-            self.versions[alias] = version
-            if self.checksums is not None:
-                self.checksums.update_blocks(alias, span, offset, length, start=start)
+            self.checksums.update_blocks(names, span, offset, length, start=start)
 
     def _checksummed_span(
         self, path: str, offset: int, length: Optional[int]
@@ -369,27 +384,23 @@ class DeltaCFSClient(PassthroughFileSystem):
         if self._unsynced(path):
             self.inner.truncate(path, length)
             return
+        names = self.inner.linked_paths(path)
+        node = self._write_node_of(path, names)
+        owner = path if node is None else node.path
         old_size = self.inner.size(path)
         if self.undo is not None and length < old_size:
             tail = self.inner.read(path, length, old_size - length)
-            self._undo_record(path, length, len(tail), tail, old_size)
+            self._undo_record(owner, length, len(tail), tail, old_size)
         self.inner.truncate(path, length)
         self._journal_forget_relations(self.relations.invalidate_dst(path))
-        self._pack_and_maybe_compress(path, now)
+        self._pack_and_maybe_compress(owner, now)
         base = self.versions.get(path)
         node = TruncateNode(
             path=path, length=length, base_version=base, new_version=self._mint()
         )
         self.queue.enqueue(node, now)
         self._journal_node(node)
-        self.versions[path] = node.new_version
-        if self.checksums is not None:
-            self.checksums.reindex(path, self.inner.read_file(path))
-        for alias in self.inner.linked_paths(path):
-            if alias != path and not self._unsynced(alias):
-                self.versions[alias] = node.new_version
-                if self.checksums is not None:
-                    self.checksums.reindex(alias, self.inner.read_file(alias))
+        self._file_changed(path, node.new_version, names)
 
     def rename(self, src: str, dst: str) -> None:
         src, dst = self.inner.canonical(src), self.inner.canonical(dst)
@@ -451,9 +462,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.inner.link(src, dst)
         if self._unsynced(dst):
             return
-        self.versions[dst] = self.versions.get(src)
-        if self.checksums is not None:
-            self.checksums.reindex(dst, self.inner.read_file(dst))
+        self._file_changed(dst, self.versions.get(src))
         self._enqueue_meta("link", src, dst, new_version=None, now=now)
 
     def unlink(self, path: str) -> None:
@@ -619,8 +628,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.inner.truncate(path, 0)
         if content:
             self.inner.write(path, 0, content)
-        self.versions[path] = version
-        self._realign_links(path)
+        self._file_changed(path, version)
         return content
 
     def recover(self):
@@ -751,11 +759,13 @@ class DeltaCFSClient(PassthroughFileSystem):
             or old_version is None
             or old_version in self._dead_versions
             or old_version in doomed_versions
+            or self.queue.still_writing(old_version)
         ):
-            # Nothing pending to replace, or the old version will never
-            # exist on the cloud (it died un-uploaded, or it is the product
-            # of the very nodes this delta would remove) — a delta would
-            # reference a base the server cannot resolve.
+            # Nothing pending to replace, or the old version will never be
+            # these bytes on the cloud (it died un-uploaded, it is the product
+            # of the very nodes this delta would remove, or its node still
+            # takes writes through another name of its file) — a delta would
+            # reference a base the server cannot resolve to them.
             if self.obs.enabled:
                 self.obs.inc("client.delta.no_base")
                 self.obs.event("client.delta.no_base", path=path)
@@ -800,7 +810,7 @@ class DeltaCFSClient(PassthroughFileSystem):
                 self.queue.replace_with_delta(doomed, node, now)
                 self._never_uploads(doomed)
                 self._journal_node(node)
-                self.versions[path] = node.new_version
+                self._file_changed(path, node.new_version, length=0)
             elif self.obs.enabled:
                 self.obs.inc("client.delta.rpc_wins")
                 self.obs.event(
@@ -1099,21 +1109,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         elif isinstance(message, UploadFull):
             self.inner.write_file(path, message.data)
             self.versions[path] = message.new_version
-        self._realign_links(path)
-
-    def _realign_links(self, path: str) -> None:
-        """Local content of ``path`` was replaced (forward, restore, recovery):
-        align every hard-linked name's version with the path's and, with a
-        Checksum Store, re-index it."""
-        try:
-            names = self.inner.linked_paths(path)
-        except NotFoundError:  # a forwarded unlink, or a directory: no blocks
-            return
-        version = self.versions.get(path)
-        for alias in names:
-            self.versions[alias] = version
-            if self.checksums is not None:
-                self.checksums.reindex(alias, self.inner.read_file(alias))
+        self._file_changed(path, self.versions.get(path))
 
     def _replay_remote_meta(self, op: MetaOp) -> None:
         if op.kind == "create":
@@ -1129,7 +1125,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         elif op.kind == "link" and self.inner.exists(op.path):
             if not self.inner.exists(op.dest):
                 self.inner.link(op.path, op.dest)
-            self.versions[op.dest] = self.versions.get(op.path)
         elif op.kind == "unlink" and self.inner.exists(op.path):
             self.inner.unlink(op.path)
             self._undo_clear(op.path)
@@ -1155,7 +1150,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             FileDownload(path=path, data=content, version=version), self.clock.now()
         )
         self.inner.write_file(path, content)
-        self.versions[path] = version
-        self._realign_links(path)
+        self._file_changed(path, version)
         self.stats.recoveries += 1
         return content

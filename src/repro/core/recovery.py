@@ -676,7 +676,7 @@ def _rebuild(
         rebuilt = content
     client.inner.write_file(path, rebuilt)
     if still_bad:
-        checksums.reindex(path, rebuilt)
+        client._file_changed(path, client.versions.get(path))
     return blockwise
 
 

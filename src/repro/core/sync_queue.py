@@ -342,6 +342,11 @@ class SyncQueue:
         """The unpacked write node for ``path``, if any (hash-table lookup)."""
         return self._active_writes.get(path)
 
+    def still_writing(self, version: Optional[VersionStamp]) -> bool:
+        """Whether an unpacked write node mints ``version``: its bytes are not
+        final yet (a hard-linked file's node absorbs writes through any name)."""
+        return any(n.new_version == version for n in self._active_writes.values())
+
     def pack(self, path: str) -> Optional[WriteNode]:
         """Pack ``path``'s active write node; returns it if one existed.
 

@@ -119,6 +119,42 @@ class TestCrashScan:
             store.verify_file("/f", content + b"extra-tail" * BLOCK)
 
 
+class TestNames:
+    """A hard-linked file's checksums are computed once and stored under
+    each of its synced names."""
+
+    def test_an_update_of_a_two_name_file_charges_one_pass(self):
+        content = _content(BLOCK * 4 + 9)
+        one, two = CostMeter(), CostMeter()
+        ChecksumStore(block_size=BLOCK, meter=one).update_blocks(
+            "/a", content, BLOCK - 5, 2 * BLOCK
+        )
+        store = ChecksumStore(block_size=BLOCK, meter=two)
+        store.update_blocks(["/a", "/b"], content, BLOCK - 5, 2 * BLOCK)
+        assert two.by_category == one.by_category
+        assert two.bytes_by_category == {"rolling_checksum": 3 * BLOCK}
+        for name in ("/a", "/b"):
+            assert store.blocks_of(name) == [0, 1, 2]
+            store.verify_read(name, content, BLOCK - 5, 2 * BLOCK)
+
+    def test_a_reindex_of_a_two_name_file_charges_one_pass(self):
+        content = _content(BLOCK * 4 + 9)
+        meter = CostMeter()
+        store = ChecksumStore(block_size=BLOCK, meter=meter)
+        store.reindex(["/a", "/b"], content)
+        assert meter.bytes_by_category == {"rolling_checksum": len(content)}
+        for name in ("/a", "/b"):
+            store.verify_file(name, content)
+
+    def test_a_bare_str_is_one_name(self, store):
+        content = _content(BLOCK * 2)
+        store.update_blocks("/f", content, 0, len(content))
+        store.reindex("/g", content)
+        keys = [key for key, _ in store.kv.items(b"")]
+        assert len(keys) == 4
+        assert all(key.startswith((b"/f\x00", b"/g\x00")) for key in keys)
+
+
 class TestCostModel:
     def test_uses_rolling_not_strong(self):
         # "we can reuse the rolling checksum in rsync as the block checksum"

@@ -155,6 +155,27 @@ def test_an_op_on_bound_names_normalises_nothing(op, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "op, calls",
+    [
+        (lambda c: c.write("/s0001", 100, b"x" * 512), 1),
+        (lambda c: c.truncate("/s0001", 100), 1),
+        (lambda c: c.close("/s0001"), 0),
+    ],
+    ids=["write", "truncate", "close"],
+)
+def test_a_one_name_file_asks_for_its_names_once_per_byte_change(op, calls):
+    # The name set is what finds a hard-linked file's write node and every
+    # name its stamp and checksums go to: one store call where a change of
+    # bytes needs it, none where an op only changes names.
+    client = build(SMALL)
+    names = []
+    linked_paths = client.inner.linked_paths
+    client.inner.linked_paths = lambda path: names.append(path) or linked_paths(path)
+    op(client)
+    assert names == ["/s0001"] * calls
+
+
 def test_size_reads_the_inode_and_builds_no_stat(monkeypatch):
     fs = MemoryFileSystem()
     fs.create("/f")

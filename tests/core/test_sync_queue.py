@@ -43,6 +43,15 @@ class TestWriteNodes:
         assert packed is not None and packed.packed
         assert q.active_write_node("/f") is None
 
+    def test_a_version_is_still_being_written_until_its_node_packs(self):
+        q = _queue()
+        version = VersionStamp(1, 7)
+        q.enqueue(_write_node(new_version=version), now=0.0)
+        assert q.still_writing(version)
+        assert not q.still_writing(VersionStamp(1, 6))
+        q.pack("/f")
+        assert not q.still_writing(version)
+
     def test_pack_missing_returns_none(self):
         assert _queue().pack("/nope") is None
 

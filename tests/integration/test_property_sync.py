@@ -10,9 +10,11 @@ writes, all interleaved.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
+from repro.common.config import DeltaCFSConfig
 from repro.core.client import DeltaCFSClient
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
+from repro.sim import Simulation
 from repro.vfs.filesystem import MemoryFileSystem
 
 PATHS = ["/a", "/b", "/c", "/d"]
@@ -107,3 +109,72 @@ def test_single_client_never_conflicts(ops):
     client.flush()
     assert client.stats.conflicts == 0
     assert all(r.status == "applied" for r in server.apply_log)
+
+
+NAMES = ["/a", "/b"]
+LINKED_KINDS = ["write", "rewrite", "truncate", "close", "tick", "unlink", "create"]
+# one operation through either name = (kind, name_index, offset, payload)
+_linked_op = st.tuples(
+    st.sampled_from(LINKED_KINDS),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=30_000),
+    st.binary(min_size=1, max_size=600),
+)
+
+
+def _apply_linked(sim, kind, name, other, offset, payload):
+    client = sim.client
+    exists = client.exists(name)
+    source = other if client.exists(other) and client.inner.size(other) else name
+    if kind == "write" and exists:
+        client.write(name, offset, payload)
+    elif kind == "rewrite" and exists and client.inner.size(source):
+        # The file's bytes written back, plus an edit: an in-place update
+        # while both names bind one file, a delete-then-rewrite save when
+        # ``name`` was re-created.
+        content = client.read(source, 0, None)
+        client.write(name, 0, content)
+        client.write(name, offset % len(content), payload[:50])
+    elif kind == "truncate" and exists:
+        client.truncate(name, offset)
+    elif kind == "close" and exists:
+        client.close(name)
+    elif kind == "unlink" and exists:
+        client.unlink(name)
+    elif kind == "create" and not exists:
+        client.create(name)
+    elif kind == "tick":
+        sim.clock.advance(0.5 + (offset % 50) / 10.0)
+        sim.pump()
+
+
+@given(
+    ops=st.lists(_linked_op, min_size=1, max_size=12),
+    checksums=st.booleans(),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_a_hard_linked_file_converges_through_either_name(ops, checksums):
+    # One synced 24 KB file named both /a and /b; every op goes through
+    # either name on the first client, the second is a replica. A lone
+    # writer never races, so the end state is convergence with no conflict.
+    sim = Simulation(clients=2, config=DeltaCFSConfig(enable_checksums=checksums))
+    client = sim.client
+    client.create("/a")
+    client.write("/a", 0, bytes(range(256)) * 96)
+    client.close("/a")
+    client.link("/a", "/b")
+    sim.settle()
+    for kind, index, offset, payload in ops:
+        _apply_linked(sim, kind, NAMES[index], NAMES[1 - index], offset, payload)
+    for name in NAMES:
+        if client.exists(name):
+            client.close(name)
+    sim.settle()
+    sim.flush()
+    assert [c.stats.conflicts for c in sim.clients] == [0, 0]
+    assert all(r.status == "applied" for r in sim.server.apply_log)
+    assert sim.converged(), sim.mismatched()

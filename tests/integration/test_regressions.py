@@ -624,3 +624,118 @@ def test_a_save_renamed_onto_another_spelling_still_triggers_the_delta():
     assert client.stats.deltas_triggered == 1
     assert server.file_content("/d/f") == content[:100] + b"edit" + content[104:]
     assert converged(client, server)
+
+
+# A hard-linked file is one file on the client: whichever name a change
+# comes through, every name takes the file's stamp and checksums, and the
+# file has one write node. Each case starts from a synced /a linked to /b.
+
+
+def _linked(size, enable_checksums):
+    sim = Simulation(config=DeltaCFSConfig(enable_checksums=enable_checksums))
+    client = sim.client
+    client.create("/a")
+    client.write("/a", 0, bytes(range(256)) * (size // 256))
+    client.close("/a")
+    sim.settle()
+    client.link("/a", "/b")
+    return sim, client
+
+
+def _preserved_copy_written_through_its_link(client):
+    # The preserved copy of /a kept /a's old stamp while /b changed its
+    # bytes: the re-created /a's delta named that stamp over new bytes.
+    client.unlink("/a")
+    client.write("/b", 0, b"w" * 4096)
+    client.create("/a")
+    client.write("/a", 0, client.read("/b", 0, None) + b"x" * 40)
+
+
+def _write_order_across_names(client):
+    # The second /a write joined /a's older node, so the cloud replayed
+    # it before /b's: the server held B, the replica A.
+    client.write("/a", 0, b"A")
+    client.write("/b", 0, b"B")
+    client.write("/a", 0, b"A")
+
+
+def _inplace_delta_then_the_other_name(client):
+    # The pack-time delta re-stamped /a alone: /b's next write named the
+    # replaced node's dead version as its base and conflicted with itself.
+    content = client.read("/a", 0, None)
+    client.write("/a", 0, content[:40 * 1024])
+    client.write("/a", 100, b"e" * 50)
+    client.close("/a")
+    client.write("/b", 0, b"w" * 4096)
+
+
+def _truncate_through_the_other_name(client):
+    # The truncate packed /b's (absent) node, not /a's: the second write
+    # joined /a's node ahead of the truncate, and no conflict said so.
+    client.write("/a", 0, b"1" * 100)
+    client.truncate("/b", 50)
+    client.write("/a", 50, b"2" * 100)
+
+
+@pytest.mark.parametrize("enable_checksums", [False, True])
+@pytest.mark.parametrize(
+    "size, script",
+    [
+        (16 * 1024, _preserved_copy_written_through_its_link),
+        (4096, _write_order_across_names),
+        (64 * 1024, _inplace_delta_then_the_other_name),
+        (8192, _truncate_through_the_other_name),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
+)
+def test_a_hard_linked_file_syncs_as_one_file(size, script, enable_checksums):
+    sim, client = _linked(size, enable_checksums)
+    script(client)
+    for name in ("/a", "/b"):
+        client.close(name)
+    sim.settle()
+    assert sim.mismatched() == []
+    assert client.stats.conflicts == 0
+
+
+def _save_by_unlink(client):
+    client.unlink("/b")
+    client.create("/b")
+    client.write("/b", 0, client.read("/a", 0, None) + b"tail")
+    client.close("/b")
+
+
+def _save_by_backup_rename(client):
+    client.rename("/b", "/b~")
+    client.create("/t")
+    client.write("/t", 0, client.read("/a", 0, None) + b"tail")
+    client.close("/t")
+    client.rename("/t", "/b")
+
+
+def _save_over_the_name(client):
+    client.create("/t")
+    client.write("/t", 0, client.read("/a", 0, None) + b"tail")
+    client.close("/t")
+    client.rename("/t", "/b")
+
+
+@pytest.mark.parametrize("enable_checksums", [False, True])
+@pytest.mark.parametrize(
+    "save",
+    [_save_by_unlink, _save_by_backup_rename, _save_over_the_name],
+    ids=lambda save: save.__name__.strip("_"),
+)
+def test_a_delta_never_names_a_version_still_being_written(save, enable_checksums):
+    # /a's write node is open when /b is saved over (each trigger rule):
+    # the old version /b's delta named was still absorbing writes through
+    # /a, so the cloud decoded the delta against bytes it was never made of.
+    sim, client = _linked(24 * 1024, enable_checksums)
+    client.write("/a", 0, b"Q" * 100)
+    save(client)
+    client.write("/a", 5000, b"R" * 100)
+    client.close("/a")
+    sim.settle()
+    assert client.stats.deltas_triggered == 1
+    assert sim.mismatched() == []
+    assert client.stats.conflicts == 0
