@@ -33,16 +33,17 @@ class DeltaCFSConfig:
             continuously-written hot file would otherwise hold the queue
             head (and every file behind it) forever. ``None`` means 4x the
             upload delay.
-        inplace_delta_threshold: fraction of a file that must be overwritten
-            by in-place writes before local delta encoding is attempted on
-            top of the undo log (paper: "more than 50%").
+        inplace_delta_threshold: fraction of a file that in-place writes (or
+            a truncate's cut) must rewrite before local delta encoding runs
+            against the write node's old version (paper: "more than 50%").
         tmp_dir: directory (inside the managed tree) where unlinked files are
             preserved while their relation entry is live.
         checksum_block_size: block size of the integrity checksum store.
         enable_checksums: maintain the block checksum store (DeltaCFSc in
             Table III); disable to reproduce the plain DeltaCFS row.
-        enable_undo_log: keep physical undo data for in-place overwrites so
-            local delta encoding remains possible.
+        enable_undo_log: the paper's undo log: a write node keeps the file's
+            pre-update version (a reference, not a copy) for the in-place
+            delta; the model still charges the copy-out (``write_io``).
         sync_queue_capacity: maximum queued nodes before writers experience
             back-pressure (reproduces the Table III fileserver slowdown).
         preserve_unlinked_max_bytes: files larger than this are not preserved

@@ -8,7 +8,6 @@ Public surface:
   (Sections III-B, III-E).
 - :class:`ChecksumStore` — block-level integrity/crash-consistency checks
   (Section III-E).
-- :class:`UndoLog` — old-version reconstruction for large in-place updates.
 - :class:`VersionStamp` / :class:`VersionCounter` — client-assigned
   ``<CliID, VerCnt>`` versioning (Section III-C).
 """
@@ -26,7 +25,6 @@ from repro.core.sync_queue import (
     UploadUnit,
     WriteNode,
 )
-from repro.core.undo_log import UndoLog
 from repro.common.version import GENESIS, VersionCounter, VersionStamp
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "TruncateNode",
     "UploadUnit",
     "WriteNode",
-    "UndoLog",
     "GENESIS",
     "VersionCounter",
     "VersionStamp",

@@ -11,8 +11,8 @@ pipeline:
   live relation entry (or lands on an existing name) marks a *transactional
   update* and triggers local **bitwise delta encoding**, whose result
   replaces the pending write nodes under a backindex span;
-- large in-place updates are detected through the undo log at pack time and
-  compressed the same way;
+- a large in-place update is compressed the same way at pack time, against
+  the old version its write node holds (the paper's undo log);
 - the Checksum Store is maintained inline and verified on reads.
 
 :meth:`pump` drives time-dependent behaviour (relation expiry, upload
@@ -33,7 +33,9 @@ from repro.common.errors import (
     NoSpaceError,
     NotFoundError,
 )
+from repro.common.pages import Pages
 from repro.core.checksum_store import ChecksumStore
+from repro.core.recovery import SyncJournal, fold, pending_messages, perform_recovery
 from repro.core.relation_table import RelationEntry, RelationTable
 from repro.core.sync_queue import (
     DeltaNode,
@@ -44,7 +46,6 @@ from repro.core.sync_queue import (
     UploadUnit,
     WriteNode,
 )
-from repro.core.undo_log import UndoLog
 from repro.common.version import VersionCounter, VersionStamp
 from repro.core.policy import MechanismPlan, UpdateStats, make_policy
 from repro.cost.meter import CostMeter, NULL_METER
@@ -114,7 +115,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             channel is lossy.
         journal_kv: optional KV store backing the crash-recovery journal.
             When set, sync intent (pending queue nodes, relation entries,
-            undo spans, the version counter) is journaled as operations
+            the version counter) is journaled as operations
             are intercepted, and :meth:`recover` can rebuild the volatile
             state after a crash. Pair with a ``LogStructuredKV`` opened in
             ``sync=True`` mode for real power-cut durability.
@@ -190,11 +191,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             if self.config.enable_checksums
             else None
         )
-        self.undo: Optional[UndoLog] = (
-            UndoLog(meter=meter) if self.config.enable_undo_log else None
-        )
-        from repro.core.recovery import SyncJournal
-
         self.journal: Optional[SyncJournal] = (
             SyncJournal(journal_kv, obs=obs) if journal_kv is not None else None
         )
@@ -262,19 +258,15 @@ class DeltaCFSClient(PassthroughFileSystem):
 
         names = self.inner.linked_paths(path)
         node = self._write_node_of(path, names)
-        if node is None and self.undo is not None and self.undo.has_log(path):
-            # The queue packed and shipped the node this log grew with (an open
-            # file's writes came due): its base is not the next node's.
-            self._undo_clear(path)
         old_size = self.inner.size(path)
-        if self.undo is not None:
-            old_slice = b""
+        base = None
+        if self.config.enable_undo_log:
+            # The paper's undo log copies out the bytes about to be overwritten
+            # (memcpy rate, Section III-A); here the node's base is a reference.
             if offset < old_size:
-                old_slice = self.inner.read(
-                    path, offset, min(len(data), old_size - offset)
-                )
-            owner = path if node is None else node.path
-            self._undo_record(owner, offset, len(data), old_slice, old_size)
+                self.meter.charge_bytes("write_io", min(len(data), old_size - offset))
+            if node is None:
+                base = self.inner.content(path)
 
         self.inner.write(path, offset, data)
 
@@ -286,9 +278,9 @@ class DeltaCFSClient(PassthroughFileSystem):
                 self.stats.stalls += 1
                 self.obs.inc("client.stalls")
                 self.pump(now)
-            base = self.versions.get(path)
             node = WriteNode(
-                path=path, base_version=base, new_version=self._mint()
+                path=path, base_version=self.versions.get(path),
+                new_version=self._mint(), base=base,
             )
             self.queue.enqueue(node, now)
         else:
@@ -312,7 +304,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def _write_node_of(self, path: str, names: List[str]) -> Optional[WriteNode]:
         """The file's active write node, under whichever of its ``names`` it
-        was opened: one write node and one undo log per file."""
+        was opened: one write node per file."""
         node = self.queue.active_write_node(path)
         if node is None and len(names) > 1:
             node = next(filter(None, map(self.queue.active_write_node, names)), None)
@@ -388,9 +380,8 @@ class DeltaCFSClient(PassthroughFileSystem):
         node = self._write_node_of(path, names)
         owner = path if node is None else node.path
         old_size = self.inner.size(path)
-        if self.undo is not None and length < old_size:
-            tail = self.inner.read(path, length, old_size - length)
-            self._undo_record(owner, length, len(tail), tail, old_size)
+        if self.config.enable_undo_log and length < old_size:
+            self.meter.charge_bytes("write_io", old_size - length)  # copy-out
         self.inner.truncate(path, length)
         self._journal_forget_relations(self.relations.invalidate_dst(path))
         self._pack_and_maybe_compress(owner, now)
@@ -410,8 +401,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             return
         self._pack_and_maybe_compress(src, now)
         self.queue.pack(dst)
-        # dst's content is replaced wholesale: what was held against it goes.
-        self._undo_clear(dst)
 
         dst_existed = self.inner.exists(dst)
         entry = self._match_relation(dst, now)
@@ -613,8 +602,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.queue.pack(path)
             self.queue.cancel_nodes(pending)
             self._never_uploads(pending)
-        # What was held against the superseded content goes with it.
-        self._undo_clear(path)
         self._pending_create_delta.pop(path, None)
         self.channel.upload(RestoreRequest(path=path, version=version), now)
         content = self.server.restore_version(
@@ -634,16 +621,14 @@ class DeltaCFSClient(PassthroughFileSystem):
     def recover(self):
         """The post-crash path: replay the journal, resync, sweep and repair.
 
-        Requires a journal (``journal_kv``). Restores the version counter,
-        Relation Table, and undo logs; rebuilds the synced-version map from
+        Requires a journal (``journal_kv``). Restores the version counter
+        and the Relation Table; rebuilds the synced-version map from
         the cloud; re-enqueues every journaled unit the server's
         exactly-once window does not hold, as the unit it was; and sweeps
         the dirty set against the durable checksum store, repairing crash
         damage block-by-block. Returns a
         :class:`~repro.core.recovery.RecoveryReport`.
         """
-        from repro.core.recovery import perform_recovery
-
         return perform_recovery(self)
 
     # ------------------------------------------------------------------
@@ -697,19 +682,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         if self.journal is not None:
             for entry in entries:
                 self.journal.forget_relation(entry.src)
-
-    def _undo_record(
-        self, path: str, offset: int, length: int, old_slice: bytes, old_size: int
-    ) -> None:
-        self.undo.record_write(path, offset, length, old_slice, old_size)
-        if self.journal is not None:
-            self.journal.record_undo(path, old_size, offset, length, old_slice)
-
-    def _undo_clear(self, path: str) -> None:
-        if self.undo is not None:
-            self.undo.clear(path)
-        if self.journal is not None:
-            self.journal.forget_undo(path)
 
     def _enqueue_meta(
         self,
@@ -892,8 +864,8 @@ class DeltaCFSClient(PassthroughFileSystem):
             if node is None:
                 if pending_entry is not None and pending_entry.origin == "unlink":
                     self._drop_preserved(pending_entry.dst)
-                self._undo_clear(path)
                 return
+            base, node.base = node.base, None
             if self.obs.enabled:
                 self.obs.inc("client.pack.count")
                 self.obs.observe("client.pack.duration", now - node.created_time)
@@ -911,21 +883,14 @@ class DeltaCFSClient(PassthroughFileSystem):
                     pending_entry.dst if pending_entry.origin == "unlink" else None,
                 )
             elif (
-                self.undo is not None
-                and self.undo.has_log(path)
-                and self.undo.changed_fraction(path) > self.config.inplace_delta_threshold
+                base is not None
+                and node.rewritten_fraction(len(base), self.inner.size(path))
+                > self.config.inplace_delta_threshold
             ):
-                # Large in-place update: old version reconstructable locally.
-                current = self.inner.read_file(path)
+                # Large in-place update: the node holds the old version.
                 self._delta_or_rpc(
-                    path,
-                    [node],
-                    self.undo.reconstruct_old(path, current),
-                    node.base_version,
-                    now,
-                    "inplace",
+                    path, [node], bytes(base), node.base_version, now, "inplace"
                 )
-            self._undo_clear(path)
 
     # -- unlink preservation ------------------------------------------------
 
@@ -1118,7 +1083,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.versions[op.path] = op.new_version
         elif op.kind == "rename" and self.inner.exists(op.path):
             self.inner.rename(op.path, op.dest)
-            self._undo_clear(op.dest)
             self.versions[op.dest] = self.versions.pop(op.path, None)
             if self.checksums is not None:
                 self.checksums.rename(op.path, op.dest)
@@ -1127,7 +1091,6 @@ class DeltaCFSClient(PassthroughFileSystem):
                 self.inner.link(op.path, op.dest)
         elif op.kind == "unlink" and self.inner.exists(op.path):
             self.inner.unlink(op.path)
-            self._undo_clear(op.path)
             self.versions.pop(op.path, None)
             if self.checksums is not None:
                 self.checksums.drop(op.path)
@@ -1141,7 +1104,9 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.inner.create(path)
 
     def _recover(self, path: str) -> Optional[bytes]:
-        """Fetch the cloud copy and restore the local file + checksums."""
+        """Restore the local file + checksums from the cloud copy with the
+        file's pending data nodes (under any name) folded over it, as the
+        server will hold it once they land; their stamp stays."""
         if self.server is None or not self.server.store.exists(path):
             return None
         content = self.server.file_content(path)
@@ -1149,7 +1114,12 @@ class DeltaCFSClient(PassthroughFileSystem):
         self.channel.download(
             FileDownload(path=path, data=content, version=version), self.clock.now()
         )
+        names = self.inner.linked_paths(path)
+        pending = pending_messages(self.queue, names)
+        if pending:
+            content = bytes(fold(Pages(content), pending))
+            version = pending[-1].new_version
         self.inner.write_file(path, content)
-        self._file_changed(path, version)
+        self._file_changed(path, version, names)
         self.stats.recoveries += 1
         return content

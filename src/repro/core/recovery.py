@@ -1,7 +1,7 @@
 """Crash-recovery journal: durable sync intent + post-crash resync.
 
-The prototype keeps the Sync Queue, Relation Table, and undo logs in
-memory; a power cut loses every un-uploaded change and the paper leaves the
+The prototype keeps the Sync Queue and Relation Table in memory; a power
+cut loses every un-uploaded change and the paper leaves the
 "recently modified files" sweep to the restart logic. This module closes
 that gap with a *sync-intent journal*: as operations are intercepted, the
 client appends compact records to the same WAL-backed key-value store that
@@ -23,12 +23,14 @@ What is journaled (and when):
 - **relation entries** — the live Relation Table rows, so an interrupted
   transactional update can still trigger delta encoding after restart
   (their preserved tmp blobs live in the file system, which survives);
-- **undo spans** — the physical undo records for open in-place updates,
-  so pack-time compression still has its base;
 - **VerCnt** — the client's version counter, so a recovered client never
   re-mints a stamp the cloud has already seen.
 
-Recovery then (1) restores the counter, relations, and undo logs, (2)
+An open write node's base (its in-place update's old version) is a
+reference, not journaled: a restored node enters packed and ships as the
+writes its records hold in full.
+
+Recovery then (1) restores the counter and relations, (2)
 rebuilds the synced-version map in one metadata round trip
 (``ResyncRequest``/``ResyncReply``), (3) re-executes the journaled work as
 the units it was: a launched envelope at or below the high-water mark of
@@ -184,14 +186,6 @@ def _decoded(schema, key: bytes, value: bytes):
 
 
 @dataclass
-class UndoState:
-    """One file's journaled undo log: base size plus recorded writes."""
-
-    base_size: int = 0
-    records: List[Tuple[int, int, bytes]] = field(default_factory=list)
-
-
-@dataclass
 class JournalState:
     """Everything :meth:`SyncJournal.load` reconstructs after a crash."""
 
@@ -200,7 +194,6 @@ class JournalState:
     units: List[Tuple[int, List[int]]] = field(default_factory=list)
     spans: List[Tuple[int, int]] = field(default_factory=list)
     relations: List[RelationEntry] = field(default_factory=list)
-    undo: Dict[str, UndoState] = field(default_factory=dict)
 
 
 class SyncJournal:
@@ -269,7 +262,9 @@ class SyncJournal:
     def record_undo(
         self, path: str, base_size: int, offset: int, length: int, old_data: bytes
     ) -> None:
-        """Persist one undo record (old bytes a write displaced)."""
+        """Persist one undo record (old bytes a write displaced). Uncalled,
+        and :meth:`load` reads none: it, :meth:`forget_undo` and the layout
+        stay only while the benchmark's boundary table names them."""
         index = self._undo_index.get(path, 0)
         self._undo_index[path] = index + 1
         self._put(
@@ -280,7 +275,7 @@ class SyncJournal:
         )
 
     def forget_undo(self, path: str) -> None:
-        """Drop a file's undo records (sync point reached)."""
+        """Drop a file's undo records. Uncalled: see :meth:`record_undo`."""
         removed = self.kv.delete_prefix(_P_UNDO + path.encode() + b"\x00")
         if removed and self.obs.enabled:
             self.obs.inc("journal.records.forgotten", value=removed, kind="undo")
@@ -320,15 +315,6 @@ class SyncJournal:
             state.relations.append(
                 RelationEntry(src, *_decoded(_RELATION, key, value))
             )
-        for key, value in self.kv.items(_P_UNDO):
-            body = key[len(_P_UNDO) :]
-            path = body[: -(_U64.fixed_size + 1)].decode()
-            index = _U64.decode(body[-_U64.fixed_size :])
-            base_size, offset, length, old_data = _decoded(_UNDO, key, value)
-            undo = state.undo.setdefault(path, UndoState(base_size=base_size))
-            undo.records.append((offset, length, old_data))
-            if index >= self._undo_index.get(path, 0):
-                self._undo_index[path] = index + 1
         return state
 
     # -- internals ---------------------------------------------------------
@@ -383,7 +369,6 @@ def perform_recovery(client) -> RecoveryReport:
         obs.inc("recovery.runs")
         _restore_counter(client, state)
         report.relations_restored = _restore_relations(client, state, now)
-        _restore_undo(client, state)
         local_paths = _local_paths(client)
         server_versions = _renegotiate_versions(client, local_paths, now)
         _replay_nodes(client, state, now, report)
@@ -412,16 +397,6 @@ def _restore_relations(client, state: JournalState, now: float) -> int:
         client.relations.restore(replace(entry, created_at=now))
         restored += 1
     return restored
-
-
-def _restore_undo(client, state: JournalState) -> None:
-    if client.undo is None:
-        return
-    for path, undo in state.undo.items():
-        if not client.inner.exists(path):
-            client.journal.forget_undo(path)
-            continue
-        client.undo.restore(path, undo.base_size, undo.records)
 
 
 def _local_paths(client) -> List[str]:
@@ -492,7 +467,7 @@ def _replay_nodes(
     if state.spans:
         journal.record_spans([])  # re-recorded below in the new queue's seqs
 
-    dirty = set(state.undo)
+    dirty = set()
     for unit in sorted(filter(None, units), key=lambda unit: unit[0].seq):
         for node in unit:
             journal.forget_node(node.seq)
@@ -548,7 +523,6 @@ def _sweep_and_repair(
     if client.checksums is None:
         return
     obs = client.obs
-    pending = _pending_updates_by_path(client)
     for path in sorted(set(local_paths) | set(report.dirty_paths)):
         # a journaled node may name a file gone again, or a pending mkdir
         if not client.inner.exists(path) or client.inner.stat(path).is_dir:
@@ -566,8 +540,8 @@ def _sweep_and_repair(
             and client.server.store.exists(path)
         )
         repaired = _rebuild(
-            client, path, content, bad_blocks, pending.get(path, []),
-            on_server, now, report,
+            client, path, content, bad_blocks,
+            pending_messages(client.queue, [path]), on_server, now, report,
         )
         if obs.enabled:
             obs.event(
@@ -576,22 +550,6 @@ def _sweep_and_repair(
                 blocks=len(bad_blocks),
                 full_file=not repaired,
             )
-
-
-def _pending_updates_by_path(client) -> Dict[str, List[Message]]:
-    """The re-enqueued (pending) data updates per path, in sequence order,
-    each as the message it will ship as.
-
-    Order matters for reconstruction: a write after a truncate lands on
-    the shortened file, a truncate after a write cuts it. The queue is
-    FIFO, so iteration order *is* journal sequence order.
-    """
-    updates: Dict[str, List[Message]] = {}
-    for node in client.queue.nodes():
-        message = None if isinstance(node, MetaNode) else node.to_message()
-        if message is not None:
-            updates.setdefault(node.path, []).append(message)
-    return updates
 
 
 def _rebuild(
@@ -658,15 +616,7 @@ def _rebuild(
             folded = EMPTY
             if on_server:
                 folded = Pages(fetch(0, client.server.store.lookup(path).size))
-        for message in pending:
-            if isinstance(message, UploadDelta):
-                try:
-                    folded = Pages(apply_delta(bytes(folded), message.delta))
-                except ValueError:
-                    pass  # keep the base; the checksum contest below decides
-            else:
-                folded = message.apply_to(folded)
-        rebuilt = bytes(folded)
+        rebuilt = bytes(fold(folded, pending))
         still_bad = checksums.mismatched_blocks(path, rebuilt)
         if not still_bad:
             break
@@ -678,6 +628,31 @@ def _rebuild(
     if still_bad:
         client._file_changed(path, client.versions.get(path))
     return blockwise
+
+
+def pending_messages(queue, names: List[str]) -> List[Message]:
+    """The data updates queued for one file under any of its ``names``, each
+    as the message it will ship as, in sequence order: a write after a
+    truncate lands on the shortened file, a truncate after a write cuts it."""
+    nodes = [node for name in names for node in queue.pending_nodes(name)]
+    nodes.sort(key=lambda node: node.seq)
+    messages = [n.to_message() for n in nodes if not isinstance(n, MetaNode)]
+    return [message for message in messages if message is not None]
+
+
+def fold(base: Pages, pending: List[Message]) -> Pages:
+    """``base`` with every pending update applied in order, as the server
+    will apply it (``apply_to``). A delta's target bytes exist only relative
+    to its base: one that does not apply to ``base`` leaves it as it is."""
+    for message in pending:
+        if isinstance(message, UploadDelta):
+            try:
+                base = Pages(apply_delta(bytes(base), message.delta))
+            except ValueError:
+                pass  # keep the base; the caller's checks decide
+        else:
+            base = message.apply_to(base)
+    return base
 
 
 def _contiguous_runs(blocks: List[int]) -> List[Tuple[int, int]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.common.bytesutil import merge_ranges
+from repro.common.bytesutil import changed_fraction, merge_ranges
 from repro.common.errors import PackedNodeError
 from repro.common.version import VersionStamp
 from repro.delta.format import Delta
@@ -74,10 +74,16 @@ class QueueNode:
 
 @dataclass
 class WriteNode(QueueNode):
-    """Coalesced intercepted writes to one file (NFS-like file RPC)."""
+    """Coalesced intercepted writes to one file (NFS-like file RPC).
+
+    ``base`` is the file's content when the node opened, by reference: the
+    old version a large in-place update is delta-encoded against when the
+    node packs (Section III-A's undo log). It is never journaled.
+    """
 
     writes: List[Tuple[int, bytes]] = field(default_factory=list)
     packed: bool = False
+    base: Optional[object] = field(default=None, compare=False, repr=False)
 
     def add_write(self, offset: int, data: bytes) -> None:
         """Attach one write; only legal while unpacked."""
@@ -115,6 +121,21 @@ class WriteNode(QueueNode):
                 ]
             out.append((span_off, bytes(buffer)))
         return out
+
+    def rewritten_fraction(self, base_size: int, size: int) -> float:
+        """Fraction of the ``base_size``-byte base that the node's writes
+        overwrote, plus a truncate's cut ``[size, base_size)``. Appends have
+        no old bytes and do not count; an empty base gives 0."""
+        if base_size <= 0:
+            return 0.0
+        spans = [
+            (offset, min(offset + len(data), base_size) - offset)
+            for offset, data in self.writes
+            if offset < base_size
+        ]
+        if size < base_size:
+            spans.append((size, base_size - size))
+        return changed_fraction(spans, base_size)
 
     def payload_bytes(self) -> int:
         return sum(len(d) for _, d in self.writes)

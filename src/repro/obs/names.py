@@ -154,7 +154,7 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "client.delta.inplace",
         COUNTER,
-        "pack-time in-place updates compressed through the undo log",
+        "pack-time in-place updates delta-encoded against their node's base",
         unit="ops",
     ),
     MetricSpec(
@@ -568,7 +568,7 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         COUNTER,
         "journal records persisted (`kind` ∈ `node`, `unit` — a launched "
         "envelope's msg id and member seqs — `spans` — the queue's merged "
-        "backindex spans — `relation`, `undo`, `vercnt`); re-journaling a "
+        "backindex spans — `relation`, `vercnt`); re-journaling a "
         "coalesced node counts again",
         unit="records",
         labels=("kind",),
@@ -578,7 +578,7 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         COUNTER,
         "journal records retired (node uploaded — acked, over a reliable "
         "transport — cancelled or replaced; unit acked or settled by recovery; "
-        "spans re-recorded by recovery; relation resolved; undo spans cleared)",
+        "spans re-recorded by recovery; relation resolved)",
         unit="records",
         labels=("kind",),
     ),
@@ -715,8 +715,8 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "event",
         "a transactional update is recognized; `rule` ∈ `relation_match` "
         "(Table I rule 1), `name_exists` (rule 2), `pending_create` "
-        "(delete-then-rewrite, resolved at pack time), `inplace` (undo-log "
-        "threshold)",
+        "(delete-then-rewrite, resolved at pack time), `inplace` (a packed "
+        "write node rewrote more than `inplace_delta_threshold` of its base)",
         attrs=("path", "rule"),
     ),
     EventSpec(
@@ -877,9 +877,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "journal.write",
         "event",
         "a sync-intent record was persisted; `kind` ∈ `node`, `unit`, "
-        "`spans`, `relation`, `undo`, `vercnt`, and `ref` identifies the "
-        "record (node seq, envelope msg id, span count, relation src, undo "
-        "path, or the counter value). The "
+        "`spans`, `relation`, `vercnt`, and `ref` identifies the "
+        "record (node seq, envelope msg id, span count, relation src, "
+        "or the counter value). The "
         "journal-write-happens-before-send invariant is evaluated against "
         "these events",
         attrs=("kind", "ref"),

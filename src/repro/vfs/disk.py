@@ -21,7 +21,11 @@ from repro.vfs.filesystem import FileSystemAPI, Stat
 
 
 class LocalDirFileSystem(FileSystemAPI):
-    """A sync namespace rooted at a real directory."""
+    """A sync namespace rooted at a real directory.
+
+    ``content`` is the inherited whole-file read, once per write node
+    (O(file) per sync interval); no benchmark runs on this store.
+    """
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)

@@ -162,6 +162,11 @@ class FileSystemAPI:
         """Whole-file read."""
         return self.read(path, 0, None)
 
+    def content(self, path: str):
+        """The file's current value, safe to hold: ``bytes`` (a whole-file
+        read) or an immutable value ``len`` and ``bytes`` read the same."""
+        return self.read_file(path)
+
 
 class MemoryFileSystem(FileSystemAPI):
     """In-memory file system with inode-based hard links.
@@ -332,6 +337,10 @@ class MemoryFileSystem(FileSystemAPI):
         if path in self._dirs:
             return 0
         return self._inode_of(path).data.size
+
+    def content(self, path: str) -> Pages:
+        # An inode's value is replaced, never mutated: this is a reference.
+        return self._inode_of(path).data
 
     def listdir(self, path: str) -> List[str]:
         path = self.canonical(path)

@@ -221,11 +221,11 @@ class TestChecksumWorkFollowsTheOperation:
         clock, client, fs, content = self._seeded()
         client.write("/f", 500_000, b"z" * 24)
         assert fs.whole_file_reads == 0
-        assert fs.bytes_read <= 2 * self.BLOCK  # undo slice + the touched block
+        assert fs.bytes_read <= self.BLOCK  # the touched block; no copy-out
         fs.bytes_read = 0
         client.write("/f", 2 * self.BLOCK - 4, b"straddle")
         assert fs.whole_file_reads == 0
-        assert fs.bytes_read <= 3 * self.BLOCK
+        assert fs.bytes_read <= 2 * self.BLOCK
         client.close("/f")
         settle(clock, client)
         expected = bytearray(content)

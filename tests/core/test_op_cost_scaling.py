@@ -23,10 +23,12 @@ and with any one of the three scans put back alone the gate still fails
 1.6x and 1.9x; queue: both unlinks and forward, 2.0-5.2x). With the
 indexes every case is 1.00x: the counts do not move at all.
 
-Beside it, three exact work gates on the fleet path's per-op tax: an op on
+Beside it, exact work gates on the fleet path's per-op tax: an op on
 names the store already binds normalises nothing (``posixpath.normpath``
 runs only for a name no store holds yet), ``MemoryFileSystem.size`` builds
-no ``Stat``, and the server's apply log keeps no ``ApplyResult`` alive.
+no ``Stat``, the server's apply log keeps no ``ApplyResult`` alive, and an
+in-place write reads nothing back from the store (the old version its
+write node holds is the store's immutable value, not a copy-out).
 """
 
 import gc
@@ -37,8 +39,10 @@ import weakref
 import pytest
 
 from repro.common.clock import VirtualClock
+from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
+from repro.cost.meter import CostMeter
 from repro.kvstore.kv import MemoryKV
 from repro.net.messages import Forward, MetaOp, UploadWrite
 from repro.net.transport import Channel
@@ -197,3 +201,30 @@ def test_the_apply_log_keeps_no_result():
     assert alive() is None
     assert len(server.apply_log) > 2
     assert len({id(outcome) for outcome in server.apply_log}) <= 2
+
+
+def test_an_in_place_write_reads_nothing_back(monkeypatch):
+    # With checksums off nothing else reads: the write that opens the node
+    # takes the file's value as its base, the next one joins the node.
+    # The model still charges the paper's copy-out of the overwritten bytes.
+    meter = CostMeter()
+    client = DeltaCFSClient(
+        MemoryFileSystem(), server=CloudServer(), channel=Channel(),
+        clock=VirtualClock(), config=DeltaCFSConfig(enable_checksums=False),
+        meter=meter,
+    )
+    client.create("/f")
+    client.write("/f", 0, bytes(8192))
+    client.close("/f")
+    client.flush()
+    reads = []
+    read = MemoryFileSystem.read
+    monkeypatch.setattr(
+        MemoryFileSystem, "read", lambda fs, *a: reads.append(a) or read(fs, *a)
+    )
+    before = meter.bytes_by_category["write_io"]
+    client.write("/f", 8000, b"x" * 512)  # 192 bytes overwritten, 320 appended
+    client.write("/f", 100, b"y" * 50)
+    assert reads == []
+    assert meter.bytes_by_category["write_io"] == before + (512 + 192) + (50 + 50)
+    assert client.queue.active_write_node("/f").base == bytes(8192)

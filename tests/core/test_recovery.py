@@ -177,16 +177,6 @@ class TestStrictDecode:
         with pytest.raises(ValueError, match=r"corrupt journal record b'j\\x00node.*truncated"):
             journal.load()
 
-    def test_load_rejects_short_undo_data(self):
-        # _decode_undo used to hand back the shortened old_data
-        kv = MemoryKV()
-        journal = SyncJournal(kv)
-        journal.record_undo("/w", 4096, 0, 8, b"old data")
-        ((key, value),) = list(kv.items())
-        kv.put(key, value[:-2])
-        with pytest.raises(ValueError, match="corrupt journal record.*undo"):
-            journal.load()
-
 
 class TestSyncJournal:
     def test_roundtrip(self):
@@ -199,13 +189,10 @@ class TestSyncJournal:
         journal.record_relation(
             RelationEntry(src="/r", dst="/r~", origin="rename", created_at=1.5)
         )
-        journal.record_undo("/w", 4096, 0, 3, b"old")
         state = journal.load()
         assert state.vercnt == 17
         assert [seq for seq, _ in state.nodes] == [3]
         assert state.relations[0].src == "/r"
-        assert state.undo["/w"].base_size == 4096
-        assert state.undo["/w"].records == [(0, 3, b"old")]
 
     def test_forget(self):
         journal = SyncJournal(MemoryKV())
@@ -217,12 +204,9 @@ class TestSyncJournal:
             RelationEntry(src="/r", dst="/d", origin="unlink", created_at=0.0)
         )
         journal.forget_relation("/r")
-        journal.record_undo("/u", 10, 0, 1, b"z")
-        journal.forget_undo("/u")
         state = journal.load()
         assert state.nodes == []
         assert state.relations == []
-        assert state.undo == {}
 
     def test_nodes_load_in_seq_order(self):
         journal = SyncJournal(MemoryKV())
@@ -264,6 +248,42 @@ class TestRecovery:
         _settle(client, clock)
         assert fs.read_file("/f") == expected
         assert server.file_content("/f") == expected
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_an_open_inplace_update_ships_as_its_write_node_after_a_crash(
+        self, crash
+    ):
+        # An open write node's old version is a reference, not journaled: a
+        # restored node enters packed and ships as the writes it holds,
+        # which its records already carry in full. Without the crash the
+        # same 78 % rewrite packs against its base into a small delta.
+        client, fs, server, clock = _build()
+        content = DeterministicRandom(7).random_bytes(128 * 1024)
+        client.create("/f")
+        client.write("/f", 0, content)
+        client.close("/f")
+        _settle(client, clock)
+        rewrite = bytearray(content[:100 * 1024])
+        for pos in range(0, len(rewrite), 25 * 1024):
+            rewrite[pos] ^= 0xFF
+        client.write("/f", 0, bytes(rewrite))  # left open
+        expected = fs.read_file("/f")
+        if crash:
+            client = restart(client)
+            client.recover()
+        shipped = []
+        handle = server.handle
+        server.handle = lambda m, **kw: shipped.append(m) or handle(m, **kw)
+        client.close("/f")
+        _settle(client, clock)
+        assert server.file_content("/f") == fs.read_file("/f") == expected
+        assert client.stats.conflicts == 0
+        assert client.stats.inplace_deltas == (0 if crash else 1)
+        (message,) = shipped
+        if crash:  # the 100 KB run, as it was journaled
+            assert message.wire_size() == 102_442
+        else:  # the four blocks the flips touched, the rest copied
+            assert message.wire_size() < 5 * 4096
 
     def test_recover_repairs_injected_damage(self):
         client, fs, server, clock = _build()
@@ -510,7 +530,7 @@ def test_fold_equals_the_clipped_overlay_it_replaced(base, ops, damaged):
     for op in ops:
         getattr(client, op[0])("/f", *op[1:])
     expected = client.inner.read_file("/f")
-    pending = recovery._pending_updates_by_path(client).get("/f", [])
+    pending = recovery.pending_messages(client.queue, ["/f"])
 
     torn = bytearray(expected)
     for index in damaged:

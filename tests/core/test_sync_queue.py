@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
+from repro.core.client import DeltaCFSClient
 from repro.core.sync_queue import (
     DeltaNode,
     MetaNode,
@@ -10,7 +12,9 @@ from repro.core.sync_queue import (
     TruncateNode,
     WriteNode,
 )
+from repro.cost.meter import CostMeter
 from repro.delta.format import Delta, Literal
+from repro.vfs.filesystem import MemoryFileSystem
 
 
 def _queue(delay=3.0, capacity=100):
@@ -94,6 +98,132 @@ class TestMergedWrites:
 
     def test_empty(self):
         assert _write_node().merged_writes() == []
+
+
+def _client_with(path, content, **config):
+    """A detached client whose ``path`` holds ``content``, synced: no node
+    is open for it."""
+    client = DeltaCFSClient(
+        MemoryFileSystem(), server=None, config=DeltaCFSConfig(**config)
+    )
+    client.create(path)
+    if content:
+        client.write(path, 0, content)
+    client.close(path)
+    client.flush()
+    assert client.queue.active_write_node(path) is None
+    return client
+
+
+class TestWriteNodeBase:
+    """A write node holds the file's content as it was when the node opened:
+    the old version a large in-place update is delta-encoded against."""
+
+    def test_single_overwrite(self):
+        old = b"the quick brown fox"
+        client = _client_with("/f", old)
+        client.write("/f", 4, b"SLOW ")
+        assert client.inner.read_file("/f") == b"the SLOW  brown fox"
+        assert bytes(client.queue.active_write_node("/f").base) == old
+
+    def test_multiple_overlapping_writes(self):
+        original = b"0123456789"
+        client = _client_with("/f", original)
+        for offset, data in [(2, b"AB"), (3, b"XY"), (0, b"zz")]:
+            client.write("/f", offset, data)
+        assert client.inner.read_file("/f") == b"zzAXY56789"
+        assert bytes(client.queue.active_write_node("/f").base) == original
+
+    def test_append_recorded_but_not_preserved(self):
+        client = _client_with("/f", b"base")
+        client.write("/f", 4, b"tail")
+        node = client.queue.active_write_node("/f")
+        assert bytes(node.base) == b"base"
+        assert node.rewritten_fraction(4, 8) == 0.0
+
+    def test_truncation_to_base_size(self):
+        # the base has exactly the pre-update length, however the file grew
+        old = b"abcdef"
+        client = _client_with("/f", old)
+        client.write("/f", 0, b"XYZ")
+        client.write("/f", 6, b"grown")
+        assert client.inner.read_file("/f") == b"XYZdefgrown"
+        assert bytes(client.queue.active_write_node("/f").base) == old
+
+    def test_no_base_without_the_undo_log(self):
+        client = _client_with("/f", b"old", enable_undo_log=False)
+        client.write("/f", 0, b"new")
+        assert client.queue.active_write_node("/f").base is None
+
+
+class TestRewrittenFraction:
+    @staticmethod
+    def _node(*writes):
+        node = _write_node()
+        for offset, data in writes:
+            node.add_write(offset, data)
+        return node
+
+    def test_zero_for_fresh_file(self):
+        # appends to an empty file must not look like in-place churn
+        assert self._node((0, b"x" * 100)).rewritten_fraction(0, 100) == 0.0
+
+    def test_appends_beyond_base_dont_count(self):
+        node = self._node((100, b"y" * 900))
+        assert node.rewritten_fraction(100, 1000) == 0.0
+
+    def test_full_overwrite_is_one(self):
+        assert self._node((0, b"y" * 100)).rewritten_fraction(100, 100) == 1.0
+
+    def test_partial(self):
+        node = self._node((0, b"y" * 30))
+        assert abs(node.rewritten_fraction(100, 100) - 0.3) < 1e-9
+
+    def test_no_writes_zero(self):
+        assert self._node().rewritten_fraction(100, 100) == 0.0
+
+    def test_overlapping_and_straddling_writes_count_once(self):
+        node = self._node((0, b"a" * 40), (20, b"b" * 40), (90, b"c" * 50))
+        assert node.rewritten_fraction(100, 140) == 0.7
+
+    def test_a_truncate_cut_counts(self):
+        # a truncate to 40 of a 100-byte base rewrote its last 60 bytes
+        assert self._node().rewritten_fraction(100, 40) == 0.6
+        assert self._node((0, b"y" * 10)).rewritten_fraction(100, 40) == 0.7
+        assert self._node((0, b"y" * 10)).rewritten_fraction(100, 150) == 0.1
+
+
+class TestBaseLifecycle:
+    def test_pack_drops_the_base(self):
+        client = _client_with("/f", b"old")
+        client.write("/f", 0, b"x")
+        node = client.queue.active_write_node("/f")
+        client.close("/f")
+        assert node.packed and node.base is None
+
+    def test_per_path_isolation(self):
+        client = _client_with("/a", b"old-a")
+        client.create("/b")
+        client.write("/b", 0, b"old-b")
+        client.close("/b")
+        client.flush()
+        client.write("/a", 0, b"x")
+        client.write("/b", 0, b"y")
+        client.close("/a")
+        assert client.queue.active_write_node("/a") is None
+        assert bytes(client.queue.active_write_node("/b").base) == b"old-b"
+
+    def test_copy_out_charged_as_memcpy(self):
+        # "the data to be copied out are usually already cached in memory":
+        # the model charges the overwritten bytes at memcpy rate, beside
+        # the written ones, and no read of the store
+        client = _client_with("/f", b"o" * 1000)
+        client.meter = meter = CostMeter()
+        client.write("/f", 0, b"x" * 1000)
+        client.write("/f", 900, b"y" * 300)  # 100 overwritten, 200 appended
+        client.truncate("/f", 400)  # cuts 800
+        assert meter.bytes_by_category["write_io"] == 1000 + 1000 + 300 + 100 + 800
+        assert meter.by_category.get("scan_read", 0) == 0
 
 
 class TestFifoUpload:

@@ -2,6 +2,7 @@
 
 from repro.common.clock import VirtualClock
 from repro.core.client import DeltaCFSClient
+from repro.cost.meter import CostMeter
 from repro.faults.crash import inject_crash_inconsistency, restart
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
@@ -117,7 +118,7 @@ def test_transport_ids_resume_after_the_home_shards_window():
 
 def test_post_crash_queue_keeps_observability():
     """Regression: the crash model used to rebuild the queue/relations/undo
-    bare, silently detaching them from the run's Observability — post-crash
+    log bare, silently detaching them from the run's Observability — post-crash
     activity disappeared from every ``queue.*``/``relation.*`` series."""
     from repro.obs import Observability
 
@@ -125,7 +126,8 @@ def test_post_crash_queue_keeps_observability():
     clock = VirtualClock()
     obs.bind_clock(clock)
     client = DeltaCFSClient(
-        MemoryFileSystem(), server=CloudServer(obs=obs), clock=clock, obs=obs
+        MemoryFileSystem(), server=CloudServer(obs=obs), clock=clock, obs=obs,
+        meter=CostMeter(),
     )
     client.create("/a")
     client.write("/a", 0, b"before")
@@ -137,9 +139,12 @@ def test_post_crash_queue_keeps_observability():
     assert obs.metrics.counter_total("queue.nodes.created") > before
     assert reborn.queue.obs is obs
     assert reborn.relations.obs is obs
-    # the new undo log still charges the client meter, which survived
+    # the in-place copy-out still charges the client meter, which survived
     assert reborn.meter is client.meter
-    assert reborn.undo.meter is client.meter
+    copied = client.meter.bytes_by_category["write_io"]
+    assert copied == 6 + 5
+    reborn.write("/b", 0, b"AFT")  # three bytes written over three
+    assert client.meter.bytes_by_category["write_io"] == copied + 3 + 3
 
 
 def test_checksum_store_survives_crash():

@@ -178,3 +178,88 @@ def test_a_hard_linked_file_converges_through_either_name(ops, checksums):
     assert [c.stats.conflicts for c in sim.clients] == [0, 0]
     assert all(r.status == "applied" for r in sim.server.apply_log)
     assert sim.converged(), sim.mismatched()
+
+
+INPLACE_KINDS = ["inplace", "append", "truncate", "close", "tick"]
+# one operation = (kind, through the second name?, offset, length, edit)
+_inplace_op = st.tuples(
+    st.sampled_from(INPLACE_KINDS),
+    st.booleans(),
+    st.integers(min_value=0, max_value=40_000),
+    st.integers(min_value=1, max_value=40_000),
+    st.binary(min_size=1, max_size=64),
+)
+
+
+@given(
+    ops=st.lists(_inplace_op, min_size=1, max_size=10),
+    linked=st.booleans(),
+    checksums=st.booleans(),
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_an_inplace_delta_encodes_against_the_bytes_its_node_opened_on(
+    ops, linked, checksums
+):
+    # A synced 32 KB /f (also named /g when linked) takes in-place
+    # rewrites, appends, truncates and closes, through either name, and
+    # ticks that ship a node still open. The old version a pack-time
+    # "inplace" delta is encoded against must be the file's bytes when
+    # the node it replaces opened, snapshotted here before that write.
+    sim = Simulation(config=DeltaCFSConfig(enable_checksums=checksums))
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, bytes(range(256)) * 128)
+    client.close("/f")
+    names = ["/f"]
+    if linked:
+        client.link("/f", "/g")
+        names.append("/g")
+    sim.settle()
+
+    opened_on = {}  # node seq -> the file's bytes before its first write
+    encoded = []  # (node seq, old content) of each in-place delta attempt
+    delta_or_rpc = client._delta_or_rpc
+
+    def spy(path, doomed, old_content, *args):
+        if args[-1] == "inplace":
+            encoded.append((doomed[0].seq, old_content))
+        return delta_or_rpc(path, doomed, old_content, *args)
+
+    client._delta_or_rpc = spy
+
+    def node_of_file():
+        return next(filter(None, map(client.queue.active_write_node, names)), None)
+
+    for kind, second, offset, length, edit in ops:
+        name = names[-1] if second else names[0]
+        size = client.inner.size(name)
+        if kind in ("inplace", "append"):
+            before, content = node_of_file(), client.inner.read_file(name)
+            if kind == "inplace" and size:
+                offset %= size
+                data = bytearray(content[offset : offset + length])
+                data[: len(edit)] = edit[: len(data)]
+                client.write(name, offset, bytes(data))
+            else:
+                client.write(name, size, edit)
+            if before is None:
+                opened_on[node_of_file().seq] = content
+        elif kind == "truncate":
+            client.truncate(name, offset % (size + 1))
+        elif kind == "close":
+            client.close(name)
+        else:
+            sim.clock.advance(0.5 + (offset % 50) / 10.0)
+            sim.pump()
+    for name in names:
+        client.close(name)
+    sim.settle()
+    sim.flush()
+    for seq, old_content in encoded:
+        assert old_content == opened_on[seq]
+    assert sim.mismatched() == []
+    assert client.stats.conflicts == 0

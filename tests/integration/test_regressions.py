@@ -301,7 +301,8 @@ def test_update_whose_ack_was_lost_is_not_applied_twice():
 def _rewrite_mostly_in_place(client, original):
     """Bytes of the *original* /f, then rewrites of what is already there:
     three quarters of the file overwritten (the pack-time "inplace" rule
-    fires) — against a stale undo log, a mostly-COPY delta of the wrong base."""
+    fires) — against a stale old version, a mostly-COPY delta of the wrong
+    base."""
     n = len(original)
     client.write("/f", n // 2, original[: n // 4])
     current = client.inner.read_file("/f")
@@ -315,6 +316,7 @@ def test_rename_over_a_file_retires_its_undo_log():
     # behind, so the next pack-time "inplace" delta was encoded against the
     # bytes of a file that no longer existed: its COPY ops named offsets of
     # a base the cloud never held (mismatched() == ['/f'], no conflict).
+    # The old version is now the write node's own: it goes with the node.
     from repro.common.rng import DeterministicRandom
 
     rng = DeterministicRandom(1)
@@ -330,9 +332,12 @@ def test_rename_over_a_file_retires_its_undo_log():
     client.create("/t")
     client.write("/t", 0, rng.random_bytes(n))
     client.close("/t")
+    held = client.queue.active_write_node("/f")
+    assert held is not None and held.base is not None
     client.rename("/t", "/f")
+    assert held.packed and client.queue.active_write_node("/f") is None
     sim.settle()
-    assert sim.converged() and not client.undo.has_log("/f")
+    assert sim.converged()
     _rewrite_mostly_in_place(client, original)
     sim.settle()
     assert sim.converged()
@@ -348,17 +353,19 @@ def test_forwarded_rename_over_a_file_retires_its_undo_log():
         a.close(path)
     sim.settle()
     b.write("/f", 0, b"x" * 4096)  # in place on b, left open; it ships
+    assert b.queue.active_write_node("/f").base is not None
     sim.settle()
-    assert b.undo.has_log("/f")
+    # the queue packed and shipped the node: its old version went with it
+    assert b.queue.active_write_node("/f") is None
     a.rename("/t", "/f")
     sim.settle()
-    assert sim.converged() and not b.undo.has_log("/f")
+    assert sim.converged() and b.queue.active_write_node("/f") is None
     b.write("/f", 0, b"y" * 4096)  # and again, for the forwarded unlink
     sim.settle()
-    assert b.undo.has_log("/f")
+    assert b.queue.active_write_node("/f") is None
     a.unlink("/f")
     sim.settle()
-    assert sim.converged() and not b.undo.has_log("/f")
+    assert sim.converged() and b.queue.active_write_node("/f") is None
 
 
 def test_undo_log_does_not_outlive_the_node_it_grew_with():
@@ -737,5 +744,42 @@ def test_a_delta_never_names_a_version_still_being_written(save, enable_checksum
     client.close("/a")
     sim.settle()
     assert client.stats.deltas_triggered == 1
+    assert sim.mismatched() == []
+    assert client.stats.conflicts == 0
+
+
+# Read repair: a verified read that finds a damaged block adopts the cloud
+# copy. The file's pending writes are not on the cloud yet; they used to be
+# dropped from the local file while their node still shipped them, so the
+# server held the write and the replica did not (mismatched() == ['/f'],
+# no conflict).
+
+
+def _damaged_with_a_pending_write(write_through):
+    sim = Simulation(config=DeltaCFSConfig(enable_checksums=True))
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, bytes(range(256)) * 256)
+    client.close("/f")
+    sim.settle()
+    if write_through != "/f":
+        client.link("/f", write_through)
+        sim.settle()
+    client.write(write_through, 100, b"N" * 50)  # pending
+    client.inner.corrupt("/f", 40000)
+    return sim, client
+
+
+@pytest.mark.parametrize("write_through", ["/f", "/g"])
+def test_read_repair_keeps_the_files_pending_writes(write_through):
+    sim, client = _damaged_with_a_pending_write(write_through)
+    stamp, synced = client.versions["/f"], bytes(range(256)) * 256
+    assert client.read("/f", 40000, 10) == synced[40000:40010]
+    assert client.stats.recoveries == 1
+    assert client.read("/f", 100, 50) == b"N" * 50
+    assert client.versions["/f"] == client.versions[write_through] == stamp
+    client.close(write_through)
+    sim.settle()
+    sim.flush()
     assert sim.mismatched() == []
     assert client.stats.conflicts == 0

@@ -170,9 +170,9 @@ class TestRestore:
 
 class TestRestoreSupersedesPendingState:
     """A restore replaces the path's content, so everything the client held
-    against the replaced content goes with it: queued nodes, the undo log
-    and its journaled spans, and the stale checksums and versions of the
-    path's hard-linked names."""
+    against the replaced content goes with it: queued nodes (and the old
+    version an open write node holds), and the stale checksums and versions
+    of the path's hard-linked names."""
 
     @staticmethod
     def _two_synced_versions(sim):
@@ -195,10 +195,11 @@ class TestRestoreSupersedesPendingState:
         client = sim.client
         _, second, v1 = self._two_synced_versions(sim)
         client.write("/f", 0, b"\x5a" * 60_000)  # in place, left open
-        assert client.undo.has_log("/f")
+        held = client.queue.active_write_node("/f")
+        assert held is not None and bytes(held.base) == second
         client.restore_version("/f", v1)
-        assert not client.undo.has_log("/f")
-        assert "/f" not in client.journal.load().undo
+        assert client.queue.active_write_node("/f") is None
+        assert client.journal.load().nodes == []
         # The next large in-place edit must be packed against the restored
         # content, not against an "old version" rebuilt from stale spans.
         client.write("/f", 10_000, second[10_000:80_000])

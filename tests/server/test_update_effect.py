@@ -214,7 +214,7 @@ def test_recovery_rebuilds_what_the_server_will_hold(base, first, length, second
     for offset, data in second:
         client.write("/f", offset, data)
     expected = client.inner.read_file("/f")
-    pending = recovery._pending_updates_by_path(client).get("/f", [])
+    pending = recovery.pending_messages(client.queue, ["/f"])
     client.inner.write_file("/f", b"\xff" * len(expected))
 
     torn = client.inner.read_file("/f")
