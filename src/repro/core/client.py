@@ -532,8 +532,12 @@ class DeltaCFSClient(PassthroughFileSystem):
 
         Returns the number of upload units shipped. The workload driver
         calls this as virtual time advances (the real prototype's
-        background threads).
+        background threads). An idle client — no transport, nothing
+        queued, no live relation — has nothing to expire, ship or
+        retransmit, and returns at once.
         """
+        if self.transport is None and not self.queue and not self.relations:
+            return 0
         if now is None:
             now = self.clock.now()
         self._expire_relations(now)
@@ -1058,10 +1062,19 @@ class DeltaCFSClient(PassthroughFileSystem):
         if isinstance(message, MetaOp):
             self._replay_remote_meta(message)
         elif isinstance(message, (UploadWrite, UploadWriteBatch)):
+            # Each run re-checksums what it touched, as a local write does
+            # (past EOF the zero-filled gap too), not the whole file.
             self._ensure_exists(path)
+            names = self.inner.linked_paths(path)
             for offset, data in message.runs:
+                old_size = self.inner.size(path)
                 self.inner.write(path, offset, data)
-            self.versions[path] = message.new_version
+                changed = min(offset, old_size)
+                self._file_changed(
+                    path, message.new_version, names, changed,
+                    offset + len(data) - changed,
+                )
+            return
         elif isinstance(message, UploadTruncate):
             self._ensure_exists(path)
             self.inner.truncate(path, message.length)

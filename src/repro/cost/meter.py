@@ -5,7 +5,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict
 
-from repro.cost.profile import CostProfile, PC_PROFILE
+from repro.cost.profile import CostProfile, PC_PROFILE, _MB
+
+
+def _unknown(category: str) -> AttributeError:
+    return AttributeError(f"no per-byte cost category {category!r}")
 
 
 class CostMeter:
@@ -16,10 +20,15 @@ class CostMeter:
     :meth:`charge_repeat` for many equal charges at once); experiment
     harnesses read :attr:`total` at the end, which plays the role of the
     "CPU tick" columns of Table II.
+
+    The frozen profile's rates are read into a table once, here: a charge
+    is one dict hit and ``CostProfile.per_byte``'s own expression, so every
+    total is bit-identical to asking the profile each time.
     """
 
     def __init__(self, profile: CostProfile = PC_PROFILE):
         self.profile = profile
+        self._rates: Dict[str, float] = profile.rates()
         self._ticks: Dict[str, float] = defaultdict(float)
         self._bytes: Dict[str, int] = defaultdict(int)
 
@@ -27,7 +36,12 @@ class CostMeter:
         """Charge per-byte work; returns the ticks added."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        ticks = self.profile.per_byte(category, nbytes)
+        try:
+            # per_byte's own expression, so the floats agree by construction
+            # (a pre-divided rate agrees only while _MB is a power of two).
+            ticks = self._rates[category] * (nbytes / _MB)
+        except KeyError:
+            raise _unknown(category) from None
         self._ticks[category] += ticks
         self._bytes[category] += nbytes
         return ticks
@@ -44,7 +58,10 @@ class CostMeter:
             raise ValueError("nbytes and times must be non-negative")
         if not times:
             return 0.0
-        ticks = self.profile.per_byte(category, nbytes)
+        try:
+            ticks = self._rates[category] * (nbytes / _MB)
+        except KeyError:
+            raise _unknown(category) from None
         before = total = self._ticks[category]
         for _ in range(times):
             total += ticks
@@ -92,19 +109,30 @@ class CostMeter:
 
 
 class _NullMeter(CostMeter):
-    """A meter that discards all charges — for callers that don't measure."""
+    """A meter that discards all charges — for callers that don't measure.
+
+    It rejects exactly what a real meter rejects (a negative amount, a
+    category the profile does not have), so a path that only unmetered
+    clients run cannot hide a bad charge.
+    """
 
     def charge_bytes(self, category: str, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        if category not in self._rates:
+            raise _unknown(category)
         return 0.0
 
     def charge_repeat(self, category: str, nbytes: int, times: int) -> float:
         if nbytes < 0 or times < 0:
             raise ValueError("nbytes and times must be non-negative")
+        if times and category not in self._rates:
+            raise _unknown(category)
         return 0.0
 
     def charge_ops(self, count: int = 1) -> float:
+        if count < 0:
+            raise ValueError("count must be non-negative")
         return 0.0
 
 

@@ -25,7 +25,8 @@ bandwidth keeps the device busy transmitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Dict
 
 _MB = 1024.0 * 1024.0
 
@@ -53,27 +54,17 @@ class CostProfile:
         """Ticks charged for ``nbytes`` of work in category ``field``."""
         return getattr(self, field) * (nbytes / _MB)
 
+    def rates(self) -> Dict[str, float]:
+        """Every per-unit cost by category: each field but ``name``."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "name"
+        }
+
     def scaled(self, factor: float, name: str) -> "CostProfile":
         """A profile with every per-unit cost multiplied by ``factor``."""
-        fields = {
-            f: getattr(self, f) * factor
-            for f in (
-                "rolling_checksum",
-                "strong_checksum",
-                "bitwise_compare",
-                "cdc_chunking",
-                "scan_read",
-                "write_io",
-                "compress",
-                "encrypt",
-                "dedup_hash",
-                "network_send",
-                "network_recv",
-                "apply_delta",
-                "op_overhead",
-            )
-        }
-        return replace(self, name=name, **fields)
+        return replace(
+            self, name=name, **{f: rate * factor for f, rate in self.rates().items()}
+        )
 
 
 PC_PROFILE = CostProfile(name="pc")

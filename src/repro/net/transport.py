@@ -76,6 +76,7 @@ class Channel:
         obs: Observability = NULL_OBS,
     ):
         self.model = model
+        self._encrypted = model.encrypted  # the model is frozen: read once
         self.client_meter = client_meter
         self.server_meter = server_meter
         self.obs = obs
@@ -171,7 +172,7 @@ class Channel:
 
     def _charge(self, meter: CostMeter, category: str, size: int) -> None:
         meter.charge_bytes(category, size)
-        if self.model.encrypted:
+        if self._encrypted:
             meter.charge_bytes("encrypt", size)
 
 

@@ -539,11 +539,12 @@ class CloudServer:
             # A path-less message is broadcast (matches the pre-index scan,
             # where no path meant no filter could exclude anyone).
             recipients = [cid for cid in self._sinks if cid != origin_client]
+        # One frozen Forward for every recipient (§III-D: the same data,
+        # no additional computation); each sink pays only its own apply.
+        forward = Forward(origin_client=origin_client, inner=message)
         for client_id in recipients:
             self.obs.inc("server.forwards.sent")
-            self._sinks[client_id](
-                origin_client, Forward(origin_client=origin_client, inner=message)
-            )
+            self._sinks[client_id](origin_client, forward)
 
     @staticmethod
     def _ancestor_prefixes(path: str) -> List[str]:

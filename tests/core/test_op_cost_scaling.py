@@ -28,7 +28,10 @@ names the store already binds normalises nothing (``posixpath.normpath``
 runs only for a name no store holds yet), ``MemoryFileSystem.size`` builds
 no ``Stat``, the server's apply log keeps no ``ApplyResult`` alive, and an
 in-place write reads nothing back from the store (the old version its
-write node holds is the store's immutable value, not a copy-out).
+write node holds is the store's immutable value, not a copy-out). And on
+the fan-out path: a message is wrapped in one ``Forward`` for all its
+recipients, an idle peer's pump sweeps neither its queue nor its relation
+table, and a meter charge is the profile's own float expression.
 """
 
 import gc
@@ -42,11 +45,16 @@ from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
+from repro.core.relation_table import RelationTable
+from repro.core.sync_queue import SyncQueue
 from repro.cost.meter import CostMeter
+from repro.cost.profile import MOBILE_PROFILE, PC_PROFILE
 from repro.kvstore.kv import MemoryKV
 from repro.net.messages import Forward, MetaOp, UploadWrite
 from repro.net.transport import Channel
+from repro.server import cloud
 from repro.server.cloud import CloudServer
+from repro.sim import Simulation
 from repro.vfs import filesystem
 from repro.vfs.filesystem import MemoryFileSystem
 
@@ -228,3 +236,94 @@ def test_an_in_place_write_reads_nothing_back(monkeypatch):
     assert reads == []
     assert meter.bytes_by_category["write_io"] == before + (512 + 192) + (50 + 50)
     assert client.queue.active_write_node("/f").base == bytes(8192)
+
+
+@pytest.mark.parametrize("clients", [3, 9])
+def test_a_fanned_out_message_builds_one_forward(clients, monkeypatch):
+    # Section III-D: the cloud forwards the same incremental data to every
+    # other shared client; what a recipient adds is its own download + apply.
+    sim = Simulation(clients=clients)
+    built = []
+    monkeypatch.setattr(
+        cloud, "Forward", lambda **kw: built.append(kw) or Forward(**kw)
+    )
+    create = MetaOp(kind="create", path="/new", new_version=VersionStamp(1, 1))
+    assert sim.server.handle(create, origin_client=1).ok
+    assert built == [{"origin_client": 1, "inner": create}]
+    assert [c.stats.forwards_applied for c in sim.clients] == [0] + [1] * (clients - 1)
+    assert all(c.inner.exists("/new") for c in sim.clients[1:])
+
+
+def _sweeps(monkeypatch):
+    """The names of the queue sweeps and relation scans a pump makes."""
+    calls = []
+    for cls, name in ((SyncQueue, "drain_due"), (RelationTable, "expire")):
+        original = getattr(cls, name)
+
+        def counted(self, now, original=original, name=name):
+            calls.append(name)
+            return original(self, now)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _lone_client():
+    clock = VirtualClock()
+    client = DeltaCFSClient(
+        MemoryFileSystem(), server=CloudServer(), channel=Channel(), clock=clock,
+    )
+    return client, clock
+
+
+def test_an_idle_pump_sweeps_nothing(monkeypatch):
+    client, clock = _lone_client()
+    calls = _sweeps(monkeypatch)
+    clock.advance(60.0)
+    assert client.pump() == 0 and client.pump(clock.now()) == 0
+    assert calls == []
+
+
+def test_a_pump_with_a_due_node_still_sweeps(monkeypatch):
+    client, clock = _lone_client()
+    client.create("/f")
+    calls = _sweeps(monkeypatch)
+    clock.advance(60.0)
+    assert client.pump() == 1
+    assert calls == ["expire", "drain_due"]
+    assert len(client.queue) == 0 and client.server.store.exists("/f")
+
+
+def test_a_pump_with_a_live_relation_still_sweeps(monkeypatch):
+    client, clock = _lone_client()
+    client.create("/f")
+    client.rename("/f", "/g")
+    client.flush()
+    assert len(client.queue) == 0 and len(client.relations) == 1
+    calls = _sweeps(monkeypatch)
+    assert client.pump() == 0
+    assert calls == ["expire", "drain_due"]
+    clock.advance(60.0)
+    client.pump()  # the entry expires here; the next pump is idle again
+    assert len(client.relations) == 0
+    calls.clear()
+    client.pump()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [PC_PROFILE, MOBILE_PROFILE, PC_PROFILE.scaled(0.37, name="odd")],
+    ids=lambda profile: profile.name,
+)
+def test_a_charge_is_the_profiles_own_float(profile):
+    # The meter reads its rates from a table built once; its floats must
+    # stay the profile's, or model_ticks and every golden move.
+    meter = CostMeter(profile)
+    for category in profile.rates():
+        for nbytes in (0, 1, 3, 511, 4096, 65_537, 1 << 20, 123_456_789):
+            expected = profile.per_byte(category, nbytes)
+            assert meter.charge_bytes(category, nbytes) == expected
+            repeated = CostMeter(profile)
+            repeated.charge_repeat(category, nbytes, 1)
+            assert repeated.by_category[category] == expected

@@ -1,9 +1,11 @@
 """Tests for CPU-tick metering."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cost.meter import CostMeter, NULL_METER
-from repro.cost.profile import MOBILE_PROFILE, PC_PROFILE
+from repro.cost.profile import CostProfile, MOBILE_PROFILE, PC_PROFILE
 
 
 class TestCharging:
@@ -86,6 +88,19 @@ class TestNullMeter:
         with pytest.raises(ValueError):
             NULL_METER.charge_repeat("encrypt", 1, -1)
 
+    @pytest.mark.parametrize("meter", [CostMeter(), NULL_METER], ids=["real", "null"])
+    def test_rejects_what_a_real_meter_rejects(self, meter):
+        # A typo on a path only unmetered clients run must not go unnoticed.
+        with pytest.raises(ValueError):
+            meter.charge_ops(-3)
+        with pytest.raises(AttributeError):
+            meter.charge_bytes("not_a_category", 10)
+        with pytest.raises(AttributeError):
+            meter.charge_repeat("not_a_category", 10, 2)
+        with pytest.raises(AttributeError):
+            meter.charge_bytes("name", 10)  # a profile field, not a rate
+        assert meter.charge_repeat("not_a_category", 10, 0) == 0.0
+
 
 class TestProfiles:
     def test_mobile_scales_everything_up(self):
@@ -103,6 +118,13 @@ class TestProfiles:
         scaled = PC_PROFILE.scaled(2.0, name="double")
         assert scaled.name == "double"
         assert scaled.encrypt == pytest.approx(PC_PROFILE.encrypt * 2)
+
+    def test_scaled_scales_every_rate(self):
+        numeric = [f.name for f in fields(CostProfile) if f.type == "float"]
+        assert sorted(PC_PROFILE.rates()) == sorted(numeric)
+        scaled = PC_PROFILE.scaled(3.0, name="triple")
+        for name in numeric:
+            assert getattr(scaled, name) == getattr(PC_PROFILE, name) * 3.0, name
 
     def test_per_byte_helper(self):
         assert PC_PROFILE.per_byte("encrypt", 1024 * 1024) == pytest.approx(

@@ -748,6 +748,43 @@ def test_a_delta_never_names_a_version_still_being_written(save, enable_checksum
     assert client.stats.conflicts == 0
 
 
+# A forwarded write re-checksums what it touched, as the local write did,
+# once for every name of the receiver's file. It used to re-index the whole
+# file: one 4 KB write into a 1 MiB file cost the receiver 1 MiB of rolling
+# checksum.
+
+
+@pytest.mark.parametrize("write_through", ["/a", "/b"])
+def test_a_forwarded_write_rechecksums_only_the_blocks_it_touched(write_through):
+    sim = Simulation(clients=2, config=DeltaCFSConfig(enable_checksums=True))
+    writer, receiver = sim.clients
+    size, bs = 256 * 1024, receiver.checksums.block_size
+    writer.create("/a")
+    writer.write("/a", 0, bytes(range(256)) * (size // 256))
+    writer.close("/a")
+    writer.link("/a", "/b")
+    sim.settle()
+    assert sorted(receiver.inner.linked_paths("/a")) == ["/a", "/b"]
+    for runs, touched in (
+        ([(3 * bs + 100, b"w" * 4096)], 2 * bs),  # straddles two blocks
+        ([(100, b"r" * 10), (20 * bs, b"R" * 10)], 2 * bs),  # a two-run batch
+        ([(size + 5000, b"t" * 100)], 5000 + 100),  # the zero-filled gap too
+    ):
+        before = receiver.meter.bytes_by_category["rolling_checksum"]
+        for offset, data in runs:
+            writer.write(write_through, offset, data)
+        writer.close(write_through)
+        sim.settle()
+        spent = receiver.meter.bytes_by_category["rolling_checksum"] - before
+        assert spent == touched
+    assert receiver.stats.forwards_applied == 3 + 3  # create, write, link + ours
+    assert sim.mismatched() == [] and receiver.stats.conflicts == 0
+    for name in ("/a", "/b"):
+        content = receiver.inner.read_file(name)
+        receiver.checksums.verify_read(name, content, 0, len(content))
+        assert receiver.checksums.mismatched_blocks(name, content) == []
+
+
 # Read repair: a verified read that finds a damaged block adopts the cloud
 # copy. The file's pending writes are not on the cloud yet; they used to be
 # dropped from the local file while their node still shipped them, so the
