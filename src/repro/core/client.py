@@ -75,6 +75,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # imported for annotations only; avoids a core<->server cycle
     from repro.server.cloud import ApplyResult, CloudServer
 
+#: A packed write node whose writes (and truncate cut) rewrote more than this
+#: fraction of its base is delta-encoded against it (Section III-A: "more
+#: than 50%").
+INPLACE_DELTA_THRESHOLD = 0.5
+#: Files larger than this are deleted on unlink, not preserved for a later
+#: delta (the paper's ENOSPC escape hatch, expressed as a cap).
+PRESERVE_UNLINKED_MAX_BYTES = 1 << 30
+
 
 @dataclass
 class ClientStats:
@@ -92,7 +100,6 @@ class ClientStats:
     corruptions_detected: int = 0
     recoveries: int = 0
     forwards_applied: int = 0
-    stalls: int = 0  # sync-queue-full back-pressure events
 
 
 class DeltaCFSClient(PassthroughFileSystem):
@@ -104,7 +111,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             into the void; used by the local-IO microbenchmarks).
         channel: accounting link to the server.
         client_id: this device's id for ``<CliID, VerCnt>`` stamps.
-        config: tunables (block size, delays, thresholds).
+        config: tunables (block size, delays, mechanism policy).
         clock: virtual time source shared with the workload driver.
         meter: client-side CPU meter.
         obs: observability hub (metrics + tracing); defaults to the no-op
@@ -165,29 +172,19 @@ class DeltaCFSClient(PassthroughFileSystem):
             block_size=self.config.block_size,
             profile=getattr(meter, "profile", PC_PROFILE),
             obs=obs,
-            cpu_byte_rate=self.config.policy_cpu_byte_rate,
         )
 
         self.relations = RelationTable(
             timeout=self.config.relation_timeout, obs=obs
         )
-        self.queue = SyncQueue(
-            upload_delay=self.config.upload_delay,
-            capacity=self.config.sync_queue_capacity,
-            max_coalesce_delay=self.config.max_coalesce_delay,
-            obs=obs,
-        )
+        self.queue = SyncQueue(upload_delay=self.config.upload_delay, obs=obs)
         self.versions: Dict[str, Optional[VersionStamp]] = {}
         self._counter = VersionCounter(client_id)
         # checksum_kv lets callers back the checksum store with a durable
         # KV (repro.kvstore.LogStructuredKV — the LevelDB role): that is
         # what makes the post-crash sweep possible after a real restart.
         self.checksums: Optional[ChecksumStore] = (
-            ChecksumStore(
-                checksum_kv,
-                block_size=self.config.checksum_block_size,
-                meter=meter,
-            )
+            ChecksumStore(checksum_kv, meter=meter)
             if self.config.enable_checksums
             else None
         )
@@ -274,10 +271,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._journal_forget_relations(self.relations.invalidate_dst(path))
 
         if node is None:
-            if self.queue.full:
-                self.stats.stalls += 1
-                self.obs.inc("client.stalls")
-                self.pump(now)
             node = WriteNode(
                 path=path, base_version=self.versions.get(path),
                 new_version=self._mint(), base=base,
@@ -889,7 +882,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             elif (
                 base is not None
                 and node.rewritten_fraction(len(base), self.inner.size(path))
-                > self.config.inplace_delta_threshold
+                > INPLACE_DELTA_THRESHOLD
             ):
                 # Large in-place update: the node holds the old version.
                 self._delta_or_rpc(
@@ -906,7 +899,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         ENOSPC ... the deleted files will not be preserved").
         """
         stat = self.inner.stat(path)
-        if stat.is_dir or stat.size > self.config.preserve_unlinked_max_bytes:
+        if stat.is_dir or stat.size > PRESERVE_UNLINKED_MAX_BYTES:
             return False
         if not self.inner.exists(self.config.tmp_dir):
             self.inner.mkdir(self.config.tmp_dir)

@@ -38,6 +38,10 @@ from repro.cost.profile import CostProfile, PC_PROFILE
 from repro.delta.backends import DeltaBackend, get_backend
 from repro.obs import NULL_OBS, Observability
 
+#: Byte-equivalents the cost-model policy charges per estimated CPU tick
+#: when it scores an encode.
+CPU_BYTE_RATE = 1024.0
+
 
 @dataclass(frozen=True)
 class UpdateStats:
@@ -96,7 +100,7 @@ class MechanismPolicy:
         block_size: int = 4096,
         profile: CostProfile = PC_PROFILE,
         obs: Observability = NULL_OBS,
-        cpu_byte_rate: float = 0.0,
+        cpu_byte_rate: float = CPU_BYTE_RATE,
     ):
         self.backend = backend
         self.block_size = block_size
@@ -261,7 +265,7 @@ def make_policy(
     block_size: int = 4096,
     profile: CostProfile = PC_PROFILE,
     obs: Observability = NULL_OBS,
-    cpu_byte_rate: float = 0.0,
+    cpu_byte_rate: float = CPU_BYTE_RATE,
 ) -> MechanismPolicy:
     """Construct the named policy over the named backend."""
     try:

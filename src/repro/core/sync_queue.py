@@ -42,6 +42,8 @@ from repro.obs import NULL_OBS, Observability
 
 
 _SEQ = attrgetter("seq")
+#: A node comes due at most this many upload delays after it first joined.
+COALESCE_CLAMP = 4.0
 
 
 @dataclass
@@ -245,28 +247,15 @@ class SyncQueue:
     """
 
     def __init__(
-        self,
-        *,
-        upload_delay: float = 3.0,
-        capacity: int = 4096,
-        max_coalesce_delay: Optional[float] = None,
-        obs: Observability = NULL_OBS,
+        self, *, upload_delay: float = 3.0, obs: Observability = NULL_OBS
     ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.upload_delay = upload_delay
         # The debounce refreshes ``enqueue_time`` on every coalesced write,
         # so a continuously-written hot file would keep the queue head
         # un-due forever and starve everything behind it. ``created_time``
         # clamps the coalescing window: a node always comes due at most
-        # ``max_coalesce_delay`` after it first joined (default 4x the
-        # upload delay).
-        self.max_coalesce_delay = (
-            max_coalesce_delay
-            if max_coalesce_delay is not None
-            else 4.0 * upload_delay
-        )
-        self.capacity = capacity
+        # ``COALESCE_CLAMP`` upload delays after it first joined.
+        self.max_coalesce_delay = COALESCE_CLAMP * upload_delay
         self.obs = obs
         self._nodes: List[QueueNode] = []  # live nodes, FIFO by seq
         self._active_writes: Dict[str, WriteNode] = {}  # the hash table
@@ -289,11 +278,6 @@ class SyncQueue:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def full(self) -> bool:
-        """Back-pressure signal (Table III: "Sync Queue becomes full")."""
-        return len(self._nodes) >= self.capacity
 
     def enqueue(self, node: QueueNode, now: float) -> QueueNode:
         """Append a node at the tail."""
@@ -620,7 +604,7 @@ class SyncQueue:
             self._telemetry_now = None
 
     def queued_bytes(self) -> int:
-        """Total payload bytes waiting (back-pressure metric)."""
+        """Total payload bytes waiting."""
         return sum(n.payload_bytes() for n in self._nodes)
 
     # -- internals ---------------------------------------------------------

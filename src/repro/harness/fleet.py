@@ -69,6 +69,17 @@ __all__ = [
     "FLEET_CURVE",
 ]
 
+#: Seeded file size per client (kept small — 10^5 clients at the capacity
+#: harness's 256 KiB would be 25 GiB).
+FILE_SIZE = 4096
+#: Bytes per in-place write.
+WRITE_SIZE = 512
+#: Bursty arrivals: uniform jitter width inside a wave, in seconds.
+BURST_JITTER = 4.0
+#: Relative-error bound of the latency quantile sketches (0.005: reported
+#: quantiles within 0.5% of exact).
+SKETCH_ALPHA = 0.005
+
 
 def provision_clients(
     n_clients: int,
@@ -131,21 +142,17 @@ class FleetSpec:
     Args:
         n_clients: simulated clients (each in a private namespace).
         n_shards: CloudServer shards behind the router.
-        writes_per_client: in-place writes per client after seeding.
-        write_size: bytes per write.
-        file_size: seeded file size per client (kept small — 10^5
-            clients at the capacity harness's 256 KiB would be 25 GiB).
+        writes_per_client: in-place ``WRITE_SIZE`` writes per client
+            after seeding its ``FILE_SIZE`` file.
         arrival: ``"poisson"`` (independent exponential gaps) or
             ``"bursty"`` (synchronized waves with uniform jitter — the
             everyone-saves-at-once shape that stresses shard queues).
         mean_gap: poisson — mean seconds between one client's writes.
-        burst_every: bursty — seconds between waves.
-        burst_jitter: bursty — uniform jitter width inside a wave.
+        burst_every: bursty — seconds between waves (each wave spread
+            over ``BURST_JITTER`` seconds).
         window_seconds: width of the telemetry rollup windows (virtual
             seconds); per-shard latency sketches, queue peaks and busy
             time aggregate per window.
-        sketch_alpha: relative-error bound of the latency quantile
-            sketches (0.005 → reported quantiles within 0.5% of exact).
         slo_seconds: the sync-latency objective — a write meets the SLO
             when its sync latency is at or under this.
         stall_horizon: a write whose sync takes longer than this counts
@@ -158,23 +165,17 @@ class FleetSpec:
             wimpy-server claim holds, high enough that the bursty
             arrival mix visibly queues.
         seed: root of the deterministic randomness tree.
-        vnodes: hash-ring virtual nodes per shard.
     """
 
     n_clients: int = 10_000
     n_shards: int = 8
     writes_per_client: int = 3
-    write_size: int = 512
-    file_size: int = 4096
     arrival: str = "poisson"
     mean_gap: float = 20.0
     burst_every: float = 20.0
-    burst_jitter: float = 4.0
     tick_seconds: float = 8.0
     seed: int = 0
-    vnodes: int = 32
     window_seconds: float = 20.0
-    sketch_alpha: float = 0.005
     slo_seconds: float = 15.0
     stall_horizon: float = 60.0
 
@@ -183,14 +184,10 @@ class FleetSpec:
             raise ValueError("n_clients must be positive")
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if self.write_size >= self.file_size:
-            raise ValueError("write_size must be smaller than file_size")
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be positive")
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if not 0.0 < self.sketch_alpha < 1.0:
-            raise ValueError("sketch_alpha must be in (0, 1)")
         if self.slo_seconds <= 0 or self.stall_horizon <= 0:
             raise ValueError("slo_seconds and stall_horizon must be positive")
 
@@ -256,7 +253,7 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     clock = VirtualClock()
     obs.bind_clock(clock)
     rng = DeterministicRandom(spec.seed)
-    router = ShardRouter(spec.n_shards, vnodes=spec.vnodes, obs=obs)
+    router = ShardRouter(spec.n_shards, obs=obs)
 
     def meter_for(client_id: int) -> CostMeter:
         return router.shard_meters[
@@ -268,7 +265,7 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
         server=router,
         clock=clock,
         rng=rng,
-        file_size=spec.file_size,
+        file_size=FILE_SIZE,
         server_meter_for=meter_for,
         obs=obs,
     )
@@ -307,7 +304,7 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
         spec.n_shards,
         spec.window_seconds,
         t0=t0,
-        alpha=spec.sketch_alpha,
+        alpha=SKETCH_ALPHA,
     )
     shard_stalls = [0] * spec.n_shards
     shard_busy = [0.0] * spec.n_shards
@@ -362,9 +359,9 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
         shard = home_shard[i]
         if kind == _WRITE:
             wrng = write_rngs[i]
-            offset = wrng.randint(0, spec.file_size - spec.write_size - 1)
+            offset = wrng.randint(0, FILE_SIZE - WRITE_SIZE - 1)
             path = f"/u{i + 1}/data.bin"
-            client.write(path, offset, wrng.random_bytes(spec.write_size))
+            client.write(path, offset, wrng.random_bytes(WRITE_SIZE))
             client.close(path)
             pending[i].append(t)
             writes_issued += 1
@@ -485,7 +482,7 @@ def _next_gap(spec: FleetSpec, rng: DeterministicRandom, *, wave: int) -> float:
     """
     if spec.arrival == "poisson":
         return -math.log(1.0 - rng.random()) * spec.mean_gap
-    return (wave + 1) * spec.burst_every + rng.random() * spec.burst_jitter
+    return (wave + 1) * spec.burst_every + rng.random() * BURST_JITTER
 
 
 # The committed scaling curve: fixed spec per point so the BENCH_fleet

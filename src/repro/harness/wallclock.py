@@ -133,7 +133,7 @@ def _build_drain_queue(groups: int, payload: bytes) -> SyncQueue:
     per-node ``next_unit`` loop quadratic (every span unit re-scanned and
     rebuilt the whole node list).
     """
-    queue = SyncQueue(upload_delay=0.0, capacity=8 * groups + 1)
+    queue = SyncQueue(upload_delay=0.0)
     for g in range(groups):
         victim: WriteNode | None = None
         for i in range(7):

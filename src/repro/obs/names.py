@@ -190,12 +190,6 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         "rejected because the path had pending local edits",
         unit="ops",
     ),
-    MetricSpec(
-        "client.stalls",
-        COUNTER,
-        "sync-queue-full back-pressure events (forced pumps)",
-        unit="ops",
-    ),
     POLICY,
     MetricSpec(
         "policy.decisions",
@@ -716,7 +710,7 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "a transactional update is recognized; `rule` ∈ `relation_match` "
         "(Table I rule 1), `name_exists` (rule 2), `pending_create` "
         "(delete-then-rewrite, resolved at pack time), `inplace` (a packed "
-        "write node rewrote more than `inplace_delta_threshold` of its base)",
+        "write node rewrote more than half of its base)",
         attrs=("path", "rule"),
     ),
     EventSpec(

@@ -48,6 +48,9 @@ from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import ApplyResult, CloudServer, ForwardSink, Outcome
 
+#: Virtual nodes per shard on the hash ring.
+VNODES = 32
+
 
 def namespace_of(path: str) -> str:
     """A path's routing namespace: its first component.
@@ -72,14 +75,12 @@ class HashRing:
     :meth:`lookup` hashes each distinct key once.
     """
 
-    def __init__(self, n_shards: int, *, vnodes: int = 32):
+    def __init__(self, n_shards: int):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if vnodes <= 0:
-            raise ValueError("vnodes must be positive")
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 points.append((self._point(f"shard-{shard}-vn-{vnode}"), shard))
         points.sort()
         self._hashes = [h for h, _ in points]
@@ -155,7 +156,6 @@ class ShardRouter:
             1-shard router is indistinguishable from a bare server. When
             ``None``, each shard gets its own :class:`CostMeter` (read
             them via :attr:`shard_meters`) for per-shard load curves.
-        vnodes: virtual nodes per shard on the hash ring.
         obs: observability hub, shared by the router and every shard.
 
     Between calls a file lives on its namespace's shard (the ring's
@@ -172,11 +172,10 @@ class ShardRouter:
         n_shards: int,
         *,
         meter: Optional[CostMeter] = None,
-        vnodes: int = 32,
         obs: Observability = NULL_OBS,
     ):
         self.obs = obs
-        self.ring = HashRing(n_shards, vnodes=vnodes)
+        self.ring = HashRing(n_shards)
         if meter is not None:
             self.shard_meters: List[CostMeter] = [meter] * n_shards
         else:
@@ -378,7 +377,13 @@ class ShardRouter:
     def _migrate(self, path: str, source: int, target: int, *, reason: str) -> None:
         if source == target:
             return
-        bundle = self.shards[source].store.detach_entry(path)
+        origin = self.shards[source]
+        if path in origin.dirs:
+            # A directory has no stored entry: its ``dirs`` membership
+            # moves with the name, silently (no event, not a migration).
+            origin.dirs.discard(path)
+            self.shards[target].dirs.add(path)
+        bundle = origin.store.detach_entry(path)
         if bundle is None:
             return
         stored, lineage, snapshots = bundle

@@ -21,7 +21,7 @@ class Shipper:
         with self.obs.span("no.such.span"):
             pass
         self.obs.event("queue.node.shipped", path=path, seq=seq)
-        self.obs.inc("client.stalls")
+        self.obs.inc("client.conflicts")
         self.obs.inc("waived.counter")  # reprolint: disable=OBS001
 
     def multi_line(self):

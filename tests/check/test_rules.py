@@ -184,7 +184,7 @@ class TestObsNames:
     def test_catalogued_names_fine(self):
         src = (
             "self.obs.event('queue.node.shipped', path=p, seq=s)\n"
-            "obs.inc('client.stalls')\n"
+            "obs.inc('client.conflicts')\n"
         )
         assert rules_hit(src) == []
 
@@ -194,7 +194,7 @@ class TestObsNames:
         assert rules_hit("obs.event(name, path=p)\n") == ["OBS001"]
         assert rules_hit("obs.span(name=n)\n") == ["OBS001"]
         assert rules_hit("obs.inc(name='no.such.counter')\n") == ["OBS001"]
-        assert rules_hit("obs.inc(name='client.stalls')\n") == []
+        assert rules_hit("obs.inc(name='client.conflicts')\n") == []
 
     def test_non_obs_receiver_ignored(self):
         assert rules_hit("bus.event('anything.goes')\n") == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import DeltaCFSConfig
+from repro.core.client import INPLACE_DELTA_THRESHOLD
 
 
 class TestPaperDefaults:
@@ -17,7 +18,7 @@ class TestPaperDefaults:
         assert DeltaCFSConfig().upload_delay == 3.0
 
     def test_inplace_threshold_is_half(self):
-        assert DeltaCFSConfig().inplace_delta_threshold == 0.5
+        assert INPLACE_DELTA_THRESHOLD == 0.5
 
 
 class TestValidation:
@@ -29,18 +30,11 @@ class TestValidation:
         [
             ("block_size", 0),
             ("block_size", -4096),
-            ("checksum_block_size", 0),
-            ("inplace_delta_threshold", 0.0),
-            ("inplace_delta_threshold", 1.5),
             ("relation_timeout", 0.0),
             ("upload_delay", -1.0),
-            ("sync_queue_capacity", 0),
         ],
     )
     def test_bad_values_rejected(self, field, value):
         config = DeltaCFSConfig(**{field: value})
         with pytest.raises(ValueError):
             config.validate()
-
-    def test_threshold_of_one_allowed(self):
-        DeltaCFSConfig(inplace_delta_threshold=1.0).validate()

@@ -104,17 +104,6 @@ class TestUnsyncedPaths:
         assert f"{tmp}/scratch" not in client.versions
 
 
-class TestBackpressure:
-    def test_stall_counter(self):
-        config = DeltaCFSConfig(sync_queue_capacity=2, upload_delay=1e9)
-        _, client, _ = build(config=config)
-        for i in range(5):
-            client.create(f"/f{i}")
-            client.write(f"/f{i}", 0, b"x")
-            client.close(f"/f{i}")
-        assert client.stats.stalls > 0
-
-
 class TestDetachedClient:
     def test_runs_without_server(self):
         clock, client, _ = build(server=False)

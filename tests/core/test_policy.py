@@ -91,13 +91,19 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="registered"):
             make_policy("static", "no-such-backend")
 
+    def test_one_cpu_byte_rate_default(self):
+        # A policy built on its own scored encodes CPU-free (0.0) while
+        # every client's scored them at 1024 byte-equivalents per tick.
+        alone = make_policy("cost-model", "bitwise")
+        for config in (None, DeltaCFSConfig(sync_policy="cost-model")):
+            client = DeltaCFSClient(MemoryFileSystem(), config=config)
+            assert client.policy.cpu_byte_rate == alone.cpu_byte_rate
+
     def test_config_validates_policy_names(self):
         with pytest.raises(ValueError, match="sync_policy"):
             DeltaCFSConfig(sync_policy="vibes").validate()
         with pytest.raises(ValueError, match="delta_backend"):
             DeltaCFSConfig(delta_backend="").validate()
-        with pytest.raises(ValueError, match="policy_cpu_byte_rate"):
-            DeltaCFSConfig(policy_cpu_byte_rate=-1.0).validate()
 
 
 class TestStaticPolicyUnit:

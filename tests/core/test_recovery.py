@@ -460,6 +460,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DeltaCFSConfig
 from repro.core import recovery
+from repro.core.checksum_store import ChecksumStore
 
 _BLOCK = 16
 _sizes = st.integers(min_value=0, max_value=12 * _BLOCK)
@@ -520,9 +521,10 @@ def test_fold_equals_the_clipped_overlay_it_replaced(base, ops, damaged):
         server=server,
         channel=Channel(),
         clock=clock,
-        config=DeltaCFSConfig(checksum_block_size=_BLOCK, enable_undo_log=False),
+        config=DeltaCFSConfig(enable_undo_log=False),
         journal_kv=MemoryKV(),
     )
+    client.checksums = ChecksumStore(block_size=_BLOCK)
     client.create("/f")
     client.write("/f", 0, base)
     client.close("/f")

@@ -17,8 +17,8 @@ from repro.delta.format import Delta, Literal
 from repro.vfs.filesystem import MemoryFileSystem
 
 
-def _queue(delay=3.0, capacity=100):
-    return SyncQueue(upload_delay=delay, capacity=capacity)
+def _queue(delay=3.0):
+    return SyncQueue(upload_delay=delay)
 
 
 def _write_node(path="/f", **kwargs):
@@ -384,17 +384,6 @@ class TestBookkeeping:
         tn = q.enqueue(TruncateNode(path="/f", length=0), now=0.0)
         assert q.queued_bytes() == 100
 
-    def test_full_flag(self):
-        q = _queue(capacity=2)
-        assert not q.full
-        q.enqueue(MetaNode(path="/a", kind="create"), now=0.0)
-        q.enqueue(MetaNode(path="/b", kind="create"), now=0.0)
-        assert q.full
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SyncQueue(capacity=0)
-
     def test_pending_nodes_by_path(self):
         q = _queue()
         q.enqueue(MetaNode(path="/a", kind="create"), now=0.0)
@@ -409,7 +398,7 @@ class TestCoalesceClamp:
     # behind it) forever.
 
     def test_hot_node_ships_by_age(self):
-        q = SyncQueue(upload_delay=3.0, max_coalesce_delay=8.0)
+        q = SyncQueue(upload_delay=2.0)  # clamp: 8 s
         node = q.enqueue(_write_node("/hot"), now=0.0)
         node.add_write(0, b"x")
         # writes keep landing: the debounce never elapses
@@ -417,7 +406,7 @@ class TestCoalesceClamp:
         assert q.next_unit(now=8.0) is not None  # age clamp fired
 
     def test_quiet_node_still_debounced(self):
-        q = SyncQueue(upload_delay=3.0, max_coalesce_delay=8.0)
+        q = SyncQueue(upload_delay=2.0)
         node = q.enqueue(_write_node("/hot"), now=0.0)
         node.add_write(0, b"x")
         node.enqueue_time = 1.0
@@ -428,7 +417,7 @@ class TestCoalesceClamp:
         assert q.max_coalesce_delay == 12.0
 
     def test_hot_head_no_longer_starves_tail(self):
-        q = SyncQueue(upload_delay=3.0, max_coalesce_delay=8.0)
+        q = SyncQueue(upload_delay=2.0)
         hot = q.enqueue(_write_node("/hot"), now=0.0)
         hot.add_write(0, b"x")
         q.enqueue(MetaNode(path="/other", kind="create"), now=0.5)
@@ -518,7 +507,7 @@ class TestDrainDue:
     @staticmethod
     def _populated(delay=3.0):
         """Writes + a delta replacement (span) + more writes behind it."""
-        q = SyncQueue(upload_delay=delay, capacity=100)
+        q = SyncQueue(upload_delay=delay)
         for i in range(3):
             node = WriteNode(path=f"/plain{i}")
             q.enqueue(node, now=0.0)
@@ -548,7 +537,7 @@ class TestDrainDue:
         assert a.spans() == b.spans() == []
 
     def test_stops_at_first_undue_head(self):
-        q = SyncQueue(upload_delay=3.0, capacity=100)
+        q = SyncQueue(upload_delay=3.0)
         early = WriteNode(path="/early")
         q.enqueue(early, now=0.0)
         early.add_write(0, b"a")

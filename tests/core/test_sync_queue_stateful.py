@@ -30,7 +30,7 @@ PATHS = ["/p0", "/p1", "/p2"]
 class SyncQueueMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.queue = SyncQueue(upload_delay=1.0, capacity=10**9)
+        self.queue = SyncQueue(upload_delay=1.0)
         self.now = 0.0
         self.uploaded_seqs = []
         self.removed_seqs = set()

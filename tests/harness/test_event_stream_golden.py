@@ -313,7 +313,6 @@ NEVER_EMITTED = ["relation.invalidate"]
 # Likewise the metric families no run touches (so their labels go unchecked).
 NEVER_TOUCHED = [
     "channel.faults.partition_drops",
-    "client.stalls",
     "health.regressions",
     "relation.entries.invalidated",
     "relation.entries.stale",

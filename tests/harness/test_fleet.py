@@ -73,7 +73,7 @@ class TestRunFleet:
         with pytest.raises(ValueError):
             run_fleet(FleetSpec(arrival="steady"))
         with pytest.raises(ValueError):
-            run_fleet(FleetSpec(write_size=4096, file_size=4096))
+            run_fleet(FleetSpec(tick_seconds=0.0))
 
 
 class TestBenchDoc:

@@ -585,6 +585,37 @@ def test_a_file_a_group_moved_survives_later_colocations():
     assert _on_no_shard(router, "/u2/b")
 
 
+def _write_n0_f_and(op):
+    return TxnGroup(members=[
+        UploadWrite(path="/n0/f", offset=0, data=b"x", base_version=VersionStamp(1, 1),
+                    new_version=VersionStamp(1, 2)),
+        op,
+    ])
+
+
+@pytest.mark.parametrize("script", [
+    (_write_n0_f_and(MetaOp(kind="mkdir", path="/n2/x")), MetaOp(kind="rmdir", path="/n2/x")),
+    (MetaOp(kind="mkdir", path="/n2/y"), _write_n0_f_and(MetaOp(kind="rmdir", path="/n2/y"))),
+], ids=["mkdir-in-group", "rmdir-in-group"])
+def test_a_directory_a_group_touched_stays_on_its_own_shard(script):
+    # A directory has no stored entry, so the group's migrate-apply-home
+    # left its mkdir on the group's shard and its rmdir missed the shard
+    # the directory was on: the router kept a directory the cloud had not.
+    router, server = ShardRouter(4), CloudServer()
+    assert [router.shard_index_for_path(p) for p in ("/n0", "/n2")] == [1, 3]
+    for system in (router, server):
+        system.handle(MetaOp(kind="create", path="/n0/f", new_version=VersionStamp(1, 1)))
+        for message in script:
+            assert system.handle(message).ok
+            if system is router:
+                assert all(
+                    router.shard_index_for_path(d) == index
+                    for index, shard in enumerate(router.shards)
+                    for d in shard.dirs - {"/"}
+                )
+    assert router.dirs == server.dirs
+
+
 def _synced_dir():
     """A client and server that both hold /d/f, with content."""
     clock, client, server = build()

@@ -52,7 +52,7 @@ class TestNamespaceAndRing:
         assert len(owners) == 8
 
     def test_ring_lookup_in_range(self):
-        ring = HashRing(3, vnodes=4)
+        ring = HashRing(3)
         for i in range(50):
             assert 0 <= ring.lookup(f"key{i}") < 3
 
