@@ -23,6 +23,18 @@ A value has one representation, fixed when it is made:
   RSS by half where many replicas are read back (docs/performance.md,
   deliberate rejections).
 
+Replicas share values, not only ``bytes``. A value remembers its last
+write weakly — the offset, the length and a weak reference to the result
+— and asked for that write again with the same bytes it returns the same
+result. The cloud and every client it forwards one update to apply the
+same run to the same value, so they all end up holding one successor and
+its pages, computed once; ``truncate`` to 0 returns the one :data:`EMPTY`,
+so a forwarded full-content update (``write_file``) does not split them.
+The memo keeps no payload and no successor alive (docs/performance.md,
+deliberate rejections). Only results over :data:`FLAT_MAX` are
+remembered: a smaller one costs less to splice again than its weak
+reference costs to make.
+
 ``write`` and ``truncate`` have exactly the semantics of
 ``bytesutil.apply_write`` / ``bytesutil.truncate`` on plain ``bytes`` —
 those two stay as the reference ``tests/common/test_pages.py`` diffs this
@@ -31,7 +43,9 @@ type against.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple
+from weakref import ref
 
 PAGE = 4096
 # Up to here a content stays flat and a write splices it as apply_write
@@ -46,8 +60,9 @@ def _split(flat: bytes) -> Tuple[bytes, ...]:
 
 
 class Pages:
-    """File content: ``len``, ``read``/slice, ``bytes``, ``==``/``hash`` as
-    the ``bytes`` it stands for; ``write``/``truncate`` return new values.
+    """File content: ``len``, ``read``/index/slice, ``bytes``,
+    ``==``/``hash`` as the ``bytes`` it stands for; ``write``/``truncate``
+    return new values.
 
     ``Pages(data)`` is the flat value around ``data``. Two attributes are
     there to be read, never assigned: ``size`` in bytes (what ``len``
@@ -55,12 +70,15 @@ class Pages:
     value and ``None`` for a flat one.
     """
 
-    __slots__ = ("_flat", "table", "size")
+    __slots__ = ("_flat", "table", "size", "_next", "__weakref__")
 
     def __init__(self, data: Optional[bytes] = b"", table=None, size=None):
         self._flat = data  # the whole content, or None when paged
         self.table: Optional[Tuple[bytes, ...]] = table
         self.size: int = len(data) if size is None else size
+        # The last write made from this value whose result is over
+        # FLAT_MAX: (offset, length, weak reference to the result), or None.
+        self._next = None
 
     def __len__(self) -> int:
         return self.size
@@ -81,7 +99,14 @@ class Pages:
         kind = "flat" if self.table is None else f"{len(self.table)} pages"
         return f"Pages({self.size} bytes, {kind})"
 
-    def __getitem__(self, key: slice) -> bytes:
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            index = operator.index(key)
+            if index < 0:
+                index += self.size
+            if not 0 <= index < self.size:
+                raise IndexError("file content index out of range")
+            return self.read(index, 1)[0]
         start, stop, step = key.indices(self.size)
         if step != 1:
             raise ValueError("only contiguous slices of file content")
@@ -109,20 +134,56 @@ class Pages:
         parts[-1] = parts[-1][: stop - last * PAGE]
         return b"".join(parts)
 
+    def _holds(self, offset: int, data: bytes) -> bool:
+        """Whether this content's ``len(data)`` bytes at ``offset`` are
+        ``data`` — which must lie inside it — compared in place, page by
+        page: no join, no slice copy."""
+        flat = self._flat
+        if flat is not None:
+            return flat.startswith(data, offset)
+        table = self.table
+        index, at = divmod(offset, PAGE)
+        if 0 < len(data) <= PAGE - at:  # inside one page: no view to make
+            return table[index].startswith(data, at)
+        with memoryview(data) as view:
+            done, total = 0, len(view)
+            while done < total:
+                take = PAGE - at
+                if not table[index].startswith(view[done : done + take], at):
+                    return False
+                done += take
+                index += 1
+                at = 0
+        return True
+
     def write(self, offset: int, data: bytes) -> "Pages":
         """The content with ``data`` written at ``offset``; a gap past the
-        end is zero-filled (POSIX sparse semantics), also for empty data."""
+        end is zero-filled (POSIX sparse semantics), also for empty data.
+        Asked again for its last write, with the same bytes, a value
+        returns that write's result while anything keeps it alive."""
         if offset < 0:
             raise ValueError("negative offset")
+        length = len(data)
+        last = self._next
+        # A value made from this one by ``length`` bytes at ``offset`` is
+        # this write's result exactly when those bytes are ``data``.
+        if last is not None and last[0] == offset and last[1] == length:
+            known = last[2]()
+            if known is not None and known._holds(offset, data):
+                return known
         size = self.size
-        end = offset + len(data)
+        end = offset + length
         if offset == 0 and end >= size:
             # Whole content replaced: flat around the payload itself, so
             # replicas of one upload keep sharing one bytes object.
-            return Pages(bytes(data))
+            result = Pages(bytes(data))
+            if length > FLAT_MAX:
+                self._next = (offset, length, ref(result))
+            return result
         flat = self._flat
         if flat is not None and end <= FLAT_MAX and size <= FLAT_MAX:
-            # Small content: spliced exactly as apply_write does.
+            # Small content: spliced exactly as apply_write does. Not
+            # remembered: splicing again costs less than a weak reference.
             if offset > size:
                 flat = flat + bytes(offset - size)
             return Pages(flat[:offset] + data + flat[end:])
@@ -137,16 +198,20 @@ class Pages:
         chunk += data
         if end < size:
             chunk += table[hi][end - hi * PAGE :]
-        return Pages(
+        result = Pages(
             None,
             table[:lo] + _split(chunk) + table[hi + 1 :],
             end if end > size else size,
         )
+        self._next = (offset, length, ref(result))
+        return result
 
     def truncate(self, length: int) -> "Pages":
         """The content cut, or zero-extended, to ``length``."""
         if length < 0:
             raise ValueError("negative length")
+        if length == 0:
+            return EMPTY  # one empty value, so replicas keep sharing
         if length >= self.size:
             return self if length == self.size else self.write(length, b"")
         if length <= FLAT_MAX:

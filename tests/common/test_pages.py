@@ -5,11 +5,14 @@ through :class:`~repro.common.pages.Pages` and through
 ``bytesutil.apply_write`` / ``truncate`` on ``bytes`` (the reference those
 two functions now exist to be). The cost tests are aim 1's "copies per
 write", stated machine-independently: which page objects a write replaces,
-and how many bytes a write or a snapshot window retains.
+and how many bytes a write or a snapshot window retains. The memo tests
+hold a value's remembered last write to the same answer a fresh write
+gives, and to keeping neither a payload nor a successor alive.
 """
 
 import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
@@ -52,6 +55,7 @@ steps = st.one_of(
     st.tuples(st.just("truncate"), positions, st.none()),
     st.tuples(st.just("read"), positions, st.integers(min_value=0, max_value=2 * PAGE)),
     st.tuples(st.just("snapshot"), st.none(), st.none()),
+    st.tuples(st.just("repeat"), positions, payloads),
 )
 
 
@@ -95,6 +99,17 @@ def run_script(initial, script):
         elif op == "read":
             offset = resolve(a, size)
             assert value.read(offset, b) == reference[offset : offset + b]
+        elif op == "repeat":  # one (offset, data) asked of one value again
+            offset = resolve(a, size)
+            first = value.write(offset, b)
+            again = value.write(offset, bytearray(b))
+            assert again == first
+            assert (again is first) == (first is value or len(first) > pages.FLAT_MAX)
+            if b:  # the same place and length, other bytes: not that result
+                other = bytes(byte ^ 0x5A for byte in b)
+                check(value.write(offset, other), apply_write(reference, offset, other))
+            value = value.write(offset, b)
+            reference = apply_write(reference, offset, b)
         else:
             snapshots.append((value, reference))
         check(value, reference)
@@ -145,6 +160,27 @@ def test_negative_positions_are_rejected():
             value.truncate(-1)
         with pytest.raises(ValueError):
             value.read(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.binary(min_size=0, max_size=3 * PAGE),
+    st.lists(st.integers(min_value=-3 * PAGE - 5, max_value=3 * PAGE + 5), max_size=20),
+)
+def test_an_int_key_reads_one_byte_as_bytes_does(content, indices):
+    with mock.patch.object(pages, "FLAT_MAX", PAGE):
+        flat = Pages(content)
+        paged = Pages(content + b"!").truncate(len(content))
+        assert (paged.table is not None) == (len(content) > PAGE)
+        for index in indices + [0, -1, len(content) - 1, len(content), -len(content)]:
+            for value in (flat, paged):
+                if -len(content) <= index < len(content):
+                    assert value[index] == content[index]
+                else:
+                    with pytest.raises(IndexError):
+                        value[index]
+    with pytest.raises(TypeError):
+        flat["1"]
 
 
 # -- cost follows the write ---------------------------------------------------
@@ -231,6 +267,70 @@ def test_the_snapshot_window_retains_changed_pages_not_files():
     assert server.store.snapshot(V(1, 2)).read(0, 2) == b"\x01\x01"
     assert server.store.snapshot(V(1, 3)).read(0, 2) == b"\x01\x01"
     assert server.file_content("/db")[13 * PAGE] == 2
+
+
+# -- one successor, held weakly ------------------------------------------------
+
+
+def test_a_payload_changed_since_its_write_is_not_taken_for_it():
+    size = FLAT_MAX + 10
+    for base, offset in (
+        (Pages(b"a" * 2 * FLAT_MAX), 100),  # flat base, paged result
+        (paged_4mb(), 40 * PAGE + 9),  # the run straddles 17 pages
+        (EMPTY, 0),  # whole content: a flat result
+    ):
+        reference = bytes(base)
+        payload = bytearray(b"x" * size)
+        first = base.write(offset, payload)
+        for at in (0, PAGE - 10, size - 1):
+            payload[at] = ord("y")
+            again = base.write(offset, payload)
+            assert again is not first
+            assert again == apply_write(reference, offset, bytes(payload))
+        assert first == apply_write(reference, offset, b"x" * size)
+        assert base.write(offset, bytes(payload)) is again
+
+
+def test_a_small_result_is_not_remembered():
+    # Splicing a value of at most FLAT_MAX bytes again costs less than
+    # making the weak reference that would find it.
+    for base, offset, data in (
+        (Pages(b"a" * PAGE), 100, b"x" * 10),
+        (EMPTY, 0, b"x" * FLAT_MAX),
+    ):
+        first = base.write(offset, data)
+        assert weakref.getweakrefcount(first) == 0
+        assert base.write(offset, data) == first
+    assert weakref.getweakrefcount(EMPTY.write(0, b"x" * (FLAT_MAX + 1))) == 1
+
+
+@pytest.mark.parametrize(
+    "make", [paged_4mb, lambda: Pages(b"s" * (FLAT_MAX + 3 * PAGE))]
+)
+def test_a_held_base_keeps_no_successor_alive(make):
+    base = value = make()
+    made = []
+    for n in range(200):
+        value = value.write((n * 13 % 900) * PAGE + n % 3, bytes([n % 251 + 1]) * PAGE)
+        made.append(weakref.ref(value))
+    gc.collect()
+    assert [alive for alive in made[:-1] if alive() is not None] == []
+    assert made[-1]() is value and base == make()
+
+
+def test_the_memo_keeps_no_payload():
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        big = bytes(4 * MB4)
+        whole = EMPTY.write(0, big)
+        assert bytes(whole) is big
+        del big, whole
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 # -- replace, not fork ----------------------------------------------------------

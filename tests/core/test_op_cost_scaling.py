@@ -30,8 +30,9 @@ no ``Stat``, the server's apply log keeps no ``ApplyResult`` alive, and an
 in-place write reads nothing back from the store (the old version its
 write node holds is the store's immutable value, not a copy-out). And on
 the fan-out path: a message is wrapped in one ``Forward`` for all its
-recipients, an idle peer's pump sweeps neither its queue nor its relation
-table, and a meter charge is the profile's own float expression.
+recipients, its write makes one content value that the server and every
+recipient then hold, an idle peer's pump sweeps neither its queue nor its
+relation table, and a meter charge is the profile's own float expression.
 """
 
 import gc
@@ -42,6 +43,7 @@ import weakref
 import pytest
 
 from repro.common.clock import VirtualClock
+from repro.common.pages import Pages
 from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
@@ -252,6 +254,41 @@ def test_a_fanned_out_message_builds_one_forward(clients, monkeypatch):
     assert built == [{"origin_client": 1, "inner": create}]
     assert [c.stats.forwards_applied for c in sim.clients] == [0] + [1] * (clients - 1)
     assert all(c.inner.exists("/new") for c in sim.clients[1:])
+
+
+@pytest.mark.parametrize("recipients", [3, 9])
+def test_a_forwarded_write_is_computed_once_for_every_recipient(
+    recipients, monkeypatch
+):
+    # Replicas that hold one value apply the one forwarded run to it and
+    # get back the successor the writer already made: the writer's own
+    # write is the only content value built, however many receive it.
+    sim = Simulation(clients=recipients + 1)
+    writer = sim.clients[0]
+    writer.create("/f")
+    writer.write("/f", 0, bytes([recipients]) * 256 * 1024)
+    writer.close("/f")
+    sim.settle()
+    applied = [c.stats.forwards_applied for c in sim.clients]
+    made = []
+    init = Pages.__init__
+
+    def counted(value, *args, **kwargs):
+        made.append(value)
+        init(value, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Pages, "__init__", counted)
+        writer.write("/f", 5 * 4096 + 100, b"w" * 4096)
+        writer.close("/f")
+        sim.settle()
+    stored = sim.server.store.get("/f").pages
+    assert len(made) == 1 and made[0] is stored
+    assert sim.mismatched() == []
+    assert [c.stats.forwards_applied for c in sim.clients] == [
+        n + (i > 0) for i, n in enumerate(applied)
+    ]
+    assert all(c.inner.content("/f") is stored for c in sim.clients)
 
 
 def _sweeps(monkeypatch):

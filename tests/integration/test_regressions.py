@@ -851,3 +851,42 @@ def test_read_repair_keeps_the_files_pending_writes(write_through):
     sim.flush()
     assert sim.mismatched() == []
     assert client.stats.conflicts == 0
+
+
+# Replicas of a shared file hold one content value: each applies a
+# forwarded run to the same value and gets back the successor the server
+# already made. A forwarded full-content update (here a restore, which
+# arrives as an ``UploadFull``) goes through ``truncate(0)``, which used to
+# make a fresh empty value per replica, so the replicas split for good:
+# 1 value after a forwarded write, 4 after the restore and after every
+# write since.
+
+
+def test_replicas_share_one_value_across_a_forwarded_restore():
+    sim = Simulation(clients=4)
+    first, second = sim.clients[:2]
+
+    def values():
+        return {id(client.inner.content("/f")) for client in sim.clients}
+
+    first.create("/f")
+    first.write("/f", 0, bytes(256 * 1024))
+    first.close("/f")
+    sim.settle()
+    first.write("/f", 4096, b"x" * 4096)
+    first.close("/f")
+    sim.settle()
+    restored = first.versions["/f"]
+    second.write("/f", 8192, b"y" * 4096)
+    second.close("/f")
+    sim.settle()
+    assert len(values()) == 1
+    second.restore_version("/f", restored)
+    sim.settle()
+    assert len(values()) == 1
+    second.write("/f", 3 * 4096, b"z" * 4096)
+    second.close("/f")
+    sim.settle()
+    assert len(values()) == 1
+    assert sim.mismatched() == []
+    assert bytes(first.inner.content("/f"))[3 * 4096 : 4 * 4096] == b"z" * 4096
