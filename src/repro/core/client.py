@@ -16,8 +16,9 @@ pipeline:
 - the Checksum Store is maintained inline and verified on reads.
 
 :meth:`pump` drives time-dependent behaviour (relation expiry, upload
-delay) and ships due Sync Queue units to the cloud over an accounting
-:class:`Channel`.
+delay) and ships due Sync Queue units to the cloud. Everything the client
+learns of the cloud crosses its one link (:mod:`repro.net.link`) as a
+charged message: updates by ``send``, reads by ``call``.
 """
 
 from __future__ import annotations
@@ -51,12 +52,17 @@ from repro.core.policy import MechanismPlan, UpdateStats, make_policy
 from repro.cost.meter import CostMeter, NULL_METER
 from repro.cost.profile import PC_PROFILE
 from repro.delta.format import Delta
+from repro.delta.patch import apply_delta
+from repro.net.link import TO_THE_END, DirectLink
 from repro.net.messages import (
     ConflictNotice,
-    FileDownload,
     Forward,
+    HistoryRequest,
     Message,
     MetaOp,
+    RangeReply,
+    RangeRequest,
+    RestoreRequest,
     TxnGroup,
     UploadDelta,
     UploadFull,
@@ -69,11 +75,6 @@ from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 from repro.vfs.filesystem import FileSystemAPI
 from repro.vfs.interception import PassthroughFileSystem
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # imported for annotations only; avoids a core<->server cycle
-    from repro.server.cloud import ApplyResult, CloudServer
 
 #: A packed write node whose writes (and truncate cut) rewrote more than this
 #: fraction of its base is delta-encoded against it (Section III-A: "more
@@ -107,19 +108,22 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     Args:
         inner: the backing (local) file system.
-        server: the cloud endpoint (``None`` runs detached — nodes drain
-            into the void; used by the local-IO microbenchmarks).
-        channel: accounting link to the server.
+        server: the cloud endpoint (a ``CloudServer`` or ``ShardRouter``)
+            the client's direct link applies to; the client itself keeps
+            no reference to it.
+        channel: accounting channel to the server.
         client_id: this device's id for ``<CliID, VerCnt>`` stamps.
         config: tunables (block size, delays, mechanism policy).
         clock: virtual time source shared with the workload driver.
         meter: client-side CPU meter.
         obs: observability hub (metrics + tracing); defaults to the no-op
             ``NULL_OBS`` so uninstrumented runs are unperturbed.
-        transport: optional :class:`ReliableTransport`. When set, upload
-            units go through its envelope/ack/retry machinery instead of
-            the synchronous channel+server path — required when the
-            channel is lossy.
+        transport: optional :class:`ReliableTransport`. When set, it is
+            the client's link: upload units go through its envelope/ack/
+            retry machinery instead of a synchronous
+            :class:`~repro.net.link.DirectLink` over ``channel`` — required
+            when the channel is lossy. ``transport`` stays the handle to
+            its stats (``None`` on a direct link).
         journal_kv: optional KV store backing the crash-recovery journal.
             When set, sync intent (pending queue nodes, relation entries,
             the version counter) is journaled as operations
@@ -137,7 +141,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         self,
         inner: FileSystemAPI,
         *,
-        server: Optional[CloudServer] = None,
+        server,
         channel: Optional[Channel] = None,
         client_id: int = 1,
         config: Optional[DeltaCFSConfig] = None,
@@ -152,12 +156,14 @@ class DeltaCFSClient(PassthroughFileSystem):
         super().__init__(inner)
         self.config = config if config is not None else DeltaCFSConfig()
         self.config.validate()
-        self.server = server
         self.channel = channel if channel is not None else Channel()
         self.transport = transport
-        if transport is not None:
-            transport.on_reply = self._note_conflicts
-            transport.on_ack = self._envelope_acked
+        self._link = (
+            transport if transport is not None
+            else DirectLink(self.channel, server, client_id)
+        )
+        self._link.on_reply = self._note_conflicts
+        self._link.on_ack = self._envelope_acked
         self.client_id = client_id
         self.clock = clock if clock is not None else VirtualClock()
         self.meter = meter
@@ -205,11 +211,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         # Nodes of the journaled envelopes in flight, by msg_id, until the ack.
         self._unacked: Dict[int, List[QueueNode]] = {}
         self.shares = shares if shares is not None else ("/",)
-
-        if server is not None:
-            server.register_client(
-                client_id, self._receive_forward, shares=self.shares
-            )
+        self._link.subscribe(self._receive_forward, self.shares)
 
     # ------------------------------------------------------------------
     # file operations (the FUSE surface)
@@ -525,7 +527,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
         Returns the number of upload units shipped. The workload driver
         calls this as virtual time advances (the real prototype's
-        background threads). An idle client — no transport, nothing
+        background threads). An idle client — a direct link, nothing
         queued, no live relation — has nothing to expire, ship or
         retransmit, and returns at once.
         """
@@ -569,44 +571,30 @@ class DeltaCFSClient(PassthroughFileSystem):
         Versioning granularity is one stamp per Sync Queue node — "a neat
         tradeoff" between open-to-close and per-write versioning.
         """
-        if self.server is None:
-            raise RuntimeError("no server attached")
-        from repro.net.messages import HistoryRequest, HistoryResponse
-
         path = self.inner.canonical(path)
-        now = self.clock.now()
-        self.channel.upload(HistoryRequest(path=path), now)
-        versions = self.server.version_history(path)
-        self.channel.download(
-            HistoryResponse(path=path, versions=tuple(versions)), now
-        )
-        return versions
+        reply = self._link.call(HistoryRequest(path=path), self.clock.now())
+        return list(reply.versions)
 
     def restore_version(self, path: str, version: VersionStamp) -> bytes:
         """Roll ``path`` back to ``version`` (cloud-side) and mirror locally.
 
-        Any locally pending nodes for the path are cancelled first — the
-        restore supersedes them. Returns the restored content.
+        Any locally pending nodes for the file, under every one of its
+        names, are cancelled first — the restore supersedes them. Returns
+        the restored content.
         """
-        if self.server is None:
-            raise RuntimeError("no server attached")
-        from repro.net.messages import RestoreRequest
-
         path = self.inner.canonical(path)
-        now = self.clock.now()
-        pending = self.queue.pending_nodes(path)
-        if pending:
-            self.queue.pack(path)
-            self.queue.cancel_nodes(pending)
-            self._never_uploads(pending)
-        self._pending_create_delta.pop(path, None)
-        self.channel.upload(RestoreRequest(path=path, version=version), now)
-        content = self.server.restore_version(
-            path, version, origin_client=self.client_id
+        names = self.inner.linked_paths(path) if self.inner.exists(path) else [path]
+        for name in names:
+            pending = self.queue.pending_nodes(name)
+            if pending:
+                self.queue.pack(name)
+                self.queue.cancel_nodes(pending)
+                self._never_uploads(pending)
+            self._pending_create_delta.pop(name, None)
+        reply = self._link.call(
+            RestoreRequest(path=path, version=version), self.clock.now()
         )
-        self.channel.download(
-            FileDownload(path=path, data=content, version=version), now
-        )
+        content = reply.data
         if not self.inner.exists(path):
             self.inner.create(path)
         self.inner.truncate(path, 0)
@@ -957,11 +945,9 @@ class DeltaCFSClient(PassthroughFileSystem):
     def _upload_unit(self, unit: UploadUnit, now: float) -> None:
         messages = [n.to_message() for n in unit.nodes]
         messages = [m for m in messages if m is not None]
-        if self.transport is None or not messages:
-            # Applied synchronously below (or nothing to ship): the nodes
-            # left the queue for good, their journal records are done.
-            self._journal_forget(unit.nodes)
         if not messages:
+            # Nothing to ship: the nodes left the queue for good.
+            self._journal_forget(unit.nodes)
             return
         span_attrs: Dict[str, object] = {
             "nodes": len(unit.nodes),
@@ -985,32 +971,19 @@ class DeltaCFSClient(PassthroughFileSystem):
                 )
             self.stats.nodes_uploaded += len(messages)
             self.obs.inc("client.upload.units")
-            if self.transport is not None:
-                # Reliable path: the transport envelopes the message and
-                # charges the channel itself; replies surface through
-                # the ack callback once the server's EnvelopeAck lands, and
-                # only then are the journal records retired — an envelope
-                # unacked at a power cut exists nowhere else; its unit
-                # record tells recovery which msg id carried which nodes —
-                # unless it had to park behind a full window (a journaled
-                # backlog is a second copy of the backlog).
-                msg_id = self.transport.send(outbound, now)
-                if self.journal is not None and self.transport.in_flight(msg_id):
-                    self._unacked[msg_id] = unit.nodes
-                    self.journal.record_unit(msg_id, [n.seq for n in unit.nodes])
-                else:
-                    self._journal_forget(unit.nodes)
-                return
-            self.channel.upload(outbound, now)
-            if self.server is None:
-                return
-            result = self.server.handle(outbound, origin_client=self.client_id)
-            self._process_replies(result, now)
-
-    def _process_replies(self, result: ApplyResult, now: float) -> None:
-        for reply in result.replies:
-            self.channel.download(reply, now)
-        self._note_conflicts(result.replies)
+            # The one retire rule: a unit the link still holds after the
+            # send (launched, unacked) is recorded under its msg id — at a
+            # power cut it exists nowhere else, and the record tells
+            # recovery which msg id carried which nodes — and retired at
+            # the ack. Any other unit is retired now: delivered already (a
+            # direct link), or parked behind a full window (a journaled
+            # backlog is a second copy of the backlog).
+            msg_id = self._link.send(outbound, now)
+            if self.journal is not None and self._link.in_flight(msg_id):
+                self._unacked[msg_id] = unit.nodes
+                self.journal.record_unit(msg_id, [n.seq for n in unit.nodes])
+            else:
+                self._journal_forget(unit.nodes)
 
     def _envelope_acked(self, msg_id: int) -> None:
         nodes = self._unacked.pop(msg_id, None)
@@ -1019,8 +992,8 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.journal.forget_unit(msg_id)
 
     def _note_conflicts(self, replies) -> None:
-        """Conflict bookkeeping for replies already charged to the channel
-        (by ``_process_replies``, or inside the EnvelopeAck that bore them)."""
+        """Conflict bookkeeping for an update's replies, already charged to
+        the channel by the link that delivered them."""
         for reply in replies:
             if isinstance(reply, ConflictNotice):
                 self.stats.conflicts += 1
@@ -1073,8 +1046,8 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.inner.truncate(path, message.length)
             self.versions[path] = message.new_version
         elif isinstance(message, UploadDelta):
-            if self.server is not None and self.server.store.exists(path):
-                content = self.server.file_content(path)
+            content = self._patched(message)
+            if content is not None:
                 self.inner.write_file(path, content)
                 self.versions[path] = message.new_version
         elif isinstance(message, UploadFull):
@@ -1109,17 +1082,37 @@ class DeltaCFSClient(PassthroughFileSystem):
         if not self.inner.exists(path):
             self.inner.create(path)
 
+    def _patched(self, message: UploadDelta) -> Optional[bytes]:
+        """A forwarded delta's result, patched as the server does against
+        this client's own copy of its ``content_base``: the local name
+        stamped with it, ``message.path`` first. Without one, the cloud's
+        copy of the path is read in one call (``None`` if it has none)."""
+        base = message.content_base
+        held = None
+        if base is not None:
+            if self.versions.get(message.path) == base:
+                held = message.path
+            else:
+                held = next((n for n, v in self.versions.items() if v == base), None)
+        if held is not None and self.inner.exists(held):
+            old = self.inner.read_file(held)
+            return apply_delta(old, message.delta, meter=self.meter)
+        reply = self._fetch(message.path)
+        return None if reply.version is None else reply.data
+
+    def _fetch(self, path: str) -> RangeReply:
+        """The cloud's whole copy of ``path``: one range to the end."""
+        request = RangeRequest(path=path, offset=0, length=TO_THE_END)
+        return self._link.call(request, self.clock.now())
+
     def _recover(self, path: str) -> Optional[bytes]:
         """Restore the local file + checksums from the cloud copy with the
         file's pending data nodes (under any name) folded over it, as the
         server will hold it once they land; their stamp stays."""
-        if self.server is None or not self.server.store.exists(path):
+        reply = self._fetch(path)
+        if reply.version is None:
             return None
-        content = self.server.file_content(path)
-        version = self.server.file_version(path)
-        self.channel.download(
-            FileDownload(path=path, data=content, version=version), self.clock.now()
-        )
+        content, version = reply.data, reply.version
         names = self.inner.linked_paths(path)
         pending = pending_messages(self.queue, names)
         if pending:

@@ -12,8 +12,8 @@ What is journaled (and when):
 
 - **queue nodes** — every Sync Queue node with its payload (write runs,
   truncate length, delta instruction stream, namespace op), re-recorded on
-  coalesce and forgotten on cancel/replace and once the cloud has it (the
-  synchronous upload returning, or the reliable transport's ack — or, a
+  coalesce and forgotten on cancel/replace and once the cloud has it (a
+  direct link's send returning, or the reliable transport's ack — or, a
   known gap, on hand-off when the envelope must park behind a full window);
 - **units** — the queue's merged backindex spans (which queued nodes must
   ship as one transactional unit), and for every envelope the reliable
@@ -70,14 +70,8 @@ from repro.core.sync_queue import (
 from repro.delta.format import Delta
 from repro.delta.patch import apply_delta
 from repro.kvstore.kv import KVStore
-from repro.net.messages import (
-    Message,
-    RangeReply,
-    RangeRequest,
-    ResyncReply,
-    ResyncRequest,
-    UploadDelta,
-)
+from repro.net.link import TO_THE_END
+from repro.net.messages import Message, RangeRequest, ResyncRequest, UploadDelta
 from repro.obs import NULL_OBS, Observability
 
 # -- key layout --------------------------------------------------------------
@@ -413,14 +407,8 @@ def _renegotiate_versions(
     so post-recovery writes name valid base versions, and tells the sweep
     which files the cloud holds.
     """
-    if client.server is None:
-        return {}
-    request = ResyncRequest(paths=tuple(local_paths))
-    client.channel.upload(request, now)
-    pairs = client.server.resync_versions(local_paths)
-    reply = ResyncReply(versions=tuple(pairs))
-    client.channel.download(reply, now)
-    versions: Dict[str, Optional[VersionStamp]] = dict(pairs)
+    reply = client._link.call(ResyncRequest(paths=tuple(local_paths)), now)
+    versions: Dict[str, Optional[VersionStamp]] = dict(reply.versions)
     for path, version in versions.items():
         if version is not None:
             client.versions[path] = version
@@ -435,15 +423,16 @@ def _replay_nodes(
     The server's exactly-once window is the one judge of what landed: an
     envelope whose msg id is at or below the high-water mark of this
     client's dedup window was applied before the cut (only its ack was
-    lost), so its unit's records are retired. Everything else re-enters the
-    queue in journal order, grouped as it was — a launched envelope as that
-    unit, a queued node under its journaled backindex span — with its bases
-    untouched: the upload meets the server's live base-version check, where
-    a base the cloud no longer holds is an honest first-write-wins conflict.
+    lost), so its unit's records are retired. The mark is the link's: the
+    restarted client's transport read it at construction, before it sent
+    anything. Everything else re-enters the queue in journal order, grouped
+    as it was — a launched envelope as that unit, a queued node under its
+    journaled backindex span — with its bases untouched: the upload meets
+    the server's live base-version check, where a base the cloud no longer
+    holds is an honest first-write-wins conflict.
     """
     obs, journal = client.obs, client.journal
-    server = client.server
-    landed = 0 if server is None else server.last_msg_id(client.client_id)
+    landed = client._link.last_msg_id
     nodes = dict(state.nodes)
     units: List[List[QueueNode]] = []
     for msg_id, seqs in state.units:
@@ -534,11 +523,7 @@ def _sweep_and_repair(
             continue
         report.damaged_paths.append(path)
         obs.inc("recovery.files.damaged")
-        on_server = (
-            client.server is not None
-            and server_versions.get(path) is not None
-            and client.server.store.exists(path)
-        )
+        on_server = server_versions.get(path) is not None
         repaired = _rebuild(
             client, path, content, bad_blocks,
             pending_messages(client.queue, [path]), on_server, now, report,
@@ -583,13 +568,8 @@ def _rebuild(
     block = checksums.block_size
 
     def fetch(offset: int, length: int) -> bytes:
-        client.channel.upload(
-            RangeRequest(path=path, offset=offset, length=length), now
-        )
-        chunk, version = client.server.file_range(path, offset, length)
-        client.channel.download(
-            RangeReply(path=path, offset=offset, data=chunk, version=version), now
-        )
+        request = RangeRequest(path=path, offset=offset, length=length)
+        chunk = client._link.call(request, now).data
         report.bytes_downloaded += len(chunk)
         obs.inc("recovery.bytes.downloaded", len(chunk))
         return chunk
@@ -615,7 +595,7 @@ def _rebuild(
             obs.inc("recovery.full_file_fallbacks")
             folded = EMPTY
             if on_server:
-                folded = Pages(fetch(0, client.server.store.lookup(path).size))
+                folded = Pages(fetch(0, TO_THE_END))
         rebuilt = bytes(fold(folded, pending))
         still_bad = checksums.mismatched_blocks(path, rebuilt)
         if not still_bad:

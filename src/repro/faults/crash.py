@@ -70,7 +70,7 @@ def restart(client):
     # type(client), not an import: the client module imports repro.faults.
     return type(client)(
         client.inner,
-        server=client.server,
+        server=client._link.server,
         channel=client.channel,
         client_id=client.client_id,
         config=client.config,

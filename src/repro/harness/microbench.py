@@ -6,9 +6,10 @@ real disks, so we combine:
 
 - a **disk/latency model** with explicit parameters (write bandwidth,
   cached-read cost, per-op costs, fsync commit cost);
-- the **real DeltaCFS client** executing the op stream (server detached,
-  uploads dropped — the paper does the same: "we drop the data dequeued
-  from Sync Queue"), so the sync engine's data structures actually run.
+- the **real DeltaCFS client** executing the op stream (never pumped, so
+  nothing is uploaded — the paper does the same: "we drop the data
+  dequeued from Sync Queue"), so the sync engine's data structures
+  actually run.
 
 Stack effects reproduced (and where their parameters come from):
 
@@ -33,6 +34,7 @@ from typing import Dict, List
 
 from repro.common.config import DeltaCFSConfig
 from repro.core.client import DeltaCFSClient
+from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 from repro.workloads.filebench import FilebenchOp
 
@@ -108,7 +110,8 @@ def run_microbench(
             enable_undo_log=False,  # microbench writes are appends
         )
         block_size = config.block_size
-        surface: object = DeltaCFSClient(fs, server=None, config=config)
+        # Never pumped: the server only takes the registration.
+        surface: object = DeltaCFSClient(fs, server=CloudServer(), config=config)
     else:
         surface = fs
 

@@ -1,9 +1,9 @@
 """Reliable delivery over a lossy link: acks, retries, idempotent apply.
 
-The historical pump path hands each upload unit straight to
+A :class:`~repro.net.link.DirectLink` hands each update straight to
 ``CloudServer.handle`` — fine over the perfect pipe, wrong the moment the
-link can drop, duplicate, or reorder. :class:`ReliableTransport` restores
-exactly-once *effect* over at-least-once *delivery*:
+link can drop, duplicate, or reorder. :class:`ReliableTransport` is the
+link that restores exactly-once *effect* over at-least-once *delivery*:
 
 - every uplink message is wrapped in an :class:`~repro.net.messages.Envelope`
   carrying a per-client monotonic ``msg_id``;
@@ -17,6 +17,9 @@ exactly-once *effect* over at-least-once *delivery*:
 - delivery is re-sequenced by msg_id before application: an envelope that
   overtakes a lost predecessor parks (unacked) until the gap fills, so the
   Sync Queue's causal FIFO order survives link reordering.
+
+Its read-style ``call`` and its ``subscribe`` are the ones every link
+shares (:class:`~repro.net.link.Link`): charged, not faulted.
 
 Everything runs in virtual time: ``pump(now)`` delivers whatever the
 channel says has arrived by ``now``, fires acks, refills the window, and
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRandom
+from repro.net.link import Link
 from repro.net.messages import Envelope, EnvelopeAck, Message
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
@@ -107,14 +111,16 @@ class _InFlight:
     ctx: Optional[TraceContext] = None  # sender-side span identity, uncosted
 
 
-class ReliableTransport:
+class ReliableTransport(Link):
     """At-least-once delivery with exactly-once effect, in virtual time.
 
     Args:
         channel: the (typically lossy) link; its ``transmit_up`` /
             ``transmit_down`` report per-copy delivery times.
         server: the apply endpoint (must expose ``handle_envelope`` and
-            ``last_msg_id``, where the msg-id sequence resumes).
+            ``last_msg_id``, where the msg-id sequence resumes, and for the
+            shared ``call`` / ``subscribe``, ``answer`` and
+            ``register_client``).
         client_id: origin id presented to the server.
         policy: retry/backoff/window knobs.
         seed: seeds the jitter stream; identical seeds + identical sends
@@ -143,14 +149,14 @@ class ReliableTransport:
         self.seed = seed
         self.obs = obs
         self.on_reply = on_reply
-        # Called with an envelope's msg_id as its first ack lands.
         self.on_ack: Optional[Callable[[int], None]] = None
         self.stats = TransportStats()
         self._jitter_rng = DeterministicRandom(seed).fork("reliable-transport")
         # Ids continue after the last one the server's exactly-once window
         # holds for this client (0 on a fresh server): a restarted client's
         # envelopes are never mistaken for retransmits of its predecessor's.
-        self._next_msg_id = server.last_msg_id(client_id) + 1
+        self.last_msg_id = server.last_msg_id(client_id)
+        self._next_msg_id = self.last_msg_id + 1
         self._outbox: Deque[Tuple[int, Message, Optional[TraceContext]]] = deque()
         self._inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
         # In-order apply: envelopes that arrived ahead of a gap (a lost

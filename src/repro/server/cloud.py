@@ -29,9 +29,17 @@ from repro.net.messages import (
     Ack,
     ConflictNotice,
     Envelope,
+    FileDownload,
     Forward,
+    HistoryRequest,
+    HistoryResponse,
     Message,
     MetaOp,
+    RangeReply,
+    RangeRequest,
+    ResyncReply,
+    ResyncRequest,
+    RestoreRequest,
     TxnGroup,
     UploadDelta,
     UploadFull,
@@ -621,7 +629,46 @@ class CloudServer:
         self._forward(message, origin_client)
         return content
 
-    # -- read access for tests and recovery downloads -----------------------
+    # -- read-style RPCs (a client's ``call``) ---------------------------------
+
+    def answer(self, request: Message, origin_client: int = 0) -> Message:
+        """The reply to one read-style request from ``origin_client``.
+
+        A restore is itself an update and fans out (:meth:`restore_version`);
+        the other three read. A range is clipped to the file end, and an
+        absent path answers ``version=None`` with no bytes, as a resync
+        does.
+        """
+        if isinstance(request, RangeRequest):
+            stored = self.store.lookup(request.path)
+            if stored is None:
+                return RangeReply(path=request.path, offset=request.offset, data=b"")
+            return RangeReply(
+                path=request.path,
+                offset=request.offset,
+                data=stored.pages.read(request.offset, request.length),
+                version=stored.version,
+            )
+        if isinstance(request, ResyncRequest):
+            return ResyncReply(
+                versions=tuple(
+                    (path, self._current_version(path)) for path in request.paths
+                )
+            )
+        if isinstance(request, HistoryRequest):
+            return HistoryResponse(
+                path=request.path, versions=tuple(self.version_history(request.path))
+            )
+        if isinstance(request, RestoreRequest):
+            content = self.restore_version(
+                request.path, request.version, origin_client=origin_client
+            )
+            return FileDownload(
+                path=request.path, data=content, version=request.version
+            )
+        raise TypeError(f"server cannot answer {type(request).__name__}")
+
+    # -- read access for tests ---------------------------------------------------
 
     def file_content(self, path: str) -> bytes:
         """Current content of ``path`` (raises if absent)."""
@@ -630,27 +677,3 @@ class CloudServer:
     def file_version(self, path: str) -> Optional[VersionStamp]:
         """Current version of ``path`` (raises if absent)."""
         return self.store.get(path).version
-
-    def resync_versions(
-        self, paths: List[str]
-    ) -> List[Tuple[str, Optional[VersionStamp]]]:
-        """Current version per path (``None`` = not on the cloud).
-
-        The post-crash renegotiation: a recovering client rebuilds its
-        synced-version map. Metadata only — no content moves.
-        """
-        out: List[Tuple[str, Optional[VersionStamp]]] = []
-        for path in paths:
-            stored = self.store.lookup(path)
-            out.append((path, stored.version if stored is not None else None))
-        return out
-
-    def file_range(
-        self, path: str, offset: int, length: int
-    ) -> Tuple[bytes, Optional[VersionStamp]]:
-        """One byte range of ``path`` (clipped to the file end) + version.
-
-        Serves the bounded crash repair: only the damaged span travels.
-        """
-        stored = self.store.get(path)
-        return stored.pages.read(offset, length), stored.version

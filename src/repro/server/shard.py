@@ -44,7 +44,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.pages import Pages
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter
-from repro.net.messages import Envelope, Message, MetaOp, TxnGroup
+from repro.net.messages import (
+    Envelope,
+    Message,
+    MetaOp,
+    ResyncReply,
+    ResyncRequest,
+    TxnGroup,
+)
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import ApplyResult, CloudServer, ForwardSink, Outcome
 
@@ -448,30 +455,15 @@ class ShardRouter:
     def file_version(self, path: str) -> Optional[VersionStamp]:
         return self.shard_for_path(path).file_version(path)
 
-    def file_range(
-        self, path: str, offset: int, length: int
-    ) -> Tuple[bytes, Optional[VersionStamp]]:
-        return self.shard_for_path(path).file_range(path, offset, length)
-
-    def resync_versions(
-        self, paths: List[str]
-    ) -> List[Tuple[str, Optional[VersionStamp]]]:
-        out: List[Tuple[str, Optional[VersionStamp]]] = []
-        for path in paths:
-            out.extend(self.shard_for_path(path).resync_versions([path]))
-        return out
-
-    def version_history(self, path: str) -> List[VersionStamp]:
-        return self.shard_for_path(path).version_history(path)
-
-    def restore_version(
-        self,
-        path: str,
-        version: VersionStamp,
-        *,
-        as_version: Optional[VersionStamp] = None,
-        origin_client: int = 0,
-    ) -> bytes:
-        return self.shard_for_path(path).restore_version(
-            path, version, as_version=as_version, origin_client=origin_client
-        )
+    def answer(self, request: Message, origin_client: int = 0) -> Message:
+        """A read-style request, answered by the shard its path lives on; a
+        resync's paths each by their own shard, in request order."""
+        if isinstance(request, ResyncRequest):
+            versions = []
+            for path in request.paths:
+                reply = self.shard_for_path(path).answer(
+                    ResyncRequest(paths=(path,)), origin_client
+                )
+                versions.extend(reply.versions)
+            return ResyncReply(versions=tuple(versions))
+        return self.shard_for_path(request.path).answer(request, origin_client)

@@ -14,9 +14,9 @@ from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 
 
-def build(config=None, with_server=True):
+def build(config=None):
     clock = VirtualClock()
-    server = CloudServer() if with_server else None
+    server = CloudServer()
     client = DeltaCFSClient(
         MemoryFileSystem(),
         server=server,
@@ -56,7 +56,8 @@ class TestCorruption:
         assert client.inner.read_file("/f") == content  # local repaired
 
     def test_detection_without_server_raises(self):
-        clock, client, _ = build(with_server=False)
+        # Never pumped: the cloud holds no copy to recover from.
+        clock, client, _ = build()
         client.create("/f")
         client.write("/f", 0, b"d" * 8192)
         client.close("/f")

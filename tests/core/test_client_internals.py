@@ -11,9 +11,9 @@ from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 
 
-def build(config=None, server=True):
+def build(config=None):
     clock = VirtualClock()
-    srv = CloudServer() if server else None
+    srv = CloudServer()
     client = DeltaCFSClient(
         MemoryFileSystem(),
         server=srv,
@@ -104,20 +104,10 @@ class TestUnsyncedPaths:
         assert f"{tmp}/scratch" not in client.versions
 
 
-class TestDetachedClient:
-    def test_runs_without_server(self):
-        clock, client, _ = build(server=False)
-        client.create("/f")
-        client.write("/f", 0, b"data")
-        client.close("/f")
-        clock.advance(4.0)
-        shipped = client.pump()
-        assert shipped == 2  # units drained into the void
-        assert client.channel.stats.up_bytes > 0
-
-    def test_recover_without_server_returns_none(self):
-        _, client, _ = build(server=False)
-        client.create("/f")
+class TestNoCloudCopy:
+    def test_recover_without_a_cloud_copy_returns_none(self):
+        _, client, _ = build()
+        client.create("/f")  # never pumped: the cloud has no /f
         assert client._recover("/f") is None
 
 

@@ -202,7 +202,7 @@ def test_size_reads_the_inode_and_builds_no_stat(monkeypatch):
 
 
 def test_the_apply_log_keeps_no_result():
-    server = build(SMALL).server
+    server = build(SMALL)._link.server
     result = server.handle(MetaOp(kind="create", path="/new", new_version=VersionStamp(9, 1)))
     assert result.ok and server.apply_log[-1].ok
     alive = weakref.ref(result)
@@ -328,7 +328,7 @@ def test_a_pump_with_a_due_node_still_sweeps(monkeypatch):
     clock.advance(60.0)
     assert client.pump() == 1
     assert calls == ["expire", "drain_due"]
-    assert len(client.queue) == 0 and client.server.store.exists("/f")
+    assert len(client.queue) == 0 and client._link.server.store.exists("/f")
 
 
 def test_a_pump_with_a_live_relation_still_sweeps(monkeypatch):

@@ -96,7 +96,9 @@ class TestMakePolicy:
         # every client's scored them at 1024 byte-equivalents per tick.
         alone = make_policy("cost-model", "bitwise")
         for config in (None, DeltaCFSConfig(sync_policy="cost-model")):
-            client = DeltaCFSClient(MemoryFileSystem(), config=config)
+            client = DeltaCFSClient(
+                MemoryFileSystem(), server=CloudServer(), config=config
+            )
             assert client.policy.cpu_byte_rate == alone.cpu_byte_rate
 
     def test_config_validates_policy_names(self):

@@ -14,6 +14,7 @@ from repro.core.sync_queue import (
 )
 from repro.cost.meter import CostMeter
 from repro.delta.format import Delta, Literal
+from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
 
 
@@ -101,10 +102,10 @@ class TestMergedWrites:
 
 
 def _client_with(path, content, **config):
-    """A detached client whose ``path`` holds ``content``, synced: no node
-    is open for it."""
+    """A never-pumped client whose ``path`` holds ``content``, synced: no
+    node is open for it."""
     client = DeltaCFSClient(
-        MemoryFileSystem(), server=None, config=DeltaCFSConfig(**config)
+        MemoryFileSystem(), server=CloudServer(), config=DeltaCFSConfig(**config)
     )
     client.create(path)
     if content:

@@ -67,7 +67,7 @@ def test_restart_drops_volatile_state():
     # the disk, the link and the registration's place are what survived
     assert reborn.inner is client.inner and reborn.channel is client.channel
     assert reborn.inner.read_file("/b") == b"pending"
-    assert reborn.server is client.server
+    assert reborn._link.server is client._link.server
 
 
 def test_restart_starts_a_fresh_transport_and_keeps_the_dedup_window():

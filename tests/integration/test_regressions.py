@@ -11,7 +11,7 @@ from repro.common.config import DeltaCFSConfig
 from repro.common.errors import NotFoundError
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
-from repro.net.messages import MetaOp, TxnGroup, UploadWrite
+from repro.net.messages import HistoryRequest, MetaOp, TxnGroup, UploadWrite
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.server.shard import ShardRouter
@@ -557,7 +557,8 @@ def test_a_name_created_inside_a_colocated_group_is_found_by_its_name():
     assert router.handle(group).ok
     assert router.file_content(new) == b"new"
     assert router.file_version(new) == VersionStamp(3, 3)
-    assert router.version_history(new) == [VersionStamp(3, 2), VersionStamp(3, 3)]
+    history = router.answer(HistoryRequest(path=new)).versions
+    assert list(history) == [VersionStamp(3, 2), VersionStamp(3, 3)]
     router.handle(MetaOp(kind="unlink", path=new))
     assert _on_no_shard(router, new)
 
@@ -890,3 +891,33 @@ def test_replicas_share_one_value_across_a_forwarded_restore():
     assert len(values()) == 1
     assert sim.mismatched() == []
     assert bytes(first.inner.content("/f"))[3 * 4096 : 4 * 4096] == b"z" * 4096
+
+
+# A restore supersedes the file's pending writes under every one of its
+# names. It cancelled those queued under the restored name only: a write
+# through a hard-linked second name survived, shipped against the replaced
+# version, and left a conflicted copy on the cloud.
+
+
+@pytest.mark.parametrize("via", ["/f", "/g"])
+def test_a_restore_supersedes_pending_writes_under_every_name(via):
+    sim = Simulation()
+    client = sim.client
+    client.create("/f")
+    client.write("/f", 0, b"one" * 1000)
+    client.close("/f")
+    sim.settle()
+    v1 = client.versions["/f"]
+    client.write("/f", 0, b"two" * 1000)
+    client.close("/f")
+    client.link("/f", "/g")
+    sim.settle()
+    client.write(via, 0, b"three")
+    client.close(via)
+    assert client.restore_version("/f", v1) == b"one" * 1000
+    sim.settle()
+    sim.flush()
+    assert client.stats.conflicts == 0
+    assert not any("conflicted copy" in p for p in sim.server.store.paths())
+    assert client.read("/g") == client.read("/f") == b"one" * 1000
+    assert sim.mismatched() == []

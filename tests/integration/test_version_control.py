@@ -162,11 +162,6 @@ class TestRestore:
         assert client.read("/f", 0, None) == b"one" * 3000
         assert client.stats.corruptions_detected == 0
 
-    def test_no_server_raises(self):
-        client = DeltaCFSClient(MemoryFileSystem(), server=None)
-        with pytest.raises(RuntimeError):
-            client.version_history("/f")
-
 
 class TestRestoreSupersedesPendingState:
     """A restore replaces the path's content, so everything the client held

@@ -5,7 +5,18 @@ import pytest
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter
 from repro.delta.bitwise import bitwise_delta
-from repro.net.messages import Envelope, MetaOp, TxnGroup, UploadDelta, UploadWrite
+from repro.net.messages import (
+    Envelope,
+    FileDownload,
+    HistoryRequest,
+    MetaOp,
+    RangeRequest,
+    RestoreRequest,
+    ResyncRequest,
+    TxnGroup,
+    UploadDelta,
+    UploadWrite,
+)
 from repro.server import CloudServer, HashRing, ShardRouter, namespace_of
 
 
@@ -24,6 +35,15 @@ def _two_namespaces_on_different_shards(router):
 
 def _stamp(counter, client=1):
     return VersionStamp(client, counter)
+
+
+def _history(server, path):
+    return list(server.answer(HistoryRequest(path=path)).versions)
+
+
+def _range(server, path, offset, length):
+    reply = server.answer(RangeRequest(path=path, offset=offset, length=length))
+    return reply.data, reply.version
 
 
 def assert_placed(router):
@@ -78,9 +98,10 @@ class TestRouting:
         )
         assert router.file_content(path) == b"xyz"
         assert router.file_version(path) == _stamp(2)
-        assert router.file_range(path, 1, 1) == (b"y", _stamp(2))
-        assert router.resync_versions([path]) == [(path, _stamp(2))]
-        assert router.version_history(path) == [_stamp(1), _stamp(2)]
+        assert _range(router, path, 1, 1) == (b"y", _stamp(2))
+        resync = router.answer(ResyncRequest(paths=(path,)))
+        assert list(resync.versions) == [(path, _stamp(2))]
+        assert _history(router, path) == [_stamp(1), _stamp(2)]
         assert router.store.exists(path)
         assert router.store.paths() == [path]
 
@@ -114,8 +135,9 @@ class TestCrossShardRename:
         assert not router.shards[s1].store.exists(dst)
         assert router.shards[s2].store.exists(dst)
         # Lineage and snapshots moved with the file: old versions restorable.
-        assert _stamp(2) in router.version_history(dst)
-        assert router.restore_version(dst, _stamp(2)) == b"hello"
+        assert _stamp(2) in _history(router, dst)
+        restored = router.answer(RestoreRequest(path=dst, version=_stamp(2)))
+        assert restored == FileDownload(path=dst, data=b"hello", version=_stamp(2))
 
     def test_rename_within_one_shard_does_not_migrate(self):
         router = ShardRouter(4)
@@ -227,7 +249,7 @@ class TestHardLinkAcrossShards:
             for path in bare.store.paths():
                 assert router.file_content(path) == bare.file_content(path)
                 assert router.file_version(path) == bare.file_version(path)
-                assert router.version_history(path) == bare.version_history(path)
+                assert _history(router, path) == _history(bare, path)
         assert router.store.paths() == bare.store.paths()
         assert all(r.ok for r in bare.apply_log)
         # The link directory names live files only.
@@ -363,7 +385,7 @@ class TestStoreView:
 
     @pytest.mark.parametrize("n_shards", [1, 4, 8])
     def test_content_reads_find_every_listed_path(self, n_shards):
-        """``file_content`` / ``file_version`` / ``file_range`` read where the
+        """``file_content`` / ``file_version`` / a range read where the
         point lookups do: they routed a conflict copy by its own name and
         raised for it behind more than one shard."""
         router = self._four_conflicts(n_shards)
@@ -371,4 +393,4 @@ class TestStoreView:
             stored = router.store.get(path)
             assert router.file_content(path) == stored.content
             assert router.file_version(path) == stored.version
-            assert router.file_range(path, 2, 3) == (stored.content[2:5], stored.version)
+            assert _range(router, path, 2, 3) == (stored.content[2:5], stored.version)

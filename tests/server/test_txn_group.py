@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.version import VersionStamp
-from repro.net.messages import MetaOp, TxnGroup, UploadWrite
+from repro.net.messages import HistoryRequest, MetaOp, TxnGroup, UploadWrite
 from repro.server.cloud import CloudServer
 from repro.server.shard import ShardRouter
 
@@ -137,7 +137,8 @@ class TestExactRollback:
         assert server.handle(group).status == "conflict"
         assert server.file_content("/a") == b"one"
         assert server.store.history("/a") == [V(1, 0), V(1, 1)]
-        assert server.version_history("/a") == [V(1, 0), V(1, 1)]
+        history = server.answer(HistoryRequest(path="/a")).versions
+        assert list(history) == [V(1, 0), V(1, 1)]
 
     def test_mkdir_is_rolled_back(self, server):
         server.handle(MetaOp(kind="create", path="/zz", new_version=V(2, 1)))
