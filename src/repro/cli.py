@@ -136,6 +136,13 @@ def _cmd_fleet(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.health_out and (args.curve or args.bench_json):
+        print(
+            "--health-out writes one fleet's report; --curve and "
+            "--bench-json run four, so drop --health-out or run one spec",
+            file=sys.stderr,
+        )
+        return 2
 
     def show(results) -> None:
         print(format_table(
@@ -205,10 +212,12 @@ def _cmd_fleet(args) -> int:
 
 def _print_health(report) -> None:
     """Render one health report (fleet or trace) as a table."""
+    from repro.obs.health import ATTAINMENT_TARGET
+
     verdict = "HEALTHY" if report.healthy else "UNHEALTHY"
     print(f"\nhealth ({report.kind}): {verdict} — "
           f"attainment {report.attainment:.4f} of slo {report.slo_seconds:g}s "
-          f"(target {report.attainment_target:.2f}), "
+          f"(target {ATTAINMENT_TARGET:.2f}), "
           f"{report.total_stalls} stalls, "
           f"{report.total_regressions} regressed windows")
     print(format_table(

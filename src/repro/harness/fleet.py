@@ -26,13 +26,12 @@ busy horizon:
 Sync latency for each write is ``done - write_time`` — debounce wait,
 queueing behind other tenants on the shard, and service, all included.
 
-Telemetry is streaming and fixed-memory: instead of buffering every
-latency sample, the driver feeds a :class:`~repro.obs.sketch.ShardWindows`
-rollup (per-shard, per-virtual-time-window quantile sketches, queue-depth
-peaks and busy time — O(shards × windows) memory regardless of client
-count). Reported quantiles come from the merged sketches, within the
-sketch's ``alpha`` relative-error bound; ``FleetResult.health()`` turns
-the same rollup into an SLO health report (``repro fleet --health``).
+Telemetry is kept exactly: the driver feeds a
+:class:`~repro.obs.health.ShardWindows` rollup (per-shard,
+per-virtual-time-window latency samples, queue-depth peaks and busy
+time). Reported quantiles are the interpolated order statistics of every
+recorded latency; ``FleetResult.health()`` turns the same rollup into an
+SLO health report (``repro fleet --health``).
 
 Determinism: all randomness flows from one ``DeterministicRandom`` seed
 via per-client forks, so a (seed, spec) pair reproduces the same curve
@@ -55,8 +54,7 @@ from repro.cost.meter import CostMeter
 from repro.metrics import collector
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
-from repro.obs.health import HealthReport, health_from_windows
-from repro.obs.sketch import ShardWindows
+from repro.obs.health import HealthReport, ShardWindows, health_from_windows, quantile
 from repro.server.shard import ShardRouter
 from repro.sim import Simulation, attach_client
 
@@ -76,9 +74,6 @@ FILE_SIZE = 4096
 WRITE_SIZE = 512
 #: Bursty arrivals: uniform jitter width inside a wave, in seconds.
 BURST_JITTER = 4.0
-#: Relative-error bound of the latency quantile sketches (0.005: reported
-#: quantiles within 0.5% of exact).
-SKETCH_ALPHA = 0.005
 
 
 def provision_clients(
@@ -151,7 +146,7 @@ class FleetSpec:
         burst_every: bursty — seconds between waves (each wave spread
             over ``BURST_JITTER`` seconds).
         window_seconds: width of the telemetry rollup windows (virtual
-            seconds); per-shard latency sketches, queue peaks and busy
+            seconds); per-shard latency samples, queue peaks and busy
             time aggregate per window.
         slo_seconds: the sync-latency objective — a write meets the SLO
             when its sync latency is at or under this.
@@ -221,26 +216,13 @@ class FleetResult:
     def stalls(self) -> int:
         return sum(self.shard_stalls)
 
-    def health(
-        self,
-        *,
-        slo_seconds: Optional[float] = None,
-        attainment_target: Optional[float] = None,
-    ) -> HealthReport:
-        """SLO health report over this run's streaming rollups."""
-        kwargs = {}
-        if attainment_target is not None:
-            kwargs["attainment_target"] = attainment_target
+    def health(self) -> HealthReport:
+        """SLO health report over this run's rollups."""
         return health_from_windows(
             self.rollup,
-            slo_seconds=(
-                self.spec.slo_seconds if slo_seconds is None else slo_seconds
-            ),
+            slo_seconds=self.spec.slo_seconds,
             stall_horizon=self.spec.stall_horizon,
-            stalls_by_shard={
-                s: n for s, n in enumerate(self.shard_stalls) if n
-            },
-            **kwargs,
+            stalls_by_shard=dict(enumerate(self.shard_stalls)),
         )
 
 
@@ -297,15 +279,9 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     writes_left = [spec.writes_per_client] * spec.n_clients
     waves = [0] * spec.n_clients
     pending: List[List[float]] = [[] for _ in range(spec.n_clients)]
-    # Streaming telemetry: fixed-memory windowed rollups instead of an
-    # O(writes) latency buffer. Tracked unconditionally so reported
-    # quantiles are identical with observability on or off.
-    rollup = ShardWindows(
-        spec.n_shards,
-        spec.window_seconds,
-        t0=t0,
-        alpha=SKETCH_ALPHA,
-    )
+    # Windowed rollups of every latency, tracked unconditionally so
+    # reported quantiles are identical with observability on or off.
+    rollup = ShardWindows(spec.n_shards, spec.window_seconds, t0=t0)
     shard_stalls = [0] * spec.n_shards
     shard_busy = [0.0] * spec.n_shards
     shard_busy_total = [0.0] * spec.n_shards
@@ -401,21 +377,18 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
             client.flush()
             complete(i, clock.now(), ticks_before)
 
-    if obs.enabled:
-        _emit_telemetry(obs, spec, rollup, shard_stalls)
-
-    overall = rollup.overall_sketch()
+    overall = rollup.overall_latencies()
     total_up = sum(c.stats.up_bytes for c in channels)
     conflicts = sum(
         1 for shard in router.shards for r in shard.apply_log if not r.ok
     )
-    return FleetResult(
+    result = FleetResult(
         spec=spec,
         writes=writes_issued,
-        p50_latency=overall.quantile(0.50),
-        p90_latency=overall.quantile(0.90),
-        p99_latency=overall.quantile(0.99),
-        max_latency=overall.max if overall.count else 0.0,
+        p50_latency=quantile(overall, 0.50),
+        p90_latency=quantile(overall, 0.90),
+        p99_latency=quantile(overall, 0.99),
+        max_latency=overall[-1] if overall else 0.0,
         shard_ticks=[m.total for m in router.shard_meters],
         shard_busy=shard_busy_total,
         shard_queue_peak=shard_queue_peak,
@@ -426,36 +399,19 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
         rollup=rollup,
         shard_stalls=shard_stalls,
     )
+    if obs.enabled:
+        _emit_telemetry(obs, result)
+    return result
 
 
-def _emit_telemetry(
-    obs: Observability,
-    spec: FleetSpec,
-    rollup: ShardWindows,
-    shard_stalls: List[int],
-) -> None:
-    """Flush the streaming rollups into the obs sink (obs-enabled only)."""
-    obs.set_gauge("fleet.window.seconds", spec.window_seconds)
-    for cell in rollup.windows():
+def _emit_telemetry(obs: Observability, result: FleetResult) -> None:
+    """Flush the rollups and the health report into the obs sink
+    (obs-enabled only)."""
+    obs.set_gauge("fleet.window.seconds", result.spec.window_seconds)
+    for cell in result.rollup.windows():
         obs.inc("fleet.window.rollovers", shard=cell.shard)
-        obs.event(
-            "fleet.window.closed",
-            shard=cell.shard,
-            window=cell.window,
-            start=cell.start,
-            end=cell.end,
-            writes=cell.writes,
-            p50=cell.sketch.quantile(0.50),
-            p99=cell.sketch.quantile(0.99),
-            queue_peak=cell.queue_peak,
-            busy=cell.busy,
-        )
-    report = health_from_windows(
-        rollup,
-        slo_seconds=spec.slo_seconds,
-        stall_horizon=spec.stall_horizon,
-        stalls_by_shard={s: n for s, n in enumerate(shard_stalls) if n},
-    )
+        obs.event("fleet.window.closed", **cell.to_dict())
+    report = result.health()
     for shard_health in report.shards:
         obs.set_gauge(
             "health.slo.attainment",

@@ -56,6 +56,8 @@ from repro.obs.export import (
 from repro.obs.health import (
     HealthReport,
     ShardHealth,
+    ShardWindows,
+    WindowStats,
     health_from_trace,
     health_from_windows,
     validate_health_doc,
@@ -63,7 +65,6 @@ from repro.obs.health import (
 from repro.obs.names import EVENT_NAMES, EVENTS, METRIC_NAMES, METRICS, EventSpec, MetricSpec
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.render import histogram_quantile, text_report, to_json
-from repro.obs.sketch import QuantileSketch, ShardWindows, WindowStats
 from repro.obs.tracer import NULL_TRACER, TraceContext, TraceEvent, Tracer
 
 
@@ -164,7 +165,6 @@ __all__ = [
     "NULL_TRACER",
     "TraceEvent",
     "TraceContext",
-    "QuantileSketch",
     "ShardWindows",
     "WindowStats",
     "HealthReport",

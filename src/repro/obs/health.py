@@ -1,37 +1,154 @@
-"""SLO health reports over fleet telemetry and recorded traces.
+"""SLO health reports over fleet latencies and recorded traces.
 
-Two producers, one schema:
+Latencies are kept exactly: :class:`ShardWindows` holds every sample of
+one (shard, virtual-time window) cell in a list, beside the cell's
+queue-depth peak and busy time, and :func:`quantile` / :func:`attainment`
+read the sorted samples. Two producers feed one report builder:
 
-- :func:`health_from_windows` reads the fleet driver's streaming
-  :class:`~repro.obs.sketch.ShardWindows` rollups (``repro fleet
-  --health``) — per-shard quantiles and SLO attainment come from the
-  merged per-shard sketches, window-over-window p99 regressions from the
-  windowed cells, and stall counts from the driver's exact accounting.
-- :func:`health_from_trace` replays a recorded JSONL trace(s) loaded by
-  :mod:`repro.obs.analyze` (``repro inspect --health``) — each
-  ``queue.node.shipped`` is matched FIFO-by-path against
-  ``server.version.accepted``; shipped nodes with no acceptance inside
-  the stall horizon (stuck retransmits, dead shards) are stalls.
+- :func:`health_from_windows` groups the fleet driver's cells by shard
+  (``repro fleet --health``); stall counts come from the driver's exact
+  accounting.
+- :func:`health_from_trace` groups cells by accepting source, recovered
+  from recorded JSONL trace(s) loaded by :mod:`repro.obs.analyze`
+  (``repro inspect --health``) — each ``queue.node.shipped`` is matched
+  FIFO-by-path against ``server.version.accepted``; shipped nodes with no
+  acceptance inside the stall horizon (stuck retransmits, dead shards)
+  are stalls.
 
 Both return a :class:`HealthReport` whose :meth:`~HealthReport.to_dict`
 document is the CI-validated schema (:func:`validate_health_doc`).
+Everything here is arithmetic over caller-supplied virtual timestamps,
+so fleet results stay bit-deterministic under seeded runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.sketch import QuantileSketch, ShardWindows
+SCHEMA_VERSION = 2
 
-SCHEMA_VERSION = 1
-
+# The fleet is healthy when write-weighted SLO attainment meets this and
+# no write stalled.
+ATTAINMENT_TARGET = 0.99
 # Regression flagging: a window regresses when its p99 exceeds the
-# previous touched window's p99 by this factor, and both windows hold
-# enough samples to make the comparison meaningful.
-DEFAULT_REGRESSION_FACTOR = 1.5
-DEFAULT_MIN_WINDOW_WRITES = 8
-DEFAULT_ATTAINMENT_TARGET = 0.99
+# previous comparable window's p99 by this factor; windows with fewer
+# writes than this are skipped as noise.
+REGRESSION_FACTOR = 1.5
+MIN_WINDOW_WRITES = 8
+# Window width of a report recovered from a trace, in virtual seconds.
+TRACE_WINDOW_SECONDS = 60.0
+
+# What a report groups by: a shard index in a fleet run, the accepting
+# source in a report recovered from a trace.
+Group = Union[int, str]
+
+
+def quantile(sorted_values: Sequence[float], q: float) -> float:
+    """Exact linear-interpolation quantile of a pre-sorted list; 0.0 when empty."""
+    if not sorted_values:
+        return 0.0
+    pos = q * (len(sorted_values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = pos - lo
+    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+
+
+def attainment(sorted_values: Sequence[float], slo_seconds: float) -> float:
+    """Share of a pre-sorted list at or under ``slo_seconds``; 1.0 when empty."""
+    if not sorted_values:
+        return 1.0
+    return bisect_right(sorted_values, slo_seconds) / len(sorted_values)
+
+
+@dataclass
+class WindowStats:
+    """Rollup of one (shard, window) cell: its latency samples, queue-depth
+    peak and busy time."""
+
+    shard: Group
+    window: int
+    start: float
+    end: float
+    latencies: List[float] = field(default_factory=list)
+    queue_peak: int = 0
+    busy: float = 0.0
+
+    @property
+    def writes(self) -> int:
+        return len(self.latencies)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The ``fleet.window.closed`` event's attrs, in catalog order."""
+        ordered = sorted(self.latencies)
+        return {
+            "shard": self.shard,
+            "window": self.window,
+            "start": self.start,
+            "end": self.end,
+            "writes": self.writes,
+            "p50": quantile(ordered, 0.50),
+            "p99": quantile(ordered, 0.99),
+            "queue_peak": self.queue_peak,
+            "busy": self.busy,
+        }
+
+
+class ShardWindows:
+    """Per-shard, per-virtual-time-window telemetry rollups.
+
+    One :class:`WindowStats` per (shard, window) cell, created lazily on
+    first sample and keyed by ``floor((ts - t0) / window_seconds)``.
+    Latencies are attributed to the window of their *completion*
+    timestamp.
+    """
+
+    def __init__(self, n_shards: int, window_seconds: float, *, t0: float = 0.0):
+        if window_seconds <= 0:
+            raise ValueError("window_seconds must be positive")
+        self.n_shards = n_shards
+        self.window_seconds = window_seconds
+        self.t0 = t0
+        self._cells: Dict[Tuple[Group, int], WindowStats] = {}
+
+    def _cell(self, shard: Group, ts: float) -> WindowStats:
+        idx = max(0, int((ts - self.t0) // self.window_seconds))
+        cell = self._cells.get((shard, idx))
+        if cell is None:
+            start = self.t0 + idx * self.window_seconds
+            cell = self._cells[(shard, idx)] = WindowStats(
+                shard, idx, start, start + self.window_seconds
+            )
+        return cell
+
+    # -- recording ---------------------------------------------------------
+
+    def record_latency(self, shard: Group, done_ts: float, latency: float) -> None:
+        self._cell(shard, done_ts).latencies.append(latency)
+
+    def record_depth(self, shard: int, ts: float, depth: int) -> None:
+        cell = self._cell(shard, ts)
+        if depth > cell.queue_peak:
+            cell.queue_peak = depth
+
+    def record_busy(self, shard: int, ts: float, seconds: float) -> None:
+        self._cell(shard, ts).busy += seconds
+
+    # -- reading -----------------------------------------------------------
+
+    @property
+    def cells(self) -> int:
+        return len(self._cells)
+
+    def windows(self) -> List[WindowStats]:
+        """All touched cells, ordered by (shard, window)."""
+        return [self._cells[k] for k in sorted(self._cells)]
+
+    def overall_latencies(self) -> List[float]:
+        """Every latency recorded, sorted — the fleet-wide distribution."""
+        return sorted(v for cell in self._cells.values() for v in cell.latencies)
 
 
 @dataclass
@@ -72,8 +189,6 @@ class HealthReport:
     slo_seconds: float
     stall_horizon: float
     window_seconds: float
-    sketch_alpha: float
-    attainment_target: float
     shards: List[ShardHealth]
 
     @property
@@ -98,10 +213,7 @@ class HealthReport:
 
     @property
     def healthy(self) -> bool:
-        return (
-            self.total_stalls == 0
-            and self.attainment >= self.attainment_target
-        )
+        return self.total_stalls == 0 and self.attainment >= ATTAINMENT_TARGET
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -110,8 +222,7 @@ class HealthReport:
             "slo_seconds": self.slo_seconds,
             "stall_horizon": self.stall_horizon,
             "window_seconds": self.window_seconds,
-            "sketch_alpha": self.sketch_alpha,
-            "attainment_target": self.attainment_target,
+            "attainment_target": ATTAINMENT_TARGET,
             "writes": self.total_writes,
             "attainment": self.attainment,
             "stalls": self.total_stalls,
@@ -121,48 +232,57 @@ class HealthReport:
         }
 
 
-def _regressed_windows(
-    cells,
-    *,
-    factor: float,
-    min_writes: int,
-) -> List[int]:
-    """Window indices whose p99 jumped vs the previous touched window."""
+def _regressed_windows(cells: Iterable[WindowStats]) -> List[int]:
+    """Window indices whose p99 jumped vs the previous comparable window."""
     flagged: List[int] = []
     prev_p99: Optional[float] = None
     for cell in cells:
-        p99 = cell.sketch.quantile(0.99)
-        if (
-            prev_p99 is not None
-            and cell.writes >= min_writes
-            and p99 > factor * prev_p99
-        ):
+        if cell.writes < MIN_WINDOW_WRITES:
+            continue
+        p99 = quantile(sorted(cell.latencies), 0.99)
+        if prev_p99 is not None and p99 > REGRESSION_FACTOR * prev_p99:
             flagged.append(cell.window)
-        if cell.writes >= min_writes:
-            prev_p99 = p99
+        prev_p99 = p99
     return flagged
 
 
-def _shard_health(
-    name: str,
-    sketch: QuantileSketch,
+def _report(
+    kind: str,
+    groups: Iterable[Group],
+    rollup: ShardWindows,
+    stalls: Dict[Group, int],
     *,
     slo_seconds: float,
-    stalls: int,
-    windows: int,
-    regressed: List[int],
-) -> ShardHealth:
-    return ShardHealth(
-        shard=name,
-        writes=sketch.count,
-        p50=sketch.quantile(0.50),
-        p90=sketch.quantile(0.90),
-        p99=sketch.quantile(0.99),
-        max_latency=sketch.max if sketch.count else 0.0,
-        slo_attainment=sketch.fraction_leq(slo_seconds),
-        stalls=stalls,
-        windows=windows,
-        regressed_windows=regressed,
+    stall_horizon: float,
+) -> HealthReport:
+    """One :class:`ShardHealth` per group, in ``groups`` order, over the
+    rollup's cells whose ``shard`` is that group."""
+    cells_of: Dict[Group, List[WindowStats]] = {g: [] for g in groups}
+    for cell in rollup.windows():
+        cells_of[cell.shard].append(cell)
+    shards: List[ShardHealth] = []
+    for group, cells in cells_of.items():
+        samples = sorted(v for cell in cells for v in cell.latencies)
+        shards.append(
+            ShardHealth(
+                shard=str(group),
+                writes=len(samples),
+                p50=quantile(samples, 0.50),
+                p90=quantile(samples, 0.90),
+                p99=quantile(samples, 0.99),
+                max_latency=samples[-1] if samples else 0.0,
+                slo_attainment=attainment(samples, slo_seconds),
+                stalls=stalls.get(group, 0),
+                windows=len(cells),
+                regressed_windows=_regressed_windows(cells),
+            )
+        )
+    return HealthReport(
+        kind=kind,
+        slo_seconds=slo_seconds,
+        stall_horizon=stall_horizon,
+        window_seconds=rollup.window_seconds,
+        shards=shards,
     )
 
 
@@ -172,38 +292,15 @@ def health_from_windows(
     slo_seconds: float,
     stall_horizon: float,
     stalls_by_shard: Optional[Dict[int, int]] = None,
-    regression_factor: float = DEFAULT_REGRESSION_FACTOR,
-    min_window_writes: int = DEFAULT_MIN_WINDOW_WRITES,
-    attainment_target: float = DEFAULT_ATTAINMENT_TARGET,
 ) -> HealthReport:
-    """Health report from the fleet driver's streaming rollups."""
-    stalls_by_shard = stalls_by_shard or {}
-    by_shard: Dict[int, List] = {}
-    for cell in rollup.windows():
-        by_shard.setdefault(cell.shard, []).append(cell)
-    shards: List[ShardHealth] = []
-    for shard in range(rollup.n_shards):
-        cells = by_shard.get(shard, [])
-        shards.append(
-            _shard_health(
-                str(shard),
-                rollup.shard_sketch(shard),
-                slo_seconds=slo_seconds,
-                stalls=stalls_by_shard.get(shard, 0),
-                windows=len(cells),
-                regressed=_regressed_windows(
-                    cells, factor=regression_factor, min_writes=min_window_writes
-                ),
-            )
-        )
-    return HealthReport(
-        kind="fleet",
+    """Health report from the fleet driver's rollups, one group per shard."""
+    return _report(
+        "fleet",
+        range(rollup.n_shards),
+        rollup,
+        stalls_by_shard or {},
         slo_seconds=slo_seconds,
         stall_horizon=stall_horizon,
-        window_seconds=rollup.window_seconds,
-        sketch_alpha=rollup.alpha,
-        attainment_target=attainment_target,
-        shards=shards,
     )
 
 
@@ -219,11 +316,6 @@ def health_from_trace(
     *,
     slo_seconds: float,
     stall_horizon: float,
-    window_seconds: float = 60.0,
-    alpha: float = 0.005,
-    regression_factor: float = DEFAULT_REGRESSION_FACTOR,
-    min_window_writes: int = DEFAULT_MIN_WINDOW_WRITES,
-    attainment_target: float = DEFAULT_ATTAINMENT_TARGET,
 ) -> HealthReport:
     """Health report recovered from a recorded trace.
 
@@ -236,16 +328,10 @@ def health_from_trace(
     never arrived within ``stall_horizon`` of the trace's end.
     """
     records = getattr(doc, "records", doc)
-    pending: Dict[str, List[Tuple[float, str]]] = {}  # path -> [(ts, src)]
-    groups: Dict[str, ShardWindows] = {}
-    stalls: Dict[str, int] = {}
+    pending: Dict[str, List[float]] = {}  # path -> ship timestamps
+    rollup = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = source
+    stalls: Dict[Group, int] = {}
     last_ts = 0.0
-
-    def rollup_for(group: str) -> ShardWindows:
-        rl = groups.get(group)
-        if rl is None:
-            rl = groups[group] = ShardWindows(1, window_seconds, alpha=alpha)
-        return rl
 
     for rec in records:
         if rec.get("type") != "event":
@@ -256,52 +342,29 @@ def health_from_trace(
         attrs = rec.get("attrs", {})
         if name == "queue.node.shipped":
             if attrs.get("kind") in _VERSIONED_KINDS:
-                path = str(attrs.get("path", ""))
-                pending.setdefault(path, []).append((ts, rec.get("src", "")))
+                pending.setdefault(str(attrs.get("path", "")), []).append(ts)
         elif name == "server.version.accepted":
-            path = str(attrs.get("path", ""))
-            queue = pending.get(path)
+            queue = pending.get(str(attrs.get("path", "")))
             if not queue:
                 continue
-            shipped_ts, _ = queue.pop(0)
             group = str(rec.get("src", "") or "all")
-            latency = ts - shipped_ts
-            rollup_for(group).record_latency(0, ts, latency)
+            latency = ts - queue.pop(0)
+            rollup.record_latency(group, ts, latency)
             if latency > stall_horizon:
                 stalls[group] = stalls.get(group, 0) + 1
 
-    for path, queue in sorted(pending.items()):
-        for shipped_ts, _ in queue:
+    for queue in pending.values():
+        for shipped_ts in queue:
             if last_ts - shipped_ts > stall_horizon:
                 stalls["unassigned"] = stalls.get("unassigned", 0) + 1
-                rollup_for("unassigned")
 
-    shards: List[ShardHealth] = []
-    for group in sorted(set(groups) | set(stalls)):
-        rollup = groups.get(group)
-        if rollup is None:
-            rollup = ShardWindows(1, window_seconds, alpha=alpha)
-        cells = rollup.windows()
-        shards.append(
-            _shard_health(
-                group,
-                rollup.overall_sketch(),
-                slo_seconds=slo_seconds,
-                stalls=stalls.get(group, 0),
-                windows=len(cells),
-                regressed=_regressed_windows(
-                    cells, factor=regression_factor, min_writes=min_window_writes
-                ),
-            )
-        )
-    return HealthReport(
-        kind="trace",
+    return _report(
+        "trace",
+        sorted({cell.shard for cell in rollup.windows()} | set(stalls)),
+        rollup,
+        stalls,
         slo_seconds=slo_seconds,
         stall_horizon=stall_horizon,
-        window_seconds=window_seconds,
-        sketch_alpha=alpha,
-        attainment_target=attainment_target,
-        shards=shards,
     )
 
 
@@ -311,7 +374,6 @@ _TOP_LEVEL_FIELDS: Tuple[Tuple[str, type], ...] = (
     ("slo_seconds", (int, float)),
     ("stall_horizon", (int, float)),
     ("window_seconds", (int, float)),
-    ("sketch_alpha", (int, float)),
     ("attainment_target", (int, float)),
     ("writes", int),
     ("attainment", (int, float)),

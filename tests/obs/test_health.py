@@ -1,17 +1,144 @@
-"""SLO health reports: windows-based and trace-based producers, the
-schema validator, stall detection, and regression flagging."""
+"""SLO health reports: exact quantiles, the windowed rollup, the
+windows-based and trace-based producers, the schema validator, stall
+detection, and regression flagging."""
 
+import numpy as np
 import pytest
 
+from repro.common.rng import DeterministicRandom
 from repro.obs.health import (
-    HealthReport,
-    ShardHealth,
+    ShardWindows,
     _regressed_windows,
+    attainment,
     health_from_trace,
     health_from_windows,
+    quantile,
     validate_health_doc,
 )
-from repro.obs.sketch import ShardWindows
+
+
+def _samples(n, seed=7, scale=30.0):
+    rng = DeterministicRandom(seed)
+    return [0.01 + rng.random() * scale for _ in range(n)]
+
+
+class TestQuantiles:
+    def test_empty_reads_zero(self):
+        assert quantile([], 0.5) == 0.0
+        assert attainment([], 1.0) == 1.0
+        assert ShardWindows(1, 10.0).overall_latencies() == []
+
+    def test_endpoints_are_exact(self):
+        values = sorted(_samples(500))
+        assert quantile(values, 0.0) == min(values)
+        assert quantile(values, 1.0) == max(values)
+        assert quantile([4.5], 0.99) == 4.5
+
+    @pytest.mark.parametrize("scale", [0.03, 30.0, 30000.0])
+    def test_matches_numpy_linear(self, scale):
+        """Exact at every magnitude: sub-second, seconds and hours."""
+        values = sorted(_samples(5000, scale=scale))
+        for q in (0.10, 0.25, 0.50, 0.90, 0.95, 0.99):
+            assert quantile(values, q) == pytest.approx(
+                float(np.quantile(values, q)), rel=1e-12
+            )
+
+    def test_interpolates_between_order_statistics(self):
+        # rank 0.99 * 3 = 2.97: 0.03 of the third sample, 0.97 of the fourth.
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.99) == 3.0 * 0.03 + 4.0 * 0.97
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.5
+
+    def test_attainment_matches_exact_cdf(self):
+        values = sorted(_samples(4000))
+        for threshold in (5.0, 15.0, 25.0):
+            exact = sum(1 for v in values if v <= threshold) / len(values)
+            assert attainment(values, threshold) == exact
+        assert attainment(values, 1e9) == 1.0
+        assert attainment(values, -1.0) == 0.0
+
+    def test_zero_and_negative_values_are_kept(self):
+        values = sorted([0.0, -1.0, 0.0, 5.0])
+        assert quantile(values, 0.0) == -1.0
+        assert quantile(values, 0.5) == 0.0
+        assert quantile(values, 1.0) == 5.0
+
+
+class TestShardWindows:
+    def test_cells_created_lazily_per_shard_window(self):
+        rollup = ShardWindows(4, 10.0)
+        assert rollup.cells == 0
+        rollup.record_latency(0, 5.0, 1.0)
+        rollup.record_latency(0, 15.0, 2.0)
+        rollup.record_latency(2, 5.0, 3.0)
+        assert rollup.cells == 3
+        cells = rollup.windows()
+        assert [(c.shard, c.window) for c in cells] == [(0, 0), (0, 1), (2, 0)]
+        assert cells[0].start == 0.0 and cells[0].end == 10.0
+
+    def test_latency_attributed_to_completion_window(self):
+        rollup = ShardWindows(1, 10.0, t0=100.0)
+        rollup.record_latency(0, 125.0, 30.0)  # window floor((125-100)/10)=2
+        (cell,) = rollup.windows()
+        assert cell.window == 2
+        assert cell.start == 120.0
+        assert cell.writes == 1
+
+    def test_depth_peak_and_busy_accumulate(self):
+        rollup = ShardWindows(2, 10.0)
+        rollup.record_depth(1, 3.0, 4)
+        rollup.record_depth(1, 4.0, 2)
+        rollup.record_busy(1, 3.0, 1.5)
+        rollup.record_busy(1, 4.0, 0.5)
+        (cell,) = rollup.windows()
+        assert cell.queue_peak == 4
+        assert cell.busy == pytest.approx(2.0)
+        assert cell.writes == 0
+
+    def test_shard_and_overall_reads_pool_windows(self):
+        rollup = ShardWindows(2, 10.0)
+        for ts, lat in [(1.0, 1.0), (11.0, 2.0), (21.0, 3.0)]:
+            rollup.record_latency(0, ts, lat)
+        rollup.record_latency(1, 1.0, 10.0)
+        report = health_from_windows(rollup, slo_seconds=5.0, stall_horizon=60.0)
+        assert [(s.writes, s.windows) for s in report.shards] == [(3, 3), (1, 1)]
+        assert report.shards[0].p50 == 2.0
+        assert rollup.overall_latencies() == [1.0, 2.0, 3.0, 10.0]
+
+    def test_overall_read_equals_one_pool(self):
+        values = _samples(2000)
+        whole, split = ShardWindows(1, 10.0), ShardWindows(4, 10.0)
+        for i, v in enumerate(values):
+            whole.record_latency(0, float(i % 50), v)
+            split.record_latency(i % 4, float(i % 7), v)
+        assert whole.overall_latencies() == split.overall_latencies()
+        assert split.overall_latencies() == sorted(values)
+
+    def test_reads_do_not_depend_on_record_order(self):
+        values = _samples(1000)
+        a, b = ShardWindows(2, 10.0), ShardWindows(2, 10.0)
+        for i, v in enumerate(values):
+            a.record_latency(i % 2, 1.0, v)
+        for i, v in reversed(list(enumerate(values))):
+            b.record_latency(i % 2, 1.0, v)
+        assert [c.to_dict() for c in a.windows()] == [c.to_dict() for c in b.windows()]
+
+    def test_cells_are_per_shard_window_not_per_sample(self):
+        rollup = ShardWindows(2, 10.0)
+        for i in range(10_000):
+            rollup.record_latency(i % 2, float(i % 100), 3.0)
+        assert rollup.cells == 20  # 2 shards x 10 windows
+        assert sum(c.writes for c in rollup.windows()) == 10_000
+
+    def test_window_stats_to_dict(self):
+        rollup = ShardWindows(1, 10.0)
+        rollup.record_latency(0, 5.0, 3.0)
+        d = rollup.windows()[0].to_dict()
+        assert d["shard"] == 0 and d["writes"] == 1
+        assert d["p50"] == 3.0 and d["p99"] == 3.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ShardWindows(1, 0.0)
 
 
 def _loaded_rollup(n_shards=2, window=10.0):
@@ -32,8 +159,8 @@ class TestHealthFromWindows:
         assert report.attainment == 1.0
         assert report.healthy
         assert [s.shard for s in report.shards] == ["0", "1"]
-        assert report.shards[0].p50 == pytest.approx(3.0, rel=0.01)
-        assert report.shards[1].p50 == pytest.approx(4.0, rel=0.01)
+        assert report.shards[0].p50 == 3.0
+        assert report.shards[1].p50 == 4.0
 
     def test_attainment_reflects_slo_misses(self):
         rollup = ShardWindows(1, 10.0)
@@ -42,8 +169,21 @@ class TestHealthFromWindows:
         for i in range(10):
             rollup.record_latency(0, float(i), 100.0)
         report = health_from_windows(rollup, slo_seconds=10.0, stall_horizon=60.0)
-        assert report.attainment == pytest.approx(0.9, abs=0.01)
-        assert not report.healthy  # 0.9 < the 0.99 default target
+        assert report.attainment == 0.9
+        assert not report.healthy  # 0.9 < the 0.99 target
+
+    def test_attainment_and_quantiles_are_exact_at_the_slo_edge(self):
+        rollup = ShardWindows(1, 10.0)
+        for i in range(99):
+            rollup.record_latency(0, float(i % 9), 1.0)
+        rollup.record_latency(0, 5.0, 15.01)  # just over the objective
+        report = health_from_windows(rollup, slo_seconds=15.0, stall_horizon=60.0)
+        (shard,) = report.shards
+        assert shard.slo_attainment == 0.99
+        assert report.attainment == 0.99
+        assert shard.p50 == 1.0
+        assert shard.max_latency == 15.01
+        assert report.healthy  # exactly at the 0.99 target
 
     def test_stalls_make_unhealthy(self):
         report = health_from_windows(
@@ -100,8 +240,7 @@ class TestRegressionFlagging:
             rollup.record_latency(0, 1.0 + i * 0.5, 20.0)
         for i in range(10):
             rollup.record_latency(0, 11.0 + i * 0.5, 2.0)  # improves
-        cells = rollup.windows()
-        assert _regressed_windows(cells, factor=1.5, min_writes=8) == []
+        assert _regressed_windows(rollup.windows()) == []
 
 
 def _event(name, ts, attrs, src=""):
@@ -241,15 +380,49 @@ class TestFleetResultHealth:
         assert report.attainment == 1.0
         assert report.total_stalls == 0
         assert report.healthy
-        # Per-shard writes reconcile with the sketch counts.
+        # Per-shard writes reconcile with the recorded samples.
         assert sum(s.writes for s in report.shards) == 80
+        assert report.to_dict()["schema"] == 2
+        assert "sketch_alpha" not in report.to_dict()
 
     def test_custom_slo_flips_health(self):
         from repro.harness.fleet import FleetSpec, run_fleet
 
         result = run_fleet(
-            FleetSpec(n_clients=40, n_shards=4, writes_per_client=2)
+            FleetSpec(n_clients=40, n_shards=4, writes_per_client=2, slo_seconds=0.001)
         )
-        strict = result.health(slo_seconds=0.001)
+        strict = result.health()
         assert strict.attainment < 0.99
         assert not strict.healthy
+
+    def test_fleet_quantiles_are_the_recorded_order_statistics(self):
+        from repro.harness.fleet import FleetSpec, run_fleet
+        from repro.obs import Observability
+
+        class Recording(Observability):
+            """Keeps every ``fleet.sync.latency`` sample the driver observes."""
+
+            def __init__(self):
+                super().__init__()
+                self.latencies = []
+
+            def observe(self, name, value, **labels):
+                if name == "fleet.sync.latency":
+                    self.latencies.append(value)
+                super().observe(name, value, **labels)
+
+        obs = Recording()
+        result = run_fleet(FleetSpec(n_clients=200, n_shards=4), obs=obs)
+        values = sorted(obs.latencies)
+        assert len(values) == result.writes
+        for q, reported in (
+            (0.50, result.p50_latency),
+            (0.90, result.p90_latency),
+            (0.99, result.p99_latency),
+        ):
+            pos = q * (len(values) - 1)
+            lo = int(pos)
+            frac = pos - lo
+            assert reported == values[lo] * (1.0 - frac) + values[lo + 1] * frac
+        assert result.max_latency == values[-1]
+        assert result.p50_latency < result.p90_latency < result.p99_latency

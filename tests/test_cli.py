@@ -230,3 +230,16 @@ def test_fleet_trace_out_smoke(tmp_path, capsys):
     assert main(["fleet", "--clients", "20", "--trace-out",
                  str(tmp_path / "missing" / "f.jsonl")]) == 1
     assert "cannot write trace to" in capsys.readouterr().err
+
+
+def test_fleet_curve_refuses_health_out(tmp_path, capsys):
+    """`--health-out` holds one fleet's report and a curve runs four, so the
+    combination is refused before anything runs instead of keeping one."""
+    report = tmp_path / "health.json"
+    bench = tmp_path / "bench"
+    for flags in (["--curve"], ["--bench-json", str(bench)]):
+        assert main(["fleet", *flags, "--health-out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert "--health-out" in captured.err
+        assert captured.out == ""
+    assert not report.exists() and not bench.exists()
