@@ -4,8 +4,9 @@ The in-memory stores (``MemoryFileSystem`` inodes, the cloud's
 ``StoredFile`` and its snapshot window) hold file content as this one
 value. A value never changes after it is made: ``write`` and ``truncate``
 return a *new* value that shares every 4 KB page the update did not touch,
-so a 4 KB write into a 4 MB file copies one or two pages plus the page
-table, and keeping the old version (a snapshot) is keeping a reference.
+so a 4 KB write into a 4 MB file copies one or two pages, the one leaf of
+the page table that holds them and the short top tuple over the leaves,
+and keeping the old version (a snapshot) is keeping a reference.
 This is the metadata-over-pages representation of *DeltaFS* (PAPERS.md),
 at the block size Section III-E already checksums and SQLite already
 writes — an aligned page write reads nothing.
@@ -16,9 +17,14 @@ A value has one representation, fixed when it is made:
   ``UploadFull``, ``apply_delta`` output, any write that replaces the whole
   content) and is what every content no longer than :data:`FLAT_MAX` is.
   ``bytes(flat)`` is that object, free.
-- *paged* — a tuple of pages, each exactly :data:`PAGE` bytes but the
-  last: the product of a partial write or truncate that leaves more than
-  :data:`FLAT_MAX` bytes. ``bytes(paged)`` joins the pages and keeps
+- *paged* — a two-level page table: a top tuple of leaves, each leaf a
+  tuple of :data:`LEAF_PAGES` pages (the last leaf may be short), each
+  page exactly :data:`PAGE` bytes but the last. It is the product of a
+  partial write or truncate that leaves more than :data:`FLAT_MAX` bytes.
+  A write rebuilds the leaf or leaves it touches and the top tuple and
+  shares every other leaf: it copies one reference per page of a leaf and
+  one per 256 KB of file, where a flat table copied one per page (33 448
+  per write of a 137 MB file). ``bytes(paged)`` joins the pages and keeps
   nothing: caching the join beside the pages was measured to raise peak
   RSS by half where many replicas are read back (docs/performance.md,
   deliberate rejections).
@@ -44,19 +50,35 @@ type against.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Optional, Tuple
 from weakref import ref
 
-PAGE = 4096
+PAGE_SHIFT = 12
+PAGE = 1 << PAGE_SHIFT
 # Up to here a content stays flat and a write splices it as apply_write
 # does: copying at most 64 KB costs what a paged write's fixed work does
 # (a few microseconds either way; the curves cross between 32 and 64 KB),
 # and a page table would only tax small files, a one-page file most of all.
 FLAT_MAX = 16 * PAGE
+# Pages per leaf of the table. A power of two, so a page index splits into
+# leaf and slot with a shift and a mask; 64, 128 and 256 were measured
+# (docs/performance.md).
+LEAF_PAGES = 64
+
+Leaves = Tuple[Tuple[bytes, ...], ...]
 
 
 def _split(flat: bytes) -> Tuple[bytes, ...]:
     return tuple([flat[i : i + PAGE] for i in range(0, len(flat), PAGE)])
+
+
+def _leaves(pages: Tuple[bytes, ...]) -> Leaves:
+    """``pages`` grouped into leaves from the first: all full but the last."""
+    width = LEAF_PAGES
+    if len(pages) <= width:
+        return (pages,)
+    return tuple([pages[i : i + width] for i in range(0, len(pages), width)])
 
 
 class Pages:
@@ -64,28 +86,36 @@ class Pages:
     ``==``/``hash`` as the ``bytes`` it stands for; ``write``/``truncate``
     return new values.
 
-    ``Pages(data)`` is the flat value around ``data``. Two attributes are
-    there to be read, never assigned: ``size`` in bytes (what ``len``
-    returns, without the call) and ``table``, the page tuple of a paged
-    value and ``None`` for a flat one.
+    ``Pages(data)`` is the flat value around ``data``. ``size`` is there to
+    be read, never assigned: the length in bytes (what ``len`` returns,
+    without the call). ``table`` is the pages of a paged value as one flat
+    tuple, built on each read (for inspection, not for a hot path), and
+    ``None`` for a flat one.
     """
 
-    __slots__ = ("_flat", "table", "size", "_next", "__weakref__")
+    __slots__ = ("_flat", "_top", "size", "_next", "__weakref__")
 
-    def __init__(self, data: Optional[bytes] = b"", table=None, size=None):
+    def __init__(
+        self, data: Optional[bytes] = b"", top: Optional[Leaves] = None, size=None
+    ):
         self._flat = data  # the whole content, or None when paged
-        self.table: Optional[Tuple[bytes, ...]] = table
+        self._top = top  # the leaves of a paged value, or None when flat
         self.size: int = len(data) if size is None else size
         # The last write made from this value whose result is over
         # FLAT_MAX: (offset, length, weak reference to the result), or None.
         self._next = None
+
+    @property
+    def table(self) -> Optional[Tuple[bytes, ...]]:
+        top = self._top
+        return None if top is None else tuple(chain.from_iterable(top))
 
     def __len__(self) -> int:
         return self.size
 
     def __bytes__(self) -> bytes:
         flat = self._flat
-        return flat if flat is not None else b"".join(self.table)
+        return flat if flat is not None else b"".join(chain.from_iterable(self._top))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Pages, bytes, bytearray)):
@@ -96,7 +126,8 @@ class Pages:
         return hash(bytes(self))
 
     def __repr__(self) -> str:
-        kind = "flat" if self.table is None else f"{len(self.table)} pages"
+        top = self._top
+        kind = "flat" if top is None else f"{len(self.table)} pages, {len(top)} leaves"
         return f"Pages({self.size} bytes, {kind})"
 
     def __getitem__(self, key):
@@ -124,14 +155,21 @@ class Pages:
         stop = size if length is None else min(offset + length, size)
         if offset >= stop:
             return b""
-        table = self.table
-        first, last = offset // PAGE, (stop - 1) // PAGE
+        top = self._top
+        shift, mask = LEAF_PAGES.bit_length() - 1, LEAF_PAGES - 1
+        first, last = offset >> PAGE_SHIFT, (stop - 1) >> PAGE_SHIFT
         if first == last:
-            base = first * PAGE
-            return table[first][offset - base : stop - base]
-        parts = list(table[first : last + 1])
-        parts[0] = parts[0][offset - first * PAGE :]
-        parts[-1] = parts[-1][: stop - last * PAGE]
+            base = first << PAGE_SHIFT
+            return top[first >> shift][first & mask][offset - base : stop - base]
+        head, tail = first >> shift, last >> shift
+        if head == tail:
+            parts = list(top[head][first & mask : (last & mask) + 1])
+        else:  # whole leaves between the two ends, sliced, not indexed
+            parts = list(top[head][first & mask :])
+            parts.extend(chain.from_iterable(top[head + 1 : tail]))
+            parts.extend(top[tail][: (last & mask) + 1])
+        parts[0] = parts[0][offset - (first << PAGE_SHIFT) :]
+        parts[-1] = parts[-1][: stop - (last << PAGE_SHIFT)]
         return b"".join(parts)
 
     def _holds(self, offset: int, data: bytes) -> bool:
@@ -141,18 +179,24 @@ class Pages:
         flat = self._flat
         if flat is not None:
             return flat.startswith(data, offset)
-        table = self.table
-        index, at = divmod(offset, PAGE)
-        if 0 < len(data) <= PAGE - at:  # inside one page: no view to make
-            return table[index].startswith(data, at)
+        top = self._top
+        shift, mask = LEAF_PAGES.bit_length() - 1, LEAF_PAGES - 1
+        index, at = offset >> PAGE_SHIFT, offset & (PAGE - 1)
+        if len(data) <= PAGE - at:  # inside one page (or empty): no view
+            return not data or top[index >> shift][index & mask].startswith(data, at)
+        leaf, slot = index >> shift, index & mask
+        pages = top[leaf]
         with memoryview(data) as view:
             done, total = 0, len(view)
             while done < total:
+                if slot > mask:  # on into the next leaf
+                    leaf, slot = leaf + 1, 0
+                    pages = top[leaf]
                 take = PAGE - at
-                if not table[index].startswith(view[done : done + take], at):
+                if not pages[slot].startswith(view[done : done + take], at):
                     return False
                 done += take
-                index += 1
+                slot += 1
                 at = 0
         return True
 
@@ -190,19 +234,30 @@ class Pages:
         start = offset if offset < size else size  # a gap changes bytes too
         if end == start:
             return self
-        table = self.table if flat is None else _split(flat)
-        lo, hi = start // PAGE, (end - 1) // PAGE
-        chunk = table[lo][: start - lo * PAGE] if start > lo * PAGE else b""
+        top = self._top if flat is None else _leaves(_split(flat))
+        shift, mask = LEAF_PAGES.bit_length() - 1, LEAF_PAGES - 1
+        lo, hi = start >> PAGE_SHIFT, (end - 1) >> PAGE_SHIFT
+        first, at = lo >> shift, lo & mask
+        chunk = b""
+        if start > lo << PAGE_SHIFT:
+            chunk = top[first][at][: start - (lo << PAGE_SHIFT)]
         if offset > size:
             chunk += bytes(offset - size)
         chunk += data
-        if end < size:
-            chunk += table[hi][end - hi * PAGE :]
-        result = Pages(
-            None,
-            table[:lo] + _split(chunk) + table[hi + 1 :],
-            end if end > size else size,
-        )
+        if end < size:  # in place: the touched leaves keep their width
+            last, slot = hi >> shift, hi & mask
+            leaf = top[last]
+            chunk += leaf[slot][end - (hi << PAGE_SHIFT) :]
+            new = (chunk,) if len(chunk) <= PAGE else _split(chunk)
+            if first == last:
+                leaves = (leaf[:at] + new + leaf[slot + 1 :],)
+            else:
+                leaves = _leaves(top[first][:at] + new + leaf[slot + 1 :])
+            top = top[:first] + leaves + top[last + 1 :]
+        else:  # on to the new end: the last leaves are rebuilt
+            new = (chunk,) if len(chunk) <= PAGE else _split(chunk)
+            top = top[:first] + _leaves(top[first][:at] + new if at else new)
+        result = Pages(None, top, end if end > size else size)
         self._next = (offset, length, ref(result))
         return result
 
@@ -216,10 +271,15 @@ class Pages:
             return self if length == self.size else self.write(length, b"")
         if length <= FLAT_MAX:
             return Pages(self.read(0, length))
-        table = self.table if self._flat is None else _split(self._flat)
-        keep, rest = divmod(length, PAGE)
-        kept = table[:keep]
-        return Pages(None, kept + (table[keep][:rest],) if rest else kept, length)
+        top = self._top if self._flat is None else _leaves(_split(self._flat))
+        shift, mask = LEAF_PAGES.bit_length() - 1, LEAF_PAGES - 1
+        keep, cut = length >> PAGE_SHIFT, length & (PAGE - 1)
+        leaf, at = keep >> shift, keep & mask
+        # Whole leaves before the cut are kept by reference.
+        part = top[leaf][:at] if at else ()
+        if cut:
+            part += (top[leaf][at][:cut],)
+        return Pages(None, top[:leaf] + (part,) if part else top[:leaf], length)
 
 
 EMPTY = Pages()

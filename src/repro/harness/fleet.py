@@ -312,6 +312,14 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
             latency = done - write_t
             rollup.record_latency(shard, done, latency)
             obs.observe("fleet.sync.latency", latency)
+            if obs.enabled:
+                obs.event(
+                    "fleet.sync.completed",
+                    shard=shard,
+                    client=i + 1,
+                    latency=latency,
+                    done=done,
+                )
             if latency > spec.stall_horizon:
                 shard_stalls[shard] += 1
                 if obs.enabled:

@@ -8,12 +8,15 @@ read the sorted samples. Two producers feed one report builder:
 - :func:`health_from_windows` groups the fleet driver's cells by shard
   (``repro fleet --health``); stall counts come from the driver's exact
   accounting.
-- :func:`health_from_trace` groups cells by accepting source, recovered
-  from recorded JSONL trace(s) loaded by :mod:`repro.obs.analyze`
-  (``repro inspect --health``) — each ``queue.node.shipped`` is matched
-  FIFO-by-path against ``server.version.accepted``; shipped nodes with no
-  acceptance inside the stall horizon (stuck retransmits, dead shards)
-  are stalls.
+- :func:`health_from_trace` rebuilds a report from recorded JSONL
+  trace(s) loaded by :mod:`repro.obs.analyze` (``repro inspect
+  --health``). A fleet trace carries the driver's own completions
+  (``fleet.sync.completed``), which are grouped by shard as the live
+  report is. Any other trace has only ship and accept events: each
+  ``queue.node.shipped`` is matched FIFO-by-path against
+  ``server.version.accepted`` and grouped by accepting source; shipped
+  nodes with no acceptance inside the stall horizon (stuck retransmits,
+  dead shards) are stalls.
 
 Both return a :class:`HealthReport` whose :meth:`~HealthReport.to_dict`
 document is the CI-validated schema (:func:`validate_health_doc`).
@@ -319,7 +322,14 @@ def health_from_trace(
 ) -> HealthReport:
     """Health report recovered from a recorded trace.
 
-    Latency here is the *observable* ship-to-accept gap: every
+    Where the trace has ``fleet.sync.completed`` events, they are the
+    report: one write each, grouped by ``shard``, its ``latency`` put in
+    the window of its ``done`` time, a stall when that latency exceeds
+    ``stall_horizon``. The fleet models debounce and shard queueing
+    outside the traced pipeline, so its ship and accept timestamps do not
+    carry them (and count the unmeasured seed uploads too).
+
+    Otherwise latency is the *observable* ship-to-accept gap: every
     ``queue.node.shipped`` of a versioned kind opens a pending entry for
     its path, consumed FIFO by the next ``server.version.accepted`` for
     the same path. Groups are the accepting record's tracer source (the
@@ -331,6 +341,8 @@ def health_from_trace(
     pending: Dict[str, List[float]] = {}  # path -> ship timestamps
     rollup = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = source
     stalls: Dict[Group, int] = {}
+    completed = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = fleet shard
+    completed_stalls: Dict[Group, int] = {}
     last_ts = 0.0
 
     for rec in records:
@@ -340,7 +352,12 @@ def health_from_trace(
         last_ts = max(last_ts, ts)
         name = rec.get("name")
         attrs = rec.get("attrs", {})
-        if name == "queue.node.shipped":
+        if name == "fleet.sync.completed":
+            shard, latency = attrs["shard"], float(attrs["latency"])
+            completed.record_latency(shard, float(attrs["done"]), latency)
+            if latency > stall_horizon:
+                completed_stalls[shard] = completed_stalls.get(shard, 0) + 1
+        elif name == "queue.node.shipped":
             if attrs.get("kind") in _VERSIONED_KINDS:
                 pending.setdefault(str(attrs.get("path", "")), []).append(ts)
         elif name == "server.version.accepted":
@@ -353,10 +370,13 @@ def health_from_trace(
             if latency > stall_horizon:
                 stalls[group] = stalls.get(group, 0) + 1
 
-    for queue in pending.values():
-        for shipped_ts in queue:
-            if last_ts - shipped_ts > stall_horizon:
-                stalls["unassigned"] = stalls.get("unassigned", 0) + 1
+    if completed.cells:
+        rollup, stalls = completed, completed_stalls
+    else:
+        for queue in pending.values():
+            for shipped_ts in queue:
+                if last_ts - shipped_ts > stall_horizon:
+                    stalls["unassigned"] = stalls.get("unassigned", 0) + 1
 
     return _report(
         "trace",

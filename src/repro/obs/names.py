@@ -851,7 +851,17 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "(see \"Distributed tracing\")",
         attrs=("src", "trace", "span"),
     ),
-    FLEET,  # telemetry windows
+    FLEET,  # completions and telemetry windows
+    EventSpec(
+        "fleet.sync.completed",
+        "event",
+        "one measured write's sync completed on its home shard after the "
+        "driver's modelled debounce and shard queueing; recorded when its "
+        "upload ships, `done` is the virtual completion time and "
+        "`latency` the write-to-`done` gap (seed uploads emit none). "
+        "`repro inspect --health` rebuilds a fleet's report from these",
+        attrs=("shard", "client", "latency", "done"),
+    ),
     EventSpec(
         "fleet.window.closed",
         "event",

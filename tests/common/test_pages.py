@@ -7,7 +7,8 @@ two functions now exist to be). The cost tests are aim 1's "copies per
 write", stated machine-independently: which page objects a write replaces,
 and how many bytes a write or a snapshot window retains. The memo tests
 hold a value's remembered last write to the same answer a fresh write
-gives, and to keeping neither a payload nor a successor alive.
+gives, and to keeping neither a payload nor a successor alive. The leaf
+tests hold a write to copying one leaf of the table, not the table.
 """
 
 import gc
@@ -74,6 +75,9 @@ def check(value: Pages, reference: bytes) -> None:
         assert len(reference) > pages.FLAT_MAX
         assert all(len(page) == PAGE for page in value.table[:-1])
         assert 0 < len(value.table[-1]) <= PAGE
+        leaves = value._top  # full leaves, but a short last one
+        assert all(len(leaf) == pages.LEAF_PAGES for leaf in leaves[:-1])
+        assert 0 < len(leaves[-1]) <= pages.LEAF_PAGES
     for offset in (0, PAGE - 3, len(reference) // 2, len(reference)):
         assert value.read(offset, PAGE + 5) == reference[offset : offset + PAGE + 5]
         assert value.read(offset) == reference[offset:]
@@ -138,6 +142,31 @@ def test_pages_is_bytes_around_the_flat_threshold(over, seed, script):
     # over it, and cross it both ways.
     size = FLAT_MAX + over
     run_script((seed * (size // len(seed) + 1))[:size], script)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=2 * PAGE + 100), st.lists(steps, max_size=12))
+def test_pages_is_bytes_across_two_page_leaves(initial, script):
+    # Leaves of two pages: writes, appends, truncates and reads of a few
+    # pages cross leaf boundaries.
+    with mock.patch.object(pages, "FLAT_MAX", PAGE), mock.patch.object(
+        pages, "LEAF_PAGES", 2
+    ):
+        run_script(initial, script)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-PAGE - 7, -1, 0, 1, PAGE, 2 * PAGE + 100]),
+    filler,
+    st.lists(steps, max_size=10),
+)
+def test_pages_is_bytes_around_the_flat_threshold_with_two_page_leaves(
+    over, seed, script
+):
+    size = FLAT_MAX + over
+    with mock.patch.object(pages, "LEAF_PAGES", 2):
+        run_script((seed * (size // len(seed) + 1))[:size], script)
 
 
 def test_equality_and_hash_agree_with_bytes():
@@ -208,6 +237,39 @@ def test_a_write_replaces_only_the_pages_it_touches():
     grown = base.write(MB4, b"tail")
     assert grown.table[:1000] == base.table[:1000]
     assert all(a is b for a, b in zip(grown.table[:1000], base.table))
+
+
+def test_a_write_shares_every_leaf_it_does_not_touch():
+    width = pages.LEAF_PAGES
+    base = paged_4mb()
+    assert len(base._top) == -(-1001 // width)
+
+    def rebuilt(new):
+        return [i for i, (a, b) in enumerate(zip(base._top, new._top)) if a is not b]
+
+    leaf = 500 // width
+    assert rebuilt(base.write(500 * PAGE + 100, b"z" * 24)) == [leaf]
+    at_edge = (leaf + 1) * width * PAGE - 2  # the run straddles two leaves
+    assert rebuilt(base.write(at_edge, b"z" * 4)) == [leaf, leaf + 1]
+    grown = base.write(MB4, b"tail" * PAGE)  # an append rebuilds the tail
+    assert rebuilt(grown) == [len(base._top) - 1]
+    cut = base.truncate(MB4 - 3 * PAGE)  # whole leaves kept by reference
+    assert rebuilt(cut) == [len(cut._top) - 1] and len(cut._top) <= len(base._top)
+    assert bytes(cut) == bytes(base)[: MB4 - 3 * PAGE]
+
+
+def test_a_write_into_a_large_value_copies_one_leaf_not_the_table():
+    value = Pages(bytes(32 * 1024 * 1024)).write(7, b"\x01")
+    page = b"q" * PAGE
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        written = value.write(5000 * PAGE, page)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 16 * 1024  # the 8 192-entry table alone is 64 KB
+    assert written.read(5000 * PAGE - 1, PAGE + 2) == b"\x00" + page + b"\x00"
 
 
 def test_whole_content_and_small_values_stay_flat():

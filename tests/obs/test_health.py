@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.common.rng import DeterministicRandom
+from repro.harness.fleet import FleetSpec, run_fleet
+from repro.obs import Observability, Tracer, load_trace_lines
 from repro.obs.health import (
     ShardWindows,
     _regressed_windows,
@@ -316,6 +318,51 @@ class TestHealthFromTrace:
         records = [_ship("/a", 1.0), _accept("/a", 2.0)]
         report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
         assert validate_health_doc(report.to_dict()) == []
+
+    def test_fleet_completions_replace_ship_accept_matching(self):
+        completed = [
+            _event("fleet.sync.completed", 5.0,
+                   {"shard": 1, "client": 2, "latency": 3.0, "done": 8.0}),
+            _event("fleet.sync.completed", 5.0,
+                   {"shard": 0, "client": 1, "latency": 70.0, "done": 75.0}),
+        ]
+        # A seed upload's ship and accept, and one never accepted: neither
+        # is a measured write.
+        records = [_ship("/a", 0.0), _accept("/a", 0.0), _ship("/b", 0.0)]
+        report = health_from_trace(
+            records + completed, slo_seconds=10.0, stall_horizon=60.0
+        )
+        assert [s.shard for s in report.shards] == ["0", "1"]
+        assert [s.writes for s in report.shards] == [1, 1]
+        assert [s.max_latency for s in report.shards] == [70.0, 3.0]
+        assert [s.stalls for s in report.shards] == [1, 0]
+
+
+@pytest.mark.parametrize("arrival", ["poisson", "bursty"])
+def test_a_fleet_trace_recovers_the_live_report(arrival):
+    # The offline report of a fleet trace is the one the run printed:
+    # the same writes per shard and the same order statistics, although
+    # debounce and shard queueing happen in the driver, not the pipeline.
+    # A stall horizon inside the latency spread: both docs count stalls.
+    spec = FleetSpec(
+        n_clients=200, n_shards=4, writes_per_client=3, arrival=arrival,
+        stall_horizon=3.015,
+    )
+    obs = Observability(tracer=Tracer())
+    live = run_fleet(spec, obs=obs).health().to_dict()
+    doc = load_trace_lines(obs.tracer.to_jsonl().splitlines())
+    offline = health_from_trace(
+        doc, slo_seconds=spec.slo_seconds, stall_horizon=spec.stall_horizon
+    ).to_dict()
+    assert offline["writes"] == live["writes"] == 600
+    assert offline["stalls"] == live["stalls"]
+    assert offline["attainment"] == live["attainment"]
+    keys = ("shard", "writes", "p50", "p90", "p99", "max_latency",
+            "slo_attainment", "stalls")
+    assert [{k: s[k] for k in keys} for s in offline["shards"]] == [
+        {k: s[k] for k in keys} for s in live["shards"]
+    ]
+    assert all(s["p50"] > 0 for s in offline["shards"])
 
 
 class TestValidateHealthDoc:
