@@ -579,11 +579,11 @@ def _cmd_inspect(args) -> int:
     if args.health or args.health_out:
         from repro.obs.health import health_from_trace
 
-        report = health_from_trace(
-            doc,
-            slo_seconds=args.slo,
-            stall_horizon=args.stall_horizon,
-        )
+        try:
+            report = health_from_trace(doc)
+        except ValueError as exc:
+            print(f"cannot report health: {exc}", file=sys.stderr)
+            return 2
         _print_health(report)
         if args.health_out:
             health_rc = _write_health_doc(args.health_out, report)
@@ -876,18 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument(
         "--health", action="store_true",
-        help="recover ship-to-accept sync latencies from the trace and "
-             "print an SLO health report (stalls = ships never accepted "
-             "within the horizon)",
-    )
-    inspect.add_argument(
-        "--slo", type=float, default=spec.slo_seconds, metavar="SECONDS",
-        help=f"sync-latency objective for --health (default {spec.slo_seconds})",
-    )
-    inspect.add_argument(
-        "--stall-horizon", type=float, default=spec.stall_horizon,
-        metavar="SECONDS",
-        help=f"stall threshold for --health (default {spec.stall_horizon:g})",
+        help="print the SLO health report of the trace: a fleet trace's "
+             "rebuilt from its run record and completions, any other's "
+             "from ship-to-accept latencies",
     )
     inspect.add_argument(
         "--health-out", metavar="PATH", default=None,

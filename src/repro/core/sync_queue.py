@@ -270,7 +270,7 @@ class SyncQueue:
         # must still ship as one unit).
         self.on_spans: Optional[Callable[[List[Tuple[int, int]]], None]] = None
         self._next_seq = 0
-        # Real "now" during drain_all, where next_unit runs with a
+        # Real "now" during drain_all, where drain_due runs with a
         # far-future clock that would corrupt wait-time telemetry.
         self._telemetry_now: Optional[float] = None
 
@@ -500,54 +500,13 @@ class SyncQueue:
 
     # -- upload side -------------------------------------------------------
 
-    def next_unit(self, now: float) -> Optional[UploadUnit]:
-        """The next FIFO upload unit whose delay has elapsed, or ``None``.
-
-        A node inside a backindex span only ships when every live node of
-        the span is due, and then the whole span ships as one transactional
-        unit. FIFO order is never violated: if the head isn't ready,
-        nothing ships.
-        """
-        if not self._nodes:
-            return None
-        head = self._nodes[0]
-        span = self._span_containing(head.seq)
-        if span is None:
-            if not self._due(head, now):
-                return None
-            self._nodes.pop(0)
-            self._forget_names((head,))
-            if isinstance(head, WriteNode):
-                self._pack_for_upload(head)
-            if self.obs.enabled:
-                self._note_shipped([head], now, transactional=False)
-            return UploadUnit(nodes=[head], transactional=False)
-
-        start, end = span
-        members = [n for n in self._nodes if start <= n.seq <= end]
-        if not members:
-            self._spans.remove(span)
-            return self.next_unit(now)
-        if not all(self._due(n, now) for n in members):
-            return None
-        member_seqs = {n.seq for n in members}
-        self._nodes = [n for n in self._nodes if n.seq not in member_seqs]
-        self._forget_names(members)
-        self._spans.remove(span)
-        for node in members:
-            if isinstance(node, WriteNode):
-                self._pack_for_upload(node)
-        if self.obs.enabled:
-            self.obs.inc("queue.units.transactional")
-            self._note_shipped(members, now, transactional=True)
-        return UploadUnit(nodes=members, transactional=True)
-
     def drain_due(self, now: float) -> List[UploadUnit]:
         """All currently-due upload units, collected in one queue sweep.
 
-        Semantically identical to calling :meth:`next_unit` until it
-        returns ``None`` — same FIFO and transactional-span rules, same
-        obs events in the same order — but the backing list is rebuilt
+        Semantically identical to calling the per-node reference
+        :func:`repro.core._reference.next_unit` until it returns
+        ``None`` — same FIFO and transactional-span rules, same obs
+        events in the same order — but the backing list is rebuilt
         once per wakeup instead of once per shipped node, so a deep
         queue drains in O(n) rather than O(n²). This is what the client
         pump calls.

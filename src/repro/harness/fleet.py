@@ -26,12 +26,14 @@ busy horizon:
 Sync latency for each write is ``done - write_time`` — debounce wait,
 queueing behind other tenants on the shard, and service, all included.
 
-Telemetry is kept exactly: the driver feeds a
-:class:`~repro.obs.health.ShardWindows` rollup (per-shard,
+Telemetry is kept exactly: the driver records each measured completion
+once, in a :class:`~repro.obs.health.ShardWindows` rollup (per-shard,
 per-virtual-time-window latency samples, queue-depth peaks and busy
-time). Reported quantiles are the interpolated order statistics of every
-recorded latency; ``FleetResult.health()`` turns the same rollup into an
-SLO health report (``repro fleet --health``).
+time). ``FleetResult``'s quantiles, stalls and queue peaks are reads of
+that rollup, and ``FleetResult.health()`` folds it into an SLO health
+report (``repro fleet --health``). An observed run records the rollup's
+grid and objectives and every completion in its trace, from which
+``repro inspect --health`` rebuilds the same report.
 
 Determinism: all randomness flows from one ``DeterministicRandom`` seed
 via per-client forks, so a (seed, spec) pair reproduces the same curve
@@ -43,7 +45,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import VirtualClock
@@ -54,7 +57,14 @@ from repro.cost.meter import CostMeter
 from repro.metrics import collector
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
-from repro.obs.health import HealthReport, ShardWindows, health_from_windows, quantile
+from repro.obs.health import (
+    SLO_SECONDS,
+    STALL_HORIZON,
+    HealthReport,
+    ShardWindows,
+    health_from_windows,
+    quantile,
+)
 from repro.server.shard import ShardRouter
 from repro.sim import Simulation, attach_client
 
@@ -171,8 +181,8 @@ class FleetSpec:
     tick_seconds: float = 8.0
     seed: int = 0
     window_seconds: float = 20.0
-    slo_seconds: float = 15.0
-    stall_horizon: float = 60.0
+    slo_seconds: float = SLO_SECONDS
+    stall_horizon: float = STALL_HORIZON
 
     def validate(self) -> None:
         if self.n_clients <= 0:
@@ -189,32 +199,60 @@ class FleetSpec:
 
 @dataclass
 class FleetResult:
-    """Measured outcome of one :func:`run_fleet`."""
+    """Measured outcome of one :func:`run_fleet`.
+
+    ``shard_busy`` is the driver's running sum of each shard's service
+    time: the rollup holds the same terms grouped by window, and float
+    addition regrouped differs in the last bits.
+    """
 
     spec: FleetSpec
     writes: int
-    p50_latency: float
-    p90_latency: float
-    p99_latency: float
-    max_latency: float
     shard_ticks: List[float]
     shard_busy: List[float]
-    shard_queue_peak: List[int]
     total_up_bytes: int
     duration: float
     migrations: int
     conflicts: int
     rollup: ShardWindows
-    shard_stalls: List[int]
-    extra: Dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def latencies(self) -> List[float]:
+        """Every measured write's sync latency, sorted."""
+        return self.rollup.overall_latencies()
+
+    @property
+    def p50_latency(self) -> float:
+        return quantile(self.latencies, 0.50)
+
+    @property
+    def p90_latency(self) -> float:
+        return quantile(self.latencies, 0.90)
+
+    @property
+    def p99_latency(self) -> float:
+        return quantile(self.latencies, 0.99)
+
+    @property
+    def max_latency(self) -> float:
+        return self.latencies[-1] if self.latencies else 0.0
+
+    @property
+    def stalls(self) -> int:
+        """Writes whose sync took longer than the stall horizon."""
+        return self.health().total_stalls
+
+    @property
+    def shard_queue_peak(self) -> List[int]:
+        """Each shard's deepest queue over the run."""
+        peaks = [0] * self.spec.n_shards
+        for cell in self.rollup.windows():
+            peaks[cell.shard] = max(peaks[cell.shard], cell.queue_peak)
+        return peaks
 
     @property
     def ticks_per_client(self) -> float:
         return sum(self.shard_ticks) / self.spec.n_clients
-
-    @property
-    def stalls(self) -> int:
-        return sum(self.shard_stalls)
 
     def health(self) -> HealthReport:
         """SLO health report over this run's rollups."""
@@ -222,7 +260,6 @@ class FleetResult:
             self.rollup,
             slo_seconds=self.spec.slo_seconds,
             stall_horizon=self.spec.stall_horizon,
-            stalls_by_shard=dict(enumerate(self.shard_stalls)),
         )
 
 
@@ -269,6 +306,15 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     write_rngs = [rng.fork(f"w{cid}") for cid in range(1, spec.n_clients + 1)]
 
     t0 = clock.now()
+    if obs.enabled:
+        obs.event(
+            "fleet.run.started",
+            shards=spec.n_shards,
+            t0=t0,
+            window_seconds=spec.window_seconds,
+            slo_seconds=spec.slo_seconds,
+            stall_horizon=spec.stall_horizon,
+        )
     heap: List[Tuple[float, int, int, int]] = []
     seq = 0
     for i in range(spec.n_clients):
@@ -282,11 +328,9 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     # Windowed rollups of every latency, tracked unconditionally so
     # reported quantiles are identical with observability on or off.
     rollup = ShardWindows(spec.n_shards, spec.window_seconds, t0=t0)
-    shard_stalls = [0] * spec.n_shards
     shard_busy = [0.0] * spec.n_shards
     shard_busy_total = [0.0] * spec.n_shards
     shard_depth = [0] * spec.n_shards
-    shard_queue_peak = [0] * spec.n_shards
     completions: List[Tuple[float, int]] = []  # (done_time, shard)
     up_marks = [0] * spec.n_clients
     writes_issued = 0
@@ -320,16 +364,6 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
                     latency=latency,
                     done=done,
                 )
-            if latency > spec.stall_horizon:
-                shard_stalls[shard] += 1
-                if obs.enabled:
-                    obs.event(
-                        "health.stall",
-                        shard=shard,
-                        client=i + 1,
-                        path=f"/u{i + 1}/data.bin",
-                        waited=latency,
-                    )
         pending[i].clear()
         return done, service
 
@@ -368,8 +402,6 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
             done, service = complete(i, t, ticks_before)
             heapq.heappush(completions, (done, shard))
             shard_depth[shard] += 1
-            if shard_depth[shard] > shard_queue_peak[shard]:
-                shard_queue_peak[shard] = shard_depth[shard]
             rollup.record_depth(shard, t, shard_depth[shard])
             if obs.enabled:
                 obs.set_gauge(
@@ -385,7 +417,6 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
             client.flush()
             complete(i, clock.now(), ticks_before)
 
-    overall = rollup.overall_latencies()
     total_up = sum(c.stats.up_bytes for c in channels)
     conflicts = sum(
         1 for shard in router.shards for r in shard.apply_log if not r.ok
@@ -393,19 +424,13 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     result = FleetResult(
         spec=spec,
         writes=writes_issued,
-        p50_latency=quantile(overall, 0.50),
-        p90_latency=quantile(overall, 0.90),
-        p99_latency=quantile(overall, 0.99),
-        max_latency=overall[-1] if overall else 0.0,
         shard_ticks=[m.total for m in router.shard_meters],
         shard_busy=shard_busy_total,
-        shard_queue_peak=shard_queue_peak,
         total_up_bytes=total_up,
         duration=clock.now(),
         migrations=router.migrations,
         conflicts=conflicts,
         rollup=rollup,
-        shard_stalls=shard_stalls,
     )
     if obs.enabled:
         _emit_telemetry(obs, result)

@@ -11,7 +11,7 @@ optimized engines against the per-byte reference implementations in
   machine-dependent and **not** gated.
 - ``speedup`` — their ratio. The ratio divides out the machine, so it is
   stable enough to gate: ``benchmarks/baselines/wallclock.json`` commits
-  the contract floors and ``tools/bench_gate.py --tolerance 0.2`` fails
+  the contract floors with a ±20% band and ``tools/bench_gate.py`` fails
   CI when an edit makes an engine slower than the floor allows.
 
 Timing protocol (docs/performance.md): each measurement runs
@@ -34,6 +34,7 @@ from typing import Callable, Dict, List
 from repro.chunking import _reference as reference
 from repro.chunking._fast import all_offset_weak_checksums, block_weak_checksums
 from repro.common.rng import DeterministicRandom
+from repro.core._reference import next_unit
 from repro.core.sync_queue import DeltaNode, SyncQueue, WriteNode
 from repro.delta.format import Delta
 from repro.delta.rsync import compute_delta, compute_signature
@@ -149,9 +150,9 @@ def _build_drain_queue(groups: int, payload: bytes) -> SyncQueue:
 
 
 def _drain_reference(queue: SyncQueue, now: float) -> int:
-    """The retained per-node slow path: one ``next_unit`` per shipped node."""
+    """The per-node reference path: one ``next_unit`` per shipped node."""
     shipped = 0
-    while queue.next_unit(now) is not None:
+    while next_unit(queue, now) is not None:
         shipped += 1
     return shipped
 
@@ -219,7 +220,8 @@ def run_wallclock(
     )
 
     # Queue drain: same nodes, batched drain_due sweep vs the retained
-    # per-node next_unit loop (which rebuilds the node list per ship).
+    # per-node reference next_unit loop (which rebuilds the node list per
+    # ship).
     # Queues are prebuilt — one per timed repeat — so only the drain
     # itself sits inside the measurement.
     node_payload = rng.random_bytes(1024)

@@ -3,20 +3,21 @@
 Latencies are kept exactly: :class:`ShardWindows` holds every sample of
 one (shard, virtual-time window) cell in a list, beside the cell's
 queue-depth peak and busy time, and :func:`quantile` / :func:`attainment`
-read the sorted samples. Two producers feed one report builder:
+read the sorted samples. A report is one fold of a rollup: per group,
+its sorted samples give the quantiles, the attainment and the stalls
+(samples over the stall horizon). Two producers fill the rollup:
 
-- :func:`health_from_windows` groups the fleet driver's cells by shard
-  (``repro fleet --health``); stall counts come from the driver's exact
-  accounting.
-- :func:`health_from_trace` rebuilds a report from recorded JSONL
+- :func:`health_from_windows` reads the fleet driver's own rollup
+  (``repro fleet --health``).
+- :func:`health_from_trace` rebuilds a rollup from recorded JSONL
   trace(s) loaded by :mod:`repro.obs.analyze` (``repro inspect
-  --health``). A fleet trace carries the driver's own completions
-  (``fleet.sync.completed``), which are grouped by shard as the live
-  report is. Any other trace has only ship and accept events: each
-  ``queue.node.shipped`` is matched FIFO-by-path against
-  ``server.version.accepted`` and grouped by accepting source; shipped
-  nodes with no acceptance inside the stall horizon (stuck retransmits,
-  dead shards) are stalls.
+  --health``). A fleet trace carries the run's record
+  (``fleet.run.started``: shard count, window grid and objectives) and
+  the driver's own completions (``fleet.sync.completed``), so the
+  rebuilt rollup is the live one and so is the report. Any other trace
+  has only ship and accept events: each ``queue.node.shipped`` is
+  matched FIFO-by-path against ``server.version.accepted`` and grouped
+  by accepting source, judged on the default objectives.
 
 Both return a :class:`HealthReport` whose :meth:`~HealthReport.to_dict`
 document is the CI-validated schema (:func:`validate_health_doc`).
@@ -40,7 +41,11 @@ ATTAINMENT_TARGET = 0.99
 # writes than this are skipped as noise.
 REGRESSION_FACTOR = 1.5
 MIN_WINDOW_WRITES = 8
-# Window width of a report recovered from a trace, in virtual seconds.
+# The default sync-latency objective and stall horizon, in virtual
+# seconds: a fleet spec's unless it sets its own, and what a replay
+# trace (which records none) is judged on, over windows this wide.
+SLO_SECONDS = 15.0
+STALL_HORIZON = 60.0
 TRACE_WINDOW_SECONDS = 60.0
 
 # What a report groups by: a shard index in a fleet run, the accepting
@@ -253,13 +258,13 @@ def _report(
     kind: str,
     groups: Iterable[Group],
     rollup: ShardWindows,
-    stalls: Dict[Group, int],
     *,
     slo_seconds: float,
     stall_horizon: float,
 ) -> HealthReport:
     """One :class:`ShardHealth` per group, in ``groups`` order, over the
-    rollup's cells whose ``shard`` is that group."""
+    rollup's cells whose ``shard`` is that group; a stall is a sample
+    over ``stall_horizon``."""
     cells_of: Dict[Group, List[WindowStats]] = {g: [] for g in groups}
     for cell in rollup.windows():
         cells_of[cell.shard].append(cell)
@@ -275,7 +280,7 @@ def _report(
                 p99=quantile(samples, 0.99),
                 max_latency=samples[-1] if samples else 0.0,
                 slo_attainment=attainment(samples, slo_seconds),
-                stalls=stalls.get(group, 0),
+                stalls=len(samples) - bisect_right(samples, stall_horizon),
                 windows=len(cells),
                 regressed_windows=_regressed_windows(cells),
             )
@@ -290,18 +295,13 @@ def _report(
 
 
 def health_from_windows(
-    rollup: ShardWindows,
-    *,
-    slo_seconds: float,
-    stall_horizon: float,
-    stalls_by_shard: Optional[Dict[int, int]] = None,
+    rollup: ShardWindows, *, slo_seconds: float, stall_horizon: float
 ) -> HealthReport:
     """Health report from the fleet driver's rollups, one group per shard."""
     return _report(
         "fleet",
         range(rollup.n_shards),
         rollup,
-        stalls_by_shard or {},
         slo_seconds=slo_seconds,
         stall_horizon=stall_horizon,
     )
@@ -314,77 +314,75 @@ def health_from_windows(
 _VERSIONED_KINDS = ("WriteNode", "DeltaNode")
 
 
-def health_from_trace(
-    doc,
-    *,
-    slo_seconds: float,
-    stall_horizon: float,
-) -> HealthReport:
+def health_from_trace(doc) -> HealthReport:
     """Health report recovered from a recorded trace.
 
-    Where the trace has ``fleet.sync.completed`` events, they are the
-    report: one write each, grouped by ``shard``, its ``latency`` put in
-    the window of its ``done`` time, a stall when that latency exceeds
-    ``stall_horizon``. The fleet models debounce and shard queueing
-    outside the traced pipeline, so its ship and accept timestamps do not
-    carry them (and count the unmeasured seed uploads too).
+    A fleet trace's ``fleet.run.started`` record rebuilds the driver's
+    rollup and objectives, and its ``fleet.sync.completed`` events refill
+    it: the live report, field for field. (The fleet models debounce and
+    shard queueing outside the traced pipeline, so its ship and accept
+    timestamps do not carry them.) A trace of several runs (``repro
+    fleet --curve``) raises ``ValueError``: one report covers one run.
 
-    Otherwise latency is the *observable* ship-to-accept gap: every
-    ``queue.node.shipped`` of a versioned kind opens a pending entry for
-    its path, consumed FIFO by the next ``server.version.accepted`` for
-    the same path. Groups are the accepting record's tracer source (the
-    serving side), ``"unassigned"`` for ships never accepted; a ship is
-    a stall when its acceptance took longer than ``stall_horizon`` or
-    never arrived within ``stall_horizon`` of the trace's end.
+    Any other trace is judged on the default objectives over
+    :data:`TRACE_WINDOW_SECONDS` windows. Latency is the *observable*
+    ship-to-accept gap: every ``queue.node.shipped`` of a versioned kind
+    opens a pending entry for its path, consumed FIFO by the next
+    ``server.version.accepted`` for the same path. Groups are the
+    accepting record's tracer source (the serving side); a ship never
+    accepted within :data:`STALL_HORIZON` of the trace's end is a sample
+    of the wait it reached, in group ``"unassigned"``: a stall.
     """
-    records = getattr(doc, "records", doc)
+    records = [
+        rec for rec in getattr(doc, "records", doc) if rec.get("type") == "event"
+    ]
+    runs = [rec["attrs"] for rec in records if rec.get("name") == "fleet.run.started"]
+    if len(runs) > 1:
+        raise ValueError(
+            f"the trace holds {len(runs)} fleet runs (a --curve trace?); "
+            f"a health report covers one run"
+        )
+    if runs:
+        (run,) = runs
+        rollup = ShardWindows(run["shards"], run["window_seconds"], t0=run["t0"])
+        for rec in records:
+            if rec.get("name") == "fleet.sync.completed":
+                attrs = rec["attrs"]
+                rollup.record_latency(attrs["shard"], attrs["done"], attrs["latency"])
+        return _report(
+            "trace",
+            range(rollup.n_shards),
+            rollup,
+            slo_seconds=run["slo_seconds"],
+            stall_horizon=run["stall_horizon"],
+        )
+
     pending: Dict[str, List[float]] = {}  # path -> ship timestamps
     rollup = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = source
-    stalls: Dict[Group, int] = {}
-    completed = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = fleet shard
-    completed_stalls: Dict[Group, int] = {}
     last_ts = 0.0
-
     for rec in records:
-        if rec.get("type") != "event":
-            continue
         ts = float(rec.get("ts", 0.0))
         last_ts = max(last_ts, ts)
         name = rec.get("name")
         attrs = rec.get("attrs", {})
-        if name == "fleet.sync.completed":
-            shard, latency = attrs["shard"], float(attrs["latency"])
-            completed.record_latency(shard, float(attrs["done"]), latency)
-            if latency > stall_horizon:
-                completed_stalls[shard] = completed_stalls.get(shard, 0) + 1
-        elif name == "queue.node.shipped":
+        if name == "queue.node.shipped":
             if attrs.get("kind") in _VERSIONED_KINDS:
                 pending.setdefault(str(attrs.get("path", "")), []).append(ts)
         elif name == "server.version.accepted":
             queue = pending.get(str(attrs.get("path", "")))
-            if not queue:
-                continue
-            group = str(rec.get("src", "") or "all")
-            latency = ts - queue.pop(0)
-            rollup.record_latency(group, ts, latency)
-            if latency > stall_horizon:
-                stalls[group] = stalls.get(group, 0) + 1
-
-    if completed.cells:
-        rollup, stalls = completed, completed_stalls
-    else:
-        for queue in pending.values():
-            for shipped_ts in queue:
-                if last_ts - shipped_ts > stall_horizon:
-                    stalls["unassigned"] = stalls.get("unassigned", 0) + 1
-
+            if queue:
+                group = str(rec.get("src", "") or "all")
+                rollup.record_latency(group, ts, ts - queue.pop(0))
+    for queue in pending.values():
+        for shipped_ts in queue:
+            if last_ts - shipped_ts > STALL_HORIZON:
+                rollup.record_latency("unassigned", last_ts, last_ts - shipped_ts)
     return _report(
         "trace",
-        sorted({cell.shard for cell in rollup.windows()} | set(stalls)),
+        sorted({cell.shard for cell in rollup.windows()}),
         rollup,
-        stalls,
-        slo_seconds=slo_seconds,
-        stall_horizon=stall_horizon,
+        slo_seconds=SLO_SECONDS,
+        stall_horizon=STALL_HORIZON,
     )
 
 

@@ -851,15 +851,24 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "(see \"Distributed tracing\")",
         attrs=("src", "trace", "span"),
     ),
-    FLEET,  # completions and telemetry windows
+    FLEET,  # the run record, completions and telemetry windows
+    EventSpec(
+        "fleet.run.started",
+        "event",
+        "one observed fleet run's record, before its first completion: "
+        "its shard count, its telemetry windows (`window_seconds` wide "
+        "from virtual time `t0`) and its objectives. `repro inspect "
+        "--health` rebuilds the run's rollup and report from it and the "
+        "run's completions",
+        attrs=("shards", "t0", "window_seconds", "slo_seconds", "stall_horizon"),
+    ),
     EventSpec(
         "fleet.sync.completed",
         "event",
         "one measured write's sync completed on its home shard after the "
         "driver's modelled debounce and shard queueing; recorded when its "
         "upload ships, `done` is the virtual completion time and "
-        "`latency` the write-to-`done` gap (seed uploads emit none). "
-        "`repro inspect --health` rebuilds a fleet's report from these",
+        "`latency` the write-to-`done` gap (seed uploads emit none)",
         attrs=("shard", "client", "latency", "done"),
     ),
     EventSpec(
@@ -868,13 +877,6 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "one per-shard telemetry window rolled up (emitted at rollup "
         "finalization; `start`/`end` are the window's virtual-time bounds)",
         attrs=("shard", "window", "start", "end", "writes", "p50", "p99", "queue_peak", "busy"),
-    ),
-    HEALTH,
-    EventSpec(
-        "health.stall",
-        "event",
-        "a write's sync exceeded the stall horizon before completing",
-        attrs=("shard", "client", "path", "waited"),
     ),
     JOURNAL,  # the journal, then post-crash recovery
     EventSpec(

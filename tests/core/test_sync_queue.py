@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
+from repro.core._reference import next_unit
 from repro.core.client import DeltaCFSClient
 from repro.core.sync_queue import (
     DeltaNode,
@@ -231,12 +232,12 @@ class TestFifoUpload:
     def test_nothing_before_delay(self):
         q = _queue(delay=3.0)
         q.enqueue(MetaNode(path="/f", kind="create"), now=0.0)
-        assert q.next_unit(now=1.0) is None
+        assert next_unit(q, now=1.0) is None
 
     def test_due_after_delay(self):
         q = _queue(delay=3.0)
         q.enqueue(MetaNode(path="/f", kind="create"), now=0.0)
-        unit = q.next_unit(now=3.5)
+        unit = next_unit(q, now=3.5)
         assert unit is not None
         assert not unit.transactional
         assert unit.single.kind == "create"
@@ -245,21 +246,21 @@ class TestFifoUpload:
         q = _queue(delay=0.0)
         q.enqueue(MetaNode(path="/a", kind="create"), now=0.0)
         q.enqueue(MetaNode(path="/b", kind="create"), now=0.0)
-        assert q.next_unit(1.0).single.path == "/a"
-        assert q.next_unit(1.0).single.path == "/b"
+        assert next_unit(q, 1.0).single.path == "/a"
+        assert next_unit(q, 1.0).single.path == "/b"
 
     def test_head_blocks_tail(self):
         # strict FIFO: a not-yet-due head holds everything behind it
         q = _queue(delay=3.0)
         q.enqueue(MetaNode(path="/late", kind="create"), now=10.0)
         q.enqueue(MetaNode(path="/early", kind="create"), now=0.0)
-        assert q.next_unit(now=11.0) is None
+        assert next_unit(q, now=11.0) is None
 
     def test_unpacked_write_node_packs_at_upload(self):
         q = _queue(delay=1.0)
         node = q.enqueue(_write_node(), now=0.0)
         node.add_write(0, b"x")
-        unit = q.next_unit(now=2.0)
+        unit = next_unit(q, now=2.0)
         assert unit.single is node
         assert node.packed
         assert q.active_write_node("/f") is None
@@ -303,7 +304,7 @@ class TestDeltaReplacement:
         rename = q.enqueue(MetaNode(path="/t1", kind="rename", dest="/f"), now=0.0)
         dn = DeltaNode(path="/f")
         q.replace_with_delta([wn], dn, now=0.0)
-        unit = q.next_unit(now=1.0)
+        unit = next_unit(q, now=1.0)
         assert unit.transactional
         assert unit.nodes == [rename, dn]
         assert len(q) == 0
@@ -315,8 +316,8 @@ class TestDeltaReplacement:
         q.enqueue(MetaNode(path="/t1", kind="rename", dest="/f"), now=0.0)
         dn = DeltaNode(path="/f")
         q.replace_with_delta([wn], dn, now=5.0)  # delta enqueued late
-        assert q.next_unit(now=6.0) is None  # delta not due yet
-        assert q.next_unit(now=8.5) is not None
+        assert next_unit(q, now=6.0) is None  # delta not due yet
+        assert next_unit(q, now=8.5) is not None
 
     def test_interleaved_spans_merge(self):
         # Section III-E: "If there is interleaving between two backindexes,
@@ -332,7 +333,7 @@ class TestDeltaReplacement:
         d2 = DeltaNode(path="/b")
         q.replace_with_delta([w2], d2, now=0.0)
         assert len(q.spans()) == 1
-        unit = q.next_unit(now=1.0)
+        unit = next_unit(q, now=1.0)
         assert unit.transactional
         assert set(n.seq for n in unit.nodes) == {m.seq, d1.seq, d2.seq}
 
@@ -347,7 +348,7 @@ class TestCancellation:
         q.cancel_nodes([ca])
         # b and c must now ship transactionally (no prefix shows b without c
         # in any state "a" could have been observed in)
-        unit = q.next_unit(now=1.0)
+        unit = next_unit(q, now=1.0)
         assert unit.transactional
         assert [n.path for n in unit.nodes] == ["/b", "/c"]
 
@@ -356,7 +357,7 @@ class TestCancellation:
         ca = q.enqueue(MetaNode(path="/a", kind="create"), now=0.0)
         q.cancel_nodes([ca])
         assert q.spans() == []
-        assert q.next_unit(now=1.0) is None
+        assert next_unit(q, now=1.0) is None
 
 
 class TestMutationBackindex:
@@ -404,14 +405,14 @@ class TestCoalesceClamp:
         node.add_write(0, b"x")
         # writes keep landing: the debounce never elapses
         node.enqueue_time = 7.5
-        assert q.next_unit(now=8.0) is not None  # age clamp fired
+        assert next_unit(q, now=8.0) is not None  # age clamp fired
 
     def test_quiet_node_still_debounced(self):
         q = SyncQueue(upload_delay=2.0)
         node = q.enqueue(_write_node("/hot"), now=0.0)
         node.add_write(0, b"x")
         node.enqueue_time = 1.0
-        assert q.next_unit(now=2.0) is None  # neither delay nor clamp due
+        assert next_unit(q, now=2.0) is None  # neither delay nor clamp due
 
     def test_default_clamp_is_four_upload_delays(self):
         q = SyncQueue(upload_delay=3.0)
@@ -430,7 +431,7 @@ class TestCoalesceClamp:
             now += 1.0
             hot.enqueue_time = now  # another write on the hot file
             while True:
-                unit = q.next_unit(now)
+                unit = next_unit(q, now)
                 if unit is None:
                     break
                 shipped.extend(n.path for n in unit.nodes)
@@ -501,7 +502,7 @@ class TestDrainDue:
     @staticmethod
     def _drain_with_next_unit(q, now):
         units = []
-        while (unit := q.next_unit(now)) is not None:
+        while (unit := next_unit(q, now)) is not None:
             units.append(unit)
         return units
 

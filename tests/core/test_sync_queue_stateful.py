@@ -21,6 +21,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.core._reference import next_unit
 from repro.core.sync_queue import DeltaNode, MetaNode, SyncQueue, WriteNode
 from repro.delta.format import Delta, Literal
 
@@ -102,7 +103,7 @@ class SyncQueueMachine(RuleBasedStateMachine):
     @rule()
     def pump(self):
         while True:
-            unit = self.queue.next_unit(self.now)
+            unit = next_unit(self.queue, self.now)
             if unit is None:
                 break
             if unit.transactional:

@@ -6,7 +6,7 @@ single bench number.
 the same specs with a fully active ``Observability`` (named tracer,
 bound clock, open spans being recorded) and require bit-identical
 floats. Trace context rides the ``Envelope.ctx`` sidecar at zero wire
-bytes and the fleet's rollup/stall accounting runs unconditionally, so
+bytes and the fleet's rollup runs unconditionally, so
 any drift here means instrumentation leaked into costed behaviour.
 """
 
@@ -49,7 +49,7 @@ class TestFleetGolden:
             "shard_ticks",
             "shard_busy",
             "shard_queue_peak",
-            "shard_stalls",
+            "stalls",
             "migrations",
             "conflicts",
         ):

@@ -9,6 +9,7 @@ from repro.common.rng import DeterministicRandom
 from repro.harness.fleet import FleetSpec, run_fleet
 from repro.obs import Observability, Tracer, load_trace_lines
 from repro.obs.health import (
+    STALL_HORIZON,
     ShardWindows,
     _regressed_windows,
     attainment,
@@ -188,14 +189,13 @@ class TestHealthFromWindows:
         assert report.healthy  # exactly at the 0.99 target
 
     def test_stalls_make_unhealthy(self):
-        report = health_from_windows(
-            _loaded_rollup(),
-            slo_seconds=10.0,
-            stall_horizon=60.0,
-            stalls_by_shard={1: 3},
-        )
+        rollup = _loaded_rollup()
+        for latency in (60.0, 60.5, 61.0, 90.0):  # at the horizon: no stall
+            rollup.record_latency(1, 5.0, latency)
+        report = health_from_windows(rollup, slo_seconds=10.0, stall_horizon=60.0)
         assert report.total_stalls == 3
         assert report.shards[1].stalls == 3
+        assert report.shards[0].stalls == 0
         assert not report.healthy
 
     def test_write_weighted_attainment(self):
@@ -270,9 +270,7 @@ class TestHealthFromTrace:
             _ship("/a", 1.0), _accept("/a", 4.0),
             _ship("/b", 2.0), _accept("/b", 2.5),
         ]
-        report = health_from_trace(
-            records, slo_seconds=10.0, stall_horizon=60.0
-        )
+        report = health_from_trace(records)
         assert report.kind == "trace"
         assert report.total_writes == 2
         (group,) = report.shards
@@ -286,41 +284,45 @@ class TestHealthFromTrace:
             _accept("/b", 200.0),  # unrelated record moves trace end out
             _ship("/b", 199.0),
         ]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         stalls = {s.shard: s.stalls for s in report.shards}
         assert stalls.get("unassigned") == 1  # /a never accepted, >60s old
+        assert report.stall_horizon == STALL_HORIZON == 60.0
         assert not report.healthy
 
     def test_recent_unaccepted_ship_is_not_a_stall(self):
         records = [_ship("/a", 100.0), _accept("/b", 110.0), _ship("/b", 105.0)]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         assert report.total_stalls == 0
 
     def test_slow_acceptance_is_a_stall(self):
         records = [_ship("/a", 1.0), _accept("/a", 100.0)]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         assert report.total_stalls == 1
 
     def test_meta_nodes_never_stall(self):
         records = [_ship("/dir", 1.0, kind="MetaNode"), _accept("/x", 500.0),
                    _ship("/x", 499.0)]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         assert report.total_stalls == 0
 
     def test_groups_by_accepting_source(self):
         records = [
             _ship("/a", 1.0, src="client-1"), _accept("/a", 2.0, src="cloud"),
         ]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         assert [s.shard for s in report.shards] == ["cloud"]
 
     def test_doc_round_trips_through_validator(self):
         records = [_ship("/a", 1.0), _accept("/a", 2.0)]
-        report = health_from_trace(records, slo_seconds=10.0, stall_horizon=60.0)
+        report = health_from_trace(records)
         assert validate_health_doc(report.to_dict()) == []
 
     def test_fleet_completions_replace_ship_accept_matching(self):
         completed = [
+            _event("fleet.run.started", 0.0,
+                   {"shards": 3, "t0": 0.0, "window_seconds": 20.0,
+                    "slo_seconds": 10.0, "stall_horizon": 60.0}),
             _event("fleet.sync.completed", 5.0,
                    {"shard": 1, "client": 2, "latency": 3.0, "done": 8.0}),
             _event("fleet.sync.completed", 5.0,
@@ -329,40 +331,43 @@ class TestHealthFromTrace:
         # A seed upload's ship and accept, and one never accepted: neither
         # is a measured write.
         records = [_ship("/a", 0.0), _accept("/a", 0.0), _ship("/b", 0.0)]
-        report = health_from_trace(
-            records + completed, slo_seconds=10.0, stall_horizon=60.0
-        )
-        assert [s.shard for s in report.shards] == ["0", "1"]
-        assert [s.writes for s in report.shards] == [1, 1]
-        assert [s.max_latency for s in report.shards] == [70.0, 3.0]
-        assert [s.stalls for s in report.shards] == [1, 0]
+        report = health_from_trace(records + completed)
+        assert [s.shard for s in report.shards] == ["0", "1", "2"]
+        assert [s.writes for s in report.shards] == [1, 1, 0]
+        assert [s.max_latency for s in report.shards] == [70.0, 3.0, 0.0]
+        assert [s.stalls for s in report.shards] == [1, 0, 0]
+        assert [s.windows for s in report.shards] == [1, 1, 0]
+        assert (report.slo_seconds, report.window_seconds) == (10.0, 20.0)
+
+    def test_a_trace_of_several_runs_is_refused(self):
+        run = _event("fleet.run.started", 0.0,
+                     {"shards": 1, "t0": 0.0, "window_seconds": 20.0,
+                      "slo_seconds": 15.0, "stall_horizon": 60.0})
+        with pytest.raises(ValueError, match="2 fleet runs"):
+            health_from_trace([run, run])
 
 
 @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
 def test_a_fleet_trace_recovers_the_live_report(arrival):
-    # The offline report of a fleet trace is the one the run printed:
-    # the same writes per shard and the same order statistics, although
-    # debounce and shard queueing happen in the driver, not the pipeline.
-    # A stall horizon inside the latency spread: both docs count stalls.
+    # The offline report of a fleet trace is the one the run printed,
+    # field for field, although debounce and shard queueing happen in the
+    # driver, not the pipeline. Every objective is off its default — the
+    # trace's run record carries them — and both sit inside the latency
+    # spread, so attainment and stalls are compared on real splits.
     spec = FleetSpec(
         n_clients=200, n_shards=4, writes_per_client=3, arrival=arrival,
-        stall_horizon=3.015,
+        slo_seconds=3.0102, stall_horizon=3.015, window_seconds=10.0,
     )
     obs = Observability(tracer=Tracer())
     live = run_fleet(spec, obs=obs).health().to_dict()
     doc = load_trace_lines(obs.tracer.to_jsonl().splitlines())
-    offline = health_from_trace(
-        doc, slo_seconds=spec.slo_seconds, stall_horizon=spec.stall_horizon
-    ).to_dict()
-    assert offline["writes"] == live["writes"] == 600
-    assert offline["stalls"] == live["stalls"]
-    assert offline["attainment"] == live["attainment"]
-    keys = ("shard", "writes", "p50", "p90", "p99", "max_latency",
-            "slo_attainment", "stalls")
-    assert [{k: s[k] for k in keys} for s in offline["shards"]] == [
-        {k: s[k] for k in keys} for s in live["shards"]
-    ]
-    assert all(s["p50"] > 0 for s in offline["shards"])
+    offline = health_from_trace(doc).to_dict()
+    assert (live.pop("kind"), offline.pop("kind")) == ("fleet", "trace")
+    assert offline == live
+    assert live["writes"] == 600
+    assert 0.0 < live["attainment"] < 1.0
+    assert 0 < live["stalls"] < 600
+    assert all(s["windows"] > 1 for s in live["shards"])
 
 
 class TestValidateHealthDoc:

@@ -232,6 +232,23 @@ def test_fleet_trace_out_smoke(tmp_path, capsys):
     assert "cannot write trace to" in capsys.readouterr().err
 
 
+def test_inspect_health_refuses_a_trace_of_several_runs(tmp_path, capsys):
+    """A `--curve` trace holds one run record per point; one health report
+    covers one run, so `inspect --health` refuses it as `--health-out`
+    refuses a curve."""
+    from repro.harness.fleet import FleetSpec, fleet_curve
+    from repro.obs import Observability, Tracer
+
+    jsonl = tmp_path / "curve.jsonl"
+    spec = FleetSpec(n_clients=10, n_shards=2, writes_per_client=1)
+    with open(jsonl, "w", encoding="utf-8") as sink:
+        fleet_curve((spec, spec), obs=Observability(tracer=Tracer(sink=sink)))
+    assert main(["inspect", str(jsonl), "--health"]) == 2
+    captured = capsys.readouterr()
+    assert "2 fleet runs" in captured.err
+    assert "health (trace)" not in captured.out
+
+
 def test_fleet_curve_refuses_health_out(tmp_path, capsys):
     """`--health-out` holds one fleet's report and a curve runs four, so the
     combination is refused before anything runs instead of keeping one."""

@@ -14,24 +14,21 @@ tolerance band is reported as an improvement (worth re-baselining) but
 passes. A baseline may declare ``"direction": "higher"`` (throughput,
 speedup ratios — the wall-clock lane) to flip the test: then values
 *below* ``baseline * (1 - tolerance)`` regress and values above the band
-are improvements. Per-metric overrides live in a ``directions`` map with
-the same suffix matching as tolerances. Metrics present in the baseline
-but missing fresh — or vice versa — always fail: the benchmark surface
-itself must not drift silently.
+are improvements. Metrics present in the baseline but missing fresh — or
+vice versa — always fail: the benchmark surface itself must not drift
+silently.
 
-Tolerances: the default relative tolerance is ``0.05`` (5%), overridable
-for a whole invocation with ``--tolerance`` (CI runs the noisy wall-clock
-lane with ``--tolerance 0.2``). A baseline may override per metric-key
-*suffix* via a ``tolerances`` map, e.g.::
+Tolerances: the relative tolerance is ``0.05`` (5%). A baseline may
+override it per metric-key *suffix* via a ``tolerances`` map (the noisy
+wall-clock lane pins ``{"speedup": 0.2}``), e.g.::
 
     {"bench": "fig8", "schema": 1,
      "tolerances": {"client_ticks": 0.10, "tue": 0.02},
      "metrics": {...}}
 
 The longest matching suffix wins (match on the final ``/``-segment or any
-full-key suffix); explicit baseline overrides beat ``--tolerance``. This
-script is stdlib-only on purpose — the gate must run before (and
-regardless of) the package under test importing cleanly.
+full-key suffix). This script is stdlib-only on purpose — the gate must
+run before (and regardless of) the package under test importing cleanly.
 """
 
 from __future__ import annotations
@@ -64,36 +61,14 @@ def load_snapshot(path: Path) -> Dict[str, object]:
     return doc
 
 
-def _suffix_lookup(key: str, overrides: Dict[str, object], default):
-    """Longest-matching-suffix override for one metric key."""
-    best: Tuple[int, object] = (-1, default)
+def tolerance_for(key: str, overrides: Dict[str, float]) -> float:
+    """The tolerance for one metric key: longest matching suffix wins."""
+    best: Tuple[int, float] = (-1, DEFAULT_TOLERANCE)
     for suffix, value in overrides.items():
         if key == suffix or key.endswith("/" + suffix) or key.endswith(suffix):
             if len(suffix) > best[0]:
-                best = (len(suffix), value)
+                best = (len(suffix), float(value))
     return best[1]
-
-
-def tolerance_for(
-    key: str,
-    overrides: Dict[str, float],
-    default: float = DEFAULT_TOLERANCE,
-) -> float:
-    """The tolerance for one metric key: longest matching suffix wins."""
-    return float(_suffix_lookup(key, overrides, default))
-
-
-def direction_for(
-    key: str, overrides: Dict[str, str], default: str = "lower"
-) -> str:
-    """``"lower"`` or ``"higher"`` — which way this metric is better."""
-    direction = str(_suffix_lookup(key, overrides, default))
-    if direction not in ("lower", "higher"):
-        raise GateError(
-            f"direction for {key!r} must be 'lower' or 'higher', "
-            f"got {direction!r}"
-        )
-    return direction
 
 
 def compare(
@@ -102,11 +77,13 @@ def compare(
     baseline: Dict[str, float],
     overrides: Dict[str, float],
     *,
-    directions: Dict[str, str] | None = None,
-    default_direction: str = "lower",
-    default_tolerance: float = DEFAULT_TOLERANCE,
+    direction: str = "lower",
 ) -> Tuple[List[str], List[str]]:
     """Returns (failures, notes) for one benchmark."""
+    if direction not in ("lower", "higher"):
+        raise GateError(
+            f"direction must be 'lower' or 'higher', got {direction!r}"
+        )
     failures: List[str] = []
     notes: List[str] = []
     for key in sorted(baseline):
@@ -115,8 +92,7 @@ def compare(
             failures.append(f"{bench}: metric {key} missing from fresh snapshot")
             continue
         new = float(fresh[key])
-        tol = tolerance_for(key, overrides, default_tolerance)
-        direction = direction_for(key, directions or {}, default_direction)
+        tol = tolerance_for(key, overrides)
         ceiling = base * (1.0 + tol)
         floor = base * (1.0 - tol)
         worse = new > ceiling if direction == "lower" else new < floor
@@ -154,11 +130,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--baselines", type=Path, default=Path("benchmarks/baselines"),
         metavar="DIR", help="directory of checked-in <bench>.json baselines",
     )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="T",
-        help=f"default relative tolerance (default {DEFAULT_TOLERANCE}); "
-             f"per-metric 'tolerances' in a baseline still win",
-    )
     args = parser.parse_args(argv)
 
     failures: List[str] = []
@@ -187,19 +158,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             str(k): float(v)
             for k, v in dict(base_doc.get("tolerances", {})).items()
         }
-        directions = {
-            str(k): str(v)
-            for k, v in dict(base_doc.get("directions", {})).items()
-        }
         try:
             fails, improvement_notes = compare(
                 bench,
                 {str(k): float(v) for k, v in dict(fresh_doc["metrics"]).items()},
                 {str(k): float(v) for k, v in dict(base_doc["metrics"]).items()},
                 overrides,
-                directions=directions,
-                default_direction=str(base_doc.get("direction", "lower")),
-                default_tolerance=args.tolerance,
+                direction=str(base_doc.get("direction", "lower")),
             )
         except GateError as exc:
             failures.append(f"{base_path}: {exc}")
