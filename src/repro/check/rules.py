@@ -36,9 +36,9 @@ PY001     error      mutable default arguments
 PY002     error      bare ``except:`` clauses
 PY003     warning    ``print`` in library code (CLI/render exempt)
 OBS001    error      the name slot of an obs facade call
-                     (``event``/``span``/``inc``/``set_gauge``/
-                     ``observe``) is not a string literal from the
-                     catalog in ``repro/obs/names.py``
+                     (``event``/``span``/``inc``/``set_gauge``) is not
+                     a string literal from the catalog in
+                     ``repro/obs/names.py``
 WIRE001   error      a class that hand-writes ``wire_size`` or a byte-level
                      ``encode``/``decode`` instead of declaring a
                      ``repro.common.wire`` field table, or an ``import
@@ -442,7 +442,7 @@ class ObsNameRule(Rule):
     _METRIC = ("metric", "METRICS", frozenset(METRIC_NAMES))
     _EVENT = ("event/span", "EVENTS", frozenset(EVENT_NAMES))
     _SLOTS = {
-        "inc": _METRIC, "set_gauge": _METRIC, "observe": _METRIC,
+        "inc": _METRIC, "set_gauge": _METRIC,
         "event": _EVENT, "span": _EVENT,
     }
 

@@ -482,6 +482,7 @@ def _cmd_inspect(args) -> int:
         to_openmetrics,
         write_chrome_trace,
     )
+    from repro.obs.render import Distributions, distribution_table
 
     paths = args.trace
     label = paths[0] if len(paths) == 1 else "+".join(paths)
@@ -527,6 +528,10 @@ def _cmd_inspect(args) -> int:
             print(format_table(
                 ["event", "count"], [[name, n] for name, n in counts]
             ))
+        table = distribution_table(Distributions.of_trace(doc))
+        if table:
+            print()
+            print(table)
 
     if args.attribution:
         attribution = attribute_uplink(doc)

@@ -35,7 +35,7 @@ def next_unit(queue: SyncQueue, now: float) -> Optional[UploadUnit]:
         queue._nodes.pop(0)
         queue._forget_names((head,))
         if isinstance(head, WriteNode):
-            queue._pack_for_upload(head)
+            queue._pack_for_upload(head, now)
         if queue.obs.enabled:
             queue._note_shipped([head], now, transactional=False)
         return UploadUnit(nodes=[head], transactional=False)
@@ -53,7 +53,7 @@ def next_unit(queue: SyncQueue, now: float) -> Optional[UploadUnit]:
     queue._spans.remove(span)
     for node in members:
         if isinstance(node, WriteNode):
-            queue._pack_for_upload(node)
+            queue._pack_for_upload(node, now)
     if queue.obs.enabled:
         queue.obs.inc("queue.units.transactional")
         queue._note_shipped(members, now, transactional=True)

@@ -395,7 +395,7 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.inner.rename(src, dst)
             return
         self._pack_and_maybe_compress(src, now)
-        self.queue.pack(dst)
+        self.queue.pack(dst, now)
 
         dst_existed = self.inner.exists(dst)
         entry = self._match_relation(dst, now)
@@ -587,7 +587,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         for name in names:
             pending = self.queue.pending_nodes(name)
             if pending:
-                self.queue.pack(name)
+                self.queue.pack(name, self.clock.now())
                 self.queue.cancel_nodes(pending)
                 self._never_uploads(pending)
             self._pending_create_delta.pop(name, None)
@@ -844,7 +844,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def _pack_and_maybe_compress(self, path: str, now: float) -> None:
         with self.obs.span("client.pack", path=path):
-            node = self.queue.pack(path)
+            node = self.queue.pack(path, now)
             pending_entry = self._pending_create_delta.pop(path, None)
             if node is None:
                 if pending_entry is not None and pending_entry.origin == "unlink":
@@ -853,7 +853,6 @@ class DeltaCFSClient(PassthroughFileSystem):
             base, node.base = node.base, None
             if self.obs.enabled:
                 self.obs.inc("client.pack.count")
-                self.obs.observe("client.pack.duration", now - node.created_time)
 
             if pending_entry is not None and self.inner.exists(pending_entry.dst):
                 # The file was re-created over a preserved old version

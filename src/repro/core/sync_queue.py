@@ -271,7 +271,8 @@ class SyncQueue:
         self.on_spans: Optional[Callable[[List[Tuple[int, int]]], None]] = None
         self._next_seq = 0
         # Real "now" during drain_all, where drain_due runs with a
-        # far-future clock that would corrupt wait-time telemetry.
+        # far-future clock that would corrupt the wait and open times the
+        # shipped and packed events carry.
         self._telemetry_now: Optional[float] = None
 
     # -- enqueue side ------------------------------------------------------
@@ -352,7 +353,7 @@ class SyncQueue:
         final yet (a hard-linked file's node absorbs writes through any name)."""
         return any(n.new_version == version for n in self._active_writes.values())
 
-    def pack(self, path: str) -> Optional[WriteNode]:
+    def pack(self, path: str, now: float) -> Optional[WriteNode]:
         """Pack ``path``'s active write node; returns it if one existed.
 
         Called whenever the file's state changes (close/rename/delete/
@@ -363,14 +364,7 @@ class SyncQueue:
         if node is not None:
             node.pack()
             if self.obs.enabled:
-                self.obs.inc("queue.nodes.packed")
-                self.obs.event(
-                    "queue.node.packed",
-                    path=node.path,
-                    seq=node.seq,
-                    writes=len(node.writes),
-                    payload_bytes=node.payload_bytes(),
-                )
+                self._note_packed(node, now)
         return node
 
     def pending_nodes(self, path: str) -> List[QueueNode]:
@@ -523,7 +517,7 @@ class SyncQueue:
                     break
                 i += 1
                 if isinstance(head, WriteNode):
-                    self._pack_for_upload(head)
+                    self._pack_for_upload(head, now)
                 unit = UploadUnit(nodes=[head], transactional=False)
             else:
                 # Seqs are FIFO-increasing, so a span's live members are a
@@ -539,7 +533,7 @@ class SyncQueue:
                 self._spans.remove(span)
                 for member in members:
                     if isinstance(member, WriteNode):
-                        self._pack_for_upload(member)
+                        self._pack_for_upload(member, now)
                 if self.obs.enabled:
                     self.obs.inc("queue.units.transactional")
                 unit = UploadUnit(nodes=members, transactional=True)
@@ -581,20 +575,29 @@ class SyncQueue:
             now = self._telemetry_now
         self.obs.inc("queue.nodes.shipped", len(nodes))
         for node in nodes:
-            payload = node.payload_bytes()
-            self.obs.observe("queue.node.payload_bytes", payload)
-            self.obs.observe(
-                "queue.node.wait_time", max(0.0, now - node.enqueue_time)
-            )
             self.obs.event(
                 "queue.node.shipped",
                 path=node.path,
                 seq=node.seq,
                 kind=type(node).__name__,
-                payload_bytes=payload,
+                payload_bytes=node.payload_bytes(),
                 transactional=transactional,
+                waited=max(0.0, now - node.enqueue_time),
             )
         self._update_gauges()
+
+    def _note_packed(self, node: WriteNode, now: float) -> None:
+        if self._telemetry_now is not None:
+            now = self._telemetry_now
+        self.obs.inc("queue.nodes.packed")
+        self.obs.event(
+            "queue.node.packed",
+            path=node.path,
+            seq=node.seq,
+            writes=len(node.writes),
+            payload_bytes=node.payload_bytes(),
+            open_for=now - node.created_time,
+        )
 
     def _update_gauges(self) -> None:
         self.obs.set_gauge("queue.depth", len(self._nodes))
@@ -606,17 +609,10 @@ class SyncQueue:
                 return span
         return None
 
-    def _pack_for_upload(self, node: WriteNode) -> None:
+    def _pack_for_upload(self, node: WriteNode, now: float) -> None:
         if not node.packed:
             node.pack()
             if self.obs.enabled:
-                self.obs.inc("queue.nodes.packed")
-                self.obs.event(
-                    "queue.node.packed",
-                    path=node.path,
-                    seq=node.seq,
-                    writes=len(node.writes),
-                    payload_bytes=node.payload_bytes(),
-                )
+                self._note_packed(node, now)
         if self._active_writes.get(node.path) is node:
             del self._active_writes[node.path]

@@ -355,7 +355,6 @@ def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
         for write_t in pending[i]:
             latency = done - write_t
             rollup.record_latency(shard, done, latency)
-            obs.observe("fleet.sync.latency", latency)
             if obs.enabled:
                 obs.event(
                     "fleet.sync.completed",

@@ -332,7 +332,7 @@ def run_trace(
     elif hasattr(system.client, "sync_rounds"):
         extra = {"sync_rounds": system.client.sync_rounds}
     if obs.enabled:
-        extra.update(obs.metrics.scalar_snapshot())
+        extra.update(obs.metrics.snapshot())
     return RunResult(
         solution=name,
         trace=trace.name,

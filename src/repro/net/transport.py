@@ -101,7 +101,6 @@ class Channel:
             self.obs.inc("channel.up.bytes", size, type=kind)
             self.obs.inc("channel.up.messages", type=kind)
             self.obs.inc("channel.up.busy_time", self._up_busy_until - start)
-            self.obs.observe("channel.message.bytes", size)
             self.obs.event(
                 "channel.upload",
                 type=kind,
@@ -126,7 +125,6 @@ class Channel:
             self.obs.inc("channel.down.bytes", size, type=kind)
             self.obs.inc("channel.down.messages", type=kind)
             self.obs.inc("channel.down.busy_time", self._down_busy_until - start)
-            self.obs.observe("channel.message.bytes", size)
             self.obs.event(
                 "channel.download",
                 type=kind,

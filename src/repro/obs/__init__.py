@@ -7,15 +7,20 @@ pattern: instrumented subsystems take an ``obs`` object and default to
 with observability disabled are unperturbed (the Tier-1 suites assert
 byte-identical results).
 
-Two primitives, one facade:
+Two primitives, one fold, one facade:
 
-- :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
-  fixed-bucket histograms under declared names (``repro.obs.names``);
+- :class:`~repro.obs.registry.MetricsRegistry` — counters and gauges
+  under declared names (``repro.obs.names``);
 - :class:`~repro.obs.tracer.Tracer` — spans with causal parent ids and
   point events, serializable to JSONL;
-- :class:`Observability` — bundles both against one
+- :class:`~repro.obs.render.Distributions` — the exact distributions
+  (sync latency, message and payload sizes, queue wait and open time),
+  folded from the attrs of the events that carry them, so a live report
+  and ``repro inspect`` of its trace print the same figures;
+- :class:`Observability` — bundles them against one
   :class:`~repro.common.clock.VirtualClock` and offers terse call-site
-  helpers (``obs.inc(...)``, ``obs.span(...)``).
+  helpers (``obs.inc(...)``, ``obs.span(...)``, ``obs.event(...)``, which
+  also feeds the fold).
 
 The full instrumentation contract — naming scheme, span hierarchy, JSONL
 schema — lives in ``docs/observability.md``, whose catalog tables are
@@ -64,12 +69,13 @@ from repro.obs.health import (
 )
 from repro.obs.names import EVENT_NAMES, EVENTS, METRIC_NAMES, METRICS, EventSpec, MetricSpec
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.render import histogram_quantile, text_report, to_json
+from repro.obs.render import Distributions, distribution_table, text_report, to_json
 from repro.obs.tracer import NULL_TRACER, TraceContext, TraceEvent, Tracer
 
 
 class Observability:
-    """One registry and one tracer sharing one virtual clock."""
+    """One registry, one tracer and one distribution fold sharing one
+    virtual clock."""
 
     enabled = True
 
@@ -83,6 +89,7 @@ class Observability:
         self.clock = clock if clock is not None else VirtualClock()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(self.clock)
+        self.distributions = Distributions()
 
     def bind_clock(self, clock: VirtualClock) -> None:
         """Point timestamps at ``clock`` (the experiment's time source).
@@ -102,9 +109,6 @@ class Observability:
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self.metrics.set_gauge(name, value, **labels)
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        self.metrics.observe(name, value, **labels)
-
     def span(self, name: str, link: Optional[TraceContext] = None, **attrs: object):
         return self.tracer.span(name, link=link, **attrs)
 
@@ -114,10 +118,11 @@ class Observability:
 
     def event(self, name: str, **attrs: object) -> None:
         self.tracer.event(name, **attrs)
+        self.distributions.feed(name, attrs)
 
     def report(self) -> str:
         """The text report for this run (see :func:`repro.obs.render.text_report`)."""
-        return text_report(self.metrics, self.tracer)
+        return text_report(self.metrics, self.tracer, self.distributions)
 
     def to_json(self) -> str:
         """Snapshot + trace as JSON (see :func:`repro.obs.render.to_json`)."""
@@ -139,9 +144,6 @@ class _NullObservability(Observability):
         pass
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
         pass
 
     def span(self, name: str, link: Optional[TraceContext] = None, **attrs: object):
@@ -180,7 +182,8 @@ __all__ = [
     "EVENT_NAMES",
     "text_report",
     "to_json",
-    "histogram_quantile",
+    "Distributions",
+    "distribution_table",
     "TraceDoc",
     "Span",
     "Attribution",

@@ -195,8 +195,8 @@ def _schema_problem(record: object) -> Optional[str]:
         for key in ("span", "trace"):
             if not _holds(record.get("attrs", {}).get(key, 0), int):
                 return f"trace.link attr {key!r} must be an integer"
-    if not all(_holds(v, (int, float, dict)) for v in record.get("metrics", {}).values()):
-        return "'metrics' values must be numbers or histogram objects"
+    if not all(_holds(v, (int, float)) for v in record.get("metrics", {}).values()):
+        return "'metrics' values must be numbers"
     return None
 
 
@@ -228,28 +228,17 @@ def _parse_lines(
 def _merge_snapshots(snapshots: List[dict]) -> Optional[Dict[str, object]]:
     """Fold several per-source metric snapshots into one.
 
-    Scalar series add (counters dominate a merge; summing gauges is the
-    only consistent choice without per-family metadata); histogram series
-    add element-wise over count/sum/buckets.
+    Series add (counters dominate a merge; summing gauges is the only
+    consistent choice without per-family metadata).
     """
     if not snapshots:
         return None
     if len(snapshots) == 1:
         return snapshots[0]
-    metrics: Dict[str, object] = {}
+    metrics: Dict[str, float] = {}
     for snap in snapshots:
         for key, value in (snap.get("metrics") or {}).items():
-            if isinstance(value, dict):
-                into = metrics.setdefault(
-                    key, {"count": 0, "sum": 0.0, "buckets": {}}
-                )
-                into["count"] += value.get("count", 0)
-                into["sum"] += value.get("sum", 0.0)
-                buckets = into["buckets"]
-                for bucket, n in (value.get("buckets") or {}).items():
-                    buckets[bucket] = buckets.get(bucket, 0) + n
-            else:
-                metrics[key] = metrics.get(key, 0.0) + float(value)
+            metrics[key] = metrics.get(key, 0.0) + float(value)
     ts = max(float(s.get("ts", 0.0)) for s in snapshots)
     return {"type": "snapshot", "ts": ts, "metrics": metrics}
 

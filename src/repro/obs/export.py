@@ -10,7 +10,9 @@ Two standard formats so recorded runs open in off-the-shelf viewers:
 - :func:`to_openmetrics` renders a metrics snapshot (live registry or the
   ``{"type": "snapshot"}`` record a trace file embeds) as OpenMetrics
   text exposition, with ``# TYPE``/``# HELP``/``# UNIT`` metadata from
-  the declared catalog and cumulative ``_bucket{le=...}`` histograms.
+  the declared catalog. A snapshot holds counters and gauges only: a
+  distribution's exact figures are folded from the trace's events
+  (:class:`repro.obs.render.Distributions`), not exposed here.
 - :func:`check_openmetrics` is a strict-enough self-check of the
   exposition (metadata ordering, sample name/family agreement, terminal
   ``# EOF``) used by tests and the acceptance gate.
@@ -26,7 +28,7 @@ import json
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.names import HISTOGRAM, METRICS_BY_NAME, MetricSpec
+from repro.obs.names import METRICS_BY_NAME, MetricSpec
 from repro.obs.registry import LabelKey, MetricsRegistry, parse_series_name
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,9 @@ def _om_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _format_value(value: float) -> str:
+def format_number(value: float) -> str:
+    """``value`` exactly and briefly: a whole number as an integer, any
+    other as the shortest text that reads back to the same float."""
     as_float = float(value)
     if as_float == int(as_float) and abs(as_float) < 1e15:
         return str(int(as_float))
@@ -227,65 +231,30 @@ def to_openmetrics(
 
     ``snapshot`` is :meth:`MetricsRegistry.snapshot` output (or the
     ``metrics`` field of an embedded trace snapshot record): rendered
-    series name -> scalar, or family name -> histogram dict. Families are
-    typed from the declared catalog; undeclared families fall back to
-    ``unknown``. Ends with the mandatory ``# EOF``.
+    series name -> value. Families are typed from the declared catalog;
+    undeclared families fall back to ``unknown``. Ends with the mandatory
+    ``# EOF``.
     """
     specs = specs or {}
     # Group the flat snapshot back into families, preserving sorted order.
-    scalars: Dict[str, List[Tuple[LabelKey, float]]] = {}
-    histograms: Dict[str, List[Tuple[LabelKey, Dict[str, object]]]] = {}
+    families: Dict[str, List[Tuple[LabelKey, float]]] = {}
     for rendered, value in snapshot.items():
         family, labels = parse_series_name(rendered)
-        if isinstance(value, dict):
-            histograms.setdefault(family, []).append((labels, value))
-            continue
-        scalars.setdefault(family, []).append((labels, float(value)))
+        families.setdefault(family, []).append((labels, float(value)))
 
     lines: List[str] = []
-
-    def emit_metadata(family: str, om: str, fallback_type: str) -> None:
+    for family in sorted(families):
+        om = _om_name(family)
         spec = _spec_for(family, specs)
-        lines.append(f"# TYPE {om} {spec.kind if spec is not None else fallback_type}")
+        kind = spec.kind if spec is not None else "unknown"
+        lines.append(f"# TYPE {om} {kind}")
         if spec is not None and spec.unit and om.endswith("_" + spec.unit):
             lines.append(f"# UNIT {om} {spec.unit}")
         if spec is not None and spec.help:
             lines.append(f"# HELP {om} {_om_escape(spec.help)}")
-
-    for family in sorted(set(scalars) | set(histograms)):
-        om = _om_name(family)
-        if family in histograms:
-            emit_metadata(family, om, HISTOGRAM)
-
-            # Sort bucket keys numerically, le_inf last.
-            def bound_of(key: str) -> float:
-                return float("inf") if key == "le_inf" else float(key[len("le_"):])
-
-            for labels, hist in histograms[family]:
-                cumulative = 0
-                buckets = hist.get("buckets", {})
-                for key in sorted(buckets, key=bound_of):
-                    cumulative += int(buckets[key])
-                    le = "+Inf" if key == "le_inf" else f"{bound_of(key):g}"
-                    bucket_labels = _labels_text(labels + (("le", le),))
-                    lines.append(f"{om}_bucket{bucket_labels} {cumulative}")
-                suffix_labels = _labels_text(labels)
-                lines.append(
-                    f"{om}_count{suffix_labels} {int(hist.get('count', 0))}"
-                )
-                lines.append(
-                    f"{om}_sum{suffix_labels} "
-                    f"{_format_value(float(hist.get('sum', 0.0)))}"
-                )
-        else:
-            spec = _spec_for(family, specs)
-            kind = spec.kind if spec is not None else "unknown"
-            emit_metadata(family, om, "unknown")
-            suffix = "_total" if kind == "counter" else ""
-            for labels, value in scalars[family]:
-                lines.append(
-                    f"{om}{suffix}{_labels_text(labels)} {_format_value(value)}"
-                )
+        suffix = "_total" if kind == "counter" else ""
+        for labels, value in families[family]:
+            lines.append(f"{om}{suffix}{_labels_text(labels)} {format_number(value)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

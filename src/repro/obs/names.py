@@ -1,7 +1,8 @@
 """The declared instrumentation catalog — the single source of truth.
 
-Every metric the :class:`~repro.obs.registry.MetricsRegistry` will accept,
-every trace event the :class:`~repro.obs.tracer.Tracer` will emit, and
+Every counter and gauge the :class:`~repro.obs.registry.MetricsRegistry`
+will accept, every distribution folded from event attrs, every trace
+event the :class:`~repro.obs.tracer.Tracer` will emit, and
 every span name used by the instrumented subsystems is declared here, once:
 its description, unit, labels or attrs, and the :class:`Section` it belongs
 to. The catalog tables of ``docs/observability.md`` (and the subsystem
@@ -21,7 +22,7 @@ from typing import Dict, Optional, Tuple, Union
 
 COUNTER = "counter"
 GAUGE = "gauge"
-HISTOGRAM = "histogram"
+DISTRIBUTION = "distribution"
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,10 @@ class Section:
 class MetricSpec:
     """Declaration of one metric family.
 
-    ``buckets`` (histograms only) lists the inclusive upper bounds of the
-    fixed buckets; an implicit ``+Inf`` bucket catches the rest. Bounds are
-    fixed at declaration time so snapshots are comparable across runs.
+    ``folds`` (distributions only) names the ``(event, attr)`` pairs whose
+    values are the family's samples: a distribution is not recorded, it is
+    folded from the events that already carry it
+    (:class:`repro.obs.render.Distributions`), live or from a trace.
     ``labels`` are the label keys every series of the family carries,
     sorted as snapshots render them; the scripted runs of
     ``tests/harness/test_event_stream_golden.py`` hold the emitters to
@@ -50,7 +52,7 @@ class MetricSpec:
     kind: str
     help: str
     unit: str = ""
-    buckets: Optional[Tuple[float, ...]] = None
+    folds: Tuple[Tuple[str, str], ...] = ()
     labels: Tuple[str, ...] = ()
     section: Optional[Section] = None
 
@@ -99,12 +101,6 @@ HARNESS = Section("Harness", "repro.harness.runner")
 FLEET = Section("Fleet simulation", "repro.harness.fleet")
 HEALTH = Section("SLO health", "repro.obs.health")
 TRACING = Section("Distributed tracing", "repro.obs.tracer")
-
-# Fixed bucket ladders. Bytes follow powers of four from 256 B to 16 MB;
-# virtual-time durations follow a coarse seconds ladder around the upload
-# delay (~3 s) and relation timeout (~2 s).
-BYTE_BUCKETS: Tuple[float, ...] = tuple(256.0 * 4**i for i in range(9))
-DURATION_BUCKETS: Tuple[float, ...] = (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0)
 
 
 METRICS: Tuple[MetricSpec, ...] = _catalog(
@@ -165,14 +161,6 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     ),
     MetricSpec(
         "client.pack.count", COUNTER, "write nodes packed (frozen) by the client", unit="ops"
-    ),
-    MetricSpec(
-        "client.pack.duration",
-        HISTOGRAM,
-        "virtual seconds a write node spent open (creation → pack): the "
-        "coalescing window it actually enjoyed",
-        unit="seconds",
-        buckets=DURATION_BUCKETS,
     ),
     MetricSpec(
         "client.upload.units", COUNTER, "upload units shipped to the channel", unit="ops"
@@ -272,17 +260,26 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     ),
     MetricSpec(
         "queue.node.payload_bytes",
-        HISTOGRAM,
+        DISTRIBUTION,
         "payload size of each shipped node",
         unit="bytes",
-        buckets=BYTE_BUCKETS,
+        folds=(("queue.node.shipped", "payload_bytes"),),
     ),
     MetricSpec(
         "queue.node.wait_time",
-        HISTOGRAM,
+        DISTRIBUTION,
         "virtual seconds from (last) enqueue to ship, per shipped node",
         unit="seconds",
-        buckets=DURATION_BUCKETS,
+        folds=(("queue.node.shipped", "waited"),),
+    ),
+    MetricSpec(
+        "queue.node.open_time",
+        DISTRIBUTION,
+        "virtual seconds a write node spent open (creation → pack), whether "
+        "a state change or the upload froze it: the coalescing window it "
+        "actually enjoyed",
+        unit="seconds",
+        folds=(("queue.node.packed", "open_for"),),
     ),
     RELATION,
     MetricSpec(
@@ -366,10 +363,10 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     ),
     MetricSpec(
         "channel.message.bytes",
-        HISTOGRAM,
+        DISTRIBUTION,
         "wire size of every message moved, either direction",
         unit="bytes",
-        buckets=BYTE_BUCKETS,
+        folds=(("channel.upload", "bytes"), ("channel.download", "bytes")),
     ),
     MetricSpec(
         "channel.faults.dropped",
@@ -500,11 +497,11 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     ),
     MetricSpec(
         "fleet.sync.latency",
-        HISTOGRAM,
+        DISTRIBUTION,
         "virtual seconds from a client write to its durable apply on the "
         "owning shard — debounce wait + shard queueing + service",
         unit="seconds",
-        buckets=DURATION_BUCKETS,
+        folds=(("fleet.sync.completed", "latency"),),
     ),
     MetricSpec(
         "fleet.shard.queue_depth",
@@ -657,8 +654,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "queue.node.packed",
         "event",
-        "a write node freezes (state change or upload-time)",
-        attrs=("path", "seq", "writes", "payload_bytes"),
+        "a write node freezes (state change or upload-time); `open_for` is "
+        "the virtual seconds since it was created",
+        attrs=("path", "seq", "writes", "payload_bytes", "open_for"),
     ),
     EventSpec(
         "queue.node.replaced_by_delta",
@@ -675,8 +673,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "queue.node.shipped",
         "event",
-        "a node leaves the queue for upload",
-        attrs=("path", "seq", "kind", "payload_bytes", "transactional"),
+        "a node leaves the queue for upload; `waited` is the virtual seconds "
+        "since its (last) enqueue",
+        attrs=("path", "seq", "kind", "payload_bytes", "transactional", "waited"),
     ),
     RELATION,
     EventSpec(

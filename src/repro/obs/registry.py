@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and fixed-bucket histograms.
+"""The metrics registry: counters and gauges.
 
 Mirrors the :class:`repro.cost.meter.CostMeter` pattern: instrumented code
 charges a registry object it was handed, and callers that do not measure
@@ -14,9 +14,13 @@ Design constraints (see ``docs/observability.md``):
   (``MetricSpec.labels``) but not policed here — the recording path stays
   as cheap as it is, and the scripted runs of
   ``tests/harness/test_event_stream_golden.py`` hold every emitter to them.
-- **No wall clock.** Nothing here reads ``time``; durations are observed
-  by callers from :class:`~repro.common.clock.VirtualClock`, keeping
-  snapshots deterministic under seeded runs.
+- **No wall clock.** Nothing here reads ``time``; values come from
+  callers on the :class:`~repro.common.clock.VirtualClock` timeline,
+  keeping snapshots deterministic under seeded runs.
+- **No distributions.** A ``DISTRIBUTION`` family is declared beside the
+  counters but never recorded here: its samples are attrs of events the
+  run already emits, folded exactly by
+  :class:`repro.obs.render.Distributions`.
 - **Deterministic snapshots.** :meth:`snapshot` orders families and label
   sets lexicographically; two identical seeded runs produce identical
   snapshots byte for byte.
@@ -26,19 +30,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.names import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
-    METRICS,
-    MetricSpec,
-)
+from repro.obs.names import COUNTER, GAUGE, METRICS, MetricSpec
 
 # A label set normalized to a sorted tuple of (key, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -57,49 +57,19 @@ def parse_series_name(rendered: str) -> Tuple[str, LabelKey]:
     return family, tuple((k, v) for k, _, v in (p.partition("=") for p in pairs))
 
 
-class _Histogram:
-    """Fixed-bucket histogram: counts per bucket plus sum and count."""
-
-    __slots__ = ("bounds", "counts", "total", "count")
-
-    def __init__(self, bounds: Tuple[float, ...]):
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # final slot is +Inf
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.total += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    def as_dict(self) -> Dict[str, object]:
-        buckets = {}
-        for bound, n in zip(self.bounds, self.counts):
-            buckets[f"le_{bound:g}"] = n
-        buckets["le_inf"] = self.counts[-1]
-        return {"count": self.count, "sum": self.total, "buckets": buckets}
-
-
 class MetricsRegistry:
     """Accumulates declared metrics for one run.
 
-    Counters, gauges, and histograms all take labels (e.g.
+    Counters and gauges take labels (e.g.
     ``inc("channel.up.bytes", size, type="UploadWrite")`` — the keys are
     the family's ``MetricSpec.labels``); each distinct label set is a
-    separate series under the declared family name. Every series of a
-    histogram family shares the family's declared buckets.
+    separate series under the declared family name.
     """
 
     def __init__(self, specs: Tuple[MetricSpec, ...] = METRICS):
         self._specs: Dict[str, MetricSpec] = {s.name: s for s in specs}
         self._counters: Dict[str, Dict[LabelKey, float]] = {}
         self._gauges: Dict[str, Dict[LabelKey, float]] = {}
-        self._histograms: Dict[str, Dict[LabelKey, _Histogram]] = {}
 
     # -- declaration -------------------------------------------------------
 
@@ -146,16 +116,6 @@ class MetricsRegistry:
         self._require(name, GAUGE)
         self._gauges.setdefault(name, {})[_label_key(labels)] = float(value)
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        """Record one sample into a histogram series."""
-        spec = self._require(name, HISTOGRAM)
-        series = self._histograms.setdefault(name, {})
-        key = _label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            hist = series[key] = _Histogram(spec.buckets or (1.0,))
-        hist.observe(value)
-
     # -- reading -----------------------------------------------------------
 
     def counter_value(self, name: str, **labels: object) -> float:
@@ -173,28 +133,11 @@ class MetricsRegistry:
         self._require(name, GAUGE)
         return self._gauges.get(name, {}).get(_label_key(labels))
 
-    def histogram(self, name: str, **labels: object) -> Optional[Dict[str, object]]:
-        """One histogram series as a dict, or ``None`` if never observed."""
-        self._require(name, HISTOGRAM)
-        hist = self._histograms.get(name, {}).get(_label_key(labels))
-        return None if hist is None else hist.as_dict()
-
-    def snapshot(self) -> Dict[str, object]:
-        """Deterministic flat view of every *touched* series.
-
-        Counters/gauges map rendered series name -> value; histograms map
-        rendered series name -> ``{count, sum, buckets}`` (the bare family
-        name when unlabelled). Keys are sorted, so equal runs produce
-        equal snapshots.
-        """
-        out: Dict[str, object] = dict(self.scalar_snapshot())
-        for name in sorted(self._histograms):
-            for key in sorted(self._histograms[name]):
-                out[_render_name(name, key)] = self._histograms[name][key].as_dict()
-        return out
-
-    def scalar_snapshot(self) -> Dict[str, float]:
-        """Only the counter/gauge series — what feeds ``RunResult.extra``."""
+    def snapshot(self) -> Dict[str, float]:
+        """Deterministic flat view of every *touched* series: rendered
+        series name -> value, counters first, then gauges, each sorted, so
+        equal runs produce equal snapshots. It is what feeds
+        ``RunResult.extra`` and the trace's snapshot record."""
         out: Dict[str, float] = {}
         for families in (self._counters, self._gauges):
             for name in sorted(families):
@@ -206,14 +149,12 @@ class MetricsRegistry:
         """Zero every series, keeping declarations."""
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
 
     def __repr__(self) -> str:
         series = sum(len(v) for v in self._counters.values()) + sum(
             len(v) for v in self._gauges.values()
         )
-        hists = sum(len(v) for v in self._histograms.values())
-        return f"MetricsRegistry({series} series, {hists} histograms)"
+        return f"MetricsRegistry({series} series)"
 
 
 class _NullRegistry(MetricsRegistry):
@@ -223,9 +164,6 @@ class _NullRegistry(MetricsRegistry):
         pass
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
         pass
 
 

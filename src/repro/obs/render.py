@@ -1,74 +1,105 @@
-"""Rendering a registry + tracer into human text or JSON.
+"""Rendering a registry + tracer into human text or JSON, and the exact
+distributions those reports print.
 
 ``text_report`` is what ``python -m repro replay ... --metrics`` prints;
 ``to_json`` is the machine-readable equivalent (snapshot + trace summary)
-for piping into other tools.
+for piping into other tools. :class:`Distributions` folds the catalog's
+``DISTRIBUTION`` families from event attrs, and
+:func:`distribution_table` prints them the same way for a live run
+(``text_report``) and a recorded one (``repro inspect --summary``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.report import format_table
+from repro.obs.export import format_number
+from repro.obs.health import quantile
+from repro.obs.names import METRICS
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
-def histogram_quantile(hist: Dict[str, object], q: float) -> float:
-    """Estimate the ``q``-quantile of a fixed-bucket histogram.
+class Distributions:
+    """Exact samples of every ``DISTRIBUTION`` family, folded from the
+    ``(event, attr)`` pairs its catalog entry names (``MetricSpec.folds``).
 
-    ``hist`` is the ``{count, sum, buckets}`` dict produced by
-    :meth:`repro.obs.registry.MetricsRegistry.histogram` (buckets are
-    per-bucket counts keyed ``le_<bound>`` / ``le_inf``, *not* cumulative).
-    The estimate interpolates linearly inside the bucket that holds the
-    target rank — the same convention Prometheus' ``histogram_quantile``
-    uses — so it is exact only at bucket boundaries. Samples past the last
-    finite bound clamp to that bound. Returns ``nan`` for an empty
-    histogram; ``q`` outside (0, 1] raises ``ValueError``.
+    :meth:`feed` sees each point event once: live from
+    :meth:`repro.obs.Observability.event`, offline from a loaded trace
+    (:meth:`of_trace`). A value that is not a number (an attr missing from
+    an older recording) is skipped. Nothing is bucketed, so every figure
+    of :meth:`rows` is an exact order statistic
+    (:func:`repro.obs.health.quantile`), and a run and its trace agree.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {q}")
-    total = int(hist.get("count", 0))
-    if total <= 0:
-        return float("nan")
-    bounds_counts: List[Tuple[float, int]] = []
-    for key, n in hist["buckets"].items():  # type: ignore[union-attr]
-        bound = math.inf if key == "le_inf" else float(key[len("le_"):])
-        bounds_counts.append((bound, int(n)))
-    bounds_counts.sort(key=lambda bc: bc[0])
-    rank = q * total
-    cumulative = 0
-    lower = 0.0
-    for bound, n in bounds_counts:
-        if cumulative + n >= rank and n > 0:
-            if math.isinf(bound):
-                # No upper edge to interpolate toward: clamp to the last
-                # finite bound (or its own lower edge when it is first).
-                return lower
-            fraction = (rank - cumulative) / n
-            return lower + (bound - lower) * fraction
-        cumulative += n
-        if not math.isinf(bound):
-            lower = bound
-    return lower
+
+    def __init__(self):
+        self.samples: Dict[str, List[float]] = {}
+        self._folds: Dict[str, List[Tuple[str, List[float]]]] = {}
+        for spec in METRICS:
+            for event, attr in spec.folds:
+                samples = self.samples.setdefault(spec.name, [])
+                self._folds.setdefault(event, []).append((attr, samples))
+
+    @classmethod
+    def of_trace(cls, doc) -> "Distributions":
+        """The fold of a loaded :class:`~repro.obs.analyze.TraceDoc`."""
+        fold = cls()
+        for record in doc.point_events():
+            fold.feed(record["name"], record.get("attrs", {}))
+        return fold
+
+    def feed(self, name: str, attrs: Dict[str, object]) -> None:
+        """Keep the folded attrs of one event named ``name``."""
+        for attr, samples in self._folds.get(name, ()):
+            value = attrs.get(attr)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                samples.append(value)
+
+    def rows(self) -> List[Tuple[str, int, float, float, float, float, float]]:
+        """``(family, count, mean, p50, p90, p99, max)`` of every family
+        with a sample, sorted by family name."""
+        out = []
+        for family in sorted(self.samples):
+            values = sorted(self.samples[family])
+            if values:
+                out.append((
+                    family,
+                    len(values),
+                    math.fsum(values) / len(values),
+                    quantile(values, 0.50),
+                    quantile(values, 0.90),
+                    quantile(values, 0.99),
+                    values[-1],
+                ))
+        return out
 
 
-def histogram_quantiles(
-    hist: Dict[str, object], qs: Sequence[float] = (0.5, 0.9, 0.99)
-) -> List[float]:
-    """:func:`histogram_quantile` for several quantiles at once."""
-    return [histogram_quantile(hist, q) for q in qs]
+def distribution_table(distributions: Distributions) -> str:
+    """The distributions section of a report (empty when nothing was fed):
+    exact figures, printed as :func:`repro.obs.export.format_number`
+    writes them."""
+    rows = distributions.rows()
+    if not rows:
+        return ""
+    return "-- distributions " + "-" * 39 + "\n" + format_table(
+        ["distribution", "count", "mean", "p50", "p90", "p99", "max"],
+        [[family, count, *map(format_number, figures)]
+         for family, count, *figures in rows],
+    )
 
 
 def text_report(
-    registry: MetricsRegistry, tracer: Optional[Tracer] = None
+    registry: MetricsRegistry,
+    tracer: Optional[Tracer] = None,
+    distributions: Optional[Distributions] = None,
 ) -> str:
-    """An aligned, deterministic text report of every touched series."""
+    """An aligned, deterministic text report of every touched series and
+    every fed distribution."""
     lines: List[str] = []
-    snapshot = registry.snapshot()
-    scalars = [(k, v) for k, v in snapshot.items() if isinstance(v, (int, float))]
+    scalars = registry.snapshot().items()
     if scalars:
         lines.append("-- metrics " + "-" * 45)
         lines.append(
@@ -77,35 +108,9 @@ def text_report(
                 [[name, f"{value:g}"] for name, value in scalars],
             )
         )
-    hists = [(k, v) for k, v in snapshot.items() if isinstance(v, dict)]
-    if hists:
-        lines.append("")
-        lines.append("-- histograms " + "-" * 42)
-        rows = []
-        for name, h in hists:
-            count = h["count"]
-            mean = (h["sum"] / count) if count else 0.0
-            p50, p90, p99 = histogram_quantiles(h)
-            populated = ",".join(
-                f"{bucket}:{n}" for bucket, n in h["buckets"].items() if n
-            )
-            rows.append(
-                [
-                    name,
-                    count,
-                    f"{mean:.3g}",
-                    f"{p50:.3g}",
-                    f"{p90:.3g}",
-                    f"{p99:.3g}",
-                    populated,
-                ]
-            )
-        lines.append(
-            format_table(
-                ["histogram", "count", "mean", "~p50", "~p90", "~p99", "buckets"],
-                rows,
-            )
-        )
+    table = distribution_table(distributions) if distributions is not None else ""
+    if table:
+        lines += ["", table]
     if tracer is not None:
         events = tracer.events()
         if events:

@@ -206,7 +206,7 @@ class TestPolicyObservability:
         policy = make_policy("static", "bitwise", obs=obs)
         plan = policy.plan("/f", 1000, 1000, UpdateStats(1000, 50))
         policy.observe_outcome("/f", plan, 400, 1000)
-        snap = obs.metrics.scalar_snapshot()
+        snap = obs.metrics.snapshot()
         assert any(k.startswith("policy.decisions") for k in snap)
         assert any(k.startswith("policy.estimate.rpc_bytes") for k in snap)
         assert any(k.startswith("policy.estimate.abs_error_bytes") for k in snap)

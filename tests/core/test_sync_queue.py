@@ -45,7 +45,7 @@ class TestWriteNodes:
     def test_pack_clears_hash_table(self):
         q = _queue()
         q.enqueue(_write_node(), now=0.0)
-        packed = q.pack("/f")
+        packed = q.pack("/f", now=1.0)
         assert packed is not None and packed.packed
         assert q.active_write_node("/f") is None
 
@@ -55,18 +55,18 @@ class TestWriteNodes:
         q.enqueue(_write_node(new_version=version), now=0.0)
         assert q.still_writing(version)
         assert not q.still_writing(VersionStamp(1, 6))
-        q.pack("/f")
+        q.pack("/f", now=1.0)
         assert not q.still_writing(version)
 
     def test_pack_missing_returns_none(self):
-        assert _queue().pack("/nope") is None
+        assert _queue().pack("/nope", now=0.0) is None
 
     def test_recreated_file_gets_fresh_node(self):
         # Section III-B: rename-away + recreate must not reuse the node
         q = _queue()
         first = q.enqueue(_write_node(), now=0.0)
         first.add_write(0, b"old")
-        q.pack("/f")
+        q.pack("/f", now=1.0)
         second = q.enqueue(_write_node(), now=0.1)
         second.add_write(0, b"new")
         assert q.active_write_node("/f") is second
@@ -450,7 +450,7 @@ class TestPackedNodeGuard:
         q = SyncQueue()
         node = q.enqueue(WriteNode(path="/f"), now=0.0)
         node.add_write(0, b"ok")
-        q.pack("/f")
+        q.pack("/f", now=1.0)
         with pytest.raises(PackedNodeError) as excinfo:
             node.add_write(2, b"no")
         assert excinfo.value.path == "/f"
@@ -465,7 +465,7 @@ class TestPackedNodeGuard:
         q = SyncQueue()
         node = q.enqueue(WriteNode(path="/f"), now=0.0)
         node.add_write(0, b"ok")
-        q.pack("/f")
+        q.pack("/f", now=1.0)
         with pytest.raises(PackedNodeError):
             q.note_coalesced(node, 2, 2)
 
@@ -600,13 +600,46 @@ class TestDrainDue:
             q = self._populated()
             q.obs = obs
             drain(q)
-            metrics = obs.metrics.scalar_snapshot()
+            metrics = obs.metrics.snapshot()
             return {
                 k: v
                 for k, v in metrics.items()
                 if k.startswith("queue.")
-            }
+            }, obs.distributions.rows()
 
         batched = run(lambda q: q.drain_due(10.0))
         per_node = run(lambda q: self._drain_with_next_unit(q, 10.0))
         assert batched == per_node
+
+
+class TestTelemetryTimes:
+    """``open_for`` on ``queue.node.packed`` and ``waited`` on
+    ``queue.node.shipped`` are read on the caller's clock — never the
+    far-future one ``drain_all`` drains with."""
+
+    def _observed(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        return SyncQueue(upload_delay=3.0, obs=obs), obs
+
+    def _attrs(self, obs, name):
+        return [e.attrs for e in obs.tracer.events() if e.name == name]
+
+    def test_a_state_change_pack_reads_the_callers_now(self):
+        q, obs = self._observed()
+        q.enqueue(WriteNode(path="/f"), now=1.0)
+        q.pack("/f", now=2.5)
+        (packed,) = self._attrs(obs, "queue.node.packed")
+        assert packed["open_for"] == 1.5
+
+    def test_an_upload_time_pack_reads_the_drain_now(self):
+        q, obs = self._observed()
+        q.enqueue(WriteNode(path="/f"), now=1.0)
+        q.enqueue(WriteNode(path="/g"), now=2.0)
+        assert len(q.drain_due(now=4.5)) == 1
+        assert len(q.drain_all(now=6.0)) == 1
+        assert [a["open_for"] for a in self._attrs(obs, "queue.node.packed")] == [3.5, 4.0]
+        assert [a["waited"] for a in self._attrs(obs, "queue.node.shipped")] == [3.5, 4.0]
+        assert obs.distributions.samples["queue.node.open_time"] == [3.5, 4.0]
+        assert obs.distributions.samples["queue.node.wait_time"] == [3.5, 4.0]

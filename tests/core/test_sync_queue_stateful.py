@@ -72,7 +72,7 @@ class SyncQueueMachine(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def pack(self, path):
-        self.queue.pack(path)
+        self.queue.pack(path, self.now)
 
     @rule(path=st.sampled_from(PATHS))
     def replace_with_delta(self, path):
@@ -92,7 +92,7 @@ class SyncQueueMachine(RuleBasedStateMachine):
     def cancel(self, path):
         doomed = self.queue.pending_nodes(path)
         if doomed:
-            self.queue.pack(path)
+            self.queue.pack(path, self.now)
             self.queue.cancel_nodes(doomed)
             self.removed_seqs.update(n.seq for n in doomed)
 

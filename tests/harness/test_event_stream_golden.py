@@ -31,7 +31,7 @@ from repro.harness.fleet import FleetSpec, run_fleet
 from repro.harness.runner import run_trace
 from repro.kvstore.kv import MemoryKV
 from repro.obs import Observability, Tracer
-from repro.obs.names import EVENT_NAMES, METRIC_NAMES, event_spec, metric_spec
+from repro.obs.names import DISTRIBUTION, EVENT_NAMES, METRICS, event_spec, metric_spec
 from repro.obs.registry import parse_series_name
 from repro.server.cloud import CloudServer
 from repro.server.shard import ShardRouter
@@ -352,8 +352,9 @@ def test_event_stream_bit_identical(golden, case):
 def test_emitted_attrs_are_the_catalogs(golden):
     """The docs are rendered from the catalog; this checks the catalog
     against the emitters: every span start and point event of every run
-    carries exactly its ``EventSpec.attrs``, in order, and every metric
-    series exactly its ``MetricSpec.labels``."""
+    carries exactly its ``EventSpec.attrs``, in order, every metric
+    series exactly its ``MetricSpec.labels``, and every distribution
+    folds events some run emits."""
     seen, touched = set(), set()
     runs = {case: _ran(case)[1:] for case in CASES}
     runs["small-fleet"] = _small_fleet()[1:]
@@ -364,7 +365,10 @@ def test_emitted_attrs_are_the_catalogs(golden):
         assert _label_drift(series, metric_spec) == [], case
         touched.update(family for family, _ in series)
     assert sorted(set(EVENT_NAMES) - seen) == NEVER_EMITTED
-    assert sorted(set(METRIC_NAMES) - touched) == NEVER_TOUCHED
+    recorded = {s.name for s in METRICS if s.kind != DISTRIBUTION}
+    assert sorted(recorded - touched) == NEVER_TOUCHED
+    folded = {event for s in METRICS for event, _ in s.folds}
+    assert folded <= seen
 
     # The check bites: one wrong label key in a copy of one spec is found.
     def planted(family):

@@ -65,7 +65,7 @@ class TestGeditTraceSequence:
 
     def test_scalar_snapshot_lands_in_run_result_extra(self):
         obs, result = run_instrumented(saves=3)
-        for key, value in obs.metrics.scalar_snapshot().items():
+        for key, value in obs.metrics.snapshot().items():
             assert result.extra[key] == value
 
     def test_run_span_brackets_the_phases(self):
@@ -84,7 +84,7 @@ class TestContract:
         obs, _ = run_instrumented(saves=3)
         declared = set(EVENT_NAMES)
         assert set(obs.tracer.event_names()) <= declared
-        for key in obs.metrics.scalar_snapshot():
+        for key in obs.metrics.snapshot():
             family = key.split("{", 1)[0]
             assert family in METRIC_NAMES
 

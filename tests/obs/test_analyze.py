@@ -119,6 +119,19 @@ class TestLoader:
             with pytest.raises(TraceFormatError, match="^line 1: "):
                 load_trace_lines([line])
 
+    def test_a_snapshot_holds_numbers_only(self):
+        """A snapshot's ``metrics`` map series to numbers; an object value
+        (the bucket dict an old histogram wrote) is a clean format error."""
+        bucketed = json.dumps({"type": "snapshot", "ts": 1.0, "metrics": {
+            "client.pack.count": 2.0,
+            "channel.message.bytes": {"count": 1, "sum": 9.0, "buckets": {}},
+        }})
+        with pytest.raises(TraceFormatError, match="values must be numbers"):
+            load_trace_lines([bucketed])
+        doc = load_trace_lines([json.dumps(
+            {"type": "snapshot", "ts": 1.0, "metrics": {"client.pack.count": 2}})])
+        assert doc.snapshot["metrics"] == {"client.pack.count": 2}
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutated_recordings_load_or_fail_cleanly(self, data):

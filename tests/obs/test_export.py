@@ -93,28 +93,14 @@ class TestOpenMetrics:
         assert '# TYPE channel_up_bytes counter' in text
         assert 'channel_up_bytes_total{type="UploadWrite"} 123' in text
 
-    def test_histogram_buckets_cumulative(self):
-        reg = MetricsRegistry()
-        for value in (100, 2000, 2000, 10**8):
-            reg.observe("channel.message.bytes", value)
-        text = registry_openmetrics(reg)
-        assert 'channel_message_bytes_bucket{le="256"} 1' in text
-        assert 'channel_message_bytes_bucket{le="4096"} 3' in text
-        assert 'channel_message_bytes_bucket{le="+Inf"} 4' in text
-        assert "channel_message_bytes_count 4" in text
-        assert check_openmetrics(text) == []
-
-    def test_labelled_histogram_series_export_separately(self):
-        reg = MetricsRegistry()
-        reg.observe("fleet.sync.latency", 0.1, shard=0)
-        reg.observe("fleet.sync.latency", 0.1, shard=0)
-        reg.observe("fleet.sync.latency", 500.0, shard=1)
-        text = registry_openmetrics(reg)
-        assert 'fleet_sync_latency_bucket{shard="0",le="+Inf"} 2' in text
-        assert 'fleet_sync_latency_bucket{shard="1",le="+Inf"} 1' in text
-        assert 'fleet_sync_latency_count{shard="0"} 2' in text
-        assert 'fleet_sync_latency_count{shard="1"} 1' in text
-        assert 'fleet_sync_latency_sum{shard="1"} 500' in text
+    def test_distributions_stay_out_of_the_exposition(self):
+        """The snapshot holds counters and gauges; a distribution's exact
+        figures are folded from the trace, so none is exposed here."""
+        obs = recorded_obs()
+        assert obs.distributions.samples["channel.message.bytes"]
+        text = registry_openmetrics(obs.metrics)
+        assert "channel_message_bytes" not in text
+        assert "_bucket" not in text
         assert check_openmetrics(text) == []
 
     def test_from_embedded_snapshot(self):

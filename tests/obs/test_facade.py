@@ -24,22 +24,25 @@ def test_facade_helpers_delegate():
     obs = Observability()
     obs.inc("client.pack.count", 2)
     obs.set_gauge("queue.depth", 1)
-    obs.observe("client.pack.duration", 0.5)
     with obs.span("client.pack", path="/f"):
         obs.event("queue.node.packed", path="/f", seq=1, writes=1,
-                  payload_bytes=8)
+                  payload_bytes=8, open_for=0.5)
     assert obs.metrics.counter_value("client.pack.count") == 2.0
     assert obs.tracer.event_names() == [
         "client.pack", "queue.node.packed", "client.pack",
     ]
+    # An event also feeds the distribution fold.
+    assert obs.distributions.samples["queue.node.open_time"] == [0.5]
 
 
 def test_report_and_json_render():
     obs = Observability()
     obs.inc("channel.up.bytes", 1024, type="UploadWrite")
-    obs.observe("channel.message.bytes", 1024)
+    obs.event("channel.upload", type="UploadWrite", path="/f", bytes=1024,
+              done_at=0.0)
     report = obs.report()
     assert "channel.up.bytes{type=UploadWrite}" in report
+    assert "channel.message.bytes" in report
     payload = json.loads(obs.to_json())
     assert payload["metrics"]["channel.up.bytes{type=UploadWrite}"] == 1024.0
 
@@ -48,12 +51,12 @@ def test_null_obs_is_disabled_and_inert():
     assert NULL_OBS.enabled is False
     assert Observability().enabled is True
     NULL_OBS.inc("not.even.declared")
-    NULL_OBS.observe("nope", 1)
     with NULL_OBS.span("whatever"):
         NULL_OBS.event("whatever.else")
     NULL_OBS.bind_clock(VirtualClock())
     assert NULL_OBS.metrics.snapshot() == {}
     assert NULL_OBS.tracer.events() == []
+    assert NULL_OBS.distributions.rows() == []
 
 
 def test_catalogs_have_no_duplicates():

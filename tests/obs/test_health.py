@@ -449,23 +449,15 @@ class TestFleetResultHealth:
 
     def test_fleet_quantiles_are_the_recorded_order_statistics(self):
         from repro.harness.fleet import FleetSpec, run_fleet
-        from repro.obs import Observability
+        from repro.obs import Observability, Tracer
 
-        class Recording(Observability):
-            """Keeps every ``fleet.sync.latency`` sample the driver observes."""
-
-            def __init__(self):
-                super().__init__()
-                self.latencies = []
-
-            def observe(self, name, value, **labels):
-                if name == "fleet.sync.latency":
-                    self.latencies.append(value)
-                super().observe(name, value, **labels)
-
-        obs = Recording()
+        obs = Observability(tracer=Tracer())  # buffered: the events stay
         result = run_fleet(FleetSpec(n_clients=200, n_shards=4), obs=obs)
-        values = sorted(obs.latencies)
+        values = sorted(
+            e.attrs["latency"]
+            for e in obs.tracer.events()
+            if e.name == "fleet.sync.completed"
+        )
         assert len(values) == result.writes
         for q, reported in (
             (0.50, result.p50_latency),

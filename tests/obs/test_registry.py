@@ -1,18 +1,18 @@
-"""MetricsRegistry: declared-names enforcement, labels, histograms,
-deterministic snapshots, and the zero-cost null registry."""
+"""MetricsRegistry: declared-names enforcement, labels, deterministic
+snapshots, the zero-cost null registry, and the catalog's folds."""
 
 import pytest
 
 from repro.obs.names import (
-    BYTE_BUCKETS,
     COUNTER,
+    DISTRIBUTION,
+    EVENTS_BY_NAME,
     GAUGE,
-    HISTOGRAM,
     METRIC_NAMES,
+    METRICS,
     MetricSpec,
-    metric_spec,
 )
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, _Histogram
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 
 def test_counter_accumulates():
@@ -46,8 +46,6 @@ def test_undeclared_name_raises_keyerror():
         reg.inc("client.made.up")
     with pytest.raises(KeyError):
         reg.set_gauge("nope.nope", 1)
-    with pytest.raises(KeyError):
-        reg.observe("nope.hist", 1)
 
 
 def test_kind_mismatch_raises_typeerror():
@@ -55,7 +53,7 @@ def test_kind_mismatch_raises_typeerror():
     with pytest.raises(TypeError):
         reg.inc("queue.depth")  # gauge, not counter
     with pytest.raises(TypeError):
-        reg.observe("client.pack.count", 1.0)  # counter, not histogram
+        reg.inc("fleet.sync.latency")  # a distribution is folded, not recorded
     with pytest.raises(TypeError):
         reg.set_gauge("client.pack.count", 1.0)
 
@@ -68,70 +66,6 @@ def test_gauge_set_overwrites():
     assert reg.gauge_value("queue.depth") == 2.0
 
 
-def test_histogram_bucketing_edges():
-    hist = _Histogram((10.0, 100.0))
-    hist.observe(10.0)   # on the boundary -> le_10
-    hist.observe(10.5)   # -> le_100
-    hist.observe(1000.0)  # -> le_inf
-    state = hist.as_dict()
-    assert state["count"] == 3
-    assert state["sum"] == pytest.approx(1020.5)
-    assert state["buckets"] == {"le_10": 1, "le_100": 1, "le_inf": 1}
-
-
-def test_histogram_labels_are_independent_series():
-    """Regression: observe() used to drop its labels, folding every
-    shard's samples into one bare family series."""
-    reg = MetricsRegistry()
-    reg.observe("fleet.sync.latency", 1.0, shard=0)
-    reg.observe("fleet.sync.latency", 2.0, shard=0)
-    reg.observe("fleet.sync.latency", 9.0, shard=1)
-    s0 = reg.histogram("fleet.sync.latency", shard=0)
-    s1 = reg.histogram("fleet.sync.latency", shard=1)
-    assert s0["count"] == 2 and s0["sum"] == pytest.approx(3.0)
-    assert s1["count"] == 1 and s1["sum"] == pytest.approx(9.0)
-    # The unlabelled series is distinct and was never touched.
-    assert reg.histogram("fleet.sync.latency") is None
-
-
-def test_labelled_histogram_series_share_family_buckets():
-    reg = MetricsRegistry()
-    reg.observe("queue.node.payload_bytes", 200, kind="WriteNode")
-    reg.observe("queue.node.payload_bytes", 500, kind="MetaNode")
-    for kind in ("WriteNode", "MetaNode"):
-        state = reg.histogram("queue.node.payload_bytes", kind=kind)
-        assert set(state["buckets"]) == {
-            f"le_{b:g}" for b in BYTE_BUCKETS
-        } | {"le_inf"}
-
-
-def test_labelled_histograms_render_in_snapshot():
-    reg = MetricsRegistry()
-    reg.observe("fleet.sync.latency", 2.0, shard=1)
-    reg.observe("fleet.sync.latency", 1.0, shard=0)
-    snap = reg.snapshot()
-    keys = [k for k in snap if k.startswith("fleet.sync.latency")]
-    assert keys == [
-        "fleet.sync.latency{shard=0}",
-        "fleet.sync.latency{shard=1}",
-    ]
-    assert snap["fleet.sync.latency{shard=0}"]["count"] == 1
-    assert snap["fleet.sync.latency{shard=1}"]["sum"] == pytest.approx(2.0)
-
-
-def test_histogram_uses_declared_buckets():
-    reg = MetricsRegistry()
-    spec = metric_spec("queue.node.payload_bytes")
-    assert spec.kind == HISTOGRAM
-    assert spec.buckets == BYTE_BUCKETS
-    reg.observe("queue.node.payload_bytes", 256)
-    reg.observe("queue.node.payload_bytes", 257)
-    state = reg.histogram("queue.node.payload_bytes")
-    assert state["buckets"]["le_256"] == 1
-    assert state["buckets"]["le_1024"] == 1
-    assert state["count"] == 2
-
-
 def test_snapshot_is_sorted_and_deterministic():
     def build():
         reg = MetricsRegistry()
@@ -139,25 +73,20 @@ def test_snapshot_is_sorted_and_deterministic():
         reg.inc("server.apply.applied", 1, type="B")
         reg.inc("server.apply.applied", 2, type="A")
         reg.set_gauge("queue.depth", 3)
-        reg.observe("client.pack.duration", 0.5)
         return reg
 
     a, b = build(), build()
     assert a.snapshot() == b.snapshot()
     keys = list(a.snapshot())
-    # Each group (counters, then gauges, then histograms) is sorted, so
-    # identical runs serialize identically.
+    # Each group (counters, then gauges) is sorted, so identical runs
+    # serialize identically.
     assert keys == [
         "server.apply.applied{type=A}",
         "server.apply.applied{type=B}",
         "queue.depth",
-        "client.pack.duration",
     ]
     assert a.snapshot()["server.apply.applied{type=A}"] == 2.0
-    # scalar_snapshot drops histograms only.
-    scal = a.scalar_snapshot()
-    assert "client.pack.duration" not in scal
-    assert scal["queue.depth"] == 3.0
+    assert a.snapshot()["queue.depth"] == 3.0
 
 
 def test_declare_custom_metric_and_conflict():
@@ -181,7 +110,6 @@ def test_reset_keeps_declarations():
 def test_null_registry_discards_everything():
     NULL_REGISTRY.inc("client.pack.count", 10)
     NULL_REGISTRY.set_gauge("queue.depth", 10)
-    NULL_REGISTRY.observe("client.pack.duration", 10)
     # Even undeclared names are silently ignored on the disabled path.
     NULL_REGISTRY.inc("totally.undeclared")
     assert NULL_REGISTRY.snapshot() == {}
@@ -196,3 +124,22 @@ def test_catalog_names_follow_the_scheme():
                             "run", "policy", "fleet", "trace", "health"}, name
         for part in parts:
             assert part == part.lower(), name
+
+
+def test_every_fold_names_a_declared_event_attr():
+    """A distribution's samples are attrs of point events the run already
+    emits: each ``(event, attr)`` pair names a declared event and one of
+    its declared attrs, and only distributions fold."""
+    distributions = [spec for spec in METRICS if spec.kind == DISTRIBUTION]
+    assert {spec.name for spec in distributions} == {
+        "channel.message.bytes",
+        "fleet.sync.latency",
+        "queue.node.open_time",
+        "queue.node.payload_bytes",
+        "queue.node.wait_time",
+    }
+    for spec in METRICS:
+        assert bool(spec.folds) == (spec.kind == DISTRIBUTION), spec.name
+        for event, attr in spec.folds:
+            assert EVENTS_BY_NAME[event].kind == "event", (spec.name, event)
+            assert attr in EVENTS_BY_NAME[event].attrs, (spec.name, event, attr)

@@ -31,6 +31,8 @@ def metric_table(section: names.Section) -> str:
             kind = spec.kind + (f" ({spec.unit})" if spec.unit else "")
             if labels:
                 kind += f", label{'s' * (len(spec.labels) > 1)} {labels}"
+            if spec.folds:
+                kind += " of " + ", ".join(f"`{e}` `{a}`" for e, a in spec.folds)
             rows.append((f"`{spec.name}`", kind, spec.help))
     heading = f"### {section.title} (`{section.module}`)"
     return f"{heading}\n\n{gendoc.table(('metric', 'kind', 'meaning'), rows)}"
