@@ -399,6 +399,22 @@ class EnvelopeAck(Message):
     duplicate: bool = False
 
 
+_MSG_ID = wire.Schema("msg id", wire.u64be("msg_id"), scalar=True)
+
+
+@_message(wire.items("held", _MSG_ID, wire.u32be))
+class EnvelopeSack(Message):
+    """Downlink selective ack: the envelopes the receiver holds, unapplied.
+
+    Sent once per delivery round that leaves envelopes parked behind a
+    gap in the msg-id sequence. It says "received", not "applied": the
+    sender suspends those envelopes' retransmit timers, and still retires
+    each one only at its :class:`EnvelopeAck`, whose replies it carries.
+    """
+
+    held: Sequence[int] = ()
+
+
 @_message(wire.u32be("origin_client"), wire.nested("inner", wire.SIZED))
 class Forward(Message):
     """Cloud-to-client fan-out of another client's incremental data.

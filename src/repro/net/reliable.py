@@ -7,16 +7,28 @@ link that restores exactly-once *effect* over at-least-once *delivery*:
 
 - every uplink message is wrapped in an :class:`~repro.net.messages.Envelope`
   carrying a per-client monotonic ``msg_id``;
-- the server acks each envelope with an
-  :class:`~repro.net.messages.EnvelopeAck` that carries its replies, and
-  deduplicates retransmits by ``(origin_client, msg_id)``
-  (``CloudServer.handle_envelope``);
 - unacked envelopes are retransmitted after a timeout that backs off
   exponentially with seeded jitter, from a bounded in-flight window —
   messages past the window wait in an outbox, preserving send order;
-- delivery is re-sequenced by msg_id before application: an envelope that
-  overtakes a lost predecessor parks (unacked) until the gap fills, so the
-  Sync Queue's causal FIFO order survives link reordering.
+- the server deduplicates retransmits by ``(origin_client, msg_id)``
+  (``CloudServer.handle_envelope``).
+
+The receiving end is its own class, :class:`ReceiveHalf`, which names no
+direction. It re-sequences delivery by msg_id, so the Sync Queue's causal
+FIFO order survives link reordering, and it answers on the way back in
+two ways:
+
+- an :class:`~repro.net.messages.EnvelopeAck` per *applied* envelope,
+  carrying the server's replies. Only this retires an envelope: the
+  sender's ``on_ack`` (the journal retires the unit) and ``on_reply`` fire
+  here, once per msg_id;
+- an :class:`~repro.net.messages.EnvelopeSack` per delivery round that
+  leaves envelopes parked behind a lost predecessor, naming them. The
+  sender suspends those envelopes' timers, so one lost envelope costs one
+  retransmit, not the window held behind it. The next ack that retires
+  any envelope re-arms every suspended timer, and a suspended timer never
+  sleeps past ``RetryPolicy.max_backoff``: a lost SACK or a lost ack still
+  ends in a retransmit, which the server's dedup window answers.
 
 Its read-style ``call`` and its ``subscribe`` are the ones every link
 shares (:class:`~repro.net.link.Link`): charged, not faulted.
@@ -33,11 +45,11 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRandom
 from repro.net.link import Link
-from repro.net.messages import Envelope, EnvelopeAck, Message
+from repro.net.messages import Envelope, EnvelopeAck, EnvelopeSack, Message
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 from repro.obs.tracer import TraceContext
@@ -89,13 +101,15 @@ class RetryPolicy:
 
 @dataclass
 class TransportStats:
-    """Cumulative delivery-protocol counters for one transport."""
+    """Cumulative delivery-protocol counters for one transport
+    (``sacks``: selective acks received)."""
 
     sent: int = 0
     retransmits: int = 0
     timeouts: int = 0
     acked: int = 0
     dup_acks: int = 0
+    sacks: int = 0
 
 
 @dataclass
@@ -109,6 +123,72 @@ class _InFlight:
     next_retry_at: float
     timeout: float
     ctx: Optional[TraceContext] = None  # sender-side span identity, uncosted
+
+
+#: What one direction's sender puts on the wire and the other side's
+#: receiver delivers: ``(deliver_at, tiebreak, message)`` heap entries. The
+#: tiebreak makes heap order — hence apply order — deterministic for equal
+#: times.
+Transit = List[Tuple[float, int, Message]]
+
+
+class ReceiveHalf:
+    """The receiving end of the envelope protocol, for either direction.
+
+    Envelopes go through ``apply`` (which returns ``(replies, duplicate)``)
+    strictly in msg-id order, starting at ``next_deliver``. One that
+    overtook a lost predecessor is held in the reorder buffer until the
+    gap fills. Each applied envelope is answered with an
+    :class:`~repro.net.messages.EnvelopeAck`, and one already applied (a
+    retransmit or a duplicate copy) with ``apply``'s cached answer, so a
+    lost ack is recoverable. A delivery round that leaves envelopes held
+    also sends one :class:`~repro.net.messages.EnvelopeSack` naming them.
+    Answers go out on ``transmit`` (a channel's ``transmit_up`` or
+    ``transmit_down``) and wait in :attr:`transit` for the sender.
+    """
+
+    def __init__(
+        self,
+        transmit: Callable[[Message, float], List[float]],
+        apply: Callable[[Envelope], Tuple[Sequence[Message], bool]],
+        next_deliver: int,
+    ):
+        self._transmit = transmit
+        self._apply = apply
+        self.next_deliver = next_deliver
+        self.held: Dict[int, Envelope] = {}
+        self.transit: Transit = []
+        self._seq = 0
+
+    def deliver(self, arrivals: Iterable[Tuple[float, Envelope]]) -> None:
+        """One delivery round: ``arrivals`` are ``(deliver_at, envelope)``
+        in arrival order."""
+        last = None
+        for deliver_at, envelope in arrivals:
+            last = deliver_at
+            if envelope.msg_id < self.next_deliver:
+                self._ack(envelope, deliver_at)
+                continue
+            self.held.setdefault(envelope.msg_id, envelope)
+            while self.next_deliver in self.held:
+                self._ack(self.held.pop(self.next_deliver), deliver_at)
+                self.next_deliver += 1
+        if last is not None and self.held:
+            self._send(EnvelopeSack(held=tuple(sorted(self.held))), last)
+
+    def _ack(self, envelope: Envelope, deliver_at: float) -> None:
+        replies, duplicate = self._apply(envelope)
+        self._send(
+            EnvelopeAck(
+                ack_of=envelope.msg_id, replies=tuple(replies), duplicate=duplicate
+            ),
+            deliver_at,
+        )
+
+    def _send(self, message: Message, now: float) -> None:
+        for arrive_at in self._transmit(message, now):
+            self._seq += 1
+            heapq.heappush(self.transit, (arrive_at, self._seq, message))
 
 
 class ReliableTransport(Link):
@@ -159,16 +239,14 @@ class ReliableTransport(Link):
         self._next_msg_id = self.last_msg_id + 1
         self._outbox: Deque[Tuple[int, Message, Optional[TraceContext]]] = deque()
         self._inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
-        # In-order apply: envelopes that arrived ahead of a gap (a lost
-        # lower msg_id still being retransmitted) park here unacked until
-        # the gap fills — the sync protocol's causal FIFO guarantee must
-        # survive link reordering.
-        self._reorder_buffer: Dict[int, Envelope] = {}
-        self._next_deliver = self._next_msg_id
-        # Transit heaps: (deliver_at, tiebreak, payload). The tiebreak makes
-        # heap order — hence apply order — deterministic for equal times.
-        self._up_transit: List[Tuple[float, int, Envelope]] = []
-        self._down_transit: List[Tuple[float, int, EnvelopeAck]] = []
+        # Entries whose timers a SACK suspended, until an ack re-arms them.
+        self._suspended: Dict[int, _InFlight] = {}
+        self._receiver = ReceiveHalf(
+            channel.transmit_down,
+            lambda envelope: self.server.handle_envelope(envelope, self.client_id),
+            self._next_msg_id,
+        )
+        self._up_transit: Transit = []
         self._transit_seq = 0
         # (send_time, msg_id, attempt) per retransmission — the schedule
         # identity the determinism tests assert on.
@@ -209,7 +287,10 @@ class ReliableTransport(Link):
     def idle(self) -> bool:
         """True when nothing is in flight, queued, or in transit."""
         return not (
-            self._inflight or self._outbox or self._up_transit or self._down_transit
+            self._inflight
+            or self._outbox
+            or self._up_transit
+            or self._receiver.transit
         )
 
     @property
@@ -226,11 +307,12 @@ class ReliableTransport(Link):
         """Advance the protocol to virtual time ``now``.
 
         Order matters and is fixed: deliver uplink copies that have arrived
-        (the server acks each), then deliver acks (retiring in-flight
-        entries and surfacing replies), then refill the window from the
-        outbox, then retransmit every envelope whose timer expired.
+        (the receive half acks and SACKs them), then deliver acks and SACKs
+        (retiring or suspending in-flight entries and surfacing replies),
+        then refill the window from the outbox, then retransmit every
+        envelope whose timer expired.
         """
-        self._deliver_uplink(now)
+        self._receiver.deliver(self._arrived(self._up_transit, now))
         self._deliver_acks(now)
         self._refill_window(now)
         self._retransmit_due(now)
@@ -304,37 +386,25 @@ class ReliableTransport(Link):
                 type=type(entry.message).__name__,
             )
 
-    def _deliver_uplink(self, now: float) -> None:
-        while self._up_transit and self._up_transit[0][0] <= now:
-            deliver_at, _, envelope = heapq.heappop(self._up_transit)
-            if envelope.msg_id < self._next_deliver:
-                # Already applied — the server's dedup cache answers, and
-                # the (possibly lost) original ack is re-sent.
-                self._apply_and_ack(envelope, deliver_at)
-                continue
-            self._reorder_buffer.setdefault(envelope.msg_id, envelope)
-            while self._next_deliver in self._reorder_buffer:
-                ready = self._reorder_buffer.pop(self._next_deliver)
-                self._apply_and_ack(ready, deliver_at)
-                self._next_deliver += 1
-
-    def _apply_and_ack(self, envelope: Envelope, deliver_at: float) -> None:
-        replies, duplicate = self.server.handle_envelope(envelope, self.client_id)
-        ack = EnvelopeAck(
-            ack_of=envelope.msg_id, replies=tuple(replies), duplicate=duplicate
-        )
-        for ack_at in self.channel.transmit_down(ack, deliver_at):
-            self._transit_seq += 1
-            heapq.heappush(self._down_transit, (ack_at, self._transit_seq, ack))
+    @staticmethod
+    def _arrived(transit: Transit, now: float) -> Iterable[Tuple[float, Message]]:
+        """Pop, in arrival order, every copy in ``transit`` landed by ``now``."""
+        while transit and transit[0][0] <= now:
+            arrive_at, _, message = heapq.heappop(transit)
+            yield arrive_at, message
 
     def _deliver_acks(self, now: float) -> None:
-        while self._down_transit and self._down_transit[0][0] <= now:
-            _, _, ack = heapq.heappop(self._down_transit)
-            entry = self._inflight.pop(ack.ack_of, None)
+        for _, answer in self._arrived(self._receiver.transit, now):
+            if type(answer) is EnvelopeSack:
+                self._suspend(answer.held, now)
+                continue
+            entry = self._inflight.pop(answer.ack_of, None)
             if entry is None:
                 self.stats.dup_acks += 1
                 self.obs.inc("transport.dup_acks")
                 continue
+            if self._suspended:
+                self._rearm(now)
             self.stats.acked += 1
             if self.obs.enabled:
                 self.obs.inc("transport.acked")
@@ -346,8 +416,25 @@ class ReliableTransport(Link):
                 )
             if self.on_ack is not None:
                 self.on_ack(entry.msg_id)
-            if self.on_reply is not None and ack.replies:
-                self.on_reply(ack.replies)
+            if self.on_reply is not None and answer.replies:
+                self.on_reply(answer.replies)
+
+    def _suspend(self, held: Sequence[int], now: float) -> None:
+        """The receiver holds ``held``: their timers wait for an ack, but
+        no longer than the backoff ceiling."""
+        self.stats.sacks += 1
+        wake = now + self.policy.max_backoff
+        for msg_id in held:
+            entry = self._inflight.get(msg_id)
+            if entry is not None:
+                entry.next_retry_at = wake
+                self._suspended[msg_id] = entry
+
+    def _rearm(self, now: float) -> None:
+        """An ack arrived: restart every suspended timer at its timeout."""
+        for entry in self._suspended.values():
+            entry.next_retry_at = now + entry.timeout
+        self._suspended.clear()
 
     def _refill_window(self, now: float) -> None:
         while self._outbox and len(self._inflight) < self.policy.window:
@@ -377,6 +464,7 @@ class ReliableTransport(Link):
                         waited=entry.timeout,
                     )
                 self.retransmit_log.append((now, entry.msg_id, entry.attempts + 1))
+                self._suspended.pop(entry.msg_id, None)
                 self._transmit(entry, now)
 
     def _note_depth(self) -> None:

@@ -118,7 +118,10 @@ class Observability:
 
     def event(self, name: str, **attrs: object) -> None:
         self.tracer.event(name, **attrs)
-        self.distributions.feed(name, attrs)
+        fold = self.distributions
+        # The span walk is the dearer test, and most events fold nowhere.
+        if name in fold.events and not self.tracer.within(fold.UNMEASURED):
+            fold.feed(name, attrs)
 
     def report(self) -> str:
         """The text report for this run (see :func:`repro.obs.render.text_report`)."""

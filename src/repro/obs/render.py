@@ -29,11 +29,17 @@ class Distributions:
 
     :meth:`feed` sees each point event once: live from
     :meth:`repro.obs.Observability.event`, offline from a loaded trace
-    (:meth:`of_trace`). A value that is not a number (an attr missing from
-    an older recording) is skipped. Nothing is bucketed, so every figure
-    of :meth:`rows` is an exact order statistic
-    (:func:`repro.obs.health.quantile`), and a run and its trace agree.
+    (:meth:`of_trace`). Both skip the events under the :data:`UNMEASURED`
+    span, whose window the registry drops when it ends (the harness resets
+    it), so the two halves of a ``--metrics`` report count one window. A
+    value that is not a number (an attr missing from an older recording)
+    is skipped. Nothing is bucketed, so every figure of :meth:`rows` is an
+    exact order statistic (:func:`repro.obs.health.quantile`), and a run
+    and its trace agree.
     """
+
+    #: The span whose events no distribution counts: a run's preload.
+    UNMEASURED = "run.preload"
 
     def __init__(self):
         self.samples: Dict[str, List[float]] = {}
@@ -48,8 +54,17 @@ class Distributions:
         """The fold of a loaded :class:`~repro.obs.analyze.TraceDoc`."""
         fold = cls()
         for record in doc.point_events():
-            fold.feed(record["name"], record.get("attrs", {}))
+            name = record["name"]
+            if name in fold.events and not doc.in_span_named(
+                record.get("parent"), cls.UNMEASURED
+            ):
+                fold.feed(name, record.get("attrs", {}))
         return fold
+
+    @property
+    def events(self):
+        """The names of the events some family folds."""
+        return self._folds.keys()
 
     def feed(self, name: str, attrs: Dict[str, object]) -> None:
         """Keep the folded attrs of one event named ``name``."""

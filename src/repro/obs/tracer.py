@@ -261,6 +261,10 @@ class Tracer:
         """Id of the innermost open span, or ``None``."""
         return self._stack[-1].id if self._stack else None
 
+    def within(self, name: str) -> bool:
+        """True while a span named ``name`` is open."""
+        return any(handle.name == name for handle in self._stack)
+
     def current_context(self) -> Optional[TraceContext]:
         """The propagatable identity of the innermost open span.
 

@@ -76,6 +76,7 @@ def message_instances():
         ),
         m.EnvelopeAck(ack_of=1),
         m.Forward(origin_client=4, inner=WRITE),
+        m.EnvelopeSack(held=(2, 3, 5, 1 << 40)),
     ]
     return {f"{type(msg).__name__}#{i}": msg for i, msg in enumerate(instances)}
 
@@ -137,7 +138,7 @@ def snapshot():
 def test_every_concrete_message_class_is_pinned():
     pinned = {name.split("#")[0] for name in message_instances()}
     declared = {cls.__name__ for cls in m.Message.__subclasses__()}
-    assert pinned == declared and len(declared) == 23
+    assert pinned == declared and len(declared) == 24
 
 
 @pytest.mark.parametrize("section", ["message_wire_size", "sized", "encoded", "journal_kv"])

@@ -7,6 +7,7 @@ from repro.net.messages import (
     ChunkData,
     ChunkHave,
     ConflictNotice,
+    EnvelopeSack,
     FileDownload,
     Forward,
     MetaOp,
@@ -138,3 +139,4 @@ class TestTouchedPaths:
         assert rename.touched_paths() == ("/a", "/b")
         assert TxnGroup(members=(rename, write)).touched_paths() == ("/a", "/b", "/b")
         assert Ack().touched_paths() == ()
+        assert EnvelopeSack(held=(2, 3)).touched_paths() == ()  # says "held", updates nothing

@@ -122,3 +122,48 @@ class TestFleetLatency:
         assert "fleet.sync.latency" in live
         assert main(["inspect", str(trace)]) == 0
         assert _distribution_table(capsys.readouterr().out) == live
+
+
+class TestMeasuredWindow:
+    """A replay's ``--metrics`` once folded the preload into its
+    distributions (20 message sizes against 17 counted messages) while its
+    registry, reset when the preload ends, did not."""
+
+    def test_a_preload_event_is_not_folded_live_or_offline(self, tmp_path):
+        from repro.obs.analyze import load_trace
+
+        obs = Observability()
+        with obs.span("run"):
+            with obs.span("run.preload"):
+                obs.event("channel.upload", type="UploadWrite", path="/f", bytes=7)
+            obs.event("channel.upload", type="UploadWrite", path="/f", bytes=9)
+        assert obs.distributions.samples["channel.message.bytes"] == [9]
+        path = tmp_path / "t.jsonl"
+        obs.tracer.write_jsonl(str(path))
+        offline = Distributions.of_trace(load_trace(str(path)))
+        assert offline.samples["channel.message.bytes"] == [9]
+
+    def test_a_replay_folds_the_window_its_metrics_count(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace, recorded = tmp_path / "g.trace", tmp_path / "t.jsonl"
+        assert main(["trace", "gedit", "--out", str(trace), "--ops", "3"]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(trace), "--metrics",
+                     "--trace-out", str(recorded)]) == 0
+        out = capsys.readouterr().out
+        metrics = {}
+        for line in out[out.index("-- metrics"):out.index("-- distributions")].splitlines():
+            series, _, value = line.partition(" ")
+            if value.strip():
+                metrics[series] = value.split()[0]
+        messages = sum(
+            float(value) for series, value in metrics.items()
+            if series.startswith(("channel.up.messages{", "channel.down.messages{"))
+        )
+        live = _distribution_table(out)
+        counts = {line.split()[0]: int(line.split()[1]) for line in live.splitlines()[3:]}
+        assert counts["channel.message.bytes"] == messages == 17
+        assert counts["queue.node.payload_bytes"] == float(metrics["queue.nodes.shipped"]) == 14
+        assert main(["inspect", str(recorded), "--summary"]) == 0
+        assert _distribution_table(capsys.readouterr().out) == live
