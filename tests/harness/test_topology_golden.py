@@ -122,11 +122,7 @@ def test_capacity_bit_identical(golden):
 
 
 def test_fleet_bit_identical(golden):
-    expected = dict(golden["fleet-200x4"])
-    # FleetResult.extra was never written; the golden's empty value is
-    # all it pinned.
-    assert expected.pop("extra", {}) == {}
-    assert json.loads(json.dumps(_fleet_case())) == expected
+    assert json.loads(json.dumps(_fleet_case())) == golden["fleet-200x4"]
 
 
 if __name__ == "__main__":
