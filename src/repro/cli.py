@@ -474,7 +474,6 @@ def _cmd_inspect(args) -> int:
         critical_path,
         event_counts,
         load_trace,
-        load_traces,
         span_rollup,
     )
     from repro.obs.export import (
@@ -484,13 +483,9 @@ def _cmd_inspect(args) -> int:
     )
     from repro.obs.render import Distributions, distribution_table
 
-    paths = args.trace
-    label = paths[0] if len(paths) == 1 else "+".join(paths)
+    label = args.trace
     try:
-        if len(paths) == 1:
-            doc = load_trace(paths[0])
-        else:
-            doc = load_traces(paths)
+        doc = load_trace(label)
     except OSError as exc:
         print(f"cannot read {label!r}: {exc}", file=sys.stderr)
         return 2
@@ -503,11 +498,8 @@ def _cmd_inspect(args) -> int:
                 or args.health or args.health_out)
     if args.summary or not targeted:
         rollup = span_rollup(doc)
-        stitched = sum(1 for s in doc.spans.values() if s.stitched)
         print(f"{label}: {len(doc.spans)} spans, "
               f"{len(doc.point_events())} events"
-              + (f", {len(doc.sources)} sources, {stitched} stitched"
-                 if len(paths) > 1 else "")
               + (", metrics snapshot embedded" if doc.snapshot else ""))
         if rollup:
             print()
@@ -856,10 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inspect", help="analyze a recorded JSONL trace offline"
     )
     inspect.add_argument(
-        "trace", nargs="+",
-        help="trace.jsonl from replay/fleet --trace-out; several files "
-             "(e.g. one per client plus the cloud's) are stitched into "
-             "one causal trace via their trace.link records",
+        "trace", help="trace.jsonl from replay/fleet --trace-out",
     )
     inspect.add_argument(
         "--summary", action="store_true",

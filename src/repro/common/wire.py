@@ -14,8 +14,8 @@ Field kinds: fixed-width integers/floats with a declared byte order
 ``const=`` tags, LEB128 ``varint``; length-prefixed ``blob``/``text`` and
 the unprefixed ``rest``; ``nested`` records, ``optional`` ones, counted
 ``items`` and tagged :class:`Union`; and, for simulated messages whose
-bytes are never built, the sizes-only ``opaque``, ``times``, ``when_set``,
-``sidecar`` and :data:`SIZED` — a record using one gets no byte codec.
+bytes are never built, the sizes-only ``opaque``, ``times``, ``when_set``
+and :data:`SIZED` — a record using one gets no byte codec.
 
 Decoders bounds-check every read, reject over-long varints and, through
 ``decode``, anything but full consumption — always with ``ValueError``.
@@ -425,11 +425,6 @@ def when_set(name: str, present: Field, absent: int) -> Field:
         return f"({sub.total()} if {v} else {absent})"
 
     return _Costed(name, size, f"{present.doc}, or {absent} B when unset")
-
-
-def sidecar(name: str, why: str) -> Field:
-    """A field that rides along in memory and costs zero wire bytes."""
-    return _Costed(name, lambda em, v: 0, f"not transmitted: {why}")
 
 
 # -- records -----------------------------------------------------------------

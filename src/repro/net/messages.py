@@ -22,10 +22,7 @@ which only the server can resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # obs-only annotation; never imported at runtime
-    from repro.obs.tracer import TraceContext
+from typing import Optional, Sequence, Tuple
 
 from repro.common import wire
 from repro.common.pages import Pages
@@ -358,7 +355,6 @@ class RangeReply(Message):
     wire.u64be("msg_id"),
     wire.u16be("attempt"),
     wire.nested("inner", wire.SIZED),
-    wire.sidecar("ctx", "tracing context; tracing must not move a costed byte"),
 )
 class Envelope(Message):
     """Reliable-delivery wrapper for one uplink message.
@@ -367,19 +363,11 @@ class Envelope(Message):
     transmissions of the same id (1 = first send). The server deduplicates
     by ``(origin_client, msg_id)``, which is what turns the at-least-once
     retransmit loop into exactly-once application.
-
-    ``ctx`` is the sender's :class:`~repro.obs.tracer.TraceContext` (or
-    ``None`` when tracing is off) — an observability sidecar that lets the
-    receiving server link its apply span back to the client span that
-    caused the send. It is deliberately *excluded* from :meth:`wire_size`:
-    tracing must not move a single costed wire byte, so every BENCH
-    number is identical with tracing on or off.
     """
 
     msg_id: int
     attempt: int
     inner: Message = field(default=None)  # type: ignore[assignment]
-    ctx: Optional["TraceContext"] = None  # obs-only sidecar, zero wire cost
 
 
 @_message(

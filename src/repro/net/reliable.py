@@ -52,7 +52,6 @@ from repro.net.link import Link
 from repro.net.messages import Envelope, EnvelopeAck, EnvelopeSack, Message
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
-from repro.obs.tracer import TraceContext
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,6 @@ class _InFlight:
     first_sent: float
     next_retry_at: float
     timeout: float
-    ctx: Optional[TraceContext] = None  # sender-side span identity, uncosted
 
 
 #: What one direction's sender puts on the wire and the other side's
@@ -237,7 +235,7 @@ class ReliableTransport(Link):
         # envelopes are never mistaken for retransmits of its predecessor's.
         self.last_msg_id = server.last_msg_id(client_id)
         self._next_msg_id = self.last_msg_id + 1
-        self._outbox: Deque[Tuple[int, Message, Optional[TraceContext]]] = deque()
+        self._outbox: Deque[Tuple[int, Message]] = deque()
         self._inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
         # Entries whose timers a SACK suspended, until an ack re-arms them.
         self._suspended: Dict[int, _InFlight] = {}
@@ -262,24 +260,22 @@ class ReliableTransport(Link):
         """
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        # Capture the caller's span identity once, at enqueue time: every
-        # later (re)transmission of this msg_id carries the same causal
-        # origin, so the server's apply span links back to the client span
-        # that produced the message even when only a retransmit survives.
-        ctx = self.obs.current_context() if self.obs.enabled else None
         if self.obs.enabled:
             # Emitted here — inside the caller's shipping span — so offline
-            # analysis can join the msg_id of every later (re)transmission
-            # back to the upload unit that produced the message.
+            # analysis can join the (client, msg_id) of every later
+            # (re)transmission back to the upload unit that produced it.
             self.obs.event(
-                "transport.enqueued", msg_id=msg_id, type=type(message).__name__
+                "transport.enqueued",
+                client=self.client_id,
+                msg_id=msg_id,
+                type=type(message).__name__,
             )
         # Launch only when the window has room AND nothing is already
         # queued — anything else would overtake the outbox order.
         if not self._outbox and len(self._inflight) < self.policy.window:
-            self._launch(msg_id, message, now, ctx)
+            self._launch(msg_id, message, now)
         else:
-            self._outbox.append((msg_id, message, ctx))
+            self._outbox.append((msg_id, message))
         self._note_depth()
         return msg_id
 
@@ -340,13 +336,7 @@ class ReliableTransport(Link):
 
     # -- internals -----------------------------------------------------------
 
-    def _launch(
-        self,
-        msg_id: int,
-        message: Message,
-        now: float,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
+    def _launch(self, msg_id: int, message: Message, now: float) -> None:
         entry = _InFlight(
             msg_id=msg_id,
             message=message,
@@ -354,7 +344,6 @@ class ReliableTransport(Link):
             first_sent=now,
             next_retry_at=now,
             timeout=self.policy.base_timeout,
-            ctx=ctx,
         )
         self._inflight[msg_id] = entry
         self._transmit(entry, now)
@@ -362,10 +351,7 @@ class ReliableTransport(Link):
     def _transmit(self, entry: _InFlight, now: float) -> None:
         entry.attempts += 1
         envelope = Envelope(
-            msg_id=entry.msg_id,
-            attempt=entry.attempts,
-            inner=entry.message,
-            ctx=entry.ctx,
+            msg_id=entry.msg_id, attempt=entry.attempts, inner=entry.message
         )
         for deliver_at in self.channel.transmit_up(envelope, now):
             self._transit_seq += 1
@@ -381,6 +367,7 @@ class ReliableTransport(Link):
             self.obs.inc("transport.sent")
             self.obs.event(
                 "transport.send",
+                client=self.client_id,
                 msg_id=entry.msg_id,
                 attempt=entry.attempts,
                 type=type(entry.message).__name__,
@@ -438,8 +425,8 @@ class ReliableTransport(Link):
 
     def _refill_window(self, now: float) -> None:
         while self._outbox and len(self._inflight) < self.policy.window:
-            msg_id, message, ctx = self._outbox.popleft()
-            self._launch(msg_id, message, now, ctx)
+            msg_id, message = self._outbox.popleft()
+            self._launch(msg_id, message, now)
 
     def _retransmit_due(self, now: float) -> None:
         due = [e for e in self._inflight.values() if e.next_retry_at <= now]

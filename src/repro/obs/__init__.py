@@ -47,7 +47,6 @@ from repro.obs.analyze import (
     critical_path,
     load_trace,
     load_trace_lines,
-    load_traces,
     span_rollup,
 )
 from repro.obs.export import (
@@ -70,7 +69,7 @@ from repro.obs.health import (
 from repro.obs.names import EVENT_NAMES, EVENTS, METRIC_NAMES, METRICS, EventSpec, MetricSpec
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.render import Distributions, distribution_table, text_report, to_json
-from repro.obs.tracer import NULL_TRACER, TraceContext, TraceEvent, Tracer
+from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 
 
 class Observability:
@@ -109,12 +108,8 @@ class Observability:
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self.metrics.set_gauge(name, value, **labels)
 
-    def span(self, name: str, link: Optional[TraceContext] = None, **attrs: object):
-        return self.tracer.span(name, link=link, **attrs)
-
-    def current_context(self) -> Optional[TraceContext]:
-        """The tracer's propagatable span identity (``None`` when idle)."""
-        return self.tracer.current_context()
+    def span(self, name: str, **attrs: object):
+        return self.tracer.span(name, **attrs)
 
     def event(self, name: str, **attrs: object) -> None:
         self.tracer.event(name, **attrs)
@@ -149,11 +144,8 @@ class _NullObservability(Observability):
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         pass
 
-    def span(self, name: str, link: Optional[TraceContext] = None, **attrs: object):
+    def span(self, name: str, **attrs: object):
         return self.tracer.span(name)
-
-    def current_context(self) -> Optional[TraceContext]:
-        return None
 
     def event(self, name: str, **attrs: object) -> None:
         pass
@@ -169,7 +161,6 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "TraceEvent",
-    "TraceContext",
     "ShardWindows",
     "WindowStats",
     "HealthReport",
@@ -193,7 +184,6 @@ __all__ = [
     "AttributionError",
     "load_trace",
     "load_trace_lines",
-    "load_traces",
     "span_rollup",
     "critical_path",
     "attribute_uplink",

@@ -87,12 +87,7 @@ class AttributionError(ValueError):
 
 @dataclass
 class Span:
-    """One rebuilt span: timing, attrs, children, and attached events.
-
-    ``id`` is the *document-global* span id: when a doc merges multiple
-    tracer sources, per-source local ids are renumbered so they cannot
-    collide; ``(source, local_id)`` preserves the original identity.
-    """
+    """One rebuilt span: timing, attrs, children, and attached events."""
 
     id: int
     name: str
@@ -103,10 +98,7 @@ class Span:
     children: List["Span"] = field(default_factory=list)
     events: List[dict] = field(default_factory=list)
     truncated: bool = False  # span_start without span_end (e.g. a crash cut)
-    source: str = ""  # emitting tracer's name ("" for unnamed)
-    local_id: Optional[int] = None  # the id inside its own source
-    orphan: bool = False  # parent never appeared (truncated source)
-    stitched: bool = False  # re-parented along a trace.link edge
+    orphan: bool = False  # parent never started (a partial file)
 
     @property
     def duration(self) -> float:
@@ -126,9 +118,7 @@ class TraceDoc:
     records: List[dict]
     roots: List[Span] = field(default_factory=list)
     spans: Dict[int, Span] = field(default_factory=dict)
-    snapshot: Optional[Dict[str, object]] = None  # the metrics snapshot record
-    sources: List[str] = field(default_factory=list)  # distinct tracer names
-    id_map: Dict[Tuple[str, int], int] = field(default_factory=dict)
+    snapshot: Optional[Dict[str, object]] = None  # the (last) snapshot record
 
     def point_events(self) -> List[dict]:
         """Raw point-event records, in emission order."""
@@ -168,7 +158,6 @@ _RECORD_KEYS: Dict[str, Tuple[object, str, Tuple[str, ...]]] = {
     "id": (int, "an integer", _SPAN_RECORDS),
     "parent": ((int, type(None)), "an integer or null", ()),
     "ts": ((int, float), "a number", ()),
-    "src": (str, "a string", ()),
     "attrs": (dict, "an object", ()),
     "metrics": (dict, "an object", ()),
 }
@@ -190,24 +179,24 @@ def _schema_problem(record: object) -> Optional[str]:
                 return f"{record['type']} record without {key!r}"
         elif not _holds(record[key], types):
             return f"{key!r} must be {words}, not {record[key]!r}"
-    if record.get("name") == "trace.link":
-        # A link's attrs name a span of another source: ids, like ``id``.
-        for key in ("span", "trace"):
-            if not _holds(record.get("attrs", {}).get(key, 0), int):
-                return f"trace.link attr {key!r} must be an integer"
     if not all(_holds(v, (int, float)) for v in record.get("metrics", {}).values()):
         return "'metrics' values must be numbers"
     return None
 
 
-def _parse_lines(
-    lines: Iterable[str], *, label: str = ""
-) -> Tuple[List[dict], List[dict]]:
-    """JSONL lines -> (trace records, snapshot records); schema-checked, so
-    :func:`_build_doc` can trust the keys and types it is handed."""
+def load_trace_lines(lines: Iterable[str]) -> TraceDoc:
+    """Parse JSONL lines into a :class:`TraceDoc` (see :func:`load_trace`).
+
+    Every line is schema-checked first, so the tree build below can trust
+    the keys and types it is handed. Span ids are the tracer's own: one
+    tracer numbers its spans uniquely, and the tree is its nesting.
+
+    A span whose parent never started (a partial file) becomes a root
+    flagged ``orphan`` instead of failing the load. A ``span_end`` for a
+    span that never started is a format error.
+    """
     records: List[dict] = []
-    snapshots: List[dict] = []
-    where = f"{label}: " if label else ""
+    snapshot: Optional[Dict[str, object]] = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -215,225 +204,60 @@ def _parse_lines(
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"{where}line {lineno}: not JSON ({exc})"
-            ) from exc
+            raise TraceFormatError(f"line {lineno}: not JSON ({exc})") from exc
         problem = _schema_problem(record)
         if problem is not None:
-            raise TraceFormatError(f"{where}line {lineno}: {problem}")
-        (snapshots if record["type"] == "snapshot" else records).append(record)
-    return records, snapshots
-
-
-def _merge_snapshots(snapshots: List[dict]) -> Optional[Dict[str, object]]:
-    """Fold several per-source metric snapshots into one.
-
-    Series add (counters dominate a merge; summing gauges is the only
-    consistent choice without per-family metadata).
-    """
-    if not snapshots:
-        return None
-    if len(snapshots) == 1:
-        return snapshots[0]
-    metrics: Dict[str, float] = {}
-    for snap in snapshots:
-        for key, value in (snap.get("metrics") or {}).items():
-            metrics[key] = metrics.get(key, 0.0) + float(value)
-    ts = max(float(s.get("ts", 0.0)) for s in snapshots)
-    return {"type": "snapshot", "ts": ts, "metrics": metrics}
-
-
-def _build_doc(
-    entries: List[Tuple[str, dict]], snapshots: List[dict]
-) -> TraceDoc:
-    """Assemble a :class:`TraceDoc` from ``(source, record)`` pairs.
-
-    Span ids are namespaced by source: when more than one source is
-    present (or any source is named), every ``(source, local_id)`` pair is
-    renumbered to a fresh document-global id and the records are
-    rewritten in place — including ``trace.link`` attrs, which name spans
-    of *other* sources — so downstream consumers (rollups, attribution,
-    exporters) keep working on plain unique ints. A single unnamed source
-    keeps its ids verbatim, so existing single-trace docs are unchanged.
-
-    Orphan tolerance: a span whose parent never appears (a truncated or
-    partial source file) becomes a root flagged ``orphan`` instead of
-    crashing the load. A ``span_end`` for a span that never started is
-    still a format error.
-    """
-    distinct = {src for src, _ in entries}
-    remap = len(distinct) > 1 or any(src for src in distinct)
-    doc = TraceDoc(
-        records=[rec for _, rec in entries],
-        snapshot=_merge_snapshots(snapshots),
-    )
-    for src, _ in entries:
-        if src not in doc.sources:
-            doc.sources.append(src)
-    id_map = doc.id_map
-    counter = 0
-
-    def gid(src: str, local: int) -> int:
-        nonlocal counter
-        mapped = id_map.get((src, local))
-        if mapped is None:
-            if remap:
-                counter += 1
-                mapped = counter
-            else:
-                mapped = local
-            id_map[(src, local)] = mapped
-        return mapped
-
+            raise TraceFormatError(f"line {lineno}: {problem}")
+        if record["type"] == "snapshot":
+            snapshot = record
+        else:
+            records.append(record)
+    doc = TraceDoc(records=records, snapshot=snapshot)
     last_ts = 0.0
-    for src, record in entries:
+    for record in records:
         ts = float(record.get("ts", 0.0))
         last_ts = max(last_ts, ts)
         kind = record["type"]
         if kind == "span_start":
-            local = record["id"]
-            span_id = gid(src, local)
+            span_id = record["id"]
             if span_id in doc.spans:
-                raise TraceFormatError(f"span id {local} started twice")
+                raise TraceFormatError(f"span id {span_id} started twice")
             parent_id = record.get("parent")
-            if parent_id is not None:
-                parent_id = gid(src, parent_id)
-            if remap:
-                record["id"] = span_id
-                record["parent"] = parent_id
+            parent = doc.spans.get(parent_id) if parent_id is not None else None
             span = Span(
                 id=span_id,
                 name=record["name"],
-                parent=parent_id,
+                parent=parent_id if parent is not None else None,
                 start=ts,
                 attrs=dict(record.get("attrs", {})),
-                source=src,
-                local_id=local,
+                orphan=parent is None and parent_id is not None,
             )
             doc.spans[span_id] = span
-            if parent_id is None:
-                doc.roots.append(span)
-            else:
-                parent = doc.spans.get(parent_id)
-                if parent is None:
-                    span.orphan = True
-                    span.parent = None
-                    doc.roots.append(span)
-                else:
-                    parent.children.append(span)
+            (parent.children if parent is not None else doc.roots).append(span)
         elif kind == "span_end":
-            span = doc.spans.get(id_map.get((src, record["id"]), -1))
+            span = doc.spans.get(record["id"])
             if span is None:
                 raise TraceFormatError(
-                    f"span_end for unknown span id {record.get('id')!r}"
+                    f"span_end for unknown span id {record['id']!r}"
                 )
-            if remap:
-                record["id"] = span.id
-                record["parent"] = span.parent
             span.end = ts
         else:  # point event
-            parent_id = record.get("parent")
-            if parent_id is not None:
-                parent_id = gid(src, parent_id)
-                if remap:
-                    record["parent"] = parent_id
-                owner = doc.spans.get(parent_id)
-                if owner is not None:
-                    owner.events.append(record)
-            if remap and record.get("name") == "trace.link":
-                attrs = record.get("attrs", {})
-                link_src = str(attrs.get("src", ""))
-                for field_name in ("span", "trace"):
-                    if field_name in attrs:
-                        attrs[field_name] = gid(link_src, attrs[field_name])
+            owner = doc.spans.get(record.get("parent"))
+            if owner is not None:
+                owner.events.append(record)
     # A crash (or a truncated file) can leave spans open: close them at the
     # last observed timestamp and mark them, so timing math stays total.
     for span in doc.spans.values():
         if span.end is None:
             span.end = max(last_ts, span.start)
             span.truncated = True
-    _stitch_links(doc)
     return doc
-
-
-def _stitch_links(doc: TraceDoc) -> None:
-    """Re-parent root spans along their cross-source ``trace.link`` edges.
-
-    Stitching rule: only *root* spans move — a linked span that already
-    has a local parent keeps it (its link still renders as a flow arrow,
-    but the tree shape is owned by the in-process nesting). Unresolvable
-    targets (the linked source wasn't loaded) leave the span a root.
-    """
-    for span in list(doc.roots):
-        link = next(
-            (e for e in span.events if e.get("name") == "trace.link"), None
-        )
-        if link is None:
-            continue
-        target_id = link.get("attrs", {}).get("span")
-        target = doc.spans.get(target_id) if isinstance(target_id, int) else None
-        if target is None or target.id == span.id:
-            continue
-        if any(s.id == span.id for s in doc.ancestors(target.id)):
-            continue  # would create a cycle; keep the span a root
-        span.parent = target.id
-        span.stitched = True
-        doc.roots.remove(span)
-        target.children.append(span)
-        target.children.sort(key=lambda s: (s.start, s.id))
-
-
-def load_trace_lines(lines: Iterable[str], *, source: str = "") -> TraceDoc:
-    """Parse JSONL lines into a :class:`TraceDoc` (see :func:`load_trace`).
-
-    ``source`` labels records that carry no ``src`` key of their own —
-    useful when callers merge several anonymous traces by hand.
-    """
-    records, snapshots = _parse_lines(lines)
-    entries = [(str(r.get("src", "") or source), r) for r in records]
-    return _build_doc(entries, snapshots)
 
 
 def load_trace(path: str) -> TraceDoc:
     """Load a JSONL trace file and rebuild its span tree."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_trace_lines(fh)
-
-
-def load_traces(
-    paths: List[str], *, sources: Optional[List[str]] = None
-) -> TraceDoc:
-    """Load and merge several JSONL traces into one multi-source doc.
-
-    Each file's records keep their own ``src`` labels when present;
-    unlabelled records take the file's entry from ``sources`` (or a
-    label derived from the file name, made unique in path order). The
-    merged stream is ordered by timestamp, stable within a file, so
-    same-source causality is preserved; snapshots merge additively.
-    """
-    if sources is not None and len(sources) != len(paths):
-        raise ValueError("sources must parallel paths")
-    labels: List[str] = []
-    for i, path in enumerate(paths):
-        if sources is not None:
-            label = sources[i]
-        else:
-            base = path.rsplit("/", 1)[-1]
-            label = base.rsplit(".", 1)[0] or base
-        while label in labels:
-            label += "+"
-        labels.append(label)
-    entries: List[Tuple[str, dict]] = []
-    snapshots: List[dict] = []
-    for path, label in zip(paths, labels):
-        with open(path, "r", encoding="utf-8") as fh:
-            records, snaps = _parse_lines(fh, label=label)
-        snapshots.extend(snaps)
-        entries.extend(
-            (str(r.get("src", "") or label), r) for r in records
-        )
-    entries.sort(key=lambda pair: float(pair[1].get("ts", 0.0)))
-    return _build_doc(entries, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +437,11 @@ def _unit_members(
     return paths, member_bytes
 
 
+def _envelope_key(attrs: dict) -> Tuple[int, int]:
+    """``(client, msg_id)`` of a transport event: one envelope's identity."""
+    return int(attrs.get("client", 0)), int(attrs.get("msg_id", -1))
+
+
 def attribute_uplink(doc: TraceDoc) -> Attribution:
     """Attribute every measured-window uplink byte to (path, mechanism).
 
@@ -631,8 +460,8 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
       transport emits right after transmitting: attempt 1 keeps the inner
       message's mechanism, attempts > 1 (and fault-plan duplicate copies)
       become ``retransmit_overhead``. Paths come from the
-      ``transport.enqueued`` event that tied the msg_id to its upload
-      unit.
+      ``transport.enqueued`` event that tied the ``(client, msg_id)`` pair
+      to its upload unit.
     """
     rows: Dict[Tuple[str, str], AttributionRow] = {}
     preload_bytes = 0
@@ -653,24 +482,21 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
         for i, (path, share) in enumerate(zip(paths, shares)):
             charge(path, mechanism, share, message=(i == 0))
 
-    # (source, msg_id) -> (inner type, member paths, member weights), from
-    # the transport.enqueued join event. msg_ids are per-client counters,
-    # so in a merged multi-source trace they only disambiguate per source.
-    enqueued: Dict[Tuple[str, int], Tuple[str, List[str], List[int]]] = {}
-    # Envelope uploads not yet claimed by their transport.send event,
-    # per source (each client's transport claims only its own uploads).
-    pending_by_source: Dict[str, List[dict]] = {}
+    # (client, msg_id) -> (member paths, member weights), from the
+    # transport.enqueued join event. msg_ids are per-client counters, so
+    # two clients' transports reuse them.
+    enqueued: Dict[Tuple[int, int], Tuple[List[str], List[int]]] = {}
+    # Envelope copies not yet claimed: a transmission's channel.upload
+    # events come right before its transport.send.
+    pending_envelopes: List[dict] = []
 
     def resolve_envelopes(send_record: dict) -> None:
         attrs = send_record.get("attrs", {})
-        src = str(send_record.get("src", ""))
-        pending_envelopes = pending_by_source.get(src, [])
-        msg_id = int(attrs.get("msg_id", -1))
         attempt = int(attrs.get("attempt", 1))
         inner_type = str(attrs.get("type", ""))
-        info = enqueued.get((src, msg_id))
+        info = enqueued.get(_envelope_key(attrs))
         if info is not None:
-            _, paths, weights = info
+            paths, weights = info
         else:
             paths, weights = [""], [1]
         base_mechanism = (
@@ -694,12 +520,8 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
         name = record.get("name")
         attrs = record.get("attrs", {})
         if name == "transport.enqueued":
-            msg_id = int(attrs.get("msg_id", -1))
-            paths, weights = _unit_members(doc, record.get("parent"))
-            enqueued[(str(record.get("src", "")), msg_id)] = (
-                str(attrs.get("type", "")),
-                paths,
-                weights,
+            enqueued[_envelope_key(attrs)] = _unit_members(
+                doc, record.get("parent")
             )
             continue
         if name == "transport.send":
@@ -713,9 +535,7 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
         if msg_type == "Envelope":
             # Byte bookkeeping happens when the transport.send claims it;
             # the preload split is re-checked there per copy.
-            pending_by_source.setdefault(str(record.get("src", "")), []).append(
-                record
-            )
+            pending_envelopes.append(record)
             if in_preload:
                 preload_bytes += nbytes
             else:
@@ -733,10 +553,8 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
             charge(str(attrs.get("path", "")), mechanism, nbytes, message=True)
 
     # Envelope uploads with no transport.send to claim them mean the
-    # emission contract broke; surface it as drift at reconcile time by
-    # leaving those bytes unattributed.
-    pending_by_source.clear()
-
+    # emission contract broke; they stay unattributed, which surfaces as
+    # drift at reconcile time.
     ordered = sorted(rows.values(), key=lambda r: (-r.bytes, r.path, r.mechanism))
     return Attribution(
         rows=ordered,

@@ -42,71 +42,36 @@ def chrome_trace_events(records: Iterable[dict]) -> List[dict]:
     """Convert raw trace records to Chrome trace-event objects.
 
     Spans map to ``B``/``E`` pairs, point events to thread-scoped ``i``
-    instants. Single-source traces stay on pid/tid 1 (the replay is
-    single-threaded virtual time); in a multi-source trace each tracer
-    source gets its own pid with a ``process_name`` metadata event, and
-    every ``trace.link`` point event additionally renders as a flow-event
-    pair (``ph: "s"`` at the linked span's start in its source, ``ph:
-    "f"`` with ``bp: "e"`` at the link site) so the cross-process causal
-    edges draw as arrows in Perfetto. Records are converted in emission
-    order; spans a crash left unclosed get a synthesized ``E`` at the
-    last observed timestamp so viewers do not render them as infinite.
+    instants, all on pid/tid 1 (the replay is single-threaded virtual
+    time). Records are converted in emission order; spans a crash left
+    unclosed get a synthesized ``E`` at the last observed timestamp so
+    viewers do not render them as infinite.
     """
-    records = [r for r in records if r.get("type") != "snapshot"]
-    pids: Dict[str, int] = {}
-    for record in records:
-        src = str(record.get("src", ""))
-        if src not in pids:
-            pids[src] = len(pids) + 1
-    multi_source = len(pids) > 1 or any(pids)
     out: List[dict] = []
-    if multi_source:
-        for src, pid in pids.items():
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": pid,
-                    "args": {"name": src or "main"},
-                }
-            )
-    # Index span starts by (source, id) — the flow anchors for links.
-    span_starts: Dict[Tuple[str, int], Tuple[float, int]] = {}
-    for record in records:
-        if record.get("type") == "span_start":
-            src = str(record.get("src", ""))
-            span_starts[(src, int(record["id"]))] = (
-                float(record.get("ts", 0.0)) * _US_PER_VIRTUAL_SECOND,
-                pids[src],
-            )
-    open_spans: Dict[Tuple[str, int], Tuple[str, int]] = {}  # key -> (name, pid)
-    flow_count = 0
+    open_spans: Dict[int, str] = {}  # span id -> name
     last_ts = 0.0
     for record in records:
         kind = record.get("type")
-        src = str(record.get("src", ""))
-        pid = pids[src]
+        if kind == "snapshot":
+            continue
         ts_us = float(record.get("ts", 0.0)) * _US_PER_VIRTUAL_SECOND
         last_ts = max(last_ts, ts_us)
         name = str(record.get("name", ""))
         if kind == "span_start":
-            open_spans[(src, int(record["id"]))] = (name, pid)
+            open_spans[int(record["id"])] = name
             out.append(
                 {
                     "name": name,
                     "ph": "B",
                     "ts": ts_us,
-                    "pid": pid,
-                    "tid": pid,
+                    "pid": 1,
+                    "tid": 1,
                     "args": dict(record.get("attrs", {})),
                 }
             )
         elif kind == "span_end":
-            open_spans.pop((src, int(record.get("id", -1))), None)
-            out.append(
-                {"name": name, "ph": "E", "ts": ts_us, "pid": pid, "tid": pid}
-            )
+            open_spans.pop(int(record.get("id", -1)), None)
+            out.append({"name": name, "ph": "E", "ts": ts_us, "pid": 1, "tid": 1})
         elif kind == "event":
             out.append(
                 {
@@ -114,53 +79,15 @@ def chrome_trace_events(records: Iterable[dict]) -> List[dict]:
                     "ph": "i",
                     "s": "t",
                     "ts": ts_us,
-                    "pid": pid,
-                    "tid": pid,
+                    "pid": 1,
+                    "tid": 1,
                     "args": dict(record.get("attrs", {})),
                 }
             )
-            if name == "trace.link":
-                attrs = record.get("attrs", {})
-                anchor = span_starts.get(
-                    (str(attrs.get("src", "")), int(attrs.get("span", -1)))
-                )
-                if anchor is not None:
-                    flow_count += 1
-                    start_us, start_pid = anchor
-                    out.append(
-                        {
-                            "name": "trace.link",
-                            "cat": "trace",
-                            "ph": "s",
-                            "id": flow_count,
-                            "ts": start_us,
-                            "pid": start_pid,
-                            "tid": start_pid,
-                        }
-                    )
-                    out.append(
-                        {
-                            "name": "trace.link",
-                            "cat": "trace",
-                            "ph": "f",
-                            "bp": "e",
-                            "id": flow_count,
-                            "ts": ts_us,
-                            "pid": pid,
-                            "tid": pid,
-                        }
-                    )
     # LIFO close order keeps synthesized ends properly nested.
-    for key in sorted(open_spans, reverse=True):
-        span_name, pid = open_spans[key]
+    for span_id in sorted(open_spans, reverse=True):
         out.append(
-            {
-                "name": span_name,
-                "ph": "E",
-                "ts": last_ts,
-                "pid": pid,
-                "tid": pid,
-            }
+            {"name": open_spans[span_id], "ph": "E", "ts": last_ts, "pid": 1, "tid": 1}
         )
     return out
 

@@ -9,15 +9,15 @@ its sorted samples give the quantiles, the attainment and the stalls
 
 - :func:`health_from_windows` reads the fleet driver's own rollup
   (``repro fleet --health``).
-- :func:`health_from_trace` rebuilds a rollup from recorded JSONL
-  trace(s) loaded by :mod:`repro.obs.analyze` (``repro inspect
+- :func:`health_from_trace` rebuilds a rollup from a recorded JSONL
+  trace loaded by :mod:`repro.obs.analyze` (``repro inspect
   --health``). A fleet trace carries the run's record
   (``fleet.run.started``: shard count, window grid and objectives) and
   the driver's own completions (``fleet.sync.completed``), so the
   rebuilt rollup is the live one and so is the report. Any other trace
   has only ship and accept events: each ``queue.node.shipped`` is
-  matched FIFO-by-path against ``server.version.accepted`` and grouped
-  by accepting source, judged on the default objectives.
+  matched FIFO-by-path against ``server.version.accepted`` in one group,
+  ``all``, judged on the default objectives.
 
 Both return a :class:`HealthReport` whose :meth:`~HealthReport.to_dict`
 document is the CI-validated schema (:func:`validate_health_doc`).
@@ -48,8 +48,8 @@ SLO_SECONDS = 15.0
 STALL_HORIZON = 60.0
 TRACE_WINDOW_SECONDS = 60.0
 
-# What a report groups by: a shard index in a fleet run, the accepting
-# source in a report recovered from a trace.
+# What a report groups by: a shard index in a fleet run, ``"all"`` (or
+# ``"unassigned"`` for stalls) in a report recovered from any other trace.
 Group = Union[int, str]
 
 
@@ -161,7 +161,7 @@ class ShardWindows:
 
 @dataclass
 class ShardHealth:
-    """Health verdict for one shard (or one trace source group)."""
+    """Health verdict for one shard (or one trace group)."""
 
     shard: str
     writes: int
@@ -328,10 +328,9 @@ def health_from_trace(doc) -> HealthReport:
     :data:`TRACE_WINDOW_SECONDS` windows. Latency is the *observable*
     ship-to-accept gap: every ``queue.node.shipped`` of a versioned kind
     opens a pending entry for its path, consumed FIFO by the next
-    ``server.version.accepted`` for the same path. Groups are the
-    accepting record's tracer source (the serving side); a ship never
-    accepted within :data:`STALL_HORIZON` of the trace's end is a sample
-    of the wait it reached, in group ``"unassigned"``: a stall.
+    ``server.version.accepted`` for the same path, in group ``"all"``; a
+    ship never accepted within :data:`STALL_HORIZON` of the trace's end is
+    a sample of the wait it reached, in group ``"unassigned"``: a stall.
     """
     records = [
         rec for rec in getattr(doc, "records", doc) if rec.get("type") == "event"
@@ -358,7 +357,7 @@ def health_from_trace(doc) -> HealthReport:
         )
 
     pending: Dict[str, List[float]] = {}  # path -> ship timestamps
-    rollup = ShardWindows(0, TRACE_WINDOW_SECONDS)  # shard = source
+    rollup = ShardWindows(0, TRACE_WINDOW_SECONDS)
     last_ts = 0.0
     for rec in records:
         ts = float(rec.get("ts", 0.0))
@@ -371,8 +370,7 @@ def health_from_trace(doc) -> HealthReport:
         elif name == "server.version.accepted":
             queue = pending.get(str(attrs.get("path", "")))
             if queue:
-                group = str(rec.get("src", "") or "all")
-                rollup.record_latency(group, ts, ts - queue.pop(0))
+                rollup.record_latency("all", ts, ts - queue.pop(0))
     for queue in pending.values():
         for shipped_ts in queue:
             if last_ts - shipped_ts > STALL_HORIZON:

@@ -762,17 +762,19 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "transport.enqueued",
         "event",
-        "a message entered the reliable transport and took its `msg_id`; "
-        "fires inside the shipping span, so offline analysis can join every "
-        "later (re)transmission of that id back to the upload unit (and its "
-        "paths) that produced it",
-        attrs=("msg_id", "type"),
+        "a message entered the reliable transport of client `client` and "
+        "took its `msg_id`; fires inside the shipping span, so offline "
+        "analysis can join every later (re)transmission of that "
+        "`(client, msg_id)` back to the upload unit (and its paths) that "
+        "produced it",
+        attrs=("client", "msg_id", "type"),
     ),
     EventSpec(
         "transport.send",
         "event",
-        "an envelope enters the uplink (`attempt` = 1 on first send)",
-        attrs=("msg_id", "attempt", "type"),
+        "an envelope enters client `client`'s uplink (`attempt` = 1 on "
+        "first send)",
+        attrs=("client", "msg_id", "attempt", "type"),
     ),
     EventSpec(
         "transport.ack",
@@ -841,15 +843,6 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         attrs=("path", "client", "counter"),
     ),
     TRACING,
-    EventSpec(
-        "trace.link",
-        "event",
-        "a causal cross-tracer edge: the enclosing span was caused by span "
-        "`span` of trace `trace` in the tracer named `src`, carried across "
-        "the process boundary by the envelope's uncosted `TraceContext` "
-        "(see \"Distributed tracing\")",
-        attrs=("src", "trace", "span"),
-    ),
     FLEET,  # the run record, completions and telemetry windows
     EventSpec(
         "fleet.run.started",

@@ -23,15 +23,6 @@ Like the registry, event/span names must be declared in
 :data:`repro.obs.names.EVENTS`, which the documented contract is rendered
 from.
 :data:`NULL_TRACER` is the no-op used on the disabled path.
-
-Distributed identity: a tracer may be named with ``source="client-1"``.
-Named tracers stamp every record with a ``src`` key, making the triple
-``(source, trace_id, span_id)`` globally unique across processes —
-:meth:`Tracer.current_context` captures it as a :class:`TraceContext`
-that can ride a transport envelope (uncosted) to the far side, where
-``span(..., link=ctx)`` records the causal edge as a declared
-``trace.link`` point event. Unnamed tracers emit the exact same records
-as before this field existed, so single-source JSONL stays byte-stable.
 """
 
 from __future__ import annotations
@@ -61,22 +52,6 @@ def _clean_attrs(attrs: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Globally unique identity of one open span, carried across processes.
-
-    ``source`` names the emitting tracer, ``trace_id`` is the root span of
-    the tracer's current stack (the request), and ``span_id`` the innermost
-    open span (the immediate cause). The triple is unique fleet-wide as
-    long as sources are distinct, which is what lets the offline analyzer
-    stitch JSONL files from independent tracers into one causal tree.
-    """
-
-    source: str
-    trace_id: int
-    span_id: int
-
-
 @dataclass
 class TraceEvent:
     """One trace record (a span edge or a point event)."""
@@ -88,7 +63,6 @@ class TraceEvent:
     id: Optional[int] = None  # span id; None for point events
     attrs: Dict[str, object] = field(default_factory=dict)
     duration: Optional[float] = None  # span_end only
-    source: str = ""  # emitting tracer's name; "" for unnamed tracers
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -99,8 +73,6 @@ class TraceEvent:
         if self.id is not None:
             out["id"] = self.id
         out["parent"] = self.parent
-        if self.source:
-            out["src"] = self.source
         if self.type == "span_end":
             out["duration"] = self.duration
         else:
@@ -189,10 +161,8 @@ class Tracer:
         *,
         known_names: Tuple[str, ...] = EVENT_NAMES,
         sink=None,
-        source: str = "",
     ):
         self.clock = clock if clock is not None else VirtualClock()
-        self.source = source
         self._known = set(known_names)
         self._events: List[TraceEvent] = []
         self._stack: List[_SpanHandle] = []
@@ -216,30 +186,10 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        link: Optional[TraceContext] = None,
-        **attrs: object,
-    ) -> _SpanHandle:
-        """Open a span; use as a context manager.
-
-        ``link`` records a causal edge from a span in another tracer: the
-        new span gets a ``trace.link`` point event naming the remote
-        ``(source, trace, span)`` triple, which the analyzer uses to
-        stitch cross-process trees and the Chrome exporter renders as a
-        flow arrow.
-        """
+    def span(self, name: str, **attrs: object) -> _SpanHandle:
+        """Open a span; use as a context manager."""
         self._check(name)
-        handle = _SpanHandle(self, name, attrs)
-        if link is not None:
-            self.event(
-                "trace.link",
-                src=link.source,
-                trace=link.trace_id,
-                span=link.span_id,
-            )
-        return handle
+        return _SpanHandle(self, name, attrs)
 
     def event(self, name: str, **attrs: object) -> None:
         """Record a point event parented to the current span."""
@@ -264,21 +214,6 @@ class Tracer:
     def within(self, name: str) -> bool:
         """True while a span named ``name`` is open."""
         return any(handle.name == name for handle in self._stack)
-
-    def current_context(self) -> Optional[TraceContext]:
-        """The propagatable identity of the innermost open span.
-
-        ``None`` when no span is open. The trace id is the root of the
-        current stack, so every context minted during one request shares
-        it even across nested spans.
-        """
-        if not self._stack:
-            return None
-        return TraceContext(
-            source=self.source,
-            trace_id=self._stack[0].id,
-            span_id=self._stack[-1].id,
-        )
 
     @property
     def streaming(self) -> bool:
@@ -352,8 +287,6 @@ class Tracer:
         self._stack.pop()
 
     def _record(self, event: TraceEvent) -> None:
-        if self.source and not event.source:
-            event.source = self.source
         if self._sink is not None:
             self._sink.write(
                 json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -367,16 +300,8 @@ class Tracer:
 class _NullTracer(Tracer):
     """Discards everything — the zero-cost disabled path."""
 
-    def span(  # type: ignore[override]
-        self,
-        name: str,
-        link: Optional[TraceContext] = None,
-        **attrs: object,
-    ) -> _NullSpan:
+    def span(self, name: str, **attrs: object) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
-
-    def current_context(self) -> Optional[TraceContext]:
-        return None
 
     def event(self, name: str, **attrs: object) -> None:
         pass

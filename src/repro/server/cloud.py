@@ -198,20 +198,10 @@ class CloudServer:
 
     # -- entry point ---------------------------------------------------------
 
-    def handle(
-        self, message: Message, origin_client: int = 0, ctx=None
-    ) -> ApplyResult:
-        """Apply one message from ``origin_client``; fan out on success.
-
-        ``ctx`` is the sender's :class:`~repro.obs.tracer.TraceContext`
-        (usually lifted off an :class:`Envelope`); when present, the apply
-        span links back to the client span that caused the send, so
-        multi-source traces stitch into one causal tree.
-        """
+    def handle(self, message: Message, origin_client: int = 0) -> ApplyResult:
+        """Apply one message from ``origin_client``; fan out on success."""
         kind = type(message).__name__
-        with self.obs.span(
-            "server.apply", link=ctx, type=kind, origin=origin_client
-        ):
+        with self.obs.span("server.apply", type=kind, origin=origin_client):
             if isinstance(message, TxnGroup):
                 self.obs.inc("server.apply.groups")
                 result = self._apply_group(message, origin_client)
@@ -252,7 +242,7 @@ class CloudServer:
         self,
         envelope: Envelope,
         origin_client: int,
-        apply: Callable[..., ApplyResult],
+        apply: Callable[[Message, int], ApplyResult],
         home: Optional[int] = None,
     ) -> Tuple[List[Message], bool]:
         """Look the envelope up in this server's dedup window, else apply it.
@@ -276,9 +266,7 @@ class CloudServer:
             self._note_envelope(
                 envelope, origin_client, duplicate=False, home=home
             )
-        result = apply(
-            envelope.inner, origin_client, getattr(envelope, "ctx", None)
-        )
+        result = apply(envelope.inner, origin_client)
         cache[envelope.msg_id] = tuple(result.replies)
         while len(cache) > self.dedup_window:
             cache.popitem(last=False)

@@ -273,31 +273,24 @@ class ShardRouter:
 
     # -- apply path -----------------------------------------------------------
 
-    def handle(
-        self, message: Message, origin_client: int = 0, ctx=None
-    ) -> ApplyResult:
+    def handle(self, message: Message, origin_client: int = 0) -> ApplyResult:
         """Route one message to the shard its paths live on; when a rename /
         link / transactional group spans shards, move every touched file
         onto one shard, apply there, and send every touched name home.
 
         Single-shard messages apply directly — bit-identically to an
-        unsharded :class:`CloudServer` (``ctx`` just flows through to the
-        apply span). Multi-shard messages get a ``server.shard.route``
-        wrapper span around the moves and the apply; the cross-process
-        ``trace.link`` edge attaches to it, so the migrate steps are inside
-        the stitched causal path.
+        unsharded :class:`CloudServer`. Multi-shard messages get a
+        ``server.shard.route`` wrapper span around the moves and the apply.
         """
         indices = self._touched_shards(message)
         if len(indices) == 1:
             target = indices[0]
-            result = self.shards[target].handle(message, origin_client, ctx)
+            result = self.shards[target].handle(message, origin_client)
             if result.conflict_paths or isinstance(message, (MetaOp, TxnGroup)):
                 self._settle(message, result, target, colocated=False)
             return result
         target, kind = self._colocation_target(message, indices)
-        with self.obs.span(
-            "server.shard.route", link=ctx, shards=len(indices), target=target
-        ):
+        with self.obs.span("server.shard.route", shards=len(indices), target=target):
             if kind == "rename":
                 self.cross_shard_renames += 1
                 if self.obs.enabled:
@@ -310,8 +303,7 @@ class ShardRouter:
                     )
             for path in message.touched_paths():
                 self._migrate(path, self.shard_index_for_path(path), target, reason=kind)
-            # The apply span nests inside the route span; the link edge
-            # already names the client cause, so don't re-link it here.
+            # The apply span nests inside the route span.
             result = self.shards[target].handle(message, origin_client)
             self._settle(message, result, target, colocated=True)
         return result

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.network import NetworkFaults
 from repro.harness.runner import run_trace
 from repro.net.reliable import RetryPolicy
-from repro.obs import Observability, Tracer
+from repro.obs import Observability
 from repro.obs.analyze import (
     Attribution,
     AttributionError,
@@ -23,7 +23,6 @@ from repro.obs.analyze import (
     span_rollup,
 )
 from repro.obs.export import snapshot_record
-from repro.server.cloud import CloudServer
 from repro.sim import Simulation
 from repro.workloads import gedit_trace
 
@@ -36,8 +35,6 @@ MALFORMED_RECORDS = (
     '{"type":"span_start","name":"run","id":1,"parent":null,"ts":"abc"}',
     '{"type":"event","name":"channel.upload","parent":"q","ts":0.0}',
     '{"type":"event","name":"channel.upload","parent":null,"ts":0.0,"attrs":[1,2]}',
-    '{"type":"event","name":"trace.link","src":"cloud","parent":null,"ts":0.0,'
-    '"attrs":{"src":"client-1","trace":1,"span":"zz"}}',
 )
 
 
@@ -105,6 +102,23 @@ class TestLoader:
         (root,) = doc.roots
         assert root.truncated
         assert root.end == 2.0  # closed at the last observed timestamp
+
+    def test_a_span_whose_parent_never_started_is_an_orphan_root(self):
+        """Its own id as parent included: the tree stays acyclic, so the
+        ancestor walk of attribution ends."""
+        lines = [
+            json.dumps({"type": "span_start", "name": "run", "id": 1,
+                        "parent": 1, "ts": 0.0}),
+            json.dumps({"type": "span_start", "name": "client.pack", "id": 2,
+                        "parent": 9, "ts": 0.0}),
+            json.dumps({"type": "event", "name": "channel.upload", "parent": 1,
+                        "ts": 1.0, "attrs": {"type": "MetaOp", "bytes": 3}}),
+        ]
+        doc = load_trace_lines(lines)
+        assert [(s.id, s.parent, s.orphan) for s in doc.roots] == [
+            (1, None, True), (2, None, True)
+        ]
+        assert attribute_uplink(doc).total_bytes == 3
 
     def test_rejects_garbage(self):
         with pytest.raises(TraceFormatError):
@@ -178,23 +192,21 @@ _JSON_VALUES = st.one_of(
 
 @functools.cache
 def _recorded_lines():
-    """A small multi-tracer recording (named sources, trace.link events,
-    a snapshot line): the valid input the fuzz test damages."""
-    obs = Observability(tracer=Tracer(source="client-1"))
-    cloud = Observability(tracer=Tracer(source="cloud"))
-    sim = Simulation(
-        server=CloudServer(obs=cloud), obs=obs, faults=NetworkFaults(drop_prob=0.2)
-    )
-    cloud.bind_clock(sim.clock)
+    """A small lossy recording (client and cloud in one tracer, with
+    retransmits, and a snapshot line): the valid input the fuzz test
+    damages."""
+    obs = Observability()
+    sim = Simulation(obs=obs, faults=NetworkFaults(drop_prob=0.2))
     sim.client.create("/f")
     sim.client.write("/f", 0, b"x" * 5000)
     sim.client.close("/f")
     sim.settle()
     sim.flush()
-    lines = obs.tracer.to_jsonl().splitlines() + cloud.tracer.to_jsonl().splitlines()
+    lines = obs.tracer.to_jsonl().splitlines()
     lines.append(json.dumps(snapshot_record(obs.metrics, sim.clock.now())))
     doc = load_trace_lines(lines)  # undamaged, it loads
-    assert doc.snapshot and any(e["name"] == "trace.link" for e in doc.point_events())
+    assert doc.snapshot and doc.find_spans("server.apply")
+    assert any(e["name"] == "transport.timeout" for e in doc.point_events())
     return tuple(lines)
 
 
@@ -286,6 +298,36 @@ class TestAttribution:
         )
         with pytest.raises(AttributionError):
             tampered.reconcile()
+
+    def test_two_lossy_clients_are_charged_their_own_bytes(self):
+        """Msg ids are per-client counters: the join keys on the client
+        too, so client a's envelopes never take client b's paths."""
+        obs = Observability()
+        sim = Simulation(
+            clients=2,
+            obs=obs,
+            faults=NetworkFaults(drop_prob=0.3, dup_prob=0.1),
+            fault_seed=3,
+        )
+        a, b = sim.clients
+        pairs = ((a, "/fa"), (b, "/fb"))
+        for client, path in pairs:
+            client.create(path)
+        for i in range(30):
+            for client, path in pairs:
+                client.write(path, 100 * i, bytes([i]) * 2000)
+                client.close(path)
+            sim.settle(2)
+        sim.settle()
+        sim.flush()
+        lines = obs.tracer.to_jsonl().splitlines()
+        lines.append(json.dumps(snapshot_record(obs.metrics, sim.clock.now())))
+        att = attribute_uplink(load_trace_lines(lines))
+        att.reconcile()
+        assert att.by_path() == {
+            "/fa": a.channel.stats.up_bytes,
+            "/fb": b.channel.stats.up_bytes,
+        }
 
     def test_rows_sorted_by_bytes(self):
         _, doc = record_run("deltacfs")

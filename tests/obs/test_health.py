@@ -245,23 +245,20 @@ class TestRegressionFlagging:
         assert _regressed_windows(rollup.windows()) == []
 
 
-def _event(name, ts, attrs, src=""):
-    rec = {"type": "event", "name": name, "ts": ts, "parent": None,
-           "attrs": attrs}
-    if src:
-        rec["src"] = src
-    return rec
+def _event(name, ts, attrs):
+    return {"type": "event", "name": name, "ts": ts, "parent": None,
+            "attrs": attrs}
 
 
-def _ship(path, ts, kind="WriteNode", src=""):
+def _ship(path, ts, kind="WriteNode"):
     return _event("queue.node.shipped", ts,
                   {"path": path, "seq": 1, "kind": kind,
-                   "payload_bytes": 4, "transactional": False}, src)
+                   "payload_bytes": 4, "transactional": False})
 
 
-def _accept(path, ts, src=""):
+def _accept(path, ts):
     return _event("server.version.accepted", ts,
-                  {"path": path, "client": 1, "counter": 1}, src)
+                  {"path": path, "client": 1, "counter": 1})
 
 
 class TestHealthFromTrace:
@@ -305,13 +302,6 @@ class TestHealthFromTrace:
                    _ship("/x", 499.0)]
         report = health_from_trace(records)
         assert report.total_stalls == 0
-
-    def test_groups_by_accepting_source(self):
-        records = [
-            _ship("/a", 1.0, src="client-1"), _accept("/a", 2.0, src="cloud"),
-        ]
-        report = health_from_trace(records)
-        assert [s.shard for s in report.shards] == ["cloud"]
 
     def test_doc_round_trips_through_validator(self):
         records = [_ship("/a", 1.0), _accept("/a", 2.0)]

@@ -1,25 +1,21 @@
-"""Distributed tracing end-to-end: context propagation over a lossy
-reliable transport into a sharded cloud, multi-source stitching, the
-Chrome flow-event export, and byte-exact attribution across sources.
+"""One tracer over a lossy reliable transport into a sharded cloud: the
+client side and the cloud record into the same trace, and the offline
+analyzer reads it back byte-exactly.
 
-The scenario is the ISSUE's acceptance case: one client tracer and one
-cloud tracer record to separate JSONL files while a cross-shard rename
-travels a lossy link; the offline analyzer must reassemble one causal
-tree whose critical path crosses the client→shard edge.
+A cross-shard rename travels a lossy link, so the recording holds
+retransmits, fault-plan duplicates and a ``server.shard.route`` span.
 """
 
 import json
 
-import pytest
-
 from repro.common.clock import VirtualClock
 from repro.common.version import VersionStamp
 from repro.faults.network import NetworkFaults
-from repro.net.messages import Envelope, MetaOp, UploadWrite
+from repro.net.messages import MetaOp, UploadWrite
 from repro.net.reliable import ReliableTransport, RetryPolicy
 from repro.net.transport import LossyChannel
-from repro.obs import Observability, TraceContext, Tracer
-from repro.obs.analyze import attribute_uplink, critical_path, load_traces
+from repro.obs import Observability
+from repro.obs.analyze import attribute_uplink, load_trace_lines
 from repro.obs.export import chrome_trace_events, snapshot_record
 from repro.server.shard import ShardRouter
 
@@ -34,31 +30,24 @@ def _two_namespaces(router):
     raise AssertionError("ring degenerated onto one shard")
 
 
-def _run_cross_shard_scenario(tmp_path):
-    """Record one lossy cross-shard session into two JSONL files."""
+def _record_cross_shard_session():
+    """Record one lossy cross-shard session; returns its JSONL lines."""
     clock = VirtualClock()
-    cloud_obs = Observability(
-        clock=clock, tracer=Tracer(clock, source="cloud")
-    )
-    client_obs = Observability(
-        clock=clock, tracer=Tracer(clock, source="client-1")
-    )
-    router = ShardRouter(4, obs=cloud_obs)
+    obs = Observability(clock=clock)
+    router = ShardRouter(4, obs=obs)
     ns1, ns2 = _two_namespaces(router)
     channel = LossyChannel(
-        faults=NetworkFaults(drop_prob=0.3, dup_prob=0.15),
-        seed=1,
-        obs=client_obs,
+        faults=NetworkFaults(drop_prob=0.3, dup_prob=0.15), seed=1, obs=obs
     )
     transport = ReliableTransport(
         channel, router, client_id=1,
-        policy=RetryPolicy(base_timeout=0.5), seed=1, obs=client_obs,
+        policy=RetryPolicy(base_timeout=0.5), seed=1, obs=obs,
     )
 
     src, dst = f"{ns1}/move.bin", f"{ns2}/moved.bin"
 
     def ship(message):
-        with client_obs.span(
+        with obs.span(
             "client.upload_unit",
             nodes=1,
             transactional=False,
@@ -68,7 +57,7 @@ def _run_cross_shard_scenario(tmp_path):
             transport.send(message, clock.now())
         transport.settle(clock)
 
-    with client_obs.span("run", solution="deltacfs", trace="cross-shard"):
+    with obs.span("run", solution="deltacfs", trace="cross-shard"):
         ship(MetaOp(kind="create", path=src, new_version=VersionStamp(1, 1)))
         ship(UploadWrite(path=src, offset=0, data=b"PAYLOAD!",
                          base_version=VersionStamp(1, 1),
@@ -78,156 +67,24 @@ def _run_cross_shard_scenario(tmp_path):
 
     assert router.cross_shard_renames == 1, "scenario must cross shards"
     assert transport.stats.retransmits > 0, "lossy plan must retransmit"
-
-    client_file = tmp_path / "client-1.jsonl"
-    cloud_file = tmp_path / "cloud.jsonl"
-    client_lines = client_obs.tracer.to_jsonl().splitlines()
-    client_lines.append(
-        json.dumps(snapshot_record(client_obs.metrics, clock.now()))
-    )
-    client_file.write_text("\n".join(client_lines) + "\n", encoding="utf-8")
-    cloud_file.write_text(
-        cloud_obs.tracer.to_jsonl() + "\n", encoding="utf-8"
-    )
-    return client_file, cloud_file
+    lines = obs.tracer.to_jsonl().splitlines()
+    lines.append(json.dumps(snapshot_record(obs.metrics, clock.now())))
+    return lines, channel
 
 
-class TestContextPropagation:
-    def test_context_names_the_open_span(self):
-        obs = Observability(tracer=Tracer(source="client-1"))
-        assert obs.current_context() is None
-        with obs.span("run") as root:
-            with obs.span("client.pack", path="/x") as inner:
-                ctx = obs.current_context()
-                assert ctx == TraceContext("client-1", root.id, inner.id)
-        assert obs.current_context() is None
-
-    def test_linked_span_records_a_trace_link_event(self):
-        obs = Observability(tracer=Tracer(source="cloud"))
-        ctx = TraceContext("client-1", 3, 7)
-        with obs.span("server.apply", link=ctx, type="MetaOp", origin=1):
-            pass
-        (link,) = [e for e in obs.tracer.events() if e.name == "trace.link"]
-        assert link.attrs == {"src": "client-1", "trace": 3, "span": 7}
-        starts = [e for e in obs.tracer.events() if e.type == "span_start"]
-        assert link.parent == starts[0].id  # parented to the new span
-
-    def test_envelope_context_costs_zero_wire_bytes(self):
-        inner = UploadWrite(path="/x", offset=0, data=b"abcd",
-                            base_version=VersionStamp(1, 1),
-                            new_version=VersionStamp(1, 2))
-        bare = Envelope(msg_id=1, attempt=1, inner=inner)
-        tagged = Envelope(msg_id=1, attempt=1, inner=inner,
-                          ctx=TraceContext("client-1", 1, 2))
-        assert tagged.wire_size() == bare.wire_size()
-
-
-class TestMultiSourceStitching:
-    def test_cross_shard_session_stitches_into_one_tree(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        assert sorted(doc.sources) == ["client-1", "cloud"]
-        # Every cloud-side span was re-parented under a client span: the
-        # whole session is ONE causal tree rooted at the client's run.
-        (root,) = doc.roots
-        assert root.name == "run"
-        assert root.source == "client-1"
-        stitched = [s for s in doc.spans.values() if s.stitched]
-        assert stitched, "no trace.link edge was stitched"
-        assert all(s.source == "cloud" for s in stitched)
-
-    def test_route_span_lands_under_the_rename_upload(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        (route,) = doc.find_spans("server.shard.route")
-        assert route.source == "cloud"
-        assert route.stitched
-        parent = doc.spans[route.parent]
-        assert parent.source == "client-1"
-        assert parent.name == "client.upload_unit"
-        # The route span wraps the migrating shard's apply.
-        assert any(c.name == "server.apply" for c in route.children)
-
-    def test_critical_path_crosses_the_client_shard_edge(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        path = critical_path(doc)
-        sources = {span.source for span in path}
-        assert sources == {"client-1", "cloud"}
-        names = [span.name for span in path]
-        assert names[0] == "run"
-        assert "client.upload_unit" in names
-        assert "server.apply" in names or "server.shard.route" in names
-
-    def test_attribution_reconciles_byte_exactly_across_sources(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
+class TestOneTracer:
+    def test_lossy_cross_shard_attribution_is_byte_exact(self):
+        lines, channel = _record_cross_shard_session()
+        doc = load_trace_lines(lines)
         attribution = attribute_uplink(doc)
-        attribution.reconcile()  # raises on any drift vs channel.up.bytes
-        mech = attribution.by_mechanism()
-        assert mech.get("retransmit_overhead", 0) > 0
-        assert attribution.total_bytes > 0
+        # raises on any drift vs the channel.upload events and snapshot
+        attribution.reconcile(expected_up_bytes=channel.stats.up_bytes)
+        assert attribution.by_mechanism().get("retransmit_overhead", 0) > 0
+        assert doc.find_spans("server.shard.route")
 
-    def test_embedded_src_wins_over_file_labels(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        assert set(doc.sources) == {"client-1", "cloud"}
-        # A file label only names records that carry no src of their own.
-        relabeled = load_traces(
-            [str(client_file), str(cloud_file)], sources=["a", "b"]
-        )
-        assert set(relabeled.sources) == {"client-1", "cloud"}
-
-    def test_unnamed_tracers_take_file_stem_labels(self, tmp_path):
-        for stem in ("alpha", "beta"):
-            obs = Observability()  # unnamed tracer: no src on records
-            with obs.span("run"):
-                pass
-            (tmp_path / f"{stem}.jsonl").write_text(
-                obs.tracer.to_jsonl() + "\n", encoding="utf-8"
-            )
-        doc = load_traces(
-            [str(tmp_path / "alpha.jsonl"), str(tmp_path / "beta.jsonl")]
-        )
-        assert set(doc.sources) == {"alpha", "beta"}
-        assert len(doc.roots) == 2  # no links: two independent trees
-
-    def test_retransmits_reuse_the_original_context(self, tmp_path):
-        """Every attempt of one msg_id links to the same client span."""
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        links = [r for r in doc.records
-                 if r.get("type") == "event" and r["name"] == "trace.link"]
-        assert links
-        # All links name the client tracer and an existing span.
-        for link in links:
-            assert link["attrs"]["src"] == "client-1"
-
-
-class TestChromeFlowEvents:
-    def test_multi_source_export_has_flow_pairs_and_processes(self, tmp_path):
-        client_file, cloud_file = _run_cross_shard_scenario(tmp_path)
-        doc = load_traces([str(client_file), str(cloud_file)])
-        events = chrome_trace_events(doc.records)
-        phases = {}
-        for ev in events:
-            phases.setdefault(ev["ph"], []).append(ev)
-        # One process-name metadata record per source.
-        names = {m["args"]["name"] for m in phases.get("M", [])}
-        assert {"client-1", "cloud"} <= names
-        starts, finishes = phases.get("s", []), phases.get("f", [])
-        assert len(starts) == len(finishes) > 0
-        assert {s["id"] for s in starts} == {f["id"] for f in finishes}
-        # Flows cross processes: start pid (client) != finish pid (cloud).
-        by_id = {s["id"]: s for s in starts}
-        assert any(by_id[f["id"]]["pid"] != f["pid"] for f in finishes)
-
-    def test_single_source_export_unchanged(self):
-        obs = Observability()
-        with obs.span("run"):
-            obs.event("queue.node.created", path="/x", kind="WriteNode", seq=1)
-        events = chrome_trace_events(
-            [e.to_dict() for e in obs.tracer.events()]
-        )
-        assert all(ev["ph"] not in ("s", "f", "M") for ev in events)
-        assert len({ev["pid"] for ev in events}) == 1  # one process, no split
+    def test_chrome_export_is_one_process_without_flows(self):
+        lines, _ = _record_cross_shard_session()
+        events = chrome_trace_events(json.loads(line) for line in lines)
+        assert events
+        assert all(ev["ph"] in ("B", "E", "i") for ev in events)
+        assert {(ev["pid"], ev["tid"]) for ev in events} == {(1, 1)}
