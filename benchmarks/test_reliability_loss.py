@@ -84,9 +84,10 @@ def test_loss_sweep(benchmark):
 
     worst = outcomes[-1]
     # Retransmission overhead stays bounded: 20% loss (+5% dup/reorder)
-    # must not inflate the uplink past 1.6x the lossless run. Selective
-    # acks re-send the lost envelopes, not the window held behind them.
-    assert worst.up_bytes < 1.6 * lossless.up_bytes
+    # must not inflate the uplink past 1.35x the lossless run. Selective
+    # acks re-send the lost envelopes, not the window held behind them,
+    # and cumulative acks do not re-send one whose own ack was lost.
+    assert worst.up_bytes < 1.35 * lossless.up_bytes
 
     # Fig. 8 shape preserved: even at 20% loss DeltaCFS's delta uplink
     # undercuts the full-content baseline's lossless uplink on the same

@@ -526,7 +526,11 @@ def _cmd_inspect(args) -> int:
             print(table)
 
     if args.attribution:
-        attribution = attribute_uplink(doc)
+        try:
+            attribution = attribute_uplink(doc)
+        except TraceFormatError as exc:
+            print(f"{label}: {exc}", file=sys.stderr)
+            return 2
         print("\nuplink cost attribution (measured window):")
         print(format_table(
             ["path", "mechanism", "bytes", "msgs"],

@@ -371,7 +371,10 @@ class Envelope(Message):
 
 
 @_message(
-    wire.u64be("ack_of"), wire.flag("duplicate"), wire.items("replies", wire.SIZED)
+    wire.u64be("ack_of"),
+    wire.flag("duplicate"),
+    wire.items("replies", wire.SIZED),
+    wire.u64be("through"),
 )
 class EnvelopeAck(Message):
     """Downlink acknowledgement of one :class:`Envelope`.
@@ -380,27 +383,37 @@ class EnvelopeAck(Message):
     ``ConflictNotice``), so a retransmitted message whose first ack was
     lost still gets its replies delivered. ``duplicate`` marks acks
     produced by the server's dedup table rather than a fresh apply.
+
+    ``through`` is cumulative: the receiver has applied that msg id and
+    every id below it, and the sender retires them all. It never passes an
+    envelope whose replies hold more than plain ``Ack`` s while the apply
+    side can still answer a retransmit of it, so such replies arrive only
+    in the envelope's own ack.
     """
 
     ack_of: int
     replies: Sequence[Message] = ()
     duplicate: bool = False
+    through: int = 0
 
 
 _MSG_ID = wire.Schema("msg id", wire.u64be("msg_id"), scalar=True)
 
 
-@_message(wire.items("held", _MSG_ID, wire.u32be))
+@_message(wire.items("held", _MSG_ID, wire.u32be), wire.u64be("through"))
 class EnvelopeSack(Message):
     """Downlink selective ack: the envelopes the receiver holds, unapplied.
 
     Sent once per delivery round that leaves envelopes parked behind a
-    gap in the msg-id sequence. It says "received", not "applied": the
-    sender suspends those envelopes' retransmit timers, and still retires
-    each one only at its :class:`EnvelopeAck`, whose replies it carries.
+    gap in the msg-id sequence. For ``held`` it says "received", not
+    "applied": the sender suspends those envelopes' retransmit timers and
+    never retires one of them here. ``through`` is the same cumulative
+    "applied" mark an :class:`EnvelopeAck` carries, always below the gap,
+    and retires what it covers.
     """
 
     held: Sequence[int] = ()
+    through: int = 0
 
 
 @_message(wire.u32be("origin_client"), wire.nested("inner", wire.SIZED))

@@ -19,16 +19,27 @@ FIFO order survives link reordering, and it answers on the way back in
 two ways:
 
 - an :class:`~repro.net.messages.EnvelopeAck` per *applied* envelope,
-  carrying the server's replies. Only this retires an envelope: the
+  carrying the server's replies. It retires its own envelope: the
   sender's ``on_ack`` (the journal retires the unit) and ``on_reply`` fire
   here, once per msg_id;
 - an :class:`~repro.net.messages.EnvelopeSack` per delivery round that
   leaves envelopes parked behind a lost predecessor, naming them. The
   sender suspends those envelopes' timers, so one lost envelope costs one
-  retransmit, not the window held behind it. The next ack that retires
-  any envelope re-arms every suspended timer, and a suspended timer never
-  sleeps past ``RetryPolicy.max_backoff``: a lost SACK or a lost ack still
-  ends in a retransmit, which the server's dedup window answers.
+  retransmit, not the window held behind it. A SACK never retires a held
+  envelope. The next ack that retires any envelope re-arms every
+  suspended timer, and a suspended timer never sleeps past
+  ``RetryPolicy.max_backoff``: a lost SACK still ends in a retransmit,
+  which the server's dedup window answers.
+
+Both answers are also cumulative: ``through`` is the highest msg id the
+receiver has applied together with every id below it, and the sender
+retires every in-flight envelope at or below it (``on_ack`` fires, once
+per id; ``on_reply`` does not). So an envelope whose own ack was lost is
+retired by any later answer, not re-sent. ``through`` never passes an
+applied envelope whose replies hold more than plain ``Ack`` s (a
+conflict notice) while the apply side's exactly-once window still holds
+it: that envelope's replies reach ``on_reply`` only through its own ack,
+re-sent if need be, so each arrives exactly once.
 
 Its read-style ``call`` and its ``subscribe`` are the ones every link
 shares (:class:`~repro.net.link.Link`): charged, not faulted.
@@ -49,7 +60,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tu
 
 from repro.common.rng import DeterministicRandom
 from repro.net.link import Link
-from repro.net.messages import Envelope, EnvelopeAck, EnvelopeSack, Message
+from repro.net.messages import Ack, Envelope, EnvelopeAck, EnvelopeSack, Message
 from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
 
@@ -101,7 +112,8 @@ class RetryPolicy:
 @dataclass
 class TransportStats:
     """Cumulative delivery-protocol counters for one transport
-    (``sacks``: selective acks received)."""
+    (``sacks``: selective acks received; ``acked``: envelopes retired, of
+    which ``covered`` by a later answer's ``through``)."""
 
     sent: int = 0
     retransmits: int = 0
@@ -109,6 +121,7 @@ class TransportStats:
     acked: int = 0
     dup_acks: int = 0
     sacks: int = 0
+    covered: int = 0
 
 
 @dataclass
@@ -143,6 +156,12 @@ class ReceiveHalf:
     also sends one :class:`~repro.net.messages.EnvelopeSack` naming them.
     Answers go out on ``transmit`` (a channel's ``transmit_up`` or
     ``transmit_down``) and wait in :attr:`transit` for the sender.
+
+    Every answer carries the cumulative ``through``. ``window`` says how
+    many of the latest applied envelopes ``apply`` can still answer from
+    its cache (``None``: all of them); an envelope whose replies hold more
+    than plain ``Ack`` s caps ``through`` below it until it leaves that
+    window.
     """
 
     def __init__(
@@ -150,13 +169,17 @@ class ReceiveHalf:
         transmit: Callable[[Message, float], List[float]],
         apply: Callable[[Envelope], Tuple[Sequence[Message], bool]],
         next_deliver: int,
+        window: Optional[Callable[[], int]] = None,
     ):
         self._transmit = transmit
         self._apply = apply
+        self._window = window
         self.next_deliver = next_deliver
         self.held: Dict[int, Envelope] = {}
         self.transit: Transit = []
         self._seq = 0
+        # Applied ids whose replies someone must read, oldest first.
+        self._pinned: Deque[int] = deque()
 
     def deliver(self, arrivals: Iterable[Tuple[float, Envelope]]) -> None:
         """One delivery round: ``arrivals`` are ``(deliver_at, envelope)``
@@ -169,16 +192,37 @@ class ReceiveHalf:
                 continue
             self.held.setdefault(envelope.msg_id, envelope)
             while self.next_deliver in self.held:
-                self._ack(self.held.pop(self.next_deliver), deliver_at)
+                envelope = self.held.pop(self.next_deliver)
                 self.next_deliver += 1
+                self._ack(envelope, deliver_at)
         if last is not None and self.held:
-            self._send(EnvelopeSack(held=tuple(sorted(self.held))), last)
+            self._send(
+                EnvelopeSack(held=tuple(sorted(self.held)), through=self._through()),
+                last,
+            )
+
+    def _through(self) -> int:
+        """The highest msg id applied with every id below it, held below
+        the oldest applied envelope whose replies someone must read while
+        ``apply`` can still answer a retransmit of it."""
+        applied = self.next_deliver - 1
+        pinned = self._pinned
+        if pinned and self._window is not None:
+            gone = applied - self._window()
+            while pinned and pinned[0] <= gone:
+                pinned.popleft()
+        return pinned[0] - 1 if pinned else applied
 
     def _ack(self, envelope: Envelope, deliver_at: float) -> None:
         replies, duplicate = self._apply(envelope)
+        if not duplicate and any(type(reply) is not Ack for reply in replies):
+            self._pinned.append(envelope.msg_id)
         self._send(
             EnvelopeAck(
-                ack_of=envelope.msg_id, replies=tuple(replies), duplicate=duplicate
+                ack_of=envelope.msg_id,
+                replies=tuple(replies),
+                duplicate=duplicate,
+                through=self._through(),
             ),
             deliver_at,
         )
@@ -195,17 +239,20 @@ class ReliableTransport(Link):
     Args:
         channel: the (typically lossy) link; its ``transmit_up`` /
             ``transmit_down`` report per-copy delivery times.
-        server: the apply endpoint (must expose ``handle_envelope`` and
-            ``last_msg_id``, where the msg-id sequence resumes, and for the
-            shared ``call`` / ``subscribe``, ``answer`` and
-            ``register_client``).
+        server: the apply endpoint (must expose ``handle_envelope``,
+            ``last_msg_id``, where the msg-id sequence resumes,
+            ``dedup_window_of``, which bounds how long ``through`` waits
+            behind a conflict, and for the shared ``call`` / ``subscribe``,
+            ``answer`` and ``register_client``).
         client_id: origin id presented to the server.
         policy: retry/backoff/window knobs.
         seed: seeds the jitter stream; identical seeds + identical sends
             yield identical retransmit schedules.
         obs: PR-1 observability sink.
-        on_reply: called once per acked envelope with the server's replies
-            (conflict notices etc.); never called twice for one msg_id.
+        on_reply: called with the server's replies (conflict notices etc.)
+            when an envelope's own ack retires it; never called twice for
+            one msg_id, and not for one a later ack's ``through`` retired
+            (its replies were plain ``Ack`` s).
     """
 
     def __init__(
@@ -243,6 +290,7 @@ class ReliableTransport(Link):
             channel.transmit_down,
             lambda envelope: self.server.handle_envelope(envelope, self.client_id),
             self._next_msg_id,
+            lambda: self.server.dedup_window_of(self.client_id),
         )
         self._up_transit: Transit = []
         self._transit_seq = 0
@@ -304,7 +352,7 @@ class ReliableTransport(Link):
 
         Order matters and is fixed: deliver uplink copies that have arrived
         (the receive half acks and SACKs them), then deliver acks and SACKs
-        (retiring or suspending in-flight entries and surfacing replies),
+        (suspending, retiring what they name and cover, surfacing replies),
         then refill the window from the outbox, then retransmit every
         envelope whose timer expired.
         """
@@ -384,27 +432,48 @@ class ReliableTransport(Link):
         for _, answer in self._arrived(self._receiver.transit, now):
             if type(answer) is EnvelopeSack:
                 self._suspend(answer.held, now)
+                self._cover(answer.through, now)
                 continue
             entry = self._inflight.pop(answer.ack_of, None)
             if entry is None:
                 self.stats.dup_acks += 1
                 self.obs.inc("transport.dup_acks")
-                continue
-            if self._suspended:
+            else:
+                self._retire(entry, now, covered=False)
+                if self.on_reply is not None and answer.replies:
+                    self.on_reply(answer.replies)
+            covered = self._cover(answer.through, now)
+            if (entry is not None or covered) and self._suspended:
                 self._rearm(now)
-            self.stats.acked += 1
-            if self.obs.enabled:
-                self.obs.inc("transport.acked")
-                self.obs.event(
-                    "transport.ack",
-                    msg_id=entry.msg_id,
-                    attempts=entry.attempts,
-                    rtt=now - entry.first_sent,
-                )
-            if self.on_ack is not None:
-                self.on_ack(entry.msg_id)
-            if self.on_reply is not None and answer.replies:
-                self.on_reply(answer.replies)
+
+    def _cover(self, through: int, now: float) -> int:
+        """Retire every in-flight envelope at or below ``through``, oldest
+        first; returns how many."""
+        inflight = self._inflight
+        covered = 0
+        while inflight:
+            msg_id = next(iter(inflight))
+            if msg_id > through:
+                break
+            self._suspended.pop(msg_id, None)
+            self._retire(inflight.pop(msg_id), now, covered=True)
+            covered += 1
+        return covered
+
+    def _retire(self, entry: _InFlight, now: float, *, covered: bool) -> None:
+        self.stats.acked += 1
+        self.stats.covered += covered
+        if self.obs.enabled:
+            self.obs.inc("transport.acked")
+            self.obs.event(
+                "transport.ack",
+                msg_id=entry.msg_id,
+                attempts=entry.attempts,
+                rtt=now - entry.first_sent,
+                covered=covered,
+            )
+        if self.on_ack is not None:
+            self.on_ack(entry.msg_id)
 
     def _suspend(self, held: Sequence[int], now: float) -> None:
         """The receiver holds ``held``: their timers wait for an ack, but
@@ -418,7 +487,8 @@ class ReliableTransport(Link):
                 self._suspended[msg_id] = entry
 
     def _rearm(self, now: float) -> None:
-        """An ack arrived: restart every suspended timer at its timeout."""
+        """An ack retired an envelope: restart every suspended timer at its
+        timeout."""
         for entry in self._suspended.values():
             entry.next_retry_at = now + entry.timeout
         self._suspended.clear()

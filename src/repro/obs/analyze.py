@@ -41,6 +41,7 @@ fault-tolerant transport and crash recovery introduce):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -431,15 +432,33 @@ def _unit_members(
     if unit is None:
         return [""], [1]
     paths = [str(p) for p in unit.attrs.get("paths", [])]
-    member_bytes = [int(b) for b in unit.attrs.get("member_bytes", [])]
+    member_bytes = unit.attrs.get("member_bytes", [])
+    if not isinstance(member_bytes, list):
+        raise TraceFormatError(
+            f"{unit.name}: attr 'member_bytes' must be a list, not {member_bytes!r}"
+        )
+    member_bytes = [_number(unit.name, "member_bytes", b) for b in member_bytes]
     if not paths or len(paths) != len(member_bytes):
         return [""], [1]
     return paths, member_bytes
 
 
-def _envelope_key(attrs: dict) -> Tuple[int, int]:
+def _number(name: str, key: str, value: object) -> int:
+    """``value`` of attr ``key`` on ``name``, which the join reads as a
+    number; a :class:`TraceFormatError` when it is not one."""
+    if not _holds(value, (int, float)) or not math.isfinite(value):  # type: ignore[arg-type]
+        raise TraceFormatError(f"{name}: attr {key!r} must be a number, not {value!r}")
+    return int(value)  # type: ignore[arg-type]
+
+
+def _attr(record: dict, key: str, default: int) -> int:
+    """A numeric attr of an event record (``default`` when absent)."""
+    return _number(record.get("name", ""), key, record.get("attrs", {}).get(key, default))
+
+
+def _envelope_key(record: dict) -> Tuple[int, int]:
     """``(client, msg_id)`` of a transport event: one envelope's identity."""
-    return int(attrs.get("client", 0)), int(attrs.get("msg_id", -1))
+    return _attr(record, "client", 0), _attr(record, "msg_id", -1)
 
 
 def attribute_uplink(doc: TraceDoc) -> Attribution:
@@ -491,10 +510,9 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
     pending_envelopes: List[dict] = []
 
     def resolve_envelopes(send_record: dict) -> None:
-        attrs = send_record.get("attrs", {})
-        attempt = int(attrs.get("attempt", 1))
-        inner_type = str(attrs.get("type", ""))
-        info = enqueued.get(_envelope_key(attrs))
+        attempt = _attr(send_record, "attempt", 1)
+        inner_type = str(send_record.get("attrs", {}).get("type", ""))
+        info = enqueued.get(_envelope_key(send_record))
         if info is not None:
             paths, weights = info
         else:
@@ -507,7 +525,7 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
         for copy_index, upload in enumerate(pending_envelopes):
             if doc.in_span_named(upload.get("parent"), "run.preload"):
                 continue
-            nbytes = int(upload["attrs"].get("bytes", 0))
+            nbytes = _attr(upload, "bytes", 0)
             # The first copy is the send itself; extra copies are the
             # fault plan duplicating the transmission — pure link overhead.
             mechanism = base_mechanism if copy_index == 0 else "retransmit_overhead"
@@ -520,7 +538,7 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
         name = record.get("name")
         attrs = record.get("attrs", {})
         if name == "transport.enqueued":
-            enqueued[_envelope_key(attrs)] = _unit_members(
+            enqueued[_envelope_key(record)] = _unit_members(
                 doc, record.get("parent")
             )
             continue
@@ -529,7 +547,7 @@ def attribute_uplink(doc: TraceDoc) -> Attribution:
             continue
         if name != "channel.upload":
             continue
-        nbytes = int(attrs.get("bytes", 0))
+        nbytes = _attr(record, "bytes", 0)
         msg_type = str(attrs.get("type", ""))
         in_preload = doc.in_span_named(record.get("parent"), "run.preload")
         if msg_type == "Envelope":

@@ -779,8 +779,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "transport.ack",
         "event",
-        "an envelope is acknowledged and retired",
-        attrs=("msg_id", "attempts", "rtt"),
+        "an envelope is acknowledged and retired; `covered` when a later "
+        "answer's cumulative `through` retired it, not its own ack",
+        attrs=("msg_id", "attempts", "rtt", "covered"),
     ),
     EventSpec(
         "transport.timeout",

@@ -192,6 +192,11 @@ class CloudServer:
         every id up to it landed and none after it did."""
         return next(reversed(self._dedup.get(client_id, ())), 0)
 
+    def dedup_window_of(self, client_id: int) -> int:
+        """How many of ``client_id``'s latest applied envelopes the
+        exactly-once window can still answer a retransmit of."""
+        return self.dedup_window
+
     @staticmethod
     def _norm_prefix(prefix: str) -> str:
         return prefix.rstrip("/") or "/"

@@ -263,6 +263,10 @@ class ShardRouter:
         home = self.home_shard_index(client_id)
         return self.shards[home].last_msg_id(client_id)
 
+    def dedup_window_of(self, client_id: int) -> int:
+        """The exactly-once window's size on the client's home shard."""
+        return self.shards[self.home_shard_index(client_id)].dedup_window
+
     def _target_shards(self, shares: Sequence[str]) -> Set[int]:
         targets: Set[int] = set()
         for prefix in shares:

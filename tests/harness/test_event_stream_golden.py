@@ -246,11 +246,12 @@ def _crash_recovery():
 
 def _crash_restart_lossy():
     """Lossy link + journal: the power is cut while an envelope the cloud
-    has already applied is still unacked (fault seed 3 drops its ack) and
+    has already applied is still unacked (fault seed 5 drops its ack, and
+    no later answer's cumulative ``through`` covers it before the cut) and
     a second write waits in the queue; restart, recover."""
     obs = Observability(tracer=Tracer())
     sim = Simulation(
-        obs=obs, faults=LOSSY, fault_seed=3,
+        obs=obs, faults=LOSSY, fault_seed=5,
         journal_kv=MemoryKV(), checksum_kv=MemoryKV(),
     )
     client = sim.client

@@ -34,7 +34,14 @@ from repro.sim import Simulation, attach_client
 #: The server attributes a link uses; a client that reads anything else
 #: learned something no message carried.
 LINK_PROTOCOL = frozenset(
-    {"handle", "handle_envelope", "answer", "register_client", "last_msg_id"}
+    {
+        "handle",
+        "handle_envelope",
+        "answer",
+        "register_client",
+        "last_msg_id",
+        "dedup_window_of",
+    }
 )
 LOSSY = NetworkFaults(drop_prob=0.1, dup_prob=0.05, reorder_prob=0.05)
 SERVERS = {

@@ -16,6 +16,7 @@ from repro.net.messages import (
 from repro.net.reliable import ReceiveHalf, ReliableTransport, RetryPolicy
 from repro.net.transport import Channel, LossyChannel, NetworkModel
 from repro.server.cloud import CloudServer
+from repro.server.shard import ShardRouter
 
 FAST = NetworkModel(bandwidth_up=1e9, bandwidth_down=1e9, latency=0.01)
 
@@ -62,6 +63,13 @@ class _Scripted(Channel):
     def transmit_down(self, answer, now):
         delivered = super().transmit_down(answer, now)
         return [] if self.drop_down(answer, now) else delivered
+
+
+def _conflicting_sends(transport, clock):
+    v1, v2, v3 = VersionStamp(1, 1), VersionStamp(1, 2), VersionStamp(1, 3)
+    transport.send(MetaOp(kind="create", path="/f", new_version=v1), clock.now())
+    transport.send(_write(base=v1, new=v2), clock.now())
+    transport.send(_write(data=b"late", base=v1, new=v3), clock.now())  # loses
 
 
 class TestHappyPath:
@@ -252,11 +260,7 @@ class TestSelectiveAck:
         assert transport.stats.sacks >= 1
         assert server.dedup_drops == 0
 
-    def _conflicting_sends(self, transport, clock):
-        v1, v2, v3 = VersionStamp(1, 1), VersionStamp(1, 2), VersionStamp(1, 3)
-        transport.send(MetaOp(kind="create", path="/f", new_version=v1), clock.now())
-        transport.send(_write(base=v1, new=v2), clock.now())
-        transport.send(_write(data=b"late", base=v1, new=v3), clock.now())  # loses
+    _conflicting_sends = staticmethod(_conflicting_sends)
 
     def test_every_ack_and_sack_lost_after_a_gap_still_settles(self):
         # Msg 1 is lost, and so is every ack and SACK sent in the first
@@ -341,6 +345,117 @@ class TestSelectiveAck:
         client.pump(clock.now())
         assert client.journal.load().units == []
         assert transport.stats.retransmits == 1
+
+
+class TestCumulativeAck:
+    """Every answer's ``through`` retires what the receiver has applied,
+    so a lost ack costs nothing once a later answer lands; an envelope
+    whose replies someone must read is covered only past the server's
+    exactly-once window."""
+
+    @staticmethod
+    def _lose_first_ack_of(*msg_ids):
+        """A ``drop_down`` that loses the first ack of each of ``msg_ids``
+        and records every answer the receiver sends."""
+        lost, answers = set(msg_ids), []
+
+        def drop_down(answer, sent_at):
+            answers.append(answer)
+            if isinstance(answer, EnvelopeAck) and answer.ack_of in lost:
+                lost.discard(answer.ack_of)
+                return True
+            return False
+
+        return drop_down, answers
+
+    def _run(self, channel, sends, server=None):
+        seen, acked = [], []
+        transport, server = _transport(
+            channel=channel, server=server, on_reply=seen.extend
+        )
+        transport.on_ack = acked.append
+        clock = VirtualClock()
+        sends(transport, clock)
+        transport.settle(clock)
+        return transport, server, acked, seen
+
+    @staticmethod
+    def _creates(paths):
+        def sends(transport, clock):
+            for path in paths:
+                transport.send(MetaOp(kind="create", path=path), clock.now())
+
+        return sends
+
+    def test_a_lost_ack_is_covered_by_a_later_one(self):
+        drop_down, _ = self._lose_first_ack_of(1)
+        transport, server, acked, _ = self._run(
+            _Scripted(drop_down=drop_down), self._creates(["/a", "/b", "/c"])
+        )
+        assert transport.retransmit_log == [] and transport.stats.retransmits == 0
+        assert server.dedup_drops == 0
+        assert sorted(acked) == [1, 2, 3] and len(acked) == 3
+        assert transport.stats.acked == 3 and transport.stats.covered == 1
+
+    def _conflict_then_creates(self, paths):
+        def sends(transport, clock):
+            _conflicting_sends(transport, clock)
+            self._creates(paths)(transport, clock)
+
+        return sends
+
+    def test_a_conflict_notice_is_never_covered(self):
+        # Msg 3 loses first-write-wins and its ack is lost; msgs 4 and 5
+        # are acked. Their through stops below 3, so 3 is re-sent and its
+        # notice arrives once, from the dedup window's cached answer.
+        drop_down, answers = self._lose_first_ack_of(3)
+        transport, server, acked, seen = self._run(
+            _Scripted(drop_down=drop_down), self._conflict_then_creates(["/g", "/h"])
+        )
+        assert [msg_id for _, msg_id, _ in transport.retransmit_log] == [3]
+        assert server.dedup_drops == 1
+        assert sum(isinstance(reply, ConflictNotice) for reply in seen) == 1
+        assert sorted(acked) == [1, 2, 3, 4, 5] and len(acked) == 5
+        assert transport.stats.covered == 0
+        assert [a.through for a in answers if a.ack_of in (4, 5)] == [2, 2]
+
+    @pytest.mark.parametrize("kind", ["cloud", "router"])
+    def test_past_the_dedup_window_through_passes_a_conflict(self, kind):
+        # Once 4 newer envelopes are applied, a window of 4 no longer holds
+        # msg 3, so a retransmit could not be answered: through moves on.
+        # A router's window is its home shard's for the client.
+        if kind == "cloud":
+            server = window = CloudServer()
+        else:
+            server = ShardRouter(4)
+            window = server.shards[server.home_shard_index(1)]
+        window.dedup_window = 4
+        drop_down, answers = self._lose_first_ack_of(3)
+        transport, server, acked, _ = self._run(
+            _Scripted(drop_down=drop_down),
+            self._conflict_then_creates(["/g", "/h", "/i", "/j"]),
+            server=server,
+        )
+        assert [(a.ack_of, a.through) for a in answers] == [
+            (1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 7),
+        ]
+        assert transport.retransmit_log == [] and window.dedup_drops == 0
+        assert sorted(acked) == [1, 2, 3, 4, 5, 6, 7] and len(acked) == 7
+        assert transport.stats.covered == 1
+
+    def test_a_perfect_channel_sends_and_retires_as_before(self):
+        # Nothing is lost, so every envelope is retired by its own ack, in
+        # order, with its replies; no answer covers anything.
+        answers = []
+        channel = _Scripted(drop_down=lambda answer, at: answers.append(answer))
+        transport, _, acked, seen = self._run(
+            channel, self._conflict_then_creates(["/g", "/h"])
+        )
+        assert acked == [1, 2, 3, 4, 5]
+        assert [type(reply).__name__ for reply in seen] == ["Ack", "ConflictNotice"]
+        assert transport.retransmit_log == [] and transport.stats.covered == 0
+        assert [type(a).__name__ for a in answers] == ["EnvelopeAck"] * 5
+        assert [a.ack_of for a in answers] == acked
 
 
 class TestInOrderDelivery:

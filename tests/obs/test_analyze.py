@@ -329,6 +329,34 @@ class TestAttribution:
             "/fb": b.channel.stats.up_bytes,
         }
 
+    @pytest.mark.parametrize("name, key, attrs", [
+        ("channel.upload", "bytes", {"type": "MetaOp", "bytes": "x"}),
+        ("transport.enqueued", "client", {"client": "x", "msg_id": 1}),
+        ("transport.enqueued", "msg_id", {"client": 1, "msg_id": None}),
+        ("transport.send", "attempt", {"client": 1, "msg_id": 1, "attempt": "2"}),
+        ("transport.send", "msg_id", {"client": 1, "msg_id": [1], "attempt": 1}),
+    ])
+    def test_a_non_number_attr_is_a_format_error(self, name, key, attrs):
+        """The join's numeric attrs are checked where it reads them: a bad
+        one is a TraceFormatError naming the event and the attr, never a
+        bare ValueError or TypeError."""
+        doc = load_trace_lines([json.dumps(
+            {"type": "event", "name": name, "parent": None, "ts": 0.0, "attrs": attrs})])
+        with pytest.raises(TraceFormatError, match=f"^{name}: attr '{key}' must be a number"):
+            attribute_uplink(doc)
+
+    @pytest.mark.parametrize("member_bytes", [["x"], "12", [float("inf")]])
+    def test_a_non_number_member_size_is_a_format_error(self, member_bytes):
+        doc = load_trace_lines([
+            json.dumps({"type": "span_start", "name": "client.upload_unit", "id": 1,
+                        "parent": None, "ts": 0.0,
+                        "attrs": {"paths": ["/f"], "member_bytes": member_bytes}}),
+            json.dumps({"type": "event", "name": "transport.enqueued", "parent": 1,
+                        "ts": 0.0, "attrs": {"client": 1, "msg_id": 1}}),
+        ])
+        with pytest.raises(TraceFormatError, match="^client.upload_unit: attr 'member_bytes'"):
+            attribute_uplink(doc)
+
     def test_rows_sorted_by_bytes(self):
         _, doc = record_run("deltacfs")
         rows = attribute_uplink(doc).rows

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -127,6 +129,18 @@ def test_inspect_bad_inputs(tmp_path, capsys):
     garbage.write_text("not json\n")
     assert main(["inspect", str(garbage)]) == 2
     capsys.readouterr()
+
+
+def test_inspect_attribution_reports_a_non_number_attr(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({
+        "type": "event", "name": "channel.upload", "parent": None, "ts": 0.0,
+        "attrs": {"type": "MetaOp", "bytes": "x"}}) + "\n")
+    assert main(["inspect", str(trace), "--summary"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(trace), "--attribution"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{trace}: channel.upload: attr 'bytes' must be a number, not 'x'\n"
 
 
 @pytest.mark.parametrize(
