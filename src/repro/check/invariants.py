@@ -226,10 +226,10 @@ def _check_migration_safety(doc: TraceDoc) -> List[str]:
     """Every detach is matched by an attach, loss-free and write-free.
 
     A detached bundle must re-home exactly once (no double-detach, no
-    attach out of nowhere), the destination's post-merge lineage must be
-    at least the lineage that left the source, and no version may be
-    accepted for the path while it is in flight. A trace ending with a
-    pending detach is a violation — the file vanished.
+    attach out of nowhere), the destination's post-merge history must
+    hold at least the restorable versions that left the source, and no
+    version may be accepted for the path while it is in flight. A trace
+    ending with a pending detach is a violation — the file vanished.
     """
     violations: List[str] = []
     #: path -> (detach versions, detach ts) while in flight.

@@ -812,8 +812,8 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "server.shard.detach",
         "event",
         "a file bundle left its source shard for a cross-shard "
-        "co-location; `versions` counts the lineage leaving with it. The "
-        "migration-safety invariant demands a matching "
+        "co-location; `versions` counts the restorable versions leaving "
+        "with it. The migration-safety invariant demands a matching "
         "`server.shard.attach` with no version loss and no accepted "
         "writes for the path in between",
         attrs=("path", "src_shard", "dst_shard", "reason", "versions"),
@@ -822,15 +822,16 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
         "server.shard.attach",
         "event",
         "the migrated file bundle re-homed on the destination shard; "
-        "`versions` is re-derived from the destination store after the "
-        "lineage merge (≥ the detach count when no history was lost)",
+        "`versions` counts the restorable versions, re-derived from the "
+        "destination store after the merge (≥ the detach count when no "
+        "history was lost)",
         attrs=("path", "src_shard", "dst_shard", "versions"),
     ),
     EventSpec(
         "server.shard.rename_forward",
         "event",
-        "a rename spanned two shards: the source file bundle (content, "
-        "lineage, window snapshots) migrated to the destination's shard, "
+        "a rename spanned two shards: the source file bundle (content "
+        "and restorable versions) migrated to the destination's shard, "
         "which then applied the rename locally, so the new name is already "
         "on its own shard (the two-step cross-shard rename; see fleet.md)",
         attrs=("path", "dest", "src_shard", "dst_shard"),

@@ -286,10 +286,11 @@ class CloudServer:
         the files in this operation as conflict" (Section III-E).
 
         Rollback is exact for every touched path — same ``StoredFile``
-        object (hard links keep sharing it), content, version, lineage and
+        object (hard links keep sharing it), content, version, history and
         ``dirs`` membership as before the group. Only the conflict copies
         are added; ``upload_order`` keeps the members' entries and the
-        snapshot window their stamps, which no path's lineage names.
+        version window their stamps, which no rolled-back path's history
+        lists (a stamp the group pushed out of the window stays out).
         """
         saved = {
             path: (self.store.save_entry(path), path in self.dirs)
@@ -590,7 +591,7 @@ class CloudServer:
 
     def version_history(self, path: str) -> List[VersionStamp]:
         """Restorable versions of ``path``, oldest first."""
-        return self.store.restorable_history(path)
+        return self.store.history(path)
 
     def restore_version(
         self,

@@ -22,8 +22,8 @@ Design rules, in order of importance:
 3. **Placement is a function of the name.** Between two router calls
    every file sits on its namespace's shard. A rename, link or
    transactional group spanning shards is *migrate, apply, go home*: the
-   router moves each touched file bundle (live content, version lineage,
-   window snapshots) onto one shard via ``VersionedStore.detach_entry`` /
+   router moves each touched file bundle (live content and its windowed
+   versions) onto one shard via ``VersionedStore.detach_entry`` /
    ``attach_entry``, that shard applies the message as a purely local op
    — so version stamps, forwards and trace events come out of the
    ordinary apply path and INV-EXACTLY-ONCE / INV-VERSION-MONO hold
@@ -142,9 +142,6 @@ class _StoreView:
 
     def history(self, path: str) -> List[VersionStamp]:
         return self._store(path).history(path)
-
-    def restorable_history(self, path: str) -> List[VersionStamp]:
-        return self._store(path).restorable_history(path)
 
     def paths(self) -> List[str]:
         out: List[str] = []
@@ -389,7 +386,7 @@ class ShardRouter:
         bundle = origin.store.detach_entry(path)
         if bundle is None:
             return
-        stored, lineage, snapshots = bundle
+        stored, versions = bundle
         if self.obs.enabled:
             self.obs.event(
                 "server.shard.detach",
@@ -397,14 +394,14 @@ class ShardRouter:
                 src_shard=source,
                 dst_shard=target,
                 reason=reason,
-                versions=len(lineage),
+                versions=len(versions),
             )
-        self.shards[target].store.attach_entry(path, stored, lineage, snapshots)
+        self.shards[target].store.attach_entry(path, stored, versions)
         self.migrations += 1
         if self.obs.enabled:
             # versions is re-derived from the destination store *after*
             # the merge — an independent count the migration-safety
-            # invariant diffs against the detach-side lineage length.
+            # invariant diffs against the detach-side count.
             self.obs.event(
                 "server.shard.attach",
                 path=path,

@@ -7,6 +7,13 @@ renamed or overwritten in the namespace, and (b) materialize a losing
 update as a conflict copy (Section III-C: "servers keep recent versions of
 files, the incremental data can still be applied to the proper file").
 
+The window is also the version history (Section III-C's fine-grained
+version control): each windowed stamp carries the names whose history
+lists it, so a name's history is exactly the stamps the store can
+restore, and a stamp leaves every history when it leaves the window. The
+store's version memory is O(window x names per stamp), however long the
+run and whether the names are live or deleted.
+
 Content is held as :class:`~repro.common.pages.Pages` — current files and
 snapshots alike — so a snapshot is a reference and successive versions of
 a file share every page an update did not touch: the window costs the
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import NotFoundError
 from repro.common.pages import EMPTY, Pages
@@ -50,17 +57,18 @@ class StoredFile:
 
 
 class VersionedStore:
-    """Path namespace + stamp-addressed snapshot window."""
+    """Path namespace + stamp-addressed version window."""
 
     def __init__(self, *, snapshot_window: int = 64):
         if snapshot_window <= 0:
             raise ValueError("snapshot_window must be positive")
         self._files: Dict[str, StoredFile] = {}
+        # The version window, oldest first: each recent stamp's content,
+        # and (same keys) the names whose history lists it — one entry per
+        # applied Sync Queue node.
         self._snapshots: "OrderedDict[VersionStamp, Pages]" = OrderedDict()
+        self._names: Dict[VersionStamp, Set[str]] = {}
         self._snapshot_window = snapshot_window
-        # Per-path version lineage (newest last) — the fine-grained version
-        # control of Section III-C: one entry per applied Sync Queue node.
-        self._history: Dict[str, List[VersionStamp]] = {}
 
     # -- namespace ---------------------------------------------------------
 
@@ -94,29 +102,25 @@ class VersionedStore:
             stored.pages = content
             stored.version = version
         if version is not None:
-            self._remember(version, content)
-            lineage = self._history.setdefault(path, [])
-            if not lineage or lineage[-1] != version:
-                lineage.append(version)
+            self._remember(version, content).add(path)
 
     def rename(self, src: str, dst: str) -> None:
         """Move a path (replacing any existing destination).
 
-        Version lineage is *copied* to the destination, extending any
-        lineage the destination already has, and the source keeps a copy
-        too: in the transactional-save dance (rename f -> t0; rename
-        t1 -> f) the document's history must survive both hops so that
-        "restore yesterday's version of f" stays meaningful.
+        History is *copied* to the destination, joining any history the
+        destination already has, and the source keeps a copy too: in the
+        transactional-save dance (rename f -> t0; rename t1 -> f) the
+        document's history must survive both hops so that "restore
+        yesterday's version of f" stays meaningful. The copy is one pass
+        over the window.
         """
         stored = self._files.pop(src, None)
         if stored is None:
             raise NotFoundError(f"cloud has no file {src}")
         self._files[dst] = stored
-        src_lineage = self._history.get(src, [])
-        dst_lineage = self._history.setdefault(dst, [])
-        for version in src_lineage:
-            if not dst_lineage or dst_lineage[-1] != version:
-                dst_lineage.append(version)
+        for names in self._names.values():
+            if src in names:
+                names.add(dst)
 
     def copy(self, src: str, dst: str) -> None:
         """Bind ``dst`` to the same file as ``src`` (hard-link replay).
@@ -129,7 +133,7 @@ class VersionedStore:
         self._files[dst] = self.get(src)
 
     def delete(self, path: str) -> None:
-        """Remove a path; snapshots of its versions survive the window."""
+        """Remove a path; its history stays until its stamps age out."""
         if path not in self._files:
             raise NotFoundError(f"cloud has no file {path}")
         del self._files[path]
@@ -143,11 +147,10 @@ class VersionedStore:
     def save_entry(self, path: str) -> tuple:
         """What :meth:`restore_entry` needs to put ``path`` back exactly."""
         stored = self._files.get(path)
-        lineage = self._history.get(path)
         return (
             stored,
             None if stored is None else (stored.pages, stored.version),
-            None if lineage is None else len(lineage),
+            [names for names in self._names.values() if path in names],
         )
 
     def restore_entry(self, path: str, saved: tuple) -> None:
@@ -155,81 +158,71 @@ class VersionedStore:
 
         The name is bound to the same :class:`StoredFile` object as before
         (so names hard-linked to it share content again) holding the
-        content and version it held, or unbound if it was; the lineage is
-        cut back to the entries it had (applying a message only ever
-        appends to a lineage, so its length is all there is to remember).
-        Unlike :meth:`put` this snapshots nothing and appends no lineage
-        entry.
+        content and version it held, or unbound if it was; its history
+        is the stamps that listed it then and are still windowed (a stamp
+        evicted meanwhile left every history anyway). Unlike :meth:`put`
+        this snapshots nothing.
         """
-        stored, fields, lineage_len = saved
+        stored, fields, listed = saved
         if stored is None:
             self._files.pop(path, None)
         else:
             stored.pages, stored.version = fields
             self._files[path] = stored
-        if lineage_len is None:
-            self._history.pop(path, None)
-        else:
-            del self._history[path][lineage_len:]
+        for names in self._names.values():
+            names.discard(path)
+        for names in listed:
+            names.add(path)
 
     # -- shard migration (cross-shard rename/link/group co-location) -------
 
     def detach_entry(
         self, path: str
-    ) -> Optional[Tuple[StoredFile, List[VersionStamp], List[Tuple[VersionStamp, Pages]]]]:
+    ) -> Optional[Tuple[StoredFile, List[Tuple[VersionStamp, Pages]]]]:
         """Remove ``path`` and return everything another store needs to host it.
 
-        Returns ``(stored, lineage, snapshots)`` — the live file object, its
-        version lineage, and the lineage snapshots still inside this store's
-        window — or ``None`` when the path is absent. Used by the shard
-        router to move a file between shards before applying a cross-shard
-        rename; the caller re-homes the bundle with :meth:`attach_entry`.
-        Snapshots are copied out, not dropped: an aged-out base on the old
-        shard behaves exactly like one that aged out of a single server.
+        Returns ``(stored, versions)`` — the live file object and its
+        history as ``(stamp, snapshot)`` pairs, oldest first — or ``None``
+        when the path is absent. Used by the shard router to move a file
+        between shards before applying a cross-shard rename; the caller
+        re-homes the bundle with :meth:`attach_entry`. Snapshots are
+        copied out, not dropped: an aged-out base on the old shard behaves
+        exactly like one that aged out of a single server.
         """
         stored = self._files.pop(path, None)
         if stored is None:
             return None
-        lineage = self._history.pop(path, [])
-        snapshots = [
-            (version, self._snapshots[version])
-            for version in lineage
-            if version in self._snapshots
-        ]
-        return stored, lineage, snapshots
+        versions = []
+        for version, content in self._snapshots.items():
+            names = self._names[version]
+            if path in names:
+                names.remove(path)
+                versions.append((version, content))
+        return stored, versions
 
     def attach_entry(
         self,
         path: str,
         stored: StoredFile,
-        lineage: List[VersionStamp],
-        snapshots: List[Tuple[VersionStamp, Pages]],
+        versions: List[Tuple[VersionStamp, Pages]],
     ) -> None:
         """Adopt a file bundle produced by :meth:`detach_entry`.
 
-        Lineage extends (without duplicating the junction stamp) any
-        lineage this store already has for ``path``, mirroring
-        :meth:`rename`'s merge rule; migrated snapshots enter this store's
-        window and age out under its normal eviction policy.
+        The migrated versions join any history this store already has for
+        ``path`` (:meth:`rename`'s rule), entering this store's window and
+        aging out under its normal eviction policy.
         """
         self._files[path] = stored
-        dst_lineage = self._history.setdefault(path, [])
-        for version in lineage:
-            if not dst_lineage or dst_lineage[-1] != version:
-                dst_lineage.append(version)
-        for version, content in snapshots:
-            self._remember(version, content)
+        for version, content in versions:
+            self._remember(version, content).add(path)
 
     # -- version history (fine-grained version control, Section III-C) -----
 
     def history(self, path: str) -> List[VersionStamp]:
-        """Version lineage of ``path``, oldest first (Sync Queue node
-        granularity — between open-to-close and per-write)."""
-        return list(self._history.get(path, []))
-
-    def restorable_history(self, path: str) -> List[VersionStamp]:
-        """The subset of :meth:`history` whose content is still snapshotted."""
-        return [v for v in self._history.get(path, []) if v in self._snapshots]
+        """The restorable versions of ``path``, each once, oldest first
+        (Sync Queue node granularity — between open-to-close and
+        per-write)."""
+        return [v for v in self._snapshots if path in self._names[v]]
 
     # -- snapshots ---------------------------------------------------------
 
@@ -237,8 +230,12 @@ class VersionedStore:
         """Content of a recent version, or ``None`` if it aged out."""
         return self._snapshots.get(version)
 
-    def _remember(self, version: VersionStamp, content: Pages) -> None:
+    def _remember(self, version: VersionStamp, content: Pages) -> Set[str]:
+        """Window ``content`` as ``version``, newest; returns the names
+        whose history lists it. An evicted stamp leaves every history."""
         self._snapshots[version] = content
         self._snapshots.move_to_end(version)
+        names = self._names.setdefault(version, set())
         while len(self._snapshots) > self._snapshot_window:
-            self._snapshots.popitem(last=False)
+            del self._names[self._snapshots.popitem(last=False)[0]]
+        return names

@@ -131,6 +131,33 @@ def test_migration_emits_paired_detach_attach():
             >= detaches[0]["attrs"]["versions"] > 0)
 
 
+def test_migrating_more_versions_than_the_window_moves_the_window():
+    # Both counts are restorable stamps: the detach side no longer counts
+    # stamps the source could not restore, so the invariant compares like
+    # with like.
+    obs = Observability()
+    router = ShardRouter(2, obs=obs)
+    ns1, ns2 = _two_namespaces(router)
+    src, dst = f"{ns1}/a", f"{ns2}/b"
+    router.handle(MetaOp(kind="create", path=src, new_version=VersionStamp(1, 0)))
+    for n in range(100):
+        router.handle(UploadWrite(path=src, offset=0, data=b"%d" % n,
+                                  base_version=VersionStamp(1, n),
+                                  new_version=VersionStamp(1, n + 1)))
+    router.handle(MetaOp(kind="rename", path=src, dest=dst,
+                         new_version=VersionStamp(1, 101)))
+    events = [e for e in
+              (json.loads(line) for line in obs.tracer.to_jsonl().splitlines())
+              if e.get("type") == "event"]
+    (detach,) = [e for e in events if e["name"] == "server.shard.detach"]
+    (attach,) = [e for e in events if e["name"] == "server.shard.attach"]
+    assert detach["attrs"]["versions"] == attach["attrs"]["versions"] == 64
+    assert router.store.history(dst) == [VersionStamp(1, n) for n in range(37, 101)]
+    doc_trace = load_trace_lines(obs.tracer.to_jsonl().splitlines())
+    results = {r.id: r for r in verify_trace(doc_trace)}
+    assert results["INV-MIGRATE-SAFE"].status == "ok"
+
+
 def test_shard_home_violation_is_caught():
     # Seeded mutation: note an envelope on the wrong shard. The recorded
     # shard id then disagrees with the router's home derivation.

@@ -426,11 +426,11 @@ def test_rollback_and_migration_carry_a_paged_entry_with_its_links():
     assert store.get("/g").pages is paged and store.get("/g").version == V(1, 1)
 
     other = VersionedStore()
-    stored, lineage, snapshots = store.detach_entry("/f")
-    other.attach_entry("/f", stored, lineage, snapshots)
+    stored, versions = store.detach_entry("/f")
+    other.attach_entry("/f", stored, versions)
     assert other.get("/f") is store.get("/g")  # the link still shares the file
     assert other.get("/f").pages is paged
     assert other.snapshot(V(1, 1)) is paged
-    assert other.snapshot(V(1, 2)) is None  # rolled back out of the lineage
+    assert other.snapshot(V(1, 2)) is None  # rolled back out of the history
     other.put("/f", paged.write(0, b"z"), V(1, 3))
     assert store.get("/g").content[:2] == b"z\x00"

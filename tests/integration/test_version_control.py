@@ -141,11 +141,12 @@ class TestRestore:
             MemoryFileSystem(), server=server, channel=Channel(), clock=clock
         )
         client.create("/f")
-        _edit_cycle(client, clock, "/f", [b"a", b"b", b"c", b"d"])
-        full_lineage = server.store.history("/f")
-        restorable = client.version_history("/f")
-        assert len(restorable) < len(full_lineage)  # window pruned old ones
-        aged_out = full_lineage[0]
+        _edit_cycle(client, clock, "/f", [b"a"])
+        aged_out = client.versions["/f"]
+        _edit_cycle(client, clock, "/f", [b"b", b"c", b"d"])
+        history = client.version_history("/f")
+        assert len(history) == 2  # the window: older versions aged out
+        assert aged_out not in history
         with pytest.raises(NotFoundError):
             client.restore_version("/f", aged_out)
 
