@@ -11,20 +11,21 @@ version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.common import wire
 
 
 @wire.record(wire.u32be("client_id"), wire.u32be("counter"))
-@dataclass(frozen=True, order=True)
-class VersionStamp:
+class VersionStamp(NamedTuple):
     """A globally-unique version identifier ``<CliID, VerCnt>``.
 
     Ordering is lexicographic (client id then counter) and exists only for
     deterministic display/sorting; causality between different clients'
-    stamps is *not* implied, by design. 8 bytes on the wire.
+    stamps is *not* implied, by design. 8 bytes on the wire. A tuple, so
+    the dicts and sets keyed by stamps hash and compare them in C; it
+    equals the bare ``(client_id, counter)`` pair, and no collection
+    mixes stamps with other pairs.
     """
 
     client_id: int

@@ -85,7 +85,7 @@ def test_discovery_finds_every_kind_of_record():
     names = {p.id.split(":")[1] for p in RECORDS}
     assert {"VersionStamp", "UploadWrite", "Envelope", "Delta", "Copy", "Literal",
             "Signature", "journal node", "WriteNode", "MetaNode", "relation", "undo",
-            "u64", "WAL frame", "WAL payload", "block index", "block checksum",
+            "u64", "WAL frame", "WAL payload", "group index", "checksum group",
             "trace op", "WriteOp", "RmdirOp", "trace metadata", "preload content"} <= names
     assert len(CODECS) >= 33
 

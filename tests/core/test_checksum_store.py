@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CorruptionDetected, InconsistencyDetected
-from repro.core.checksum_store import ChecksumStore
+from repro.core.checksum_store import GROUP, ChecksumStore
 from repro.cost.meter import CostMeter
 
 BLOCK = 256
@@ -74,6 +74,63 @@ class TestMaintenance:
     def test_zero_length_update_noop(self, store):
         store.update_blocks("/f", b"", 0, 0)
         assert store.blocks_of("/f") == []
+
+
+class TestGroupRecords:
+    """One KV record per group of ``GROUP`` blocks: the edges of a group."""
+
+    def test_a_write_across_a_group_boundary_updates_both_records(self, store):
+        content = _content(BLOCK * (GROUP + 6))
+        store.update_blocks("/f", content, (GROUP - 1) * BLOCK + 10, BLOCK)
+        assert store.blocks_of("/f") == [GROUP - 1, GROUP]
+        assert len(list(store.kv.items(b""))) == 2
+        store.verify_read("/f", content, (GROUP - 1) * BLOCK, 2 * BLOCK)
+        damaged = bytearray(content)
+        damaged[GROUP * BLOCK + 3] ^= 0x10
+        with pytest.raises(CorruptionDetected) as exc:
+            store.verify_read("/f", bytes(damaged), (GROUP - 1) * BLOCK, 2 * BLOCK)
+        assert exc.value.block_index == GROUP
+        unchecked = [i for i in range(GROUP + 6) if i not in (GROUP - 1, GROUP)]
+        assert store.mismatched_blocks("/f", content) == unchecked
+
+    def test_a_record_holds_slots_up_to_its_highest_block(self, store):
+        content = _content(BLOCK * 8)
+        store.update_blocks("/f", content, 5 * BLOCK, 1)
+        ((_, value),) = store.kv.items(b"/f\x00")
+        assert len(value) == 8 + 4 * 6  # bitmap, then slots 0..5
+        store.update_blocks("/f", content, BLOCK, 1)
+        assert store.blocks_of("/f") == [1, 5]
+        store.verify_read("/f", content, BLOCK, 1)
+        store.verify_read("/f", content, 5 * BLOCK, 1)
+        with pytest.raises(CorruptionDetected) as exc:
+            store.verify_read("/f", content, 0, 6 * BLOCK)  # block 0 never written
+        assert exc.value.block_index == 0
+
+    def test_a_shrinking_truncate_that_ends_mid_group(self, store):
+        old = _content(BLOCK * (2 * GROUP + 2))
+        store.reindex("/f", old)
+        assert len(list(store.kv.items(b""))) == 3
+        new = old[: BLOCK * (GROUP + 36) + 17]  # block GROUP + 36 is short
+        store.reindex("/f", new)
+        assert store.blocks_of("/f") == list(range(GROUP + 37))
+        assert len(list(store.kv.items(b""))) == 2
+        store.verify_file("/f", new)
+        store.verify_read("/f", new, len(new) - 30, 30)
+        assert store.mismatched_blocks("/f", old) == list(
+            range(GROUP + 36, 2 * GROUP + 2)
+        )
+
+    def test_a_rename_onto_a_tracked_destination_drops_its_other_groups(self, store):
+        src_content = _content(BLOCK * 2)
+        store.reindex("/src", src_content)
+        store.reindex("/dst", _content(BLOCK * (2 * GROUP + 1), seed=7))
+        store.rename("/src", "/dst")
+        assert store.blocks_of("/src") == []
+        assert store.blocks_of("/dst") == [0, 1]
+        assert [key for key, _ in store.kv.items(b"")] == [
+            key for key, _ in store.kv.items(b"/dst\x00")
+        ]
+        store.verify_file("/dst", src_content)
 
 
 class TestCorruptionDetection:
@@ -151,7 +208,7 @@ class TestNames:
         store.update_blocks("/f", content, 0, len(content))
         store.reindex("/g", content)
         keys = [key for key, _ in store.kv.items(b"")]
-        assert len(keys) == 4
+        assert len(keys) == 2  # one group record per name
         assert all(key.startswith((b"/f\x00", b"/g\x00")) for key in keys)
 
 

@@ -33,6 +33,8 @@ the fan-out path: a message is wrapped in one ``Forward`` for all its
 recipients, its write makes one content value that the server and every
 recipient then hold, an idle peer's pump sweeps neither its queue nor its
 relation table, and a meter charge is the profile's own float expression.
+And in the checksum store: a write, a verified read and an unlink of a
+file of one block group each touch that group's one KV record.
 """
 
 import gc
@@ -65,8 +67,8 @@ SMALL, SCALE, LIMIT = 8, 16, 1.25
 
 def build(files):
     """A client holding ``files`` synced files and ``files`` more whose
-    create and write are still queued: 2x files, 2x queued nodes, 4x
-    checksum keys and 2x journal records, all proportional to ``files``."""
+    create and write are still queued: 2x files, 2x queued nodes, 2x
+    checksum records and 2x journal records, all proportional to ``files``."""
     clock = VirtualClock()
     client = DeltaCFSClient(
         MemoryFileSystem(), server=CloudServer(), channel=Channel(), clock=clock,
@@ -188,6 +190,40 @@ def test_a_one_name_file_asks_for_its_names_once_per_byte_change(op, calls):
     client.inner.linked_paths = lambda path: names.append(path) or linked_paths(path)
     op(client)
     assert names == ["/s0001"] * calls
+
+
+def _counted_kv_calls(kv):
+    """Calls per method on ``kv`` from here on."""
+    calls = {"get": 0, "put": 0, "delete": 0}
+    for name in calls:
+        method = getattr(kv, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        setattr(kv, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda c: c.write("/s0001", 100, b"x" * 512), {"get": 1, "put": 1, "delete": 0}),
+        (lambda c: c.write("/s0001", 4000, b"x" * 512), {"get": 1, "put": 1, "delete": 0}),
+        (lambda c: c.read("/s0001", 0, 8192), {"get": 1, "put": 0, "delete": 0}),
+        (lambda c: c.unlink("/s0002"), {"get": 0, "put": 0, "delete": 1}),
+    ],
+    ids=["write", "write-two-blocks", "read-two-blocks", "unlink"],
+)
+def test_a_checksum_op_touches_one_record_per_group(op, expected):
+    # Section III-E: a file's block checksums are kept a group of 64 blocks
+    # to a KV record, so an op inside one group reads and writes that
+    # record once, however many of its blocks the op covers.
+    client = build(SMALL)
+    calls = _counted_kv_calls(client.checksums.kv)
+    op(client)
+    assert calls == expected
 
 
 def test_size_reads_the_inode_and_builds_no_stat(monkeypatch):

@@ -9,7 +9,7 @@ sweeps against checksums written by its predecessor.
 from repro.common.clock import VirtualClock
 from repro.core.client import DeltaCFSClient
 from repro.faults.crash import inject_crash_inconsistency, restart
-from repro.kvstore import LogStructuredKV
+from repro.kvstore import LogStructuredKV, wal
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
@@ -89,5 +89,37 @@ def test_checksums_survive_torn_wal_tail(tmp_path):
     try:
         # reopening dropped the torn tail; intact checksums still verify
         assert reborn.recover().damaged_paths == []
+    finally:
+        _close(reborn)
+
+
+def test_a_torn_group_record_flags_only_what_changed_since(tmp_path):
+    client = _make_client(tmp_path)
+    block = client.checksums.block_size
+    content = bytes(range(256)) * (20 * block // 256)
+    client.create("/db")
+    client.write("/db", 0, content)
+    client.close("/db")
+    _settle(client)
+    client.write("/db", 5 * block + 100, b"new bytes" * 10)
+    client.write("/db", 9 * block, b"more" * 10)
+    written = client.inner.read_file("/db")
+    _close(client)
+
+    # The crash tore the last append: the group record holding both writes.
+    # The record before it (block 5's write alone) survives.
+    log = tmp_path / "checksums.wal"
+    raw = log.read_bytes()
+    *_, (op, key, value) = wal.iter_records(raw)
+    assert op == wal.PUT and key.startswith(b"/db\x00")
+    last = len(wal.encode_record(op, key, value))
+    log.write_bytes(raw[: len(raw) - last // 2])
+
+    reborn = restart(client)
+    try:
+        assert reborn.checksums.mismatched_blocks("/db", written) == [9]
+        assert reborn.recover().damaged_paths == ["/db"]
+        assert reborn.inner.read_file("/db") == written
+        assert reborn.checksums.mismatched_blocks("/db", written) == []
     finally:
         _close(reborn)

@@ -526,7 +526,7 @@ def test_recovered_version_map_follows_a_pending_rename():
 
 def _group_router():
     """A 4-shard router where /u1 and /u2 live on different shards, and
-    a file on each: ROADMAP item 9, ledger (ix)."""
+    a file on each: PR 26, ledger (ix)."""
     router = ShardRouter(4)
     assert router.shard_index_for_path("/u1/a") != router.shard_index_for_path("/u2/b")
     for counter, path in enumerate(("/u1/a", "/u2/b"), 1):

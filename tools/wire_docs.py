@@ -29,7 +29,7 @@ MODULES = (
     ("repro.delta.rsync", "the rsync block signature (sizes only)"),
     ("repro.core.recovery", "crash-recovery journal records (values of the journal's KV keys)"),
     ("repro.kvstore.wal", "the write-ahead log record: `WAL frame`, then `length` bytes of `WAL payload` whose CRC-32 the frame carries"),
-    ("repro.core.checksum_store", "the checksum store's KV pairs: key `<path> 0x00 <block index>`, value `block checksum`"),
+    ("repro.core.checksum_store", "the checksum store's KV pairs, one per group of 64 blocks: key `<path> 0x00 <group index>`, value `checksum group`, whose `slots` are the u32 BE weak checksums of the group's blocks, slot `i` for block `64 × group index + i`, up to the highest bit set in `present`"),
     ("repro.vfs.ops", "file operations as trace-file records"),
     ("repro.workloads.traceio", "the trace file around them: the 8 bytes `DCFSTRC1`, `trace metadata` (JSON: `name`, `stats`, sorted `preload_paths`, `op_records`), one `preload content` per path, then `op_records` × `trace op`"),
 )
