@@ -237,6 +237,10 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._enqueue_meta("create", path, None, new_version=version, now=now)
 
     def write(self, path: str, offset: int, data: bytes) -> None:
+        # write(2) semantics: the bytes are the buffer's when the call is
+        # made; a caller may reuse it as soon as it returns. One snapshot,
+        # free for ``bytes``, that the store and the queued node then share.
+        data = bytes(data)
         path = self.inner.canonical(path)
         if not data:
             # write(2) with count 0 changes nothing. Forwarded, the backing

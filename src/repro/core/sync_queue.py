@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.common.bytesutil import changed_fraction, merge_ranges
+from repro.common.bytesutil import join_pieces, merge_ranges, overlay
 from repro.common.errors import PackedNodeError
 from repro.common.version import VersionStamp
 from repro.delta.format import Delta
@@ -86,6 +86,9 @@ class WriteNode(QueueNode):
     writes: List[Tuple[int, bytes]] = field(default_factory=list)
     packed: bool = False
     base: Optional[object] = field(default=None, compare=False, repr=False)
+    _spans: Optional[List[Tuple[int, int]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def add_write(self, offset: int, data: bytes) -> None:
         """Attach one write; only legal while unpacked."""
@@ -103,26 +106,37 @@ class WriteNode(QueueNode):
         self.packed = True
 
     def merged_writes(self) -> List[Tuple[int, bytes]]:
-        """Writes coalesced for upload: overlapping/adjacent runs merged.
+        """Writes coalesced for upload: overlapping/adjacent runs merged,
+        a later write winning where writes overlap.
 
-        Later writes win where ranges overlap — replay order is preserved
-        by materializing each merged range in write order.
+        A run that is exactly one write is that write's own ``bytes``
+        object, shared with the node, not copied (the client takes its one
+        snapshot of the caller's buffer at interception). A run merged from
+        several writes is built with one copy of the bytes that show.
         """
-        if not self.writes:
-            return []
-        spans = merge_ranges([(off, len(d)) for off, d in self.writes])
-        out: List[Tuple[int, bytes]] = []
-        for span_off, span_len in spans:
-            buffer = bytearray(span_len)
-            for offset, data in self.writes:
-                rel = offset - span_off
-                if rel + len(data) <= 0 or rel >= span_len:
-                    continue
-                buffer[max(rel, 0) : rel + len(data)] = data[
-                    max(-rel, 0) :
-                ]
-            out.append((span_off, bytes(buffer)))
-        return out
+        pieces = overlay(self.writes)
+        runs: List[Tuple[int, bytes]] = []
+        k = 0
+        for offset, length in self.merged_spans():
+            first, end = k, offset + length
+            while k < len(pieces) and pieces[k][0] < end:
+                k += 1
+            runs.append((offset, join_pieces(pieces[first:k])))
+        return runs
+
+    def merged_spans(self) -> List[Tuple[int, int]]:
+        """The writes' ranges, merged. A packed node of several writes
+        keeps them (its writes are final), so the pack-time
+        :meth:`rewritten_fraction` and the upload share one merge. A lone
+        write's are made again: cheaper than keeping a list alive from
+        pack to upload, which moved collector pauses into the op that
+        packs."""
+        spans = self._spans
+        if spans is None:
+            spans = merge_ranges([(offset, len(data)) for offset, data in self.writes])
+            if self.packed and len(self.writes) > 1:
+                self._spans = spans
+        return spans
 
     def rewritten_fraction(self, base_size: int, size: int) -> float:
         """Fraction of the ``base_size``-byte base that the node's writes
@@ -130,14 +144,14 @@ class WriteNode(QueueNode):
         no old bytes and do not count; an empty base gives 0."""
         if base_size <= 0:
             return 0.0
-        spans = [
-            (offset, min(offset + len(data), base_size) - offset)
-            for offset, data in self.writes
-            if offset < base_size
-        ]
-        if size < base_size:
-            spans.append((size, base_size - size))
-        return changed_fraction(spans, base_size)
+        # The merged spans are disjoint: sum what they cover below the cut,
+        # then add the cut itself.
+        cut = min(size, base_size)
+        covered = base_size - cut
+        for offset, length in self.merged_spans():
+            if offset < cut:
+                covered += min(offset + length, cut) - offset
+        return covered / base_size
 
     def payload_bytes(self) -> int:
         return sum(len(d) for _, d in self.writes)

@@ -34,12 +34,15 @@ recipients, its write makes one content value that the server and every
 recipient then hold, an idle peer's pump sweeps neither its queue nor its
 relation table, and a meter charge is the profile's own float expression.
 And in the checksum store: a write, a verified read and an unlink of a
-file of one block group each touch that group's one KV record.
+file of one block group each touch that group's one KV record. And on the
+upload path: a queued write ships the bytes the application wrote, the
+object itself, with no copy on the way to the cloud.
 """
 
 import gc
 import posixpath
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -382,6 +385,26 @@ def test_a_pump_with_a_live_relation_still_sweeps(monkeypatch):
     calls.clear()
     client.pump()
     assert calls == []
+
+
+def test_an_upload_ships_the_written_object_itself():
+    # A run that is one write is that write's bytes: no zero-filled scratch
+    # run and no copy of it (2 MiB for this write before), and the cloud
+    # applies the payload to an empty file by keeping it.
+    client, clock = _lone_client()
+    client.create("/f")
+    data = b"u" * (1 << 20)
+    client.write("/f", 0, data)
+    clock.advance(60.0)
+    tracemalloc.start()
+    try:
+        assert client.pump() == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(client.queue) == 0
+    assert peak < 64 * 1024
+    assert bytes(client._link.server.store.get("/f").pages) is data
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Tests for the Sync Queue: write nodes, packing, backindex, FIFO upload."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.common.bytesutil import changed_fraction, merge_ranges
 from repro.common.config import DeltaCFSConfig
 from repro.common.version import VersionStamp
 from repro.core._reference import next_unit
@@ -100,6 +102,90 @@ class TestMergedWrites:
 
     def test_empty(self):
         assert _write_node().merged_writes() == []
+
+    def test_a_lone_write_ships_its_own_object(self):
+        node = _write_node()
+        data = b"q" * 5000
+        node.add_write(7, data)
+        node.pack()
+        ((offset, shipped),) = node.merged_writes()
+        assert offset == 7 and shipped is data
+        assert node.to_message().data is data
+
+    def test_a_write_covered_whole_by_a_later_one_is_not_shipped(self):
+        node = _write_node()
+        later = b"y" * 300
+        node.add_write(100, b"x" * 100)
+        node.add_write(50, later)
+        assert node.merged_writes() == [(50, later)]
+        assert node.merged_writes()[0][1] is later
+
+    def test_a_packed_node_merges_once(self, monkeypatch):
+        # The pack-time fraction and the upload share one merge of the
+        # node's write ranges.
+        import repro.common.bytesutil as bytesutil
+        import repro.core.sync_queue as sync_queue
+
+        merged = []
+
+        def counted(ranges):
+            merged.append(list(ranges))
+            return merge_ranges(ranges)
+
+        monkeypatch.setattr(bytesutil, "merge_ranges", counted)
+        monkeypatch.setattr(sync_queue, "merge_ranges", counted)
+        node = _write_node()
+        node.add_write(0, b"a" * 10)
+        node.add_write(5, b"b" * 10)
+        node.pack()
+        assert node.rewritten_fraction(20, 20) == 0.75
+        assert node.to_message().data == b"a" * 5 + b"b" * 10
+        assert merged.count([(0, 10), (5, 10)]) == 1
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 48), st.binary(max_size=16)), max_size=12
+        ),
+        st.booleans(),
+        st.integers(0, 80),
+        st.integers(0, 80),
+    )
+    def test_merge_is_the_replay_of_the_writes(
+        self, writes, packed, base_size, size
+    ):
+        node = _write_node()
+        for offset, data in writes:
+            node.add_write(offset, data)
+        if packed:
+            node.pack()
+        end = max((offset + len(data) for offset, data in writes), default=0)
+        replay = bytearray(end)
+        for offset, data in writes:
+            replay[offset : offset + len(data)] = data
+        spans = merge_ranges([(offset, len(data)) for offset, data in writes])
+        merged = node.merged_writes()
+        assert [(offset, len(data)) for offset, data in merged] == spans
+        for offset, data in merged:
+            assert type(data) is bytes
+            assert data == replay[offset : offset + len(data)]
+            touching = [
+                raw for at, raw in writes
+                if raw and at <= offset + len(data) and offset <= at + len(raw)
+            ]
+            if len(touching) == 1:  # the run is exactly one write
+                assert data is touching[0]
+        assert node.merged_writes() == merged
+        # The pack-time fraction reads the same merge: bit-equal to the
+        # fraction of the raw, unmerged writes.
+        raw = [
+            (offset, min(offset + len(data), base_size) - offset)
+            for offset, data in writes
+            if offset < base_size
+        ]
+        if size < base_size:
+            raw.append((size, base_size - size))
+        expected = changed_fraction(raw, base_size) if base_size > 0 else 0.0
+        assert node.rewritten_fraction(base_size, size) == expected
 
 
 def _client_with(path, content, **config):

@@ -921,3 +921,29 @@ def test_a_restore_supersedes_pending_writes_under_every_name(via):
     assert not any("conflicted copy" in p for p in sim.server.store.paths())
     assert client.read("/g") == client.read("/f") == b"one" * 1000
     assert sim.mismatched() == []
+
+
+# write(2) hands the kernel the buffer's bytes as they are when the call is
+# made; the caller may reuse the buffer once it returns. The client queued
+# the caller's own object, so a bytearray changed after ``write`` shipped
+# the changed bytes: the local file read AAAA..., the cloud ZZZZ....
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [bytearray, lambda raw: memoryview(bytearray(raw))],
+    ids=["bytearray", "memoryview"],
+)
+def test_a_buffer_changed_after_write_ships_what_was_written(wrap):
+    sim = Simulation(clients=1)
+    client = sim.client
+    client.create("/f")
+    buf = wrap(b"A" * 8192)
+    client.write("/f", 0, buf)
+    buf[0:4] = b"ZZZZ"
+    client.close("/f")
+    sim.settle()
+    sim.flush()
+    assert client.read("/f") == b"A" * 8192
+    assert bytes(sim.server.store.get("/f").pages) == b"A" * 8192
+    assert sim.mismatched() == []
