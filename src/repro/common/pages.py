@@ -36,10 +36,14 @@ result. The cloud and every client it forwards one update to apply the
 same run to the same value, so they all end up holding one successor and
 its pages, computed once; ``truncate`` to 0 returns the one :data:`EMPTY`,
 so a forwarded full-content update (``write_file``) does not split them.
-The memo keeps no payload and no successor alive (docs/performance.md,
-deliberate rejections). Only results over :data:`FLAT_MAX` are
-remembered: a smaller one costs less to splice again than its weak
-reference costs to make.
+A remembered result also keeps the ``bytes`` object it was made from, and
+a repeat that passes that very object is known by identity, with no byte
+compare; any other payload, and any ``bytearray`` or ``memoryview``, is
+compared in place. So a payload lives exactly as long as the result it
+made (a whole-content result already *is* its payload), and the memo
+keeps no successor alive (docs/performance.md, deliberate rejections).
+Only results over :data:`FLAT_MAX` are remembered: a smaller one costs
+less to splice again than its weak reference costs to make.
 
 ``write`` and ``truncate`` have exactly the semantics of
 ``bytesutil.apply_write`` / ``bytesutil.truncate`` on plain ``bytes`` —
@@ -93,7 +97,7 @@ class Pages:
     ``None`` for a flat one.
     """
 
-    __slots__ = ("_flat", "_top", "size", "_next", "__weakref__")
+    __slots__ = ("_flat", "_top", "size", "_next", "_payload", "__weakref__")
 
     def __init__(
         self, data: Optional[bytes] = b"", top: Optional[Leaves] = None, size=None
@@ -104,6 +108,9 @@ class Pages:
         # The last write made from this value whose result is over
         # FLAT_MAX: (offset, length, weak reference to the result), or None.
         self._next = None
+        # The ``bytes`` a remembered write made this value from, or None:
+        # a repeat that passes the same object is known without a compare.
+        self._payload = None
 
     @property
     def table(self) -> Optional[Tuple[bytes, ...]]:
@@ -210,10 +217,13 @@ class Pages:
         length = len(data)
         last = self._next
         # A value made from this one by ``length`` bytes at ``offset`` is
-        # this write's result exactly when those bytes are ``data``.
+        # this write's result exactly when those bytes are ``data``: surely
+        # so when ``data`` is the very ``bytes`` it was made from.
         if last is not None and last[0] == offset and last[1] == length:
             known = last[2]()
-            if known is not None and known._holds(offset, data):
+            if known is not None and (
+                data is known._payload or known._holds(offset, data)
+            ):
                 return known
         size = self.size
         end = offset + length
@@ -223,6 +233,7 @@ class Pages:
             result = Pages(bytes(data))
             if length > FLAT_MAX:
                 self._next = (offset, length, ref(result))
+                result._payload = result._flat  # no second object held
             return result
         flat = self._flat
         if flat is not None and end <= FLAT_MAX and size <= FLAT_MAX:
@@ -259,6 +270,8 @@ class Pages:
             top = top[:first] + _leaves(top[first][:at] + new if at else new)
         result = Pages(None, top, end if end > size else size)
         self._next = (offset, length, ref(result))
+        if type(data) is bytes:  # immutable: the same object, the same bytes
+            result._payload = data
         return result
 
     def truncate(self, length: int) -> "Pages":

@@ -1020,8 +1020,7 @@ class DeltaCFSClient(PassthroughFileSystem):
         path = getattr(message, "path", "")
         if not path:
             return
-        pending = self.queue.pending_nodes(path)
-        if pending:
+        if self.queue.has_pending(path):
             # Local concurrent edit: the forwarded update conflicts with
             # pending local changes (Section III-D); the server reconciles,
             # we keep local state and count the conflict.
@@ -1031,10 +1030,18 @@ class DeltaCFSClient(PassthroughFileSystem):
         if isinstance(message, MetaOp):
             self._replay_remote_meta(message)
         elif isinstance(message, (UploadWrite, UploadWriteBatch)):
-            # Each run re-checksums what it touched, as a local write does
-            # (past EOF the zero-filled gap too), not the whole file.
             self._ensure_exists(path)
             names = self.inner.linked_paths(path)
+            if self.checksums is None:
+                # Nothing to re-checksum: write the runs, stamp the names.
+                for offset, data in message.runs:
+                    self.inner.write(path, offset, data)
+                version = message.new_version
+                for name in names:
+                    self.versions[name] = version
+                return
+            # Each run re-checksums what it touched, as a local write does
+            # (past EOF the zero-filled gap too), not the whole file.
             for offset, data in message.runs:
                 old_size = self.inner.size(path)
                 self.inner.write(path, offset, data)

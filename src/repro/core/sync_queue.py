@@ -385,6 +385,16 @@ class SyncQueue:
         """All queued nodes for ``path`` in FIFO order."""
         return [n for n in self.nodes_naming(path) if n.path == path]
 
+    def has_pending(self, path: str) -> bool:
+        """Whether any node for ``path`` is queued: :meth:`pending_nodes`
+        as a yes/no, with no list built."""
+        held = self._naming.get(path)
+        if held is None:
+            return False
+        if isinstance(held, dict):
+            return any(node.path == path for node in held.values())
+        return held.path == path
+
     def nodes_naming(self, name: str) -> List[QueueNode]:
         """All queued nodes that name ``name`` — as their own path or as
         the destination of a rename/link — in FIFO order."""

@@ -427,3 +427,11 @@ class Forward(Message):
     origin_client: int
     inner: Message = field(default=None)  # type: ignore[assignment]
 
+    def __post_init__(self) -> None:
+        # The cloud hands one Forward to every recipient's download, so it
+        # is sized once, here, by its layout, and ``wire_size()`` answers
+        # that figure. Only a Forward caches its size: other messages'
+        # ``Sequence`` fields (``paths``, ``members``) may be lists.
+        size = self.WIRE.size(self)
+        object.__setattr__(self, "wire_size", lambda: size)
+

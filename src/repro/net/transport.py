@@ -89,10 +89,18 @@ class Channel:
     def upload(self, message: Message, now: float = 0.0) -> float:
         """Account a client-to-server message; returns its completion time."""
         size = message.wire_size()
-        self.stats.up_bytes += size
-        self.stats.up_messages += 1
-        self._charge(self.client_meter, "network_send", size)
-        self._charge(self.server_meter, "network_recv", size)
+        stats = self.stats
+        stats.up_bytes += size
+        stats.up_messages += 1
+        # Each end pays its network stack, then its encryption: the same
+        # charges, in the same order, at every call site.
+        sender, receiver = self.client_meter, self.server_meter
+        sender.charge_bytes("network_send", size)
+        if self._encrypted:
+            sender.charge_bytes("encrypt", size)
+        receiver.charge_bytes("network_recv", size)
+        if self._encrypted:
+            receiver.charge_bytes("encrypt", size)
         start = max(now, self._up_busy_until)
         self._up_busy_until = start + size / self.model.bandwidth_up
         done = self._up_busy_until + self.model.latency
@@ -113,10 +121,16 @@ class Channel:
     def download(self, message: Message, now: float = 0.0) -> float:
         """Account a server-to-client message; returns its completion time."""
         size = message.wire_size()
-        self.stats.down_bytes += size
-        self.stats.down_messages += 1
-        self._charge(self.server_meter, "network_send", size)
-        self._charge(self.client_meter, "network_recv", size)
+        stats = self.stats
+        stats.down_bytes += size
+        stats.down_messages += 1
+        sender, receiver = self.server_meter, self.client_meter
+        sender.charge_bytes("network_send", size)
+        if self._encrypted:
+            sender.charge_bytes("encrypt", size)
+        receiver.charge_bytes("network_recv", size)
+        if self._encrypted:
+            receiver.charge_bytes("encrypt", size)
         start = max(now, self._down_busy_until)
         self._down_busy_until = start + size / self.model.bandwidth_down
         done = self._down_busy_until + self.model.latency
@@ -165,13 +179,6 @@ class Channel:
     def down_busy_until(self) -> float:
         """Virtual time at which the downlink finishes its queued transfers."""
         return self._down_busy_until
-
-    # -- internals -----------------------------------------------------------
-
-    def _charge(self, meter: CostMeter, category: str, size: int) -> None:
-        meter.charge_bytes(category, size)
-        if self._encrypted:
-            meter.charge_bytes("encrypt", size)
 
 
 @dataclass

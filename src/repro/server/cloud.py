@@ -543,10 +543,13 @@ class CloudServer:
             recipients = [cid for cid in self._sinks if cid != origin_client]
         # One frozen Forward for every recipient (§III-D: the same data,
         # no additional computation); each sink pays only its own apply.
+        if not recipients:
+            return
         forward = Forward(origin_client=origin_client, inner=message)
+        self.obs.inc("server.forwards.sent", len(recipients))
+        sinks = self._sinks
         for client_id in recipients:
-            self.obs.inc("server.forwards.sent")
-            self._sinks[client_id](origin_client, forward)
+            sinks[client_id](origin_client, forward)
 
     @staticmethod
     def _ancestor_prefixes(path: str) -> List[str]:

@@ -398,6 +398,52 @@ def test_the_memo_keeps_no_payload():
 # -- replace, not fork ----------------------------------------------------------
 
 
+def test_the_very_payload_is_known_without_a_compare(monkeypatch):
+    compared = []
+    holds = Pages._holds
+    monkeypatch.setattr(
+        Pages, "_holds", lambda *args: compared.append(args) or holds(*args)
+    )
+    for base, offset in (
+        (Pages(b"a" * 2 * FLAT_MAX), 100),  # flat base, paged result
+        (paged_4mb(), 40 * PAGE + 9),
+        (EMPTY, 0),  # whole content: the result is its payload
+    ):
+        payload = b"x" * (FLAT_MAX + 10)
+        first = base.write(offset, payload)
+        assert base.write(offset, payload) is first and compared == []
+        # an equal object, or a mutable buffer, is compared in place
+        assert base.write(offset, bytes(bytearray(payload))) is first
+        assert base.write(offset, bytearray(payload)) is first
+        assert base.write(offset, memoryview(payload)) is first
+        assert len(compared) == 3
+        compared.clear()
+
+
+def test_a_result_keeps_its_payload_only_while_it_lives():
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        base = Pages(bytes(2 * FLAT_MAX)).write(1, b"\x01")
+        payload = bytes(range(256)) * (MB4 // 256)
+        result = base.write(PAGE + 1, payload)  # unaligned: its pages are copies
+        del payload
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        del result
+        gc.collect()
+        dropped_result, _ = tracemalloc.get_traced_memory()
+        del base
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = MB4 // 256 * 256
+    assert held - before > 2 * size  # the result's pages, and its payload
+    assert dropped_result - before < 2 * FLAT_MAX + 64 * 1024  # the base alone
+    assert after - before < 64 * 1024
+
+
 def test_every_store_holds_the_one_type_after_a_wechat_replay():
     sim = Simulation(clients=2)
     trace = wechat_trace(scale=512, modifications=12)

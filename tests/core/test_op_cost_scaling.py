@@ -330,6 +330,51 @@ def test_a_forwarded_write_is_computed_once_for_every_recipient(
     assert all(c.inner.content("/f") is stored for c in sim.clients)
 
 
+@pytest.mark.parametrize("recipients", [2, 8])
+def test_a_forward_is_sized_once_per_fan_out(recipients, monkeypatch):
+    # Every recipient downloads the one Forward; its size is worked out
+    # once, not once per download.
+    sim = Simulation(clients=recipients + 1)
+    sized = []
+    own_size = MetaOp.wire_size
+    monkeypatch.setattr(
+        MetaOp, "wire_size", lambda message: sized.append(message) or own_size(message)
+    )
+    create = MetaOp(kind="create", path="/new", new_version=VersionStamp(1, 1))
+    down = [c.channel.stats.down_bytes for c in sim.clients]
+    assert sim.server.handle(create, origin_client=1).ok
+    assert sized == [create]
+    forward = Forward(origin_client=1, inner=create).wire_size()
+    assert [c.channel.stats.down_bytes - d for c, d in zip(sim.clients, down)] == [
+        0
+    ] + [forward] * recipients
+
+
+@pytest.mark.parametrize("recipients", [2, 8])
+def test_a_fan_outs_repeat_writes_compare_no_bytes(recipients, monkeypatch):
+    # The server's apply and every recipient's pass the very object the
+    # writer wrote: each is known for the writer's result by identity.
+    sim = Simulation(clients=recipients + 1)
+    writer = sim.clients[0]
+    writer.create("/f")
+    writer.write("/f", 0, bytes([recipients]) * 256 * 1024)
+    writer.close("/f")
+    sim.settle()
+    compared = []
+    holds = Pages._holds
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            Pages, "_holds", lambda *args: compared.append(args) or holds(*args)
+        )
+        writer.write("/f", 5 * 4096 + 100, b"w" * 4096)
+        writer.close("/f")
+        sim.settle()
+    assert compared == []
+    stored = sim.server.store.get("/f").pages
+    assert all(c.inner.content("/f") is stored for c in sim.clients)
+    assert sim.mismatched() == []
+
+
 def _sweeps(monkeypatch):
     """The names of the queue sweeps and relation scans a pump makes."""
     calls = []

@@ -479,6 +479,17 @@ class TestBookkeeping:
         q.enqueue(MetaNode(path="/a", kind="unlink"), now=0.0)
         assert [n.kind for n in q.pending_nodes("/a")] == ["create", "unlink"]
 
+    def test_has_pending_agrees_with_pending_nodes(self):
+        # A rename *to* a name queues nothing for it: it is pending only
+        # where a node's own path is that name.
+        q = _queue()
+        q.enqueue(MetaNode(path="/t", kind="rename", dest="/a"), now=0.0)
+        q.enqueue(MetaNode(path="/b", kind="create"), now=0.0)
+        q.enqueue(MetaNode(path="/b", kind="link", dest="/c"), now=0.0)
+        for name in ("/a", "/b", "/c", "/t", "/none"):
+            assert q.has_pending(name) == bool(q.pending_nodes(name)), name
+        assert [q.has_pending(n) for n in ("/a", "/b", "/t")] == [False, True, True]
+
 
 class TestCoalesceClamp:
     # A hot file's debounce refreshes on every write; without the clamp a

@@ -1,7 +1,9 @@
 """Tests for the channel byte accounting and transfer-time model."""
 
+import pytest
+
 from repro.cost.meter import CostMeter
-from repro.net.messages import Ack, UploadFull
+from repro.net.messages import Ack, UploadFull, UploadWrite
 from repro.net.transport import (
     Channel,
     MOBILE_NETWORK,
@@ -51,6 +53,37 @@ class TestCpuCharging:
         channel = Channel(model=NetworkModel(encrypted=False), client_meter=cm)
         channel.upload(UploadFull(path="/f", data=b"x" * 10000))
         assert cm.by_category.get("encrypt", 0) == 0
+
+
+@pytest.mark.parametrize("model", [PC_NETWORK, NetworkModel(encrypted=False)])
+@pytest.mark.parametrize("shared", [False, True], ids=["two meters", "one meter"])
+def test_a_transfer_charges_what_the_four_explicit_calls_charge(model, shared):
+    # Each end's network stack, then its encryption; the sender before the
+    # receiver. ``model_ticks`` is a float sum, so the order is the contract.
+    client = CostMeter()
+    server = client if shared else CostMeter()
+    channel = Channel(model, client_meter=client, server_meter=server)
+    want_client = CostMeter()
+    want_server = want_client if shared else CostMeter()
+
+    def charge(sender, receiver, size):
+        sender.charge_bytes("network_send", size)
+        if model.encrypted:
+            sender.charge_bytes("encrypt", size)
+        receiver.charge_bytes("network_recv", size)
+        if model.encrypted:
+            receiver.charge_bytes("encrypt", size)
+
+    for length in (1, 333, 4097, 65_537, 1_000_003):
+        message = UploadWrite(path="/f", offset=length, data=b"x" * length)
+        channel.upload(message)
+        charge(want_client, want_server, message.wire_size())
+        channel.download(message)
+        charge(want_server, want_client, message.wire_size())
+    for meter, want in ((client, want_client), (server, want_server)):
+        assert meter.by_category == want.by_category
+        assert meter.bytes_by_category == want.bytes_by_category
+        assert repr(meter.total) == repr(want.total)
 
 
 class TestTransferTime:
