@@ -15,10 +15,14 @@ in-place delta threshold (``repro.core.client``), the checksum block
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 #: The mechanism-selection policy names — the one list; ``repro.core.policy``
 #: asserts at import that its class table has exactly these keys.
 SYNC_POLICIES = ("static", "cost-model", "always-rpc", "always-delta")
+
+#: Where the client preserves unlinked files (inside the tree, never synced).
+TMP_DIR = "/.deltacfs_tmp"
 
 
 @dataclass
@@ -32,8 +36,6 @@ class DeltaCFSConfig:
             expires (paper: "empirically set in a range of 1 to 3 seconds").
         upload_delay: seconds a Sync Queue node waits before uploading,
             allowing coalescing and delta replacement (paper Fig. 6: 3 s).
-        tmp_dir: directory (inside the managed tree) where unlinked files are
-            preserved while their relation entry is live.
         enable_checksums: maintain the block checksum store (DeltaCFSc in
             Table III); disable to reproduce the plain DeltaCFS row.
         enable_undo_log: the paper's undo log: a write node keeps the file's
@@ -56,7 +58,7 @@ class DeltaCFSConfig:
     block_size: int = 4096
     relation_timeout: float = 2.0
     upload_delay: float = 3.0
-    tmp_dir: str = "/.deltacfs_tmp"
+    tmp_dir: ClassVar[str] = TMP_DIR  # read-only: not a setting
     enable_checksums: bool = True
     enable_undo_log: bool = True
     delta_backend: str = "bitwise"

@@ -23,20 +23,23 @@ charged message: updates by ``send``, reads by ``call``.
 
 from __future__ import annotations
 
-import posixpath
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import VirtualClock
-from repro.common.config import DeltaCFSConfig
+from repro.common.config import TMP_DIR, DeltaCFSConfig
 from repro.common.errors import (
     CorruptionDetected,
     NoSpaceError,
     NotFoundError,
 )
-from repro.common.pages import Pages
 from repro.core.checksum_store import ChecksumStore
-from repro.core.recovery import SyncJournal, fold, pending_messages, perform_recovery
+from repro.core.recovery import (
+    RecoveryReport,
+    SyncJournal,
+    perform_recovery,
+    repair,
+)
 from repro.core.relation_table import RelationEntry, RelationTable
 from repro.core.sync_queue import (
     DeltaNode,
@@ -60,7 +63,6 @@ from repro.net.messages import (
     HistoryRequest,
     Message,
     MetaOp,
-    RangeReply,
     RangeRequest,
     RestoreRequest,
     TxnGroup,
@@ -83,6 +85,7 @@ INPLACE_DELTA_THRESHOLD = 0.5
 #: Files larger than this are deleted on unlink, not preserved for a later
 #: delta (the paper's ENOSPC escape hatch, expressed as a cap).
 PRESERVE_UNLINKED_MAX_BYTES = 1 << 30
+_TMP_PREFIX = TMP_DIR + "/"
 
 
 @dataclass
@@ -290,9 +293,13 @@ class DeltaCFSClient(PassthroughFileSystem):
             # (Figure 6's delay gives delta replacement its window).
             node.enqueue_time = now
         node.add_write(offset, data)
-        # (Re-)journal the node with the new write absorbed — the record is
-        # keyed by seq, so a coalesced write simply overwrites it.
-        self._journal_node(node)
+        # A new node is journaled whole; a coalesced write is journaled
+        # alone, so a file written in n pieces journals its bytes once.
+        if self.journal is not None:
+            if len(node.writes) == 1:
+                self.journal.record_node(node)
+            else:
+                self.journal.record_write(node)
 
         # Past EOF the store zero-filled [old_size, offset): the old partial
         # tail block and the gap's blocks changed as well.
@@ -350,7 +357,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
         path = self.inner.canonical(path)
-        self._tick()
+        now = self._tick()
         if self.checksums is None or self._unsynced(path):
             return self.inner.read(path, offset, length)
         # One read of the blocks to verify; the answer is cut from them.
@@ -361,12 +368,10 @@ class DeltaCFSClient(PassthroughFileSystem):
             self.checksums.verify_read(path, span, offset, len(data), start=start)
         except CorruptionDetected:
             self.stats.corruptions_detected += 1
-            recovered = self._recover(path)
-            if recovered is None:
-                raise
-            if length is None:
-                return recovered[offset:]
-            return recovered[offset : offset + length]
+            # The crash sweep's repair; it raises when the cloud holds no copy.
+            repair(self, path, now, RecoveryReport())
+            self.stats.recoveries += 1
+            return self.inner.read(path, offset, length)
         return data
 
     def truncate(self, path: str, length: int) -> None:
@@ -640,7 +645,7 @@ class DeltaCFSClient(PassthroughFileSystem):
 
     def _unsynced(self, path: str) -> bool:
         """Paths outside sync scope: the preservation tmp area."""
-        return path.startswith(self.config.tmp_dir + "/") or path == self.config.tmp_dir
+        return path.startswith(_TMP_PREFIX) or path == TMP_DIR
 
     # -- journal hooks (no-ops when no journal is attached) ----------------
 
@@ -892,11 +897,9 @@ class DeltaCFSClient(PassthroughFileSystem):
         stat = self.inner.stat(path)
         if stat.is_dir or stat.size > PRESERVE_UNLINKED_MAX_BYTES:
             return False
-        if not self.inner.exists(self.config.tmp_dir):
-            self.inner.mkdir(self.config.tmp_dir)
-        preserved = posixpath.join(
-            self.config.tmp_dir, path.strip("/").replace("/", "__")
-        )
+        if not self.inner.exists(TMP_DIR):
+            self.inner.mkdir(TMP_DIR)
+        preserved = _TMP_PREFIX + path.strip("/").replace("/", "__")
         try:
             if self.inner.exists(preserved):
                 self.inner.unlink(preserved)
@@ -937,11 +940,10 @@ class DeltaCFSClient(PassthroughFileSystem):
         self._journal_forget_relations(expired)
 
     def _collect_expired_entry(self, entry: RelationEntry) -> None:
+        # A matched entry left the table when it matched, so no pending
+        # create delta ever holds one that expires.
         if entry.origin == "unlink":
             self._drop_preserved(entry.dst)
-        self._pending_create_delta = {
-            p: e for p, e in self._pending_create_delta.items() if e is not entry
-        }
 
     # -- uploading ---------------------------------------------------------
 
@@ -1003,7 +1005,7 @@ class DeltaCFSClient(PassthroughFileSystem):
                 self.obs.inc("client.conflicts")
                 self.conflict_notices.append(reply)
 
-    # -- downloads: forwards and recovery -----------------------------------
+    # -- downloads: forwards ------------------------------------------------
 
     def _receive_forward(self, origin_client: int, message: Forward) -> None:
         """Apply another client's update, forwarded verbatim by the cloud."""
@@ -1030,8 +1032,11 @@ class DeltaCFSClient(PassthroughFileSystem):
         if isinstance(message, MetaOp):
             self._replay_remote_meta(message)
         elif isinstance(message, (UploadWrite, UploadWriteBatch)):
-            self._ensure_exists(path)
-            names = self.inner.linked_paths(path)
+            try:
+                names = self.inner.linked_paths(path)
+            except NotFoundError:  # the file's create never reached us
+                self.inner.create(path)
+                names = [path]
             if self.checksums is None:
                 # Nothing to re-checksum: write the runs, stamp the names.
                 for offset, data in message.runs:
@@ -1052,7 +1057,8 @@ class DeltaCFSClient(PassthroughFileSystem):
                 )
             return
         elif isinstance(message, UploadTruncate):
-            self._ensure_exists(path)
+            if not self.inner.exists(path):
+                self.inner.create(path)
             self.inner.truncate(path, message.length)
             self.versions[path] = message.new_version
         elif isinstance(message, UploadDelta):
@@ -1088,10 +1094,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         elif op.kind == "rmdir" and self.inner.exists(op.path):
             self.inner.rmdir(op.path)
 
-    def _ensure_exists(self, path: str) -> None:
-        if not self.inner.exists(path):
-            self.inner.create(path)
-
     def _patched(self, message: UploadDelta) -> Optional[bytes]:
         """A forwarded delta's result, patched as the server does against
         this client's own copy of its ``content_base``: the local name
@@ -1107,28 +1109,6 @@ class DeltaCFSClient(PassthroughFileSystem):
         if held is not None and self.inner.exists(held):
             old = self.inner.read_file(held)
             return apply_delta(old, message.delta, meter=self.meter)
-        reply = self._fetch(message.path)
+        request = RangeRequest(path=message.path, offset=0, length=TO_THE_END)
+        reply = self._link.call(request, self.clock.now())
         return None if reply.version is None else reply.data
-
-    def _fetch(self, path: str) -> RangeReply:
-        """The cloud's whole copy of ``path``: one range to the end."""
-        request = RangeRequest(path=path, offset=0, length=TO_THE_END)
-        return self._link.call(request, self.clock.now())
-
-    def _recover(self, path: str) -> Optional[bytes]:
-        """Restore the local file + checksums from the cloud copy with the
-        file's pending data nodes (under any name) folded over it, as the
-        server will hold it once they land; their stamp stays."""
-        reply = self._fetch(path)
-        if reply.version is None:
-            return None
-        content, version = reply.data, reply.version
-        names = self.inner.linked_paths(path)
-        pending = pending_messages(self.queue, names)
-        if pending:
-            content = bytes(fold(Pages(content), pending))
-            version = pending[-1].new_version
-        self.inner.write_file(path, content)
-        self._file_changed(path, version, names)
-        self.stats.recoveries += 1
-        return content

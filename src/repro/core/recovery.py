@@ -11,8 +11,9 @@ already makes the Checksum Store durable (the LevelDB role), and
 What is journaled (and when):
 
 - **queue nodes** — every Sync Queue node with its payload (write runs,
-  truncate length, delta instruction stream, namespace op), re-recorded on
-  coalesce and forgotten on cancel/replace and once the cloud has it (a
+  truncate length, delta instruction stream, namespace op), each write a
+  write node absorbs later one more record, and forgotten, every record,
+  on cancel/replace and once the cloud has it (a
   direct link's send returning, or the reliable transport's ack — or, a
   known gap, on hand-off when the envelope must park behind a full window);
 - **units** — the queue's merged backindex spans (which queued nodes must
@@ -43,8 +44,10 @@ checksum store, repairing injected crash inconsistency block-by-block from
 ranged downloads patched with the journaled pending writes — recovery
 traffic is bounded by the dirty + damaged regions, never whole files.
 
-The repair (:func:`_rebuild`) reads a pending node as the message it will
-ship as (``QueueNode.to_message()``, the uploader's own conversion) and
+The repair (:func:`repair`, which a verified read that catches damage runs
+too) reads a pending node of the file, under any of its names, as the
+message it will ship as (``QueueNode.to_message()``, the uploader's own
+conversion) and
 folds every one's ``apply_to`` over cloud bytes spliced into the local
 content — or, as the fallback, over the whole cloud copy — so what recovery
 rebuilds locally is by construction what the server will hold once the
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import wire
+from repro.common.errors import CorruptionDetected
 from repro.common.pages import EMPTY, Pages
 from repro.common.version import VersionCounter, VersionStamp
 from repro.core.relation_table import RelationEntry
@@ -90,6 +94,10 @@ _U64 = wire.Schema("u64", wire.u64be("value"), scalar=True)
 
 def _node_key(seq: int) -> bytes:
     return _P_NODE + _U64.encode(seq)
+
+
+def _write_key(seq: int, index: int) -> bytes:  # sorts after the node's key
+    return _node_key(seq) + _U64.encode(index)
 
 
 def _unit_key(msg_id: int) -> bytes:
@@ -195,7 +203,7 @@ class SyncJournal:
 
     Records are idempotent puts/deletes keyed by the volatile object's
     identity (node seq, relation src, undo path+index), so re-recording a
-    coalesced node simply overwrites its previous record. Pair it with a
+    node simply overwrites its previous record. Pair it with a
     :class:`~repro.kvstore.kv.LogStructuredKV` opened in ``sync=True`` mode
     so an acked append survives the very power cut this models.
     """
@@ -204,6 +212,8 @@ class SyncJournal:
         self.kv = kv
         self.obs = obs
         self._undo_index: Dict[str, int] = {}
+        # seq -> index of the last write journaled apart from its node
+        self._last_write: Dict[int, int] = {}
 
     # -- write side --------------------------------------------------------
 
@@ -214,16 +224,28 @@ class SyncJournal:
         )
 
     def record_node(self, node: QueueNode) -> None:
-        """Persist (or re-persist, after coalescing) one queue node."""
+        """Persist one queue node, its writes so far included."""
         if node.seq < 0:
             raise ValueError("cannot journal a node that was never enqueued")
         self._put(
             _node_key(node.seq), encode_node(node), kind="node", ref=str(node.seq)
         )
 
+    def record_write(self, node: WriteNode) -> None:
+        """Persist only the write a journaled write node just absorbed."""
+        index = len(node.writes) - 1
+        self._put(
+            _write_key(node.seq, index), _RUN.encode(node.writes[index]),
+            kind="node", ref=str(node.seq),
+        )
+        self._last_write[node.seq] = index
+
     def forget_node(self, seq: int) -> None:
-        """Drop a node record (it shipped, was cancelled, or was replaced)."""
+        """Drop a node's records (it shipped, was cancelled, or was
+        replaced), its own first: :meth:`load` drops writes of no node."""
         self._delete(_node_key(seq), kind="node", ref=str(seq))
+        for index in range(1, self._last_write.pop(seq, 0) + 1):
+            self._delete(_write_key(seq, index), kind="node", ref=str(seq))
 
     def record_unit(self, msg_id: int, seqs: List[int]) -> None:
         """Persist which nodes the envelope ``msg_id`` carries (at launch)."""
@@ -280,6 +302,7 @@ class SyncJournal:
         """Wipe every journal record (fresh client, or tests)."""
         self.kv.delete_prefix(_J)
         self._undo_index.clear()
+        self._last_write.clear()
 
     # -- read side ---------------------------------------------------------
 
@@ -293,11 +316,18 @@ class SyncJournal:
         raw_vercnt = self.kv.get(_K_VERCNT)
         if raw_vercnt is not None:
             state.vercnt = _decoded(_U64, _K_VERCNT, raw_vercnt)
-        for key, value in self.kv.items(_P_NODE):
-            node = _decoded(_NODE, key, value)
-            node.seq = _U64.decode(key[len(_P_NODE) :])
-            state.nodes.append((node.seq, node))
-        state.nodes.sort(key=lambda pair: pair[0])
+        node_key_len = len(_node_key(0))
+        for key, value in self.kv.items(_P_NODE):  # a node's records in order
+            seq = _U64.decode(key[len(_P_NODE) : node_key_len])
+            if len(key) == node_key_len:
+                node = _decoded(_NODE, key, value)
+                node.seq = seq
+                state.nodes.append((seq, node))
+            elif state.nodes and state.nodes[-1][0] == seq:
+                state.nodes[-1][1].writes.append(_decoded(_RUN, key, value))
+                self._last_write[seq] = _U64.decode(key[node_key_len:])
+            else:  # its node's forget was cut short
+                self.kv.delete(key)
         for key, value in self.kv.items(_P_UNIT):
             msg_id = _U64.decode(key[len(_P_UNIT) :])
             state.units.append((msg_id, _decoded(_UNIT, key, value)))
@@ -366,7 +396,16 @@ def perform_recovery(client) -> RecoveryReport:
         local_paths = _local_paths(client)
         server_versions = _renegotiate_versions(client, local_paths, now)
         _replay_nodes(client, state, now, report)
-        _sweep_and_repair(client, local_paths, server_versions, now, report)
+        # The paper's "recently modified files" sweep: damage can land in
+        # clean files too, so every local file is compared (pure local
+        # hashing); only a mismatching block costs network traffic.
+        swept = sorted(set(local_paths) | set(report.dirty_paths))
+        for path in swept if client.checksums is not None else ():
+            # a journaled node may name a file gone again, or a pending mkdir
+            if client.inner.exists(path) and not client.inner.stat(path).is_dir:
+                obs.inc("recovery.files.swept")
+                on_server = server_versions.get(path) is not None
+                repair(client, path, now, report, on_server=on_server)
         client.stats.recoveries += 1
     return report
 
@@ -493,66 +532,18 @@ def _note_replayed(obs: Observability, node: QueueNode, disposition: str) -> Non
         )
 
 
-def _sweep_and_repair(
-    client,
-    local_paths: List[str],
-    server_versions: Dict[str, Optional[VersionStamp]],
-    now: float,
-    report: RecoveryReport,
+def repair(
+    client, path: str, now: float, report: RecoveryReport, *, on_server: bool = True
 ) -> None:
-    """The paper's "recently modified files" sweep, with bounded repair.
+    """Bring one file back to its durable checksums: the one repair, which
+    the post-crash sweep runs on every local file and a verified read on the
+    file it caught damaged, and the one routine that writes repaired content.
 
-    Every local file's blocks are compared against the durable checksum
-    store — damage can land in clean files too, so the sweep is not
-    limited to the journal's dirty set. The comparison is pure local
-    hashing; network traffic happens only for mismatching blocks. A
-    mismatching block is crash damage (it changed beneath the operation
-    surface) and :func:`_rebuild` repairs it.
-    """
-    if client.checksums is None:
-        return
-    obs = client.obs
-    for path in sorted(set(local_paths) | set(report.dirty_paths)):
-        # a journaled node may name a file gone again, or a pending mkdir
-        if not client.inner.exists(path) or client.inner.stat(path).is_dir:
-            continue
-        obs.inc("recovery.files.swept")
-        content = client.inner.read_file(path)
-        bad_blocks = client.checksums.mismatched_blocks(path, content)
-        if not bad_blocks:
-            continue
-        report.damaged_paths.append(path)
-        obs.inc("recovery.files.damaged")
-        on_server = server_versions.get(path) is not None
-        repaired = _rebuild(
-            client, path, content, bad_blocks,
-            pending_messages(client.queue, [path]), on_server, now, report,
-        )
-        if obs.enabled:
-            obs.event(
-                "recovery.file.repaired",
-                path=path,
-                blocks=len(bad_blocks),
-                full_file=not repaired,
-            )
-
-
-def _rebuild(
-    client,
-    path: str,
-    content: bytes,
-    bad_blocks: List[int],
-    pending: List[Message],
-    on_server: bool,
-    now: float,
-    report: RecoveryReport,
-) -> bool:
-    """Reconstruct a damaged file and write it back — the one routine that
-    writes repaired content. Returns True when block-wise repair settled it.
-
-    One fold: cloud bytes spliced into a base, then *every* journaled pending
-    intent applied on top in sequence order, as the message it will ship as
-    (``apply_to``, the server's own effect) — the crash must never silently
+    A mismatching block changed beneath the operation surface (crash
+    damage, silent corruption). One fold mends it: cloud bytes spliced into
+    a base, then *every* pending intent of the file, queued under any of its
+    names, applied on top in sequence order, as the message it will ship as
+    (``apply_to``, the server's own effect) — a repair must never silently
     roll back dirty data. Block-wise, the base is the local content and the
     splices are the contiguous damaged runs, one ``RangeRequest`` /
     ``RangeReply`` each, so the downlink is bounded by the damaged span
@@ -563,16 +554,32 @@ def _rebuild(
     takes the whole cloud copy as the base instead. If even that disagrees,
     the candidate with fewer damaged blocks wins and the checksums are
     re-indexed to it — never the stale cloud copy adopted blindly.
+
+    ``on_server`` is whether the cloud holds the file. One never uploaded is
+    rebuilt from zeros and the pending intents alone; one the cloud answers
+    for with no copy raises ``CorruptionDetected`` and is left as it is.
     """
     checksums, obs = client.checksums, client.obs
     block = checksums.block_size
+    content = client.inner.read_file(path)
+    bad_blocks = checksums.mismatched_blocks(path, content)
+    if not bad_blocks:
+        return
+    report.damaged_paths.append(path)
+    obs.inc("recovery.files.damaged")
+    pending = pending_messages(client.queue, client.inner.linked_paths(path))
 
     def fetch(offset: int, length: int) -> bytes:
         request = RangeRequest(path=path, offset=offset, length=length)
-        chunk = client._link.call(request, now).data
-        report.bytes_downloaded += len(chunk)
-        obs.inc("recovery.bytes.downloaded", len(chunk))
-        return chunk
+        reply = client._link.call(request, now)
+        if reply.version is None:
+            raise CorruptionDetected(
+                f"{path}: damaged, and the cloud holds no copy to repair from",
+                path=path,
+            )
+        report.bytes_downloaded += len(reply.data)
+        obs.inc("recovery.bytes.downloaded", len(reply.data))
+        return reply.data
 
     has_delta = any(isinstance(message, UploadDelta) for message in pending)
     for blockwise in ((False,) if has_delta else (True, False)):
@@ -581,8 +588,8 @@ def _rebuild(
             for start, count in _contiguous_runs(bad_blocks):
                 offset = start * block
                 room = max(0, min(count * block, len(content) - offset))
-                # Never uploaded: zeros, and the journaled pending intents
-                # are the only source of truth for the region.
+                # Never uploaded: zeros, and the pending intents are the
+                # only source of truth for the region.
                 chunk = b"\x00" * room
                 if on_server:
                     chunk = fetch(offset, count * block)[:room]
@@ -602,12 +609,18 @@ def _rebuild(
             break
     # Neither source clean: keep whichever disagrees with the durable record
     # the least, and re-index so the store describes reality again.
-    if still_bad and len(still_bad) > len(checksums.mismatched_blocks(path, content)):
+    if len(still_bad) > len(bad_blocks):
         rebuilt = content
     client.inner.write_file(path, rebuilt)
     if still_bad:
         client._file_changed(path, client.versions.get(path))
-    return blockwise
+    if obs.enabled:
+        obs.event(
+            "recovery.file.repaired",
+            path=path,
+            blocks=len(bad_blocks),
+            full_file=not blockwise,
+        )
 
 
 def pending_messages(queue, names: List[str]) -> List[Message]:

@@ -47,7 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
@@ -94,7 +94,6 @@ def provision_clients(
     rng: DeterministicRandom,
     file_size: int,
     server_meter_for: Callable[[int], CostMeter],
-    config_factory: Optional[Callable[[int], DeltaCFSConfig]] = None,
     obs: Observability = NULL_OBS,
 ) -> Tuple[List[DeltaCFSClient], List[Channel]]:
     """The provisioning loop shared by capacity and fleet runs.
@@ -116,17 +115,12 @@ def provision_clients(
     channels: List[Channel] = []
     for client_id in range(1, n_clients + 1):
         channel = Channel(server_meter=server_meter_for(client_id))
-        config = (
-            config_factory(client_id)
-            if config_factory is not None
-            else DeltaCFSConfig(enable_checksums=False)
-        )
         client = attach_client(
             server,
             clock=clock,
             client_id=client_id,
             channel=channel,
-            config=config,
+            config=DeltaCFSConfig(enable_checksums=False),
             shares=(f"/u{client_id}",),
             obs=obs,
         )

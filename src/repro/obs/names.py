@@ -559,8 +559,8 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         COUNTER,
         "journal records persisted (`kind` ∈ `node`, `unit` — a launched "
         "envelope's msg id and member seqs — `spans` — the queue's merged "
-        "backindex spans — `relation`, `vercnt`); re-journaling a "
-        "coalesced node counts again",
+        "backindex spans — `relation`, `vercnt`); a write a journaled "
+        "write node absorbs is one more `node` record",
         unit="records",
         labels=("kind",),
     ),
@@ -568,7 +568,8 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
         "journal.records.forgotten",
         COUNTER,
         "journal records retired (node uploaded — acked, over a reliable "
-        "transport — cancelled or replaced; unit acked or settled by recovery; "
+        "transport — cancelled or replaced, one per record it had; unit acked "
+        "or settled by recovery; "
         "spans re-recorded by recovery; relation resolved)",
         unit="records",
         labels=("kind",),
@@ -606,7 +607,8 @@ METRICS: Tuple[MetricSpec, ...] = _catalog(
     MetricSpec(
         "recovery.files.damaged",
         COUNTER,
-        "swept files with at least one mismatching block (crash inconsistency)",
+        "swept or read-verified files with at least one mismatching block "
+        "(crash inconsistency, silent corruption)",
         unit="files",
     ),
     MetricSpec(
@@ -901,8 +903,9 @@ EVENTS: Tuple[EventSpec, ...] = _catalog(
     EventSpec(
         "recovery.file.repaired",
         "event",
-        "a damaged file was brought back to its durable checksums "
-        "(`full_file` marks the whole-file fallback)",
+        "a damaged file was brought back to its durable checksums, by the "
+        "post-crash sweep or a verified read (`full_file` marks the "
+        "whole-file fallback)",
         attrs=("path", "blocks", "full_file"),
     ),
     HARNESS,  # from here on: spans

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.clock import VirtualClock
 from repro.obs.names import EVENT_NAMES, EventSpec
@@ -159,11 +159,10 @@ class Tracer:
         self,
         clock: Optional[VirtualClock] = None,
         *,
-        known_names: Tuple[str, ...] = EVENT_NAMES,
         sink=None,
     ):
         self.clock = clock if clock is not None else VirtualClock()
-        self._known = set(known_names)
+        self._known = set(EVENT_NAMES)
         self._events: List[TraceEvent] = []
         self._stack: List[_SpanHandle] = []
         self._id_counter = 0

@@ -357,7 +357,8 @@ class MemoryFileSystem(FileSystemAPI):
         inode_id = self._entries.get(path)
         if inode_id is None:
             raise NotFoundError(f"no such file: {path}")
-        return sorted(self._inodes[inode_id].names)
+        names = self._inodes[inode_id].names
+        return [path] if len(names) == 1 else sorted(names)
 
     # -- extras used by fault injection and tests --------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
+from repro.common.errors import CorruptionDetected
 from repro.core.client import DeltaCFSClient
 from repro.core.sync_queue import MetaNode, WriteNode
 from repro.net.transport import Channel
@@ -105,10 +106,14 @@ class TestUnsyncedPaths:
 
 
 class TestNoCloudCopy:
-    def test_recover_without_a_cloud_copy_returns_none(self):
+    def test_a_damaged_read_without_a_cloud_copy_raises(self):
         _, client, _ = build()
         client.create("/f")  # never pumped: the cloud has no /f
-        assert client._recover("/f") is None
+        client.write("/f", 0, b"d" * 100)
+        client.inner.corrupt("/f", 10)
+        with pytest.raises(CorruptionDetected):
+            client.read("/f")
+        assert client.stats.recoveries == 0
 
 
 class TestOpCounters:

@@ -36,7 +36,9 @@ relation table, and a meter charge is the profile's own float expression.
 And in the checksum store: a write, a verified read and an unlink of a
 file of one block group each touch that group's one KV record. And on the
 upload path: a queued write ships the bytes the application wrote, the
-object itself, with no copy on the way to the cloud.
+object itself, with no copy on the way to the cloud. A forwarded write to
+a file the recipient holds asks the store for its names once and never
+whether it exists.
 """
 
 import gc
@@ -328,6 +330,31 @@ def test_a_forwarded_write_is_computed_once_for_every_recipient(
         n + (i > 0) for i, n in enumerate(applied)
     ]
     assert all(c.inner.content("/f") is stored for c in sim.clients)
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+def test_a_forward_to_an_existing_file_asks_whether_it_exists_never(
+    checksums, monkeypatch
+):
+    # A forwarded write finds the file by its name set, which a missing file
+    # has none of: the one lookup that also says whether to create it.
+    sim = Simulation(clients=2, config=DeltaCFSConfig(enable_checksums=checksums))
+    writer, receiver = sim.clients
+    writer.create("/f")
+    writer.write("/f", 0, b"a" * 8192)
+    writer.close("/f")
+    sim.settle()
+    asked = []
+    exists = receiver.inner.exists
+    monkeypatch.setattr(
+        receiver.inner, "exists", lambda path: asked.append(path) or exists(path)
+    )
+    writer.write("/f", 100, b"w" * 100)
+    writer.close("/f")
+    sim.settle()
+    assert asked == []
+    assert receiver.stats.forwards_applied == 3
+    assert sim.mismatched() == []
 
 
 @pytest.mark.parametrize("recipients", [2, 8])

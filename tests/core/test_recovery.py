@@ -15,6 +15,7 @@ from repro.common.rng import DeterministicRandom
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
 from repro.core.recovery import (
+    _RUN,
     SyncJournal,
     decode_node,
     encode_node,
@@ -28,7 +29,8 @@ from repro.core.sync_queue import (
 )
 from repro.delta.format import Delta
 from repro.faults.crash import inject_crash_inconsistency, restart
-from repro.kvstore.kv import MemoryKV
+from repro.kvstore import wal
+from repro.kvstore.kv import LogStructuredKV, MemoryKV
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
 from repro.vfs.filesystem import MemoryFileSystem
@@ -218,6 +220,109 @@ class TestSyncJournal:
     def test_unsequenced_node_rejected(self):
         with pytest.raises(ValueError):
             SyncJournal(MemoryKV()).record_node(WriteNode("/w"))
+
+
+def _coalesced(journal, seq, writes):
+    """A write node journaled as the client journals one: whole at its
+    first write, then each write it absorbs on its own."""
+    node = WriteNode("/w", seq=seq)
+    for offset, data in writes:
+        node.add_write(offset, data)
+        if len(node.writes) == 1:
+            journal.record_node(node)
+        else:
+            journal.record_write(node)
+    return node
+
+
+class _CountingKV(MemoryKV):
+    def __init__(self):
+        super().__init__()
+        self.puts, self.put_bytes, self.deletes = 0, 0, 0
+
+    def put(self, key, value):
+        self.puts += 1
+        self.put_bytes += len(key) + len(value)
+        super().put(key, value)
+
+    def delete(self, key):
+        self.deletes += 1
+        super().delete(key)
+
+
+class TestCoalescedWrites:
+    """A write node is journaled once, then each write it absorbs alone."""
+
+    def test_a_write_node_loads_with_every_write_it_absorbed(self):
+        journal = SyncJournal(MemoryKV())
+        writes = [(i * 10, bytes([65 + i]) * 10) for i in range(12)]
+        node = _coalesced(journal, 7, writes)
+        other = _coalesced(journal, 8, [(0, b"z")])
+        assert journal.load().nodes == [(7, node), (8, other)]
+
+    def test_forget_drops_every_record_of_the_node(self):
+        kv = MemoryKV()
+        journal = SyncJournal(kv)
+        _coalesced(journal, 3, [(0, b"a"), (5, b"b"), (9, b"c")])
+        journal.forget_node(3)
+        assert list(kv.items()) == []
+
+    def test_a_loaded_node_is_forgotten_whole(self):
+        kv = MemoryKV()
+        _coalesced(SyncJournal(kv), 3, [(0, b"a"), (5, b"b")])
+        reopened = SyncJournal(kv)
+        assert len(reopened.load().nodes[0][1].writes) == 2
+        reopened.forget_node(3)
+        assert list(kv.items()) == []
+
+    def test_a_one_write_node_is_one_put_and_one_delete(self):
+        kv = _CountingKV()
+        journal = SyncJournal(kv)
+        _coalesced(journal, 1, [(0, b"x" * 100)])
+        journal.forget_node(1)
+        assert (kv.puts, kv.deletes) == (1, 1)
+
+    def test_a_file_written_in_pieces_journals_its_bytes_once(self):
+        # 100 sequential 4 KB writes re-journaled the whole node on every
+        # write: 103 puts of 20 750 056 B for 409 600 B written.
+        kv = _CountingKV()
+        client, _, _, _ = _build(jkv=kv)
+        client.create("/f")
+        for i in range(100):
+            client.write("/f", i * 4096, bytes([i]) * 4096)
+        assert kv.put_bytes <= 2 * 100 * 4096
+        (node,) = [
+            node for _, node in client.journal.load().nodes
+            if isinstance(node, WriteNode)
+        ]
+        assert node.writes == [(i * 4096, bytes([i]) * 4096) for i in range(100)]
+
+    def test_writes_whose_node_record_is_gone_are_discarded(self):
+        # A power cut between a forget's first delete and the rest.
+        kv = MemoryKV()
+        journal = SyncJournal(kv)
+        _coalesced(journal, 4, [(0, b"a"), (5, b"b")])
+        journal.kv.delete(next(key for key, _ in kv.items(b"j\x00node\x00")))
+        assert journal.load().nodes == []
+        assert list(kv.items()) == []
+
+    def test_a_torn_last_write_record_loads_the_writes_before_it(self, tmp_path):
+        log = tmp_path / "journal.wal"
+        kv = LogStructuredKV(str(log), sync=True)
+        writes = [(0, b"a" * 50), (50, b"b" * 50), (100, b"c" * 50)]
+        node = _coalesced(SyncJournal(kv), 2, writes)
+        kv.close()
+        raw = log.read_bytes()
+        *_, (op, key, value) = wal.iter_records(raw)
+        assert op == wal.PUT and value == _RUN.encode((100, b"c" * 50))
+        last = len(wal.encode_record(op, key, value))
+        log.write_bytes(raw[: len(raw) - last // 2])
+        reopened = LogStructuredKV(str(log), sync=True)
+        try:
+            (seq, loaded), = SyncJournal(reopened).load().nodes
+            assert seq == 2 and loaded.writes == node.writes[:2]
+        finally:
+            reopened.close()
 
 
 class TestRecovery:
@@ -476,7 +581,7 @@ _ops = st.lists(
 
 
 def _clipped_overlay_repair(content, bad_blocks, cloud, pending):
-    """The block-wise applier ``_rebuild`` replaced, kept as the oracle: per
+    """The block-wise applier ``repair`` replaced, kept as the oracle: per
     damaged run, cloud bytes over the local range, then every pending
     write / truncate *clipped to that range* on a ``bytearray``."""
     data = bytearray(content)
@@ -545,10 +650,7 @@ def test_fold_equals_the_clipped_overlay_it_replaced(base, ops, damaged):
     oracle = _clipped_overlay_repair(torn, bad, server.file_content("/f"), pending)
     settles = not client.checksums.mismatched_blocks("/f", oracle)
     report = recovery.RecoveryReport()
-    blockwise = recovery._rebuild(
-        client, "/f", torn, bad, pending, True, clock.now(), report
-    )
-    assert blockwise == settles
+    recovery.repair(client, "/f", clock.now(), report)
     assert report.full_file_fallbacks == (0 if settles else 1)
     assert report.blocks_repaired == len(bad)
     if settles:

@@ -9,8 +9,11 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.errors import NotFoundError
+from repro.common.rng import DeterministicRandom
 from repro.common.version import VersionStamp
 from repro.core.client import DeltaCFSClient
+from repro.faults.crash import inject_crash_inconsistency
+from repro.kvstore.kv import MemoryKV
 from repro.net.messages import HistoryRequest, MetaOp, TxnGroup, UploadWrite
 from repro.net.transport import Channel
 from repro.server.cloud import CloudServer
@@ -817,8 +820,8 @@ def test_a_forwarded_write_rechecksums_only_the_blocks_it_touched(write_through)
         assert receiver.checksums.mismatched_blocks(name, content) == []
 
 
-# Read repair: a verified read that finds a damaged block adopts the cloud
-# copy. The file's pending writes are not on the cloud yet; they used to be
+# Read repair: a verified read that finds a damaged block mends it from the
+# cloud. The file's pending writes are not on the cloud yet; they used to be
 # dropped from the local file while their node still shipped them, so the
 # server held the write and the replica did not (mismatched() == ['/f'],
 # no conflict).
@@ -852,6 +855,59 @@ def test_read_repair_keeps_the_files_pending_writes(write_through):
     sim.flush()
     assert sim.mismatched() == []
     assert client.stats.conflicts == 0
+
+
+# A verified read mends a damaged block the way the crash sweep does, with a
+# ranged download of the damaged run. It used to download the whole file:
+# 262 177 B to mend one 4 KB block of a 256 KB file.
+
+
+def test_a_read_repair_downloads_only_the_damaged_block():
+    sim = Simulation(config=DeltaCFSConfig(enable_checksums=True))
+    client = sim.client
+    content = DeterministicRandom(1).random_bytes(256 * 1024)
+    client.create("/f")
+    client.write("/f", 0, content)
+    client.close("/f")
+    sim.settle()
+    sim.flush()
+    before = client.channel.stats.down_bytes
+    client.inner.corrupt("/f", 100_000)
+    assert client.read("/f", 100_000, 10) == content[100_000:100_010]
+    assert client.channel.stats.down_bytes - before < 2 * client.checksums.block_size
+    assert client.inner.read_file("/f") == content
+    assert client.stats.corruptions_detected == client.stats.recoveries == 1
+
+
+# A crash under a write pending through a hard link's second name: the
+# sweep repairs the first name with the pending writes of every name of the
+# file folded in. It folded in only those queued under the swept name, so
+# /a recovered without the write, its node still shipped it, and the
+# replica diverged from the cloud (mismatched() == ['/a', '/b']; 7 of seeds
+# 0-39).
+
+
+def test_a_crash_repair_keeps_the_writes_pending_under_another_name():
+    sim = Simulation(
+        config=DeltaCFSConfig(enable_checksums=True), journal_kv=MemoryKV()
+    )
+    client = sim.client
+    client.create("/a")
+    client.write("/a", 0, DeterministicRandom(0).random_bytes(64 * 1024))
+    client.close("/a")
+    sim.settle()
+    client.link("/a", "/b")
+    sim.settle()
+    client.write("/b", 8192, DeterministicRandom(100).random_bytes(5000))
+    written = client.inner.read_file("/a")
+    inject_crash_inconsistency(client.inner, "/a", seed=0)
+    report = sim.restart(client).recover()
+    assert report.damaged_paths == ["/a"]
+    sim.settle()
+    sim.flush()
+    assert sim.mismatched() == []
+    assert sim.client.read("/a") == sim.client.read("/b") == written
+    assert sim.client.stats.conflicts == 0
 
 
 # Replicas of a shared file hold one content value: each applies a

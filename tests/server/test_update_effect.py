@@ -217,11 +217,7 @@ def test_recovery_rebuilds_what_the_server_will_hold(base, first, length, second
     pending = recovery.pending_messages(client.queue, ["/f"])
     client.inner.write_file("/f", b"\xff" * len(expected))
 
-    torn = client.inner.read_file("/f")
-    recovery._rebuild(
-        client, "/f", torn, client.checksums.mismatched_blocks("/f", torn),
-        pending, True, clock.now(), recovery.RecoveryReport(),
-    )
+    recovery.repair(client, "/f", clock.now(), recovery.RecoveryReport())
     folded = Pages(server.file_content("/f"))
     for update in pending:
         folded = server._effect(update, folded, charge=False)

@@ -27,7 +27,7 @@ MODULES = (
     ("repro.net.messages", "sync messages (sizes only: the simulation never builds these bytes)"),
     ("repro.delta.format", "the delta instruction stream"),
     ("repro.delta.rsync", "the rsync block signature (sizes only)"),
-    ("repro.core.recovery", "crash-recovery journal records (values of the journal's KV keys)"),
+    ("repro.core.recovery", "crash-recovery journal records (values of the journal's KV keys; a write node's first record is a `journal node`, and each write it absorbs later a `run` keyed by the node's key + the write's index as a `u64`)"),
     ("repro.kvstore.wal", "the write-ahead log record: `WAL frame`, then `length` bytes of `WAL payload` whose CRC-32 the frame carries"),
     ("repro.core.checksum_store", "the checksum store's KV pairs, one per group of 64 blocks: key `<path> 0x00 <group index>`, value `checksum group`, whose `slots` are the u32 BE weak checksums of the group's blocks, slot `i` for block `64 × group index + i`, up to the highest bit set in `present`"),
     ("repro.vfs.ops", "file operations as trace-file records"),
